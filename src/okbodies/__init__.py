@@ -3,9 +3,9 @@
 Submodules:
 
 * ``geometry``   — exact rational polytopes (hulls, cuts, volumes, barycenters,
-  slices, cones, rooftop bodies, certified inscribed balls).
+  slices, cones, certified inscribed balls).
 * ``lattice``    — scaled-lattice enumeration, counting, discrepancies,
-  concave sums, shift-minimized counts.
+  concave sums, the certified count constant.
 * ``series``     — graded-series backends generating discrete bodies with gaps
   (toric, curve divisor, canonical curve, synthetic).
 * ``thresholds`` — jumping numbers, S_{k,m} invariants, empirical measures,

@@ -61,6 +61,27 @@ class InputError(Exception):
     pass
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer >= lo, so bad bounds exit 2 at parse time."""
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"{value} is below the minimum {lo}")
+        return value
+    return integer
+
+
+def _unit_rational(text: str) -> Fraction:
+    """argparse type: a rational p/q in [0, 1]."""
+    try:
+        value = rat(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a rational p/q") from None
+    if not 0 <= value <= 1:
+        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -176,7 +197,9 @@ def cmd_thresholds(args) -> int:
         if args.sweep:
             tau, m_rule, k_iter = estimates.sweep_from_json(_load_json(args.sweep))
         else:
-            tau = rat(args.tau)
+            if args.k_min > args.k_max:
+                raise InputError(f"--k-min {args.k_min} exceeds --k-max {args.k_max}")
+            tau = args.tau
             m_rule = estimates.make_m_rule(args.m_rule, tau=tau)
             k_iter = range(args.k_min, args.k_max + 1)
     except (ValueError, TypeError) as exc:
@@ -341,24 +364,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_body = sub.add_parser("body", help="volume/barycenter/inscribed-ball report")
     p_body.add_argument("--in", dest="infile", required=True, help="polytope JSON")
-    p_body.add_argument("--k", type=int, default=None, help="also count Z^n/k points")
+    p_body.add_argument("--k", type=_int_at_least(1), default=None, help="also count Z^n/k points")
     p_body.add_argument("--out", default=None, help="write JSON here (default stdout)")
     p_body.set_defaults(func=cmd_body)
 
     p_series = sub.add_parser("series", help="discrete bodies, gap sets, gap table")
     p_series.add_argument("--in", dest="infile", required=True, help="model JSON")
-    p_series.add_argument("--k-max", dest="k_max", type=int, default=10)
+    p_series.add_argument("--k-max", dest="k_max", type=_int_at_least(1), default=10)
     p_series.add_argument("--out", default=None, help="CSV path (default stdout)")
     p_series.set_defaults(func=cmd_series)
 
     p_thr = sub.add_parser("thresholds", help="per-level threshold sweep")
     p_thr.add_argument("--in", dest="infile", required=True, help="model JSON")
     p_thr.add_argument("--valuations", required=True, help="valuation family JSON")
-    p_thr.add_argument("--tau", default="1", help="volume quantile p/q")
+    p_thr.add_argument("--tau", type=_unit_rational, default="1",
+                       help="volume quantile p/q in [0, 1]")
     p_thr.add_argument("--m-rule", dest="m_rule", default="ceil_tau",
                        choices=["one", "ceil_tau", "dk", "dk_minus_sqrt"])
-    p_thr.add_argument("--k-min", dest="k_min", type=int, default=1)
-    p_thr.add_argument("--k-max", dest="k_max", type=int, default=20)
+    p_thr.add_argument("--k-min", dest="k_min", type=_int_at_least(1), default=1)
+    p_thr.add_argument("--k-max", dest="k_max", type=_int_at_least(1), default=20)
     p_thr.add_argument("--tol", default="1/1000000000")
     p_thr.add_argument("--sweep", default=None,
                        help="sweep spec JSON (overrides --tau/--m-rule/--k-min/--k-max)")
@@ -367,9 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run a bundled verification suite")
     p_ver.add_argument("suite", choices=SUITES)
-    p_ver.add_argument("--k-max", dest="k_max", type=int, default=40)
+    # the cones, endpoints and deltarate sweeps start at k = 2
+    p_ver.add_argument("--k-max", dest="k_max", type=_int_at_least(2), default=40)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=_int_at_least(1), default=1,
+                       help="worker processes for the ehrhart suite's per-k map")
     p_ver.add_argument("--out", default=None, help="report directory")
     p_ver.set_defaults(func=cmd_verify)
     return parser

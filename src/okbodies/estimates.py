@@ -143,8 +143,12 @@ def _csv_cell(x) -> str:
 
 
 def _two_halves(report: SweepReport, name: str, ks: Sequence[int],
-                vals: Sequence[Fraction]) -> None:
-    """Boundedness proxy: sup over the upper half of k <= 2 * sup over lower."""
+                vals: Sequence[Fraction], bound: str = "upper") -> None:
+    """Boundedness proxy: sup over the upper half of k <= 2 * sup over lower.
+
+    With bound="lower" the mirror check bounds the values away from zero:
+    inf over the upper half >= (inf over the lower half) / 2.
+    """
     if not ks:
         report.check(name, False, {"reason": "empty sweep"})
         return
@@ -154,8 +158,12 @@ def _two_halves(report: SweepReport, name: str, ks: Sequence[int],
     if not lower or not upper:
         report.check(name, True)
         return
-    lo, hi = max(lower), max(upper)
-    report.check(name, hi <= 2 * lo, {"lower_half_sup": lo, "upper_half_sup": hi})
+    if bound == "lower":
+        lo, hi = min(lower), min(upper)
+        report.check(name, hi >= lo / 2, {"lower_half_min": lo, "upper_half_min": hi})
+    else:
+        lo, hi = max(lower), max(upper)
+        report.check(name, hi <= 2 * lo, {"lower_half_sup": lo, "upper_half_sup": hi})
 
 
 def _pmap(fn: Callable, items: Sequence, jobs: int = 1) -> list:
@@ -209,25 +217,6 @@ def rate_fit(samples: Sequence[tuple[int, Fraction]], limit) -> RateFit:
 # ---------------------------------------------------------------------------
 # seeded samplers
 # ---------------------------------------------------------------------------
-
-def random_rational_polytope(rng: random.Random, n: int, denom: int = 16,
-                             points: int = 7, box=None) -> ConvexBody:
-    """Full-dimensional random rational polytope (hull of grid points)."""
-    while True:
-        pts = []
-        for _ in range(points):
-            if box is None:
-                pts.append(tuple(Fraction(rng.randrange(0, denom + 1), denom)
-                                 for _ in range(n)))
-            else:
-                pts.append(tuple(
-                    lo + Fraction(rng.randrange(0, denom + 1), denom) * (hi - lo)
-                    for lo, hi in box
-                ))
-        body = hull(pts)
-        if body.is_full_dim():
-            return body
-
 
 def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
                      points: int = 6, denom: int = 32) -> Callable[[int], list[ConvexBody]]:
@@ -453,13 +442,8 @@ def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
                                 "slice_ratio": Fraction(cnt) / denom})
         if ratios:
             report.fitted["slice_C2_lower"] = min(ratios)
-            mid = (min(ks) + max(ks)) / 2
-            lower = [v for k, v in zip(ks, ratios) if k <= mid]
-            upper = [v for k, v in zip(ks, ratios) if k > mid]
-            ok = (not lower or not upper
-                  or min(upper) >= min(lower) / 2)
-            report.check("slice-cone count scales like k^iota l^(n-iota)", ok,
-                         {"lower_half_min": min(lower), "upper_half_min": min(upper)})
+            _two_halves(report, "slice-cone count scales like k^iota l^(n-iota)",
+                        ks, ratios, bound="lower")
     return report
 
 
@@ -563,6 +547,8 @@ def sweep_from_json(data: dict):
     """Parse a sweep spec {"tau": "p/q", "m_rule": name, "k_range": [k0, k1]}
     into (tau, m_rule callable, k range)."""
     tau = rat(data.get("tau", "1"))
+    if not 0 <= tau <= 1:
+        raise ValueError(f"sweep tau {rat_str(tau)} is outside [0, 1]")
     rule = make_m_rule(data.get("m_rule", "ceil_tau"), tau=tau,
                        const=int(data.get("const", 1)))
     k0, k1 = (int(x) for x in data.get("k_range", [1, 20]))
@@ -784,27 +770,4 @@ def verify_weierstrass(k_max: int = 30, genus_max: int = 6) -> SweepReport:
             {"model": f"canonical_g{g}", "k": r.k, "d_k": r.d_k, "D_k": r.D_k,
              "diff": r.diff} for r in rows
         )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# model-level gap growth (D_k - d_k = O(k^{n-1}))
-# ---------------------------------------------------------------------------
-
-def verify_gap_growth(model: GradedSeriesModel, k_range: Sequence[int]) -> SweepReport:
-    """(D_k - d_k)/k^{n-1} bounded, via the two-halves stability proxy."""
-    n = model.ambient.dim
-    report = SweepReport("gap_growth", {"k_range": [min(k_range), max(k_range)]})
-    ks, vals = [], []
-    for k in sorted(k_range):
-        if not model.has_level(k):
-            continue
-        diff = model.D_k(k) - model.d_k(k)
-        ks.append(k)
-        vals.append(Fraction(diff) / Fraction(k) ** (n - 1))
-        report.rows.append({"k": k, "diff": diff, "normalized": vals[-1]})
-        if diff < 0:
-            report.check("D_k >= d_k", False, {"k": k, "diff": diff})
-    report.check("gap deficit is nonnegative", all(v >= 0 for v in vals))
-    _two_halves(report, "(D_k - d_k)/k^(n-1) is stable across k-halves", ks, vals)
     return report

@@ -505,26 +505,6 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
                       _sync_halfspaces(new_vertices, candidates, body.dim))
 
 
-def from_halfspaces(halfspaces: Sequence[HalfSpace],
-                    box: Sequence[tuple[Fraction, Fraction]]) -> ConvexBody:
-    """Body cut out of an explicit bounding box by a halfspace list."""
-    n = len(box)
-    corners = [tuple(c) for c in itertools.product(*[(rat(lo), rat(hi)) for lo, hi in box])]
-    sides = []
-    for i, (lo, hi) in enumerate(box):
-        e = [0] * n
-        e[i] = 1
-        sides.append(HalfSpace.make(e, hi))
-        e[i] = -1
-        sides.append(HalfSpace.make(e, -rat(lo)))
-    body = ConvexBody(n, set(corners), sides)
-    for hs in halfspaces:
-        body = intersect_halfspace(body, hs)
-        if body.is_empty:
-            return body
-    return body
-
-
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
     """lam * body + shift, exact; lam must be positive."""
     lam = rat(lam)
@@ -765,13 +745,6 @@ def max_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
     return t0 + opt
 
 
-def min_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
-    """Exact minimum of a concave PL transform over a body (at a vertex)."""
-    if body.is_empty:
-        raise GeometryError("min over an empty body")
-    return min(g(v) for v in body.vertices)
-
-
 def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
     """Exact integral of a concave PL transform over a body.
 
@@ -886,7 +859,7 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# cones and rooftop bodies
+# cones
 # ---------------------------------------------------------------------------
 
 def _coordinate_slice(body: ConvexBody, value: Fraction) -> ConvexBody:
@@ -923,21 +896,6 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
     if fa.is_empty:
         raise GeometryError(f"the a-slice at {a} is empty")
     return hull(list(fa.vertices) + [apex])
-
-
-def rooftop(body: ConvexBody, f: AffineFunctional) -> ConvexBody:
-    """{(x, t) : x in body, 0 <= t <= f(x)} in R^(n+1); f must be >= 0 on body."""
-    if body.is_empty:
-        raise GeometryError("rooftop of an empty body")
-    if min(f(v) for v in body.vertices) < 0:
-        raise GeometryError("rooftop height function is negative on the body")
-    n = body.dim
-    lifted = [HalfSpace.make(tuple(h.normal) + (0,), h.offset) for h in body.halfspaces]
-    lifted.append(HalfSpace.make((0,) * n + (-1,), 0))
-    lifted.append(HalfSpace.make(tuple(-c for c in f.gradient) + (Fraction(1),), f.constant))
-    fmax = max(f(v) for v in body.vertices)
-    box = body.bounding_box() + [(Fraction(0), fmax)]
-    return from_halfspaces(lifted, box)
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +944,8 @@ def body_from_json(data: dict) -> ConvexBody:
     if "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
     n = int(data["dim"])
+    if not 1 <= n <= 4:
+        raise ValueError(f"polytope dimension {n} is outside the supported range 1..4")
     verts = [tuple(rat(c) for c in v) for v in data["vertices"]]
     if not verts:
         raise ValueError("polytope JSON has no vertices")

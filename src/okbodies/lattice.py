@@ -8,20 +8,10 @@ lexicographic order, so enumeration output is deterministic and sorted.
 
 from __future__ import annotations
 
-import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
 
-from .geometry import (
-    ConcavePL,
-    ConvexBody,
-    chebyshev_ball,
-    scale_translate,
-    sqrt_upper_bound,
-    volume,
-)
+from .geometry import ConcavePL, ConvexBody, chebyshev_ball, sqrt_upper_bound, volume
 
 
 @dataclass(frozen=True)
@@ -76,17 +66,12 @@ def _scaled_constraints(body: ConvexBody, k: int):
     return lo, hi, levels
 
 
-def _scan(body: ConvexBody, k: int, collect: bool,
-          slab: Optional[tuple[int, int]] = None):
-    """Core slab scan; ``slab`` restricts the leading coordinate (for workers).
-    Returns (count, points or None)."""
+def _scan(body: ConvexBody, k: int, collect: bool):
+    """Core slab scan. Returns (count, points or None)."""
     if body.is_empty:
         return 0, [] if collect else None
     n = body.dim
     lo, hi, levels = _scaled_constraints(body, k)
-    if slab is not None:
-        lo[0] = max(lo[0], slab[0])
-        hi[0] = min(hi[0], slab[1])
     points: list[tuple[int, ...]] = []
     prefix = [0] * n
     total = 0
@@ -123,57 +108,20 @@ def _scan(body: ConvexBody, k: int, collect: bool,
     return total, points if collect else None
 
 
-def _leading_slabs(body: ConvexBody, k: int, jobs: int) -> list[tuple[int, int]]:
-    box = body.bounding_box()
-    lo = _ceil_div(k * box[0][0].numerator, box[0][0].denominator)
-    hi = (k * box[0][1].numerator) // box[0][1].denominator
-    width = hi - lo + 1
-    if width <= jobs:
-        return [(z, z) for z in range(lo, hi + 1)]
-    step = -(-width // jobs)
-    return [(a, min(a + step - 1, hi)) for a in range(lo, hi + 1, step)]
-
-
-def _scan_chunk(args):
-    body, k, collect, slab = args
-    return _scan(body, k, collect, slab)
-
-
-def enumerate_points(body: ConvexBody, k: int, jobs: int = 1) -> PointCloud:
-    """Exactly body ∩ Z^n/k, in deterministic lexicographic order.
-
-    With jobs > 1 the scan is decomposed across leading-coordinate slabs and
-    merged in slab order, so the output is identical to the serial scan.
-    """
+def enumerate_points(body: ConvexBody, k: int) -> PointCloud:
+    """Exactly body ∩ Z^n/k, in deterministic lexicographic order."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if jobs <= 1 or body.is_empty:
-        _, pts = _scan(body, k, collect=True)
-        return PointCloud(k, tuple(pts))
-    from concurrent.futures import ProcessPoolExecutor
-
-    slabs = _leading_slabs(body, k, jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_scan_chunk, [(body, k, True, s) for s in slabs]))
-    merged: list[tuple[int, ...]] = []
-    for _, pts in parts:
-        merged.extend(pts)
-    return PointCloud(k, tuple(merged))
+    _, pts = _scan(body, k, collect=True)
+    return PointCloud(k, tuple(pts))
 
 
-def count(body: ConvexBody, k: int, jobs: int = 1) -> int:
+def count(body: ConvexBody, k: int) -> int:
     """#(body ∩ Z^n/k) via per-slab interval arithmetic (no materialization)."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if jobs <= 1 or body.is_empty:
-        total, _ = _scan(body, k, collect=False)
-        return total
-    from concurrent.futures import ProcessPoolExecutor
-
-    slabs = _leading_slabs(body, k, jobs)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        parts = list(pool.map(_scan_chunk, [(body, k, False, s) for s in slabs]))
-    return sum(total for total, _ in parts)
+    total, _ = _scan(body, k, collect=False)
+    return total
 
 
 def discrepancy(body: ConvexBody, k: int) -> Fraction:
@@ -193,11 +141,6 @@ def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
     return total / Fraction(k) ** body.dim
 
 
-class ShiftedMinCount(NamedTuple):
-    lower_bound: int
-    empirical_min: Optional[int]
-
-
 def analytic_count_constant(body: ConvexBody, bits: int = 64) -> Fraction:
     """Certified C with count(body + x, l) >= (1 - C/l)|body| l^n for every shift x.
 
@@ -207,38 +150,3 @@ def analytic_count_constant(body: ConvexBody, bits: int = 64) -> Fraction:
     n = body.dim
     _, r_lb = chebyshev_ball(body, bits)
     return Fraction(n) * sqrt_upper_bound(Fraction(n), bits) / (2 * r_lb)
-
-
-def shifted_min_count(body: ConvexBody, ell: int, strategy: str = "analytic",
-                      samples: int = 64, seed: int = 0) -> ShiftedMinCount:
-    """Certified lower bound on min over cube shifts x of #((body+x) ∩ Z^n/l).
-
-    "analytic": ceil((1 - C/l) |body| l^n) with the explicit constant; every
-    shifted copy contains the same inscribed ball, so the bound is uniform in x.
-    "sample": additionally reports the empirical minimum over deterministic
-    pseudo-random rational shifts (an upper bound on the true minimum).
-    """
-    if ell < 1:
-        raise ValueError("l must be a positive integer")
-    if strategy not in ("analytic", "sample"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    vol = volume(body)
-    if vol == 0:
-        lower = 0
-    else:
-        c = analytic_count_constant(body)
-        if ell <= c:
-            lower = 0
-        else:
-            lower = max(0, math.ceil((1 - c / ell) * vol * Fraction(ell) ** body.dim))
-    if strategy == "analytic":
-        return ShiftedMinCount(lower, None)
-    rng = random.Random(seed)
-    best = None
-    scale = 1 << 16
-    for _ in range(samples):
-        shift = tuple(Fraction(rng.randrange(-scale // 2, scale // 2 + 1), scale)
-                      for _ in range(body.dim))
-        c_shift = count(scale_translate(body, 1, shift), ell)
-        best = c_shift if best is None else min(best, c_shift)
-    return ShiftedMinCount(lower, best)

@@ -282,9 +282,6 @@ class CanonicalCurveModel(GradedSeriesModel):
         """k*Delta_k + 1 as a sorted list of d_k integers in [1, k(2g-2)+1]."""
         return sorted(z[0] + 1 for z in self.discrete_body(k).points)
 
-    def is_generic_at(self, k: int) -> bool:
-        return set(self.discrete_body(k).points) == {(j,) for j in range(self.d_k(k))}
-
 
 # ---------------------------------------------------------------------------
 # synthetic

@@ -29,6 +29,7 @@ from typing import Optional, Sequence
 from .geometry import (
     ConcavePL,
     ConvexBody,
+    _row_reduce,
     first_coordinate_transform,
     max_transform,
     mean_transform,
@@ -205,24 +206,6 @@ def mu_k(model: GradedSeriesModel, v: ValuationModel, k: int) -> EmpiricalMeasur
 # continuous ccdf / quantile machinery
 # ---------------------------------------------------------------------------
 
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Unique solution of a square rational system, or None."""
-    n = len(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 @lru_cache(maxsize=128)
 def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
     """Breakpoints and per-piece polynomials of t -> |{G >= t}| / |ambient|.
@@ -247,11 +230,9 @@ def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
 
     cuts = {Fraction(0), s0, min(sigma, s0)}
     for combo in it.combinations(range(len(rows)), n + 1):
-        mat = [rows[i][0] for i in combo]
-        rhs = [rows[i][1] for i in combo]
-        sol = _solve_square(mat, rhs)
-        if sol is not None and 0 <= sol[-1] <= s0:
-            cuts.add(sol[-1])
+        _, pivots, red = _row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
+        if pivots == list(range(n + 1)) and 0 <= red[n][-1] <= s0:
+            cuts.add(red[n][-1])
     breaks = sorted(c for c in cuts if 0 <= c <= s0)
     pieces = []
     for lo, hi in zip(breaks, breaks[1:]):

@@ -171,3 +171,57 @@ def test_body_writes_to_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["body", "--in", infile, "--out", str(out)]) == 0
     assert json.loads(out.read_text())["volume"] == "1/2"
+
+
+def test_verify_cones_single_level_regression(tmp_path):
+    # one level in the slice sweep leaves the upper half empty
+    assert main(["verify", "cones", "--k-max", "2"]) == 0
+    assert main(["verify", "all", "--k-max", "2", "--out", str(tmp_path / "r")]) in (0, 3)
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejections
+        return exc.code
+
+
+SIMPLEX5_JSON = {"dim": 5, "vertices": [["0"] * 5] + [
+    ["1" if j == i else "0" for j in range(5)] for i in range(5)]}
+THRESHOLDS = ["thresholds", "--in", "{segment}", "--valuations", "{vseg}"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["body", "--in", "{simplex}", "--k", "0"],
+    ["body", "--in", "{simplex5}"],
+    ["series", "--in", "{segment}", "--k-max", "0"],
+    THRESHOLDS + ["--k-min", "0"],
+    THRESHOLDS + ["--k-max", "0"],
+    THRESHOLDS + ["--k-min", "5", "--k-max", "2"],
+    THRESHOLDS + ["--tau", "2"],
+    THRESHOLDS + ["--tau=-1/2"],
+    THRESHOLDS + ["--tau", "1/0"],
+    THRESHOLDS + ["--sweep", "{sweep}"],
+    ["verify", "lowerbound", "--k-max", "0"],
+    ["verify", "cones", "--k-max", "1"],
+    ["verify", "ehrhart", "--jobs", "0"],
+    ["verify", "ehrhart", "--k-max", "two"],
+])
+def test_cli_bounds_exit2(tmp_path, capsys, argv):
+    inputs = {"simplex": SIMPLEX_JSON, "simplex5": SIMPLEX5_JSON, "segment": SEGMENT_MODEL,
+              "vseg": VSEG, "sweep": {"tau": "3/2"}}
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
+    assert _exit_code([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+
+
+def test_benchmark_arguments_still_parse():
+    from okbodies.cli import build_parser
+
+    parser = build_parser()
+    args = parser.parse_args(["thresholds", "--in", "m.json", "--valuations", "v.json",
+                              "--tau", "1/2", "--m-rule", "ceil_tau", "--k-max", "14"])
+    assert args.tau == 1 / 2 and args.k_max == 14
+    for suite in ("ehrhart", "cones", "all"):
+        assert parser.parse_args(["verify", suite, "--k-max", "12"]).k_max == 12

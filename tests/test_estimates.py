@@ -19,7 +19,6 @@ from okbodies.estimates import (
     verify_cone_counts,
     verify_delta_rate,
     verify_endpoint_limits,
-    verify_gap_growth,
     verify_lower_bound_constant,
     verify_maxp1,
     verify_S_two_sided,
@@ -257,12 +256,6 @@ def test_verify_endpoint_limits_segment():
 def test_verify_weierstrass_suite():
     rep = verify_weierstrass(k_max=20, genus_max=5)
     assert rep.passed
-
-
-def test_verify_gap_growth_models():
-    for model in (CanonicalCurveModel(4), top_column_gap_model()):
-        rep = verify_gap_growth(model, range(1, 31))
-        assert rep.passed
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from okbodies.lattice import (
     count,
     discrepancy,
     enumerate_points,
-    shifted_min_count,
 )
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -177,51 +176,30 @@ def test_concave_sum_rejects_negative():
 # shifted minimum counts
 # ---------------------------------------------------------------------------
 
-def test_shifted_min_count_point_is_zero():
-    pt = hull([(F(1, 3), F(1, 3))])
-    assert shifted_min_count(pt, 5).lower_bound == 0
-
-
 def test_shifted_min_count_square_constant():
     # r = 1/2 and n = 2 give C = 2*sqrt(2), so useful bounds need l >= 3
     c = analytic_count_constant(UNIT_SQUARE)
     assert c * c >= 8            # C >= 2 sqrt 2, rounded up
     assert c * c < 8 + F(1, 2**50)
     for ell in (3, 5, 10):
-        res = shifted_min_count(UNIT_SQUARE, ell)
-        assert res.lower_bound >= 1
-        assert res.lower_bound <= math.ceil((1 - c / ell) * ell**2)
+        assert math.ceil((1 - c / ell) * volume(UNIT_SQUARE) * ell**2) >= 1
 
 
 def test_shifted_min_count_certified_against_samples():
+    c = analytic_count_constant(UNIT_SQUARE)
+    shifts = [(F(0), F(0)), (F(1, 3), F(-2, 7)), (F(-11, 16), F(5, 9)), (F(1, 2), F(1, 2))]
     for ell in (3, 4, 7):
-        res = shifted_min_count(UNIT_SQUARE, ell, strategy="sample", samples=25, seed=11)
-        assert res.empirical_min is not None
-        assert res.lower_bound <= res.empirical_min
+        lower = math.ceil((1 - c / ell) * volume(UNIT_SQUARE) * ell**2)
+        for x in shifts:
+            assert lower <= count(scale_translate(UNIT_SQUARE, 1, x), ell)
 
 
 def test_shifted_min_count_segment_worst_shift():
     # a generic shift straddles both endpoints: l interior points survive
-    res = shifted_min_count(SEGMENT, 3, strategy="sample", samples=16, seed=5)
-    assert res.empirical_min == 3
-
-
-def test_shifted_min_count_bad_args():
-    with pytest.raises(ValueError):
-        shifted_min_count(UNIT_SQUARE, 0)
-    with pytest.raises(ValueError):
-        shifted_min_count(UNIT_SQUARE, 3, strategy="exact")
-
-
-def test_slab_parallel_enumeration_matches_serial():
-    bodies = [UNIT_SIMPLEX, random_body(5, 3)]
-    for body in bodies:
-        for k in (3, 7):
-            serial = enumerate_points(body, k)
-            parallel = enumerate_points(body, k, jobs=2)
-            assert serial == parallel
-            assert list(parallel.points) == sorted(parallel.points)
-            assert count(body, k, jobs=2) == count(body, k)
+    shifts = [F(0), F(1, 7), F(-2, 5), F(1, 2)]
+    counts = [count(scale_translate(SEGMENT, 1, (x,)), 3) for x in shifts]
+    assert counts[0] == 4
+    assert min(counts) == 3
 
 
 # ---------------------------------------------------------------------------
