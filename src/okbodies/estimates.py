@@ -68,6 +68,9 @@ from .thresholds import (
 
 NEG_INF = float("-inf")
 
+# levels each half of a sweep needs before the two-halves proxy is applied
+MIN_HALF_LEVELS = 4
+
 
 # ---------------------------------------------------------------------------
 # reports
@@ -148,6 +151,10 @@ def _two_halves(report: SweepReport, name: str, ks: Sequence[int],
 
     With bound="lower" the mirror check bounds the values away from zero:
     inf over the upper half >= (inf over the lower half) / 2.
+
+    A half with fewer than MIN_HALF_LEVELS levels makes the factor-2 proxy
+    meaningless (one or two early levels set the whole bound), so the check is
+    then recorded as passed with the level counts as its witness.
     """
     if not ks:
         report.check(name, False, {"reason": "empty sweep"})
@@ -155,8 +162,10 @@ def _two_halves(report: SweepReport, name: str, ks: Sequence[int],
     mid = (min(ks) + max(ks)) / 2
     lower = [v for k, v in zip(ks, vals) if k <= mid]
     upper = [v for k, v in zip(ks, vals) if k > mid]
-    if not lower or not upper:
-        report.check(name, True)
+    if min(len(lower), len(upper)) < MIN_HALF_LEVELS:
+        report.assertions.append(Assertion(name, True, {
+            "reason": f"fewer than {MIN_HALF_LEVELS} levels in a half",
+            "lower_levels": len(lower), "upper_levels": len(upper)}))
         return
     if bound == "lower":
         lo, hi = min(lower), min(upper)
@@ -516,9 +525,9 @@ def verify_maxp1(model: GradedSeriesModel, v: ValuationModel,
 def _plus_body_count(model: GradedSeriesModel, k: int, quantum_max: Fraction) -> int:
     """# of idealized lattice points strictly above the quantum maximum
     (threshold quantum_max + 1/(2k): any epsilon in (0,1/k) gives the same set)."""
-    threshold = quantum_max + Fraction(1, 2 * k)  # numerators: z1/k >= threshold
-    return sum(1 for z in model.idealized_body(k).points
-               if Fraction(z[0], k) >= threshold)
+    # z1/k >= threshold  <=>  z1 >= ceil(k * threshold), z1 an integer
+    cut = math.ceil(k * (quantum_max + Fraction(1, 2 * k)))
+    return sum(1 for z in model.idealized_body(k).points if z[0] >= cut)
 
 
 # ---------------------------------------------------------------------------

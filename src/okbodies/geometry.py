@@ -15,7 +15,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from functools import cached_property
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -580,6 +582,20 @@ class ConcavePL:
 
     def __call__(self, p: Vec) -> Fraction:
         return min(piece(p) for piece in self.pieces)
+
+    @cached_property
+    def integer_form(self) -> tuple[int, tuple[tuple[tuple[int, ...], int], ...]]:
+        """(L, ((L grad_i, L c_i), ...)) in integers, with L the lcm of every
+        denominator in the pieces."""
+        L = lcm(*(c.denominator for f in self.pieces for c in (*f.gradient, f.constant)))
+        return L, tuple((tuple(int(c * L) for c in f.gradient), int(f.constant * L))
+                        for f in self.pieces)
+
+    def scaled_values(self, points: Iterable[Sequence[int]], k: int) -> list[int]:
+        """k L G(z/k) = min_i(L grad_i . z + k L c_i) for each integer numerator
+        vector z, as exact ints (L from integer_form)."""
+        rows = [(grad, k * c) for grad, c in self.integer_form[1]]
+        return [min(sum(map(mul, grad, z)) + kc for grad, kc in rows) for z in points]
 
 
 def first_coordinate_transform(domain: ConvexBody) -> ConcavePL:

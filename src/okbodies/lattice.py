@@ -8,6 +8,7 @@ lexicographic order, so enumeration output is deterministic and sorted.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,7 +31,9 @@ class PointCloud:
         return len(self.points)
 
     def __contains__(self, z):
-        return tuple(z) in set(self.points)
+        z = tuple(z)
+        i = bisect_left(self.points, z)  # points are sorted in __post_init__
+        return i < len(self.points) and self.points[i] == z
 
     def __iter__(self):
         return iter(self.points)
@@ -130,15 +133,19 @@ def discrepancy(body: ConvexBody, k: int) -> Fraction:
 
 
 def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
-    """(1/k^n) * sum of g over body ∩ Z^n/k; g must be nonnegative there."""
-    cloud = enumerate_points(body, k)
-    total = Fraction(0)
-    for x in cloud.coordinates():
-        v = g(x)
-        if v < 0:
+    """(1/k^n) * sum of g over body ∩ Z^n/k; g must be nonnegative there.
+
+    Sums the exact integer scores k L g(z/k) of ``ConcavePL.scaled_values``
+    (no sort needed) and divides once by L k^(n+1).
+    """
+    points = enumerate_points(body, k).points
+    total = 0
+    for z, score in zip(points, g.scaled_values(points, k)):
+        if score < 0:
+            x = tuple(Fraction(c, k) for c in z)
             raise ValueError(f"concave transform is negative at lattice point {x}")
-        total += v
-    return total / Fraction(k) ** body.dim
+        total += score
+    return Fraction(total, g.integer_form[0] * k ** (body.dim + 1))
 
 
 def analytic_count_constant(body: ConvexBody, bits: int = 64) -> Fraction:

@@ -46,6 +46,10 @@ class GradedSeriesModel:
         self.ambient = ambient
         self._discrete: dict[int, PointCloud] = {}
         self._idealized: dict[int, PointCloud] = {}
+        # integer score-and-sort of one level per (G, idealized?), read by every
+        # threshold query (thresholds._level_scores); only level _scores_k is kept
+        self._scores: dict = {}
+        self._scores_k: Optional[int] = None
 
     # -- levels ---------------------------------------------------------
 

@@ -12,18 +12,29 @@ in which case results are interval-certified to a caller-supplied tolerance.
 Restricted minima over a finite family are upper bounds on the corresponding
 infima over all valuations, and are reported as such.
 
-Everything here is a pure query over immutable models and valuations, so
-sweeps may be parallelized over (k, valuation) pairs; ties are always broken
-deterministically (lexicographically larger point, lexicographically smaller
-label), making reductions order-independent.
+Every level-k query (jumping numbers, S_{k,m}, Sbar_{k,m}, quantum quantiles
+and vanishing orders, mu_k, compatible families, restricted delta_{k,m}) reads
+one integer score-and-sort of the level: with L the lcm of the denominators
+of G, each point z/k scores k L G(z/k) = min_i(L grad_i . z + k L c_i), an
+exact int, and the scores are sorted once per (model, G, k) and cached on the
+model for the current level only. Results are the same Fractions as scoring
+G(z/k) directly.
+
+Everything here is a pure query over immutable models and valuations (the
+score cache never changes a result), so sweeps may be parallelized over
+(k, valuation) pairs; ties are always broken deterministically
+(lexicographically larger point, lexicographically smaller label), making
+reductions order-independent.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -127,40 +138,68 @@ class FamilyMeasure:
 # jumping numbers
 # ---------------------------------------------------------------------------
 
-def _scored_points(cloud: PointCloud, g: ConcavePL) -> list[tuple[Fraction, tuple[Fraction, ...]]]:
-    """(G(x), x) pairs sorted by value descending, ties lexicographically
-    larger point first — the deterministic tie-break used everywhere."""
-    pairs = [(g(x), x) for x in cloud.coordinates()]
-    pairs.sort(reverse=True)
-    return pairs
+_LevelScores = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+
+
+def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int, ideal: bool) -> _LevelScores:
+    """(L, scores, points, prefix) of Delta_k (or of ambient ∩ Z^n/k if ideal):
+    scores[i] = k L G(points[i]/k) in descending order, ties lexicographically
+    larger point first (the deterministic tie-break used everywhere), and
+    prefix[m] = scores[0] + ... + scores[m-1]."""
+    cloud = model.idealized_body(k) if ideal else model.discrete_body(k)
+    pairs = sorted(zip(g.scaled_values(cloud.points, k), cloud.points), reverse=True)
+    scores = tuple(s for s, _ in pairs)
+    return (g.integer_form[0], scores, tuple(z for _, z in pairs),
+            tuple(accumulate(scores, initial=0)))
+
+
+def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
+                  ideal: bool = False) -> _LevelScores:
+    """_score_level, cached on the model for level k only: scoring a new level
+    drops the previous level's entries, so memory stays at one level."""
+    key = (g, ideal)
+    if model._scores_k == k and key in model._scores:
+        return model._scores[key]
+    level = _score_level(model, g, k, ideal)
+    if model._scores_k != k:
+        model._scores = {}
+        model._scores_k = k
+    model._scores[key] = level
+    return level
+
+
+def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
+                    ideal: bool) -> JumpingVector:
+    L, scores, _, _ = _level_scores(model, v.G, k, ideal)
+    return JumpingVector(k, tuple(Fraction(s, L) for s in scores))
 
 
 def jumping_numbers(model: GradedSeriesModel, v: ValuationModel, k: int) -> JumpingVector:
     """Non-increasing sort of {k G(x) : x in Delta_k}."""
-    scored = _scored_points(model.discrete_body(k), v.G)
-    return JumpingVector(k, tuple(k * val for val, _ in scored))
+    return _jumping_vector(model, v, k, ideal=False)
 
 
 def idealized_jumping(model: GradedSeriesModel, v: ValuationModel, k: int) -> JumpingVector:
     """Non-increasing sort of {k G(x) : x in ambient ∩ Z^n/k}; length D_k."""
-    scored = _scored_points(model.idealized_body(k), v.G)
-    return JumpingVector(k, tuple(k * val for val, _ in scored))
+    return _jumping_vector(model, v, k, ideal=True)
+
+
+def _top_average(model: GradedSeriesModel, v: ValuationModel, k: int, m: int,
+                 ideal: bool) -> Fraction:
+    L, scores, _, prefix = _level_scores(model, v.G, k, ideal)
+    if not 1 <= m <= len(scores):
+        raise ValueError(f"m={m} out of range [1, {len(scores)}]")
+    return Fraction(prefix[m], L * k * m)
 
 
 def S_km(model: GradedSeriesModel, v: ValuationModel, k: int, m: int) -> Fraction:
     """Average of the largest m jumping numbers divided by k."""
-    jv = jumping_numbers(model, v, k)
-    if not 1 <= m <= len(jv):
-        raise ValueError(f"m={m} out of range [1, {len(jv)}]")
-    return sum(jv.values[:m], Fraction(0)) / (k * m)
+    return _top_average(model, v, k, m, ideal=False)
 
 
 def Sbar_km(model: GradedSeriesModel, v: ValuationModel, k: int, m: int) -> Fraction:
     """Idealized analogue of S_km over all lattice points of the ambient body."""
-    iv = idealized_jumping(model, v, k)
-    if not 1 <= m <= len(iv):
-        raise ValueError(f"m={m} out of range [1, {len(iv)}]")
-    return sum(iv.values[:m], Fraction(0)) / (k * m)
+    return _top_average(model, v, k, m, ideal=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,22 +223,18 @@ def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel,
     sigma = min(v.G(x) for x in model.ambient.vertices)
     q_s0 = q_sigma = None
     if k is not None:
-        jv = jumping_numbers(model, v, k)
-        q_s0 = jv.values[0] / k
-        q_sigma = jv.values[-1] / k
+        L, scores, _, _ = _level_scores(model, v.G, k)
+        q_s0 = Fraction(scores[0], L * k)
+        q_sigma = Fraction(scores[-1], L * k)
     return VanishingOrders((s0, sigma, q_s0, q_sigma))
 
 
 def mu_k(model: GradedSeriesModel, v: ValuationModel, k: int) -> EmpiricalMeasure:
     """Empirical vanishing measure: mass 1/d_k at each j_{k,l}/k, merged atoms."""
-    jv = jumping_numbers(model, v, k)
-    d = len(jv)
-    weights: dict[Fraction, int] = {}
-    for val in jv.values:
-        pos = val / k
-        weights[pos] = weights.get(pos, 0) + 1
-    atoms = tuple(sorted((pos, Fraction(c, d)) for pos, c in weights.items()))
-    return EmpiricalMeasure(atoms)
+    L, scores, _, _ = _level_scores(model, v.G, k)
+    d = len(scores)
+    return EmpiricalMeasure(tuple((Fraction(s, L * k), Fraction(c, d))
+                                  for s, c in sorted(Counter(scores).items())))
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +393,10 @@ def quantum_quantile(model: GradedSeriesModel, v: ValuationModel, k: int, tau) -
     tau = rat(tau)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
-    jv = jumping_numbers(model, v, k)
-    m = math.floor(tau * len(jv))
+    L, scores, _, _ = _level_scores(model, v.G, k)
+    m = math.floor(tau * len(scores))
     idx = 0 if m == 0 else m - 1
-    return jv.values[idx] / k
+    return Fraction(scores[idx], L * k)
 
 
 def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
@@ -414,12 +449,10 @@ def select_compatible_family(model: GradedSeriesModel, v: ValuationModel,
                              k: int, m: int) -> PointCloud:
     """The m points of Delta_k with the largest G-values (ties: lex-larger
     first); families are nested in m by construction."""
-    cloud = model.discrete_body(k)
-    if not 1 <= m <= len(cloud):
-        raise ValueError(f"m={m} out of range [1, {len(cloud)}]")
-    scored = _scored_points(cloud, v.G)
-    chosen = [pt for _, pt in scored[:m]]
-    return PointCloud(k, tuple(tuple(int(c * k) for c in pt) for pt in chosen))
+    _, _, points, _ = _level_scores(model, v.G, k)
+    if not 1 <= m <= len(points):
+        raise ValueError(f"m={m} out of range [1, {len(points)}]")
+    return PointCloud(k, points[:m])
 
 
 def empirical_family_measure(model: GradedSeriesModel, v: ValuationModel,

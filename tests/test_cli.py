@@ -176,7 +176,17 @@ def test_body_writes_to_file(tmp_path, capsys):
 def test_verify_cones_single_level_regression(tmp_path):
     # one level in the slice sweep leaves the upper half empty
     assert main(["verify", "cones", "--k-max", "2"]) == 0
-    assert main(["verify", "all", "--k-max", "2", "--out", str(tmp_path / "r")]) in (0, 3)
+    assert main(["verify", "all", "--k-max", "2", "--out", str(tmp_path / "r")]) == 0
+    # one to three levels per half: the two-halves proxy is recorded as passed
+    for suite, k_max in (("cones", 5), ("cones", 6), ("cones", 7), ("stwosided", 2),
+                         ("all", 5)):
+        assert main(["verify", suite, "--k-max", str(k_max)]) == 0, (suite, k_max)
+    report = json.loads((tmp_path / "r" / "summary.json").read_text())
+    assert report["passed"]
+    short = [a for f in sorted((tmp_path / "r").glob("*_S_two_sided.json"))
+             for a in json.loads(f.read_text())["assertions"] if a["witness"]]
+    assert short and all(a["passed"] and a["witness"]["reason"] ==
+                         "fewer than 4 levels in a half" for a in short)
 
 
 def _exit_code(argv):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -168,7 +169,8 @@ def test_concave_sum_zero_transform():
 def test_concave_sum_rejects_negative():
     g = ConcavePL.make([AffineFunctional.make((1, 0), F(-1, 4))], UNIT_SQUARE,
                        require_nonnegative=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(
+            "concave transform is negative at lattice point (Fraction(0, 1), Fraction(0, 1))")):
         concave_sum(UNIT_SQUARE, g, 2)
 
 
@@ -216,5 +218,6 @@ def test_pointcloud_json_roundtrip():
 def test_pointcloud_dedupes_and_sorts():
     cloud = PointCloud(2, ((1, 0), (0, 0), (1, 0)))
     assert cloud.points == ((0, 0), (1, 0))
-    assert (1, 0) in cloud
+    assert (1, 0) in cloud and [0, 0] in cloud
+    assert (2, 0) not in cloud and (1, 1) not in cloud and (0,) not in cloud
     assert cloud.coordinates()[1] == (F(1, 2), F(0))

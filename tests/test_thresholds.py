@@ -1,20 +1,30 @@
 """Threshold invariants: jumping numbers, S_{k,m}, quantiles, restricted deltas."""
 
+import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from okbodies import thresholds
+from okbodies.cli import main
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
     first_coordinate_transform,
     hull,
+    max_transform,
 )
+from okbodies.lattice import PointCloud, concave_sum, enumerate_points
 from okbodies.series import (
     CanonicalCurveModel,
     CurveDivisorModel,
+    SyntheticModel,
     ToricModel,
+    gap_sequences_of_genus,
     plane_quartic_model,
 )
 from okbodies.thresholds import (
@@ -553,3 +563,137 @@ def test_valuation_json_roundtrip():
     again = valuation_from_json(data, SIMPLEX.ambient)
     assert again.A == 1
     assert jumping_numbers(SIMPLEX, again, 2).values == (2, 1, 1, 0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# integer level scores against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+def _scored_points(cloud, g):
+    """Oracle: (G(x), x) in Fraction arithmetic, sorted descending (ties
+    lexicographically larger point first)."""
+    pairs = [(g(x), x) for x in cloud.coordinates()]
+    pairs.sort(reverse=True)
+    return pairs
+
+
+def _oracle_concave_sum(body, g, k):
+    total = sum((g(x) for x in enumerate_points(body, k).coordinates()), F(0))
+    return total / F(k) ** body.dim
+
+
+def _random_rational(rng, lo, hi):
+    den = rng.choice([1, 2, 3, 5, 6])
+    return F(rng.randint(lo * den, hi * den), den)
+
+
+def _random_transform(rng, domain):
+    """1-3 pieces with non-unit rational denominators, shifted to be >= 0 on
+    the domain; small integer gradients (zeros included) give tied values."""
+    n = domain.dim
+    pieces = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.4:
+            grad = [F(rng.randint(-1, 1)) for _ in range(n)]
+        else:
+            grad = [_random_rational(rng, -2, 2) for _ in range(n)]
+        pieces.append(AffineFunctional.make(grad, _random_rational(rng, 0, 3)))
+    low = min(ConcavePL.make(pieces, domain, require_nonnegative=False)(v)
+              for v in domain.vertices)
+    if low < 0:
+        pieces = [AffineFunctional(f.gradient, f.constant - low) for f in pieces]
+    return ConcavePL.make(pieces, domain)
+
+
+def _random_polygon(rng):
+    """A full-dimensional rational polygon with the origin as a vertex, so
+    every level has a lattice point."""
+    while True:
+        pts = [(0, 0)] + [(_random_rational(rng, 0, 2), _random_rational(rng, 0, 2))
+                          for _ in range(rng.randint(2, 4))]
+        body = hull(pts)
+        if body.is_full_dim():
+            return body
+
+
+def _random_model(rng, kind, levels):
+    if kind == "toric":
+        if rng.random() < 0.25:
+            return ToricModel(hull([(0,), (_random_rational(rng, 1, 3),)]))
+        return ToricModel(_random_polygon(rng))
+    if kind == "curve":
+        gaps = rng.choice(gap_sequences_of_genus(rng.randint(1, 4)))
+        return CurveDivisorModel(len(gaps), gaps)
+    ambient = _random_polygon(rng)
+    gaps = {}
+    for k in levels:
+        pts = [z for z in enumerate_points(ambient, k).points if any(z)]
+        gaps[k] = rng.sample(pts, rng.randint(0, len(pts) // 2))
+    return SyntheticModel(ambient, gaps)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["toric", "curve", "synthetic"]))
+def test_level_scores_match_fraction_oracle(seed, kind):
+    rng = random.Random(seed)
+    levels = list(range(1, 6))
+    model = _random_model(rng, kind, levels)
+    v = ValuationModel("v", F(1), _random_transform(rng, model.ambient))
+    s0 = max_transform(model.ambient, v.G)
+    sigma = min(v.G(x) for x in model.ambient.vertices)
+    # revisit the first level after the cache has moved on
+    for k in levels + [levels[0]]:
+        scored = _scored_points(model.discrete_body(k), v.G)
+        j = tuple(k * val for val, _ in scored)
+        i = tuple(k * val for val, _ in _scored_points(model.idealized_body(k), v.G))
+        d = len(j)
+        assert jumping_numbers(model, v, k).values == j
+        assert idealized_jumping(model, v, k).values == i
+        for m in range(1, d + 1):
+            assert S_km(model, v, k, m) == sum(j[:m], F(0)) / (k * m)
+            assert select_compatible_family(model, v, k, m) == PointCloud(
+                k, tuple(tuple(int(c * k) for c in x) for _, x in scored[:m]))
+        for m in range(1, len(i) + 1):
+            assert Sbar_km(model, v, k, m) == sum(i[:m], F(0)) / (k * m)
+        for tau in (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(rng.randint(0, 7), 7)):
+            m = math.floor(tau * d)
+            assert quantum_quantile(model, v, k, tau) == j[max(m - 1, 0)] / k
+        weights = {}
+        for val in j:
+            weights[val / k] = weights.get(val / k, 0) + 1
+        assert mu_k(model, v, k).atoms == tuple(
+            sorted((pos, F(c, d)) for pos, c in weights.items()))
+        assert S0_and_sigma(model, v, k) == (s0, sigma, j[0] / k, j[-1] / k)
+        assert concave_sum(model.ambient, v.G, k) == _oracle_concave_sum(
+            model.ambient, v.G, k)
+
+
+def test_thresholds_sweep_scores_each_level_once(tmp_path, monkeypatch):
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps({"backend": "toric", "polytope": {
+        "dim": 2, "vertices": [["0", "0"], ["3", "0"], ["0", "3"]]}}))
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps([
+        {"label": label, "A": "1", "G": {"pieces": [{"grad": grad, "const": const}]}}
+        for label, grad, const in (("D1", ["1", "0"], "0"), ("D2", ["0", "1"], "0"),
+                                   ("D3", ["-1", "-1"], "3"))]))
+    calls = Counter()
+    models = set()
+    score_level = thresholds._score_level
+
+    def counting(model, g, k, ideal):
+        calls[(g, k, ideal)] += 1
+        models.add(model)
+        return score_level(model, g, k, ideal)
+
+    monkeypatch.setattr(thresholds, "_score_level", counting)
+    assert main(["thresholds", "--in", str(model_path), "--valuations", str(family_path),
+                 "--tau", "1/2", "--k-max", "6", "--out", str(tmp_path / "t.csv")]) == 0
+    (model,) = models
+    transforms = {g for g, _, _ in calls}
+    assert len(transforms) == 3
+    assert set(calls) == {(g, k, ideal) for g in transforms for k in range(1, 7)
+                          for ideal in (False, True)}
+    assert set(calls.values()) == {1}
+    assert model._scores_k == 6
+    assert set(model._scores) == {(g, ideal) for g in transforms for ideal in (False, True)}
