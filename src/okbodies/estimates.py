@@ -682,15 +682,19 @@ def verify_endpoint_limits(model: GradedSeriesModel, v: ValuationModel,
         "m=dk_minus_sqrt": (make_m_rule("dk_minus_sqrt"), s1, "full"),
         "m=dk": (make_m_rule("dk"), s1, "full"),
     }
-    upper_violations = 0
-    for rule_name, (rule, target, kind) in rules.items():
-        ks, scaled = [], []
-        for k in sorted(k_range):
-            if not model.has_level(k):
-                continue
-            d = model.d_k(k)
+    # k-outer, so each level is scored once for all four rules
+    values = {rule_name: [] for rule_name in rules}
+    for k in sorted(k_range):
+        if not model.has_level(k):
+            continue
+        d = model.d_k(k)
+        for rule_name, (rule, _, _) in rules.items():
             m = rule(d, k)
-            s = S_km(model, v, k, m)
+            values[rule_name].append((k, d, m, S_km(model, v, k, m)))
+    upper_violations = 0
+    for rule_name, (_, target, kind) in rules.items():
+        ks, scaled = [], []
+        for k, d, m, s in values[rule_name]:
             err = abs(s - target)
             if kind == "collapsing" and s > vo.S0:
                 upper_violations += 1

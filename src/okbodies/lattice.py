@@ -1,9 +1,14 @@
 """Enumeration and counting of scaled-lattice points Z^n/k in rational polytopes.
 
-The scanner clears all denominators once per body/k pair and then works in pure
-integer arithmetic: a point z/k (z integral) satisfies a.x <= b iff
-a.z <= floor(k*b), since a is a primitive integer normal. Slabs are visited in
-lexicographic order, so enumeration output is deterministic and sorted.
+Denominators are cleared once per body/k pair and the rest is pure integer
+arithmetic: a point z/k (z integral) satisfies a.x <= b iff a.z <= floor(k*b),
+since a is a primitive integer normal. Both queries list integer prefixes
+axis by axis in lexicographic order (``_prefixes``), so enumeration output is
+deterministic and sorted. ``enumerate_points`` runs that walk over all n
+axes; ``count`` stops two axes early and counts each 2-D slab in closed form
+with the Euclid-like ``floor_sum`` recurrence (Beck & Robins, *Computing the
+Continuous Discretely*), so its cost grows like log k, not k, in the last two
+axes.
 """
 
 from __future__ import annotations
@@ -55,6 +60,33 @@ def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{0 <= i < n} floor((a i + b) / m) for m > 0 and any integers a, b.
+
+    The Euclid-like recurrence: split off the integer parts of a/m and b/m,
+    then count the points under the remaining line from the other axis, which
+    swaps a and m.  O(log m) steps on exact Python ints.
+    """
+    total = 0
+    while n > 0:
+        q, a = divmod(a, m)
+        total += q * (n * (n - 1) // 2)
+        q, b = divmod(b, m)
+        total += q * n
+        top = a * n + b
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _integer_cuts(body: ConvexBody, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """One integer cut a.z <= floor(k b) per halfspace a.x <= b of the body."""
+    return [(h.normal, (k * h.offset.numerator) // h.offset.denominator)
+            for h in body.halfspaces]
+
+
 def _scaled_constraints(body: ConvexBody, k: int):
     """Integer constraints a.z <= c for z in k*body, grouped by last active axis."""
     n = body.dim
@@ -62,69 +94,145 @@ def _scaled_constraints(body: ConvexBody, k: int):
     lo = [_ceil_div(k * b.numerator, b.denominator) for b, _ in box]
     hi = [(k * b.numerator) // b.denominator for _, b in box]
     levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for h in body.halfspaces:
-        c = (k * h.offset.numerator) // h.offset.denominator
-        level = max(i for i, a in enumerate(h.normal) if a != 0)
-        levels[level].append((h.normal, c))
+    for a, c in _integer_cuts(body, k):
+        level = max(i for i, ai in enumerate(a) if ai != 0)
+        levels[level].append((a, c))
     return lo, hi, levels
 
 
-def _scan(body: ConvexBody, k: int, collect: bool):
-    """Core slab scan. Returns (count, points or None)."""
-    if body.is_empty:
-        return 0, [] if collect else None
-    n = body.dim
-    lo, hi, levels = _scaled_constraints(body, k)
-    points: list[tuple[int, ...]] = []
-    prefix = [0] * n
+def _rest(a: tuple[int, ...], c: int, prefix) -> int:
+    """c - a.prefix: the right-hand side of a.z <= c once the prefix is fixed."""
+    return c - sum(ai * zi for ai, zi in zip(a, prefix) if ai)
+
+
+def _interval(lo: int, hi: int, constraints, prefix) -> tuple[int, int]:
+    """Integer range of the axis after ``prefix`` allowed by its constraints."""
+    axis = len(prefix)
+    for a, c in constraints:
+        rest = _rest(a, c, prefix)
+        aj = a[axis]
+        if aj > 0:
+            hi = min(hi, rest // aj)
+        else:
+            # a_j z <= rest with a_j < 0  <=>  z >= ceil(rest / a_j)
+            lo = max(lo, -(rest // -aj))
+    return lo, hi
+
+
+def _prefixes(lo, hi, levels, depth: int) -> list[tuple[int, ...]]:
+    """Every integer prefix (z_0, ..., z_{depth-1}) allowed by the constraints
+    of its axes, in lexicographic order.  With depth = n these are the points."""
+    prefixes: list[tuple[int, ...]] = [()]
+    for axis in range(depth):
+        grown = []
+        for p in prefixes:
+            lo_j, hi_j = _interval(lo[axis], hi[axis], levels[axis], p)
+            grown.extend([p + (z,) for z in range(lo_j, hi_j + 1)])
+        prefixes = grown
+    return prefixes
+
+
+def _envelope_floor_sum(lines, x0: int, x1: int) -> int:
+    """sum over x0 <= x <= x1 of floor(min_j (p_j + q_j x) / r_j), all r_j > 0.
+
+    The minimum of lines is concave, so each line is active on at most one
+    run of consecutive x: walk the runs and sum each with ``_floor_sum``.
+    """
     total = 0
+    while x0 <= x1:
+        # active line at x0: the smallest value, ties to the smaller slope,
+        # so every line of smaller slope is strictly above it at x0
+        p, q, r = lines[0]
+        for pj, qj, rj in lines[1:]:
+            here, best = (pj + qj * x0) * r, (p + q * x0) * rj
+            if here < best or (here == best and qj * r < q * rj):
+                p, q, r = pj, qj, rj
+        # the run lasts until a line of smaller slope drops strictly below it
+        end = x1
+        for pj, qj, rj in lines:
+            d = rj * q - r * qj
+            if d > 0:
+                end = min(end, (r * pj - rj * p) // d)
+        total += _floor_sum(end - x0 + 1, r, q, p + q * x0)
+        x0 = end + 1
+    return total
 
-    def bounds_at(level: int) -> tuple[int, int]:
-        lo_j, hi_j = lo[level], hi[level]
-        for a, c in levels[level]:
-            rest = c - sum(a[i] * prefix[i] for i in range(level) if a[i])
-            aj = a[level]
-            if aj > 0:
-                hi_j = min(hi_j, rest // aj)
-            else:
-                # a_j z <= rest with a_j < 0  <=>  z >= ceil(rest / a_j)
-                lo_j = max(lo_j, -(rest // -aj))
-        return lo_j, hi_j
 
-    def rec(level: int):
-        nonlocal total
-        lo_j, hi_j = bounds_at(level)
-        if lo_j > hi_j:
-            return
-        if level == n - 1:
-            if collect:
-                base = tuple(prefix[:level])
-                for z in range(lo_j, hi_j + 1):
-                    points.append(base + (z,))
-            total += hi_j - lo_j + 1
-            return
-        for z in range(lo_j, hi_j + 1):
-            prefix[level] = z
-            rec(level + 1)
+def _slab_count(lo, hi, levels, prefix) -> int:
+    """Points of the 2-D slab over ``prefix`` (the last two axes), in closed form.
 
-    rec(0)
-    return total, points if collect else None
+    With x the second-to-last axis and y the last, each constraint on y is a
+    line (p + q x) / r with r > 0: an upper bound on y if its y-coefficient is
+    positive, else an upper bound on -y.  Row x then holds
+    floor(min upper) + floor(min lower) + 1 points, which is never negative
+    where the real envelopes satisfy min upper + min lower >= 0.  Outside that
+    x-interval the row is empty, so clip to it (one inequality per pair of
+    lines) and sum each envelope in closed form.
+    """
+    x_axis = len(prefix)
+    y_axis = x_axis + 1
+    x_lo, x_hi = _interval(lo[x_axis], hi[x_axis], levels[x_axis], prefix)
+    if x_lo > x_hi:
+        return 0
+    upper = [(hi[y_axis], 0, 1)]
+    lower = [(-lo[y_axis], 0, 1)]
+    for a, c in levels[y_axis]:
+        line = (_rest(a, c, prefix), -a[x_axis], abs(a[y_axis]))
+        (upper if a[y_axis] > 0 else lower).append(line)
+    for pu, qu, ru in upper:
+        for pl, ql, rl in lower:
+            # (pu + qu x) / ru + (pl + ql x) / rl >= 0  <=>  slope x >= -offset
+            slope, offset = qu * rl + ql * ru, pu * rl + pl * ru
+            if slope > 0:
+                x_lo = max(x_lo, -(offset // slope))
+            elif slope < 0:
+                x_hi = min(x_hi, offset // -slope)
+            elif offset < 0:
+                return 0
+    if x_lo > x_hi:
+        return 0
+    return (_envelope_floor_sum(upper, x_lo, x_hi)
+            + _envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
 
 
 def enumerate_points(body: ConvexBody, k: int) -> PointCloud:
     """Exactly body ∩ Z^n/k, in deterministic lexicographic order."""
     if k < 1:
         raise ValueError("k must be a positive integer")
-    _, pts = _scan(body, k, collect=True)
-    return PointCloud(k, tuple(pts))
+    if body.is_empty:
+        return PointCloud(k, ())
+    lo, hi, levels = _scaled_constraints(body, k)
+    return PointCloud(k, tuple(_prefixes(lo, hi, levels, body.dim)))
 
 
 def count(body: ConvexBody, k: int) -> int:
-    """#(body ∩ Z^n/k) via per-slab interval arithmetic (no materialization)."""
+    """#(body ∩ Z^n/k) without materializing the points.
+
+    Lists the integer prefixes of all but the last two axes with the walk
+    ``enumerate_points`` runs over all n, and counts each 2-D slab in closed
+    form (``_slab_count``), so a 2-D count takes O(m^2 + m log k) for m
+    constraints and a 3-D count O(k (m^2 + m log k)).  A 1-D body is one
+    interval.
+    """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    total, _ = _scan(body, k, collect=False)
-    return total
+    if body.is_empty:
+        return 0
+    lo, hi, levels = _scaled_constraints(body, k)
+    if body.dim == 1:
+        lo_j, hi_j = _interval(lo[0], hi[0], levels[0], ())
+        return max(0, hi_j - lo_j + 1)
+    return sum(_slab_count(lo, hi, levels, prefix)
+               for prefix in _prefixes(lo, hi, levels, body.dim - 2))
+
+
+def count_members(body: ConvexBody, cloud: PointCloud) -> int:
+    """#(body ∩ cloud), testing each numerator vector against the integer cuts."""
+    if body.is_empty:
+        return 0
+    cuts = _integer_cuts(body, cloud.denominator)
+    return sum(1 for z in cloud.points
+               if all(sum(ai * zi for ai, zi in zip(a, z)) <= c for a, c in cuts))
 
 
 def discrepancy(body: ConvexBody, k: int) -> Fraction:

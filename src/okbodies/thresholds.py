@@ -48,7 +48,7 @@ from .geometry import (
     superlevel,
     volume,
 )
-from .lattice import PointCloud
+from .lattice import PointCloud, count, count_members
 from .series import GradedSeriesModel
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -523,9 +523,8 @@ def partial_body_counts(model: GradedSeriesModel, v: ValuationModel, tau, k: int
     that are idealized vs. realized at level k."""
     spec = quantile(model, v, tau, tol)
     body = superlevel(model.ambient, v.G, spec.quantile)
-    ideal = sum(1 for x in model.idealized_body(k).coordinates() if body.contains(x))
-    actual = sum(1 for x in model.discrete_body(k).coordinates() if body.contains(x))
-    return ideal, actual
+    # body lies in the ambient, so its idealized points are all of body ∩ Z^n/k
+    return count(body, k), count_members(body, model.discrete_body(k))
 
 
 def valuation_to_json(v: ValuationModel) -> dict:

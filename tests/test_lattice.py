@@ -2,15 +2,18 @@
 
 import itertools
 import math
+import random
 import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from okbodies import lattice
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
+    empty_body,
     first_coordinate_transform,
     hull,
     scale_translate,
@@ -18,9 +21,12 @@ from okbodies.geometry import (
 )
 from okbodies.lattice import (
     PointCloud,
+    _floor_sum,
+    _scaled_constraints,
     analytic_count_constant,
     concave_sum,
     count,
+    count_members,
     discrepancy,
     enumerate_points,
 )
@@ -44,9 +50,45 @@ def brute_points(body, k):
     return sorted(out)
 
 
-def random_body(seed, n, count_pts=7, denom=8):
-    import random
+def scan_count(body, k):
+    """Oracle: the per-node slab scan. It fixes every prefix
+    (z_0, ..., z_{n-2}), recomputes each constraint's bound on the last axis
+    there and adds the length of that interval."""
+    if body.is_empty:
+        return 0
+    n = body.dim
+    lo, hi, levels = _scaled_constraints(body, k)
+    prefix = [0] * n
+    total = 0
 
+    def bounds_at(level):
+        lo_j, hi_j = lo[level], hi[level]
+        for a, c in levels[level]:
+            rest = c - sum(a[i] * prefix[i] for i in range(level) if a[i])
+            aj = a[level]
+            if aj > 0:
+                hi_j = min(hi_j, rest // aj)
+            else:
+                lo_j = max(lo_j, -(rest // -aj))
+        return lo_j, hi_j
+
+    def rec(level):
+        nonlocal total
+        lo_j, hi_j = bounds_at(level)
+        if lo_j > hi_j:
+            return
+        if level == n - 1:
+            total += hi_j - lo_j + 1
+            return
+        for z in range(lo_j, hi_j + 1):
+            prefix[level] = z
+            rec(level + 1)
+
+    rec(0)
+    return total
+
+
+def random_body(seed, n, count_pts=7, denom=8):
     rng = random.Random(seed)
     return hull([
         tuple(F(rng.randrange(0, denom + 1), denom) for _ in range(n))
@@ -121,6 +163,114 @@ def test_counting_claim_random(seed, n, k, ell):
     body = random_body(seed, n)
     rescaled = scale_translate(body, F(k, ell))
     assert count(body, k) == count(rescaled, ell)
+
+
+# k caps per dimension keep the oracle scan and the enumeration to seconds
+DIFF_K_MAX = {1: 80, 2: 80, 3: 20, 4: 8}
+
+
+def _differential_body(rng, n, kind):
+    """A random rational body of one of the shapes the slab counter must
+    handle: generic hulls (any dimension up to n), boxes (parallel and
+    zero-slope lines), hulls of points on a hyperplane or a line (equality
+    pairs), and the empty body. Returns the body and a common denominator
+    of its vertices."""
+    den = rng.randint(1, 6)
+
+    def coord():
+        return F(rng.randint(-den, den), den)
+
+    if kind == "empty":
+        return empty_body(n), den
+    if kind == "box":
+        corners = [sorted((coord(), coord())) for _ in range(n)]
+        return hull(list(itertools.product(*corners))), den
+    pts = [[coord() for _ in range(n)] for _ in range(rng.randint(1, 8))]
+    if kind == "hyperplane":
+        # x_{n-1} = c x_{n-2} + d for c in {-1, 0, 1}: tied bounds on the last axis
+        c, d = rng.choice([-1, 0, 1]), coord()
+        for p in pts:
+            p[-1] = c * p[-2] + d if n > 1 else d
+    elif kind == "line":
+        base, step = [coord() for _ in range(n)], [rng.randint(-2, 2) for _ in range(n)]
+        pts = [[b + F(t, den) * s for b, s in zip(base, step)]
+               for t in rng.sample(range(-den, den + 1), 2)]
+    return hull([tuple(p) for p in pts]), den
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 4),
+       st.sampled_from(["hull", "box", "hyperplane", "line", "empty"]))
+def test_count_matches_scan_oracle_and_enumeration(seed, n, kind):
+    rng = random.Random(seed)
+    body, den = _differential_body(rng, n, kind)
+    k_max = DIFF_K_MAX[n]
+    # a multiple of the vertex denominator puts the vertices on Z^n/k, where
+    # constraint lines tie at integer x
+    for k in (rng.randint(1, k_max), den * rng.randint(1, max(1, k_max // den))):
+        expected = scan_count(body, k)
+        assert count(body, k) == expected
+        assert len(enumerate_points(body, k)) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 3),
+       st.sampled_from(["hull", "box", "hyperplane", "line", "empty"]))
+def test_count_members_matches_fraction_membership(seed, n, kind):
+    rng = random.Random(seed)
+    body, _ = _differential_body(rng, n, kind)
+    cloud_body, _ = _differential_body(rng, n, "box")
+    cloud = enumerate_points(cloud_body, rng.randint(1, 6))
+    expected = sum(1 for x in cloud.coordinates() if body.contains(x))
+    assert count_members(body, cloud) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 60), st.integers(1, 40), st.integers(-200, 200), st.integers(-200, 200))
+def test_floor_sum_matches_brute_sum(n, m, a, b):
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_floor_sum_large_arguments():
+    n, m, a, b = 10**6, 999_983, -123_456_789, 987_654_321_987
+    assert _floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+
+def test_count_is_sublinear_in_k_for_2d_bodies():
+    k = 10**12
+    assert count(UNIT_SQUARE, k) == (k + 1) ** 2
+    assert count(UNIT_SIMPLEX, k) == (k + 1) * (k + 2) // 2
+
+
+def test_count_2d_rational_body_matches_pick():
+    # vertex denominators divide k, so k*body is a lattice polygon and
+    # Pick's theorem gives its point count: area + boundary/2 + 1
+    k = 10**9
+    body = hull([(F(1, 2), F(-3, 8)), (F(7, 4), F(1, 5)), (F(6, 5), F(13, 10)),
+                 (F(-2, 5), F(7, 8)), (F(-1, 4), F(0))])
+    assert len(body.vertices) == 5
+    center = [sum(v[i] for v in body.vertices) / 5 for i in range(2)]
+    ring = sorted(body.vertices, key=lambda v: math.atan2(v[1] - center[1], v[0] - center[0]))
+    ring = [tuple(int(c * k) for c in v) for v in ring]
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+    twice_area = abs(sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in edges))
+    boundary = sum(math.gcd(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in edges)
+    assert count(body, k) == (twice_area + boundary) // 2 + 1
+
+
+def test_slab_count_sums_one_run_per_envelope_edge(monkeypatch):
+    # the unit simplex has one edge above (y <= k - x, tied with the box
+    # bound y <= k at x = 0) and one below (y >= 0): two runs in all
+    calls = []
+    floor_sum = lattice._floor_sum
+
+    def counting(*args):
+        calls.append(args)
+        return floor_sum(*args)
+
+    monkeypatch.setattr(lattice, "_floor_sum", counting)
+    assert count(UNIT_SIMPLEX, 10**6) == (10**6 + 1) * (10**6 + 2) // 2
+    assert len(calls) == 2
 
 
 def test_count_monotone_under_inclusion():

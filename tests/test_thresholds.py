@@ -697,3 +697,19 @@ def test_thresholds_sweep_scores_each_level_once(tmp_path, monkeypatch):
     assert set(calls.values()) == {1}
     assert model._scores_k == 6
     assert set(model._scores) == {(g, ideal) for g in transforms for ideal in (False, True)}
+
+
+def test_verify_endpoints_scores_each_level_once(tmp_path, monkeypatch):
+    calls = Counter()
+    score_level = thresholds._score_level
+
+    def counting(model, g, k, ideal):
+        calls[(model, g, k, ideal)] += 1
+        return score_level(model, g, k, ideal)
+
+    monkeypatch.setattr(thresholds, "_score_level", counting)
+    assert main(["verify", "endpoints", "--k-max", "12", "--out", str(tmp_path)]) == 0
+    # the segment and the simplex model, levels 2..12, realized only
+    assert len(calls) == 22
+    assert set(calls.values()) == {1}
+    assert {ideal for *_, ideal in calls} == {False}
