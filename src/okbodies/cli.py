@@ -234,7 +234,7 @@ def cmd_thresholds(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _suite_reports(suite: str, k_max: int, seed: int, jobs: int):
+def _suite_reports(suite: str, k_max: int, seed: int):
     square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     simplex = hull([(0, 0), (1, 0), (0, 1)])
     segment = ToricModel(hull([(0,), (1,)]))
@@ -247,7 +247,7 @@ def _suite_reports(suite: str, k_max: int, seed: int, jobs: int):
     if suite == "ehrhart":
         yield estimates.verify_uniform_ehrhart(
             square, Fraction(1, 10), range(1, min(k_max, 40) + 1),
-            n_bodies=200, seed=seed, jobs=jobs)
+            n_bodies=200, seed=seed)
     elif suite == "lowerbound":
         yield estimates.verify_lower_bound_constant(square, range(1, k_max + 1))
         yield estimates.verify_lower_bound_constant(simplex, range(1, k_max + 1))
@@ -294,7 +294,7 @@ def _suite_reports(suite: str, k_max: int, seed: int, jobs: int):
         yield estimates.verify_weierstrass(k_max=max(k_max, 10), genus_max=6)
     elif suite == "all":
         for name in SUITES[:-1]:
-            yield from _suite_reports(name, k_max, seed, jobs)
+            yield from _suite_reports(name, k_max, seed)
     else:
         raise InputError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")
 
@@ -319,8 +319,7 @@ def cmd_verify(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     failures = []
     index = []
-    for i, report in enumerate(_suite_reports(args.suite, args.k_max, args.seed,
-                                              args.jobs)):
+    for i, report in enumerate(_suite_reports(args.suite, args.k_max, args.seed)):
         tag = f"{i:02d}_{report.name.replace(' ', '_').replace('[', '_').replace(']', '')}"
         index.append({"report": tag, "passed": report.passed})
         if out_dir:
@@ -394,8 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
     # the cones, endpoints and deltarate sweeps start at k = 2
     p_ver.add_argument("--k-max", dest="k_max", type=_int_at_least(2), default=40)
     p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--jobs", type=_int_at_least(1), default=1,
-                       help="worker processes for the ehrhart suite's per-k map")
     p_ver.add_argument("--out", default=None, help="report directory")
     p_ver.set_defaults(func=cmd_verify)
     return parser

@@ -21,9 +21,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -175,23 +173,6 @@ def _two_halves(report: SweepReport, name: str, ks: Sequence[int],
         report.check(name, hi <= 2 * lo, {"lower_half_sup": lo, "upper_half_sup": hi})
 
 
-def _pmap(fn: Callable, items: Sequence, jobs: int = 1) -> list:
-    """Order-preserving map, optionally over a process pool.
-
-    fn must be picklable (a top-level function or a partial of one) when
-    jobs > 1; results are aggregated in input order either way, so output is
-    identical across worker counts.
-    """
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
-def _worst_discrepancy(bodies: Sequence[ConvexBody], k: int) -> Fraction:
-    return max(abs(discrepancy(P, k)) for P in bodies)
-
-
 # ---------------------------------------------------------------------------
 # rate fitting (the single documented float computation)
 # ---------------------------------------------------------------------------
@@ -279,8 +260,7 @@ def concave_sampler(P: ConvexBody, rng: random.Random, max_pieces: int = 3,
 # ---------------------------------------------------------------------------
 
 def verify_uniform_ehrhart(K: ConvexBody, nu, k_range: Sequence[int],
-                           n_bodies: int = 200, seed: int = 0,
-                           jobs: int = 1) -> SweepReport:
+                           n_bodies: int = 200, seed: int = 0) -> SweepReport:
     """Max over sampled sub-bodies of |discrepancy| / k^{n-1}, with the
     two-halves stability assertion standing in for the uniform bound."""
     nu = rat(nu)
@@ -291,9 +271,9 @@ def verify_uniform_ehrhart(K: ConvexBody, nu, k_range: Sequence[int],
     bodies = sub_body_sampler(K, nu, seed)(n_bodies)
     n = K.dim
     ks = sorted(k_range)
-    worsts = _pmap(partial(_worst_discrepancy, bodies), ks, jobs)
     vals = []
-    for k, w in zip(ks, worsts):
+    for k in ks:
+        w = max(abs(discrepancy(P, k)) for P in bodies)
         m_k = w / Fraction(k) ** (n - 1)
         vals.append(m_k)
         report.rows.append({"k": k, "max_abs_discrepancy": w, "normalized": m_k})

@@ -81,12 +81,6 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def _integer_cuts(body: ConvexBody, k: int) -> list[tuple[tuple[int, ...], int]]:
-    """One integer cut a.z <= floor(k b) per halfspace a.x <= b of the body."""
-    return [(h.normal, (k * h.offset.numerator) // h.offset.denominator)
-            for h in body.halfspaces]
-
-
 def _scaled_constraints(body: ConvexBody, k: int):
     """Integer constraints a.z <= c for z in k*body, grouped by last active axis."""
     n = body.dim
@@ -94,9 +88,10 @@ def _scaled_constraints(body: ConvexBody, k: int):
     lo = [_ceil_div(k * b.numerator, b.denominator) for b, _ in box]
     hi = [(k * b.numerator) // b.denominator for _, b in box]
     levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for a, c in _integer_cuts(body, k):
-        level = max(i for i, ai in enumerate(a) if ai != 0)
-        levels[level].append((a, c))
+    for h in body.halfspaces:
+        c = (k * h.offset.numerator) // h.offset.denominator
+        level = max(i for i, a in enumerate(h.normal) if a != 0)
+        levels[level].append((h.normal, c))
     return lo, hi, levels
 
 
@@ -224,15 +219,6 @@ def count(body: ConvexBody, k: int) -> int:
         return max(0, hi_j - lo_j + 1)
     return sum(_slab_count(lo, hi, levels, prefix)
                for prefix in _prefixes(lo, hi, levels, body.dim - 2))
-
-
-def count_members(body: ConvexBody, cloud: PointCloud) -> int:
-    """#(body ∩ cloud), testing each numerator vector against the integer cuts."""
-    if body.is_empty:
-        return 0
-    cuts = _integer_cuts(body, cloud.denominator)
-    return sum(1 for z in cloud.points
-               if all(sum(ai * zi for ai, zi in zip(a, z)) <= c for a, c in cuts))
 
 
 def discrepancy(body: ConvexBody, k: int) -> Fraction:

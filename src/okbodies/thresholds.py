@@ -48,7 +48,7 @@ from .geometry import (
     superlevel,
     volume,
 )
-from .lattice import PointCloud, count, count_members
+from .lattice import PointCloud, count
 from .series import GradedSeriesModel
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -524,7 +524,8 @@ def partial_body_counts(model: GradedSeriesModel, v: ValuationModel, tau, k: int
     spec = quantile(model, v, tau, tol)
     body = superlevel(model.ambient, v.G, spec.quantile)
     # body lies in the ambient, so its idealized points are all of body ∩ Z^n/k
-    return count(body, k), count_members(body, model.discrete_body(k))
+    actual = sum(1 for x in model.discrete_body(k).coordinates() if body.contains(x))
+    return count(body, k), actual
 
 
 def valuation_to_json(v: ValuationModel) -> dict:

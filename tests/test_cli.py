@@ -132,7 +132,7 @@ def test_verify_unknown_suite_rejected(capsys):
 def test_verify_failure_exits_3_with_witness(tmp_path, capsys, monkeypatch):
     from okbodies import cli, estimates
 
-    def failing_suite(suite, k_max, seed, jobs):
+    def failing_suite(suite, k_max, seed):
         rep = estimates.SweepReport("rigged", {"seed": seed})
         rep.check("always fails", False, {"k": 1})
         yield rep
@@ -214,7 +214,7 @@ THRESHOLDS = ["thresholds", "--in", "{segment}", "--valuations", "{vseg}"]
     THRESHOLDS + ["--sweep", "{sweep}"],
     ["verify", "lowerbound", "--k-max", "0"],
     ["verify", "cones", "--k-max", "1"],
-    ["verify", "ehrhart", "--jobs", "0"],
+    ["verify", "ehrhart", "--jobs", "2"],  # the removed option is an input error
     ["verify", "ehrhart", "--k-max", "two"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):

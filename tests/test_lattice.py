@@ -26,7 +26,6 @@ from okbodies.lattice import (
     analytic_count_constant,
     concave_sum,
     count,
-    count_members,
     discrepancy,
     enumerate_points,
 )
@@ -211,18 +210,6 @@ def test_count_matches_scan_oracle_and_enumeration(seed, n, kind):
         expected = scan_count(body, k)
         assert count(body, k) == expected
         assert len(enumerate_points(body, k)) == expected
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 10**6), st.integers(1, 3),
-       st.sampled_from(["hull", "box", "hyperplane", "line", "empty"]))
-def test_count_members_matches_fraction_membership(seed, n, kind):
-    rng = random.Random(seed)
-    body, _ = _differential_body(rng, n, kind)
-    cloud_body, _ = _differential_body(rng, n, "box")
-    cloud = enumerate_points(cloud_body, rng.randint(1, 6))
-    expected = sum(1 for x in cloud.coordinates() if body.contains(x))
-    assert count_members(body, cloud) == expected
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
