@@ -272,13 +272,14 @@ def _suite_reports(suite: str, k_max: int, seed: int):
         v_top = ValuationModel.divisorial("e1", top_gap.ambient)
         yield estimates.verify_maxp1(top_gap, v_top, range(1, k_max + 1), iota=1)
     elif suite == "stwosided":
-        for tau in (Fraction(1, 4), Fraction(1, 2), Fraction(1)):
-            yield estimates.verify_S_two_sided(
-                segment, v_seg, tau, estimates.make_m_rule("ceil_tau", tau),
-                range(1, k_max + 1))
-            yield estimates.verify_S_two_sided(
-                simplex_model, v_simp, tau, estimates.make_m_rule("ceil_tau", tau),
-                range(1, min(k_max, 40) + 1))
+        sweeps = [(tau, estimates.make_m_rule("ceil_tau", tau))
+                  for tau in (Fraction(1, 4), Fraction(1, 2), Fraction(1))]
+        on_segment = estimates.verify_S_two_sided_sweeps(
+            segment, v_seg, sweeps, range(1, k_max + 1))
+        on_simplex = estimates.verify_S_two_sided_sweeps(
+            simplex_model, v_simp, sweeps, range(1, min(k_max, 40) + 1))
+        for pair in zip(on_segment, on_simplex):
+            yield from pair
     elif suite == "deltarate":
         p2 = ToricModel(hull([(0, 0), (3, 0), (0, 3)]))
         fam = _coordinate_family(p2)

@@ -31,6 +31,7 @@ from .geometry import (
     ConvexBody,
     apex_cone,
     chebyshev_ball,
+    coordinate_slice,
     first_coordinate_transform,
     hull,
     integrate_transform,
@@ -437,13 +438,10 @@ def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
 
 
 def _slice_dimension(B: ConvexBody, b: Fraction) -> int:
-    from .geometry import _affine_rank, _coordinate_slice
-
-    face = _coordinate_slice(B, b)
+    face = coordinate_slice(B, b)
     if face.is_empty:
         raise ValueError(f"slice at {b} is empty")
-    rank, _ = _affine_rank(face.vertices)
-    return rank
+    return face.affine_rank()
 
 
 # ---------------------------------------------------------------------------
@@ -552,47 +550,62 @@ def verify_S_two_sided(model: GradedSeriesModel, v: ValuationModel, tau,
     """Upper bound S_{k,m_k} <= (1+C/k) max{tau d_k/m_k, 1} S_tau and the
     matching lower bound ((1-C/k) min-scaling for tau > 0, the k^{-1/n}
     envelope at tau = 0), with the minimal validating C fitted per side."""
-    tau = rat(tau)
+    return verify_S_two_sided_sweeps(model, v, [(tau, m_rule)], k_range, tol)[0]
+
+
+def verify_S_two_sided_sweeps(model: GradedSeriesModel, v: ValuationModel,
+                              sweeps: Sequence[tuple], k_range: Sequence[int],
+                              tol=Fraction(1, 10**9)) -> list[SweepReport]:
+    """verify_S_two_sided for each (tau, m_rule) of sweeps, in that order.
+
+    The sweep is k-outer, so each level is scored once for all of them.
+    """
+    sweeps = [(rat(tau), m_rule) for tau, m_rule in sweeps]
     n = model.ambient.dim
-    s_tau = S_tau(model, v, tau, tol)
-    report = SweepReport(
-        "S_two_sided",
-        {"tau": tau, "k_range": [min(k_range), max(k_range)], "S_tau": s_tau},
-    )
-    ks, samples = [], []
-    c_upper = Fraction(0)
-    c_lower = Fraction(0)
+    values = [[] for _ in sweeps]
     for k in sorted(k_range):
         if not model.has_level(k):
             continue
         d = model.d_k(k)
-        m = m_rule(d, k)
-        s_km = S_km(model, v, k, m)
-        ks.append(k)
-        samples.append((k, s_km))
-        row = {"k": k, "m": m, "S_km": s_km}
-        if s_tau > 0:
-            scale_up = max(tau * Fraction(d, m), Fraction(1))
-            c_upper = max(c_upper, k * (s_km / (scale_up * s_tau) - 1))
-            if tau > 0:
-                scale_dn = min(tau * Fraction(d, m), Fraction(1))
-                c_lower = max(c_lower, k * (1 - s_km / (scale_dn * s_tau)))
-            else:
-                envelope = max(Fraction(m, d), Fraction(1, k))
-                deficit = 1 - s_km / s_tau
-                if deficit > 0:
-                    c_lower = max(c_lower, deficit ** n / envelope)
-        report.rows.append(row)
-    report.fitted["C_upper"] = c_upper
-    report.fitted["C_lower" if tau > 0 else "C_lower_pow_n"] = c_lower
-    report.check("fitted constants are finite rationals", True)
-    if len(samples) >= 4:
-        fit = rate_fit(samples, s_tau)
-        report.exponent, report.residual = fit.exponent, fit.residual
-    errs = [abs(s - s_tau) * k for k, s in samples]
-    _two_halves(report, "k-scaled deviation |S_km - S_tau| * k is stable",
-                ks, errs)
-    return report
+        for (_, m_rule), vals in zip(sweeps, values):
+            m = m_rule(d, k)
+            vals.append((k, d, m, S_km(model, v, k, m)))
+    reports = []
+    for (tau, _), vals in zip(sweeps, values):
+        s_tau = S_tau(model, v, tau, tol)
+        report = SweepReport(
+            "S_two_sided",
+            {"tau": tau, "k_range": [min(k_range), max(k_range)], "S_tau": s_tau},
+        )
+        ks, samples = [], []
+        c_upper = Fraction(0)
+        c_lower = Fraction(0)
+        for k, d, m, s_km in vals:
+            ks.append(k)
+            samples.append((k, s_km))
+            if s_tau > 0:
+                scale_up = max(tau * Fraction(d, m), Fraction(1))
+                c_upper = max(c_upper, k * (s_km / (scale_up * s_tau) - 1))
+                if tau > 0:
+                    scale_dn = min(tau * Fraction(d, m), Fraction(1))
+                    c_lower = max(c_lower, k * (1 - s_km / (scale_dn * s_tau)))
+                else:
+                    envelope = max(Fraction(m, d), Fraction(1, k))
+                    deficit = 1 - s_km / s_tau
+                    if deficit > 0:
+                        c_lower = max(c_lower, deficit ** n / envelope)
+            report.rows.append({"k": k, "m": m, "S_km": s_km})
+        report.fitted["C_upper"] = c_upper
+        report.fitted["C_lower" if tau > 0 else "C_lower_pow_n"] = c_lower
+        report.check("fitted constants are finite rationals", True)
+        if len(samples) >= 4:
+            fit = rate_fit(samples, s_tau)
+            report.exponent, report.residual = fit.exponent, fit.residual
+        errs = [abs(s - s_tau) * k for k, s in samples]
+        _two_halves(report, "k-scaled deviation |S_km - S_tau| * k is stable",
+                    ks, errs)
+        reports.append(report)
+    return reports
 
 
 def verify_delta_rate(model: GradedSeriesModel, family: Sequence[ValuationModel],

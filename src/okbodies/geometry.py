@@ -2,12 +2,19 @@
 
 Polytopes are kept in synchronized vertex/halfspace form over ``fractions.Fraction``.
 Everything here is exact: no floats enter any computation, and all operations are
-pure functions on immutable values, so bodies can be shared freely between workers.
+pure functions on immutable values.
 
 Scale assumptions: ambient dimension n <= 4 and at most a few hundred vertices.
 Conversions between representations use brute-force supporting-hyperplane search
 (n >= 3) or monotone chain (n = 2), which is simple, exact, and fast enough at
 this scale.
+
+Face structure is read from one cached vertex-facet incidence per body: for
+each halfspace, the set of vertex indices tight on it.  The facets of a face F
+are the maximal proper nonempty sets among F & t over the incidence sets t,
+and two vertices span an edge iff the smallest face holding both (the
+intersection of the incidence sets that hold both) has exactly two vertices.
+Triangulation, clipping and facet filtering all work on these index sets.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -293,9 +300,14 @@ class ConvexBody:
             for i in range(self.dim)
         ]
 
-    def tight_at(self, v: Vec) -> tuple[int, ...]:
-        """Indices of halfspaces tight at a vertex."""
-        return tuple(i for i, h in enumerate(self.halfspaces) if h.is_tight(v))
+    def incidence(self) -> tuple[frozenset[int], ...]:
+        """For each halfspace, the indices of the vertices tight on it."""
+        if "incidence" not in self._cache:
+            self._cache["incidence"] = tuple(
+                frozenset(i for i, v in enumerate(self.vertices) if h.is_tight(v))
+                for h in self.halfspaces
+            )
+        return self._cache["incidence"]
 
     def __eq__(self, other) -> bool:
         return (
@@ -346,15 +358,25 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
     return _hull_degenerate(pts, n, rank, pivots)
 
 
-def _hull_degenerate(pts: list[Vec], n: int, rank: int, pivots: list[int]) -> ConvexBody:
+def _affine_equalities(pts: Sequence[Vec], n: int) -> list[HalfSpace]:
+    """Opposite halfspace pairs cutting out the affine hull of pts (none if it is R^n)."""
     base = pts[0]
-    rows = [list(_vsub(p, base)) for p in pts[1:]]
     equalities = []
-    for w in _nullspace(rows, n) if rows else _nullspace([], n):
+    for w in _nullspace([list(_vsub(p, base)) for p in pts[1:]], n):
         hs = HalfSpace.make(w, _dot(w, base))
         equalities.extend([hs, hs.flipped()])
+    return equalities
+
+
+def _maximal(sets: set[frozenset[int]]) -> set[frozenset[int]]:
+    """The members of a family of sets that lie in no other member."""
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
+def _hull_degenerate(pts: list[Vec], n: int, rank: int, pivots: list[int]) -> ConvexBody:
+    equalities = _affine_equalities(pts, n)
     if rank == 0:
-        return ConvexBody(n, [base], equalities)
+        return ConvexBody(n, pts[:1], equalities)
     proj = [tuple(p[j] for j in pivots) for p in pts]
     back = {tuple(p[j] for j in pivots): p for p in pts}
     inner = _hull_full(sorted(set(proj)), rank)
@@ -440,25 +462,20 @@ def _hull_brute(pts: list[Vec], n: int) -> ConvexBody:
 
 
 def _sync_halfspaces(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
-                     n: int) -> list[HalfSpace]:
-    """Keep facet-inducing candidates; add affine-hull equalities when degenerate."""
-    rank, _ = _affine_rank(vertices)
-    kept = []
-    if rank > 0:
-        for h in set(candidates):
-            tight = [v for v in vertices if h.is_tight(v)]
-            if not tight:
-                continue
-            trank, _ = _affine_rank(tight)
-            if trank == rank - 1:
-                kept.append(h)
-    if rank < n:
-        base = vertices[0]
-        rows = [list(_vsub(v, base)) for v in vertices[1:]]
-        for w in _nullspace(rows, n) if rows else _nullspace([], n):
-            hs = HalfSpace.make(w, _dot(w, base))
-            kept.extend([hs, hs.flipped()])
-    return kept
+                     n: int) -> dict[HalfSpace, frozenset[int]]:
+    """The facet-inducing candidates and the affine-hull equalities, each with
+    the indices of the vertices tight on it.
+
+    Every candidate holds on the vertices and every facet of their hull is among
+    the candidates, so the facets are the candidates whose tight vertex sets are
+    maximal among the proper, nonempty ones.
+    """
+    tight = {h: frozenset(i for i, v in enumerate(vertices) if h.is_tight(v))
+             for h in set(candidates)}
+    facets = _maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
+    synced = {h: t for h, t in tight.items() if t in facets}
+    synced.update(dict.fromkeys(_affine_equalities(vertices, n), frozenset(range(len(vertices)))))
+    return synced
 
 
 # ---------------------------------------------------------------------------
@@ -482,17 +499,14 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
     inside = [i for i, s in enumerate(vals) if s < 0]
     on = [i for i, s in enumerate(vals) if s == 0]
     outside = [i for i, s in enumerate(vals) if s > 0]
-    tights = [body.tight_at(v) for v in body.vertices]
+    incidence = body.incidence()
+    everything = frozenset(range(len(vals)))
     crossings: set[Vec] = set()
-    n = body.dim
     for i in inside:
+        at_i = [t for t in incidence if i in t]
         for j in outside:
-            common = set(tights[i]) & set(tights[j])
-            if len(common) < n - 1:
-                continue
-            rows = [list(map(Fraction, body.halfspaces[c].normal)) for c in common]
-            rank, _, _ = _row_reduce(rows)
-            if rank < n - 1:
+            # an edge iff the smallest face holding both ends has two vertices
+            if len(everything.intersection(*(t for t in at_i if j in t))) != 2:
                 continue
             vi, vo = body.vertices[i], body.vertices[j]
             lam = -vals[i] / (vals[j] - vals[i])
@@ -502,9 +516,10 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
         | {body.vertices[i] for i in on}
         | crossings
     ))
-    candidates = list(body.halfspaces) + [hs]
-    return ConvexBody(body.dim, new_vertices,
-                      _sync_halfspaces(new_vertices, candidates, body.dim))
+    synced = _sync_halfspaces(new_vertices, list(body.halfspaces) + [hs], body.dim)
+    clipped = ConvexBody(body.dim, new_vertices, synced)
+    clipped._cache["incidence"] = tuple(synced[h] for h in clipped.halfspaces)
+    return clipped
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
@@ -607,93 +622,61 @@ def first_coordinate_transform(domain: ConvexBody) -> ConcavePL:
 # volume, barycenter, slices
 # ---------------------------------------------------------------------------
 
-def _facet_data(body: ConvexBody) -> list[tuple[HalfSpace, list[Vec]]]:
-    rank = body.affine_rank()
-    out = []
-    for h in body.halfspaces:
-        tight = [v for v in body.vertices if h.is_tight(v)]
-        if not tight:
-            continue
-        trank, _ = _affine_rank(tight)
-        if trank == rank - 1:
-            out.append((h, tight))
-    return out
-
-
 def triangulate(body: ConvexBody) -> list[tuple[Vec, ...]]:
-    """Fan triangulation of a full-dimensional body from its first vertex."""
+    """Pulling triangulation of a full-dimensional body.
+
+    Each face is coned from its smallest vertex over its facets that miss that
+    vertex; faces are vertex-index sets read from the incidence, and each face
+    is triangulated once.
+    """
     if not body.is_full_dim():
         raise DegenerateBody("triangulation requires a full-dimensional body")
-    return _triangulate_full(body.vertices, body.halfspaces, body.dim)
+    incidence = body.incidence()
+    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+
+    def pull(face: frozenset[int]) -> list[tuple[int, ...]]:
+        if face not in memo:
+            apex = min(face)
+            facets = _maximal({face & t for t in incidence} - {face, frozenset()})
+            # a vertex has no facets and is its own triangulation
+            memo[face] = [(apex,) + s for facet in facets if apex not in facet
+                          for s in pull(facet)] or [(apex,)]
+        return memo[face]
+
+    everything = frozenset(range(len(body.vertices)))
+    return [tuple(body.vertices[i] for i in s) for s in pull(everything)]
 
 
-def _triangulate_full(vertices: tuple[Vec, ...], halfspaces: tuple[HalfSpace, ...],
-                      n: int) -> list[tuple[Vec, ...]]:
-    if n == 1:
-        return [tuple(sorted(vertices))]
-    apex = vertices[0]
-    simplices = []
-    for h in halfspaces:
-        if h.is_tight(apex):
-            continue
-        tight = [v for v in vertices if h.is_tight(v)]
-        for facet_simplex in _triangulate_facet(tight, h, n):
-            simplices.append((apex,) + facet_simplex)
-    return simplices
-
-
-def _triangulate_facet(tight: list[Vec], h: HalfSpace, n: int) -> list[tuple[Vec, ...]]:
-    if n - 1 == 1:
-        pts = sorted(tight)
-        return [(pts[0], pts[-1])]
-    drop = next(i for i, c in enumerate(h.normal) if c != 0)
-    keep = [i for i in range(n) if i != drop]
-    back = {tuple(v[i] for i in keep): v for v in tight}
-    inner = _hull_full(sorted(back), n - 1)
-    simplices = _triangulate_full(inner.vertices, inner.halfspaces, n - 1)
-    return [tuple(back[q] for q in s) for s in simplices]
+def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:
+    """(volume, integral of x) of a full-dimensional body, over one triangulation."""
+    if "moments" not in body._cache:
+        n = body.dim
+        dets = Fraction(0)
+        first = [Fraction(0)] * n
+        for s in triangulate(body):
+            w = abs(_det([_vsub(p, s[0]) for p in s[1:]]))
+            dets += w
+            for i in range(n):
+                first[i] += w * sum(p[i] for p in s)
+        fact = factorial(n)
+        body._cache["moments"] = (dets / fact,
+                                  tuple(c / (fact * (n + 1)) for c in first))
+    return body._cache["moments"]
 
 
 def volume(body: ConvexBody) -> Fraction:
     """Exact Lebesgue n-volume; 0 for empty or lower-dimensional bodies."""
     if body.is_empty or not body.is_full_dim():
         return Fraction(0)
-    if "volume" in body._cache:
-        return body._cache["volume"]
-    total = Fraction(0)
-    fact = 1
-    for i in range(2, body.dim + 1):
-        fact *= i
-    for s in _triangulate_full(body.vertices, body.halfspaces, body.dim):
-        mat = [_vsub(p, s[0]) for p in s[1:]]
-        total += abs(_det(mat))
-    total /= fact
-    body._cache["volume"] = total
-    return total
+    return _moments(body)[0]
 
 
 def barycenter(body: ConvexBody) -> Vec:
     """Exact centroid via simplex decomposition; requires positive volume."""
     if body.is_empty or not body.is_full_dim():
         raise DegenerateBody("barycenter requires a full-dimensional body")
-    n = body.dim
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
-    total = Fraction(0)
-    acc = [Fraction(0)] * n
-    for s in _triangulate_full(body.vertices, body.halfspaces, n):
-        mat = [_vsub(p, s[0]) for p in s[1:]]
-        vol = abs(_det(mat)) / fact
-        if vol == 0:
-            continue
-        centroid = [sum(p[i] for p in s) / (n + 1) for i in range(n)]
-        total += vol
-        for i in range(n):
-            acc[i] += vol * centroid[i]
-    if total == 0:
-        raise DegenerateBody("zero-volume body")
-    return tuple(c / total for c in acc)
+    vol, first = _moments(body)
+    return tuple(c / vol for c in first)
 
 
 def slice_volume(body: ConvexBody, f: AffineFunctional, t) -> Fraction:
@@ -711,16 +694,13 @@ def slice_volume(body: ConvexBody, f: AffineFunctional, t) -> Fraction:
     g = _primitive(f.gradient)
     idx = next(i for i, c in enumerate(g) if c != 0)
     scale = Fraction(g[idx]) / f.gradient[idx]
-    c = (t - f.constant) * scale
-    face = intersect_halfspace(body, HalfSpace(g, c))
-    face = intersect_halfspace(face, HalfSpace(tuple(-x for x in g), -c))
+    face = _section(body, HalfSpace(g, (t - f.constant) * scale))
     if face.is_empty:
         return Fraction(0)
     n = body.dim
     if n == 1:
         return Fraction(1)
-    rank, _ = _affine_rank(face.vertices)
-    if rank < n - 1:
+    if face.affine_rank() < n - 1:
         return Fraction(0)
     keep = [i for i in range(n) if i != idx]
     proj = [tuple(v[i] for i in keep) for v in face.vertices]
@@ -765,8 +745,9 @@ def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
     """Exact integral of a concave PL transform over a body.
 
     The body is subdivided into the regions where each affine piece realizes
-    the min; on each region the integrand is affine, so its integral is
-    volume * value-at-centroid. Region overlaps have measure zero.
+    the min; on each region the integrand grad . x + c is affine, so its
+    integral is grad . (integral of x) + c * volume. Region overlaps have
+    measure zero.
     """
     if body.is_empty or not body.is_full_dim():
         return Fraction(0)
@@ -790,8 +771,8 @@ def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
                 break
         if region.is_empty or not region.is_full_dim():
             continue
-        vol = volume(region)
-        total += vol * f_i(barycenter(region))
+        vol, first = _moments(region)
+        total += _dot(f_i.gradient, first) + f_i.constant * vol
     return total
 
 
@@ -858,9 +839,8 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
         raise DegenerateBody("chebyshev_ball requires a full-dimensional body")
     n = body.dim
     x0 = tuple(sum(v[i] for v in body.vertices) / len(body.vertices) for i in range(n))
-    facets = _facet_data(body)
     A, rhs = [], []
-    for h, _ in facets:
+    for h in body.halfspaces:  # a full-dimensional body holds only facets
         norm_ub = sqrt_upper_bound(_dot(h.normal, h.normal), bits)
         row = []
         for i in range(n):
@@ -878,10 +858,14 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
 # cones
 # ---------------------------------------------------------------------------
 
-def _coordinate_slice(body: ConvexBody, value: Fraction) -> ConvexBody:
-    e1 = (1,) + (0,) * (body.dim - 1)
-    face = intersect_halfspace(body, HalfSpace(e1, value))
-    return intersect_halfspace(face, HalfSpace(tuple(-c for c in e1), -value))
+def _section(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
+    """body ∩ {hs.normal . x = hs.offset}."""
+    return intersect_halfspace(intersect_halfspace(body, hs), hs.flipped())
+
+
+def coordinate_slice(body: ConvexBody, value) -> ConvexBody:
+    """body ∩ {x_1 = value}; may be empty."""
+    return _section(body, HalfSpace((1,) + (0,) * (body.dim - 1), rat(value)))
 
 
 def slice_cone(body: ConvexBody, a, b) -> ConvexBody:
@@ -893,8 +877,8 @@ def slice_cone(body: ConvexBody, a, b) -> ConvexBody:
     hi = max(v[0] for v in body.vertices)
     if not (lo <= a < b <= hi):
         raise GeometryError(f"need {lo} <= a < b <= {hi}, got a={a}, b={b}")
-    fa = _coordinate_slice(body, a)
-    fb = _coordinate_slice(body, b)
+    fa = coordinate_slice(body, a)
+    fb = coordinate_slice(body, b)
     return hull(list(fa.vertices) + list(fb.vertices))
 
 
@@ -908,7 +892,7 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
         raise GeometryError(f"apex {apex} is not in the body")
     if apex[0] != b:
         raise GeometryError(f"apex must lie on the b-slice (p1 = {b})")
-    fa = _coordinate_slice(body, a)
+    fa = coordinate_slice(body, a)
     if fa.is_empty:
         raise GeometryError(f"the a-slice at {a} is empty")
     return hull(list(fa.vertices) + [apex])
@@ -935,12 +919,11 @@ def validate_body(body: ConvexBody) -> None:
     for h in body.halfspaces:
         if not any(h.is_tight(v) for v in body.vertices):
             raise GeometryError(f"halfspace {h} is tight at no vertex")
-    if hull(body.vertices).vertices != body.vertices:
+    rebuilt = hull(body.vertices)
+    if rebuilt.vertices != body.vertices:
         raise GeometryError("vertex list is redundant")
-    if rank == n:
-        rebuilt = hull(body.vertices)
-        if set(rebuilt.halfspaces) != set(body.halfspaces):
-            raise GeometryError("halfspace list out of sync with the vertex hull")
+    if rank == n and set(rebuilt.halfspaces) != set(body.halfspaces):
+        raise GeometryError("halfspace list out of sync with the vertex hull")
 
 
 def body_to_json(body: ConvexBody, include_halfspaces: bool = False) -> dict:

@@ -21,10 +21,11 @@ model for the current level only. Results are the same Fractions as scoring
 G(z/k) directly.
 
 Everything here is a pure query over immutable models and valuations (the
-score cache never changes a result), so sweeps may be parallelized over
-(k, valuation) pairs; ties are always broken deterministically
-(lexicographically larger point, lexicographically smaller label), making
-reductions order-independent.
+score cache never changes a result). Because only the current level's scores
+are kept, a sweep that asks several questions of each level should loop over
+k outermost. Ties are always broken deterministically (lexicographically
+larger point, lexicographically smaller label), making reductions
+order-independent.
 """
 
 from __future__ import annotations

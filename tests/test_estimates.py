@@ -22,6 +22,7 @@ from okbodies.estimates import (
     verify_lower_bound_constant,
     verify_maxp1,
     verify_S_two_sided,
+    verify_S_two_sided_sweeps,
     verify_uniform_ehrhart,
     verify_weierstrass,
 )
@@ -224,6 +225,17 @@ def test_verify_S_two_sided_tau_zero():
     assert rep.fitted["C_upper"] == 0
     assert rep.fitted["C_lower_pow_n"] == 0
     assert rep.exponent == NEG_INF
+
+
+def test_verify_S_two_sided_sweeps_match_one_sweep_per_tau():
+    simplex_model = ToricModel(UNIT_SIMPLEX)
+    v_simp = ValuationModel.divisorial("e1", UNIT_SIMPLEX)
+    sweeps = [(tau, make_m_rule("ceil_tau", tau)) for tau in (F(1, 4), F(1, 2), F(1))]
+    sweeps.append((0, make_m_rule("one")))
+    for model, v in ((SEGMENT, V_SEG), (simplex_model, v_simp)):
+        together = verify_S_two_sided_sweeps(model, v, sweeps, range(1, 13))
+        alone = [verify_S_two_sided(model, v, tau, rule, range(1, 13)) for tau, rule in sweeps]
+        assert [r.to_json() for r in together] == [r.to_json() for r in alone]
 
 
 def test_verify_delta_rate_canonical_alpha():

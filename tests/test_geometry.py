@@ -1,6 +1,8 @@
 """Exactness tests for the rational convex geometry kernel."""
 
+import random
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +22,7 @@ from okbodies.geometry import (
     coordinate_projection,
     first_coordinate_transform,
     hull,
+    integrate_transform,
     intersect_halfspace,
     minkowski_cube,
     rat,
@@ -29,9 +32,11 @@ from okbodies.geometry import (
     slice_volume,
     sqrt_upper_bound,
     superlevel,
+    triangulate,
     validate_body,
     volume,
 )
+import okbodies.geometry as geometry
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -447,8 +452,6 @@ def test_rooftop_4d_over_3d_simplex():
 
 
 def test_triangulate_sums_to_volume():
-    from okbodies.geometry import triangulate
-
     for body in (UNIT_SIMPLEX, hull(fan_points(4, 2, 9))):
         simplices = triangulate(body)
         assert sum(
@@ -458,8 +461,195 @@ def test_triangulate_sums_to_volume():
         ) == volume(body)
 
 
+# ---------------------------------------------------------------------------
+# oracles: project-and-re-hull triangulation, and clipping by segment crossings
+# ---------------------------------------------------------------------------
+
+def oracle_triangulate(vertices, halfspaces, n):
+    """Fan from the first vertex over every facet missing it; each facet is
+    projected along a nonzero normal coordinate, re-hulled and triangulated
+    one dimension down."""
+    if n == 1:
+        return [tuple(sorted(vertices))]
+    apex = vertices[0]
+    simplices = []
+    for h in halfspaces:
+        if h.is_tight(apex):
+            continue
+        tight = [v for v in vertices if h.is_tight(v)]
+        if n == 2:
+            facet_simplices = [(min(tight), max(tight))]
+        else:
+            drop = next(i for i, c in enumerate(h.normal) if c != 0)
+            keep = [i for i in range(n) if i != drop]
+            back = {tuple(v[i] for i in keep): v for v in tight}
+            inner = geometry._hull_full(sorted(back), n - 1)
+            facet_simplices = [tuple(back[q] for q in s)
+                               for s in oracle_triangulate(inner.vertices, inner.halfspaces, n - 1)]
+        simplices.extend((apex,) + s for s in facet_simplices)
+    return simplices
+
+
+def oracle_moments(body):
+    n = body.dim
+    fact = factorial(n)
+    vol, acc = F(0), [F(0)] * n
+    for s in oracle_triangulate(body.vertices, body.halfspaces, n):
+        w = abs(geometry._det([geometry._vsub(p, s[0]) for p in s[1:]])) / fact
+        vol += w
+        for i in range(n):
+            acc[i] += w * sum(p[i] for p in s) / (n + 1)
+    return vol, tuple(c / vol for c in acc)
+
+
+def oracle_integrate(body, g):
+    """Sum of volume * value-at-barycenter over the regions where each piece
+    realizes the min."""
+    total = F(0)
+    for f_i in g.pieces:
+        region = body
+        for f_j in g.pieces:
+            normal = tuple(a - b for a, b in zip(f_i.gradient, f_j.gradient))
+            if any(normal):
+                region = intersect_halfspace(
+                    region, HalfSpace.make(normal, f_j.constant - f_i.constant))
+            elif f_j.constant < f_i.constant:  # piece j is everywhere smaller
+                region = None
+                break
+        if region is not None and not region.is_empty and region.is_full_dim():
+            vol, center = oracle_moments(region)
+            total += vol * f_i(center)
+    return total
+
+
+def affine_rank(points):
+    return geometry._affine_rank(points)[0]
+
+
+def oracle_clip(body, hs):
+    """hull of the kept vertices and every inside-outside segment crossing, and
+    the halfspace set the affine-rank facet filter keeps among the body's
+    halfspaces and hs, plus the affine-hull equalities of that hull."""
+    vals = [hs.value(v) - hs.offset for v in body.vertices]
+    pts = [v for v, s in zip(body.vertices, vals) if s <= 0]
+    for vi, si in zip(body.vertices, vals):
+        for vo, so in zip(body.vertices, vals):
+            if si < 0 < so:
+                lam = -si / (so - si)
+                pts.append(tuple(a + lam * (b - a) for a, b in zip(vi, vo)))
+    if not pts:
+        return None, None
+    ref = hull(pts)
+    rank = affine_rank(ref.vertices)
+    halfspaces = {h for h in ref.halfspaces if all(h.is_tight(v) for v in ref.vertices)}
+    for h in set(body.halfspaces) | {hs}:
+        tight = [v for v in ref.vertices if h.is_tight(v)]
+        if tight and affine_rank(tight) == rank - 1:
+            halfspaces.add(h)
+    return ref, halfspaces
+
+
+def random_body(seed, n, flat=False):
+    """Hull of a few random rational points, in R^n or (flat) in a random
+    affine subspace of lower dimension."""
+    rng = random.Random(seed)
+    if flat:
+        dirs = [tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(rng.randrange(n))]
+    else:
+        dirs = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    base = tuple(F(rng.randrange(0, 9), 8) for _ in range(n))
+    pts = []
+    for _ in range(rng.randrange(n + 1, {1: 4, 2: 9, 3: 7, 4: 6}[n] + 1)):
+        coeffs = [F(rng.randrange(0, 9), 8) for _ in dirs]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(coeffs, dirs))
+                         for i, b in enumerate(base)))
+    return hull(pts)
+
+
+def random_cut(rng, body):
+    """A halfspace whose boundary passes between two random vertices."""
+    n = body.dim
+    normal = [rng.randrange(-3, 4) for _ in range(n)]
+    normal[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randrange(1, 4)
+    a, b = rng.choice(body.vertices), rng.choice(body.vertices)
+    return HalfSpace.make(normal, sum(c * (x + y) for c, x, y in zip(normal, a, b)) / 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]))
+def test_moments_match_rehull_oracle_on_hulls_and_cut_chains(seed, n):
+    rng = random.Random(seed)
+    body = random_body(seed, n)
+    pieces = [AffineFunctional.make([rng.randrange(-3, 4) for _ in range(n)], rng.randrange(0, 4))
+              for _ in range(rng.randrange(1, 4))]
+    for _ in range(4):
+        if body.is_empty:
+            break
+        if body.is_full_dim():
+            vol, center = oracle_moments(body)
+            assert volume(body) == vol
+            assert barycenter(body) == center
+            g = ConcavePL.make(pieces, body, require_nonnegative=False)
+            assert integrate_transform(body, g) == oracle_integrate(body, g)
+        else:
+            assert volume(body) == 0
+        body = intersect_halfspace(body, random_cut(rng, body))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]), st.booleans())
+def test_intersect_halfspace_matches_crossing_hull_oracle(seed, n, flat):
+    rng = random.Random(seed)
+    body = random_body(seed, n, flat)
+    for _ in range(2 if n < 4 else 1):  # the oracle hull costs O(N^(n+1))
+        hs = random_cut(rng, body)
+        clipped = intersect_halfspace(body, hs)
+        ref, halfspaces = oracle_clip(body, hs)
+        if ref is None:
+            assert clipped.is_empty
+            break
+        assert clipped.vertices == ref.vertices
+        vals = [hs.value(v) - hs.offset for v in body.vertices]
+        if min(vals) < 0 < max(vals):
+            assert set(clipped.halfspaces) == halfspaces
+            if clipped.is_full_dim():
+                assert set(clipped.halfspaces) == set(ref.halfspaces)
+            assert clipped.incidence() == tuple(
+                frozenset(i for i, v in enumerate(clipped.vertices) if h.is_tight(v))
+                for h in clipped.halfspaces)
+        body = clipped
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]))
+def test_triangulate_tiles_the_body_with_proper_simplices(seed, n):
+    body = random_body(seed, n)
+    if not body.is_full_dim():
+        return
+    simplices = triangulate(body)
+    dets = [geometry._det([geometry._vsub(p, s[0]) for p in s[1:]]) for s in simplices]
+    assert all(len(s) == n + 1 and set(s) <= set(body.vertices) for s in simplices)
+    assert all(d != 0 for d in dets)
+    assert sum(abs(d) for d in dets) / factorial(n) == oracle_moments(body)[0]
+
+
+def test_moments_of_4d_cut_body_make_no_hull_calls(monkeypatch):
+    body = hull(fan_points(23, 4, 14))
+    rng = random.Random(23)
+    for _ in range(3):
+        body = intersect_halfspace(body, random_cut(rng, body))
+    assert body.is_full_dim()
+    calls = []
+    hull_full = geometry._hull_full
+    monkeypatch.setattr(geometry, "_hull_full", lambda *a: calls.append(a) or hull_full(*a))
+    vol, center = volume(body), barycenter(body)
+    assert calls == []
+    monkeypatch.undo()
+    assert (vol, center) == oracle_moments(body)
+
+
 def test_min_mean_transform():
-    from okbodies.geometry import integrate_transform, max_transform, mean_transform
+    from okbodies.geometry import max_transform, mean_transform
 
     g = first_coordinate_transform(UNIT_SIMPLEX)
     assert max_transform(UNIT_SIMPLEX, g) == 1

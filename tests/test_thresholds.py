@@ -713,3 +713,19 @@ def test_verify_endpoints_scores_each_level_once(tmp_path, monkeypatch):
     assert len(calls) == 22
     assert set(calls.values()) == {1}
     assert {ideal for *_, ideal in calls} == {False}
+
+
+def test_verify_stwosided_scores_each_level_once(tmp_path, monkeypatch):
+    calls = Counter()
+    score_level = thresholds._score_level
+
+    def counting(model, g, k, ideal):
+        calls[(model, g, k, ideal)] += 1
+        return score_level(model, g, k, ideal)
+
+    monkeypatch.setattr(thresholds, "_score_level", counting)
+    assert main(["verify", "stwosided", "--k-max", "12", "--out", str(tmp_path)]) == 0
+    # the segment and the simplex model, levels 1..12, realized only, for all three taus
+    assert len(calls) == 24
+    assert sum(calls.values()) == 24
+    assert {ideal for *_, ideal in calls} == {False}
