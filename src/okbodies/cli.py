@@ -28,7 +28,7 @@ from .geometry import (
     rat_str,
     volume,
 )
-from .lattice import count
+from .lattice import count, slab_bound
 from .series import (
     CanonicalCurveModel,
     ModelError,
@@ -52,6 +52,11 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_INPUT = 2
 EXIT_VERIFY = 3
+
+# Most 2-D slabs ``body --k`` may count (``lattice.slab_bound``).  A slab of
+# a 4-D unit cube takes about 10 us on a 2-vCPU host, so the largest count
+# allowed there takes about 10 s (k = 10^4 would take about 17 min).
+MAX_COUNT_SLABS = 10**6
 
 SUITES = ("ehrhart", "lowerbound", "concave", "cones", "maxp1",
           "stwosided", "deltarate", "endpoints", "weierstrass", "all")
@@ -148,6 +153,9 @@ def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> No
 
 def cmd_body(args) -> int:
     body = _load_body(args.infile)
+    if args.k is not None and (slabs := slab_bound(body, args.k)) > MAX_COUNT_SLABS:
+        raise InputError(f"--k {args.k} needs {slabs} slab counts, "
+                         f"above the limit of {MAX_COUNT_SLABS}")
     center, radius = chebyshev_ball(body)
     out = {
         "dim": body.dim,

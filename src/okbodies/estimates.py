@@ -338,15 +338,16 @@ def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
     bodies = sub_body_sampler(K, min_volume, seed)(n_pairs)
     rng = random.Random(seed + 1)
     pairs = [(P, concave_sampler(P, rng)) for P in bodies]
+    # sup G and the integral of G do not depend on k
+    pairs = [(P, g, max_transform(P, g), integrate_transform(P, g)) for P, g in pairs]
     ks = sorted(k_range)
     vals = []
     for k in ks:
         worst = Fraction(0)
-        for P, g in pairs:
-            sup_g = max_transform(P, g)
+        for P, g, sup_g, integral in pairs:
             if sup_g == 0:
                 continue
-            q = (concave_sum(P, g, k) - integrate_transform(P, g)) * k / sup_g
+            q = (concave_sum(P, g, k) - integral) * k / sup_g
             worst = max(worst, q)
         vals.append(worst)
         report.rows.append({"k": k, "worst_normalized_excess": worst})

@@ -277,9 +277,7 @@ class ConvexBody:
 
     def affine_rank(self) -> int:
         if "arank" not in self._cache:
-            rank, pivots = _affine_rank(self.vertices)
-            self._cache["arank"] = rank
-            self._cache["apivots"] = pivots
+            self._cache["arank"] = _affine_rank(self.vertices)[0]
         return self._cache["arank"]
 
     def is_full_dim(self) -> bool:
@@ -707,72 +705,57 @@ def slice_volume(body: ConvexBody, f: AffineFunctional, t) -> Fraction:
     return volume(hull(proj)) / abs(g[idx])
 
 
-def max_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
-    """Exact maximum of a concave PL transform over a body.
+def _linearity_regions(body: ConvexBody, g: ConcavePL) -> list[tuple[AffineFunctional, ConvexBody]]:
+    """(f_i, R_i) for every nonempty region R_i = body ∩ {f_i <= f_j for all j}.
 
-    One affine piece peaks at a vertex; otherwise the min-envelope maximum can
-    sit on a face interior, so solve the LP max t s.t. t <= f_i(x), x in body.
+    The regions cover the body and G = f_i on R_i; lower-dimensional regions
+    are kept.  A duplicate piece counts once.
+    """
+    pieces = tuple(dict.fromkeys(g.pieces))
+    regions = []
+    for f_i in pieces:
+        region = body
+        for f_j in pieces:
+            normal = _vsub(f_i.gradient, f_j.gradient)
+            if any(normal):
+                region = intersect_halfspace(
+                    region, HalfSpace.make(normal, f_j.constant - f_i.constant))
+            elif f_j.constant < f_i.constant:
+                region = empty_body(body.dim)  # piece j is everywhere smaller
+            if region.is_empty:
+                break
+        if not region.is_empty:
+            regions.append((f_i, region))
+    return regions
+
+
+def max_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
+    """Exact maximum of a concave PL transform over a nonempty body.
+
+    G is the affine piece f_i on its linearity region R_i, and the regions
+    cover the body, so the maximum is the largest f_i(v) over the vertices v
+    of every region.  This holds for lower-dimensional bodies too.
     """
     if body.is_empty:
         raise GeometryError("max over an empty body")
-    if len(g.pieces) == 1:
-        return max(g(v) for v in body.vertices)
-    n = body.dim
-    x0 = tuple(sum(v[i] for v in body.vertices) / len(body.vertices) for i in range(n))
-    t0 = g(x0) - 1
-    # variables y+/y- (shifted x) and s >= 0 (shifted t); maximize s
-    A, b = [], []
-    for f in g.pieces:
-        row = []
-        for i in range(n):
-            row.extend([-f.gradient[i], f.gradient[i]])
-        row.append(Fraction(1))
-        A.append(row)
-        b.append(f(x0) - t0)
-    for h in body.halfspaces:
-        row = []
-        for i in range(n):
-            row.extend([Fraction(h.normal[i]), -Fraction(h.normal[i])])
-        row.append(Fraction(0))
-        A.append(row)
-        b.append(h.offset - h.value(x0))
-    c = [Fraction(0)] * (2 * n) + [Fraction(1)]
-    opt, _ = _simplex_max(A, b, c)
-    return t0 + opt
+    return max(f(v) for f, region in _linearity_regions(body, g) for v in region.vertices)
 
 
 def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
-    """Exact integral of a concave PL transform over a body.
+    """Exact integral of a concave PL transform over a body; 0 unless the body
+    is full-dimensional.
 
-    The body is subdivided into the regions where each affine piece realizes
-    the min; on each region the integrand grad . x + c is affine, so its
-    integral is grad . (integral of x) + c * volume. Region overlaps have
-    measure zero.
+    On each full-dimensional linearity region (``_linearity_regions``) the
+    integrand grad . x + c is affine, so its integral is
+    grad . (integral of x) + c * volume.  Region overlaps have measure zero.
     """
     if body.is_empty or not body.is_full_dim():
         return Fraction(0)
     total = Fraction(0)
-    pieces = g.pieces
-    for i, f_i in enumerate(pieces):
-        region = body
-        for j, f_j in enumerate(pieces):
-            if i == j:
-                continue
-            normal = _vsub(f_i.gradient, f_j.gradient)
-            if all(c == 0 for c in normal):
-                if f_j.constant < f_i.constant:
-                    region = empty_body(body.dim)  # piece j is everywhere smaller
-                    break
-                continue
-            region = intersect_halfspace(
-                region, HalfSpace.make(normal, f_j.constant - f_i.constant)
-            )
-            if region.is_empty:
-                break
-        if region.is_empty or not region.is_full_dim():
-            continue
-        vol, first = _moments(region)
-        total += _dot(f_i.gradient, first) + f_i.constant * vol
+    for f, region in _linearity_regions(body, g):
+        if region.is_full_dim():
+            vol, first = _moments(region)
+            total += _dot(f.gradient, first) + f.constant * vol
     return total
 
 

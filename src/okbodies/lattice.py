@@ -16,6 +16,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .geometry import ConcavePL, ConvexBody, chebyshev_ball, sqrt_upper_bound, volume
 
@@ -219,6 +220,14 @@ def count(body: ConvexBody, k: int) -> int:
         return max(0, hi_j - lo_j + 1)
     return sum(_slab_count(lo, hi, levels, prefix)
                for prefix in _prefixes(lo, hi, levels, body.dim - 2))
+
+
+def slab_bound(body: ConvexBody, k: int) -> int:
+    """Upper bound on the 2-D slabs ``count(body, k)`` sums, known before any
+    counting: the integer points of the bounding box of k*body on all but the
+    last two axes (1 for n <= 2)."""
+    lo, hi, _ = _scaled_constraints(body, k)
+    return prod(max(0, h - l + 1) for l, h in zip(lo[:-2], hi[:-2]))
 
 
 def discrepancy(body: ConvexBody, k: int) -> Fraction:

@@ -282,10 +282,6 @@ class CanonicalCurveModel(GradedSeriesModel):
             return {(j,) for j in range(top + 1) if j not in gaps}
         return {(j,) for j in range(self.d_k(k))}
 
-    def k_weierstrass_sequence(self, k: int) -> list[int]:
-        """k*Delta_k + 1 as a sorted list of d_k integers in [1, k(2g-2)+1]."""
-        return sorted(z[0] + 1 for z in self.discrete_body(k).points)
-
 
 # ---------------------------------------------------------------------------
 # synthetic

@@ -495,11 +495,6 @@ def delta_km_restricted(model: GradedSeriesModel, family: Sequence[ValuationMode
     return _restricted_min(pairs)
 
 
-def alpha_k_restricted(model: GradedSeriesModel, family: Sequence[ValuationModel], k: int):
-    """The m = 1 endpoint: restricted global log canonical threshold at level k."""
-    return delta_km_restricted(model, family, k, 1)
-
-
 def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationModel],
                          tau, tol=DEFAULT_TOL):
     """min over the family of A(v)/S_tau(v); tau = 0 uses S0. Upper bound on

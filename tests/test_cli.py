@@ -235,3 +235,32 @@ def test_benchmark_arguments_still_parse():
     assert args.tau == 1 / 2 and args.k_max == 14
     for suite in ("ehrhart", "cones", "all"):
         assert parser.parse_args(["verify", suite, "--k-max", "12"]).k_max == 12
+
+
+CUBE4_JSON = {"dim": 4, "vertices": [[str((i >> b) & 1) for b in range(4)] for i in range(16)]}
+
+
+def test_body_count_above_slab_limit_exits2_before_counting(tmp_path, capsys, monkeypatch):
+    import okbodies.cli as cli
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    infile = write(tmp_path, "cube4.json", CUBE4_JSON)
+    # k = 999 needs 1000^2 slab counts, the limit
+    assert cli.MAX_COUNT_SLABS == 1000 ** 2
+    monkeypatch.setattr(cli, "count", no_work)
+    monkeypatch.setattr(cli, "chebyshev_ball", no_work)
+    assert main(["body", "--in", infile, "--k", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --k 1000 needs 1002001 slab counts")
+    assert "Traceback" not in err
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "count", lambda body, k: -1)  # the real count takes seconds
+    assert main(["body", "--in", infile, "--k", "999"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == -1
+    # a 2-D body is one slab at any k, so it has no limit
+    monkeypatch.undo()
+    assert main(["body", "--in", write(tmp_path, "simplex.json", SIMPLEX_JSON),
+                 "--k", str(10**12)]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == (10**12 + 1) * (10**12 + 2) // 2

@@ -111,6 +111,25 @@ def test_verify_concave_sum_small():
     assert rep.passed
 
 
+def test_verify_concave_computes_max_and_integral_once_per_pair(tmp_path, monkeypatch):
+    from collections import Counter
+
+    import okbodies.estimates as estimates
+    from okbodies.cli import main
+
+    calls = Counter()
+    for name in ("max_transform", "integrate_transform"):
+        def counting(P, g, name=name, real=getattr(estimates, name)):
+            calls[name, P, g] += 1
+            return real(P, g)
+        monkeypatch.setattr(estimates, name, counting)
+    assert main(["verify", "concave", "--k-max", "12", "--out", str(tmp_path)]) == 0
+    # 50 sampled (P, G) pairs, levels 1..12: neither depends on k
+    for name in ("max_transform", "integrate_transform"):
+        assert sum(c for (f, *_), c in calls.items() if f == name) == 50
+    assert set(calls.values()) == {1}
+
+
 def test_concave_sum_segment_identity():
     # P = segment, G = p1: excess is exactly 1/2 for every k
     from okbodies.geometry import first_coordinate_transform, integrate_transform

@@ -657,6 +657,74 @@ def test_min_mean_transform():
     assert integrate_transform(UNIT_SIMPLEX, g) == F(1, 6)
 
 
+def oracle_max_transform(body, g):
+    """max t s.t. t <= f_i(x) for every piece, x in body: an exact LP in the
+    shifted variables x = x0 + y+ - y-, t = t0 + s, solved by the dense simplex
+    (one piece peaks at a vertex)."""
+    if body.is_empty:
+        raise GeometryError("max over an empty body")
+    if len(g.pieces) == 1:
+        return max(g(v) for v in body.vertices)
+    n = body.dim
+    x0 = tuple(sum(v[i] for v in body.vertices) / len(body.vertices) for i in range(n))
+    t0 = g(x0) - 1
+    A, b = [], []
+    for f in g.pieces:
+        A.append([c for i in range(n) for c in (-f.gradient[i], f.gradient[i])] + [F(1)])
+        b.append(f(x0) - t0)
+    for h in body.halfspaces:
+        A.append([F(c) for i in range(n) for c in (h.normal[i], -h.normal[i])] + [F(0)])
+        b.append(h.offset - h.value(x0))
+    opt, _ = geometry._simplex_max(A, b, [F(0)] * (2 * n) + [F(1)])
+    return t0 + opt
+
+
+def random_pieces(rng, n, shape):
+    """1-4 random affine pieces, then the special case named by ``shape``."""
+    def piece():
+        return AffineFunctional.make([rng.randrange(-3, 4) for _ in range(n)], rng.randrange(0, 4))
+
+    pieces = [piece() for _ in range(1 if shape == "single" else rng.randrange(1, 5))]
+    f = rng.choice(pieces)
+    if shape == "duplicate":
+        pieces.insert(rng.randrange(len(pieces) + 1), f)
+    elif shape == "parallel":  # the same gradient, a constant above or below
+        pieces.append(AffineFunctional(f.gradient, f.constant + rng.choice((-1, 1))))
+    elif shape == "nowhere":  # |x_i| <= 7 on random_body, so this lies above f
+        pieces.append(AffineFunctional(piece().gradient, f.constant + 200))
+    return pieces
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]), st.booleans(),
+       st.sampled_from(["single", "random", "duplicate", "parallel", "nowhere"]))
+def test_max_transform_matches_lp_oracle(seed, n, flat, shape):
+    rng = random.Random(seed)
+    body = random_body(seed, n, flat)
+    pieces = random_pieces(rng, n, shape)
+    for _ in range(2):
+        if body.is_empty:
+            break
+        g = ConcavePL.make(pieces, body, require_nonnegative=False)
+        assert geometry.max_transform(body, g) == oracle_max_transform(body, g)
+        body = intersect_halfspace(body, random_cut(rng, body))
+
+
+def test_max_transform_on_empty_body_raises():
+    empty = geometry.empty_body(2)
+    g = ConcavePL.make([P1, AffineFunctional.make((0, 1), 0)], empty)
+    with pytest.raises(GeometryError):
+        geometry.max_transform(empty, g)
+    with pytest.raises(GeometryError):
+        oracle_max_transform(empty, g)
+
+
+def test_duplicate_pieces_count_once():
+    g = ConcavePL.make([P1, P1], UNIT_SIMPLEX)
+    assert integrate_transform(UNIT_SIMPLEX, g) == F(1, 6)
+    assert geometry.max_transform(UNIT_SIMPLEX, g) == 1
+
+
 def test_rooftop_of_zero_height_is_flat():
     f = AffineFunctional.make((0, 0), 0)
     roof = rooftop(UNIT_SQUARE, f)

@@ -143,9 +143,12 @@ def test_canonical_gap_counts_stabilize():
 
 
 def test_k_weierstrass_sequences():
-    assert CanonicalCurveModel(3).k_weierstrass_sequence(2) == [1, 2, 3, 4, 5, 6]
-    assert genus3_canonical_model("flex").k_weierstrass_sequence(1) == [1, 2, 4]
-    assert CanonicalCurveModel(2).k_weierstrass_sequence(1) == [1, 2]
+    def sequence(model, k):  # k*Delta_k + 1: d_k sorted integers in [1, k(2g-2)+1]
+        return sorted(z[0] + 1 for z in model.discrete_body(k).points)
+
+    assert sequence(CanonicalCurveModel(3), 2) == [1, 2, 3, 4, 5, 6]
+    assert sequence(genus3_canonical_model("flex"), 1) == [1, 2, 4]
+    assert sequence(CanonicalCurveModel(2), 1) == [1, 2]
 
 
 def test_canonical_max_gap_equality_iff_generic():

@@ -35,7 +35,6 @@ from okbodies.thresholds import (
     S_tau,
     Sbar_km,
     ValuationModel,
-    alpha_k_restricted,
     ccdf_continuous,
     delta_km_restricted,
     delta_tau_restricted,
@@ -499,18 +498,19 @@ def test_delta_monotonicity():
 
 
 def test_alpha_k_values():
+    # alpha_k is the m = 1 endpoint of the restricted delta_{k,m}
     fam = coordinate_family(SIMPLEX)
     for k in (1, 2, 6):
-        assert alpha_k_restricted(SIMPLEX, fam, k)[0] == 1
+        assert delta_km_restricted(SIMPLEX, fam, k, 1)[0] == 1
     # S_{k,1} = j_{k,1}/k by definition: 5/2 on the generic genus-3 model
-    val, _ = alpha_k_restricted(CANONICAL3, [V_CAN], 2)
+    val, _ = delta_km_restricted(CANONICAL3, [V_CAN], 2, 1)
     assert val == F(2, 5)
 
 
 def test_alpha_k_infinite_sentinel():
     g0 = ConcavePL.make([AffineFunctional.make((0, 0), 0)], SIMPLEX.ambient)
     fam = [ValuationModel("zero", F(1), g0)]
-    val, label = alpha_k_restricted(SIMPLEX, fam, 2)
+    val, label = delta_km_restricted(SIMPLEX, fam, 2, 1)
     assert val == INFINITE and label == "zero"
 
 
