@@ -5,9 +5,9 @@ Everything here is exact: no floats enter any computation, and all operations ar
 pure functions on immutable values.
 
 Scale assumptions: ambient dimension n <= 4 and at most a few hundred vertices.
-Conversions between representations use brute-force supporting-hyperplane search
-(n >= 3) or monotone chain (n = 2), which is simple, exact, and fast enough at
-this scale.
+Hulls are built by monotone chain (n = 2) or by an incremental beneath-beyond
+hull in exact integers (n >= 3), over one common denominator of the points.
+Every hull comes with its vertex-facet incidence already cached.
 
 Face structure is read from one cached vertex-facet incidence per body: for
 each halfspace, the set of vertex indices tight on it.  The facets of a face F
@@ -159,6 +159,23 @@ def _affine_rank(points: Sequence[Vec]) -> tuple[int, list[int]]:
     return rank, pivots
 
 
+def _int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer rows, by fraction-free elimination."""
+    mat = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if f := mat[r][col]:
+                mat[r] = [top[col] * x - f * y for x, y in zip(mat[r], top)]
+        rank += 1
+    return rank
+
+
 def _nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {w : rows @ w = 0} in R^n."""
     if not rows:
@@ -175,13 +192,14 @@ def _nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[int, ...]]:
     return basis
 
 
-def _det(mat: list[Vec]) -> Fraction:
+def _det(mat: Sequence[Sequence]) -> Fraction | int:
+    """Laplace expansion; exact over ints and Fractions alike."""
     n = len(mat)
     if n == 1:
         return mat[0][0]
     if n == 2:
         return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-    total = Fraction(0)
+    total = 0
     sign = 1
     for j in range(n):
         if mat[0][j] != 0:
@@ -340,12 +358,14 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
     The returned vertex list is irredundant (a subset of the input points), and
     every halfspace is a facet of the hull inside its affine span; for
     lower-dimensional hulls the affine-span equalities are included as
-    opposite halfspace pairs.
+    opposite halfspace pairs.  The body's incidence comes already cached.
     """
     if not points:
         raise GeometryError("hull of an empty point set")
     pts = [tuple(rat(c) for c in p) for p in points]
     n = len(pts[0])
+    if n == 0:
+        raise GeometryError("hull of zero-dimensional points")
     for p in pts:
         if len(p) != n:
             raise DimensionMismatch("points of mixed dimension")
@@ -371,32 +391,42 @@ def _maximal(sets: set[frozenset[int]]) -> set[frozenset[int]]:
     return {s for s in sets if not any(s < t for t in sets)}
 
 
+def _primed(n: int, vertices: Sequence[Vec], tight: dict[HalfSpace, frozenset[int]]) -> ConvexBody:
+    """The body on sorted, distinct vertices and the halfspaces of ``tight``,
+    with its incidence cached from ``tight`` (halfspace -> tight vertex indices)."""
+    body = ConvexBody(n, vertices, tight)
+    body._cache["incidence"] = tuple(tight[h] for h in body.halfspaces)
+    return body
+
+
 def _hull_degenerate(pts: list[Vec], n: int, rank: int, pivots: list[int]) -> ConvexBody:
-    equalities = _affine_equalities(pts, n)
+    """Hull of a flat cloud: the full-dimensional hull of its projection onto
+    the pivot coordinates, lifted back, plus the affine-hull equalities."""
     if rank == 0:
-        return ConvexBody(n, pts[:1], equalities)
-    proj = [tuple(p[j] for j in pivots) for p in pts]
+        return _primed(n, pts[:1], dict.fromkeys(_affine_equalities(pts, n), frozenset({0})))
     back = {tuple(p[j] for j in pivots): p for p in pts}
-    inner = _hull_full(sorted(set(proj)), rank)
-    vertices = [back[q] for q in inner.vertices]
-    lifted = []
-    for h in inner.halfspaces:
-        normal = [Fraction(0)] * n
+    inner = _hull_full(sorted(back), rank)
+    vertices = sorted(back[q] for q in inner.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    tight = dict.fromkeys(_affine_equalities(pts, n), frozenset(range(len(vertices))))
+    for h, t in zip(inner.halfspaces, inner.incidence()):
+        normal = [0] * n
         for coeff, j in zip(h.normal, pivots):
-            normal[j] = Fraction(coeff)
-        lifted.append(HalfSpace.make(normal, h.offset))
-    return ConvexBody(n, vertices, equalities + lifted)
+            normal[j] = coeff
+        tight[HalfSpace.make(normal, h.offset)] = frozenset(
+            index[back[inner.vertices[i]]] for i in t)
+    return _primed(n, vertices, tight)
 
 
 def _hull_full(pts: list[Vec], n: int) -> ConvexBody:
+    """Hull of sorted, distinct points that affinely span R^n."""
     if n == 1:
-        lo, hi = min(pts)[0], max(pts)[0]
-        hs = [HalfSpace.make((1,), hi), HalfSpace.make((-1,), -lo)]
-        verts = [(lo,), (hi,)] if lo != hi else [(lo,)]
-        return ConvexBody(1, verts, hs)
+        (lo,), (hi,) = pts[0], pts[-1]
+        return _primed(1, [(lo,), (hi,)], {HalfSpace((1,), hi): frozenset({1}),
+                                           HalfSpace((-1,), -lo): frozenset({0})})
     if n == 2:
         return _hull_2d(pts)
-    return _hull_brute(pts, n)
+    return _hull_beneath_beyond(pts, n)
 
 
 def _hull_2d(pts: list[Vec]) -> ConvexBody:
@@ -416,47 +446,78 @@ def _hull_2d(pts: list[Vec]) -> ConvexBody:
             upper.pop()
         upper.append(p)
     ring = lower[:-1] + upper[:-1]  # counterclockwise
-    halfspaces = []
+    vertices = sorted(ring)
+    index = {v: i for i, v in enumerate(vertices)}
+    tight = {}
     for u, v in zip(ring, ring[1:] + ring[:1]):
         d = _vsub(v, u)
         normal = (d[1], -d[0])  # outward for a CCW ring
-        halfspaces.append(HalfSpace.make(normal, _dot(normal, u)))
-    return ConvexBody(2, ring, halfspaces)
+        tight[HalfSpace.make(normal, _dot(normal, u))] = frozenset({index[u], index[v]})
+    return _primed(2, vertices, tight)
 
 
-def _hull_brute(pts: list[Vec], n: int) -> ConvexBody:
-    """Supporting-hyperplane search over all n-subsets (desk scale, n in {3, 4})."""
-    seen: set[HalfSpace] = set()
-    for combo in itertools.combinations(range(len(pts)), n):
-        base = pts[combo[0]]
-        rows = [list(_vsub(pts[i], base)) for i in combo[1:]]
-        normals = _nullspace(rows, n)
-        if len(normals) != 1:
-            continue  # affinely dependent subset
-        w = normals[0]
-        b = _dot(w, base)
-        lo = hi = False
-        for p in pts:
-            s = _dot(w, p) - b
-            if s > 0:
-                hi = True
-            elif s < 0:
-                lo = True
-            if lo and hi:
+def _hull_beneath_beyond(pts: list[Vec], n: int) -> ConvexBody:
+    """Incremental (beneath-beyond) hull in exact integers, n >= 3.
+
+    The points are scaled once to integer tuples over one common denominator D.
+    The hull starts as the simplex on the first n + 1 affinely independent
+    points and takes the rest in sorted order.  Each simplicial facet keeps an
+    outward integer normal w and offset b (w . x <= b); a new point replaces
+    the facets it lies strictly beyond (a coplanar point is beneath) by the
+    cone from it over the horizon, the ridges of exactly one replaced facet.
+    Coplanar simplices are then merged by their primitive normal, and a point
+    is a vertex iff the normals of the facets tight at it have rank n.
+    """
+    D = lcm(*(c.denominator for p in pts for c in p))
+    P = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
+    seed = [0]
+    for i in range(1, len(pts)):
+        rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
+        if _int_rank(rows) == len(seed):
+            seed.append(i)
+            if len(seed) == n + 1:
                 break
-        if lo and hi:
+    # (n + 1) times the centroid of the seed simplex, strictly inside every hull
+    inner = [sum(c) for c in zip(*(P[i] for i in seed))]
+
+    def facet(verts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        base = P[verts[0]]
+        rows = [[x - y for x, y in zip(P[v], base)] for v in verts[1:]]
+        w = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(n))
+        b = sum(map(mul, w, base))
+        if sum(map(mul, w, inner)) > (n + 1) * b:
+            w, b = tuple(-c for c in w), -b
+        return verts, w, b
+
+    facets = [facet(verts) for verts in itertools.combinations(seed, n)]
+    for i in sorted(set(range(len(pts))) - set(seed)):
+        p = P[i]
+        beneath, visible = [], []
+        for f in facets:
+            (visible if sum(map(mul, f[1], p)) > f[2] else beneath).append(f)
+        if not visible:
             continue
-        hs = HalfSpace.make(w, b) if not hi else HalfSpace.make([-c for c in w], -b)
-        seen.add(hs)
-    halfspaces = sorted(seen)
-    vertices = []
-    for p in pts:
-        tight = [h.normal for h in halfspaces if h.is_tight(p)]
-        if len(tight) >= n:
-            rank, _, _ = _row_reduce([list(map(Fraction, t)) for t in tight])
-            if rank == n:
-                vertices.append(p)
-    return ConvexBody(n, vertices, halfspaces)
+        ridges: dict[tuple[int, ...], int] = {}
+        for verts, _, _ in visible:
+            for r in itertools.combinations(verts, n - 1):
+                ridges[r] = ridges.get(r, 0) + 1
+        horizon = [r for r, seen in ridges.items() if seen == 1]
+        facets = beneath + [facet(tuple(sorted(r + (i,)))) for r in horizon]
+
+    merged: dict[tuple[int, ...], int] = {}
+    for _, w, b in facets:
+        g = gcd(*w)
+        merged[tuple(c // g for c in w)] = b // g
+    tight_at: dict[tuple[int, ...], list[int]] = {w: [] for w in merged}
+    vertices: list[Vec] = []
+    for i in sorted({v for verts, _, _ in facets for v in verts}):
+        tight = [w for w, b in merged.items() if sum(map(mul, w, P[i])) == b]
+        if _int_rank(tight) == n:
+            for w in tight:
+                tight_at[w].append(len(vertices))
+            vertices.append(pts[i])
+    return _primed(n, vertices, {HalfSpace(w, Fraction(b, D)): frozenset(tight_at[w])
+                                 for w, b in merged.items()})
 
 
 def _sync_halfspaces(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
@@ -515,9 +576,7 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
         | crossings
     ))
     synced = _sync_halfspaces(new_vertices, list(body.halfspaces) + [hs], body.dim)
-    clipped = ConvexBody(body.dim, new_vertices, synced)
-    clipped._cache["incidence"] = tuple(synced[h] for h in clipped.halfspaces)
-    return clipped
+    return _primed(body.dim, new_vertices, synced)
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
@@ -886,7 +945,8 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 def validate_body(body: ConvexBody) -> None:
-    """Check representation sync; raises GeometryError on violation."""
+    """Check representation sync, and a cached incidence against the tight sets;
+    raises GeometryError on violation."""
     if body.is_empty:
         return
     n = body.dim
@@ -895,13 +955,16 @@ def validate_body(body: ConvexBody) -> None:
         for h in body.halfspaces:
             if not h.contains(v):
                 raise GeometryError(f"vertex {v} violates halfspace {h}")
-        tight = [list(map(Fraction, h.normal)) for h in body.halfspaces if h.is_tight(v)]
-        trank, _, _ = _row_reduce(tight) if tight else (0, [], [])
+        trank = _int_rank([h.normal for h in body.halfspaces if h.is_tight(v)])
         if trank < n:
             raise GeometryError(f"vertex {v} is tight on a rank-{trank} set only")
-    for h in body.halfspaces:
-        if not any(h.is_tight(v) for v in body.vertices):
+    tight = tuple(frozenset(i for i, v in enumerate(body.vertices) if h.is_tight(v))
+                  for h in body.halfspaces)
+    for h, t in zip(body.halfspaces, tight):
+        if not t:
             raise GeometryError(f"halfspace {h} is tight at no vertex")
+    if body._cache.get("incidence", tight) != tight:
+        raise GeometryError("cached incidence differs from the tight vertex sets")
     rebuilt = hull(body.vertices)
     if rebuilt.vertices != body.vertices:
         raise GeometryError("vertex list is redundant")

@@ -1,10 +1,12 @@
 """End-to-end CLI tests: exit codes, output formats, determinism."""
 
 import json
+import random
 
 import pytest
 
 from okbodies.cli import main
+from okbodies.geometry import hull, validate_body
 
 SIMPLEX_JSON = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 SEGMENT_MODEL = {"backend": "toric", "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}
@@ -44,6 +46,18 @@ def test_body_malformed_rational_exit2(tmp_path, capsys):
 def test_body_degenerate_exit1(tmp_path, capsys):
     infile = write(tmp_path, "seg.json", {"dim": 2, "vertices": [["0", "0"], ["1", "1"]]})
     assert main(["body", "--in", infile]) == 1
+
+
+@pytest.mark.parametrize("n, size", [(3, 150), (4, 40)])
+def test_body_on_large_rational_cloud(tmp_path, capsys, n, size):
+    rng = random.Random(size)
+    pts = [[f"{rng.randrange(0, 97)}/{rng.choice((96, 97))}" for _ in range(n)]
+           for _ in range(size)]
+    infile = write(tmp_path, "cloud.json", {"dim": n, "vertices": pts})
+    assert main(["body", "--in", infile]) == 0
+    body = hull(pts)
+    assert json.loads(capsys.readouterr().out)["vertices"] == len(body.vertices)
+    validate_body(body)
 
 
 def test_body_missing_file_exit2(capsys):

@@ -1,8 +1,11 @@
 """Exactness tests for the rational convex geometry kernel."""
 
+import itertools
 import random
+from fractions import Fraction
 from fractions import Fraction as F
 from math import factorial
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
+    ConvexBody,
     DegenerateBody,
     DimensionMismatch,
     GeometryError,
@@ -36,6 +40,7 @@ from okbodies.geometry import (
     validate_body,
     volume,
 )
+from okbodies.geometry import _dot, _nullspace, _row_reduce, _vsub
 import okbodies.geometry as geometry
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -134,6 +139,135 @@ def test_hull_single_point():
     assert pt.contains((F(1, 3), F(2, 3)))
     assert not pt.contains((F(0), F(0)))
     assert volume(pt) == 0
+
+
+def test_hull_of_zero_dimensional_points_raises():
+    with pytest.raises(GeometryError, match="zero-dimensional"):
+        hull([()])
+    with pytest.raises(GeometryError, match="zero-dimensional"):
+        hull([(), ()])
+
+
+def tight_sets(body):
+    """For each halfspace, the indices of the vertices tight on it, by is_tight."""
+    return tuple(frozenset(i for i, v in enumerate(body.vertices) if h.is_tight(v))
+                 for h in body.halfspaces)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]), st.booleans())
+def test_hull_primes_its_incidence(seed, n, flat):
+    body = random_body(seed, n, flat)
+    assert body._cache["incidence"] == tight_sets(body)
+
+
+# ---------------------------------------------------------------------------
+# oracle: supporting-hyperplane search over every n-subset
+# ---------------------------------------------------------------------------
+
+def oracle_hull(pts, n):
+    """Supporting-hyperplane search over all n-subsets (desk scale, n in {3, 4})."""
+    seen: set[HalfSpace] = set()
+    for combo in itertools.combinations(range(len(pts)), n):
+        base = pts[combo[0]]
+        rows = [list(_vsub(pts[i], base)) for i in combo[1:]]
+        normals = _nullspace(rows, n)
+        if len(normals) != 1:
+            continue  # affinely dependent subset
+        w = normals[0]
+        b = _dot(w, base)
+        lo = hi = False
+        for p in pts:
+            s = _dot(w, p) - b
+            if s > 0:
+                hi = True
+            elif s < 0:
+                lo = True
+            if lo and hi:
+                break
+        if lo and hi:
+            continue
+        hs = HalfSpace.make(w, b) if not hi else HalfSpace.make([-c for c in w], -b)
+        seen.add(hs)
+    halfspaces = sorted(seen)
+    vertices = []
+    for p in pts:
+        tight = [h.normal for h in halfspaces if h.is_tight(p)]
+        if len(tight) >= n:
+            rank, _, _ = _row_reduce([list(map(Fraction, t)) for t in tight])
+            if rank == n:
+                vertices.append(p)
+    return ConvexBody(n, vertices, halfspaces)
+
+
+def oracle_hull_of(points):
+    """hull(points) with every full-dimensional hull of n >= 3, the inner hull
+    of a flat cloud included, built by oracle_hull."""
+    real = geometry._hull_full
+    with mock.patch.object(geometry, "_hull_full",
+                           lambda pts, n: oracle_hull(pts, n) if n >= 3 else real(pts, n)):
+        return hull(points)
+
+
+def corners(n, eps=1):
+    return [tuple(F(c) for c in p) for p in itertools.product((-eps, eps), repeat=n)]
+
+
+# a rational point on the sphere through the corners of [-1, 1]^n
+SPHERE_POINT = {3: (F(1, 3), F(1, 3), F(5, 3)), 4: (F(0), F(0), F(0), F(2))}
+
+
+def oracle_cloud(rng, n, kind):
+    """A small cloud of one kind; the oracle costs O(N^(n+1)), so N <= 16 (n = 3)
+    or 11 (n = 4)."""
+    size = {3: 16, 4: 11}[n]
+    if kind == "grid":  # denominators 1-3: many coplanar and collinear points
+        den = rng.randint(1, 3)
+        return [tuple(F(rng.randrange(-den, den + 1), den) for _ in range(n))
+                for _ in range(rng.randrange(n + 2, size + 1))]
+    if kind == "duplicates":  # repeats, some spelled as unreduced "p/q" strings
+        pts = oracle_cloud(rng, n, "grid")[:size // 2 + 1]
+        return pts + [tuple(f"{2 * c.numerator}/{2 * c.denominator}" for c in p)
+                      for p in rng.sample(pts, len(pts) // 2)] + pts[:2]
+    if kind == "cospherical":  # cube corners and signed coordinate permutations
+        pool = set(corners(n)) | {
+            tuple(s * c for s, c in zip(signs, perm))
+            for perm in itertools.permutations(SPHERE_POINT[n])
+            for signs in itertools.product((-1, 1), repeat=n)}
+        return rng.sample(sorted(pool), rng.randrange(n + 2, size + 1))
+    if kind == "minkowski":  # vertex + cube-corner sums, as minkowski_cube builds
+        eps = F(1, rng.randint(2, 4))
+        verts = oracle_cloud(rng, n, "grid")[:2]
+        pts = [tuple(a + b for a, b in zip(v, c)) for v in verts for c in corners(n, eps)]
+        return rng.sample(pts, min(len(pts), size))
+    # flat: on a hyperplane or a line through a grid point
+    dirs = [tuple(rng.randrange(-2, 3) for _ in range(n))
+            for _ in range(n - 1 if kind == "hyperplane" else 1)]
+    base = oracle_cloud(rng, n, "grid")[0]
+    pts = []
+    for _ in range(rng.randrange(n + 2, size + 1)):
+        coeffs = [F(rng.randrange(0, 4), 3) for _ in dirs]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(coeffs, dirs))
+                         for i, b in enumerate(base)))
+    return pts
+
+
+@pytest.mark.parametrize("kind", ["grid", "duplicates", "cospherical", "minkowski",
+                                  "hyperplane", "line"])
+@pytest.mark.parametrize("n", [3, 4])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_hull_matches_supporting_hyperplane_oracle(n, kind, seed):
+    rng = random.Random(seed)
+    pts = oracle_cloud(rng, n, kind)
+    body, ref = hull(pts), oracle_hull_of(pts)
+    assert body.vertices == ref.vertices
+    assert body.halfspaces == ref.halfspaces
+    assert body._cache["incidence"] == tight_sets(ref)
+    rng.shuffle(pts)
+    again = hull(pts)
+    assert (again.vertices, again.halfspaces, again._cache["incidence"]) == (
+        body.vertices, body.halfspaces, body._cache["incidence"])
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +934,17 @@ def test_scale_rejects_nonpositive():
 def test_random_hulls_validate(seed, n, count):
     body = hull(fan_points(seed, n, count))
     validate_body(body)
+
+
+def test_validate_body_rejects_a_wrong_cached_incidence():
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    validate_body(cube)
+    good = cube._cache["incidence"]
+    for bad in ((good[0] - {min(good[0])},) + good[1:],  # a tight vertex missing
+                good[1:] + good[:1]):  # the right sets on the wrong halfspaces
+        cube._cache["incidence"] = bad
+        with pytest.raises(GeometryError, match="incidence"):
+            validate_body(cube)
 
 
 def test_json_roundtrip():
