@@ -76,14 +76,27 @@ def _int_at_least(lo: int):
     return integer
 
 
-def _unit_rational(text: str) -> Fraction:
-    """argparse type: a rational p/q in [0, 1]."""
+def _rational(text: str) -> Fraction:
+    """argparse type: a rational p/q."""
     try:
-        value = rat(text)
+        return rat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{text!r} is not a rational p/q") from None
+
+
+def _unit_rational(text: str) -> Fraction:
+    """argparse type: a rational p/q in [0, 1]."""
+    value = _rational(text)
     if not 0 <= value <= 1:
         raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
+    return value
+
+
+def _positive_rational(text: str) -> Fraction:
+    """argparse type: a rational p/q > 0."""
+    value = _rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text} is not positive")
     return value
 
 
@@ -201,7 +214,6 @@ def cmd_thresholds(args) -> int:
     model = _load_model(args.infile)
     family = _load_family(args.valuations, model.ambient)
     try:
-        tol = rat(args.tol)
         if args.sweep:
             tau, m_rule, k_iter = estimates.sweep_from_json(_load_json(args.sweep))
         else:
@@ -215,7 +227,7 @@ def cmd_thresholds(args) -> int:
     header = ["k", "m_k", "label", "j_head", "S_km", "Sbar_km",
               "quantum_quantile", "S_tau", "delta_km", "delta_argmin"]
     rows = []
-    s_tau_by_label = {v.label: S_tau(model, v, tau, tol) for v in family}
+    s_tau_by_label = {v.label: S_tau(model, v, tau, args.tol) for v in family}
     for k in k_iter:
         if not model.has_level(k):
             continue
@@ -391,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["one", "ceil_tau", "dk", "dk_minus_sqrt"])
     p_thr.add_argument("--k-min", dest="k_min", type=_int_at_least(1), default=1)
     p_thr.add_argument("--k-max", dest="k_max", type=_int_at_least(1), default=20)
-    p_thr.add_argument("--tol", default="1/1000000000")
+    p_thr.add_argument("--tol", type=_positive_rational, default="1/1000000000",
+                       help="quantile bisection tolerance p/q > 0")
     p_thr.add_argument("--sweep", default=None,
                        help="sweep spec JSON (overrides --tau/--m-rule/--k-min/--k-max)")
     p_thr.add_argument("--out", default=None, help="CSV path (default stdout)")

@@ -9,6 +9,13 @@ Hulls are built by monotone chain (n = 2) or by an incremental beneath-beyond
 hull in exact integers (n >= 3), over one common denominator of the points.
 Every hull comes with its vertex-facet incidence already cached.
 
+Every body has an integer vertex form (D, Z): one common denominator D of its
+vertices and their integer numerators, vertices[i] = Z[i] / D.  Tight sets,
+the sign tests and crossings of clipping, and affine ranks read it, so they
+compare and eliminate exact ints instead of summing Fractions.  It is built
+where it is read and not kept: the vertices stay Fraction tuples, and the
+tight sets and rank it yields are cached instead.
+
 Face structure is read from one cached vertex-facet incidence per body: for
 each halfspace, the set of vertex indices tight on it.  The facets of a face F
 are the maximal proper nonempty sets among F & t over the incidence sets t,
@@ -176,6 +183,29 @@ def _int_rank(rows: Sequence[Sequence[int]]) -> int:
     return rank
 
 
+def _int_form(vertices: Sequence[Vec]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(D, Z): the least common denominator D of every coordinate and the
+    integer numerator rows Z, so that vertices[i] == Z[i] / D."""
+    D = lcm(*(c.denominator for v in vertices for c in v))
+    return D, tuple(tuple(c.numerator * (D // c.denominator) for c in v) for v in vertices)
+
+
+def _int_affine_rank(Z: Sequence[Sequence[int]]) -> int:
+    """Affine rank of integer rows (-1 for none), by _int_rank on differences."""
+    if not Z:
+        return -1
+    return _int_rank([[x - y for x, y in zip(z, Z[0])] for z in Z[1:]])
+
+
+def _tight_set(h: HalfSpace, D: int, Z: Sequence[Sequence[int]]) -> frozenset[int]:
+    """Indices of the rows z of an integer vertex form (D, Z) with h tight at z / D."""
+    q = h.offset.denominator
+    if D % q:
+        return frozenset()  # w . z / D = p / q in lowest terms needs q | D
+    target = h.offset.numerator * (D // q)
+    return frozenset(i for i, z in enumerate(Z) if sum(map(mul, h.normal, z)) == target)
+
+
 def _nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[int, ...]]:
     """Primitive integer basis of {w : rows @ w = 0} in R^n."""
     if not rows:
@@ -295,7 +325,7 @@ class ConvexBody:
 
     def affine_rank(self) -> int:
         if "arank" not in self._cache:
-            self._cache["arank"] = _affine_rank(self.vertices)[0]
+            self._cache["arank"] = _int_affine_rank(_int_form(self.vertices)[1])
         return self._cache["arank"]
 
     def is_full_dim(self) -> bool:
@@ -319,10 +349,8 @@ class ConvexBody:
     def incidence(self) -> tuple[frozenset[int], ...]:
         """For each halfspace, the indices of the vertices tight on it."""
         if "incidence" not in self._cache:
-            self._cache["incidence"] = tuple(
-                frozenset(i for i, v in enumerate(self.vertices) if h.is_tight(v))
-                for h in self.halfspaces
-            )
+            D, Z = _int_form(self.vertices)
+            self._cache["incidence"] = tuple(_tight_set(h, D, Z) for h in self.halfspaces)
         return self._cache["incidence"]
 
     def __eq__(self, other) -> bool:
@@ -468,8 +496,7 @@ def _hull_beneath_beyond(pts: list[Vec], n: int) -> ConvexBody:
     Coplanar simplices are then merged by their primitive normal, and a point
     is a vertex iff the normals of the facets tight at it have rank n.
     """
-    D = lcm(*(c.denominator for p in pts for c in p))
-    P = [tuple(c.numerator * (D // c.denominator) for c in p) for p in pts]
+    D, P = _int_form(pts)
     seed = [0]
     for i in range(1, len(pts)):
         rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
@@ -520,21 +547,25 @@ def _hull_beneath_beyond(pts: list[Vec], n: int) -> ConvexBody:
                                  for w, b in merged.items()})
 
 
-def _sync_halfspaces(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
-                     n: int) -> dict[HalfSpace, frozenset[int]]:
-    """The facet-inducing candidates and the affine-hull equalities, each with
-    the indices of the vertices tight on it.
+def _synced_body(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
+                 n: int) -> ConvexBody:
+    """The body on sorted, distinct vertices with the facet-inducing candidates
+    and the affine-hull equalities, its incidence and affine rank cached.
 
     Every candidate holds on the vertices and every facet of their hull is among
     the candidates, so the facets are the candidates whose tight vertex sets are
     maximal among the proper, nonempty ones.
     """
-    tight = {h: frozenset(i for i, v in enumerate(vertices) if h.is_tight(v))
-             for h in set(candidates)}
+    D, Z = _int_form(vertices)
+    rank = _int_affine_rank(Z)
+    tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
     facets = _maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
     synced = {h: t for h, t in tight.items() if t in facets}
-    synced.update(dict.fromkeys(_affine_equalities(vertices, n), frozenset(range(len(vertices)))))
-    return synced
+    if rank < n:
+        synced.update(dict.fromkeys(_affine_equalities(vertices, n), frozenset(range(len(vertices)))))
+    body = _primed(n, vertices, synced)
+    body._cache["arank"] = rank
+    return body
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +578,10 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
         raise DimensionMismatch("halfspace dimension differs from body dimension")
     if body.is_empty:
         return body
-    vals = [hs.value(v) - hs.offset for v in body.vertices]
+    D, Z = _int_form(body.vertices)
+    q, target = hs.offset.denominator, D * hs.offset.numerator
+    # the sign of hs.value(v) - hs.offset, scaled by D q > 0
+    vals = [q * sum(map(mul, hs.normal, z)) - target for z in Z]
     if all(s <= 0 for s in vals):
         return body
     if all(s >= 0 for s in vals):
@@ -567,16 +601,16 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
             # an edge iff the smallest face holding both ends has two vertices
             if len(everything.intersection(*(t for t in at_i if j in t))) != 2:
                 continue
-            vi, vo = body.vertices[i], body.vertices[j]
-            lam = -vals[i] / (vals[j] - vals[i])
-            crossings.add(_vadd(vi, _vscale(lam, _vsub(vo, vi))))
+            # z_i / D + lam (z_j - z_i) / D with lam = -s_i / (s_j - s_i)
+            si, sj = vals[i], vals[j]
+            den = D * (sj - si)
+            crossings.add(tuple(Fraction(a * sj - b * si, den) for a, b in zip(Z[i], Z[j])))
     new_vertices = tuple(sorted(
         {body.vertices[i] for i in inside}
         | {body.vertices[i] for i in on}
         | crossings
     ))
-    synced = _sync_halfspaces(new_vertices, list(body.halfspaces) + [hs], body.dim)
-    return _primed(body.dim, new_vertices, synced)
+    return _synced_body(new_vertices, list(body.halfspaces) + [hs], body.dim)
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:

@@ -35,7 +35,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from .geometry import (
@@ -248,8 +249,12 @@ def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
 
     Candidate breakpoints are the t-values where n+1 of the constraint
     hyperplanes in (x, t)-space meet in a point: a superset of the true
-    combinatorial-change values, so each open interval carries a single
-    polynomial of degree <= n, recovered exactly by interpolation.
+    combinatorial-change values.  The volume can only change polynomial at
+    the t-value of a vertex of the hypograph {(x, t) : x in ambient,
+    t <= G(x)}, so a candidate whose point satisfies every constraint is a
+    real breakpoint.  One polynomial of degree <= n is interpolated exactly
+    per interval between real breakpoints, and every candidate interval
+    inside it carries that polynomial.
     """
     n = ambient.dim
     vol = volume(ambient)
@@ -262,19 +267,26 @@ def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
         rows.append(([Fraction(c) for c in h.normal] + [Fraction(0)], h.offset))
     for f in g.pieces:
         rows.append(([-c for c in f.gradient] + [Fraction(1)], f.constant))
-    import itertools as it
-
     cuts = {Fraction(0), s0, min(sigma, s0)}
-    for combo in it.combinations(range(len(rows)), n + 1):
+    real = set(cuts)
+    for combo in combinations(range(len(rows)), n + 1):
         _, pivots, red = _row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
-        if pivots == list(range(n + 1)) and 0 <= red[n][-1] <= s0:
-            cuts.add(red[n][-1])
+        if pivots != list(range(n + 1)) or not 0 <= red[n][-1] <= s0:
+            continue
+        xt = [r[-1] for r in red]  # the point (x, t) where the n+1 hyperplanes meet
+        cuts.add(xt[n])
+        if all(sum(map(mul, a, xt)) <= b for a, b in rows):
+            real.add(xt[n])
     breaks = sorted(c for c in cuts if 0 <= c <= s0)
+    real_breaks = sorted(c for c in real if 0 <= c <= s0)
+    next_real = dict(zip(real_breaks, real_breaks[1:]))
     pieces = []
     for lo, hi in zip(breaks, breaks[1:]):
-        ts = [lo + (hi - lo) * Fraction(j + 1, n + 2) for j in range(n + 1)]
-        vals = [volume(superlevel(ambient, g, t)) / vol for t in ts]
-        pieces.append((lo, hi, _lagrange(ts, vals)))
+        if lo in next_real:  # 0 is real, so the first interval starts a fit
+            a, b = lo, next_real[lo]
+            ts = [a + (b - a) * Fraction(j + 1, n + 2) for j in range(n + 1)]
+            coeffs = _lagrange(ts, [volume(superlevel(ambient, g, t)) / vol for t in ts])
+        pieces.append((lo, hi, coeffs))
     return s0, sigma, vol, tuple(breaks), tuple(pieces)
 
 

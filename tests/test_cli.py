@@ -230,6 +230,9 @@ THRESHOLDS = ["thresholds", "--in", "{segment}", "--valuations", "{vseg}"]
     ["verify", "cones", "--k-max", "1"],
     ["verify", "ehrhart", "--jobs", "2"],  # the removed option is an input error
     ["verify", "ehrhart", "--k-max", "two"],
+    THRESHOLDS + ["--tol", "0"],
+    THRESHOLDS + ["--tol=-1"],
+    THRESHOLDS + ["--tol", "abc"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):
     inputs = {"simplex": SIMPLEX_JSON, "simplex5": SIMPLEX5_JSON, "segment": SEGMENT_MODEL,

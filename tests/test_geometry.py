@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 from fractions import Fraction as F
-from math import factorial
+from math import factorial, gcd
 from unittest import mock
 
 import pytest
@@ -752,6 +752,71 @@ def test_intersect_halfspace_matches_crossing_hull_oracle(seed, n, flat):
                 frozenset(i for i, v in enumerate(clipped.vertices) if h.is_tight(v))
                 for h in clipped.halfspaces)
         body = clipped
+
+
+def off_denominator_cut(w, body):
+    """w . x <= b through the middle of the body, with b in lowest terms over
+    p^2 for a prime p that does not divide the body's common denominator D."""
+    D = geometry._int_form(body.vertices)[0]
+    p = next(p for p in (5, 7, 11, 13, 17, 19, 23) if D % p)
+    vals = [_dot(w, v) for v in body.vertices]
+    mid = (min(vals) + max(vals)) / 2
+    num = mid.numerator * p * p // mid.denominator
+    return HalfSpace(w, F(num + (num % p == 0), p * p))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([3, 4]))
+def test_integer_clipping_matches_fraction_tight_sets_and_ranks(seed, n):
+    """Each body of a cut chain on a rational cloud that contains the origin:
+    its integer form, its incidence against the Fraction is_tight sets, its
+    affine rank against the Fraction row reduction, validate_body, and each
+    clip against the hull of the kept vertices and segment crossings."""
+    rng = random.Random(seed)
+    size = rng.randrange(n + 2, {3: 10, 4: 8}[n])  # the crossing-hull oracle grows fast in 4-D
+    pts = [(F(0),) * n] + [tuple(F(rng.randrange(0, 13), rng.choice((1, 2, 3, 4, 6)))
+                                 for _ in range(n)) for _ in range(size)]
+    body = hull(pts)
+
+    def normal():
+        w = [rng.choice((-1, 1)) * rng.randrange(1, 4)] + [rng.randrange(-3, 4) for _ in range(n - 1)]
+        return tuple(c // gcd(*w) for c in w)
+
+    def check(b):
+        D, Z = geometry._int_form(b.vertices)
+        assert all(F(x, D) == c for z, v in zip(Z, b.vertices) for x, c in zip(z, v))
+        assert b.incidence() == tight_sets(b)
+        assert b.affine_rank() == affine_rank(b.vertices)
+        validate_body(b)
+
+    def clip(b, hs):
+        clipped = intersect_halfspace(b, hs)
+        ref, _ = oracle_clip(b, hs)
+        assert clipped.vertices == (ref.vertices if ref else ())
+        if not clipped.is_empty:
+            check(clipped)
+        return clipped
+
+    check(body)
+    w = normal()
+    off = off_denominator_cut(w, body)
+    # no vertex is tight, the origin (w . 0 = 0) included
+    assert geometry._tight_set(off, *geometry._int_form(body.vertices)) == frozenset()
+    body = clip(clip(body, random_cut(rng, body)), off)
+    if body.is_empty:
+        return
+    vals = [_dot(w, v) for v in body.vertices]
+    if min(vals) < max(vals):
+        flat = geometry._section(body, HalfSpace(w, (min(vals) + max(vals)) / 2))
+        assert flat.affine_rank() == body.affine_rank() - 1
+        check(flat)
+        flat = clip(flat, random_cut(rng, flat))
+        body = flat if not flat.is_empty else body
+    u = normal()
+    low = min(_dot(u, v) for v in body.vertices)
+    face = clip(body, HalfSpace(u, low))  # the face where u . x is least
+    assert face.vertices == tuple(v for v in body.vertices if _dot(u, v) == low)
+    assert clip(body, HalfSpace(u, low - F(1, 3))).is_empty
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -1,5 +1,6 @@
 """Threshold invariants: jumping numbers, S_{k,m}, quantiles, restricted deltas."""
 
+import itertools
 import json
 import math
 import random
@@ -14,9 +15,12 @@ from okbodies.cli import main
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
+    _row_reduce,
     first_coordinate_transform,
     hull,
     max_transform,
+    superlevel,
+    volume,
 )
 from okbodies.lattice import PointCloud, concave_sum, enumerate_points
 from okbodies.series import (
@@ -417,6 +421,57 @@ def test_max_mean_bound():
     # S0 <= (n+1) S_1 for the first-coordinate transform on a convex body
     for model, v, n in [(SIMPLEX, V_SIMPLEX, 2), (SEGMENT, V_SEGMENT, 1)]:
         assert S0_and_sigma(model, v).S0 <= (n + 1) * S_tau(model, v, 1)
+
+
+def oracle_ccdf_data(ambient, g):
+    """The all-candidates ccdf: every t where n+1 constraint hyperplanes of the
+    hypograph meet is a breakpoint, and each interval between two is
+    interpolated from its own n+1 superlevel volumes."""
+    n = ambient.dim
+    vol = volume(ambient)
+    s0 = max_transform(ambient, g)
+    sigma = min(g(x) for x in ambient.vertices)
+    rows = [([F(c) for c in h.normal] + [F(0)], h.offset) for h in ambient.halfspaces]
+    rows += [([-c for c in f.gradient] + [F(1)], f.constant) for f in g.pieces]
+    cuts = {F(0), s0, min(sigma, s0)}
+    for combo in itertools.combinations(range(len(rows)), n + 1):
+        _, pivots, red = _row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
+        if pivots == list(range(n + 1)) and 0 <= red[n][-1] <= s0:
+            cuts.add(red[n][-1])
+    breaks = sorted(c for c in cuts if 0 <= c <= s0)
+    pieces = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        ts = [lo + (hi - lo) * F(j + 1, n + 2) for j in range(n + 1)]
+        vals = [volume(superlevel(ambient, g, t)) / vol for t in ts]
+        pieces.append((lo, hi, thresholds._lagrange(ts, vals)))
+    return s0, sigma, vol, tuple(breaks), tuple(pieces)
+
+
+def simplex_transform(seed):
+    """A 3-piece concave G on a rational 3-simplex, drawn as perfbench's
+    geometry-bodies workload draws them: gradients in [-2, 2]^3, lifted to
+    1/4 above zero."""
+    rng = random.Random(seed)
+    simplex = hull([(0, 0, 0)])
+    while not simplex.is_full_dim():
+        simplex = hull([tuple(F(rng.randrange(0, 33), 32) for _ in range(3)) for _ in range(4)])
+    grads = [tuple(rng.randrange(-2, 3) for _ in range(3)) for _ in range(3)]
+    lift = F(1, 4) - min(sum(a * x for a, x in zip(grad, v))
+                         for grad in grads for v in simplex.vertices)
+    return ConcavePL.make([AffineFunctional.make(grad, lift) for grad in grads], simplex)
+
+
+def test_ccdf_data_matches_all_candidates_oracle():
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    flat_top = ConcavePL.make(
+        [AffineFunctional.make((1, 0), F(1, 2)), AffineFunctional.make((0, 0), 1)], square)
+    ridge = ConcavePL.make(
+        [AffineFunctional.make((2, 0), 0), AffineFunctional.make((-1, 0), 1)], SIMPLEX.ambient)
+    cases = [(V_SIMPLEX.G, SIMPLEX.ambient), (V_SEGMENT.G, SEGMENT.ambient),
+             (flat_top, square), (ridge, SIMPLEX.ambient)]
+    cases += [(g, g.domain) for g in map(simplex_transform, (1, 2, 3))]
+    for g, ambient in cases:
+        assert thresholds._ccdf_data(ambient, g) == oracle_ccdf_data(ambient, g)
 
 
 # ---------------------------------------------------------------------------
