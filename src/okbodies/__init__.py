@@ -35,7 +35,6 @@ from .series import (
     SyntheticModel,
     ToricModel,
     model_from_json,
-    model_to_json,
 )
 from .thresholds import (
     S0_and_sigma,
@@ -58,7 +57,7 @@ __all__ = [
     "rat", "rat_str", "volume",
     "PointCloud", "count", "discrepancy", "enumerate_points",
     "CanonicalCurveModel", "CurveDivisorModel", "SyntheticModel", "ToricModel",
-    "model_from_json", "model_to_json",
+    "model_from_json",
     "S0_and_sigma", "S_km", "S_tau", "Sbar_km", "ValuationModel",
     "delta_km_restricted", "delta_tau_restricted", "jumping_numbers",
     "mu_k", "quantile",

@@ -135,9 +135,15 @@ def _load_family(path: str, ambient):
     if not data:
         raise InputError("valuation family is empty")
     try:
-        return [valuation_from_json(v, ambient) for v in data]
+        family = [valuation_from_json(v, ambient) for v in data]
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(str(exc)) from exc
+    seen = set()
+    for v in family:  # results are keyed by label: a repeat would overwrite a row
+        if v.label in seen:
+            raise InputError(f"duplicate valuation label {v.label!r}")
+        seen.add(v.label)
+    return family
 
 
 def _dump_json(data, path: str | None) -> None:

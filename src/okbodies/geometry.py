@@ -16,6 +16,9 @@ compare and eliminate exact ints instead of summing Fractions.  It is built
 where it is read and not kept: the vertices stay Fraction tuples, and the
 tight sets and rank it yields are cached instead.
 
+``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the only
+Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
+
 Face structure is read from one cached vertex-facet incidence per body: for
 each halfspace, the set of vertex indices tight on it.  The facets of a face F
 are the maximal proper nonempty sets among F & t over the incidence sets t,
@@ -130,57 +133,37 @@ def sqrt_upper_bound(q: Fraction, bits: int = 64) -> Fraction:
     return Fraction(r, den << bits)
 
 
-def _row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
-    """Gauss-Jordan over Q. Returns (rank, pivot columns, reduced rows)."""
+def _int_reduce(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]], int]:
+    """Fraction-free (Bareiss) Gauss-Jordan on integer rows.
+
+    Returns (rank, pivot columns, reduced rows, d) with d > 0 and every reduced
+    row d times the matching row of the reduced row echelon form over Q.  Each
+    update (p x - f y) // d divides exactly by the previous pivot d, so the
+    entries stay minors of the input and never become Fractions.
+    """
     mat = [list(r) for r in rows]
-    n_cols = len(mat[0]) if mat else 0
     pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        piv = next((r for r in range(row, len(mat)) if mat[r][col] != 0), None)
-        if piv is None:
-            continue
-        mat[row], mat[piv] = mat[piv], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(mat):
-            break
-    return row, pivots, mat[:row]
-
-
-def _affine_rank(points: Sequence[Vec]) -> tuple[int, list[int]]:
-    """Affine rank of a point set and pivot coordinates of the direction space."""
-    if not points:
-        return -1, []
-    base = points[0]
-    rows = [list(_vsub(p, base)) for p in points[1:]]
-    if not rows:
-        return 0, []
-    rank, pivots, _ = _row_reduce(rows)
-    return rank, pivots
-
-
-def _int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of integer rows, by fraction-free elimination."""
-    mat = [list(r) for r in rows]
-    rank = 0
+    d = 1
     for col in range(len(mat[0]) if mat else 0):
+        rank = len(pivots)
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         top = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if f := mat[r][col]:
-                mat[r] = [top[col] * x - f * y for x, y in zip(mat[r], top)]
-        rank += 1
-    return rank
+        p = top[col]
+        for r, row in enumerate(mat):
+            if r != rank:
+                f = row[col]
+                mat[r] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        d = p
+        pivots.append(col)
+        if len(pivots) == len(mat):
+            break
+    red = mat[:len(pivots)]
+    if d < 0:
+        d, red = -d, [[-x for x in r] for r in red]
+    return len(pivots), pivots, red, d
 
 
 def _int_form(vertices: Sequence[Vec]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -190,11 +173,13 @@ def _int_form(vertices: Sequence[Vec]) -> tuple[int, tuple[tuple[int, ...], ...]
     return D, tuple(tuple(c.numerator * (D // c.denominator) for c in v) for v in vertices)
 
 
-def _int_affine_rank(Z: Sequence[Sequence[int]]) -> int:
-    """Affine rank of integer rows (-1 for none), by _int_rank on differences."""
+def _affine_rank(Z: Sequence[Sequence[int]]) -> tuple[int, list[int]]:
+    """Affine rank of integer rows (-1 for none) and the pivot coordinates of
+    their direction space, by _int_reduce on differences."""
     if not Z:
-        return -1
-    return _int_rank([[x - y for x, y in zip(z, Z[0])] for z in Z[1:]])
+        return -1, []
+    rank, pivots, _, _ = _int_reduce([[x - y for x, y in zip(z, Z[0])] for z in Z[1:]])
+    return rank, pivots
 
 
 def _tight_set(h: HalfSpace, D: int, Z: Sequence[Sequence[int]]) -> frozenset[int]:
@@ -206,19 +191,17 @@ def _tight_set(h: HalfSpace, D: int, Z: Sequence[Sequence[int]]) -> frozenset[in
     return frozenset(i for i, z in enumerate(Z) if sum(map(mul, h.normal, z)) == target)
 
 
-def _nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[int, ...]]:
-    """Primitive integer basis of {w : rows @ w = 0} in R^n."""
-    if not rows:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    rank, pivots, red = _row_reduce(rows)
-    free = [j for j in range(n) if j not in pivots]
+def _nullspace(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """Primitive integer basis of {w : rows @ w = 0} in R^n, for integer rows."""
+    _, pivots, red, d = _int_reduce(rows)
     basis = []
-    for f in free:
-        w = [Fraction(0)] * n
-        w[f] = Fraction(1)
+    for f in (j for j in range(n) if j not in pivots):
+        w = [0] * n
+        w[f] = d
         for i, p in enumerate(pivots):
             w[p] = -red[i][f]
-        basis.append(_primitive(w))
+        g = gcd(*w)
+        basis.append(tuple(c // g for c in w))
     return basis
 
 
@@ -325,7 +308,7 @@ class ConvexBody:
 
     def affine_rank(self) -> int:
         if "arank" not in self._cache:
-            self._cache["arank"] = _int_affine_rank(_int_form(self.vertices)[1])
+            self._cache["arank"] = _affine_rank(_int_form(self.vertices)[1])[0]
         return self._cache["arank"]
 
     def is_full_dim(self) -> bool:
@@ -398,18 +381,20 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
         if len(p) != n:
             raise DimensionMismatch("points of mixed dimension")
     pts = sorted(set(pts))
-    rank, pivots = _affine_rank(pts)
+    D, Z = _int_form(pts)
+    rank, pivots = _affine_rank(Z)
     if rank == n:
         return _hull_full(pts, n)
-    return _hull_degenerate(pts, n, rank, pivots)
+    return _hull_degenerate(pts, n, pivots, _affine_equalities(D, Z, n))
 
 
-def _affine_equalities(pts: Sequence[Vec], n: int) -> list[HalfSpace]:
-    """Opposite halfspace pairs cutting out the affine hull of pts (none if it is R^n)."""
-    base = pts[0]
+def _affine_equalities(D: int, Z: Sequence[Sequence[int]], n: int) -> list[HalfSpace]:
+    """Opposite halfspace pairs cutting out the affine hull of the points of an
+    integer vertex form (D, Z) (none if it is R^n)."""
+    base = Z[0]
     equalities = []
-    for w in _nullspace([list(_vsub(p, base)) for p in pts[1:]], n):
-        hs = HalfSpace.make(w, _dot(w, base))
+    for w in _nullspace([[x - y for x, y in zip(z, base)] for z in Z[1:]], n):
+        hs = HalfSpace(w, Fraction(sum(map(mul, w, base)), D))
         equalities.extend([hs, hs.flipped()])
     return equalities
 
@@ -427,16 +412,18 @@ def _primed(n: int, vertices: Sequence[Vec], tight: dict[HalfSpace, frozenset[in
     return body
 
 
-def _hull_degenerate(pts: list[Vec], n: int, rank: int, pivots: list[int]) -> ConvexBody:
+def _hull_degenerate(pts: list[Vec], n: int, pivots: list[int],
+                     equalities: list[HalfSpace]) -> ConvexBody:
     """Hull of a flat cloud: the full-dimensional hull of its projection onto
-    the pivot coordinates, lifted back, plus the affine-hull equalities."""
-    if rank == 0:
-        return _primed(n, pts[:1], dict.fromkeys(_affine_equalities(pts, n), frozenset({0})))
+    the pivot coordinates of its direction space, lifted back, plus the
+    affine-hull equalities."""
+    if not pivots:
+        return _primed(n, pts[:1], dict.fromkeys(equalities, frozenset({0})))
     back = {tuple(p[j] for j in pivots): p for p in pts}
-    inner = _hull_full(sorted(back), rank)
+    inner = _hull_full(sorted(back), len(pivots))
     vertices = sorted(back[q] for q in inner.vertices)
     index = {v: i for i, v in enumerate(vertices)}
-    tight = dict.fromkeys(_affine_equalities(pts, n), frozenset(range(len(vertices))))
+    tight = dict.fromkeys(equalities, frozenset(range(len(vertices))))
     for h, t in zip(inner.halfspaces, inner.incidence()):
         normal = [0] * n
         for coeff, j in zip(h.normal, pivots):
@@ -500,7 +487,7 @@ def _hull_beneath_beyond(pts: list[Vec], n: int) -> ConvexBody:
     seed = [0]
     for i in range(1, len(pts)):
         rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
-        if _int_rank(rows) == len(seed):
+        if _int_reduce(rows)[0] == len(seed):
             seed.append(i)
             if len(seed) == n + 1:
                 break
@@ -539,7 +526,7 @@ def _hull_beneath_beyond(pts: list[Vec], n: int) -> ConvexBody:
     vertices: list[Vec] = []
     for i in sorted({v for verts, _, _ in facets for v in verts}):
         tight = [w for w, b in merged.items() if sum(map(mul, w, P[i])) == b]
-        if _int_rank(tight) == n:
+        if _int_reduce(tight)[0] == n:
             for w in tight:
                 tight_at[w].append(len(vertices))
             vertices.append(pts[i])
@@ -557,12 +544,12 @@ def _synced_body(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
     maximal among the proper, nonempty ones.
     """
     D, Z = _int_form(vertices)
-    rank = _int_affine_rank(Z)
+    rank = _affine_rank(Z)[0]
     tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
     facets = _maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
     synced = {h: t for h, t in tight.items() if t in facets}
     if rank < n:
-        synced.update(dict.fromkeys(_affine_equalities(vertices, n), frozenset(range(len(vertices)))))
+        synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(vertices)))))
     body = _primed(n, vertices, synced)
     body._cache["arank"] = rank
     return body
@@ -679,6 +666,10 @@ class ConcavePL:
              require_nonnegative: bool = True) -> "ConcavePL":
         if not pieces:
             raise GeometryError("a concave transform needs at least one piece")
+        for piece in pieces:
+            if len(piece.gradient) != domain.dim:
+                raise DimensionMismatch(f"gradient of length {len(piece.gradient)} "
+                                        f"on a body in R^{domain.dim}")
         g = ConcavePL(tuple(pieces), domain)
         if require_nonnegative and not domain.is_empty:
             m = min(g(v) for v in domain.vertices)
@@ -989,7 +980,7 @@ def validate_body(body: ConvexBody) -> None:
         for h in body.halfspaces:
             if not h.contains(v):
                 raise GeometryError(f"vertex {v} violates halfspace {h}")
-        trank = _int_rank([h.normal for h in body.halfspaces if h.is_tight(v)])
+        trank = _int_reduce([h.normal for h in body.halfspaces if h.is_tight(v)])[0]
         if trank < n:
             raise GeometryError(f"vertex {v} is tight on a rank-{trank} set only")
     tight = tuple(frozenset(i for i, v in enumerate(body.vertices) if h.is_tight(v))
@@ -1004,19 +995,6 @@ def validate_body(body: ConvexBody) -> None:
         raise GeometryError("vertex list is redundant")
     if rank == n and set(rebuilt.halfspaces) != set(body.halfspaces):
         raise GeometryError("halfspace list out of sync with the vertex hull")
-
-
-def body_to_json(body: ConvexBody, include_halfspaces: bool = False) -> dict:
-    out = {
-        "dim": body.dim,
-        "vertices": [[rat_str(c) for c in v] for v in body.vertices],
-    }
-    if include_halfspaces:
-        out["halfspaces"] = [
-            {"normal": [str(c) for c in h.normal], "offset": rat_str(h.offset)}
-            for h in body.halfspaces
-        ]
-    return out
 
 
 def body_from_json(data: dict) -> ConvexBody:

@@ -49,13 +49,6 @@ class PointCloud:
         k = self.denominator
         return [tuple(Fraction(c, k) for c in z) for z in self.points]
 
-    def to_json(self) -> dict:
-        return {"k": self.denominator, "points": [list(z) for z in self.points]}
-
-    @staticmethod
-    def from_json(data: dict) -> "PointCloud":
-        return PointCloud(int(data["k"]), tuple(tuple(int(c) for c in z) for z in data["points"]))
-
 
 def _ceil_div(p: int, q: int) -> int:
     return -((-p) // q)

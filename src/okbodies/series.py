@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .geometry import ConvexBody, body_from_json, body_to_json, hull
+from .geometry import ConvexBody, body_from_json, hull
 from .lattice import PointCloud, count, enumerate_points
 
 
@@ -400,30 +400,6 @@ def top_column_gap_model(side: int = 1) -> SyntheticModel:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def model_to_json(model: GradedSeriesModel) -> dict:
-    if isinstance(model, ToricModel):
-        return {"backend": "toric", "polytope": body_to_json(model.ambient)}
-    if isinstance(model, CurveDivisorModel):
-        return {"backend": "curve", "genus": model.genus, "gaps": list(model.gaps)}
-    if isinstance(model, CanonicalCurveModel):
-        return {
-            "backend": "canonical",
-            "genus": model.genus,
-            "per_k_gaps": {str(k): list(v) for k, v in model.per_k_gap_sets.items()},
-        }
-    if isinstance(model, SyntheticModel):
-        if model._gap_fn is not None:
-            raise ModelError("callable-backed synthetic models are not serializable")
-        return {
-            "backend": "synthetic",
-            "polytope": body_to_json(model.ambient),
-            "per_k_gaps": {str(k): [list(z) for z in sorted(v)]
-                           for k, v in model._gap_map.items()},
-            "levels": sorted(model._levels) if model._levels is not None else None,
-        }
-    raise ModelError(f"cannot serialize {type(model).__name__}")
-
 
 def model_from_json(data: Mapping) -> GradedSeriesModel:
     backend = data.get("backend")

@@ -42,7 +42,8 @@ from typing import Optional, Sequence
 from .geometry import (
     ConcavePL,
     ConvexBody,
-    _row_reduce,
+    _int_form,
+    _int_reduce,
     first_coordinate_transform,
     max_transform,
     mean_transform,
@@ -50,7 +51,7 @@ from .geometry import (
     superlevel,
     volume,
 )
-from .lattice import PointCloud, count
+from .lattice import PointCloud
 from .series import GradedSeriesModel
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -262,21 +263,24 @@ def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
         raise ValueError("ambient body must be full-dimensional")
     s0 = max_transform(ambient, g)
     sigma = min(g(x) for x in ambient.vertices)
-    rows: list[tuple[list[Fraction], Fraction]] = []
-    for h in ambient.halfspaces:
-        rows.append(([Fraction(c) for c in h.normal] + [Fraction(0)], h.offset))
-    for f in g.pieces:
-        rows.append(([-c for c in f.gradient] + [Fraction(1)], f.constant))
+    # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
+    # common denominator to integers, which changes no solution
+    _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
+                        + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
     cuts = {Fraction(0), s0, min(sigma, s0)}
     real = set(cuts)
-    for combo in combinations(range(len(rows)), n + 1):
-        _, pivots, red = _row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
-        if pivots != list(range(n + 1)) or not 0 <= red[n][-1] <= s0:
+    for combo in combinations(rows, n + 1):
+        _, pivots, red, d = _int_reduce(combo)
+        if pivots != list(range(n + 1)):
             continue
-        xt = [r[-1] for r in red]  # the point (x, t) where the n+1 hyperplanes meet
-        cuts.add(xt[n])
-        if all(sum(map(mul, a, xt)) <= b for a, b in rows):
-            real.add(xt[n])
+        t = Fraction(red[n][-1], d)
+        if not 0 <= t <= s0:
+            continue
+        # the point (x, t) where the n+1 hyperplanes meet is xt / d, with d > 0
+        xt = [r[-1] for r in red]
+        cuts.add(t)
+        if all(sum(map(mul, r[:-1], xt)) <= r[-1] * d for r in rows):
+            real.add(t)
     breaks = sorted(c for c in cuts if 0 <= c <= s0)
     real_breaks = sorted(c for c in real if 0 <= c <= s0)
     next_real = dict(zip(real_breaks, real_breaks[1:]))
@@ -519,36 +523,6 @@ def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationMod
         s = S0_and_sigma(model, v).S0 if tau == 0 else S_tau(model, v, tau, tol)
         pairs.append((v.label, None if s == 0 else v.A / s))
     return _restricted_min(pairs)
-
-
-# ---------------------------------------------------------------------------
-# partial bodies (quantile-restricted models)
-# ---------------------------------------------------------------------------
-
-def partial_body_counts(model: GradedSeriesModel, v: ValuationModel, tau, k: int,
-                        tol=DEFAULT_TOL) -> tuple[int, int]:
-    """(M_k, m_k^actual): lattice points of the quantile body Delta^{Q(tau)}
-    that are idealized vs. realized at level k."""
-    spec = quantile(model, v, tau, tol)
-    body = superlevel(model.ambient, v.G, spec.quantile)
-    # body lies in the ambient, so its idealized points are all of body ∩ Z^n/k
-    actual = sum(1 for x in model.discrete_body(k).coordinates() if body.contains(x))
-    return count(body, k), actual
-
-
-def valuation_to_json(v: ValuationModel) -> dict:
-    from .geometry import rat_str
-
-    return {
-        "label": v.label,
-        "A": rat_str(v.A),
-        "G": {
-            "pieces": [
-                {"grad": [rat_str(c) for c in f.gradient], "const": rat_str(f.constant)}
-                for f in v.G.pieces
-            ]
-        },
-    }
 
 
 def valuation_from_json(data: dict, ambient: ConvexBody) -> ValuationModel:

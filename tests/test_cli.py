@@ -213,6 +213,11 @@ def _exit_code(argv):
 SIMPLEX5_JSON = {"dim": 5, "vertices": [["0"] * 5] + [
     ["1" if j == i else "0" for j in range(5)] for i in range(5)]}
 THRESHOLDS = ["thresholds", "--in", "{segment}", "--valuations", "{vseg}"]
+SIMPLEX_MODEL = {"backend": "toric", "polytope": SIMPLEX_JSON}
+
+
+def valuation(label, *grad):
+    return {"label": label, "A": "1", "G": {"pieces": [{"grad": list(grad), "const": "0"}]}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -233,10 +238,16 @@ THRESHOLDS = ["thresholds", "--in", "{segment}", "--valuations", "{vseg}"]
     THRESHOLDS + ["--tol", "0"],
     THRESHOLDS + ["--tol=-1"],
     THRESHOLDS + ["--tol", "abc"],
+    # gradients of the wrong length, and a repeated label, in a P^2 family
+    ["thresholds", "--in", "{p2}", "--valuations", "{vshort}"],
+    ["thresholds", "--in", "{p2}", "--valuations", "{vlong}"],
+    ["thresholds", "--in", "{p2}", "--valuations", "{vdup}", "--tau", "1/2"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):
     inputs = {"simplex": SIMPLEX_JSON, "simplex5": SIMPLEX5_JSON, "segment": SEGMENT_MODEL,
-              "vseg": VSEG, "sweep": {"tau": "3/2"}}
+              "vseg": VSEG, "sweep": {"tau": "3/2"}, "p2": SIMPLEX_MODEL,
+              "vshort": [valuation("D1", "1")], "vlong": [valuation("D1", "1", "0", "0")],
+              "vdup": [valuation("D", "1", "0"), valuation("D", "1", "1")]}
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

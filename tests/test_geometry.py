@@ -21,7 +21,6 @@ from okbodies.geometry import (
     apex_cone,
     barycenter,
     body_from_json,
-    body_to_json,
     chebyshev_ball,
     coordinate_projection,
     first_coordinate_transform,
@@ -40,8 +39,9 @@ from okbodies.geometry import (
     validate_body,
     volume,
 )
-from okbodies.geometry import _dot, _nullspace, _row_reduce, _vsub
+from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
+from oracles import oracle_nullspace, oracle_row_reduce
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -162,6 +162,57 @@ def test_hull_primes_its_incidence(seed, n, flat):
 
 
 # ---------------------------------------------------------------------------
+# the integer linear solver against the Fraction oracles
+# ---------------------------------------------------------------------------
+
+def random_rational_matrix(rng):
+    """1-7 rows and 1-6 columns of small signed rationals, often sparse, with
+    zero, duplicate and dependent rows mixed in."""
+    n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 6)
+    zero_share = rng.choice((0, 0.3, 0.7))
+    rows = [[F(0) if rng.random() < zero_share
+             else F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 5, 12)))
+             for _ in range(n_cols)] for _ in range(n_rows)]
+    for i in range(n_rows):
+        kind = rng.choice(("keep", "keep", "zero", "duplicate", "dependent"))
+        if kind == "zero":
+            rows[i] = [F(0)] * n_cols
+        elif kind == "duplicate":
+            rows[i] = list(rng.choice(rows))
+        elif kind == "dependent":
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = F(rng.randint(-4, 4), rng.randint(1, 3)), F(rng.randint(-4, 4), 7)
+            rows[i] = [s * x + t * y for x, y in zip(a, b)]
+    return rows
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6))
+def test_int_reduce_and_nullspace_match_fraction_oracles(seed):
+    """Rational rows scaled to ints by one common denominator: the same rank,
+    pivots and primitive nullspace basis as Gauss-Jordan over Q, and every
+    reduced row d > 0 times the matching row of the RREF."""
+    rows = random_rational_matrix(random.Random(seed))
+    n = len(rows[0])
+    _, Z = geometry._int_form(rows)
+    rank, pivots, red, d = geometry._int_reduce(Z)
+    ref_rank, ref_pivots, ref_red = oracle_row_reduce(rows)
+    assert (rank, pivots) == (ref_rank, ref_pivots)
+    assert d > 0 and all(isinstance(x, int) for r in red for x in r)
+    assert [[F(x, d) for x in r] for r in red] == ref_red
+    assert geometry._nullspace(Z, n) == oracle_nullspace(rows, n)
+
+
+def test_int_reduce_empty_and_zero_matrices():
+    assert geometry._int_reduce([]) == (0, [], [], 1) and oracle_row_reduce([]) == (0, [], [])
+    assert geometry._int_reduce([[0, 0, 0], [0, 0, 0]]) == (0, [], [], 1)
+    for n in range(1, 7):
+        assert geometry._nullspace([], n) == oracle_nullspace([], n)
+    # a negative last pivot still gives d > 0
+    assert geometry._int_reduce([[0, -3], [2, 5]]) == (2, [0, 1], [[6, 0], [0, 6]], 6)
+
+
+# ---------------------------------------------------------------------------
 # oracle: supporting-hyperplane search over every n-subset
 # ---------------------------------------------------------------------------
 
@@ -171,7 +222,7 @@ def oracle_hull(pts, n):
     for combo in itertools.combinations(range(len(pts)), n):
         base = pts[combo[0]]
         rows = [list(_vsub(pts[i], base)) for i in combo[1:]]
-        normals = _nullspace(rows, n)
+        normals = oracle_nullspace(rows, n)
         if len(normals) != 1:
             continue  # affinely dependent subset
         w = normals[0]
@@ -194,7 +245,7 @@ def oracle_hull(pts, n):
     for p in pts:
         tight = [h.normal for h in halfspaces if h.is_tight(p)]
         if len(tight) >= n:
-            rank, _, _ = _row_reduce([list(map(Fraction, t)) for t in tight])
+            rank, _, _ = oracle_row_reduce([list(map(Fraction, t)) for t in tight])
             if rank == n:
                 vertices.append(p)
     return ConvexBody(n, vertices, halfspaces)
@@ -371,6 +422,13 @@ def test_concavepl_min_of_pieces_and_nonnegativity():
     bad = [AffineFunctional.make((1, 0), -1)]
     with pytest.raises(GeometryError):
         ConcavePL.make(bad, UNIT_SQUARE)
+
+
+def test_concavepl_rejects_a_gradient_of_the_wrong_length():
+    for grad in [(1,), (1, 0, 0)]:
+        pieces = [AffineFunctional.make((0, 1), 0), AffineFunctional.make(grad, 1)]
+        with pytest.raises(DimensionMismatch, match="R\\^2"):
+            ConcavePL.make(pieces, UNIT_SQUARE)
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +715,9 @@ def oracle_integrate(body, g):
 
 
 def affine_rank(points):
-    return geometry._affine_rank(points)[0]
+    """Affine rank of rational points, by the Fraction row reduction oracle."""
+    rows = [list(_vsub(p, points[0])) for p in points[1:]]
+    return oracle_row_reduce(rows)[0] if points else -1
 
 
 def oracle_clip(body, hs):
@@ -1012,12 +1072,17 @@ def test_validate_body_rejects_a_wrong_cached_incidence():
             validate_body(cube)
 
 
-def test_json_roundtrip():
-    data = body_to_json(UNIT_SIMPLEX, include_halfspaces=True)
-    assert data["dim"] == 2
-    assert ["0", "0"] in data["vertices"]
-    again = body_from_json(data)
-    assert again == UNIT_SIMPLEX
+def test_body_from_json():
+    # given halfspaces are checked against the hull, then recomputed
+    data = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1/4", "2/8"]],
+            "halfspaces": [{"normal": ["-1", "0"], "offset": "0"},
+                           {"normal": ["0", "-2"], "offset": "0"},
+                           {"normal": ["1", "1"], "offset": "1"}]}
+    body = body_from_json(data)
+    assert body == UNIT_SIMPLEX and body.halfspaces == UNIT_SIMPLEX.halfspaces
+    data["halfspaces"][2]["offset"] = "1/2"
+    with pytest.raises(ValueError, match="do not contain"):
+        body_from_json(data)
 
 
 def test_json_recomputes_halfspaces_when_absent():

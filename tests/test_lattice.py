@@ -345,13 +345,6 @@ def test_shifted_min_count_segment_worst_shift():
 # point clouds
 # ---------------------------------------------------------------------------
 
-def test_pointcloud_json_roundtrip():
-    cloud = enumerate_points(UNIT_SIMPLEX, 2)
-    data = cloud.to_json()
-    assert data == {"k": 2, "points": [[0, 0], [0, 1], [0, 2], [1, 0], [1, 1], [2, 0]]}
-    assert PointCloud.from_json(data) == cloud
-
-
 def test_pointcloud_dedupes_and_sorts():
     cloud = PointCloud(2, ((1, 0), (0, 0), (1, 0)))
     assert cloud.points == ((0, 0), (1, 0))

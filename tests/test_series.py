@@ -18,7 +18,6 @@ from okbodies.series import (
     genus3_canonical_model,
     is_gap_sequence,
     model_from_json,
-    model_to_json,
     p1xp1_model,
     plane_quartic_model,
     top_column_gap_model,
@@ -249,14 +248,19 @@ def test_synthetic_rejects_gap_outside_ambient():
 # serialization
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("model", [
-    ToricModel(UNIT_SIMPLEX),
-    plane_quartic_model("hyperflex"),
-    genus3_canonical_model("flex"),
-    p1xp1_model(True),
-])
-def test_model_json_roundtrip(model):
-    data = model_to_json(model)
+@pytest.mark.parametrize("data, model", [
+    ({"backend": "toric",
+      "polytope": {"dim": 2, "vertices": [["0", "0"], ["0", "1"], ["1", "0"]]}},
+     ToricModel(UNIT_SIMPLEX)),
+    ({"backend": "curve", "genus": 3, "gaps": [1, 2, 5]}, plane_quartic_model("hyperflex")),
+    ({"backend": "canonical", "genus": 3, "per_k_gaps": {"1": [2, 4], "2": [5, 7, 8]}},
+     genus3_canonical_model("flex")),
+    ({"backend": "synthetic",
+      "polytope": {"dim": 2, "vertices": [["0", "0"], ["0", "3"], ["1/2", "0"], ["1/2", "1"]]},
+      "per_k_gaps": {"1": [], "2": [[1, 1]]}, "levels": [1, 2]},
+     p1xp1_model(True)),
+], ids=["toric", "curve", "canonical", "synthetic"])
+def test_model_from_json(data, model):
     again = model_from_json(data)
     assert type(again) is type(model)
     for k in (1, 2):

@@ -15,14 +15,13 @@ from okbodies.cli import main
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
-    _row_reduce,
     first_coordinate_transform,
     hull,
     max_transform,
     superlevel,
     volume,
 )
-from okbodies.lattice import PointCloud, concave_sum, enumerate_points
+from okbodies.lattice import PointCloud, concave_sum, count, enumerate_points
 from okbodies.series import (
     CanonicalCurveModel,
     CurveDivisorModel,
@@ -46,13 +45,12 @@ from okbodies.thresholds import (
     idealized_jumping,
     jumping_numbers,
     mu_k,
-    partial_body_counts,
     quantile,
     quantum_quantile,
     select_compatible_family,
     valuation_from_json,
-    valuation_to_json,
 )
+from oracles import oracle_row_reduce
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -435,7 +433,7 @@ def oracle_ccdf_data(ambient, g):
     rows += [([-c for c in f.gradient] + [F(1)], f.constant) for f in g.pieces]
     cuts = {F(0), s0, min(sigma, s0)}
     for combo in itertools.combinations(range(len(rows)), n + 1):
-        _, pivots, red = _row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
+        _, pivots, red = oracle_row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
         if pivots == list(range(n + 1)) and 0 <= red[n][-1] <= s0:
             cuts.add(red[n][-1])
     breaks = sorted(c for c in cuts if 0 <= c <= s0)
@@ -470,6 +468,16 @@ def test_ccdf_data_matches_all_candidates_oracle():
     cases = [(V_SIMPLEX.G, SIMPLEX.ambient), (V_SEGMENT.G, SEGMENT.ambient),
              (flat_top, square), (ridge, SIMPLEX.ambient)]
     cases += [(g, g.domain) for g in map(simplex_transform, (1, 2, 3))]
+    # a rational 4-simplex and gradients with non-integer entries: the integer
+    # solve scales every row by one common denominator first
+    simplex4 = hull([(0, 0, 0, 0), (F(1, 2), 0, 0, 0), (F(1, 3), F(2, 3), 0, 0),
+                     (0, F(1, 4), F(3, 4), 0), (F(1, 5), 0, F(1, 6), F(5, 6))])
+    grads = [(F(1, 3), 0, F(2, 5), -1), (0, F(1, 2), 0, 1)]
+    lift = F(1, 4) - min(sum(a * x for a, x in zip(grad, v))
+                         for grad in grads for v in simplex4.vertices)
+    tent = ConcavePL.make([AffineFunctional.make(grads[0], lift),
+                           AffineFunctional.make(grads[1], lift + F(1, 7))], simplex4)
+    cases.append((tent, simplex4))
     for g, ambient in cases:
         assert thresholds._ccdf_data(ambient, g) == oracle_ccdf_data(ambient, g)
 
@@ -592,16 +600,19 @@ def test_quantile_gap_stabilization_curve():
         n_top = max(CurveDivisorModel(3, model.gaps).gaps)
         for tau in [F(1, 2), F(1)]:
             threshold = math.ceil(n_top / tau)
+            body = superlevel(model.ambient, v.G, quantile(model, v, tau).quantile)
             for k in range(threshold, threshold + 6):
-                ideal, actual = partial_body_counts(model, v, tau, k)
-                assert ideal - actual == 3  # = genus
+                # lattice points of the quantile body: idealized vs realized
+                actual = sum(map(body.contains, model.discrete_body(k).coordinates()))
+                assert count(body, k) - actual == 3  # = genus
 
 
 def test_idealized_S_sandwich_against_partial_count():
     # min{1, M/m} Sbar_{k,M} <= Sbar_{k,m} <= max{1, M/m} Sbar_{k,M}
     tau = F(1, 2)
+    body = superlevel(SEGMENT.ambient, V_SEGMENT.G, quantile(SEGMENT, V_SEGMENT, tau).quantile)
     for k in (4, 8, 16):
-        M, _ = partial_body_counts(SEGMENT, V_SEGMENT, tau, k)
+        M = count(body, k)
         for m in (1, k // 2, k):
             sm = Sbar_km(SEGMENT, V_SEGMENT, k, m)
             sM = Sbar_km(SEGMENT, V_SEGMENT, k, M)
@@ -612,12 +623,12 @@ def test_idealized_S_sandwich_against_partial_count():
 # serialization
 # ---------------------------------------------------------------------------
 
-def test_valuation_json_roundtrip():
-    data = valuation_to_json(V_SIMPLEX)
-    assert data["label"] == "e1" and data["A"] == "1"
-    again = valuation_from_json(data, SIMPLEX.ambient)
-    assert again.A == 1
-    assert jumping_numbers(SIMPLEX, again, 2).values == (2, 1, 1, 0, 0, 0)
+def test_valuation_from_json():
+    data = {"label": "e1", "A": "2/4", "G": {"pieces": [{"grad": ["1", "0"], "const": "0"},
+                                                        {"grad": ["0", "0"], "const": "1"}]}}
+    v = valuation_from_json(data, SIMPLEX.ambient)
+    assert (v.label, v.A) == ("e1", F(1, 2))
+    assert jumping_numbers(SIMPLEX, v, 2).values == (2, 1, 1, 0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
