@@ -18,6 +18,9 @@ tight sets and rank it yields are cached instead.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the only
 Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
+The inscribed-ball LP ``_simplex_max`` pivots a fraction-free integer tableau
+the same way (Bland's rule, one exact division per update), and volumes and
+first moments sum integer determinants of Z-row differences over n! D^n.
 
 Face structure is read from one cached vertex-facet incidence per body: for
 each halfspace, the set of vertex indices tight on it.  The facets of a face F
@@ -59,6 +62,8 @@ class DegenerateBody(GeometryError):
 
 def rat(x) -> Fraction:
     """Coerce ints, strings like ``"3/4"``, or Fractions to an exact rational."""
+    if isinstance(x, bool):
+        raise TypeError("booleans are not rationals")
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -704,8 +709,9 @@ def first_coordinate_transform(domain: ConvexBody) -> ConcavePL:
 # volume, barycenter, slices
 # ---------------------------------------------------------------------------
 
-def triangulate(body: ConvexBody) -> list[tuple[Vec, ...]]:
-    """Pulling triangulation of a full-dimensional body.
+def triangulate(body: ConvexBody) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a full-dimensional body, as tuples of indices
+    into body.vertices.
 
     Each face is coned from its smallest vertex over its facets that miss that
     vertex; faces are vertex-index sets read from the incidence, and each face
@@ -725,24 +731,31 @@ def triangulate(body: ConvexBody) -> list[tuple[Vec, ...]]:
                           for s in pull(facet)] or [(apex,)]
         return memo[face]
 
-    everything = frozenset(range(len(body.vertices)))
-    return [tuple(body.vertices[i] for i in s) for s in pull(everything)]
+    return pull(frozenset(range(len(body.vertices))))
 
 
 def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:
-    """(volume, integral of x) of a full-dimensional body, over one triangulation."""
+    """(volume, integral of x) of a full-dimensional body, over one triangulation.
+
+    With vertices Z / D (``_int_form``), a simplex s has volume w / (n! D^n)
+    for the integer w = |det(Z[s_j] - Z[s_0])|, and its integral of x_i is
+    that volume times the mean of its vertices' x_i, so both moments are
+    integer sums over a common denominator.
+    """
     if "moments" not in body._cache:
         n = body.dim
-        dets = Fraction(0)
-        first = [Fraction(0)] * n
+        D, Z = _int_form(body.vertices)
+        dets = 0
+        first = [0] * n
         for s in triangulate(body):
-            w = abs(_det([_vsub(p, s[0]) for p in s[1:]]))
+            base = Z[s[0]]
+            w = abs(_det([[x - y for x, y in zip(Z[j], base)] for j in s[1:]]))
             dets += w
             for i in range(n):
-                first[i] += w * sum(p[i] for p in s)
-        fact = factorial(n)
-        body._cache["moments"] = (dets / fact,
-                                  tuple(c / (fact * (n + 1)) for c in first))
+                first[i] += w * sum(Z[j][i] for j in s)
+        den = factorial(n) * D ** n
+        body._cache["moments"] = (Fraction(dets, den),
+                                  tuple(Fraction(c, den * (n + 1) * D) for c in first))
     return body._cache["moments"]
 
 
@@ -857,42 +870,58 @@ def mean_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
 
 def _simplex_max(A: list[list[Fraction]], b: list[Fraction],
                  c: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
-    """max c.z s.t. A z <= b, z >= 0, with b >= 0 (slack basis feasible).
+    """max c.z s.t. A z <= b, z >= 0, with b >= 0 (slack basis feasible), for
+    exact rationals (ints or Fractions).
 
-    Dense tableau simplex with Bland's rule; everything exact.
+    Dense tableau simplex with Bland's rule, pivoted fraction-free in ints.
+    Row i of [A | I | b] is scaled by the lcm s_i of its denominators, so its
+    slack entry is s_i, and the objective row [-c | 0 | 0] by the lcm cs of
+    c's denominators.  Each pivot p updates every other row x as
+    (p x - f y) // d, with y the pivot row, and then sets d = p, as
+    _int_reduce does.  p > 0, so every row stays a positive multiple of the
+    Fraction tableau's row: s_i d times it while row i keeps its slack basic,
+    d times it once pivoted, and cs d times it for the objective.  Positive
+    row scales change neither the sign of a reduced cost nor a ratio, so the
+    pivots are the Fraction tableau's.
     """
     m, n = len(A), len(c)
-    # tableau rows: [A | I | b]; objective row: [-c | 0 | 0]
-    tab = [list(A[i]) + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
-    obj = [-x for x in c] + [Fraction(0)] * (m + 1)
+    tab = []
+    for i in range(m):
+        row = [*A[i], b[i]]
+        s = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (s // x.denominator) for x in row]
+        tab.append(ints[:n] + [s if j == i else 0 for j in range(m)] + ints[n:])
+    cs = lcm(*(x.denominator for x in c))
+    obj = [-x.numerator * (cs // x.denominator) for x in c] + [0] * (m + 1)
     basis = [n + i for i in range(m)]
+    d = 1
     while True:
         col = next((j for j in range(n + m) if obj[j] < 0), None)
         if col is None:
             break
-        ratios = [
-            (tab[i][-1] / tab[i][col], basis[i], i)
-            for i in range(m) if tab[i][col] > 0
-        ]
-        if not ratios:
+        # Bland: smallest ratio b_i / a_i (cross-multiplied), then smallest basis index
+        piv = None
+        for i, row in enumerate(tab):
+            a = row[col]
+            if a > 0 and (piv is None or row[-1] * pa < pb * a
+                          or (row[-1] * pa == pb * a and basis[i] < basis[piv])):
+                piv, pa, pb = i, a, row[-1]
+        if piv is None:
             raise GeometryError("unbounded linear program")
-        _, _, piv = min(ratios)  # Bland: smallest ratio, then smallest basis index
-        pr = tab[piv]
-        f = pr[col]
-        tab[piv] = [x / f for x in pr]
-        for i in range(m):
-            if i != piv and tab[i][col] != 0:
-                g = tab[i][col]
-                tab[i] = [x - g * y for x, y in zip(tab[i], tab[piv])]
-        if obj[col] != 0:
-            g = obj[col]
-            obj = [x - g * y for x, y in zip(obj, tab[piv])]
+        top = tab[piv]
+        for i, row in enumerate(tab):
+            if i != piv:
+                f = row[col]
+                tab[i] = [(pa * x - f * y) // d for x, y in zip(row, top)]
+        f = obj[col]
+        obj = [(pa * x - f * y) // d for x, y in zip(obj, top)]
+        d = pa
         basis[piv] = col
     z = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         if bi < n:
-            z[bi] = tab[i][-1]
-    return obj[-1], z
+            z[bi] = Fraction(tab[i][-1], d)
+    return Fraction(obj[-1], d * cs), z
 
 
 def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
@@ -900,25 +929,29 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
 
     Facet norms enter the LP as rational upper bounds (rounded up at 2^-bits),
     so the optimal r is a lower bound on the true Chebyshev radius and the
-    returned ball is guaranteed to fit inside the body.
+    returned ball is guaranteed to fit inside the body.  The LP starts from the
+    vertex centroid x0, read from the integer vertex form, and is solved once
+    per (body, bits).
     """
     if body.is_empty or not body.is_full_dim():
         raise DegenerateBody("chebyshev_ball requires a full-dimensional body")
-    n = body.dim
-    x0 = tuple(sum(v[i] for v in body.vertices) / len(body.vertices) for i in range(n))
-    A, rhs = [], []
-    for h in body.halfspaces:  # a full-dimensional body holds only facets
-        norm_ub = sqrt_upper_bound(_dot(h.normal, h.normal), bits)
-        row = []
-        for i in range(n):
-            row.extend([Fraction(h.normal[i]), -Fraction(h.normal[i])])
-        row.append(norm_ub)
-        A.append(row)
-        rhs.append(h.offset - h.value(x0))
-    c = [Fraction(0)] * (2 * n) + [Fraction(1)]
-    radius, z = _simplex_max(A, rhs, c)
-    center = tuple(x0[i] + z[2 * i] - z[2 * i + 1] for i in range(n))
-    return center, radius
+    key = ("ball", bits)
+    if key not in body._cache:
+        n = body.dim
+        D, Z = _int_form(body.vertices)
+        total = [sum(col) for col in zip(*Z)]
+        den = D * len(Z)  # x0 = total / den
+        A, rhs = [], []
+        for h in body.halfspaces:  # a full-dimensional body holds only facets
+            A.append([e for w in h.normal for e in (w, -w)]
+                     + [sqrt_upper_bound(Fraction(sum(w * w for w in h.normal)), bits)])
+            q = h.offset.denominator  # h.offset - h.value(x0) over q den
+            rhs.append(Fraction(h.offset.numerator * den - q * sum(map(mul, h.normal, total)),
+                                q * den))
+        radius, z = _simplex_max(A, rhs, [0] * (2 * n) + [1])
+        body._cache[key] = (tuple(Fraction(total[i], den) + z[2 * i] - z[2 * i + 1]
+                                  for i in range(n)), radius)
+    return body._cache[key]
 
 
 # ---------------------------------------------------------------------------
@@ -1000,7 +1033,9 @@ def validate_body(body: ConvexBody) -> None:
 def body_from_json(data: dict) -> ConvexBody:
     if "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
-    n = int(data["dim"])
+    n = data["dim"]
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"polytope dimension {n!r} is not an integer")
     if not 1 <= n <= 4:
         raise ValueError(f"polytope dimension {n} is outside the supported range 1..4")
     verts = [tuple(rat(c) for c in v) for v in data["vertices"]]
@@ -1013,10 +1048,11 @@ def body_from_json(data: dict) -> ConvexBody:
     if "halfspaces" in data:
         # given halfspaces are validated against the hull, then the canonical
         # recomputed representation is kept (the schema treats them as a hint)
-        given = [
-            HalfSpace.make([rat(c) for c in h["normal"]], rat(h["offset"]))
-            for h in data["halfspaces"]
-        ]
+        given = []
+        for h in data["halfspaces"]:
+            if len(h["normal"]) != n:
+                raise ValueError(f"halfspace normal {h['normal']} does not have dimension {n}")
+            given.append(HalfSpace.make([rat(c) for c in h["normal"]], rat(h["offset"])))
         for h in given:
             for v in body.vertices:
                 if not h.contains(v):

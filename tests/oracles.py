@@ -2,12 +2,14 @@
 
 ``oracle_row_reduce`` is Gauss-Jordan over Q and ``oracle_nullspace`` reads a
 primitive nullspace basis from it: the slow paths that the library's integer
-``_int_reduce`` and ``_nullspace`` are checked against.
+``_int_reduce`` and ``_nullspace`` are checked against.  ``oracle_simplex_max``
+is the dense Fraction tableau simplex that the library's fraction-free
+``_simplex_max`` must match pivot for pivot.
 """
 
 from fractions import Fraction
 
-from okbodies.geometry import _primitive
+from okbodies.geometry import GeometryError, _primitive
 
 
 def oracle_row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -48,3 +50,43 @@ def oracle_nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[int, ...]
             w[p] = -red[i][f]
         basis.append(_primitive(w))
     return basis
+
+
+def oracle_simplex_max(A: list[list[Fraction]], b: list[Fraction],
+                       c: list[Fraction]) -> tuple[Fraction, list[Fraction]]:
+    """max c.z s.t. A z <= b, z >= 0, with b >= 0 (slack basis feasible).
+
+    Dense tableau simplex with Bland's rule; everything exact.
+    """
+    m, n = len(A), len(c)
+    # tableau rows: [A | I | b]; objective row: [-c | 0 | 0]
+    tab = [list(A[i]) + [Fraction(int(i == j)) for j in range(m)] + [b[i]] for i in range(m)]
+    obj = [-x for x in c] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        col = next((j for j in range(n + m) if obj[j] < 0), None)
+        if col is None:
+            break
+        ratios = [
+            (tab[i][-1] / tab[i][col], basis[i], i)
+            for i in range(m) if tab[i][col] > 0
+        ]
+        if not ratios:
+            raise GeometryError("unbounded linear program")
+        _, _, piv = min(ratios)  # Bland: smallest ratio, then smallest basis index
+        pr = tab[piv]
+        f = pr[col]
+        tab[piv] = [x / f for x in pr]
+        for i in range(m):
+            if i != piv and tab[i][col] != 0:
+                g = tab[i][col]
+                tab[i] = [x - g * y for x, y in zip(tab[i], tab[piv])]
+        if obj[col] != 0:
+            g = obj[col]
+            obj = [x - g * y for x, y in zip(obj, tab[piv])]
+        basis[piv] = col
+    z = [Fraction(0)] * n
+    for i, bi in enumerate(basis):
+        if bi < n:
+            z[bi] = tab[i][-1]
+    return obj[-1], z

@@ -242,12 +242,27 @@ def valuation(label, *grad):
     ["thresholds", "--in", "{p2}", "--valuations", "{vshort}"],
     ["thresholds", "--in", "{p2}", "--valuations", "{vlong}"],
     ["thresholds", "--in", "{p2}", "--valuations", "{vdup}", "--tau", "1/2"],
+    # given halfspace normals of the wrong length, on a body and in a toric model
+    ["body", "--in", "{hlong}"],
+    ["body", "--in", "{hshort}"],
+    ["series", "--in", "{toric_hlong}"],
+    # a non-integer or boolean dimension, and a boolean coordinate
+    ["body", "--in", "{dim_float}"],
+    ["body", "--in", "{dim_bool}"],
+    ["body", "--in", "{coord_bool}"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):
+    hlong = dict(SIMPLEX_JSON, halfspaces=[{"normal": [1, 1, 1], "offset": "1"}])
     inputs = {"simplex": SIMPLEX_JSON, "simplex5": SIMPLEX5_JSON, "segment": SEGMENT_MODEL,
               "vseg": VSEG, "sweep": {"tau": "3/2"}, "p2": SIMPLEX_MODEL,
               "vshort": [valuation("D1", "1")], "vlong": [valuation("D1", "1", "0", "0")],
-              "vdup": [valuation("D", "1", "0"), valuation("D", "1", "1")]}
+              "vdup": [valuation("D", "1", "0"), valuation("D", "1", "1")],
+              "hlong": hlong,
+              "hshort": dict(SIMPLEX_JSON, halfspaces=[{"normal": [1], "offset": "1"}]),
+              "toric_hlong": {"backend": "toric", "polytope": hlong},
+              "dim_float": {"dim": 2.7, "vertices": SIMPLEX_JSON["vertices"]},
+              "dim_bool": {"dim": True, "vertices": [["0"], ["1"]]},
+              "coord_bool": {"dim": 2, "vertices": [["0", "0"], [True, "0"], ["0", "1"]]}}
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

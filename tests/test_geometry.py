@@ -41,7 +41,7 @@ from okbodies.geometry import (
 )
 from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
-from oracles import oracle_nullspace, oracle_row_reduce
+from oracles import oracle_nullspace, oracle_row_reduce, oracle_simplex_max
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -72,6 +72,8 @@ def test_rat_parsing_and_formatting():
         rat("1/0")
     with pytest.raises(TypeError):
         rat(0.5)
+    with pytest.raises(TypeError):
+        rat(True)
 
 
 def test_sqrt_upper_bound_exact_on_squares():
@@ -576,6 +578,103 @@ def test_chebyshev_certified_on_random_bodies(seed, n):
         assert slack >= 0 and slack * slack >= radius * radius * norm_sq
 
 
+def random_lp(rng, shape):
+    """A random LP max c.z, A z <= b, z >= 0 with b >= 0 and mixed denominators.
+
+    About a third of b is 0, so the slack basis is often degenerate.  "ties"
+    appends positive multiples of rows (equal ratios in the ratio test),
+    "degenerate" zeroes all of b, and "unbounded" makes one profitable column
+    that no row bounds.
+    """
+    dens = (1, 2, 3, 4, 6, 7, 12)
+
+    def entry(lo, hi):
+        return F(rng.randint(lo, hi), rng.choice(dens))
+
+    m, n = rng.randint(1, 40), rng.randint(1, 9)
+    A = [[entry(-3, 5) for _ in range(n)] for _ in range(m)]
+    b = [F(0) if rng.random() < 0.35 else entry(1, 6) for _ in range(m)]
+    c = [entry(-2, 4) for _ in range(n)]
+    if shape == "ties":
+        for _ in range(rng.randint(1, 20)):
+            i, lam = rng.randrange(m), entry(1, 4)
+            A.append([lam * x for x in A[i]])
+            b.append(lam * b[i])
+    elif shape == "degenerate":
+        b = [F(0)] * m
+    elif shape == "unbounded":
+        j = rng.randrange(n)
+        c[j] = entry(1, 3)
+        for row in A:
+            row[j] = -abs(row[j])
+    return A, b, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(["random", "ties", "degenerate", "unbounded"]))
+def test_simplex_max_matches_fraction_tableau_oracle(seed, shape):
+    A, b, c = random_lp(random.Random(seed), shape)
+    try:
+        expected = oracle_simplex_max(A, b, c)
+    except GeometryError:
+        with pytest.raises(GeometryError):
+            geometry._simplex_max(A, b, c)
+        return
+    assert shape != "unbounded"
+    assert geometry._simplex_max(A, b, c) == expected
+
+
+def test_simplex_max_breaks_ratio_ties_by_basis_index():
+    # the ratio test ties between a slack row and a later row whose basic
+    # variable has a smaller index; taking the earlier row instead ends at
+    # the other optimal vertex (0, 1, 0, 1, 2)
+    A = [[2, -1, 2, 0, 1], [0, 2, 0, 0, -1], [1, 1, 0, 1, -1],
+         [-1, 1, -1, -1, -1], [1, 0, 1, 1, 0], [-1, 2, 0, -1, 0]]
+    A = [[F(x) for x in row] for row in A]
+    b, c = [F(x) for x in (1, 0, 0, 0, 1, 1)], [F(x) for x in (1, -1, 2, 2, 1)]
+    expected = (F(3), [F(0), F(0), F(0), F(1), F(1)])
+    assert oracle_simplex_max(A, b, c) == expected
+    assert geometry._simplex_max(A, b, c) == expected
+
+
+def oracle_chebyshev_ball(body, bits=64):
+    """The inscribed-ball LP built over Fractions from the vertex centroid and
+    solved by the Fraction tableau."""
+    n = body.dim
+    x0 = tuple(sum(v[i] for v in body.vertices) / len(body.vertices) for i in range(n))
+    A, rhs = [], []
+    for h in body.halfspaces:
+        A.append([F(c) for w in h.normal for c in (w, -w)]
+                 + [sqrt_upper_bound(_dot(h.normal, h.normal), bits)])
+        rhs.append(h.offset - h.value(x0))
+    radius, z = oracle_simplex_max(A, rhs, [F(0)] * (2 * n) + [F(1)])
+    return tuple(x0[i] + z[2 * i] - z[2 * i + 1] for i in range(n)), radius
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]))
+def test_chebyshev_ball_matches_fraction_lp_on_hulls_and_cut_bodies(seed, n):
+    rng = random.Random(seed)
+    body = random_body(seed, n)
+    for _ in range(3):
+        if body.is_empty or not body.is_full_dim():
+            break
+        assert chebyshev_ball(body) == oracle_chebyshev_ball(body)
+        assert chebyshev_ball(body, 8) == oracle_chebyshev_ball(body, 8)
+        body = intersect_halfspace(body, random_cut(rng, body))
+
+
+def test_chebyshev_ball_is_solved_once_per_body_and_bits(monkeypatch):
+    body = hull(fan_points(5, 3, 10))
+    calls = []
+    lp = geometry._simplex_max
+    monkeypatch.setattr(geometry, "_simplex_max", lambda *a: calls.append(1) or lp(*a))
+    first = chebyshev_ball(body)
+    assert chebyshev_ball(body) == first and len(calls) == 1
+    chebyshev_ball(body, 16)
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # cones
 # ---------------------------------------------------------------------------
@@ -645,7 +744,7 @@ def test_rooftop_4d_over_3d_simplex():
 
 def test_triangulate_sums_to_volume():
     for body in (UNIT_SIMPLEX, hull(fan_points(4, 2, 9))):
-        simplices = triangulate(body)
+        simplices = [tuple(body.vertices[i] for i in s) for s in triangulate(body)]
         assert sum(
             abs((s[1][0] - s[0][0]) * (s[2][1] - s[0][1])
                 - (s[1][1] - s[0][1]) * (s[2][0] - s[0][0])) / 2
@@ -885,7 +984,7 @@ def test_triangulate_tiles_the_body_with_proper_simplices(seed, n):
     body = random_body(seed, n)
     if not body.is_full_dim():
         return
-    simplices = triangulate(body)
+    simplices = [tuple(body.vertices[i] for i in s) for s in triangulate(body)]
     dets = [geometry._det([geometry._vsub(p, s[0]) for p in s[1:]]) for s in simplices]
     assert all(len(s) == n + 1 and set(s) <= set(body.vertices) for s in simplices)
     assert all(d != 0 for d in dets)
@@ -934,7 +1033,7 @@ def oracle_max_transform(body, g):
     for h in body.halfspaces:
         A.append([F(c) for i in range(n) for c in (h.normal[i], -h.normal[i])] + [F(0)])
         b.append(h.offset - h.value(x0))
-    opt, _ = geometry._simplex_max(A, b, [F(0)] * (2 * n) + [F(1)])
+    opt, _ = oracle_simplex_max(A, b, [F(0)] * (2 * n) + [F(1)])
     return t0 + opt
 
 
