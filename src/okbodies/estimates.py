@@ -35,6 +35,7 @@ from .geometry import (
     first_coordinate_transform,
     hull,
     integrate_transform,
+    json_int,
     max_transform,
     minkowski_cube,
     rat,
@@ -538,8 +539,8 @@ def sweep_from_json(data: dict):
     if not 0 <= tau <= 1:
         raise ValueError(f"sweep tau {rat_str(tau)} is outside [0, 1]")
     rule = make_m_rule(data.get("m_rule", "ceil_tau"), tau=tau,
-                       const=int(data.get("const", 1)))
-    k0, k1 = (int(x) for x in data.get("k_range", [1, 20]))
+                       const=json_int(data.get("const", 1), "sweep const"))
+    k0, k1 = (json_int(x, "sweep k_range entry") for x in data.get("k_range", [1, 20]))
     if not 1 <= k0 <= k1:
         raise ValueError(f"bad k_range [{k0}, {k1}]")
     return tau, rule, range(k0, k1 + 1)

@@ -5,9 +5,9 @@ Everything here is exact: no floats enter any computation, and all operations ar
 pure functions on immutable values.
 
 Scale assumptions: ambient dimension n <= 4 and at most a few hundred vertices.
-Hulls are built by monotone chain (n = 2) or by an incremental beneath-beyond
-hull in exact integers (n >= 3), over one common denominator of the points.
-Every hull comes with its vertex-facet incidence already cached.
+Every full-dimensional hull, in any dimension n >= 1, is built by one
+incremental beneath-beyond hull in exact integers, over one common denominator
+of the points.  Every hull comes with its vertex-facet incidence already cached.
 
 Every body has an integer vertex form (D, Z): one common denominator D of its
 vertices and their integer numerators, vertices[i] = Z[i] / D.  Tight sets,
@@ -80,6 +80,14 @@ def rat(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not allowed in the exact geometry kernel")
     return Fraction(x)
+
+
+def json_int(x, what: str) -> int:
+    """An integer read from JSON, exactly: booleans, floats and strings raise
+    ValueError, so ``int()`` never truncates ``1.9`` or turns ``true`` into 1."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"{what} {x!r} is not an integer")
+    return x
 
 
 def rat_str(q: Fraction) -> str:
@@ -211,8 +219,11 @@ def _nullspace(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
 
 
 def _det(mat: Sequence[Sequence]) -> Fraction | int:
-    """Laplace expansion; exact over ints and Fractions alike."""
+    """Laplace expansion; exact over ints and Fractions alike.  A 0x0 matrix
+    has determinant 1: it is the empty cofactor of a 1-D hull's facet normal."""
     n = len(mat)
+    if n == 0:
+        return 1
     if n == 1:
         return mat[0][0]
     if n == 2:
@@ -439,45 +450,8 @@ def _hull_degenerate(pts: list[Vec], n: int, pivots: list[int],
 
 
 def _hull_full(pts: list[Vec], n: int) -> ConvexBody:
-    """Hull of sorted, distinct points that affinely span R^n."""
-    if n == 1:
-        (lo,), (hi,) = pts[0], pts[-1]
-        return _primed(1, [(lo,), (hi,)], {HalfSpace((1,), hi): frozenset({1}),
-                                           HalfSpace((-1,), -lo): frozenset({0})})
-    if n == 2:
-        return _hull_2d(pts)
-    return _hull_beneath_beyond(pts, n)
-
-
-def _hull_2d(pts: list[Vec]) -> ConvexBody:
-    """Monotone chain; pts are pre-sorted and deduplicated."""
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list[Vec] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[Vec] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    ring = lower[:-1] + upper[:-1]  # counterclockwise
-    vertices = sorted(ring)
-    index = {v: i for i, v in enumerate(vertices)}
-    tight = {}
-    for u, v in zip(ring, ring[1:] + ring[:1]):
-        d = _vsub(v, u)
-        normal = (d[1], -d[0])  # outward for a CCW ring
-        tight[HalfSpace.make(normal, _dot(normal, u))] = frozenset({index[u], index[v]})
-    return _primed(2, vertices, tight)
-
-
-def _hull_beneath_beyond(pts: list[Vec], n: int) -> ConvexBody:
-    """Incremental (beneath-beyond) hull in exact integers, n >= 3.
+    """Hull of sorted, distinct points that affinely span R^n: the incremental
+    (beneath-beyond) hull in exact integers, for every n >= 1.
 
     The points are scaled once to integer tuples over one common denominator D.
     The hull starts as the simplex on the first n + 1 affinely independent
@@ -1033,9 +1007,7 @@ def validate_body(body: ConvexBody) -> None:
 def body_from_json(data: dict) -> ConvexBody:
     if "dim" not in data or "vertices" not in data:
         raise ValueError("polytope JSON needs 'dim' and 'vertices'")
-    n = data["dim"]
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError(f"polytope dimension {n!r} is not an integer")
+    n = json_int(data["dim"], "polytope dimension")
     if not 1 <= n <= 4:
         raise ValueError(f"polytope dimension {n} is outside the supported range 1..4")
     verts = [tuple(rat(c) for c in v) for v in data["vertices"]]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .geometry import ConvexBody, body_from_json, hull
+from .geometry import ConvexBody, body_from_json, hull, json_int
 from .lattice import PointCloud, count, enumerate_points
 
 
@@ -406,17 +406,18 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
     if backend == "toric":
         return ToricModel(body_from_json(data["polytope"]))
     if backend == "curve":
-        return CurveDivisorModel(int(data["genus"]), [int(n) for n in data["gaps"]])
+        return CurveDivisorModel(json_int(data["genus"], "genus"),
+                                 [json_int(n, "gap") for n in data["gaps"]])
     if backend == "canonical":
-        per_k = {int(k): [int(x) for x in v]
+        per_k = {int(k): [json_int(x, "gap") for x in v]
                  for k, v in (data.get("per_k_gaps") or {}).items()}
-        return CanonicalCurveModel(int(data["genus"]), per_k)
+        return CanonicalCurveModel(json_int(data["genus"], "genus"), per_k)
     if backend == "synthetic":
-        gap_sets = {int(k): [tuple(int(c) for c in z) for z in v]
+        gap_sets = {int(k): [tuple(json_int(c, "gap coordinate") for c in z) for z in v]
                     for k, v in (data.get("per_k_gaps") or {}).items()}
         levels = data.get("levels")
         return SyntheticModel(
             body_from_json(data["polytope"]), gap_sets,
-            levels=None if levels is None else [int(k) for k in levels],
+            levels=None if levels is None else [json_int(k, "level") for k in levels],
         )
     raise ModelError(f"unknown backend {backend!r}")

@@ -348,6 +348,8 @@ def _top_atom(ambient: ConvexBody, g: ConcavePL, s0: Fraction, vol: Fraction) ->
 
 def _exact_poly_root(coeffs, tau, lo, hi) -> Optional[Fraction]:
     """Largest rational root of P(t) = tau in [lo, hi], for deg <= 2, else None."""
+    if len(coeffs) > 3:
+        return None
     c = list(coeffs) + [Fraction(0)] * (3 - len(coeffs))
     a2, a1, a0 = c[2], c[1], c[0] - tau
     roots: list[Fraction] = []

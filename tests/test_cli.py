@@ -250,6 +250,10 @@ def valuation(label, *grad):
     ["body", "--in", "{dim_float}"],
     ["body", "--in", "{dim_bool}"],
     ["body", "--in", "{coord_bool}"],
+    # JSON integer fields given as floats or booleans
+    ["series", "--in", "{gap_float}", "--k-max", "2"],
+    ["thresholds", "--in", "{p2}", "--valuations", "{vp2}", "--sweep", "{k_range_float}"],
+    ["series", "--in", "{genus_float}"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):
     hlong = dict(SIMPLEX_JSON, halfspaces=[{"normal": [1, 1, 1], "offset": "1"}])
@@ -262,7 +266,12 @@ def test_cli_bounds_exit2(tmp_path, capsys, argv):
               "toric_hlong": {"backend": "toric", "polytope": hlong},
               "dim_float": {"dim": 2.7, "vertices": SIMPLEX_JSON["vertices"]},
               "dim_bool": {"dim": True, "vertices": [["0"], ["1"]]},
-              "coord_bool": {"dim": 2, "vertices": [["0", "0"], [True, "0"], ["0", "1"]]}}
+              "coord_bool": {"dim": 2, "vertices": [["0", "0"], [True, "0"], ["0", "1"]]},
+              "gap_float": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                            "per_k_gaps": {"1": [[0.5, 0]]}},
+              "vp2": [valuation("D1", "1", "0")],
+              "k_range_float": {"tau": "1/2", "k_range": [1.9, True]},
+              "genus_float": {"backend": "curve", "genus": 3.7, "gaps": [1, 2, True]}}
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

@@ -219,7 +219,7 @@ def test_int_reduce_empty_and_zero_matrices():
 # ---------------------------------------------------------------------------
 
 def oracle_hull(pts, n):
-    """Supporting-hyperplane search over all n-subsets (desk scale, n in {3, 4})."""
+    """Supporting-hyperplane search over all n-subsets (desk scale, n in 1..4)."""
     seen: set[HalfSpace] = set()
     for combo in itertools.combinations(range(len(pts)), n):
         base = pts[combo[0]]
@@ -254,11 +254,9 @@ def oracle_hull(pts, n):
 
 
 def oracle_hull_of(points):
-    """hull(points) with every full-dimensional hull of n >= 3, the inner hull
-    of a flat cloud included, built by oracle_hull."""
-    real = geometry._hull_full
-    with mock.patch.object(geometry, "_hull_full",
-                           lambda pts, n: oracle_hull(pts, n) if n >= 3 else real(pts, n)):
+    """hull(points) with every full-dimensional hull, the inner hull of a flat
+    cloud included, built by oracle_hull."""
+    with mock.patch.object(geometry, "_hull_full", oracle_hull):
         return hull(points)
 
 
@@ -266,14 +264,15 @@ def corners(n, eps=1):
     return [tuple(F(c) for c in p) for p in itertools.product((-eps, eps), repeat=n)]
 
 
-# a rational point on the sphere through the corners of [-1, 1]^n
-SPHERE_POINT = {3: (F(1, 3), F(1, 3), F(5, 3)), 4: (F(0), F(0), F(0), F(2))}
+# rational points on the sphere through the corners of [-1, 1]^n
+SPHERE_POINTS = {2: [(F(1, 5), F(7, 5)), (F(7, 13), F(17, 13))],
+                 3: [(F(1, 3), F(1, 3), F(5, 3))], 4: [(F(0), F(0), F(0), F(2))]}
 
 
 def oracle_cloud(rng, n, kind):
-    """A small cloud of one kind; the oracle costs O(N^(n+1)), so N <= 16 (n = 3)
-    or 11 (n = 4)."""
-    size = {3: 16, 4: 11}[n]
+    """A small cloud of one kind; the oracle costs O(N^(n+1)), so N <= 12 (n = 1),
+    20 (n = 2), 16 (n = 3) or 11 (n = 4)."""
+    size = {1: 12, 2: 20, 3: 16, 4: 11}[n]
     if kind == "grid":  # denominators 1-3: many coplanar and collinear points
         den = rng.randint(1, 3)
         return [tuple(F(rng.randrange(-den, den + 1), den) for _ in range(n))
@@ -285,7 +284,7 @@ def oracle_cloud(rng, n, kind):
     if kind == "cospherical":  # cube corners and signed coordinate permutations
         pool = set(corners(n)) | {
             tuple(s * c for s, c in zip(signs, perm))
-            for perm in itertools.permutations(SPHERE_POINT[n])
+            for q in SPHERE_POINTS[n] for perm in itertools.permutations(q)
             for signs in itertools.product((-1, 1), repeat=n)}
         return rng.sample(sorted(pool), rng.randrange(n + 2, size + 1))
     if kind == "minkowski":  # vertex + cube-corner sums, as minkowski_cube builds
@@ -305,9 +304,11 @@ def oracle_cloud(rng, n, kind):
     return pts
 
 
-@pytest.mark.parametrize("kind", ["grid", "duplicates", "cospherical", "minkowski",
-                                  "hyperplane", "line"])
-@pytest.mark.parametrize("n", [3, 4])
+# [-1, 1] has no points on its "sphere" beyond its two corners, so no 1-D cospherical
+@pytest.mark.parametrize("n, kind", [
+    (n, kind) for n in (1, 2, 3, 4)
+    for kind in ("grid", "duplicates", "cospherical", "minkowski", "hyperplane", "line")
+    if (n, kind) != (1, "cospherical")])
 @settings(max_examples=10, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6))
 def test_hull_matches_supporting_hyperplane_oracle(n, kind, seed):

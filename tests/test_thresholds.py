@@ -302,6 +302,23 @@ def test_quantile_irrational_root_bracketed():
     assert (1 - lo) ** 2 >= F(1, 2) >= (1 - hi) ** 2
 
 
+def test_quantile_bisects_a_cubic_ccdf_piece():
+    # F(t) = (1 - t)^3 on the unit 3-simplex: Q(1/3) = 1 - 3^(-1/3) is irrational,
+    # and the tail {x1 >= Q} is a simplex whose x1-mean is Q + (1 - Q)/4
+    simplex3 = ToricModel(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    v = ValuationModel.divisorial("e1", simplex3.ambient)
+    tol = F(1, 10**12)
+    spec = quantile(simplex3, v, F(1, 3), tol=tol)
+    assert not spec.exact
+    lo, hi = spec.bracket
+    assert hi - lo <= tol and (1 - lo) ** 3 >= F(1, 3) >= (1 - hi) ** 3
+    q = 1 - 3 ** (-1 / 3)
+    assert abs(float(S_tau(simplex3, v, F(1, 3), tol=tol)) - (q + (1 - q) / 4)) < 1e-9
+    # its quadratic part 1 - 3t + 3t^2 = 1/3 has the rational roots 1/3 and 2/3
+    cubic = (F(1), F(-3), F(3), F(-1))
+    assert thresholds._exact_poly_root(cubic, F(1, 3), F(0), F(1)) is None
+
+
 def test_quantile_consistency():
     for model, v in [(SIMPLEX, V_SIMPLEX), (SEGMENT, V_SEGMENT)]:
         for tau in [F(1, 4), F(1, 3), F(3, 4), F(1)]:
