@@ -237,7 +237,7 @@ def cmd_thresholds(args) -> int:
     for k in k_iter:
         if not model.has_level(k):
             continue
-        d = model.d_k(k)
+        d, D = model.d_k(k), model.D_k(k)
         m = m_rule(d, k)
         delta, argmin = delta_km_restricted(model, family, k, m)
         delta_str = "inf" if delta == float("inf") else rat_str(delta)
@@ -247,7 +247,7 @@ def cmd_thresholds(args) -> int:
             rows.append([
                 str(k), str(m), v.label, head,
                 rat_str(S_km(model, v, k, m)),
-                rat_str(Sbar_km(model, v, k, min(m, model.D_k(k)))),
+                rat_str(Sbar_km(model, v, k, min(m, D))),
                 rat_str(quantum_quantile(model, v, k, tau)),
                 rat_str(s_tau_by_label[v.label]),
                 delta_str, argmin or "",

@@ -1,10 +1,11 @@
 """Graded-series models: discrete Okounkov bodies inside a fixed ambient body.
 
-Four backends generate the level-k point sets Delta_k subset ambient ∩ Z^n/k:
+Delta_k is the idealized lattice set ambient ∩ Z^n/k minus a finite gap set.
+Each of the four backends states only its gaps per level, so d_k = D_k - #gaps:
 
 * Toric       — no gaps: Delta_k is the full idealized lattice set.
-* CurveDivisor — sections of O_C(p) on a genus-g curve, reduced to the
-  numerical semigroup complementary to the Weierstrass gap sequence.
+* CurveDivisor — sections of O_C(p) on a genus-g curve: the gaps are the
+  Weierstrass gap sequence, complementary to a numerical semigroup.
 * CanonicalCurve — sections of K_C; per-level vanishing patterns are inputs
   (they are not determined by the genus alone), defaulting to the generic
   pattern k*Delta_k = {0,...,d_k-1}.
@@ -40,7 +41,10 @@ class GapRow:
 
 
 class GradedSeriesModel:
-    """Base class: ambient body plus a per-level generator of Delta_k."""
+    """Base class: ambient body plus ``_gaps(k)``, the integer numerators of
+    ambient ∩ Z^n/k missing from Delta_k (none by default). Delta_k filters the
+    idealized set by the gaps; D_k is a ``count`` and d_k = D_k - #gaps.
+    """
 
     def __init__(self, ambient: ConvexBody):
         self.ambient = ambient
@@ -64,14 +68,16 @@ class GradedSeriesModel:
 
     # -- core sets ------------------------------------------------------
 
-    def _numerators(self, k: int) -> set[tuple[int, ...]]:
-        raise NotImplementedError
+    def _gaps(self, k: int) -> frozenset[tuple[int, ...]]:
+        return frozenset()
 
     def discrete_body(self, k: int) -> PointCloud:
         """Delta_k as a PointCloud over denominator k."""
         self._check_level(k)
         if k not in self._discrete:
-            self._discrete[k] = PointCloud(k, tuple(self._numerators(k)))
+            ideal, gaps = self.idealized_body(k), self._gaps(k)
+            self._discrete[k] = (PointCloud(k, tuple(z for z in ideal.points if z not in gaps))
+                                 if gaps else ideal)
         return self._discrete[k]
 
     def idealized_body(self, k: int) -> PointCloud:
@@ -81,19 +87,16 @@ class GradedSeriesModel:
         return self._idealized[k]
 
     def d_k(self, k: int) -> int:
-        return len(self.discrete_body(k))
+        self._check_level(k)
+        return self.D_k(k) - len(self._gaps(k))
 
     def D_k(self, k: int) -> int:
-        return len(self.idealized_body(k))
+        return count(self.ambient, k)
 
     def gap_set(self, k: int) -> PointCloud:
         """(ambient ∩ Z^n/k) \\ Delta_k."""
-        ideal = self.idealized_body(k)
-        actual = set(self.discrete_body(k).points)
-        missing = [z for z in ideal.points if z not in actual]
-        if len(missing) + len(actual) != len(ideal):
-            raise ModelError("Delta_k is not contained in the idealized lattice set")
-        return PointCloud(k, tuple(missing))
+        self._check_level(k)
+        return PointCloud(k, tuple(self._gaps(k)))
 
     def gap_table(self, k_max: int) -> list[GapRow]:
         if k_max < 1:
@@ -147,13 +150,6 @@ class ToricModel(GradedSeriesModel):
             raise ModelError("toric model needs a nonempty polytope")
         super().__init__(polytope)
 
-    def _numerators(self, k: int) -> set[tuple[int, ...]]:
-        return set(self.idealized_body(k).points)
-
-    def d_k(self, k: int) -> int:
-        self._check_level(k)
-        return count(self.ambient, k)
-
 
 # ---------------------------------------------------------------------------
 # curve divisor O_C(p)
@@ -194,8 +190,8 @@ def gap_sequences_of_genus(g: int) -> list[tuple[int, ...]]:
 class CurveDivisorModel(GradedSeriesModel):
     """Model of O_C(p) on a genus-g curve with flag through p: ambient [0, 1].
 
-    h^0(kp) is the count of semigroup elements <= k, and
-    k*Delta_k = {k - s : s in S, s <= k}; no function-field algebra is needed.
+    h^0(kp) is the count of semigroup elements <= k: the level-k gaps are
+    {k - N : N a Weierstrass gap, N <= k}; no function-field algebra is needed.
     """
 
     backend = "curve"
@@ -210,15 +206,15 @@ class CurveDivisorModel(GradedSeriesModel):
         self.genus = genus
         self.gaps = gaps
 
-    def _numerators(self, k: int) -> set[tuple[int, ...]]:
-        gap_set = set(self.gaps)
-        return {(k - s,) for s in range(0, k + 1) if s not in gap_set}
+    def _gaps(self, k: int) -> frozenset[tuple[int, ...]]:
+        return frozenset((k - n,) for n in self.gaps if n <= k)
 
     def recover_gaps(self) -> list[tuple[int, int]]:
-        """Read the gap sequence back off the discrete bodies.
+        """Read the gap sequence back off the level counts.
 
-        N_i is the smallest k at which the idealized-vs-actual count deficit
-        reaches i; returns [(N_i, witnessing k)], which round-trips the input.
+        The deficit D_k - d_k counts the gaps N <= k, so N_i is the smallest
+        k at which it reaches i; returns [(N_i, witnessing k)], which
+        round-trips the input.
         """
         found = []
         deficit_seen = 0
@@ -275,12 +271,10 @@ class CanonicalCurveModel(GradedSeriesModel):
         g = self.genus
         return g if k == 1 else k * (2 * g - 2) + 1 - g
 
-    def _numerators(self, k: int) -> set[tuple[int, ...]]:
-        top = k * (2 * self.genus - 2)
+    def _gaps(self, k: int) -> frozenset[tuple[int, ...]]:
         if k in self.per_k_gap_sets:
-            gaps = set(self.per_k_gap_sets[k])
-            return {(j,) for j in range(top + 1) if j not in gaps}
-        return {(j,) for j in range(self.d_k(k))}
+            return frozenset((j,) for j in self.per_k_gap_sets[k])
+        return frozenset((j,) for j in range(self.d_k(k), k * (2 * self.genus - 2) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -304,36 +298,29 @@ class SyntheticModel(GradedSeriesModel):
         if ambient.is_empty:
             raise ModelError("synthetic model needs a nonempty ambient body")
         super().__init__(ambient)
-        self._gap_fn: Optional[Callable[[int], Iterable]] = None
-        self._gap_map: dict[int, frozenset[tuple[int, ...]]] = {}
         if callable(gap_sets):
             self._gap_fn = gap_sets
         else:
-            for k, pts in gap_sets.items():
-                self._gap_map[int(k)] = frozenset(tuple(int(c) for c in z) for z in pts)
-        if levels is not None:
-            self._levels: Optional[frozenset[int]] = frozenset(int(k) for k in levels)
-        elif self._gap_fn is None:
-            self._levels = frozenset(self._gap_map)
-        else:
-            self._levels = None  # all k >= 1
+            gap_map = {int(k): tuple(pts) for k, pts in gap_sets.items()}
+            self._gap_fn = lambda k: gap_map.get(k, ())
+            if levels is None:
+                levels = gap_map
+        # None: every k >= 1 is a level
+        self._levels = None if levels is None else frozenset(int(k) for k in levels)
 
     def has_level(self, k: int) -> bool:
         return k >= 1 and (self._levels is None or k in self._levels)
 
-    def _gaps_at(self, k: int) -> frozenset[tuple[int, ...]]:
-        if self._gap_fn is not None:
-            return frozenset(tuple(int(c) for c in z) for z in self._gap_fn(k))
-        return self._gap_map.get(k, frozenset())
-
-    def _numerators(self, k: int) -> set[tuple[int, ...]]:
-        ideal = set(self.idealized_body(k).points)
-        gaps = self._gaps_at(k)
-        if not gaps <= ideal:
-            raise ModelError(
-                f"level {k} gap set is not contained in the idealized lattice set"
-            )
-        return ideal - gaps
+    def _gaps(self, k: int) -> frozenset[tuple[int, ...]]:
+        gaps = frozenset(tuple(int(c) for c in z) for z in self._gap_fn(k))
+        # z/k lies in the ambient iff a.z <= floor(k b) for every a.x <= b
+        rows = [(h.normal, k * h.offset.numerator // h.offset.denominator)
+                for h in self.ambient.halfspaces]
+        for z in gaps:
+            if len(z) != self.ambient.dim or any(
+                    sum(a * c for a, c in zip(normal, z)) > rhs for normal, rhs in rows):
+                raise ModelError(f"level {k} gap {z} is not in the idealized lattice set")
+        return gaps
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +400,15 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
                  for k, v in (data.get("per_k_gaps") or {}).items()}
         return CanonicalCurveModel(json_int(data["genus"], "genus"), per_k)
     if backend == "synthetic":
+        ambient = body_from_json(data["polytope"])
         gap_sets = {int(k): [tuple(json_int(c, "gap coordinate") for c in z) for z in v]
                     for k, v in (data.get("per_k_gaps") or {}).items()}
+        bad = next((z for pts in gap_sets.values() for z in pts if len(z) != ambient.dim), None)
+        if bad is not None:  # malformed input (exit 2), not a ModelError (exit 1)
+            raise ValueError(f"gap vector {list(bad)} does not have dim = {ambient.dim} entries")
         levels = data.get("levels")
         return SyntheticModel(
-            body_from_json(data["polytope"]), gap_sets,
+            ambient, gap_sets,
             levels=None if levels is None else [json_int(k, "level") for k in levels],
         )
     raise ModelError(f"unknown backend {backend!r}")

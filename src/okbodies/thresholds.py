@@ -442,16 +442,15 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
         return mean_transform(superlevel(model.ambient, v.G, q), v.G)
 
     a, b = spec.bracket
+    # the bracket lies inside the ccdf piece that quantile bisected, and stays there
+    coeffs = next(c for lo, hi, c in pieces if lo <= a and b <= hi)
     lo_val, hi_val = tail_mean(a), tail_mean(b)
     for _ in range(256):
         if hi_val - lo_val <= tol:
             break
         # shrink the quantile bracket; the tail mean is monotone in q
-        piece = next((p for p in pieces if p[0] <= a <= p[1] and p[0] <= b <= p[1]), None)
         mid = (a + b) / 2
-        f_mid = (_poly_eval(piece[2], mid) if piece
-                 else ccdf_continuous(model, v, mid))
-        if f_mid >= tau:
+        if _poly_eval(coeffs, mid) >= tau:
             a = mid
             lo_val = tail_mean(a)
         else:

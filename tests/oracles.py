@@ -4,12 +4,17 @@
 primitive nullspace basis from it: the slow paths that the library's integer
 ``_int_reduce`` and ``_nullspace`` are checked against.  ``oracle_simplex_max``
 is the dense Fraction tableau simplex that the library's fraction-free
-``_simplex_max`` must match pivot for pivot.
+``_simplex_max`` must match pivot for pivot.  ``oracle_level`` builds
+k*Delta_k per backend by enumeration and set difference, the way the series
+models did before each backend stated only its gap sets, and
+``oracle_recover_gaps`` reads the Weierstrass gaps off those levels.
 """
 
 from fractions import Fraction
 
 from okbodies.geometry import GeometryError, _primitive
+from okbodies.lattice import enumerate_points
+from okbodies.series import ModelError
 
 
 def oracle_row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -90,3 +95,44 @@ def oracle_simplex_max(A: list[list[Fraction]], b: list[Fraction],
         if bi < n:
             z[bi] = tab[i][-1]
     return obj[-1], z
+
+
+def _oracle_numerators(model, k: int, gaps) -> set[tuple[int, ...]]:
+    """k*Delta_k of one backend, built from the enumerated ideal set."""
+    ideal = set(enumerate_points(model.ambient, k).points)
+    if model.backend == "toric":
+        return ideal
+    if model.backend == "curve":
+        return {(k - s,) for s in range(k + 1) if s not in set(model.gaps)}
+    if model.backend == "canonical":
+        g, top = model.genus, k * (2 * model.genus - 2)
+        if k in model.per_k_gap_sets:
+            return {(j,) for j in range(top + 1) if j not in set(model.per_k_gap_sets[k])}
+        return {(j,) for j in range(g if k == 1 else top + 1 - g)}
+    gaps = {tuple(int(c) for c in z) for z in gaps}  # synthetic: the level's gaps as given
+    if not gaps <= ideal:
+        raise ModelError(f"level {k} gap set is not contained in the idealized lattice set")
+    return ideal - gaps
+
+
+def oracle_level(model, k: int, gaps=()) -> tuple[list, int, int, list]:
+    """(sorted k*Delta_k, d_k, D_k, sorted gap set) of level k, all by
+    enumeration: d_k = #Delta_k, D_k = #(ambient ∩ Z^n/k) and the gap set is
+    the ideal set minus Delta_k.  ``gaps`` are a synthetic model's gap vectors
+    at level k; the other backends ignore it."""
+    ideal = enumerate_points(model.ambient, k).points
+    actual = _oracle_numerators(model, k, gaps)
+    return sorted(actual), len(actual), len(ideal), [z for z in ideal if z not in actual]
+
+
+def oracle_recover_gaps(model) -> list[tuple[int, int]]:
+    """The curve model's gap sequence as [(N_i, N_i)]: the levels at which the
+    enumerated count deficit D_k - d_k grows."""
+    found, seen, k = [], 0, 0
+    while seen < model.genus:
+        k += 1
+        _, d, D, _ = oracle_level(model, k)
+        if D - d > seen:
+            found.append((k, k))
+            seen = D - d
+    return found

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: exit codes, output formats, determinism."""
 
+import hashlib
 import json
 import random
 
@@ -83,6 +84,36 @@ def test_series_toric_all_diffs_zero(tmp_path, capsys):
 def test_series_rejects_non_semigroup_exit1(tmp_path, capsys):
     infile = write(tmp_path, "m.json", {"backend": "curve", "genus": 2, "gaps": [2, 3]})
     assert main(["series", "--in", infile]) == 1
+
+
+# SHA-256 of the ``series --k-max 8`` CSV, one model per backend, recorded
+# before every backend stated only its gap sets; any change to Delta_k, d_k,
+# D_k or the gap sets of these models changes a digest.
+SERIES_GOLDEN = {
+    "curve-hyperflex": (
+        {"backend": "curve", "genus": 3, "gaps": [1, 2, 5]},
+        "fbaa0d673344ddd01c0d83bf9bb8554a30532ae6ccd8879286a0ae079efc27cd"),
+    "canonical-flex": (
+        {"backend": "canonical", "genus": 3, "per_k_gaps": {"1": [2, 4], "2": [5, 7, 8]}},
+        "85e972e45cff6dbedf30f687410659aad6d467f4d38b93a1e233ec48ad75a522"),
+    "synthetic-p1xp1": (
+        {"backend": "synthetic", "polytope": {"dim": 2, "vertices": [
+            ["0", "0"], ["1/2", "0"], ["1/2", "1"], ["0", "3"]]},
+         "per_k_gaps": {"1": [], "2": [[1, 2]]}, "levels": [1, 2]},
+        "ae58328c16cdc2d4d20d2fbe06286d344b3e63c206fa74a202aeb3aa885ae257"),
+    "toric-simplex": (
+        {"backend": "toric", "polytope": SIMPLEX_JSON},
+        "30c7f4ba0320b9b53139907419aa9673845f2258066cab09519f185d7e920405"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIES_GOLDEN))
+def test_series_golden_digest(tmp_path, name):
+    data, digest = SERIES_GOLDEN[name]
+    out = tmp_path / "series.csv"
+    assert main(["series", "--in", write(tmp_path, "model.json", data),
+                 "--k-max", "8", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_thresholds_segment_sweep(tmp_path, capsys):
@@ -254,6 +285,9 @@ def valuation(label, *grad):
     ["series", "--in", "{gap_float}", "--k-max", "2"],
     ["thresholds", "--in", "{p2}", "--valuations", "{vp2}", "--sweep", "{k_range_float}"],
     ["series", "--in", "{genus_float}"],
+    # synthetic gap vectors shorter and longer than the polytope's dim
+    ["series", "--in", "{gap_short}", "--k-max", "2"],
+    ["series", "--in", "{gap_long}", "--k-max", "2"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):
     hlong = dict(SIMPLEX_JSON, halfspaces=[{"normal": [1, 1, 1], "offset": "1"}])
@@ -271,7 +305,11 @@ def test_cli_bounds_exit2(tmp_path, capsys, argv):
                             "per_k_gaps": {"1": [[0.5, 0]]}},
               "vp2": [valuation("D1", "1", "0")],
               "k_range_float": {"tau": "1/2", "k_range": [1.9, True]},
-              "genus_float": {"backend": "curve", "genus": 3.7, "gaps": [1, 2, True]}}
+              "genus_float": {"backend": "curve", "genus": 3.7, "gaps": [1, 2, True]},
+              "gap_short": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                            "per_k_gaps": {"2": [[1]]}},
+              "gap_long": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                           "per_k_gaps": {"2": [[1, 0, 0]]}}}
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

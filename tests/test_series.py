@@ -1,10 +1,12 @@
 """Backend tests: toric, curve-divisor, canonical-curve, synthetic models."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from okbodies.geometry import hull
+from okbodies.lattice import enumerate_points
 from okbodies.series import (
     CanonicalCurveModel,
     CurveDivisorModel,
@@ -22,6 +24,7 @@ from okbodies.series import (
     plane_quartic_model,
     top_column_gap_model,
 )
+from oracles import oracle_level, oracle_recover_gaps
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 
@@ -239,9 +242,121 @@ def test_top_column_gap_model():
 
 
 def test_synthetic_rejects_gap_outside_ambient():
-    model = SyntheticModel(UNIT_SIMPLEX, {2: [(3, 3)]})
+    # outside the simplex; too short; too long (zip would drop the extra 0)
+    for gap in ((3, 3), (1,), (1, 0, 0)):
+        model = SyntheticModel(UNIT_SIMPLEX, {2: [gap]})
+        for query in (model.discrete_body, model.d_k, model.gap_set, model.gap_table):
+            with pytest.raises(ModelError):
+                query(2)
+    # the same through a callable, at every level
+    model = SyntheticModel(UNIT_SIMPLEX, lambda k: [(k + 1, 0)])
     with pytest.raises(ModelError):
-        model.discrete_body(2)
+        model.gap_table(3)
+
+
+def test_synthetic_gap_on_rational_facet():
+    # x <= 1/2 is a facet of the p1xp1 ambient; at k = 2 it holds the
+    # numerators with x = 1, so both gaps on it are accepted
+    for ramified, gap in ((True, (1, 1)), (False, (1, 2))):
+        model = p1xp1_model(ramified)
+        assert model.gap_set(2).points == (gap,)
+        assert model.d_k(2) == 9 and model.D_k(2) == 10
+        assert [r.diff for r in model.gap_table(2)] == [0, 1]
+    # at k = 3 the facet holds x <= floor(3/2) = 1, so x = 2/3 is outside
+    model = SyntheticModel(p1xp1_model(False).ambient, {3: [(2, 0)]})
+    with pytest.raises(ModelError):
+        model.d_k(3)
+    assert SyntheticModel(model.ambient, {3: [(1, 0)]}).d_k(3) == model.D_k(3) - 1
+
+
+# ---------------------------------------------------------------------------
+# differential: gap-derived levels against the enumerating oracle
+# ---------------------------------------------------------------------------
+
+def assert_matches_oracle(model, k_max, gaps_at=lambda k: ()):
+    """Delta_k, d_k, D_k and the gap set of every level k <= k_max of
+    ``model``, and its gap table, equal the enumerating oracle's, or model
+    and oracle both raise ModelError."""
+    rows, rejected = [], False
+    for k in filter(model.has_level, range(1, k_max + 1)):
+        try:
+            body, d, D, gap_points = oracle_level(model, k, gaps_at(k))
+        except ModelError:
+            rejected = True
+            for query in (model.discrete_body, model.d_k, model.gap_set):
+                with pytest.raises(ModelError):
+                    query(k)
+            continue
+        assert list(model.discrete_body(k).points) == body, k
+        assert (model.d_k(k), model.D_k(k)) == (d, D), k
+        assert list(model.gap_set(k).points) == gap_points, k
+        rows.append((k, d, D, D - d))
+    if rejected:
+        with pytest.raises(ModelError):
+            model.gap_table(k_max)
+    else:
+        assert [(r.k, r.d_k, r.D_k, r.diff) for r in model.gap_table(k_max)] == rows
+
+
+def bundled_models():
+    yield from (plane_quartic_model(kind) for kind in PLANE_QUARTIC_GAP_SEQUENCES)
+    yield from (genus3_canonical_model(kind) for kind in GENUS3_CANONICAL_PATTERNS)
+    yield from (CanonicalCurveModel(g) for g in (2, 3, 5))
+    yield from (ToricModel(body) for body in (
+        UNIT_SIMPLEX, hull([(0,), (F(5, 2),)]), hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])))
+
+
+def test_bundled_models_match_oracle():
+    for model in bundled_models():
+        assert_matches_oracle(model, 12)
+    for ramified in (False, True):
+        model = p1xp1_model(ramified)
+        gap = (1, 1) if ramified else (1, 2)
+        assert_matches_oracle(model, 2, lambda k: [gap] if k == 2 else [])
+    for side in (1, 2):
+        model = top_column_gap_model(side)
+        assert_matches_oracle(model, 12, lambda k: [(k * side, j) for j in range(k * side + 1)])
+
+
+@pytest.mark.parametrize("genus", range(1, 6))
+def test_curve_models_match_oracle_through_genus5(genus):
+    for gaps in gap_sequences_of_genus(genus):
+        model = CurveDivisorModel(genus, gaps)
+        assert_matches_oracle(model, 2 * genus + 2)
+        assert model.recover_gaps() == oracle_recover_gaps(model) == [(n, n) for n in gaps]
+
+
+def random_synthetic(rng, n):
+    """A random rational hull in [0, 1]^n and random gap sets at four levels
+    k <= 30; some levels get a point outside the ambient or of the wrong
+    length, which model and oracle must both reject."""
+    den = rng.randint(1, 4)
+    pts = [tuple(F(rng.randint(0, den), den) for _ in range(n))
+           for _ in range(rng.randint(n + 1, n + 4))]
+    ambient = hull(pts)
+    gap_sets = {}
+    for k in rng.sample(range(1, 31), 4):
+        ideal = enumerate_points(ambient, k).points
+        gaps = rng.sample(ideal, rng.randint(0, min(len(ideal), 6)))
+        bad = rng.random()
+        if bad < 0.1:  # x_1 = (k + 1)/k > 1
+            gaps.append((k + 1,) + (0,) * (n - 1))
+        elif bad < 0.2:
+            gaps.append((0,) * rng.choice((n - 1, n + 1)))
+        gap_sets[k] = gaps
+    return ambient, gap_sets
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_random_synthetic_models_match_oracle(n):
+    rng = random.Random(4100 + n)
+    for trial in range(20):
+        ambient, gap_sets = random_synthetic(rng, n)
+        if trial % 2:
+            model = SyntheticModel(ambient, gap_sets)
+        else:
+            model = SyntheticModel(ambient, lambda k: gap_sets.get(k, ()), levels=gap_sets)
+        assert_matches_oracle(model, 30, lambda k: gap_sets.get(k, ()))
 
 
 # ---------------------------------------------------------------------------
