@@ -18,11 +18,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from .geometry import (
+    AffineFunctional,
+    ConcavePL,
     DegenerateBody,
     GeometryError,
     barycenter,
     body_from_json,
     chebyshev_ball,
+    first_coordinate_transform,
     hull,
     rat,
     rat_str,
@@ -327,8 +330,6 @@ def _suite_reports(suite: str, k_max: int, seed: int):
 
 
 def _coordinate_family(model):
-    from .geometry import AffineFunctional, ConcavePL, first_coordinate_transform
-
     amb = model.ambient
     s = max(v[0] for v in amb.vertices)
     return [

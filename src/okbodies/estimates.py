@@ -45,7 +45,7 @@ from .geometry import (
     superlevel,
     volume,
 )
-from .lattice import analytic_count_constant, count, discrepancy
+from .lattice import analytic_count_constant, concave_sum, count, discrepancy
 from .series import (
     CanonicalCurveModel,
     GENUS3_CANONICAL_PATTERNS,
@@ -329,8 +329,6 @@ def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
                              n_pairs: int = 200, seed: int = 0,
                              min_volume=Fraction(1, 10)) -> SweepReport:
     """(sum_k G - integral G) * k / sup G stays bounded over random (P, G)."""
-    from .lattice import concave_sum
-
     report = SweepReport(
         "concave_sum_bound",
         {"k_range": [min(k_range), max(k_range)], "N": n_pairs, "seed": seed,

@@ -11,11 +11,12 @@ Each of the four backends states only its gaps per level, so d_k = D_k - #gaps:
   pattern k*Delta_k = {0,...,d_k-1}.
 * Synthetic   — explicit gap sets, for constructed examples.
 
-Models are immutable after construction; per-level results are cached.
+Models are immutable after construction and hold the results of one level at a time.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -44,16 +45,23 @@ class GradedSeriesModel:
     """Base class: ambient body plus ``_gaps(k)``, the integer numerators of
     ambient ∩ Z^n/k missing from Delta_k (none by default). Delta_k filters the
     idealized set by the gaps; D_k is a ``count`` and d_k = D_k - #gaps.
+
+    Per-level results (point sets, gap set, threshold score tables) live in one
+    slot, ``_level`` for level ``_level_k``: a level left and revisited is rebuilt.
     """
 
     def __init__(self, ambient: ConvexBody):
         self.ambient = ambient
-        self._discrete: dict[int, PointCloud] = {}
-        self._idealized: dict[int, PointCloud] = {}
-        # integer score-and-sort of one level per (G, idealized?), read by every
-        # threshold query (thresholds._level_scores); only level _scores_k is kept
-        self._scores: dict = {}
-        self._scores_k: Optional[int] = None
+        self._level_k: Optional[int] = None
+        self._level: dict = {}
+
+    def _at_level(self, k: int, key, make: Callable[[], object]):
+        """``make()``, at most once per visit of level k; a new level drops the old one."""
+        if self._level_k != k:
+            self._level_k, self._level = k, {}
+        if key not in self._level:
+            self._level[key] = make()
+        return self._level[key]
 
     # -- levels ---------------------------------------------------------
 
@@ -71,24 +79,25 @@ class GradedSeriesModel:
     def _gaps(self, k: int) -> frozenset[tuple[int, ...]]:
         return frozenset()
 
+    def _level_gaps(self, k: int) -> frozenset[tuple[int, ...]]:
+        """``_gaps(k)``, validated once per visit of level k."""
+        return self._at_level(k, "gaps", lambda: self._gaps(k))
+
     def discrete_body(self, k: int) -> PointCloud:
         """Delta_k as a PointCloud over denominator k."""
         self._check_level(k)
-        if k not in self._discrete:
-            ideal, gaps = self.idealized_body(k), self._gaps(k)
-            self._discrete[k] = (PointCloud(k, tuple(z for z in ideal.points if z not in gaps))
-                                 if gaps else ideal)
-        return self._discrete[k]
+        gaps = self._level_gaps(k)
+        return self._at_level(k, "discrete", lambda: (
+            PointCloud(k, tuple(z for z in self.idealized_body(k).points if z not in gaps))
+            if gaps else self.idealized_body(k)))
 
     def idealized_body(self, k: int) -> PointCloud:
         """The idealized set ambient ∩ Z^n/k."""
-        if k not in self._idealized:
-            self._idealized[k] = enumerate_points(self.ambient, k)
-        return self._idealized[k]
+        return self._at_level(k, "idealized", lambda: enumerate_points(self.ambient, k))
 
     def d_k(self, k: int) -> int:
         self._check_level(k)
-        return self.D_k(k) - len(self._gaps(k))
+        return self.D_k(k) - len(self._level_gaps(k))
 
     def D_k(self, k: int) -> int:
         return count(self.ambient, k)
@@ -96,7 +105,7 @@ class GradedSeriesModel:
     def gap_set(self, k: int) -> PointCloud:
         """(ambient ∩ Z^n/k) \\ Delta_k."""
         self._check_level(k)
-        return PointCloud(k, tuple(self._gaps(k)))
+        return PointCloud(k, tuple(self._level_gaps(k)))
 
     def gap_table(self, k_max: int) -> list[GapRow]:
         if k_max < 1:
@@ -119,21 +128,17 @@ class GradedSeriesModel:
         return top_ambient, top_discrete, top_ambient - top_discrete
 
     def validate_superadditive(self, k_max: int) -> None:
-        """Check k Delta_k + k' Delta_k' subset (k+k') Delta_{k+k'} exhaustively."""
-        levels = [k for k in range(1, k_max + 1) if self.has_level(k)]
-        for k in levels:
-            for kp in levels:
-                if k + kp > k_max or not self.has_level(k + kp):
-                    continue
-                target = set(self.discrete_body(k + kp).points)
-                for a in self.discrete_body(k).points:
-                    for b in self.discrete_body(kp).points:
-                        s = tuple(x + y for x, y in zip(a, b))
-                        if s not in target:
-                            raise ModelError(
-                                f"superadditivity fails: {a}/{k} + {b}/{kp} "
-                                f"not in Delta_{k + kp}"
-                            )
+        """Check k Delta_k + k' Delta_k' subset (k+k') Delta_{k+k'}, building each level once."""
+        bodies = {k: self.discrete_body(k).points for k in range(1, k_max + 1) if self.has_level(k)}
+        for (k, left), (kp, right) in itertools.product(bodies.items(), repeat=2):
+            if k + kp not in bodies:
+                continue
+            target = set(bodies[k + kp])
+            for a, b in itertools.product(left, right):
+                if tuple(x + y for x, y in zip(a, b)) not in target:
+                    raise ModelError(
+                        f"superadditivity fails: {a}/{k} + {b}/{kp} not in Delta_{k + kp}"
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +180,6 @@ def is_gap_sequence(gaps: Sequence[int]) -> bool:
 
 def gap_sequences_of_genus(g: int) -> list[tuple[int, ...]]:
     """All Weierstrass gap sequences of genus g (numerical semigroups), exhaustively."""
-    import itertools
-
     if g == 0:
         return []
     out = []
@@ -388,6 +391,12 @@ def top_column_gap_model(side: int = 1) -> SyntheticModel:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _json_level(k: int) -> int:
+    if k < 1:  # malformed input (exit 2), not a LevelError (exit 1)
+        raise ValueError(f"model level {k} is not a positive integer")
+    return k
+
+
 def model_from_json(data: Mapping) -> GradedSeriesModel:
     backend = data.get("backend")
     if backend == "toric":
@@ -396,12 +405,13 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
         return CurveDivisorModel(json_int(data["genus"], "genus"),
                                  [json_int(n, "gap") for n in data["gaps"]])
     if backend == "canonical":
-        per_k = {int(k): [json_int(x, "gap") for x in v]
+        per_k = {_json_level(int(k)): [json_int(x, "gap") for x in v]
                  for k, v in (data.get("per_k_gaps") or {}).items()}
         return CanonicalCurveModel(json_int(data["genus"], "genus"), per_k)
     if backend == "synthetic":
         ambient = body_from_json(data["polytope"])
-        gap_sets = {int(k): [tuple(json_int(c, "gap coordinate") for c in z) for z in v]
+        gap_sets = {_json_level(int(k)): [tuple(json_int(c, "gap coordinate") for c in z)
+                                          for z in v]
                     for k, v in (data.get("per_k_gaps") or {}).items()}
         bad = next((z for pts in gap_sets.values() for z in pts if len(z) != ambient.dim), None)
         if bad is not None:  # malformed input (exit 2), not a ModelError (exit 1)
@@ -409,6 +419,6 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
         levels = data.get("levels")
         return SyntheticModel(
             ambient, gap_sets,
-            levels=None if levels is None else [json_int(k, "level") for k in levels],
+            levels=None if levels is None else [_json_level(json_int(k, "level")) for k in levels],
         )
     raise ModelError(f"unknown backend {backend!r}")

@@ -16,16 +16,15 @@ Every level-k query (jumping numbers, S_{k,m}, Sbar_{k,m}, quantum quantiles
 and vanishing orders, mu_k, compatible families, restricted delta_{k,m}) reads
 one integer score-and-sort of the level: with L the lcm of the denominators
 of G, each point z/k scores k L G(z/k) = min_i(L grad_i . z + k L c_i), an
-exact int, and the scores are sorted once per (model, G, k) and cached on the
-model for the current level only. Results are the same Fractions as scoring
-G(z/k) directly.
+exact int, and the scores are sorted once per (model, G, k) and kept by the
+model with the rest of its current level only. Results are the same Fractions
+as scoring G(z/k) directly.
 
 Everything here is a pure query over immutable models and valuations (the
-score cache never changes a result). Because only the current level's scores
-are kept, a sweep that asks several questions of each level should loop over
-k outermost. Ties are always broken deterministically (lexicographically
-larger point, lexicographically smaller label), making reductions
-order-independent.
+level slot never changes a result). Because a model keeps one level, a sweep
+that asks several questions of each level should loop over k outermost. Ties
+are always broken deterministically (lexicographically larger point,
+lexicographically smaller label), making reductions order-independent.
 """
 
 from __future__ import annotations
@@ -40,6 +39,7 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .geometry import (
+    AffineFunctional,
     ConcavePL,
     ConvexBody,
     _int_form,
@@ -158,17 +158,8 @@ def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int, ideal: bool) ->
 
 def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
                   ideal: bool = False) -> _LevelScores:
-    """_score_level, cached on the model for level k only: scoring a new level
-    drops the previous level's entries, so memory stays at one level."""
-    key = (g, ideal)
-    if model._scores_k == k and key in model._scores:
-        return model._scores[key]
-    level = _score_level(model, g, k, ideal)
-    if model._scores_k != k:
-        model._scores = {}
-        model._scores_k = k
-    model._scores[key] = level
-    return level
+    """_score_level, kept by the model with the rest of level k."""
+    return model._at_level(k, (g, ideal), lambda: _score_level(model, g, k, ideal))
 
 
 def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
@@ -527,8 +518,6 @@ def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationMod
 
 
 def valuation_from_json(data: dict, ambient: ConvexBody) -> ValuationModel:
-    from .geometry import AffineFunctional
-
     pieces = [
         AffineFunctional.make([rat(c) for c in p["grad"]], rat(p["const"]))
         for p in data["G"]["pieces"]

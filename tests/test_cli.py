@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -114,6 +115,38 @@ def test_series_golden_digest(tmp_path, name):
     assert main(["series", "--in", write(tmp_path, "model.json", data),
                  "--k-max", "8", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_verify_all_golden_digests(tmp_path, capsys):
+    """``verify all --k-max 12 --out``: the SHA-256 of stdout and of every report
+    file, recorded in ``golden/verify_all_k12.json``. Every change that should
+    leave the reports alone must keep them byte-identical."""
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_all_k12.json").read_text())
+    assert main(["verify", "all", "--k-max", "12", "--out", str(tmp_path)]) == 0
+    got = {"<stdout>": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    got.update((f.name, sha256_of(f)) for f in tmp_path.iterdir())
+    assert got == golden
+
+
+P2_MODEL = {"backend": "toric", "polytope": {"dim": 2, "vertices": [["0", "0"], ["3", "0"],
+                                                                   ["0", "3"]]}}
+P2_FAMILY = [{"label": label, "A": "1", "G": {"pieces": [{"grad": grad, "const": const}]}}
+             for label, grad, const in (("D1", ["1", "0"], "0"), ("D2", ["0", "1"], "0"),
+                                        ("D3", ["-1", "-1"], "3"))]
+
+
+def test_thresholds_p2_golden_digest(tmp_path):
+    """The anticanonical P^2 thresholds CSV (D1/D2/D3, tau 1/2, k <= 12), recorded
+    before the model kept one level at a time."""
+    out = tmp_path / "p2.csv"
+    assert main(["thresholds", "--in", write(tmp_path, "p2.json", P2_MODEL),
+                 "--valuations", write(tmp_path, "family.json", P2_FAMILY), "--tau", "1/2",
+                 "--m-rule", "ceil_tau", "--k-max", "12", "--out", str(out)]) == 0
+    assert sha256_of(out) == "8ecea78fb52e32b2ad30767ed37a72334009705aedaec7934ddaed7780c0acad"
 
 
 def test_thresholds_segment_sweep(tmp_path, capsys):
@@ -288,6 +321,10 @@ def valuation(label, *grad):
     # synthetic gap vectors shorter and longer than the polytope's dim
     ["series", "--in", "{gap_short}", "--k-max", "2"],
     ["series", "--in", "{gap_long}", "--k-max", "2"],
+    # level keys and levels below 1 (exit 0, 0 and 1 before they were checked)
+    ["series", "--in", "{key_zero}", "--k-max", "2"],
+    ["series", "--in", "{levels_nonpositive}", "--k-max", "2"],
+    ["series", "--in", "{canonical_key_zero}", "--k-max", "2"],
 ])
 def test_cli_bounds_exit2(tmp_path, capsys, argv):
     hlong = dict(SIMPLEX_JSON, halfspaces=[{"normal": [1, 1, 1], "offset": "1"}])
@@ -309,7 +346,13 @@ def test_cli_bounds_exit2(tmp_path, capsys, argv):
               "gap_short": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
                             "per_k_gaps": {"2": [[1]]}},
               "gap_long": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
-                           "per_k_gaps": {"2": [[1, 0, 0]]}}}
+                           "per_k_gaps": {"2": [[1, 0, 0]]}},
+              "key_zero": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                           "per_k_gaps": {"0": [[0, 0]]}},
+              "levels_nonpositive": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                                     "per_k_gaps": {"1": [[0, 0]]}, "levels": [-3, 0]},
+              "canonical_key_zero": {"backend": "canonical", "genus": 3,
+                                     "per_k_gaps": {"0": []}}}
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err

@@ -5,8 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from okbodies import series
+from okbodies.estimates import verify_maxp1
 from okbodies.geometry import hull
-from okbodies.lattice import enumerate_points
+from okbodies.lattice import PointCloud, enumerate_points
 from okbodies.series import (
     CanonicalCurveModel,
     CurveDivisorModel,
@@ -24,6 +26,7 @@ from okbodies.series import (
     plane_quartic_model,
     top_column_gap_model,
 )
+from okbodies.thresholds import ValuationModel, _level_scores
 from oracles import oracle_level, oracle_recover_gaps
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -208,8 +211,16 @@ def test_toric_no_gaps():
     assert model.max_gap_stat(4) == (F(1), F(1), F(0))
 
 
-def test_toric_superadditive():
+def test_toric_superadditive(monkeypatch):
+    levels = []
+
+    def counting(body, k):
+        levels.append(k)
+        return enumerate_points(body, k)
+
+    monkeypatch.setattr(series, "enumerate_points", counting)
     ToricModel(UNIT_SIMPLEX).validate_superadditive(6)
+    assert sorted(levels) == [1, 2, 3, 4, 5, 6]  # each level built once
 
 
 def test_gap_set_is_complement():
@@ -357,6 +368,57 @@ def test_random_synthetic_models_match_oracle(n):
         else:
             model = SyntheticModel(ambient, lambda k: gap_sets.get(k, ()), levels=gap_sets)
         assert_matches_oracle(model, 30, lambda k: gap_sets.get(k, ()))
+
+
+# ---------------------------------------------------------------------------
+# one level at a time
+# ---------------------------------------------------------------------------
+
+def slot_denominators(model) -> set[int]:
+    return {v.denominator for v in model._level.values() if isinstance(v, PointCloud)}
+
+
+def test_model_keeps_only_the_last_level():
+    model = top_column_gap_model()
+    for k in range(1, 9):
+        model.discrete_body(k)
+    assert model._level_k == 8 and slot_denominators(model) == {8}
+    model = top_column_gap_model()
+    verify_maxp1(model, ValuationModel.divisorial("x", model.ambient), range(1, 8), iota=1)
+    assert model._level_k == 7 and slot_denominators(model) == {7}
+
+
+def level_state(model, g, k):
+    return (model.discrete_body(k), model.idealized_body(k),
+            _level_scores(model, g, k), _level_scores(model, g, k, ideal=True))
+
+
+def test_level_slot_computes_each_entry_once_per_visit():
+    model = p1xp1_model(True)  # level 2 has a gap, so Delta_2 is its own cloud
+    g = ValuationModel.divisorial("x", model.ambient).G
+    first = level_state(model, g, 2)
+    assert first[0] != first[1]
+    assert all(a is b for a, b in zip(level_state(model, g, 2), first))
+    level_state(model, g, 1)
+    again = level_state(model, g, 2)  # revisited: rebuilt, and equal
+    assert again == first
+    assert all(a is not b for a, b in zip(again, first))
+
+
+def test_gaps_are_read_once_per_level(monkeypatch):
+    model = p1xp1_model(False)
+    levels = []
+    gaps = model._gaps
+
+    def counting(k):
+        levels.append(k)
+        return gaps(k)
+
+    monkeypatch.setattr(model, "_gaps", counting)
+    assert model.d_k(2) == 9
+    assert len(model.discrete_body(2)) == 9
+    assert model.gap_set(2).points == ((1, 2),)
+    assert levels == [2]
 
 
 # ---------------------------------------------------------------------------

@@ -778,8 +778,9 @@ def test_thresholds_sweep_scores_each_level_once(tmp_path, monkeypatch):
     assert set(calls) == {(g, k, ideal) for g in transforms for k in range(1, 7)
                           for ideal in (False, True)}
     assert set(calls.values()) == {1}
-    assert model._scores_k == 6
-    assert set(model._scores) == {(g, ideal) for g in transforms for ideal in (False, True)}
+    assert model._level_k == 6
+    assert {key for key in model._level if isinstance(key, tuple)} == {
+        (g, ideal) for g in transforms for ideal in (False, True)}
 
 
 def test_verify_endpoints_scores_each_level_once(tmp_path, monkeypatch):
