@@ -23,6 +23,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional, Sequence
 
 from .geometry import (
@@ -212,11 +213,23 @@ def rate_fit(samples: Sequence[tuple[int, Fraction]], limit) -> RateFit:
 
 def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
                      points: int = 6, denom: int = 32) -> Callable[[int], list[ConvexBody]]:
-    """Deterministic sampler of convex sub-bodies P of K with |P| >= min_volume."""
+    """Deterministic sampler of convex sub-bodies P of K with |P| >= min_volume.
+
+    Candidates are the grid points lo + (r / denom)(hi - lo) of K's bounding
+    box, r uniform in 0..denom per axis.  With K's integer vertex form (D, Z)
+    each is an integer numerator vector over D * denom, tested against K's
+    halfspaces in ints; only accepted points become Fractions.
+    """
     min_volume = rat(min_volume)
     if min_volume >= volume(K):
         # the volume floor forces P = K (up to measure zero)
         return lambda count_bodies: [K] * count_bodies
+    D, Z = K.int_form()
+    box = [(min(col), max(col)) for col in zip(*Z)]  # numerators over D
+    den = D * denom
+    # a.x <= p/q at x = num/den  <=>  q (a.num) <= p den
+    constraints = [(h.normal, h.offset.denominator, h.offset.numerator * den)
+                   for h in K.halfspaces]
 
     def sample(count_bodies: int) -> list[ConvexBody]:
         rng = random.Random(seed)
@@ -228,12 +241,9 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
                 raise RuntimeError("sampler failed to reach the volume floor")
             pts = []
             while len(pts) < points:
-                cand = tuple(
-                    lo + Fraction(rng.randrange(0, denom + 1), denom) * (hi - lo)
-                    for lo, hi in K.bounding_box()
-                )
-                if K.contains(cand):
-                    pts.append(cand)
+                num = [lo * denom + rng.randrange(0, denom + 1) * (hi - lo) for lo, hi in box]
+                if all(q * sum(map(mul, a, num)) <= pd for a, q, pd in constraints):
+                    pts.append(tuple(Fraction(c, den) for c in num))
             body = hull(pts)
             if body.is_full_dim() and volume(body) >= min_volume:
                 out.append(body)

@@ -322,9 +322,15 @@ class ConvexBody:
     def is_empty(self) -> bool:
         return not self.vertices
 
+    def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """The integer vertex form (D, Z) of ``_int_form``, computed once per body."""
+        if "int_form" not in self._cache:
+            self._cache["int_form"] = _int_form(self.vertices)
+        return self._cache["int_form"]
+
     def affine_rank(self) -> int:
         if "arank" not in self._cache:
-            self._cache["arank"] = _affine_rank(_int_form(self.vertices)[1])[0]
+            self._cache["arank"] = _affine_rank(self.int_form()[1])[0]
         return self._cache["arank"]
 
     def is_full_dim(self) -> bool:
@@ -340,15 +346,13 @@ class ConvexBody:
     def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
         if self.is_empty:
             raise GeometryError("empty body has no bounding box")
-        return [
-            (min(v[i] for v in self.vertices), max(v[i] for v in self.vertices))
-            for i in range(self.dim)
-        ]
+        D, Z = self.int_form()
+        return [(Fraction(min(col), D), Fraction(max(col), D)) for col in zip(*Z)]
 
     def incidence(self) -> tuple[frozenset[int], ...]:
         """For each halfspace, the indices of the vertices tight on it."""
         if "incidence" not in self._cache:
-            D, Z = _int_form(self.vertices)
+            D, Z = self.int_form()
             self._cache["incidence"] = tuple(_tight_set(h, D, Z) for h in self.halfspaces)
         return self._cache["incidence"]
 
@@ -516,7 +520,8 @@ def _hull_full(pts: list[Vec], n: int) -> ConvexBody:
 def _synced_body(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
                  n: int) -> ConvexBody:
     """The body on sorted, distinct vertices with the facet-inducing candidates
-    and the affine-hull equalities, its incidence and affine rank cached.
+    and the affine-hull equalities, its integer vertex form, incidence and
+    affine rank cached.
 
     Every candidate holds on the vertices and every facet of their hull is among
     the candidates, so the facets are the candidates whose tight vertex sets are
@@ -530,6 +535,7 @@ def _synced_body(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
     if rank < n:
         synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(vertices)))))
     body = _primed(n, vertices, synced)
+    body._cache["int_form"] = (D, Z)
     body._cache["arank"] = rank
     return body
 
@@ -544,7 +550,7 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
         raise DimensionMismatch("halfspace dimension differs from body dimension")
     if body.is_empty:
         return body
-    D, Z = _int_form(body.vertices)
+    D, Z = body.int_form()
     q, target = hs.offset.denominator, D * hs.offset.numerator
     # the sign of hs.value(v) - hs.offset, scaled by D q > 0
     vals = [q * sum(map(mul, hs.normal, z)) - target for z in Z]
@@ -711,14 +717,14 @@ def triangulate(body: ConvexBody) -> list[tuple[int, ...]]:
 def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:
     """(volume, integral of x) of a full-dimensional body, over one triangulation.
 
-    With vertices Z / D (``_int_form``), a simplex s has volume w / (n! D^n)
-    for the integer w = |det(Z[s_j] - Z[s_0])|, and its integral of x_i is
-    that volume times the mean of its vertices' x_i, so both moments are
-    integer sums over a common denominator.
+    With vertices Z / D (``ConvexBody.int_form``), a simplex s has volume
+    w / (n! D^n) for the integer w = |det(Z[s_j] - Z[s_0])|, and its integral
+    of x_i is that volume times the mean of its vertices' x_i, so both moments
+    are integer sums over a common denominator.
     """
     if "moments" not in body._cache:
         n = body.dim
-        D, Z = _int_form(body.vertices)
+        D, Z = body.int_form()
         dets = 0
         first = [0] * n
         for s in triangulate(body):
@@ -912,7 +918,7 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
     key = ("ball", bits)
     if key not in body._cache:
         n = body.dim
-        D, Z = _int_form(body.vertices)
+        D, Z = body.int_form()
         total = [sum(col) for col in zip(*Z)]
         den = D * len(Z)  # x0 = total / den
         A, rhs = [], []
@@ -977,10 +983,12 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 def validate_body(body: ConvexBody) -> None:
-    """Check representation sync, and a cached incidence against the tight sets;
-    raises GeometryError on violation."""
+    """Check representation sync, and a cached integer vertex form and incidence
+    against the vertices and tight sets; raises GeometryError on violation."""
     if body.is_empty:
         return
+    if "int_form" in body._cache and body._cache["int_form"] != _int_form(body.vertices):
+        raise GeometryError("cached integer vertex form differs from the vertices")
     n = body.dim
     rank = body.affine_rank()
     for v in body.vertices:

@@ -1,14 +1,15 @@
 """Enumeration and counting of scaled-lattice points Z^n/k in rational polytopes.
 
-Denominators are cleared once per body/k pair and the rest is pure integer
-arithmetic: a point z/k (z integral) satisfies a.x <= b iff a.z <= floor(k*b),
-since a is a primitive integer normal. Both queries list integer prefixes
-axis by axis in lexicographic order (``_prefixes``), so enumeration output is
-deterministic and sorted. ``enumerate_points`` runs that walk over all n
-axes; ``count`` stops two axes early and counts each 2-D slab in closed form
-with the Euclid-like ``floor_sum`` recurrence (Beck & Robins, *Computing the
-Continuous Discretely*), so its cost grows like log k, not k, in the last two
-axes.
+Denominators are cleared once per body (``_lattice_form``, cached on the
+body) and the rest is pure integer arithmetic.  Per call only the k-scaling
+runs, one floor division per bound: a point z/k (z integral) satisfies
+a.x <= b iff a.z <= floor(k*b), since a is a primitive integer normal.  Both
+queries list integer prefixes axis by axis in lexicographic order
+(``_prefixes``), so enumeration output is deterministic and sorted.
+``enumerate_points`` runs that walk over all n axes; ``count`` stops two axes
+early and counts each 2-D slab in closed form with the Euclid-like
+``floor_sum`` recurrence (Beck & Robins, *Computing the Continuous
+Discretely*), so its cost grows like log k, not k, in the last two axes.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .geometry import ConcavePL, ConvexBody, chebyshev_ball, sqrt_upper_bound, volume
+from .geometry import (ConcavePL, ConvexBody, GeometryError, chebyshev_ball, sqrt_upper_bound,
+                       volume)
 
 
 @dataclass(frozen=True)
@@ -75,17 +77,31 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
+def _lattice_form(body: ConvexBody):
+    """The k-free part of ``_scaled_constraints``, built once per body from its
+    integer vertex form (D, Z): the bounding box as integer bounds over D, and
+    each halfspace as (normal, offset numerator, offset denominator), grouped
+    by its last active axis."""
+    if "lattice" not in body._cache:
+        if body.is_empty:
+            raise GeometryError("empty body has no bounding box")
+        D, Z = body.int_form()
+        levels: list[list[tuple[tuple[int, ...], int, int]]] = [[] for _ in range(body.dim)]
+        for h in body.halfspaces:
+            level = max(i for i, a in enumerate(h.normal) if a != 0)
+            levels[level].append((h.normal, h.offset.numerator, h.offset.denominator))
+        body._cache["lattice"] = (D, [(min(col), max(col)) for col in zip(*Z)], levels)
+    return body._cache["lattice"]
+
+
 def _scaled_constraints(body: ConvexBody, k: int):
-    """Integer constraints a.z <= c for z in k*body, grouped by last active axis."""
-    n = body.dim
-    box = body.bounding_box()
-    lo = [_ceil_div(k * b.numerator, b.denominator) for b, _ in box]
-    hi = [(k * b.numerator) // b.denominator for _, b in box]
-    levels: list[list[tuple[tuple[int, ...], int]]] = [[] for _ in range(n)]
-    for h in body.halfspaces:
-        c = (k * h.offset.numerator) // h.offset.denominator
-        level = max(i for i, a in enumerate(h.normal) if a != 0)
-        levels[level].append((h.normal, c))
+    """Integer constraints a.z <= c for z in k*body, grouped by last active axis,
+    and the box lo <= z <= hi: one floor division per bound on the cached
+    ``_lattice_form``."""
+    D, box, groups = _lattice_form(body)
+    lo = [_ceil_div(k * b, D) for b, _ in box]
+    hi = [(k * b) // D for _, b in box]
+    levels = [[(a, (k * p) // q) for a, p, q in group] for group in groups]
     return lo, hi, levels
 
 

@@ -17,6 +17,7 @@ Models are immutable after construction and hold the results of one level at a t
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -397,6 +398,16 @@ def _json_level(k: int) -> int:
     return k
 
 
+def _json_level_key(key: str) -> int:
+    """A ``per_k_gaps`` key as its level.  Only canonical base-10 keys are
+    levels, so no two keys of one object name the same level; ``int`` alone
+    would also read "01", "+1", " 2 " and "1_0"."""
+    if not re.fullmatch("[1-9][0-9]*", key):
+        raise ValueError(f"per_k_gaps key {key!r} is not a positive base-10 integer "
+                         "without sign, spaces or leading zeros")
+    return int(key)
+
+
 def model_from_json(data: Mapping) -> GradedSeriesModel:
     backend = data.get("backend")
     if backend == "toric":
@@ -405,13 +416,13 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
         return CurveDivisorModel(json_int(data["genus"], "genus"),
                                  [json_int(n, "gap") for n in data["gaps"]])
     if backend == "canonical":
-        per_k = {_json_level(int(k)): [json_int(x, "gap") for x in v]
+        per_k = {_json_level_key(k): [json_int(x, "gap") for x in v]
                  for k, v in (data.get("per_k_gaps") or {}).items()}
         return CanonicalCurveModel(json_int(data["genus"], "genus"), per_k)
     if backend == "synthetic":
         ambient = body_from_json(data["polytope"])
-        gap_sets = {_json_level(int(k)): [tuple(json_int(c, "gap coordinate") for c in z)
-                                          for z in v]
+        gap_sets = {_json_level_key(k): [tuple(json_int(c, "gap coordinate") for c in z)
+                                         for z in v]
                     for k, v in (data.get("per_k_gaps") or {}).items()}
         bad = next((z for pts in gap_sets.values() for z in pts if len(z) != ambient.dim), None)
         if bad is not None:  # malformed input (exit 2), not a ModelError (exit 1)

@@ -8,11 +8,17 @@ is the dense Fraction tableau simplex that the library's fraction-free
 k*Delta_k per backend by enumeration and set difference, the way the series
 models did before each backend stated only its gap sets, and
 ``oracle_recover_gaps`` reads the Weierstrass gaps off those levels.
+``oracle_scaled_constraints`` and ``oracle_sub_body_sampler`` take a body's
+bounding box by Fraction ``min``/``max`` over its vertices on every call and
+test candidate points with Fraction ``contains``: the per-call paths that the
+library's per-body integer ``lattice._scaled_constraints`` and
+``estimates.sub_body_sampler`` must match exactly.
 """
 
+import random
 from fractions import Fraction
 
-from okbodies.geometry import GeometryError, _primitive
+from okbodies.geometry import GeometryError, _primitive, hull, rat, volume
 from okbodies.lattice import enumerate_points
 from okbodies.series import ModelError
 
@@ -136,3 +142,54 @@ def oracle_recover_gaps(model) -> list[tuple[int, int]]:
             found.append((k, k))
             seen = D - d
     return found
+
+
+def oracle_box(body) -> list[tuple[Fraction, Fraction]]:
+    """The bounding box of a nonempty body, by Fraction min/max over its vertices."""
+    return [(min(v[i] for v in body.vertices), max(v[i] for v in body.vertices))
+            for i in range(body.dim)]
+
+
+def oracle_scaled_constraints(body, k: int):
+    """(lo, hi, levels) of k*body: the box lo <= z <= hi and the constraints
+    (normal, floor(k * offset)) grouped by last active axis, with every
+    denominator cleared on this call."""
+    box = oracle_box(body)
+    lo = [-((-k * b.numerator) // b.denominator) for b, _ in box]
+    hi = [(k * b.numerator) // b.denominator for _, b in box]
+    levels = [[] for _ in range(body.dim)]
+    for h in body.halfspaces:
+        c = (k * h.offset.numerator) // h.offset.denominator
+        level = max(i for i, a in enumerate(h.normal) if a != 0)
+        levels[level].append((h.normal, c))
+    return lo, hi, levels
+
+
+def oracle_sub_body_sampler(K, min_volume, seed: int, points: int = 6, denom: int = 32):
+    """Seeded sub-bodies of K with |P| >= min_volume from Fraction grid
+    candidates lo + (r / denom)(hi - lo), r = rng.randrange(0, denom + 1) per
+    axis, kept when K contains them."""
+    min_volume = rat(min_volume)
+    if min_volume >= volume(K):
+        return lambda count_bodies: [K] * count_bodies
+
+    def sample(count_bodies: int) -> list:
+        rng = random.Random(seed)
+        out = []
+        guard = 0
+        while len(out) < count_bodies:
+            guard += 1
+            if guard > 200 * count_bodies:
+                raise RuntimeError("sampler failed to reach the volume floor")
+            pts = []
+            while len(pts) < points:
+                cand = tuple(lo + Fraction(rng.randrange(0, denom + 1), denom) * (hi - lo)
+                             for lo, hi in oracle_box(K))
+                if K.contains(cand):
+                    pts.append(cand)
+            body = hull(pts)
+            if body.is_full_dim() and volume(body) >= min_volume:
+                out.append(body)
+        return out
+
+    return sample

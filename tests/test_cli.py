@@ -121,15 +121,29 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_verify_all_golden_digests(tmp_path, capsys):
-    """``verify all --k-max 12 --out``: the SHA-256 of stdout and of every report
-    file, recorded in ``golden/verify_all_k12.json``. Every change that should
-    leave the reports alone must keep them byte-identical."""
-    golden = json.loads((Path(__file__).parent / "golden" / "verify_all_k12.json").read_text())
-    assert main(["verify", "all", "--k-max", "12", "--out", str(tmp_path)]) == 0
+def verify_all_digests(out_dir, capsys, k_max: int) -> dict[str, str]:
+    """The SHA-256 of stdout and of every report file of ``verify all --out``."""
+    assert main(["verify", "all", "--k-max", str(k_max), "--out", str(out_dir)]) == 0
     got = {"<stdout>": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
-    got.update((f.name, sha256_of(f)) for f in tmp_path.iterdir())
-    assert got == golden
+    got.update((f.name, sha256_of(f)) for f in out_dir.iterdir())
+    return got
+
+
+def test_verify_all_golden_digests(tmp_path, capsys):
+    """``verify all --k-max 12 --out``: the digests recorded in
+    ``golden/verify_all_k12.json``. Every change that should leave the reports
+    alone must keep them byte-identical."""
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_all_k12.json").read_text())
+    assert verify_all_digests(tmp_path, capsys, 12) == golden
+
+
+def test_verify_all_k40_golden_digests(tmp_path, capsys):
+    """``verify all --k-max 40 --out``: the digests recorded in
+    ``golden/verify_all_k40.json`` before the lattice constraints and the
+    sub-body sampler cleared denominators once per body.  It holds the
+    uniform Ehrhart sweep's 8,000 counts (200 sub-bodies, k <= 40)."""
+    golden = json.loads((Path(__file__).parent / "golden" / "verify_all_k40.json").read_text())
+    assert verify_all_digests(tmp_path, capsys, 40) == golden
 
 
 P2_MODEL = {"backend": "toric", "polytope": {"dim": 2, "vertices": [["0", "0"], ["3", "0"],
@@ -357,6 +371,20 @@ def test_cli_bounds_exit2(tmp_path, capsys, argv):
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert "error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("backend", ["synthetic", "canonical"])
+@pytest.mark.parametrize("per_k_gaps", [
+    {"01": []}, {"+1": []}, {" 2 ": []}, {"1_0": []}, {"-1": []}, {"1.0": []},
+    # "01" named level 1 too, and silently replaced the gaps of "1"
+    {"1": [], "01": []},
+])
+def test_noncanonical_level_key_exit2(tmp_path, capsys, backend, per_k_gaps):
+    model = {"backend": backend, "per_k_gaps": per_k_gaps}
+    model.update({"polytope": SIMPLEX_JSON} if backend == "synthetic" else {"genus": 3})
+    assert main(["series", "--in", write(tmp_path, "m.json", model), "--k-max", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "per_k_gaps key" in err and "Traceback" not in err
 
 
 def test_benchmark_arguments_still_parse():

@@ -1,6 +1,7 @@
 """Verification-harness tests at reduced sweep sizes (full sizes live in the
 acceptance suite)."""
 
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -26,6 +27,7 @@ from okbodies.estimates import (
     verify_uniform_ehrhart,
     verify_weierstrass,
 )
+from oracles import oracle_sub_body_sampler
 
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -59,6 +61,32 @@ def test_rate_fit_needs_samples():
 # ---------------------------------------------------------------------------
 # samplers
 # ---------------------------------------------------------------------------
+
+STANDARD_SIMPLEX = hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
+# slanted facets and negative coordinates: 37/90 of its bounding box lies outside it
+SLANTED = hull([(-1, F(-1, 2)), (2, 0), (F(1, 3), 2), (-1, 1)])
+
+
+@pytest.mark.parametrize("K, min_volume", [
+    (UNIT_SQUARE, F(1, 10)),
+    (hull(list(itertools.product((0, 1), repeat=3))), F(1, 50)),
+    (STANDARD_SIMPLEX, F(1, 500)),
+    (SLANTED, F(1, 4)),
+])
+@pytest.mark.parametrize("seed", [0, 5, 31])
+def test_sub_body_sampler_matches_fraction_oracle(K, min_volume, seed):
+    """The integer candidate test samples the bodies the Fraction one does."""
+    got = sub_body_sampler(K, min_volume, seed)(4)
+    want = oracle_sub_body_sampler(K, min_volume, seed)(4)
+    assert [(P.vertices, P.halfspaces) for P in got] == [(P.vertices, P.halfspaces) for P in want]
+
+
+@pytest.mark.parametrize("K", [UNIT_SQUARE, SLANTED])
+def test_sub_body_sampler_volume_floor_at_K_returns_K(K):
+    for floor in (volume(K), volume(K) + 1):
+        assert sub_body_sampler(K, floor, seed=2)(3) == [K] * 3
+        assert oracle_sub_body_sampler(K, floor, seed=2)(3) == [K] * 3
+
 
 def test_sub_body_sampler_deterministic_and_valid():
     sample = sub_body_sampler(UNIT_SQUARE, F(1, 10), seed=3)

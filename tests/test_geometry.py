@@ -914,6 +914,17 @@ def test_intersect_halfspace_matches_crossing_hull_oracle(seed, n, flat):
         body = clipped
 
 
+def test_clip_seeds_int_form_and_validate_body_checks_it():
+    clipped = intersect_halfspace(UNIT_SQUARE, HalfSpace((1, 1), F(3, 2)))
+    assert clipped._cache["int_form"] == geometry._int_form(clipped.vertices)
+    assert clipped._cache["int_form"][0] == 2
+    validate_body(clipped)
+    # the same vertices over a common but not least denominator
+    clipped._cache["int_form"] = (4, tuple(tuple(int(4 * c) for c in v) for v in clipped.vertices))
+    with pytest.raises(GeometryError, match="integer vertex form"):
+        validate_body(clipped)
+
+
 def off_denominator_cut(w, body):
     """w . x <= b through the middle of the body, with b in lowest terms over
     p^2 for a prime p that does not divide the body's common denominator D."""
@@ -945,6 +956,7 @@ def test_integer_clipping_matches_fraction_tight_sets_and_ranks(seed, n):
     def check(b):
         D, Z = geometry._int_form(b.vertices)
         assert all(F(x, D) == c for z, v in zip(Z, b.vertices) for x, c in zip(z, v))
+        assert b.int_form() == (D, Z)  # seeded by the clip, or computed here
         assert b.incidence() == tight_sets(b)
         assert b.affine_rank() == affine_rank(b.vertices)
         validate_body(b)

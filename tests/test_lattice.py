@@ -13,9 +13,12 @@ from okbodies import lattice
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
+    GeometryError,
+    HalfSpace,
     empty_body,
     first_coordinate_transform,
     hull,
+    intersect_halfspace,
     scale_translate,
     volume,
 )
@@ -29,6 +32,7 @@ from okbodies.lattice import (
     discrepancy,
     enumerate_points,
 )
+from oracles import oracle_box, oracle_scaled_constraints
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -210,6 +214,33 @@ def test_count_matches_scan_oracle_and_enumeration(seed, n, kind):
         expected = scan_count(body, k)
         assert count(body, k) == expected
         assert len(enumerate_points(body, k)) == expected
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 4),
+       st.sampled_from(["hull", "box", "hyperplane", "line", "clipped"]))
+def test_scaled_constraints_match_fraction_oracle(seed, n, kind):
+    """The constraints built once per body in ints equal the ones the Fraction
+    bounding box gives on every call, for k up to 10^6, also on the bodies of
+    ``intersect_halfspace``, which come with their integer vertex form."""
+    rng = random.Random(seed)
+    body, den = _differential_body(rng, n, "hull" if kind == "clipped" else kind)
+    if kind == "clipped":
+        for _ in range(rng.randint(1, 3)):
+            normal = [rng.randint(-3, 3) for _ in range(n)]
+            if any(normal):
+                # through the midpoint of two vertices, so the cut is never empty
+                u, v = rng.choice(body.vertices), rng.choice(body.vertices)
+                offset = sum(a * (x + y) for a, x, y in zip(normal, u, v)) / 2
+                body = intersect_halfspace(body, HalfSpace.make(normal, offset))
+    assert body.bounding_box() == oracle_box(body)
+    for k in (1, rng.randint(2, 50), den * rng.randint(1, 50), rng.randint(1, 10**6), 10**6):
+        assert _scaled_constraints(body, k) == oracle_scaled_constraints(body, k)
+
+
+def test_scaled_constraints_of_empty_body_raise():
+    with pytest.raises(GeometryError):
+        _scaled_constraints(empty_body(2), 3)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
