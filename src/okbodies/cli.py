@@ -61,6 +61,11 @@ EXIT_VERIFY = 3
 # allowed there takes about 10 s (k = 10^4 would take about 17 min).
 MAX_COUNT_SLABS = 10**6
 
+# Most points ``series`` may enumerate and print, summed over its levels.  The
+# 3-D unit cube allows --k-max 43 (980,099 points); --k-max 40 lists about
+# 0.74 M points in about 3 s on a 2-vCPU host.
+MAX_ENUM_POINTS = 10**6
+
 SUITES = ("ehrhart", "lowerbound", "concave", "cones", "maxp1",
           "stwosided", "deltarate", "endpoints", "weierstrass", "all")
 
@@ -198,9 +203,28 @@ def cmd_body(args) -> int:
 # series
 # ---------------------------------------------------------------------------
 
+def _check_series_size(model, k_max: int) -> None:
+    """Raise InputError, before any point is enumerated, when the levels up to
+    k_max hold more than MAX_ENUM_POINTS ambient points in all, or when
+    counting them would sum more than MAX_COUNT_SLABS 2-D slabs."""
+    slabs = 0
+    for k in filter(model.has_level, range(1, k_max + 1)):
+        slabs += slab_bound(model.ambient, k)
+        if slabs > MAX_COUNT_SLABS:
+            raise InputError(f"--k-max {k_max} needs more than {MAX_COUNT_SLABS} "
+                             f"slab counts to size")
+    points = 0
+    for k in filter(model.has_level, range(1, k_max + 1)):
+        points += count(model.ambient, k)
+        if points > MAX_ENUM_POINTS:
+            raise InputError(f"--k-max {k_max} lists more than {MAX_ENUM_POINTS} points "
+                             f"(the limit is passed at level {k})")
+
+
 def cmd_series(args) -> int:
     model = _load_model(args.infile)
     k_max = args.k_max
+    _check_series_size(model, k_max)
     header = ["k", "d_k", "D_k", "diff", "delta_k_points", "gap_points"]
     rows = []
     for row in model.gap_table(k_max):

@@ -34,7 +34,7 @@ from .geometry import (
     chebyshev_ball,
     coordinate_slice,
     first_coordinate_transform,
-    hull,
+    _hull_rows,
     integrate_transform,
     json_int,
     max_transform,
@@ -46,7 +46,7 @@ from .geometry import (
     superlevel,
     volume,
 )
-from .lattice import analytic_count_constant, concave_sum, count, discrepancy
+from .lattice import analytic_count_constant, concave_sum, count
 from .series import (
     CanonicalCurveModel,
     GENUS3_CANONICAL_PATTERNS,
@@ -218,7 +218,9 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
     Candidates are the grid points lo + (r / denom)(hi - lo) of K's bounding
     box, r uniform in 0..denom per axis.  With K's integer vertex form (D, Z)
     each is an integer numerator vector over D * denom, tested against K's
-    halfspaces in ints; only accepted points become Fractions.
+    halfspaces in ints.  The accepted rows go to the integer hull
+    (``geometry._hull_rows``) as they are, so only the vertices of each
+    sampled body become Fractions.
     """
     min_volume = rat(min_volume)
     if min_volume >= volume(K):
@@ -239,12 +241,12 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
             guard += 1
             if guard > 200 * count_bodies:
                 raise RuntimeError("sampler failed to reach the volume floor")
-            pts = []
-            while len(pts) < points:
-                num = [lo * denom + rng.randrange(0, denom + 1) * (hi - lo) for lo, hi in box]
+            rows = []
+            while len(rows) < points:
+                num = tuple(lo * denom + rng.randrange(0, denom + 1) * (hi - lo) for lo, hi in box)
                 if all(q * sum(map(mul, a, num)) <= pd for a, q, pd in constraints):
-                    pts.append(tuple(Fraction(c, den) for c in num))
-            body = hull(pts)
+                    rows.append(num)
+            body = _hull_rows(den, sorted(set(rows)), K.dim)
             if body.is_full_dim() and volume(body) >= min_volume:
                 out.append(body)
         return out
@@ -256,14 +258,13 @@ def concave_sampler(P: ConvexBody, rng: random.Random, max_pieces: int = 3,
                     denom: int = 8) -> ConcavePL:
     """Random nonnegative concave PL function on P (constants lifted so min = 0..1)."""
     n = P.dim
-    pieces = []
-    for _ in range(rng.randrange(1, max_pieces + 1)):
-        grad = tuple(Fraction(rng.randrange(-2 * denom, 2 * denom + 1), denom)
-                     for _ in range(n))
-        pieces.append(AffineFunctional.make(grad, 0))
-    lift = -min(min(f(v) for v in P.vertices) for f in pieces)
+    grads = [tuple(rng.randrange(-2 * denom, 2 * denom + 1) for _ in range(n))
+             for _ in range(rng.randrange(1, max_pieces + 1))]
+    # grad . v = (r . z) / (denom D) for numerators r over denom and z over D
+    D, Z = P.int_form()
+    lift = Fraction(-min(sum(map(mul, r, z)) for r in grads for z in Z), denom * D)
     lift += Fraction(rng.randrange(0, denom + 1), denom)
-    pieces = [AffineFunctional.make(f.gradient, f.constant + lift) for f in pieces]
+    pieces = [AffineFunctional(tuple(Fraction(c, denom) for c in r), lift) for r in grads]
     return ConcavePL.make(pieces, P)
 
 
@@ -282,10 +283,19 @@ def verify_uniform_ehrhart(K: ConvexBody, nu, k_range: Sequence[int],
     )
     bodies = sub_body_sampler(K, nu, seed)(n_bodies)
     n = K.dim
+    vols = [volume(P) for P in bodies]
     ks = sorted(k_range)
     vals = []
     for k in ks:
-        w = max(abs(discrepancy(P, k)) for P in bodies)
+        # |discrepancy| = |count q - p k^n| / q for volume p / q: the largest
+        # by cross-multiplication, then one Fraction
+        kn = k ** n
+        top, den = 0, 1
+        for P, vol in zip(bodies, vols):
+            a = abs(count(P, k) * vol.denominator - vol.numerator * kn)
+            if a * den > top * vol.denominator:
+                top, den = a, vol.denominator
+        w = Fraction(top, den)
         m_k = w / Fraction(k) ** (n - 1)
         vals.append(m_k)
         report.rows.append({"k": k, "max_abs_discrepancy": w, "normalized": m_k})

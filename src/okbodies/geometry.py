@@ -5,16 +5,18 @@ Everything here is exact: no floats enter any computation, and all operations ar
 pure functions on immutable values.
 
 Scale assumptions: ambient dimension n <= 4 and at most a few hundred vertices.
-Every full-dimensional hull, in any dimension n >= 1, is built by one
-incremental beneath-beyond hull in exact integers, over one common denominator
-of the points.  Every hull comes with its vertex-facet incidence already cached.
 
-Every body has an integer vertex form (D, Z): one common denominator D of its
-vertices and their integer numerators, vertices[i] = Z[i] / D.  Tight sets,
-the sign tests and crossings of clipping, and affine ranks read it, so they
-compare and eliminate exact ints instead of summing Fractions.  It is built
-where it is read and not kept: the vertices stay Fraction tuples, and the
-tight sets and rank it yields are cached instead.
+Every body has an integer vertex form (D, Z): the least common denominator D
+of its vertices and their integer numerator rows, vertices[i] = Z[i] / D.
+The exact constructors run on integer rows: ``hull`` clears the denominators
+of its points once, and one incremental beneath-beyond hull in exact
+integers, in any dimension n >= 1, builds every full-dimensional hull from
+the sorted, distinct rows; ``intersect_halfspace`` forms its crossing points
+as integer rows from the parent's (D, Z).  Fractions are built once, for the
+final vertex tuples, and every body from these constructors comes with its
+(D, Z), affine rank and vertex-facet incidence already cached.  Tight sets,
+the sign tests and crossings of clipping, and affine ranks read (D, Z), so
+they compare and eliminate exact ints instead of summing Fractions.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the only
 Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
@@ -323,7 +325,8 @@ class ConvexBody:
         return not self.vertices
 
     def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The integer vertex form (D, Z) of ``_int_form``, computed once per body."""
+        """The integer vertex form (D, Z) of ``_int_form``: seeded by the exact
+        constructors (``hull``, ``intersect_halfspace``), else computed once."""
         if "int_form" not in self._cache:
             self._cache["int_form"] = _int_form(self.vertices)
         return self._cache["int_form"]
@@ -389,7 +392,12 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
     The returned vertex list is irredundant (a subset of the input points), and
     every halfspace is a facet of the hull inside its affine span; for
     lower-dimensional hulls the affine-span equalities are included as
-    opposite halfspace pairs.  The body's incidence comes already cached.
+    opposite halfspace pairs.  The body's incidence, integer vertex form and
+    affine rank come already cached.
+
+    The points are coerced, scaled once to integer rows over one common
+    denominator D, de-duplicated and sorted as rows (for D > 0 the row order is
+    the Fraction order) and handed to ``_hull_rows``.
     """
     if not points:
         raise GeometryError("hull of an empty point set")
@@ -400,12 +408,17 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
     for p in pts:
         if len(p) != n:
             raise DimensionMismatch("points of mixed dimension")
-    pts = sorted(set(pts))
     D, Z = _int_form(pts)
+    return _hull_rows(D, sorted(set(Z)), n)
+
+
+def _hull_rows(D: int, Z: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
+    """Hull of the points Z / D, for D > 0 and sorted, distinct integer rows Z
+    in R^n: ``_hull_full`` if they span R^n, else ``_hull_degenerate``."""
     rank, pivots = _affine_rank(Z)
     if rank == n:
-        return _hull_full(pts, n)
-    return _hull_degenerate(pts, n, pivots, _affine_equalities(D, Z, n))
+        return _hull_full(D, Z, n)
+    return _hull_degenerate(D, Z, n, pivots)
 
 
 def _affine_equalities(D: int, Z: Sequence[Sequence[int]], n: int) -> list[HalfSpace]:
@@ -424,51 +437,70 @@ def _maximal(sets: set[frozenset[int]]) -> set[frozenset[int]]:
     return {s for s in sets if not any(s < t for t in sets)}
 
 
-def _primed(n: int, vertices: Sequence[Vec], tight: dict[HalfSpace, frozenset[int]]) -> ConvexBody:
-    """The body on sorted, distinct vertices and the halfspaces of ``tight``,
-    with its incidence cached from ``tight`` (halfspace -> tight vertex indices)."""
-    body = ConvexBody(n, vertices, tight)
-    body._cache["incidence"] = tuple(tight[h] for h in body.halfspaces)
+def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
+            tight: dict[HalfSpace, frozenset[int]], rank: int) -> ConvexBody:
+    """The body on the vertices Z / D (D > 0, sorted, distinct integer rows of
+    affine rank ``rank``) and the halfspaces of ``tight`` (halfspace -> tight
+    row indices).
+
+    Its caches are seeded: the incidence from ``tight``, the affine rank, and
+    the integer vertex form, (D, Z) divided by gcd(D, every entry), which is
+    ``_int_form`` of the vertices.  The Fraction vertices are built here, once;
+    the rows are already sorted and distinct, so ``ConvexBody.__init__``'s
+    sort of the Fraction tuples is skipped.
+    """
+    g = gcd(D, *itertools.chain.from_iterable(Z))
+    if g > 1:
+        D, Z = D // g, [tuple(c // g for c in z) for z in Z]
+    body = object.__new__(ConvexBody)
+    body.dim = n
+    body.vertices = tuple(tuple(Fraction(c, D) for c in z) for z in Z)
+    body.halfspaces = tuple(sorted(tight))
+    body._cache = {"int_form": (D, tuple(Z)), "arank": rank,
+                   "incidence": tuple(tight[h] for h in body.halfspaces)}
     return body
 
 
-def _hull_degenerate(pts: list[Vec], n: int, pivots: list[int],
-                     equalities: list[HalfSpace]) -> ConvexBody:
-    """Hull of a flat cloud: the full-dimensional hull of its projection onto
-    the pivot coordinates of its direction space, lifted back, plus the
-    affine-hull equalities."""
+def _hull_degenerate(D: int, Z: Sequence[tuple[int, ...]], n: int,
+                     pivots: list[int]) -> ConvexBody:
+    """Hull of the flat cloud Z / D (sorted, distinct integer rows): the
+    full-dimensional hull of its projection onto the pivot coordinates of its
+    direction space, lifted back, plus the affine-hull equalities."""
+    equalities = _affine_equalities(D, Z, n)
     if not pivots:
-        return _primed(n, pts[:1], dict.fromkeys(equalities, frozenset({0})))
-    back = {tuple(p[j] for j in pivots): p for p in pts}
-    inner = _hull_full(sorted(back), len(pivots))
-    vertices = sorted(back[q] for q in inner.vertices)
-    index = {v: i for i, v in enumerate(vertices)}
+        return _primed(n, D, Z[:1], dict.fromkeys(equalities, frozenset({0})), 0)
+    back = {tuple(z[j] for j in pivots): z for z in Z}
+    inner = _hull_full(D, sorted(back), len(pivots))
+    d, rows = inner.int_form()
+    scale = D // d  # the inner rows are over a divisor d of D
+    lifted = [back[tuple(scale * c for c in z)] for z in rows]
+    vertices = sorted(lifted)
+    index = {z: i for i, z in enumerate(vertices)}
     tight = dict.fromkeys(equalities, frozenset(range(len(vertices))))
     for h, t in zip(inner.halfspaces, inner.incidence()):
         normal = [0] * n
         for coeff, j in zip(h.normal, pivots):
             normal[j] = coeff
-        tight[HalfSpace.make(normal, h.offset)] = frozenset(
-            index[back[inner.vertices[i]]] for i in t)
-    return _primed(n, vertices, tight)
+        tight[HalfSpace(tuple(normal), h.offset)] = frozenset(index[lifted[i]] for i in t)
+    return _primed(n, D, vertices, tight, len(pivots))
 
 
-def _hull_full(pts: list[Vec], n: int) -> ConvexBody:
-    """Hull of sorted, distinct points that affinely span R^n: the incremental
-    (beneath-beyond) hull in exact integers, for every n >= 1.
+def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
+    """Hull of the points P / D, for D > 0 and sorted, distinct integer rows P
+    that affinely span R^n: the incremental (beneath-beyond) hull in exact
+    integers, for every n >= 1.
 
-    The points are scaled once to integer tuples over one common denominator D.
     The hull starts as the simplex on the first n + 1 affinely independent
-    points and takes the rest in sorted order.  Each simplicial facet keeps an
-    outward integer normal w and offset b (w . x <= b); a new point replaces
+    rows and takes the rest in sorted order.  Each simplicial facet keeps an
+    outward integer normal w and offset b (w . z <= b); a new point replaces
     the facets it lies strictly beyond (a coplanar point is beneath) by the
     cone from it over the horizon, the ridges of exactly one replaced facet.
     Coplanar simplices are then merged by their primitive normal, and a point
-    is a vertex iff the normals of the facets tight at it have rank n.
+    is a vertex iff the normals of the facets tight at it have rank n.  Only
+    the vertex rows become Fractions (``_primed``).
     """
-    D, P = _int_form(pts)
     seed = [0]
-    for i in range(1, len(pts)):
+    for i in range(1, len(P)):
         rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
         if _int_reduce(rows)[0] == len(seed):
             seed.append(i)
@@ -487,7 +519,7 @@ def _hull_full(pts: list[Vec], n: int) -> ConvexBody:
         return verts, w, b
 
     facets = [facet(verts) for verts in itertools.combinations(seed, n)]
-    for i in sorted(set(range(len(pts))) - set(seed)):
+    for i in sorted(set(range(len(P))) - set(seed)):
         p = P[i]
         beneath, visible = [], []
         for f in facets:
@@ -506,38 +538,36 @@ def _hull_full(pts: list[Vec], n: int) -> ConvexBody:
         g = gcd(*w)
         merged[tuple(c // g for c in w)] = b // g
     tight_at: dict[tuple[int, ...], list[int]] = {w: [] for w in merged}
-    vertices: list[Vec] = []
+    vertices: list[tuple[int, ...]] = []
     for i in sorted({v for verts, _, _ in facets for v in verts}):
         tight = [w for w, b in merged.items() if sum(map(mul, w, P[i])) == b]
         if _int_reduce(tight)[0] == n:
             for w in tight:
                 tight_at[w].append(len(vertices))
-            vertices.append(pts[i])
-    return _primed(n, vertices, {HalfSpace(w, Fraction(b, D)): frozenset(tight_at[w])
-                                 for w, b in merged.items()})
+            vertices.append(P[i])
+    return _primed(n, D, vertices, {HalfSpace(w, Fraction(b, D)): frozenset(tight_at[w])
+                                    for w, b in merged.items()}, n)
 
 
-def _synced_body(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
+def _synced_body(D: int, Z: Sequence[tuple[int, ...]], candidates: Iterable[HalfSpace],
                  n: int) -> ConvexBody:
-    """The body on sorted, distinct vertices with the facet-inducing candidates
-    and the affine-hull equalities, its integer vertex form, incidence and
-    affine rank cached.
+    """The body on the vertices Z / D (D > 0, sorted, distinct integer rows)
+    with the facet-inducing candidates and the affine-hull equalities.
 
     Every candidate holds on the vertices and every facet of their hull is among
     the candidates, so the facets are the candidates whose tight vertex sets are
-    maximal among the proper, nonempty ones.
+    maximal among the proper, nonempty ones.  The tight sets and the affine
+    rank are read off (D, Z) and seeded into the body's caches with its
+    canonical integer vertex form (``_primed``), so no later query rebuilds
+    them.
     """
-    D, Z = _int_form(vertices)
     rank = _affine_rank(Z)[0]
     tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
-    facets = _maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
+    facets = _maximal({t for t in tight.values() if 0 < len(t) < len(Z)})
     synced = {h: t for h, t in tight.items() if t in facets}
     if rank < n:
-        synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(vertices)))))
-    body = _primed(n, vertices, synced)
-    body._cache["int_form"] = (D, Z)
-    body._cache["arank"] = rank
-    return body
+        synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(Z)))))
+    return _primed(n, D, Z, synced, rank)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +575,14 @@ def _synced_body(vertices: tuple[Vec, ...], candidates: Iterable[HalfSpace],
 # ---------------------------------------------------------------------------
 
 def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
-    """Exact intersection of a body with a halfspace; may return an empty body."""
+    """Exact intersection of a body with a halfspace; may return an empty body.
+
+    Works on the body's integer vertex form (D, Z): with s_i the scaled value
+    of hs at z_i, the crossing on an edge (i, j) is
+    (s_j z_i - s_i z_j) / (D (s_j - s_i)), so every new vertex is an integer
+    row over D times the lcm of the reduced crossing denominators, and the
+    rows go to ``_synced_body`` without becoming Fractions on the way.
+    """
     if len(hs.normal) != body.dim:
         raise DimensionMismatch("halfspace dimension differs from body dimension")
     if body.is_empty:
@@ -557,32 +594,33 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
     if all(s <= 0 for s in vals):
         return body
     if all(s >= 0 for s in vals):
-        on = [v for v, s in zip(body.vertices, vals) if s == 0]
+        on = [z for z, s in zip(Z, vals) if s == 0]
         if not on:
             return empty_body(body.dim)
-        return hull(on)
-    inside = [i for i, s in enumerate(vals) if s < 0]
-    on = [i for i, s in enumerate(vals) if s == 0]
+        return _hull_rows(D, on, body.dim)
+    inside = [i for i, s in enumerate(vals) if s <= 0]
     outside = [i for i, s in enumerate(vals) if s > 0]
     incidence = body.incidence()
     everything = frozenset(range(len(vals)))
-    crossings: set[Vec] = set()
+    crossings: list[tuple[int, tuple[int, ...]]] = []
     for i in inside:
+        si = vals[i]
+        if si == 0:
+            continue
         at_i = [t for t in incidence if i in t]
         for j in outside:
             # an edge iff the smallest face holding both ends has two vertices
             if len(everything.intersection(*(t for t in at_i if j in t))) != 2:
                 continue
             # z_i / D + lam (z_j - z_i) / D with lam = -s_i / (s_j - s_i)
-            si, sj = vals[i], vals[j]
-            den = D * (sj - si)
-            crossings.add(tuple(Fraction(a * sj - b * si, den) for a, b in zip(Z[i], Z[j])))
-    new_vertices = tuple(sorted(
-        {body.vertices[i] for i in inside}
-        | {body.vertices[i] for i in on}
-        | crossings
-    ))
-    return _synced_body(new_vertices, list(body.halfspaces) + [hs], body.dim)
+            sj = vals[j]
+            num = [a * sj - b * si for a, b in zip(Z[i], Z[j])]
+            g = gcd(sj - si, *num)
+            crossings.append(((sj - si) // g, tuple(c // g for c in num)))
+    L = lcm(*(den for den, _ in crossings))
+    rows = {tuple(L * c for c in Z[i]) for i in inside}
+    rows.update(tuple(L // den * c for c in num) for den, num in crossings)
+    return _synced_body(D * L, sorted(rows), list(body.halfspaces) + [hs], body.dim)
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
@@ -657,9 +695,12 @@ class ConcavePL:
                                         f"on a body in R^{domain.dim}")
         g = ConcavePL(tuple(pieces), domain)
         if require_nonnegative and not domain.is_empty:
-            m = min(g(v) for v in domain.vertices)
+            # D L G(z / D) at the vertex rows z, the minimum over D L
+            D, Z = domain.int_form()
+            m = min(g.scaled_values(Z, D))
             if m < 0:
-                raise GeometryError(f"transform is negative on the domain (min {m})")
+                raise GeometryError(f"transform is negative on the domain "
+                                    f"(min {Fraction(m, D * g.integer_form[0])})")
         return g
 
     def __call__(self, p: Vec) -> Fraction:
@@ -786,9 +827,14 @@ def _linearity_regions(body: ConvexBody, g: ConcavePL) -> list[tuple[AffineFunct
     """(f_i, R_i) for every nonempty region R_i = body ∩ {f_i <= f_j for all j}.
 
     The regions cover the body and G = f_i on R_i; lower-dimensional regions
-    are kept.  A duplicate piece counts once.
+    are kept.  A duplicate piece counts once.  The subdivision is built once
+    per (body, pieces) and cached on the body, so ``max_transform`` and
+    ``integrate_transform`` share it.
     """
     pieces = tuple(dict.fromkeys(g.pieces))
+    key = ("regions", pieces)
+    if key in body._cache:
+        return body._cache[key]
     regions = []
     for f_i in pieces:
         region = body
@@ -803,6 +849,7 @@ def _linearity_regions(body: ConvexBody, g: ConcavePL) -> list[tuple[AffineFunct
                 break
         if not region.is_empty:
             regions.append((f_i, region))
+    body._cache[key] = regions
     return regions
 
 
@@ -983,14 +1030,18 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 def validate_body(body: ConvexBody) -> None:
-    """Check representation sync, and a cached integer vertex form and incidence
-    against the vertices and tight sets; raises GeometryError on violation."""
+    """Check representation sync, and a cached integer vertex form, affine rank
+    and incidence against the vertices and tight sets; raises GeometryError on
+    violation."""
     if body.is_empty:
         return
-    if "int_form" in body._cache and body._cache["int_form"] != _int_form(body.vertices):
+    D, Z = _int_form(body.vertices)
+    if body._cache.get("int_form", (D, Z)) != (D, Z):
         raise GeometryError("cached integer vertex form differs from the vertices")
+    rank = _affine_rank(Z)[0]
+    if body._cache.get("arank", rank) != rank:
+        raise GeometryError("cached affine rank differs from the vertices")
     n = body.dim
-    rank = body.affine_rank()
     for v in body.vertices:
         for h in body.halfspaces:
             if not h.contains(v):

@@ -200,14 +200,20 @@ def _slab_count(lo, hi, levels, prefix) -> int:
             + _envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
 
 
-def enumerate_points(body: ConvexBody, k: int) -> PointCloud:
-    """Exactly body ∩ Z^n/k, in deterministic lexicographic order."""
+def _numerators(body: ConvexBody, k: int) -> list[tuple[int, ...]]:
+    """The integer numerators z of body ∩ Z^n/k, sorted and distinct: the
+    ``_prefixes`` walk over all n axes."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if body.is_empty:
-        return PointCloud(k, ())
+        return []
     lo, hi, levels = _scaled_constraints(body, k)
-    return PointCloud(k, tuple(_prefixes(lo, hi, levels, body.dim)))
+    return _prefixes(lo, hi, levels, body.dim)
+
+
+def enumerate_points(body: ConvexBody, k: int) -> PointCloud:
+    """Exactly body ∩ Z^n/k, in deterministic lexicographic order."""
+    return PointCloud(k, tuple(_numerators(body, k)))
 
 
 def count(body: ConvexBody, k: int) -> int:
@@ -248,9 +254,10 @@ def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
     """(1/k^n) * sum of g over body ∩ Z^n/k; g must be nonnegative there.
 
     Sums the exact integer scores k L g(z/k) of ``ConcavePL.scaled_values``
-    (no sort needed) and divides once by L k^(n+1).
+    over the numerators of the lattice walk (no ``PointCloud``, no sort) and
+    divides once by L k^(n+1).
     """
-    points = enumerate_points(body, k).points
+    points = _numerators(body, k)
     total = 0
     for z, score in zip(points, g.scaled_values(points, k)):
         if score < 0:

@@ -12,13 +12,21 @@ models did before each backend stated only its gap sets, and
 bounding box by Fraction ``min``/``max`` over its vertices on every call and
 test candidate points with Fraction ``contains``: the per-call paths that the
 library's per-body integer ``lattice._scaled_constraints`` and
-``estimates.sub_body_sampler`` must match exactly.
+``estimates.sub_body_sampler`` must match exactly.  ``oracle_hull_front`` and
+``oracle_intersect_halfspace`` are the Fraction constructors the library's
+integer-row ``hull`` and ``intersect_halfspace`` replaced: they coerce,
+de-duplicate and sort Fraction tuples, hash Fraction crossing points, and
+re-derive each body's integer form from its Fraction vertices.  Both call the
+library's one beneath-beyond core for a full-dimensional hull.
 """
 
 import random
 from fractions import Fraction
+from operator import mul
 
-from okbodies.geometry import GeometryError, _primitive, hull, rat, volume
+from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
+                               _affine_equalities, _affine_rank, _hull_full, _int_form,
+                               _maximal, _primitive, _tight_set, empty_body, hull, rat, volume)
 from okbodies.lattice import enumerate_points
 from okbodies.series import ModelError
 
@@ -193,3 +201,96 @@ def oracle_sub_body_sampler(K, min_volume, seed: int, points: int = 6, denom: in
         return out
 
     return sample
+
+
+def _oracle_primed(n, vertices, tight):
+    """The body on sorted, distinct vertices and the halfspaces of ``tight``,
+    with its incidence cached from ``tight``."""
+    body = ConvexBody(n, vertices, tight)
+    body._cache["incidence"] = tuple(tight[h] for h in body.halfspaces)
+    return body
+
+
+def _oracle_full(pts, n):
+    """The library's beneath-beyond core on sorted, distinct Fraction points."""
+    return _hull_full(*_int_form(pts), n)
+
+
+def oracle_hull_front(points):
+    """Convex hull of rational points: Fraction coercion, a set of Fraction
+    tuples, and the flat case projected and lifted as Fraction tuples."""
+    if not points:
+        raise GeometryError("hull of an empty point set")
+    pts = [tuple(rat(c) for c in p) for p in points]
+    n = len(pts[0])
+    if n == 0:
+        raise GeometryError("hull of zero-dimensional points")
+    for p in pts:
+        if len(p) != n:
+            raise DimensionMismatch("points of mixed dimension")
+    pts = sorted(set(pts))
+    D, Z = _int_form(pts)
+    rank, pivots = _affine_rank(Z)
+    if rank == n:
+        return _oracle_full(pts, n)
+    equalities = _affine_equalities(D, Z, n)
+    if not pivots:
+        return _oracle_primed(n, pts[:1], dict.fromkeys(equalities, frozenset({0})))
+    back = {tuple(p[j] for j in pivots): p for p in pts}
+    inner = _oracle_full(sorted(back), len(pivots))
+    vertices = sorted(back[q] for q in inner.vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    tight = dict.fromkeys(equalities, frozenset(range(len(vertices))))
+    for h, t in zip(inner.halfspaces, inner.incidence()):
+        normal = [0] * n
+        for coeff, j in zip(h.normal, pivots):
+            normal[j] = coeff
+        tight[HalfSpace.make(normal, h.offset)] = frozenset(
+            index[back[inner.vertices[i]]] for i in t)
+    return _oracle_primed(n, vertices, tight)
+
+
+def _oracle_synced_body(vertices, candidates, n):
+    """The body on sorted, distinct Fraction vertices with the facet-inducing
+    candidates and the affine-hull equalities, its integer form re-derived."""
+    D, Z = _int_form(vertices)
+    rank = _affine_rank(Z)[0]
+    tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
+    facets = _maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
+    synced = {h: t for h, t in tight.items() if t in facets}
+    if rank < n:
+        synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(vertices)))))
+    return _oracle_primed(n, vertices, synced)
+
+
+def oracle_intersect_halfspace(body, hs):
+    """body ∩ hs with Fraction crossing points, hashed as Fraction tuples."""
+    if len(hs.normal) != body.dim:
+        raise DimensionMismatch("halfspace dimension differs from body dimension")
+    if body.is_empty:
+        return body
+    D, Z = body.int_form()
+    q, target = hs.offset.denominator, D * hs.offset.numerator
+    vals = [q * sum(map(mul, hs.normal, z)) - target for z in Z]
+    if all(s <= 0 for s in vals):
+        return body
+    if all(s >= 0 for s in vals):
+        on = [v for v, s in zip(body.vertices, vals) if s == 0]
+        return oracle_hull_front(on) if on else empty_body(body.dim)
+    inside = [i for i, s in enumerate(vals) if s < 0]
+    on = [i for i, s in enumerate(vals) if s == 0]
+    outside = [i for i, s in enumerate(vals) if s > 0]
+    incidence = body.incidence()
+    everything = frozenset(range(len(vals)))
+    crossings = set()
+    for i in inside:
+        at_i = [t for t in incidence if i in t]
+        for j in outside:
+            if len(everything.intersection(*(t for t in at_i if j in t))) != 2:
+                continue
+            si, sj = vals[i], vals[j]
+            den = D * (sj - si)
+            crossings.add(tuple(Fraction(a * sj - b * si, den) for a, b in zip(Z[i], Z[j])))
+    new_vertices = tuple(sorted(
+        {body.vertices[i] for i in inside} | {body.vertices[i] for i in on} | crossings))
+    return _oracle_synced_body(new_vertices, list(body.halfspaces) + [hs], body.dim)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from okbodies.cli import main
-from okbodies.geometry import hull, validate_body
+from okbodies.geometry import HalfSpace, hull, intersect_halfspace, rat, rat_str, validate_body
 
 SIMPLEX_JSON = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 SEGMENT_MODEL = {"backend": "toric", "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}
@@ -425,3 +425,98 @@ def test_body_count_above_slab_limit_exits2_before_counting(tmp_path, capsys, mo
     assert main(["body", "--in", write(tmp_path, "simplex.json", SIMPLEX_JSON),
                  "--k", str(10**12)]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == (10**12 + 1) * (10**12 + 2) // 2
+
+
+def body_text(body) -> str:
+    """Every vertex, every halfspace and its tight vertex indices, one per line."""
+    lines = [",".join(rat_str(c) for c in v) for v in body.vertices]
+    for h, t in zip(body.halfspaces, body.incidence()):
+        lines.append(f"{h.normal} <= {rat_str(h.offset)} at {sorted(t)}")
+    return "\n".join(lines) + "\n"
+
+
+def clip_chain(body, seed):
+    """Three seeded cuts of a body: the first through a vertex, the others
+    between two vertices' values."""
+    rng = random.Random(seed)
+    chain = []
+    for i in range(3):
+        normal = [rng.randrange(-3, 4) for _ in range(body.dim)]
+        normal[rng.randrange(body.dim)] = rng.choice((-1, 1)) * rng.randrange(1, 4)
+        values = [sum(c * x for c, x in zip(normal, v)) for v in body.vertices]
+        offset = rng.choice(values) if i == 0 else (rng.choice(values) + rng.choice(values)) / 2
+        body = intersect_halfspace(body, HalfSpace.make(normal, offset))
+        chain.append(body)
+    return chain
+
+
+# SHA-256 of ``okbodies body`` on a seeded rational cloud and on the last body
+# of a seeded clip chain of its hull, and of ``body_text`` of the hull and of
+# every clipped body, recorded before the hull and the clip took integer rows.
+BODY_GOLDEN = {
+    (3, 24, 5): {
+        "shapes": "7190e4dfceda785a7d6f370fc06ac8a861b6d3618e611e7581f8ef908b82077e",
+        "cloud": "ebb2663a42a0d2b20c39f7d40ba58720135e6b4ae92f84c0840e2eceae06a344",
+        "clipped": "d8b3fea721dc9f9c0a3631a27904419c94463283b525a0f26dad205de42b4306"},
+    (4, 16, 6): {
+        "shapes": "e6694b5f79187efa2b2dbacdd9cb720d14e75868b11a9b1aad5b13fa09a006ba",
+        "cloud": "6015225ccda63acaa63721e06918aaf749f05d0b0190db30ce6775d88063a5b0",
+        "clipped": "16e008cefd167cf24644c20fc031df49ea2fdb05572c507ccd3e8bbbe29781d0"},
+}
+
+
+def body_digests(tmp_path, capsys, n, size, seed) -> dict[str, str]:
+    rng = random.Random(seed)
+    pts = [[f"{rng.randrange(0, 61)}/{rng.choice((12, 20, 30))}" for _ in range(n)]
+           for _ in range(size)]
+    body = hull(pts)
+    chain = clip_chain(body, seed)
+    got = {"shapes": sha256_text("".join(body_text(b) for b in [body, *chain]))}
+    for name, vertices in (("cloud", pts), ("clipped", chain[-1].vertices)):
+        infile = write(tmp_path, f"{name}.json",
+                       {"dim": n, "vertices": [[rat_str(rat(c)) for c in v] for v in vertices]})
+        assert main(["body", "--in", infile]) == 0
+        got[name] = sha256_text(capsys.readouterr().out)
+    return got
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape", sorted(BODY_GOLDEN))
+def test_body_and_clip_golden_digests(tmp_path, capsys, shape):
+    assert body_digests(tmp_path, capsys, *shape) == BODY_GOLDEN[shape]
+
+
+CUBE3_MODEL = {"backend": "toric", "polytope": {
+    "dim": 3, "vertices": [[str((i >> b) & 1) for b in range(3)] for i in range(8)]}}
+
+
+def test_series_above_point_limit_exits2_before_enumerating(tmp_path, capsys, monkeypatch):
+    import okbodies.cli as cli
+    import okbodies.series as series
+
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    infile = write(tmp_path, "cube3.json", CUBE3_MODEL)
+    assert cli.MAX_ENUM_POINTS == 10**6
+    # the unit cube has (k + 1)^3 points at level k: 980,099 up to 43, 1,071,224 up to 44
+    assert sum((k + 1) ** 3 for k in range(1, 44)) <= cli.MAX_ENUM_POINTS
+    assert sum((k + 1) ** 3 for k in range(1, 45)) > cli.MAX_ENUM_POINTS
+    monkeypatch.setattr(series, "enumerate_points", no_enumeration)
+    assert main(["series", "--in", infile, "--k-max", "44"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --k-max 44 lists more than 1000000 points")
+    assert "Traceback" not in err
+    # the slab guard answers before any count: 1,005,719 slabs of the 4-D cube up to 143
+    monkeypatch.setattr(cli, "count", no_enumeration)
+    cube4 = write(tmp_path, "cube4.json", {"backend": "toric", "polytope": CUBE4_JSON})
+    assert main(["series", "--in", cube4, "--k-max", "143"]) == 2
+    assert "slab counts" in capsys.readouterr().err
+    monkeypatch.undo()
+    out = tmp_path / "series.csv"
+    assert main(["series", "--in", infile, "--k-max", "43", "--out", str(out)]) == 0
+    rows = out.read_text().splitlines()
+    assert len(rows) == 44 and rows[-1].startswith(f"43,{44 ** 3},{44 ** 3},0,")

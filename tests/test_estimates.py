@@ -2,12 +2,15 @@
 acceptance suite)."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from okbodies.geometry import hull, volume
-from okbodies.lattice import count
+import okbodies.geometry as geometry
+from okbodies.geometry import (AffineFunctional, ConcavePL, GeometryError, hull,
+                               integrate_transform, max_transform, validate_body, volume)
+from okbodies.lattice import count, discrepancy
 from okbodies.series import CanonicalCurveModel, ToricModel, top_column_gap_model
 from okbodies.thresholds import ValuationModel
 from okbodies.estimates import (
@@ -15,6 +18,7 @@ from okbodies.estimates import (
     SweepReport,
     make_m_rule,
     rate_fit,
+    concave_sampler,
     sub_body_sampler,
     verify_concave_sum_bound,
     verify_cone_counts,
@@ -79,6 +83,8 @@ def test_sub_body_sampler_matches_fraction_oracle(K, min_volume, seed):
     got = sub_body_sampler(K, min_volume, seed)(4)
     want = oracle_sub_body_sampler(K, min_volume, seed)(4)
     assert [(P.vertices, P.halfspaces) for P in got] == [(P.vertices, P.halfspaces) for P in want]
+    for P in got:
+        validate_body(P)  # the seeded integer form and rank included
 
 
 @pytest.mark.parametrize("K", [UNIT_SQUARE, SLANTED])
@@ -115,6 +121,22 @@ def test_verify_uniform_ehrhart_fixed_square():
     assert rep.passed
     for row in rep.rows:
         assert row["normalized"] == F(2 * row["k"] + 1, row["k"])
+
+
+UNIT_CUBE = hull(list(itertools.product((0, 1), repeat=3)))
+
+
+@pytest.mark.parametrize("K, nu", [(UNIT_SQUARE, F(1, 10)), (UNIT_CUBE, F(1, 50))])
+def test_verify_uniform_ehrhart_rows_match_fraction_discrepancies(K, nu):
+    """The integer cross-multiplied maximum is max |discrepancy(P, k)| over the
+    sampled bodies, recomputed in Fractions."""
+    rep = verify_uniform_ehrhart(K, nu, range(1, 9), n_bodies=12, seed=4)
+    bodies = sub_body_sampler(K, nu, 4)(12)
+    want = []
+    for k in range(1, 9):
+        w = max(abs(discrepancy(P, k)) for P in bodies)
+        want.append({"k": k, "max_abs_discrepancy": w, "normalized": w / F(k) ** (K.dim - 1)})
+    assert rep.rows == want
 
 
 def test_verify_lower_bound_square_and_simplex():
@@ -156,6 +178,37 @@ def test_verify_concave_computes_max_and_integral_once_per_pair(tmp_path, monkey
     for name in ("max_transform", "integrate_transform"):
         assert sum(c for (f, *_), c in calls.items() if f == name) == 50
     assert set(calls.values()) == {1}
+
+
+def test_max_then_integrate_transform_clip_once(monkeypatch):
+    """max_transform and integrate_transform on one (P, G) share one cached
+    linearity subdivision: the second clips nothing."""
+    P = sub_body_sampler(UNIT_SQUARE, F(1, 10), 3)(1)[0]
+    g = concave_sampler(P, random.Random(5))
+    g = ConcavePL.make(g.pieces + (AffineFunctional.make((F(-1, 2), 1), 1),), P)
+    calls = []
+    real = geometry.intersect_halfspace
+    monkeypatch.setattr(geometry, "intersect_halfspace",
+                        lambda *a: calls.append(a) or real(*a))
+    sup_g = max_transform(P, g)
+    clips = len(calls)
+    assert clips > 0
+    integral = integrate_transform(P, g)
+    assert len(calls) == clips
+    monkeypatch.undo()
+    assert sup_g == max(g(v) for _, R in geometry._linearity_regions(P, g) for v in R.vertices)
+    assert integral > 0
+
+
+def test_concave_pl_make_reports_the_exact_negative_minimum():
+    P = hull([(0, 0), (F(3, 2), 0), (F(1, 3), F(5, 7))])
+    pieces = [AffineFunctional.make((1, F(-2, 3)), F(1, 5)),
+              AffineFunctional.make((F(-1, 4), 1), F(1, 11))]
+    m = min(min(f(v) for f in pieces) for v in P.vertices)
+    assert m == F(-1, 4) * F(3, 2) + F(1, 11) < 0
+    with pytest.raises(GeometryError, match=rf"negative on the domain \(min {m}\)$"):
+        ConcavePL.make(pieces, P)
+    assert ConcavePL.make(pieces, P, require_nonnegative=False).pieces == tuple(pieces)
 
 
 def test_concave_sum_segment_identity():

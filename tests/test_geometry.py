@@ -41,7 +41,8 @@ from okbodies.geometry import (
 )
 from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
-from oracles import oracle_nullspace, oracle_row_reduce, oracle_simplex_max
+from oracles import (oracle_hull_front, oracle_intersect_halfspace, oracle_nullspace,
+                     oracle_row_reduce, oracle_simplex_max)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -253,10 +254,16 @@ def oracle_hull(pts, n):
     return ConvexBody(n, vertices, halfspaces)
 
 
+def oracle_hull_rows(D, Z, n):
+    """oracle_hull on the points of integer rows Z over D, with the signature
+    of ``geometry._hull_full``."""
+    return oracle_hull([tuple(F(c, D) for c in z) for z in Z], n)
+
+
 def oracle_hull_of(points):
     """hull(points) with every full-dimensional hull, the inner hull of a flat
     cloud included, built by oracle_hull."""
-    with mock.patch.object(geometry, "_hull_full", oracle_hull):
+    with mock.patch.object(geometry, "_hull_full", oracle_hull_rows):
         return hull(points)
 
 
@@ -775,7 +782,7 @@ def oracle_triangulate(vertices, halfspaces, n):
             drop = next(i for i, c in enumerate(h.normal) if c != 0)
             keep = [i for i in range(n) if i != drop]
             back = {tuple(v[i] for i in keep): v for v in tight}
-            inner = geometry._hull_full(sorted(back), n - 1)
+            inner = geometry._hull_full(*geometry._int_form(sorted(back)), n - 1)
             facet_simplices = [tuple(back[q] for q in s)
                                for s in oracle_triangulate(inner.vertices, inner.halfspaces, n - 1)]
         simplices.extend((apex,) + s for s in facet_simplices)
@@ -923,6 +930,75 @@ def test_clip_seeds_int_form_and_validate_body_checks_it():
     clipped._cache["int_form"] = (4, tuple(tuple(int(4 * c) for c in v) for v in clipped.vertices))
     with pytest.raises(GeometryError, match="integer vertex form"):
         validate_body(clipped)
+
+
+def test_validate_body_rejects_a_wrong_cached_affine_rank():
+    for body in (hull(list(itertools.product((0, 1), repeat=3))),
+                 hull([(0, 0, 0), (1, 2, 3), (F(1, 2), 1, F(3, 2))])):
+        assert body._cache["arank"] == geometry._affine_rank(geometry._int_form(body.vertices)[1])[0]
+        validate_body(body)
+        for wrong in (body._cache["arank"] - 1, body._cache["arank"] + 1):
+            body._cache["arank"] = wrong
+            with pytest.raises(GeometryError, match="affine rank"):
+                validate_body(body)
+
+
+def representation(body):
+    return body.dim, body.vertices, body.halfspaces, body.incidence()
+
+
+def differential_cloud(rng, n):
+    """A rational cloud in R^n, full-dimensional or (one in four) flat, with
+    repeated points and a mix of denominators."""
+    dims = n if rng.randrange(4) else rng.randrange(n)
+    dirs = [tuple(rng.randrange(-2, 3) for _ in range(n)) for _ in range(dims)]
+    base = tuple(F(rng.randrange(-6, 7), rng.choice((1, 2, 3, 6))) for _ in range(n))
+    pts = []
+    for _ in range(rng.randrange(2, {1: 6, 2: 12, 3: 14, 4: 12}[n])):
+        coeffs = [F(rng.randrange(-6, 7), rng.choice((1, 2, 4, 5))) for _ in dirs]
+        pts.append(tuple(b + sum(c * d[i] for c, d in zip(coeffs, dirs))
+                         for i, b in enumerate(base)))
+    return pts + pts[:rng.randrange(3)]
+
+
+def differential_cut(rng, body):
+    """A cut of one kind: through a vertex, between two vertices, leaving only
+    the face where the body's minimum is attained, or leaving nothing."""
+    n = body.dim
+    normal = [rng.randrange(-3, 4) for _ in range(n)]
+    normal[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randrange(1, 4)
+    values = sorted(_dot(normal, v) for v in body.vertices)
+    kind = rng.choice(("vertex", "between", "between", "face", "nothing"))
+    offset = {"vertex": rng.choice(values),
+              "between": (rng.choice(values[:-1] or values) + rng.choice(values)) / 2,
+              "face": values[0],
+              "nothing": values[0] - F(1, rng.randrange(1, 5))}[kind]
+    return HalfSpace.make(normal, offset)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_integer_hull_and_clip_match_fraction_oracles(n):
+    """The integer-row hull and clip against the parent's Fraction constructors
+    on seeded clouds (flat ones included) and 3-cut chains: the same vertices,
+    halfspaces and incidence, every output's integer form, affine rank and
+    incidence seeded, and validate_body passes on every output."""
+    seeded = {"int_form", "arank", "incidence"}
+    rng = random.Random(1000 + n)
+    for _ in range(40):
+        pts = differential_cloud(rng, n)
+        body = hull(pts)
+        assert seeded <= body._cache.keys()
+        assert representation(body) == representation(oracle_hull_front(pts))
+        validate_body(body)
+        for _ in range(3):
+            if body.is_empty:
+                break
+            hs = differential_cut(rng, body)
+            clipped = intersect_halfspace(body, hs)
+            assert clipped.is_empty or seeded <= clipped._cache.keys()
+            assert representation(clipped) == representation(oracle_intersect_halfspace(body, hs))
+            validate_body(clipped)
+            body = clipped
 
 
 def off_denominator_cut(w, body):
