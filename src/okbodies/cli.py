@@ -61,9 +61,10 @@ EXIT_VERIFY = 3
 # allowed there takes about 10 s (k = 10^4 would take about 17 min).
 MAX_COUNT_SLABS = 10**6
 
-# Most points ``series`` may enumerate and print, summed over its levels.  The
-# 3-D unit cube allows --k-max 43 (980,099 points); --k-max 40 lists about
-# 0.74 M points in about 3 s on a 2-vCPU host.
+# Most ambient points ``series`` may enumerate and print, or ``thresholds``
+# may score, summed over their levels.  The 3-D unit cube allows ``series
+# --k-max 43`` (980,099 points; --k-max 40 lists about 0.74 M points in about
+# 3 s on a 2-vCPU host), and P^2 allows ``thresholds --k-max 86`` (987,710).
 MAX_ENUM_POINTS = 10**6
 
 SUITES = ("ehrhart", "lowerbound", "concave", "cones", "maxp1",
@@ -203,28 +204,29 @@ def cmd_body(args) -> int:
 # series
 # ---------------------------------------------------------------------------
 
-def _check_series_size(model, k_max: int) -> None:
-    """Raise InputError, before any point is enumerated, when the levels up to
-    k_max hold more than MAX_ENUM_POINTS ambient points in all, or when
-    counting them would sum more than MAX_COUNT_SLABS 2-D slabs."""
+def _check_series_size(model, ks: range, what: str) -> None:
+    """Raise InputError, before any point is enumerated, when the levels in ks
+    (``what`` names them: the flag or spec they come from) hold more than
+    MAX_ENUM_POINTS ambient points in all, or when counting them would sum
+    more than MAX_COUNT_SLABS 2-D slabs."""
     slabs = 0
-    for k in filter(model.has_level, range(1, k_max + 1)):
+    for k in filter(model.has_level, ks):
         slabs += slab_bound(model.ambient, k)
         if slabs > MAX_COUNT_SLABS:
-            raise InputError(f"--k-max {k_max} needs more than {MAX_COUNT_SLABS} "
+            raise InputError(f"{what} needs more than {MAX_COUNT_SLABS} "
                              f"slab counts to size")
     points = 0
-    for k in filter(model.has_level, range(1, k_max + 1)):
+    for k in filter(model.has_level, ks):
         points += count(model.ambient, k)
         if points > MAX_ENUM_POINTS:
-            raise InputError(f"--k-max {k_max} lists more than {MAX_ENUM_POINTS} points "
+            raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
                              f"(the limit is passed at level {k})")
 
 
 def cmd_series(args) -> int:
     model = _load_model(args.infile)
     k_max = args.k_max
-    _check_series_size(model, k_max)
+    _check_series_size(model, range(1, k_max + 1), f"--k-max {k_max}")
     header = ["k", "d_k", "D_k", "diff", "delta_k_points", "gap_points"]
     rows = []
     for row in model.gap_table(k_max):
@@ -257,6 +259,9 @@ def cmd_thresholds(args) -> int:
             k_iter = range(args.k_min, args.k_max + 1)
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
+    # each level scores its D_k ambient points once
+    _check_series_size(model, k_iter, f"the sweep k_range [{k_iter.start}, {k_iter.stop - 1}]"
+                       if args.sweep else f"--k-max {args.k_max}")
     header = ["k", "m_k", "label", "j_head", "S_km", "Sbar_km",
               "quantum_quantile", "S_tau", "delta_km", "delta_argmin"]
     rows = []
@@ -347,7 +352,14 @@ def _suite_reports(suite: str, k_max: int, seed: int):
     elif suite == "weierstrass":
         yield estimates.verify_weierstrass(k_max=max(k_max, 10), genus_max=6)
     elif suite == "all":
-        for name in SUITES[:-1]:
+        # ehrhart, lowerbound and concave sample the unit square at floor 1/10
+        # with this seed; holding that sampler while they run makes one draw
+        # serve all three, and dropping it after them frees its bodies
+        shared = estimates.sub_body_sampler(square, Fraction(1, 10), seed)
+        for name in SUITES[:3]:
+            yield from _suite_reports(name, k_max, seed)
+        del shared
+        for name in SUITES[3:-1]:
             yield from _suite_reports(name, k_max, seed)
     else:
         raise InputError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")

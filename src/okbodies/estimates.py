@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -211,6 +212,10 @@ def rate_fit(samples: Sequence[tuple[int, Fraction]], limit) -> RateFit:
 # seeded samplers
 # ---------------------------------------------------------------------------
 
+# the samplers some caller still holds, by their arguments
+_SAMPLERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
 def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
                      points: int = 6, denom: int = 32) -> Callable[[int], list[ConvexBody]]:
     """Deterministic sampler of convex sub-bodies P of K with |P| >= min_volume.
@@ -221,8 +226,22 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
     halfspaces in ints.  The accepted rows go to the integer hull
     (``geometry._hull_rows``) as they are, so only the vertices of each
     sampled body become Fractions.
+
+    ``sample(n)`` returns the first n bodies of one fixed sequence, and a
+    sampler keeps the bodies it has drawn.  While a caller holds the sampler
+    of (K, min_volume, seed, points, denom), every call with those arguments
+    returns it, so the suites it serves draw each body once; an unheld
+    sampler is freed with its bodies.
     """
-    min_volume = rat(min_volume)
+    key = (K, rat(min_volume), seed, points, denom)
+    sample = _SAMPLERS.get(key)
+    if sample is None:
+        sample = _SAMPLERS[key] = _sampler(*key)
+    return sample
+
+
+def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
+             points: int, denom: int) -> Callable[[int], list[ConvexBody]]:
     if min_volume >= volume(K):
         # the volume floor forces P = K (up to measure zero)
         return lambda count_bodies: [K] * count_bodies
@@ -232,15 +251,21 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
     # a.x <= p/q at x = num/den  <=>  q (a.num) <= p den
     constraints = [(h.normal, h.offset.denominator, h.offset.numerator * den)
                    for h in K.halfspaces]
+    rng = random.Random(seed)
+    drawn: list[ConvexBody] = []
+    tries = 0
 
     def sample(count_bodies: int) -> list[ConvexBody]:
-        rng = random.Random(seed)
-        out = []
-        guard = 0
-        while len(out) < count_bodies:
-            guard += 1
-            if guard > 200 * count_bodies:
+        nonlocal tries
+        # A try makes the same rng calls whatever count_bodies is, so the
+        # bodies come in one order and each call returns a prefix of it.
+        # count_bodies only sets the guard (200 tries per body asked for):
+        # a prefix served from a larger draw is exactly what a draw of its
+        # own size returns, unless that draw would have raised.
+        while len(drawn) < count_bodies:
+            if tries >= 200 * count_bodies:
                 raise RuntimeError("sampler failed to reach the volume floor")
+            tries += 1
             rows = []
             while len(rows) < points:
                 num = tuple(lo * denom + rng.randrange(0, denom + 1) * (hi - lo) for lo, hi in box)
@@ -248,8 +273,8 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
                     rows.append(num)
             body = _hull_rows(den, sorted(set(rows)), K.dim)
             if body.is_full_dim() and volume(body) >= min_volume:
-                out.append(body)
-        return out
+                drawn.append(body)
+        return drawn[:count_bodies]
 
     return sample
 

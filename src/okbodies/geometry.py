@@ -714,11 +714,22 @@ class ConcavePL:
         return L, tuple((tuple(int(c * L) for c in f.gradient), int(f.constant * L))
                         for f in self.pieces)
 
-    def scaled_values(self, points: Iterable[Sequence[int]], k: int) -> list[int]:
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of (pieces, domain), computed once: level slots and
+        ``_ccdf_data`` look G up by it on every query."""
+        return hash((self.pieces, self.domain))
+
+    def scaled_values(self, points: Sequence[Sequence[int]], k: int) -> list[int]:
         """k L G(z/k) = min_i(L grad_i . z + k L c_i) for each integer numerator
-        vector z, as exact ints (L from integer_form)."""
-        rows = [(grad, k * c) for grad, c in self.integer_form[1]]
-        return [min(sum(map(mul, grad, z)) + kc for grad, kc in rows) for z in points]
+        vector z, as exact ints (L from integer_form): one column per piece,
+        then their element-wise min."""
+        cols = [[sum(map(mul, grad, z)) + k * c for z in points]
+                for grad, c in self.integer_form[1]]
+        return cols[0] if len(cols) == 1 else list(map(min, *cols))
 
 
 def first_coordinate_transform(domain: ConvexBody) -> ConcavePL:

@@ -14,11 +14,14 @@ infima over all valuations, and are reported as such.
 
 Every level-k query (jumping numbers, S_{k,m}, Sbar_{k,m}, quantum quantiles
 and vanishing orders, mu_k, compatible families, restricted delta_{k,m}) reads
-one integer score-and-sort of the level: with L the lcm of the denominators
-of G, each point z/k scores k L G(z/k) = min_i(L grad_i . z + k L c_i), an
-exact int, and the scores are sorted once per (model, G, k) and kept by the
-model with the rest of its current level only. Results are the same Fractions
-as scoring G(z/k) directly.
+one integer score table of the level.  With L the lcm of the denominators of
+G, each point z/k of the idealized level ambient ∩ Z^n/k scores
+k L G(z/k) = min_i(L grad_i . z + k L c_i), an exact int; that level is
+scored and sorted once per (model, G, k).  Delta_k's table is the same table
+minus the level's gaps, read off it in one order-preserving pass (on a level
+without gaps it is the same table).  The model keeps both with the rest of
+its current level only.  Results are the same Fractions as scoring G(z/k)
+directly.
 
 Everything here is a pure query over immutable models and valuations (the
 level slot never changes a result). Because a model keeps one level, a sweep
@@ -86,7 +89,8 @@ class JumpingVector:
     values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if any(a < b for a, b in zip(self.values, self.values[1:])):
+        # tied neighbours share one Fraction, which needs no comparison
+        if any(a is not b and a < b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("jumping values must be non-increasing")
 
     def __len__(self):
@@ -144,28 +148,44 @@ class FamilyMeasure:
 _LevelScores = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int, ideal: bool) -> _LevelScores:
-    """(L, scores, points, prefix) of Delta_k (or of ambient ∩ Z^n/k if ideal):
+def _table(L: int, pairs: Sequence[tuple[int, tuple[int, ...]]]) -> _LevelScores:
+    """(L, scores, points, prefix) of (score, point) pairs in table order."""
+    scores = tuple(s for s, _ in pairs)
+    return L, scores, tuple(z for _, z in pairs), tuple(accumulate(scores, initial=0))
+
+
+def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int) -> _LevelScores:
+    """(L, scores, points, prefix) of the idealized level ambient ∩ Z^n/k:
     scores[i] = k L G(points[i]/k) in descending order, ties lexicographically
     larger point first (the deterministic tie-break used everywhere), and
     prefix[m] = scores[0] + ... + scores[m-1]."""
-    cloud = model.idealized_body(k) if ideal else model.discrete_body(k)
-    pairs = sorted(zip(g.scaled_values(cloud.points, k), cloud.points), reverse=True)
-    scores = tuple(s for s, _ in pairs)
-    return (g.integer_form[0], scores, tuple(z for _, z in pairs),
-            tuple(accumulate(scores, initial=0)))
+    points = model.idealized_body(k).points
+    return _table(g.integer_form[0],
+                  sorted(zip(g.scaled_values(points, k), points), reverse=True))
 
 
 def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
                   ideal: bool = False) -> _LevelScores:
-    """_score_level, kept by the model with the rest of level k."""
-    return model._at_level(k, (g, ideal), lambda: _score_level(model, g, k, ideal))
+    """The score table of ambient ∩ Z^n/k if ideal, else of Delta_k, kept by
+    the model with the rest of level k.  The idealized level is scored once
+    (``_score_level``); Delta_k's table is that table minus the gaps, which
+    keeps the order, so only the prefix sums are summed again."""
+    if not ideal:
+        model._check_level(k)
+    table = model._at_level(k, (g, True), lambda: _score_level(model, g, k))
+    if ideal or not (gaps := model._level_gaps(k)):
+        return table
+    L, scores, points, _ = table
+    return model._at_level(k, (g, False), lambda: _table(
+        L, [(s, z) for s, z in zip(scores, points) if z not in gaps]))
 
 
 def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
                     ideal: bool) -> JumpingVector:
     L, scores, _, _ = _level_scores(model, v.G, k, ideal)
-    return JumpingVector(k, tuple(Fraction(s, L) for s in scores))
+    # one Fraction per distinct score, shared by the points that tie on it
+    value = {s: Fraction(s, L) for s in set(scores)}
+    return JumpingVector(k, tuple(map(value.__getitem__, scores)))
 
 
 def jumping_numbers(model: GradedSeriesModel, v: ValuationModel, k: int) -> JumpingVector:

@@ -18,10 +18,17 @@ integer-row ``hull`` and ``intersect_halfspace`` replaced: they coerce,
 de-duplicate and sort Fraction tuples, hash Fraction crossing points, and
 re-derive each body's integer form from its Fraction vertices.  Both call the
 library's one beneath-beyond core for a full-dimensional hull.
+``oracle_score_level`` scores and sorts Delta_k (``discrete_body``) or the
+idealized level directly, each with the per-point ``oracle_scaled_values``,
+and ``oracle_jumping_values`` builds one Fraction per point and compares
+every neighbour: the paths that the library's single idealized score table,
+the gap-filtered Delta_k table read off it, column-wise scoring and the
+shared-Fraction ``JumpingVector`` must match exactly.
 """
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 from operator import mul
 
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
@@ -294,3 +301,29 @@ def oracle_intersect_halfspace(body, hs):
     new_vertices = tuple(sorted(
         {body.vertices[i] for i in inside} | {body.vertices[i] for i in on} | crossings))
     return _oracle_synced_body(new_vertices, list(body.halfspaces) + [hs], body.dim)
+
+
+def oracle_scaled_values(g, points, k: int) -> list[int]:
+    """k L G(z/k) = min_i(L grad_i . z + k L c_i), point by point."""
+    rows = [(grad, k * c) for grad, c in g.integer_form[1]]
+    return [min(sum(map(mul, grad, z)) + kc for grad, kc in rows) for z in points]
+
+
+def oracle_score_level(model, g, k: int, ideal: bool):
+    """(L, scores, points, prefix) of Delta_k, or of ambient ∩ Z^n/k if ideal,
+    each scored and sorted on its own (descending, lex-larger point first)."""
+    cloud = model.idealized_body(k) if ideal else model.discrete_body(k)
+    pairs = sorted(zip(oracle_scaled_values(g, cloud.points, k), cloud.points), reverse=True)
+    scores = tuple(s for s, _ in pairs)
+    return (g.integer_form[0], scores, tuple(z for _, z in pairs),
+            tuple(accumulate(scores, initial=0)))
+
+
+def oracle_jumping_values(table) -> tuple[Fraction, ...]:
+    """The jumping values j/k of a score table, one Fraction per point, checked
+    non-increasing neighbour by neighbour."""
+    L, scores, _, _ = table
+    values = tuple(Fraction(s, L) for s in scores)
+    if any(a < b for a, b in zip(values, values[1:])):
+        raise ValueError("jumping values must be non-increasing")
+    return values

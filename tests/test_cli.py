@@ -146,6 +146,34 @@ def test_verify_all_k40_golden_digests(tmp_path, capsys):
     assert verify_all_digests(tmp_path, capsys, 40) == golden
 
 
+def test_verify_all_draws_each_sub_body_once(tmp_path, capsys, monkeypatch):
+    """``ehrhart``, ``lowerbound`` and ``concave`` sample the unit square at
+    floor 1/10 and one seed: ``verify all`` makes one draw of it, with the
+    tries of ``ehrhart`` alone, and the other two read its first 10 and 50."""
+    from okbodies import estimates
+
+    tries = []
+    hull_rows = estimates._hull_rows
+    monkeypatch.setattr(estimates, "_hull_rows", lambda *a: tries.append(a) or hull_rows(*a))
+    samplers = []
+    sampler = estimates._sampler
+    monkeypatch.setattr(estimates, "_sampler", lambda *a: samplers.append(a) or sampler(*a))
+    held_at_cones = []
+    cone_counts = estimates.verify_cone_counts
+    monkeypatch.setattr(estimates, "verify_cone_counts", lambda *a, **kw: (
+        held_at_cones.append(len(estimates._SAMPLERS)) or cone_counts(*a, **kw)))
+    assert main(["verify", "ehrhart", "--k-max", "4", "--seed", "3"]) == 0
+    alone = len(tries)
+    tries.clear()
+    samplers.clear()
+    assert main(["verify", "all", "--k-max", "4", "--seed", "3", "--out", str(tmp_path)]) == 0
+    assert len(samplers) == 1
+    assert len(tries) == alone
+    # the sampler and its bodies are let go before the suites after concave
+    assert held_at_cones == [0, 0]
+    capsys.readouterr()
+
+
 P2_MODEL = {"backend": "toric", "polytope": {"dim": 2, "vertices": [["0", "0"], ["3", "0"],
                                                                    ["0", "3"]]}}
 P2_FAMILY = [{"label": label, "A": "1", "G": {"pieces": [{"grad": grad, "const": const}]}}
@@ -161,6 +189,52 @@ def test_thresholds_p2_golden_digest(tmp_path):
                  "--valuations", write(tmp_path, "family.json", P2_FAMILY), "--tau", "1/2",
                  "--m-rule", "ceil_tau", "--k-max", "12", "--out", str(out)]) == 0
     assert sha256_of(out) == "8ecea78fb52e32b2ad30767ed37a72334009705aedaec7934ddaed7780c0acad"
+
+
+HYPERFLEX_FAMILY = [
+    {"label": "p", "A": "1", "G": {"pieces": [{"grad": ["1"], "const": "0"}]}},
+    {"label": "tent", "A": "2", "G": {"pieces": [{"grad": ["1"], "const": "0"},
+                                                 {"grad": ["-1"], "const": "1"}]}},
+]
+# The unit square with gaps at levels 1..6; (k, k) tops min(x, y) at levels
+# 1, 4 and 6, and (3, 4), (4, 3), (3, 6), (6, 3) tie with other points.
+GAPPED_SQUARE_MODEL = {
+    "backend": "synthetic",
+    "polytope": {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+    "per_k_gaps": {"1": [[1, 1]], "2": [[1, 1], [2, 1]], "3": [[0, 0]],
+                   "4": [[4, 4], [3, 4], [4, 3], [2, 2]], "5": [],
+                   "6": [[6, 6], [3, 3], [3, 6], [6, 3], [0, 6]]}}
+# min(x, y) and min(x + y, 1): two pieces each, with many tied scores
+GAPPED_SQUARE_FAMILY = [
+    {"label": "min", "A": "1", "G": {"pieces": [{"grad": ["1", "0"], "const": "0"},
+                                                {"grad": ["0", "1"], "const": "0"}]}},
+    {"label": "cap", "A": "3/2", "G": {"pieces": [{"grad": ["1", "1"], "const": "0"},
+                                                  {"grad": ["0", "0"], "const": "1"}]}},
+]
+# SHA-256 of the ``thresholds`` CSV of two models with gaps, recorded before
+# Delta_k's score table was read off the idealized one.  Every S_tau is exact.
+THRESHOLDS_GAP_GOLDEN = {
+    "curve-hyperflex": (
+        HYPERFLEX_MODEL, HYPERFLEX_FAMILY,
+        ["--tau", "1/2", "--m-rule", "ceil_tau", "--k-max", "12"],
+        "50348ee0f929efaa1c941dc985aab2d413d7766e3bca143cd94ca310a52c1061"),
+    "synthetic-square": (
+        GAPPED_SQUARE_MODEL, GAPPED_SQUARE_FAMILY, ["--tau", "1/4", "--m-rule", "ceil_tau"],
+        "4472cfd56d29a521c51242c9e218687fa086c56f5128dab9e23445fb81a06858"),
+    "synthetic-square-dk": (
+        GAPPED_SQUARE_MODEL, GAPPED_SQUARE_FAMILY, ["--tau", "1", "--m-rule", "dk_minus_sqrt"],
+        "1c5a49df2a6fe053a39735ff87029c04f48e64c7d2325b6d77b61693c267d703"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLDS_GAP_GOLDEN))
+def test_thresholds_gap_model_golden_digest(tmp_path, name):
+    model, family, options, digest = THRESHOLDS_GAP_GOLDEN[name]
+    out = tmp_path / "thresholds.csv"
+    assert main(["thresholds", "--in", write(tmp_path, "model.json", model),
+                 "--valuations", write(tmp_path, "family.json", family), *options,
+                 "--out", str(out)]) == 0
+    assert sha256_of(out) == digest
 
 
 def test_thresholds_segment_sweep(tmp_path, capsys):
@@ -520,3 +594,39 @@ def test_series_above_point_limit_exits2_before_enumerating(tmp_path, capsys, mo
     assert main(["series", "--in", infile, "--k-max", "43", "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 44 and rows[-1].startswith(f"43,{44 ** 3},{44 ** 3},0,")
+
+
+def test_thresholds_above_point_limit_exits2_before_enumerating(tmp_path, capsys, monkeypatch):
+    import okbodies.cli as cli
+    import okbodies.series as series
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    model = write(tmp_path, "p2.json", P2_MODEL)
+    family = write(tmp_path, "family.json", P2_FAMILY)
+    monkeypatch.setattr(series, "enumerate_points", no_work)
+    monkeypatch.setattr(cli, "S_tau", no_work)
+    # P^2 has (3k + 1)(3k + 2)/2 points at level k: 987,710 up to 86, 1,022,163 up to 87
+    assert main(["thresholds", "--in", model, "--valuations", family, "--k-max", "87"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --k-max 87 lists more than 1000000 points "
+                          "(the limit is passed at level 87)")
+    assert "Traceback" not in err
+    sweep = write(tmp_path, "sweep.json", {"tau": "1/2", "k_range": [40, 100]})
+    assert main(["thresholds", "--in", model, "--valuations", family, "--sweep", sweep]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: the sweep k_range [40, 100] lists more than 1000000 points")
+    # the slab guard answers before any count: 1,005,719 slabs of the 4-D cube up to 143
+    monkeypatch.setattr(cli, "count", no_work)
+    cube4 = write(tmp_path, "cube4.json", {"backend": "toric", "polytope": CUBE4_JSON})
+    x1 = write(tmp_path, "x1.json", [{"label": "x1", "A": "1", "G": {"pieces": [
+        {"grad": ["1", "0", "0", "0"], "const": "0"}]}}])
+    assert main(["thresholds", "--in", cube4, "--valuations", x1, "--k-max", "143"]) == 2
+    assert "--k-max 143 needs more than 1000000 slab counts" in capsys.readouterr().err
+    monkeypatch.undo()
+    # the edge, checked without running the sweep
+    p2 = series.model_from_json(P2_MODEL)
+    cli._check_series_size(p2, range(1, 87), "--k-max 86")
+    with pytest.raises(cli.InputError, match="passed at level 87"):
+        cli._check_series_size(p2, range(1, 88), "--k-max 87")

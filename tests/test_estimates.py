@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import okbodies.estimates as estimates
 import okbodies.geometry as geometry
 from okbodies.geometry import (AffineFunctional, ConcavePL, GeometryError, hull,
                                integrate_transform, max_transform, validate_body, volume)
@@ -102,6 +103,39 @@ def test_sub_body_sampler_deterministic_and_valid():
     for body in a:
         assert volume(body) >= F(1, 10)
         assert all(UNIT_SQUARE.contains(v) for v in body.vertices)
+
+
+def test_sub_body_sampler_extends_one_kept_prefix(monkeypatch):
+    """While a sampler is held, smaller and larger asks with its arguments
+    return prefixes of one sequence, the same as a fresh draw of each size,
+    and no body is drawn twice; an unheld sampler is freed."""
+    tries = []
+    hull_rows = estimates._hull_rows
+    monkeypatch.setattr(estimates, "_hull_rows", lambda *a: tries.append(a) or hull_rows(*a))
+    held = sub_body_sampler(SLANTED, F(1, 4), seed=7)
+    first = held(6)
+    drawn = len(tries)
+    assert sub_body_sampler(SLANTED, "1/4", 7) is held
+    assert sub_body_sampler(SLANTED, F(1, 4), seed=7)(2) == first[:2]
+    assert len(tries) == drawn
+    more = sub_body_sampler(SLANTED, F(1, 4), seed=7)(9)
+    assert more[:6] == first
+    want = oracle_sub_body_sampler(SLANTED, F(1, 4), 7)(9)
+    assert [(P.vertices, P.halfspaces) for P in more] == [(P.vertices, P.halfspaces)
+                                                         for P in want]
+    # the asks together made the tries of one fresh draw of 9
+    total = len(tries)
+    del held
+    assert not estimates._SAMPLERS
+    tries.clear()
+    sub_body_sampler(SLANTED, F(1, 4), seed=7)(9)
+    assert len(tries) == total
+
+
+def test_sub_body_sampler_guard_raises_below_one_body_in_200_tries():
+    # area 99/100 needs a sampled point at or next to each corner of the square
+    with pytest.raises(RuntimeError, match="volume floor"):
+        sub_body_sampler(UNIT_SQUARE, F(99, 100), seed=0)(1)
 
 
 # ---------------------------------------------------------------------------

@@ -23,16 +23,23 @@ from okbodies.geometry import (
 )
 from okbodies.lattice import PointCloud, concave_sum, count, enumerate_points
 from okbodies.series import (
+    GENUS3_CANONICAL_PATTERNS,
+    PLANE_QUARTIC_GAP_SEQUENCES,
     CanonicalCurveModel,
     CurveDivisorModel,
+    GradedSeriesModel,
     SyntheticModel,
     ToricModel,
     gap_sequences_of_genus,
+    genus3_canonical_model,
+    p1xp1_model,
     plane_quartic_model,
+    top_column_gap_model,
 )
 from okbodies.thresholds import (
     INFINITE,
     EmpiricalMeasure,
+    JumpingVector,
     S0_and_sigma,
     S_km,
     S_tau,
@@ -50,7 +57,8 @@ from okbodies.thresholds import (
     select_compatible_family,
     valuation_from_json,
 )
-from oracles import oracle_row_reduce
+from oracles import (oracle_jumping_values, oracle_row_reduce, oracle_scaled_values,
+                     oracle_score_level)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -751,65 +759,225 @@ def test_level_scores_match_fraction_oracle(seed, kind):
             model.ambient, v.G, k)
 
 
-def test_thresholds_sweep_scores_each_level_once(tmp_path, monkeypatch):
-    model_path = tmp_path / "model.json"
-    model_path.write_text(json.dumps({"backend": "toric", "polytope": {
-        "dim": 2, "vertices": [["0", "0"], ["3", "0"], ["0", "3"]]}}))
-    family_path = tmp_path / "family.json"
-    family_path.write_text(json.dumps([
-        {"label": label, "A": "1", "G": {"pieces": [{"grad": grad, "const": const}]}}
-        for label, grad, const in (("D1", ["1", "0"], "0"), ("D2", ["0", "1"], "0"),
-                                   ("D3", ["-1", "-1"], "3"))]))
+def _repeated_piece_transform(rng, domain):
+    """A random 2-4 piece transform (ties from small gradients) with one piece
+    listed twice."""
+    g = _random_transform(rng, domain)
+    while len(g.pieces) < 2:
+        g = _random_transform(rng, domain)
+    pieces = list(g.pieces)
+    pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(pieces))
+    return ConcavePL.make(pieces, domain)
+
+
+def _gaps_on_ties(rng, g, ambient, k):
+    """Gap numerators for level k: every top-scoring point but one (all of them
+    if there are several top scores to spare), part of one tied score class,
+    and a few more; Delta_k keeps at least one point."""
+    points = enumerate_points(ambient, k).points
+    by_score = {}
+    for z, s in zip(points, oracle_scaled_values(g, points, k)):
+        by_score.setdefault(s, []).append(z)
+    top = by_score[max(by_score)]
+    gaps = set(top if len(points) > len(top) else top[1:])
+    tied = [group for group in by_score.values() if len(group) >= 2]
+    if tied:
+        group = rng.choice(tied)
+        gaps.update(rng.sample(group, rng.randint(1, len(group) - 1)))
+    gaps.update(rng.sample(points, rng.randint(0, len(points) // 4)))
+    if len(gaps) == len(points):
+        gaps.discard(rng.choice(points))
+    return sorted(gaps)
+
+
+def _random_ambient(rng, n):
+    """A full-dimensional rational body in [0, 2]^n (n <= 2) or [0, 1]^3."""
+    if n == 1:
+        return hull([(0,), (_random_rational(rng, 1, 2),)])
+    if n == 2:
+        return _random_polygon(rng)
+    while True:
+        pts = [(0, 0, 0)] + [tuple(F(rng.randint(0, 4), 4) for _ in range(3))
+                             for _ in range(rng.randint(4, 6))]
+        body = hull(pts)
+        if body.is_full_dim():
+            return body
+
+
+def _differential_cases():
+    """(model, transforms, levels): every bundled backend, then seeded
+    synthetic models with gaps placed on top and tied scores of their G."""
+    rng = random.Random(16)
+    bundled = [ToricModel(hull([(0, 0), (1, 0), (0, 1)])), ToricModel(hull([(0,), (1,)])),
+               CanonicalCurveModel(3), p1xp1_model(True), p1xp1_model(False),
+               top_column_gap_model()]
+    bundled += [plane_quartic_model(kind) for kind in PLANE_QUARTIC_GAP_SEQUENCES]
+    bundled += [genus3_canonical_model(kind) for kind in GENUS3_CANONICAL_PATTERNS]
+    for model in bundled:
+        transforms = [first_coordinate_transform(model.ambient),
+                      _repeated_piece_transform(rng, model.ambient)]
+        yield model, transforms, [k for k in range(1, 9) if model.has_level(k)]
+    for n in (1, 2, 3) * 4:
+        ambient = _random_ambient(rng, n)
+        g = _repeated_piece_transform(rng, ambient)
+        levels = sorted(rng.sample(range(1, 21), 3))
+        model = SyntheticModel(ambient, {k: _gaps_on_ties(rng, g, ambient, k) for k in levels})
+        yield model, [g, _random_transform(rng, ambient)], levels
+
+
+def test_score_tables_match_per_level_oracle():
+    """One idealized scoring per level, Delta_k's table read off it, column-wise
+    scores and shared-Fraction jumping vectors, against scoring each set on its
+    own (``oracles.oracle_score_level``): every table and every query equal."""
+    rng = random.Random(61)
+    for model, transforms, levels in _differential_cases():
+        for k in levels:
+            for g in transforms:
+                v = ValuationModel("v", F(1), g)
+                # either table may be asked for first
+                order = (False, True) if rng.random() < 0.5 else (True, False)
+                tables = {ideal: thresholds._level_scores(model, g, k, ideal) for ideal in order}
+                oracle = {ideal: oracle_score_level(model, g, k, ideal) for ideal in order}
+                assert tables == oracle
+                if not model._level_gaps(k):
+                    assert tables[False] is tables[True]
+                L, scores, points, prefix = oracle[False]
+                _, ideal_scores, _, ideal_prefix = oracle[True]
+                d = len(scores)
+                assert jumping_numbers(model, v, k).values == oracle_jumping_values(oracle[False])
+                assert idealized_jumping(model, v, k).values == oracle_jumping_values(
+                    oracle[True])
+                for m in range(1, d + 1):
+                    assert S_km(model, v, k, m) == F(prefix[m], L * k * m)
+                for m in range(1, len(ideal_scores) + 1):
+                    assert Sbar_km(model, v, k, m) == F(ideal_prefix[m], L * k * m)
+                for tau in (F(0), F(1, 3), F(1, 2), F(1), F(rng.randint(0, 9), 9)):
+                    m = math.floor(tau * d)
+                    assert quantum_quantile(model, v, k, tau) == F(scores[max(m - 1, 0)], L * k)
+                assert S0_and_sigma(model, v, k)[2:] == (F(scores[0], L * k),
+                                                          F(scores[-1], L * k))
+                for m in {1, min(2, d), max(d // 2, 1), max(d - 1, 1), d, rng.randint(1, d)}:
+                    assert select_compatible_family(model, v, k, m) == PointCloud(k, points[:m])
+                assert g.scaled_values(points, k) == oracle_scaled_values(g, points, k)
+
+
+def test_jumping_vector_rejects_an_increase():
+    JumpingVector(1, (F(2), F(1), F(1), F(1)))  # equal, distinct Fractions pass
+    for values in ((F(0), F(1)), (F(1), F(1), F(2)), (F(3), F(1), F(2), F(2))):
+        with pytest.raises(ValueError, match="non-increasing"):
+            JumpingVector(1, values)
+
+
+def test_equal_transforms_hash_equal_and_share_a_level_entry(monkeypatch):
+    model = ToricModel(hull([(0, 0), (3, 0), (0, 3)]))
+    pieces = [AffineFunctional.make((1, 0), 0), AffineFunctional.make((-1, -1), 3)]
+    g1 = ConcavePL.make(pieces, model.ambient)
+    g2 = ConcavePL.make(list(pieces), hull([(0, 0), (3, 0), (0, 3)]))
+    assert g1 is not g2 and g1 == g2
+    assert hash(g1) == hash(g2) == hash((g1.pieces, g1.domain))
+    calls = []
+    score_level = thresholds._score_level
+    monkeypatch.setattr(thresholds, "_score_level",
+                        lambda *args: calls.append(args) or score_level(*args))
+    assert thresholds._level_scores(model, g1, 4) is thresholds._level_scores(model, g2, 4)
+    assert len(calls) == 1
+    assert [key for key in model._level if isinstance(key, tuple)] == [(g1, True)]
+
+
+def count_level_scorings(monkeypatch) -> Counter:
+    """Count ``_score_level`` per (model, G, k), and fail on any ``discrete_body``:
+    a score table is read off the idealized level, and no Delta_k is built."""
     calls = Counter()
-    models = set()
     score_level = thresholds._score_level
 
-    def counting(model, g, k, ideal):
-        calls[(g, k, ideal)] += 1
-        models.add(model)
-        return score_level(model, g, k, ideal)
+    def counting(model, g, k):
+        calls[(model, g, k)] += 1
+        return score_level(model, g, k)
+
+    def no_discrete_body(model, k):
+        raise AssertionError(f"discrete_body({k}) was built")
 
     monkeypatch.setattr(thresholds, "_score_level", counting)
+    monkeypatch.setattr(GradedSeriesModel, "discrete_body", no_discrete_body)
+    return calls
+
+
+def sweep_level_scorings(tmp_path, monkeypatch, model_json, family):
+    """``thresholds --k-max 6`` on the model with one valuation per family entry
+    (a list of (label, grad, const) pieces); returns the scorings and the model."""
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(model_json))
+    family_path = tmp_path / "family.json"
+    family_path.write_text(json.dumps([
+        {"label": pieces[0][0], "A": "1",
+         "G": {"pieces": [{"grad": grad, "const": const} for _, grad, const in pieces]}}
+        for pieces in family]))
+    calls = count_level_scorings(monkeypatch)
     assert main(["thresholds", "--in", str(model_path), "--valuations", str(family_path),
                  "--tau", "1/2", "--k-max", "6", "--out", str(tmp_path / "t.csv")]) == 0
-    (model,) = models
-    transforms = {g for g, _, _ in calls}
-    assert len(transforms) == 3
-    assert set(calls) == {(g, k, ideal) for g in transforms for k in range(1, 7)
-                          for ideal in (False, True)}
-    assert set(calls.values()) == {1}
+    (model,) = {model for model, _, _ in calls}
+    transforms = {g for _, g, _ in calls}
+    assert len(transforms) == len(family)
+    assert set(calls) == {(model, g, k) for g in transforms for k in range(1, 7)}
+    assert sum(calls.values()) == 6 * len(family)
     assert model._level_k == 6
+    return transforms, model
+
+
+def test_thresholds_sweep_scores_each_level_once(tmp_path, monkeypatch):
+    transforms, model = sweep_level_scorings(tmp_path, monkeypatch, {
+        "backend": "toric", "polytope": {"dim": 2, "vertices": [["0", "0"], ["3", "0"],
+                                                                ["0", "3"]]}},
+        [[("D1", ["1", "0"], "0")], [("D2", ["0", "1"], "0")], [("D3", ["-1", "-1"], "3")]])
+    # 18 scorings (3 G x 6 levels); without gaps Delta_k reads the idealized table
+    assert len(transforms) == 3
+    assert {key for key in model._level if isinstance(key, tuple)} == {
+        (g, True) for g in transforms}
+    assert all(thresholds._level_scores(model, g, 6) is model._level[g, True]
+               for g in transforms)
+
+
+def test_thresholds_gap_model_sweep_scores_each_level_once(tmp_path, monkeypatch):
+    # every level has gaps, so Delta_6 keeps its own table beside the idealized one
+    transforms, model = sweep_level_scorings(tmp_path, monkeypatch, {
+        "backend": "synthetic", "polytope": {"dim": 2, "vertices": [
+            ["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]},
+        "per_k_gaps": {str(k): [[k, k], [0, k]] for k in range(1, 7)}},
+        [[("min", ["1", "0"], "0"), ("min", ["0", "1"], "0")], [("D1", ["1", "0"], "0")]])
     assert {key for key in model._level if isinstance(key, tuple)} == {
         (g, ideal) for g in transforms for ideal in (False, True)}
 
 
 def test_verify_endpoints_scores_each_level_once(tmp_path, monkeypatch):
-    calls = Counter()
-    score_level = thresholds._score_level
-
-    def counting(model, g, k, ideal):
-        calls[(model, g, k, ideal)] += 1
-        return score_level(model, g, k, ideal)
-
-    monkeypatch.setattr(thresholds, "_score_level", counting)
+    calls = count_level_scorings(monkeypatch)
     assert main(["verify", "endpoints", "--k-max", "12", "--out", str(tmp_path)]) == 0
-    # the segment and the simplex model, levels 2..12, realized only
+    # the segment and the simplex model, levels 2..12, one G each
     assert len(calls) == 22
     assert set(calls.values()) == {1}
-    assert {ideal for *_, ideal in calls} == {False}
+    assert sorted(Counter(model for model, _, _ in calls).values()) == [11, 11]
+    assert {k for _, _, k in calls} == set(range(2, 13))
 
 
 def test_verify_stwosided_scores_each_level_once(tmp_path, monkeypatch):
+    calls = count_level_scorings(monkeypatch)
+    assert main(["verify", "stwosided", "--k-max", "12", "--out", str(tmp_path)]) == 0
+    # the segment and the simplex model, levels 1..12, one scoring for all three taus
+    assert len(calls) == 24
+    assert sum(calls.values()) == 24
+    assert sorted(Counter(model for model, _, _ in calls).values()) == [12, 12]
+    assert {k for _, _, k in calls} == set(range(1, 13))
+
+
+def test_verify_all_scores_each_level_once(tmp_path, monkeypatch):
     calls = Counter()
     score_level = thresholds._score_level
 
-    def counting(model, g, k, ideal):
-        calls[(model, g, k, ideal)] += 1
-        return score_level(model, g, k, ideal)
+    def counting(model, g, k):
+        calls[(model, g, k)] += 1
+        return score_level(model, g, k)
 
     monkeypatch.setattr(thresholds, "_score_level", counting)
-    assert main(["verify", "stwosided", "--k-max", "12", "--out", str(tmp_path)]) == 0
-    # the segment and the simplex model, levels 1..12, realized only, for all three taus
-    assert len(calls) == 24
-    assert sum(calls.values()) == 24
-    assert {ideal for *_, ideal in calls} == {False}
+    assert main(["verify", "all", "--k-max", "12", "--out", str(tmp_path)]) == 0
+    # stwosided 24, deltarate 3 x 12 (P^2) + 11 (canonical), endpoints 22
+    assert len(calls) == 93
+    assert set(calls.values()) == {1}
