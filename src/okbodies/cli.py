@@ -15,6 +15,7 @@ import csv
 import json
 import sys
 from fractions import Fraction
+from math import floor, prod
 from pathlib import Path
 
 from .geometry import (
@@ -45,7 +46,7 @@ from .thresholds import (
     Sbar_km,
     ValuationModel,
     delta_km_restricted,
-    jumping_numbers,
+    jumping_head,
     quantum_quantile,
     valuation_from_json,
 )
@@ -208,19 +209,35 @@ def _check_series_size(model, ks: range, what: str) -> None:
     """Raise InputError, before any point is enumerated, when the levels in ks
     (``what`` names them: the flag or spec they come from) hold more than
     MAX_ENUM_POINTS ambient points in all, or when counting them would sum
-    more than MAX_COUNT_SLABS 2-D slabs."""
-    slabs = 0
-    for k in filter(model.has_level, ks):
-        slabs += slab_bound(model.ambient, k)
+    more than MAX_COUNT_SLABS 2-D slabs.
+
+    One pass, level by level: each level adds its slabs, and the levels are
+    counted as soon as no later level can pass the slab limit, so a range
+    over that limit is refused before any count, and the point limit stops
+    the pass at the level that passes it.
+    """
+    body = model.ambient
+    # no level in ks has more slabs: an outer axis of width w holds at most
+    # floor(k w) + 1 integers of k*body
+    top = ks[-1] if ks else 0
+    cap = prod(floor(top * (hi - lo)) + 1 for lo, hi in body.bounding_box()[:-2])
+    slabs = points = 0
+    first = 0  # position in ks of the first level not yet counted
+    for i, k in enumerate(ks):
+        if not model.has_level(k):
+            continue
+        slabs += slab_bound(body, k)
         if slabs > MAX_COUNT_SLABS:
             raise InputError(f"{what} needs more than {MAX_COUNT_SLABS} "
                              f"slab counts to size")
-    points = 0
-    for k in filter(model.has_level, ks):
-        points += count(model.ambient, k)
-        if points > MAX_ENUM_POINTS:
-            raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
-                             f"(the limit is passed at level {k})")
+        if slabs + (len(ks) - 1 - i) * cap > MAX_COUNT_SLABS:
+            continue  # a later level may still pass the slab limit
+        for j in filter(model.has_level, ks[first:i + 1]):
+            points += count(body, j)
+            if points > MAX_ENUM_POINTS:
+                raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
+                                 f"(the limit is passed at level {j})")
+        first = i + 1
 
 
 def cmd_series(args) -> int:
@@ -274,8 +291,7 @@ def cmd_thresholds(args) -> int:
         delta, argmin = delta_km_restricted(model, family, k, m)
         delta_str = "inf" if delta == float("inf") else rat_str(delta)
         for v in sorted(family, key=lambda v: v.label):
-            jv = jumping_numbers(model, v, k)
-            head = "|".join(rat_str(x) for x in jv.values[:3])
+            head = "|".join(rat_str(x) for x in jumping_head(model, v, k))
             rows.append([
                 str(k), str(m), v.label, head,
                 rat_str(S_km(model, v, k, m)),

@@ -198,6 +198,13 @@ def idealized_jumping(model: GradedSeriesModel, v: ValuationModel, k: int) -> Ju
     return _jumping_vector(model, v, k, ideal=True)
 
 
+def jumping_head(model: GradedSeriesModel, v: ValuationModel, k: int) -> tuple[Fraction, ...]:
+    """The three largest jumping numbers of level k (fewer if d_k < 3), read
+    off the score table without a ``JumpingVector``."""
+    L, scores, _, _ = _level_scores(model, v.G, k)
+    return tuple(Fraction(s, L) for s in scores[:3])
+
+
 def _top_average(model: GradedSeriesModel, v: ValuationModel, k: int, m: int,
                  ideal: bool) -> Fraction:
     L, scores, _, prefix = _level_scores(model, v.G, k, ideal)

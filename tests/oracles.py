@@ -34,7 +34,8 @@ from operator import mul
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _int_form,
                                _maximal, _primitive, _tight_set, empty_body, hull, rat, volume)
-from okbodies.lattice import enumerate_points
+from okbodies.lattice import (_envelope_floor_sum, _interval, _prefixes, _rest,
+                              _scaled_constraints, enumerate_points)
 from okbodies.series import ModelError
 
 
@@ -327,3 +328,50 @@ def oracle_jumping_values(table) -> tuple[Fraction, ...]:
     if any(a < b for a, b in zip(values, values[1:])):
         raise ValueError("jumping values must be non-increasing")
     return values
+
+
+def oracle_slab_count(lo, hi, levels, prefix) -> int:
+    """Points of the 2-D slab over ``prefix`` (the last two axes), in closed form.
+
+    With x the second-to-last axis and y the last, each constraint on y is a
+    line (p + q x) / r with r > 0: an upper bound on y if its y-coefficient is
+    positive, else an upper bound on -y.  Row x then holds
+    floor(min upper) + floor(min lower) + 1 points, which is never negative
+    where the real envelopes satisfy min upper + min lower >= 0.  Outside that
+    x-interval the row is empty, so clip to it (one inequality per pair of
+    lines) and sum each envelope in closed form.
+    """
+    x_axis = len(prefix)
+    y_axis = x_axis + 1
+    x_lo, x_hi = _interval(lo[x_axis], hi[x_axis], levels[x_axis], prefix)
+    if x_lo > x_hi:
+        return 0
+    upper = [(hi[y_axis], 0, 1)]
+    lower = [(-lo[y_axis], 0, 1)]
+    for a, c in levels[y_axis]:
+        line = (_rest(a, c, prefix), -a[x_axis], abs(a[y_axis]))
+        (upper if a[y_axis] > 0 else lower).append(line)
+    for pu, qu, ru in upper:
+        for pl, ql, rl in lower:
+            # (pu + qu x) / ru + (pl + ql x) / rl >= 0  <=>  slope x >= -offset
+            slope, offset = qu * rl + ql * ru, pu * rl + pl * ru
+            if slope > 0:
+                x_lo = max(x_lo, -(offset // slope))
+            elif slope < 0:
+                x_hi = min(x_hi, offset // -slope)
+            elif offset < 0:
+                return 0
+    if x_lo > x_hi:
+        return 0
+    return (_envelope_floor_sum(upper, x_lo, x_hi)
+            + _envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
+
+
+def oracle_count(body, k: int) -> int:
+    """#(body ∩ Z^n/k) for n >= 2: ``oracle_slab_count`` on every integer
+    prefix of all but the last two axes."""
+    if body.is_empty:
+        return 0
+    lo, hi, levels = _scaled_constraints(body, k)
+    return sum(oracle_slab_count(lo, hi, levels, prefix)
+               for prefix in _prefixes(lo, hi, levels, body.dim - 2))

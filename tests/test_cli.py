@@ -181,9 +181,16 @@ P2_FAMILY = [{"label": label, "A": "1", "G": {"pieces": [{"grad": grad, "const":
                                         ("D3", ["-1", "-1"], "3"))]
 
 
-def test_thresholds_p2_golden_digest(tmp_path):
+def test_thresholds_p2_golden_digest(tmp_path, monkeypatch):
     """The anticanonical P^2 thresholds CSV (D1/D2/D3, tau 1/2, k <= 12), recorded
-    before the model kept one level at a time."""
+    before the model kept one level at a time.  Its j_head column reads the
+    score table, so no ``JumpingVector`` is built."""
+    import okbodies.thresholds as thresholds
+
+    def no_vector(*args):
+        raise AssertionError("JumpingVector built")
+
+    monkeypatch.setattr(thresholds, "JumpingVector", no_vector)
     out = tmp_path / "p2.csv"
     assert main(["thresholds", "--in", write(tmp_path, "p2.json", P2_MODEL),
                  "--valuations", write(tmp_path, "family.json", P2_FAMILY), "--tau", "1/2",
@@ -594,6 +601,27 @@ def test_series_above_point_limit_exits2_before_enumerating(tmp_path, capsys, mo
     assert main(["series", "--in", infile, "--k-max", "43", "--out", str(out)]) == 0
     rows = out.read_text().splitlines()
     assert len(rows) == 44 and rows[-1].startswith(f"43,{44 ** 3},{44 ** 3},0,")
+
+
+def test_size_check_is_one_pass_that_stops_at_the_point_limit(monkeypatch):
+    import okbodies.cli as cli
+    import okbodies.lattice as lattice
+    import okbodies.series as series
+
+    calls = []
+
+    def counting(body, k):
+        calls.append(k)
+        return lattice.slab_bound(body, k)
+
+    monkeypatch.setattr(cli, "slab_bound", counting)
+    segment = series.model_from_json(SEGMENT_MODEL)
+    # the unit segment has k + 1 points at level k: 998,990 up to 1412, 1,000,404
+    # up to 1413; its 10^6 levels are one slab each, the limit, so no level
+    # can pass the slab limit and the pass counts from level 1
+    with pytest.raises(cli.InputError, match="passed at level 1413"):
+        cli._check_series_size(segment, range(1, 10**6 + 1), "--k-max 1000000")
+    assert calls == list(range(1, 1414))
 
 
 def test_thresholds_above_point_limit_exits2_before_enumerating(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Lattice enumeration tests, checked against an independent brute-force oracle."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -32,7 +33,8 @@ from okbodies.lattice import (
     discrepancy,
     enumerate_points,
 )
-from oracles import oracle_box, oracle_scaled_constraints
+from okbodies.estimates import sub_body_sampler
+from oracles import oracle_box, oracle_count, oracle_scaled_constraints
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -289,6 +291,129 @@ def test_slab_count_sums_one_run_per_envelope_edge(monkeypatch):
     monkeypatch.setattr(lattice, "_floor_sum", counting)
     assert count(UNIT_SIMPLEX, 10**6) == (10**6 + 1) * (10**6 + 2) // 2
     assert len(calls) == 2
+
+
+# point and k caps for the slab-bound differential: the unpruned oracle at
+# every k, the scan oracle while it stays under ~10^4 nodes
+SLAB_POINTS = {2: 12, 3: 10, 4: 7}
+SLAB_K_MAX = {2: 10**6, 3: 300, 4: 16}
+SCAN_K_MAX = {2: 5000, 3: 25, 4: 4}
+
+
+def _slab_body(rng, n, kind):
+    """A random rational n-body for the slab bounds, with a common denominator
+    of its vertices: a hull of random points (up to ~20 facets); a prism
+    along the slab's x axis, whose facets are all parallel to that axis, so
+    every (upper, lower) pair of y-lines has slope 0; a simplex and its
+    translate, whose facets come in parallel pairs; or a thin sliver along a
+    tilted hyperplane, on which most slabs are empty (its vertices are not
+    on Z^n/den)."""
+    den = rng.randint(1, 8)
+
+    def coord():
+        return F(rng.randint(0, 4 * den), den)
+
+    size = n + 1 if kind == "parallel" else rng.randint(n + 1, SLAB_POINTS[n])
+    pts = [[coord() for _ in range(n)] for _ in range(size)]
+    x = n - 2
+    if kind == "prism":
+        pts = [p[:x] + [t] + p[x + 1:] for p in pts for t in (pts[0][x], pts[1][x])]
+    elif kind == "parallel":
+        shift = [F(rng.randint(-2 * den, 2 * den), den) for _ in range(n)]
+        pts += [[c + d for c, d in zip(p, shift)] for p in pts]
+    elif kind == "sliver":
+        # within 1/(4 k_max) of d x_0 = g (a . rest) + o with d = 3 g + 1 prime
+        # to g: at level k a slab z_0 = Z / k holds points only if d Z - k o is
+        # within k / (4 k_max) of a multiple of g, so about one slab in g does
+        g = rng.choice([3, 5])
+        a = [rng.randint(1, 2) for _ in range(n - 1)]
+        o = F(rng.randint(0, g * den), den)
+        for p in pts:
+            p[0] = (g * sum(ai * c for ai, c in zip(a, p[1:])) + o
+                    + F(rng.randint(0, 1), 4 * SLAB_K_MAX[n])) / (3 * g + 1)
+    return hull([tuple(p) for p in pts]), den
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 4),
+       st.sampled_from(["hull", "prism", "parallel", "sliver"]))
+def test_count_matches_unpruned_slab_oracle(seed, n, kind):
+    """``count`` prunes the pair bounds of each slab once per outer axis; the
+    unpruned oracle clips with every pair on every slab.  A multiple of the
+    vertex denominator puts the vertices on Z^n/k, where pair bounds and
+    envelope crossings tie at integers."""
+    rng = random.Random(seed)
+    body, den = _slab_body(rng, n, kind)
+    k_max = SLAB_K_MAX[n]
+    for k in (rng.randint(1, k_max), den * rng.randint(1, max(1, k_max // den))):
+        expected = oracle_count(body, k)
+        assert count(body, k) == expected
+        if k <= SCAN_K_MAX[n]:
+            assert scan_count(body, k) == expected
+
+
+def _criterion_04_body(n, seed, points):
+    cube = hull(list(itertools.product((0, 1), repeat=n)))
+    return sub_body_sampler(cube, F(1, 20), seed=seed, points=points)(1)[0]
+
+
+def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
+    """Each slab evaluates one lower and one upper x-bound: the line of its
+    run.  The unit cube's (upper, lower) pairs all have slope 0, so none
+    reaches the slab loop and each side is one run of a box bound.  The
+    first 3-D criterion-04 body has 7 upper and 7 lower y-lines: its 49
+    pairs and 2 box bounds are 28 lower, 22 upper and 1 flat bound on x, and
+    only 3 lower and 5 upper ones ever bind at k = 60, where the unpruned
+    path clips each of its slabs with all 49 pairs."""
+    runs = []
+    envelope_runs = lattice._envelope_runs
+
+    def counting(lines, w0, w1):
+        out = envelope_runs(lines, w0, w1)
+        runs.append((len(lines), len(out)))
+        return out
+
+    monkeypatch.setattr(lattice, "_envelope_runs", counting)
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    _, _, x_lower, x_upper, flat = lattice._slab_form(cube)
+    assert (len(x_lower), len(x_upper), len(flat)) == (2, 2, 4)
+    assert count(cube, 50) == 51 ** 3
+    assert runs == [(2, 1), (2, 1)]
+    runs.clear()
+    body = _criterion_04_body(3, 1001, 8)
+    _, _, x_lower, x_upper, flat = lattice._slab_form(body)
+    assert (len(x_lower), len(x_upper), len(flat)) == (28, 22, 1)
+    assert count(body, 60) == oracle_count(body, 60)
+    assert runs == [(28, 3), (22, 5)]
+
+
+# SHA-256 of the lines "k count(body, k)" for every k in (C, k_max], C the
+# certified count constant: the first ten 3-D criterion-04 bodies (sampler
+# seed 1000 + i, odd i) to k = 60 and two 4-D sub-bodies of the unit 4-cube
+# to k = 30, recorded before the slab pair bounds were pruned.
+COUNT_GOLDEN = {
+    (3, 1001, 8, 60): "dc083aaafa27eef56c44e85ec64848849390177a524e4e9f6bf73970275a43e6",
+    (3, 1003, 8, 60): "98909040591e420ddb5b984a33b26f1b5e475e4f76822268a0f168ce2128664c",
+    (3, 1005, 8, 60): "8adb7fb4a720866c77dcbf61f1b90a6e255b964be62544dfc1820cf2277f1de4",
+    (3, 1007, 8, 60): "2fd174a25ab3efaf061e92b5c9be69dd1242ce0370dc38e40d2e8f41075063fc",
+    (3, 1009, 8, 60): "ed8beb0bcf1b61211fdb8378dd07d18a7f54c42c58f0010a243fd105bc9fde8d",
+    (3, 1011, 8, 60): "61c478efdba97c39cad20abc3f3cbf7676eb866d5ef480c952a1d9c904faa08f",
+    (3, 1013, 8, 60): "2ba87dd251b43776e382d7da8a57af432caf4ea45c77f09f82cae42599c8032f",
+    (3, 1015, 8, 60): "c7a272b8b0bf09ea26e60df9c49689a882e251720c5bd3f9b00484c3403ddda3",
+    (3, 1017, 8, 60): "62ea9a288fcb1460f78c0a6ff0076f035adb0da54a653b9fe6a72b3be1aa8a88",
+    (3, 1019, 8, 60): "b8be7d8f1a75655b9fbe5ff759be4b5ddce4bb41eab80d52c062fd88458a2c97",
+    (4, 4000, 9, 30): "4a585e799227718107895b5fc0784556b41733c6f6838bff21670fe4f3de19c5",
+    (4, 4001, 9, 30): "82bbcbe24e7749795720273914b91c402732e63066fc5a7523b876b4a27abb88",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(COUNT_GOLDEN))
+def test_count_golden_digest(shape):
+    n, seed, points, k_max = shape
+    body = _criterion_04_body(n, seed, points)
+    c = analytic_count_constant(body)
+    lines = "".join(f"{k} {count(body, k)}\n" for k in range(math.floor(c) + 1, k_max + 1))
+    assert hashlib.sha256(lines.encode()).hexdigest() == COUNT_GOLDEN[shape]
 
 
 def test_count_monotone_under_inclusion():
