@@ -211,33 +211,30 @@ def _check_series_size(model, ks: range, what: str) -> None:
     MAX_ENUM_POINTS ambient points in all, or when counting them would sum
     more than MAX_COUNT_SLABS 2-D slabs.
 
-    One pass, level by level: each level adds its slabs, and the levels are
-    counted as soon as no later level can pass the slab limit, so a range
-    over that limit is refused before any count, and the point limit stops
-    the pass at the level that passes it.
+    The slab pass stops as soon as no later level can pass the slab limit,
+    so a long range whose levels are one slab each is not summed to its end;
+    the point pass then stops at the level that passes the point limit.
     """
     body = model.ambient
     # no level in ks has more slabs: an outer axis of width w holds at most
     # floor(k w) + 1 integers of k*body
     top = ks[-1] if ks else 0
     cap = prod(floor(top * (hi - lo)) + 1 for lo, hi in body.bounding_box()[:-2])
-    slabs = points = 0
-    first = 0  # position in ks of the first level not yet counted
+    slabs = 0
     for i, k in enumerate(ks):
-        if not model.has_level(k):
-            continue
-        slabs += slab_bound(body, k)
-        if slabs > MAX_COUNT_SLABS:
-            raise InputError(f"{what} needs more than {MAX_COUNT_SLABS} "
-                             f"slab counts to size")
-        if slabs + (len(ks) - 1 - i) * cap > MAX_COUNT_SLABS:
-            continue  # a later level may still pass the slab limit
-        for j in filter(model.has_level, ks[first:i + 1]):
-            points += count(body, j)
-            if points > MAX_ENUM_POINTS:
-                raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
-                                 f"(the limit is passed at level {j})")
-        first = i + 1
+        if model.has_level(k):
+            slabs += slab_bound(body, k)
+            if slabs > MAX_COUNT_SLABS:
+                raise InputError(f"{what} needs more than {MAX_COUNT_SLABS} "
+                                 f"slab counts to size")
+        if slabs + (len(ks) - 1 - i) * cap <= MAX_COUNT_SLABS:
+            break  # no later level can pass the slab limit
+    points = 0
+    for k in filter(model.has_level, ks):
+        points += count(body, k)
+        if points > MAX_ENUM_POINTS:
+            raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
+                             f"(the limit is passed at level {k})")
 
 
 def cmd_series(args) -> int:

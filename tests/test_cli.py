@@ -618,10 +618,39 @@ def test_size_check_is_one_pass_that_stops_at_the_point_limit(monkeypatch):
     segment = series.model_from_json(SEGMENT_MODEL)
     # the unit segment has k + 1 points at level k: 998,990 up to 1412, 1,000,404
     # up to 1413; its 10^6 levels are one slab each, the limit, so no level
-    # can pass the slab limit and the pass counts from level 1
+    # can pass the slab limit and the slabs are not summed to level 10^6
     with pytest.raises(cli.InputError, match="passed at level 1413"):
         cli._check_series_size(segment, range(1, 10**6 + 1), "--k-max 1000000")
-    assert calls == list(range(1, 1414))
+    assert len(calls) <= 1413
+
+
+def test_size_check_counts_levels_that_stop_below_the_last_k(tmp_path, capsys, monkeypatch):
+    import okbodies.series as series
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(series, "enumerate_points", no_work)
+    # the one level of the cube, 300, holds 301^3 = 27,270,901 points; the 1,000
+    # levels after it that are not levels keep the slab pass open past it
+    cube = write(tmp_path, "cube.json", {"backend": "synthetic", "levels": [300],
+                                         "polytope": {"dim": 3, "vertices": [
+                                             [str((i >> b) & 1) for b in range(3)]
+                                             for i in range(8)]}})
+    assert main(["series", "--in", cube, "--k-max", "1300"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: --k-max 1300 lists more than 1000000 points "
+        "(the limit is passed at level 300)")
+    # one slab per level: the slab pass runs to about level 10^6, past level 1500
+    square = write(tmp_path, "square.json", {"backend": "synthetic", "levels": [1500],
+                                             "polytope": {"dim": 2, "vertices": [
+                                                 ["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}})
+    family = write(tmp_path, "family.json", P2_FAMILY[:1])
+    sweep = write(tmp_path, "sweep.json", {"tau": "1/2", "k_range": [1, 2 * 10**6]})
+    assert main(["thresholds", "--in", square, "--valuations", family, "--sweep", sweep]) == 2
+    assert capsys.readouterr().err.startswith(
+        "input error: the sweep k_range [1, 2000000] lists more than 1000000 points "
+        "(the limit is passed at level 1500)")
 
 
 def test_thresholds_above_point_limit_exits2_before_enumerating(tmp_path, capsys, monkeypatch):
