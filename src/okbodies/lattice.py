@@ -17,7 +17,15 @@ constraints on x are built once per body (``_slab_form``) and set up once per
 level: a bound free of x narrows the ranges of the outer axes once, and the
 others become lines over the last outer axis, of which only the upper
 envelope of the lower bounds on x and the lower envelope of the upper ones
-can bind (``_envelope_runs``), so each slab evaluates one bound per side.
+can bind, so each slab evaluates one bound per side.
+
+Every envelope is the minimum of lines over a range of integers: the y-lines
+of a slab, the upper bounds on x, and the lower bounds on x as the minimum of
+their negations.  A line's slope depends only on the body, so each body
+sorts its lines by slope once (``_line_form``, ``_slab_form``), and one
+stack pass over that order finds the runs of the envelope
+(``_envelope_runs``): O(m + runs) per envelope of m lines, and one
+``floor_sum`` per run of a y-envelope.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
+from operator import lt
 
 from .geometry import (ConcavePL, ConvexBody, GeometryError, chebyshev_ball, sqrt_upper_bound,
                        volume)
@@ -33,7 +42,9 @@ from .geometry import (ConcavePL, ConvexBody, GeometryError, chebyshev_ball, sqr
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite subset of Z^n/k stored as integer numerator vectors over a shared k."""
+    """Finite subset of Z^n/k stored as integer numerator vectors over a shared k,
+    sorted and distinct.  The producers hand it sorted, distinct points, which
+    it keeps after one O(n) check; other input is sorted once here."""
 
     denominator: int
     points: tuple[tuple[int, ...], ...]
@@ -41,14 +52,17 @@ class PointCloud:
     def __post_init__(self):
         if self.denominator < 1:
             raise ValueError("denominator must be a positive integer")
-        object.__setattr__(self, "points", tuple(sorted(set(self.points))))
+        points = tuple(self.points)
+        if not all(map(lt, points, points[1:])):
+            points = tuple(sorted(set(points)))
+        object.__setattr__(self, "points", points)
 
     def __len__(self):
         return len(self.points)
 
     def __contains__(self, z):
         z = tuple(z)
-        i = bisect_left(self.points, z)  # points are sorted in __post_init__
+        i = bisect_left(self.points, z)  # points are sorted and distinct (__post_init__)
         return i < len(self.points) and self.points[i] == z
 
     def __iter__(self):
@@ -145,30 +159,64 @@ def _prefixes(lo, hi, levels, depth: int) -> list[tuple[int, ...]]:
     return prefixes
 
 
-def _envelope_floor_sum(lines, x0: int, x1: int) -> int:
-    """sum over x0 <= x <= x1 of floor(min_j (p_j + q_j x) / r_j), all r_j > 0.
+def _by_slope(lines, slope):
+    """``lines`` sorted by slope, largest first, where ``slope(line)`` gives
+    (q, r) for the slope q / r, r > 0: the order ``_envelope_runs`` takes.
+    Slopes depend only on the body, so each body sorts once."""
+    return sorted(lines, key=lambda line: Fraction(*slope(line)), reverse=True)
 
-    The minimum of lines is concave, so each line is active on at most one
-    run of consecutive x: walk the runs and sum each with ``_floor_sum``.
+
+def _envelope_runs(lines, x0: int, x1: int) -> list[tuple[int, int, int, int]]:
+    """The runs (start, p, q, r) of min_j (p_j + q_j x) / r_j over the integers
+    x0 <= x <= x1, all r_j > 0, for lines in ``_by_slope`` order: line
+    (p, q, r) is the minimum from its start up to the next run's start, the
+    last one up to x1, ties to the smaller slope.
+
+    The minimum of lines is concave, so in slope order each line can only
+    take over from the ones before it.  One stack pass: a line takes over
+    from the top of the stack at the first integer where it is no larger; a
+    top it takes over from no later than that top's own start owns no
+    integer and is popped, and a line that takes over after x1 owns none.
     """
+    runs: list[tuple[int, int, int, int]] = []
+    for p, q, r in lines:
+        start = x0
+        while runs:
+            top, pt, qt, rt = runs[-1]
+            # (p + q x) / r <= (pt + qt x) / rt  <=>  d x >= e, with d >= 0
+            d, e = qt * r - q * rt, p * rt - pt * r
+            if d:
+                t = -(e // -d)
+                if t > top:
+                    start = t
+                    break
+            elif e > 0:
+                start = x1 + 1  # parallel and above
+                break
+            runs.pop()
+        if start <= x1:
+            runs.append((start, p, q, r))
+    return runs
+
+
+def _envelope_floor_sum(lines, x0: int, x1: int) -> int:
+    """sum over x0 <= x <= x1 of floor(min_j (p_j + q_j x) / r_j), all r_j > 0,
+    lines in ``_by_slope`` order: one ``_floor_sum`` per run."""
     total = 0
-    while x0 <= x1:
-        # active line at x0: the smallest value, ties to the smaller slope,
-        # so every line of smaller slope is strictly above it at x0
-        p, q, r = lines[0]
-        for pj, qj, rj in lines[1:]:
-            here, best = (pj + qj * x0) * r, (p + q * x0) * rj
-            if here < best or (here == best and qj * r < q * rj):
-                p, q, r = pj, qj, rj
-        # the run lasts until a line of smaller slope drops strictly below it
-        end = x1
-        for pj, qj, rj in lines:
-            d = rj * q - r * qj
-            if d > 0:
-                end = min(end, (r * pj - rj * p) // d)
-        total += _floor_sum(end - x0 + 1, r, q, p + q * x0)
-        x0 = end + 1
+    end = x1 + 1
+    for start, p, q, r in reversed(_envelope_runs(lines, x0, x1)):
+        total += _floor_sum(end - start, r, q, p + q * start)
+        end = start
     return total
+
+
+def _envelope_floors(lines, x0: int, x1: int) -> list[int]:
+    """[floor(min_j (p_j + q_j x) / r_j) for x0 <= x <= x1], all r_j > 0, lines
+    in ``_by_slope`` order: each x evaluates only the line of its run."""
+    runs = _envelope_runs(lines, x0, x1)
+    ends = [start for start, _, _, _ in runs[1:]] + [x1 + 1]
+    return [(p + q * x) // r for (start, p, q, r), end in zip(runs, ends)
+            for x in range(start, end)]
 
 
 def _rows(upper, lower, x_lo: int, x_hi: int) -> int:
@@ -181,22 +229,55 @@ def _rows(upper, lower, x_lo: int, x_hi: int) -> int:
             + _envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
 
 
-def _plane_count(lo, hi, levels) -> int:
+def _line_form(body: ConvexBody):
+    """The y-lines of the 2-D slabs of a body of dimension n >= 2, each side in
+    ``_by_slope`` order, cached next to ``_lattice_form``.  x and y are the
+    last two axes and the outer axes the n - 2 before them.  A line's
+    right-hand side at level k is read off the level's scaled offsets c:
+    c[0] = hi_x, c[1] = -lo_x, c[2] = hi_y, c[3] = -lo_y, then the
+    constraints of the x-level and of the y-level in order.
+
+    ``upper`` and ``lower`` hold (a, q, r, i): y <= (p + q x) / r, or
+    -y <= (p + q x) / r, with p = c[i] - a.outer.  Only p depends on k and
+    on the outer prefix, so the slope order q / r is the body's.
+    """
+    if "lines" not in body._cache:
+        _, _, levels = _lattice_form(body)
+        x = body.dim - 2
+        y = x + 1
+        zero = (0,) * x
+        upper, lower = [(zero, 0, 1, 2)], [(zero, 0, 1, 3)]
+        first_y = 4 + len(levels[x])
+        for j, (a, _, _) in enumerate(levels[y]):
+            (upper if a[y] > 0 else lower).append((a[:x], -a[x], abs(a[y]), first_y + j))
+        body._cache["lines"] = tuple(_by_slope(side, lambda line: line[1:3])
+                                     for side in (upper, lower))
+    return body._cache["lines"]
+
+
+def _offsets(lo, hi, levels, x: int) -> list[int]:
+    """The scaled offsets c of one level that ``_line_form`` and ``_slab_form``
+    index: the x- and y-box, then the constraints of the x- and y-level."""
+    y = x + 1
+    return [hi[x], -lo[x], hi[y], -lo[y],
+            *(cj for _, cj in levels[x]), *(cj for _, cj in levels[y])]
+
+
+def _plane_count(body: ConvexBody, lo, hi, levels) -> int:
     """Points of a 2-D body, one slab in closed form.
 
-    With x the first axis and y the second, each constraint on y is a line
-    (p + q x) / r with r > 0: an upper bound on y if its y-coefficient is
-    positive, else an upper bound on -y.  Outside the x-interval where
+    With x the first axis and y the second, the y-lines of ``_line_form``
+    bound y from above and below.  Outside the x-interval where
     min upper + min lower >= 0 the rows are empty, so clip to it (one
     inequality per pair of lines) and sum each envelope (``_rows``).
     """
     x_lo, x_hi = _interval(lo[0], hi[0], levels[0], ())
     if x_lo > x_hi:
         return 0
-    upper = [(hi[1], 0, 1)]
-    lower = [(-lo[1], 0, 1)]
-    for a, c in levels[1]:
-        (upper if a[1] > 0 else lower).append((c, -a[0], abs(a[1])))
+    upper, lower = _line_form(body)
+    c = _offsets(lo, hi, levels, 0)
+    upper = [(c[i], q, r) for _, q, r, i in upper]
+    lower = [(c[i], q, r) for _, q, r, i in lower]
     for pu, qu, ru in upper:
         for pl, ql, rl in lower:
             # (pu + qu x) / ru + (pl + ql x) / rl >= 0  <=>  slope x >= -offset
@@ -212,32 +293,25 @@ def _plane_count(lo, hi, levels) -> int:
 
 def _slab_form(body: ConvexBody):
     """The k-free bounds of the 2-D slabs of a body of dimension n >= 3, cached
-    next to ``_lattice_form``.  x and y are the last two axes and the outer
-    axes the n - 2 before them.  A bound's right-hand side at level k is read
-    off the level's scaled offsets c (built by ``_slab_sum``): c[0] = hi_x,
-    c[1] = -lo_x, c[2] = hi_y, c[3] = -lo_y, then the constraints of the
-    x-level and of the y-level in order.
-
-    ``upper`` and ``lower`` are the y-lines (a, q, r, i): y <= (p + q x) / r,
-    or -y <= (p + q x) / r, with p = c[i] - a.outer.  Every other bound is a
-    bound s x >= A.outer - B with B = w_1 c[i_1] + w_2 c[i_2]: the x-box, each
-    x-constraint, and each (upper, lower) pair of y-lines, whose rows are
-    empty unless (p_u + q_u x) / r_u + (p_l + q_l x) / r_l >= 0, i.e.
-    s = q_u r_l + q_l r_u, A = a_u r_l + a_l r_u and B = c_u r_l + c_l r_u.
+    next to ``_lattice_form``: the y-lines ``upper`` and ``lower`` of
+    ``_line_form``, then every bound on x, each a bound s x >= A.outer - B
+    with B = w_1 c[i_1] + w_2 c[i_2] on the offsets c of ``_line_form``: the
+    x-box, each x-constraint, and each (upper, lower) pair of y-lines, whose
+    rows are empty unless (p_u + q_u x) / r_u + (p_l + q_l x) / r_l >= 0,
+    i.e. s = q_u r_l + q_l r_u, A = a_u r_l + a_l r_u and B = c_u r_l + c_l r_u.
     Only B depends on k.  The bounds are kept as (A, |s|, w_1, i_1, w_2, i_2)
     in three groups: lower bounds on x (s > 0), upper bounds on x (s < 0) and
     flat bounds (s = 0), which read A.outer <= B and bound the outer axes
-    alone.
+    alone.  Over the last outer axis w both x-bounds read
+    x >= -floor((B' - A_w w) / s) and x <= floor((B' - A_w w) / |s|), with
+    B' = B - A.prefix, floors of a lower envelope, so each group is kept in
+    the ``_by_slope`` order of the lines (B', -A_w, |s|).
     """
     if "slabs" not in body._cache:
         _, _, levels = _lattice_form(body)
+        upper, lower = _line_form(body)
         x = body.dim - 2
-        y = x + 1
         zero = (0,) * x
-        upper, lower = [(zero, 0, 1, 2)], [(zero, 0, 1, 3)]
-        first_y = 4 + len(levels[x])
-        for j, (a, _, _) in enumerate(levels[y]):
-            (upper if a[y] > 0 else lower).append((a[:x], -a[x], abs(a[y]), first_y + j))
         bounds = [(1, zero, 1, 1, 0, 0), (-1, zero, 1, 0, 0, 0)]
         bounds += [(-a[x], a[:x], 1, 4 + j, 0, 0) for j, (a, _, _) in enumerate(levels[x])]
         bounds += [(qu * rl + ql * ru, tuple(u * rl + l * ru for u, l in zip(au, al)),
@@ -246,45 +320,11 @@ def _slab_form(body: ConvexBody):
         x_lower, x_upper, flat = [], [], []
         for s, A, *terms in bounds:
             (x_lower if s > 0 else x_upper if s < 0 else flat).append((A, abs(s), *terms))
+        w = x - 1
+        x_lower, x_upper = (_by_slope(side, lambda bound: (-bound[0][w], bound[1]))
+                            for side in (x_lower, x_upper))
         body._cache["slabs"] = (upper, lower, x_lower, x_upper, flat)
     return body._cache["slabs"]
-
-
-def _envelope_runs(lines, w0: int, w1: int) -> list[tuple[int, int, int, int, int]]:
-    """The runs (start, end, A, B, s) of max_i (A_i w - B_i) / s_i over the
-    integers w0 <= w <= w1, all s_i > 0: line (A, B, s) is the maximum for
-    start <= w <= end.
-
-    The maximum of lines is convex, so each line is the maximum on at most
-    one run of consecutive w.  Walk the runs as ``_envelope_floor_sum`` does;
-    a line that is never the maximum has no run.
-    """
-    runs = []
-    while w0 <= w1:
-        # active line at w0: the largest value, ties to the larger slope,
-        # so every line of larger slope is at or below it at w0
-        A, B, s = lines[0]
-        for Aj, Bj, sj in lines[1:]:
-            here, best = (Aj * w0 - Bj) * s, (A * w0 - B) * sj
-            if here > best or (here == best and Aj * s > A * sj):
-                A, B, s = Aj, Bj, sj
-        # the run lasts until a line of larger slope rises strictly above it
-        end = w1
-        for Aj, Bj, sj in lines:
-            d = Aj * s - A * sj
-            if d > 0:
-                end = min(end, (Bj * s - B * sj) // d)
-        runs.append((w0, end, A, B, s))
-        w0 = end + 1
-    return runs
-
-
-def _envelope_ceil(lines, w0: int, w1: int) -> list[int]:
-    """[max_i ceil((A_i w - B_i) / s_i) for w0 <= w <= w1], all s_i > 0.  Ceil
-    is monotone, so each w evaluates only the line of its ``_envelope_runs``
-    run."""
-    return [-((B - A * w) // s) for start, end, A, B, s in _envelope_runs(lines, w0, w1)
-            for w in range(start, end + 1)]
 
 
 def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
@@ -293,17 +333,14 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
     With the bounds of ``_slab_form`` at this level, the flat bounds join the
     constraints of the outer axes, so they narrow the outer ranges once.  Then
     for each prefix of all outer axes but the last one, w, the other bounds
-    become lines in w, and the x-range of each slab is the ceil of the upper
-    envelope of the lower bounds and the floor of the lower envelope of the
-    upper bounds (``_envelope_ceil``): only the lines that bind are
-    evaluated, one per slab and side.  Each slab is then summed in closed
-    form (``_rows``).
+    become lines in w, and the x-range of each slab is read off the two
+    envelopes of the bounds on x (``_envelope_floors``): only the lines that
+    bind are evaluated, one per slab and side.  Each slab is then summed in
+    closed form (``_rows``).
     """
     upper, lower, x_lower, x_upper, flat = _slab_form(body)
-    n = body.dim
-    x, y = n - 2, n - 1
-    c = [hi[x], -lo[x], hi[y], -lo[y],
-         *(cj for _, cj in levels[x]), *(cj for _, cj in levels[y])]
+    x = body.dim - 2
+    c = _offsets(lo, hi, levels, x)
     outer = [list(group) for group in levels[:x]]
     for A, _, w1, i1, w2, i2 in flat:
         B = w1 * c[i1] + w2 * c[i2]
@@ -321,12 +358,12 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
         w_lo, w_hi = _interval(lo[w], hi[w], outer[w], prefix)
         if w_lo > w_hi:
             continue
-        # everything but the w-term is fixed on this prefix; s x >= A w - B
-        # is x >= ceil((A w - B) / s) for s > 0, x <= -ceil((A w - B) / -s) else
-        x_lo = _envelope_ceil([(A[w], _rest(A, B, prefix), s) for A, B, s in x_lower],
-                              w_lo, w_hi)
-        x_hi = [-x1 for x1 in _envelope_ceil([(A[w], _rest(A, B, prefix), s)
-                                              for A, B, s in x_upper], w_lo, w_hi)]
+        # everything but the w-term is fixed on this prefix: s x >= A w - B
+        # reads as a floor of a lower envelope on each side (``_slab_form``)
+        x_lo = [-f for f in _envelope_floors(
+            [(_rest(A, B, prefix), -A[w], s) for A, B, s in x_lower], w_lo, w_hi)]
+        x_hi = _envelope_floors(
+            [(_rest(A, B, prefix), -A[w], s) for A, B, s in x_upper], w_lo, w_hi)
         up = [(_rest(a, p, prefix), a[w], q, r) for p, a, q, r in upper]
         down = [(_rest(a, p, prefix), a[w], q, r) for p, a, q, r in lower]
         for z, x0, x1 in zip(range(w_lo, w_hi + 1), x_lo, x_hi):
@@ -358,9 +395,11 @@ def count(body: ConvexBody, k: int) -> int:
     Lists the integer prefixes of all but the last two axes with the walk
     ``enumerate_points`` runs over all n, and counts each 2-D slab in closed
     form (``_plane_count``, ``_slab_sum``), so a 2-D count takes
-    O(m^2 + m log k) for m constraints and a 3-D count O(r m^2 + k m log k),
-    with r the runs of the pair-bound envelopes (the few pairs that bind).
-    A 1-D body is one interval.
+    O(m^2 + t log k) for m constraints, t of them owning a run of the
+    y-envelopes, and a 3-D count O(m^2 + k (m + t log k)): one stack pass per
+    slab and side and one floor sum per run, after the body's pair bounds and
+    slope orders are built once, in O(m^2 log m).  A 1-D body is one
+    interval.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -371,7 +410,7 @@ def count(body: ConvexBody, k: int) -> int:
         lo_j, hi_j = _interval(lo[0], hi[0], levels[0], ())
         return max(0, hi_j - lo_j + 1)
     if body.dim == 2:
-        return _plane_count(lo, hi, levels)
+        return _plane_count(body, lo, hi, levels)
     return _slab_sum(body, lo, hi, levels)
 
 

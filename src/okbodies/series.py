@@ -106,7 +106,7 @@ class GradedSeriesModel:
     def gap_set(self, k: int) -> PointCloud:
         """(ambient ∩ Z^n/k) \\ Delta_k."""
         self._check_level(k)
-        return PointCloud(k, tuple(self._level_gaps(k)))
+        return PointCloud(k, tuple(sorted(self._level_gaps(k))))
 
     def gap_table(self, k_max: int) -> list[GapRow]:
         if k_max < 1:

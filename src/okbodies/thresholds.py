@@ -488,7 +488,7 @@ def select_compatible_family(model: GradedSeriesModel, v: ValuationModel,
     _, _, points, _ = _level_scores(model, v.G, k)
     if not 1 <= m <= len(points):
         raise ValueError(f"m={m} out of range [1, {len(points)}]")
-    return PointCloud(k, points[:m])
+    return PointCloud(k, tuple(sorted(points[:m])))
 
 
 def empirical_family_measure(model: GradedSeriesModel, v: ValuationModel,

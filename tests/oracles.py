@@ -24,6 +24,12 @@ and ``oracle_jumping_values`` builds one Fraction per point and compares
 every neighbour: the paths that the library's single idealized score table,
 the gap-filtered Delta_k table read off it, column-wise scoring and the
 shared-Fraction ``JumpingVector`` must match exactly.
+``oracle_count`` clips every 2-D slab with every (upper, lower) pair of its
+y-lines (``oracle_slab_count``), and ``oracle_envelope_floor_sum`` and
+``oracle_envelope_runs`` walk an envelope run by run, scanning every line
+twice per run, on lines in any order: the paths that the library's pair
+bounds pruned once per level and its one stack pass over lines sorted once
+per body must match exactly.
 """
 
 import random
@@ -34,8 +40,8 @@ from operator import mul
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _int_form,
                                _maximal, _primitive, _tight_set, empty_body, hull, rat, volume)
-from okbodies.lattice import (_envelope_floor_sum, _interval, _prefixes, _rest,
-                              _scaled_constraints, enumerate_points)
+from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
+                              enumerate_points)
 from okbodies.series import ModelError
 
 
@@ -330,6 +336,61 @@ def oracle_jumping_values(table) -> tuple[Fraction, ...]:
     return values
 
 
+def oracle_envelope_floor_sum(lines, x0: int, x1: int) -> int:
+    """sum over x0 <= x <= x1 of floor(min_j (p_j + q_j x) / r_j), all r_j > 0,
+    lines in any order.
+
+    The minimum of lines is concave, so each line is active on at most one
+    run of consecutive x: walk the runs, scanning every line twice per run,
+    and sum each with ``_floor_sum``.
+    """
+    total = 0
+    while x0 <= x1:
+        # active line at x0: the smallest value, ties to the smaller slope,
+        # so every line of smaller slope is strictly above it at x0
+        p, q, r = lines[0]
+        for pj, qj, rj in lines[1:]:
+            here, best = (pj + qj * x0) * r, (p + q * x0) * rj
+            if here < best or (here == best and qj * r < q * rj):
+                p, q, r = pj, qj, rj
+        # the run lasts until a line of smaller slope drops strictly below it
+        end = x1
+        for pj, qj, rj in lines:
+            d = rj * q - r * qj
+            if d > 0:
+                end = min(end, (r * pj - rj * p) // d)
+        total += _floor_sum(end - x0 + 1, r, q, p + q * x0)
+        x0 = end + 1
+    return total
+
+
+def oracle_envelope_runs(lines, w0: int, w1: int) -> list[tuple[int, int, int, int, int]]:
+    """The runs (start, end, A, B, s) of max_i (A_i w - B_i) / s_i over the
+    integers w0 <= w <= w1, all s_i > 0, lines in any order: line (A, B, s)
+    is the maximum for start <= w <= end.  Walked as
+    ``oracle_envelope_floor_sum`` walks its runs; a line that is never the
+    maximum has no run.
+    """
+    runs = []
+    while w0 <= w1:
+        # active line at w0: the largest value, ties to the larger slope,
+        # so every line of larger slope is at or below it at w0
+        A, B, s = lines[0]
+        for Aj, Bj, sj in lines[1:]:
+            here, best = (Aj * w0 - Bj) * s, (A * w0 - B) * sj
+            if here > best or (here == best and Aj * s > A * sj):
+                A, B, s = Aj, Bj, sj
+        # the run lasts until a line of larger slope rises strictly above it
+        end = w1
+        for Aj, Bj, sj in lines:
+            d = Aj * s - A * sj
+            if d > 0:
+                end = min(end, (Bj * s - B * sj) // d)
+        runs.append((w0, end, A, B, s))
+        w0 = end + 1
+    return runs
+
+
 def oracle_slab_count(lo, hi, levels, prefix) -> int:
     """Points of the 2-D slab over ``prefix`` (the last two axes), in closed form.
 
@@ -363,8 +424,8 @@ def oracle_slab_count(lo, hi, levels, prefix) -> int:
                 return 0
     if x_lo > x_hi:
         return 0
-    return (_envelope_floor_sum(upper, x_lo, x_hi)
-            + _envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
+    return (oracle_envelope_floor_sum(upper, x_lo, x_hi)
+            + oracle_envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
 
 
 def oracle_count(body, k: int) -> int:

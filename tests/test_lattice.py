@@ -34,7 +34,8 @@ from okbodies.lattice import (
     enumerate_points,
 )
 from okbodies.estimates import sub_body_sampler
-from oracles import oracle_box, oracle_count, oracle_scaled_constraints
+from oracles import (oracle_box, oracle_count, oracle_envelope_floor_sum, oracle_envelope_runs,
+                     oracle_scaled_constraints)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -366,14 +367,13 @@ def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
     only 3 lower and 5 upper ones ever bind at k = 60, where the unpruned
     path clips each of its slabs with all 49 pairs."""
     runs = []
-    envelope_runs = lattice._envelope_runs
+    envelope_floors = lattice._envelope_floors
 
     def counting(lines, w0, w1):
-        out = envelope_runs(lines, w0, w1)
-        runs.append((len(lines), len(out)))
-        return out
+        runs.append((len(lines), len(lattice._envelope_runs(lines, w0, w1))))
+        return envelope_floors(lines, w0, w1)
 
-    monkeypatch.setattr(lattice, "_envelope_runs", counting)
+    monkeypatch.setattr(lattice, "_envelope_floors", counting)
     cube = hull(list(itertools.product((0, 1), repeat=3)))
     _, _, x_lower, x_upper, flat = lattice._slab_form(cube)
     assert (len(x_lower), len(x_upper), len(flat)) == (2, 2, 4)
@@ -385,6 +385,112 @@ def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
     assert (len(x_lower), len(x_upper), len(flat)) == (28, 22, 1)
     assert count(body, 60) == oracle_count(body, 60)
     assert runs == [(28, 3), (22, 5)]
+
+
+def brute_envelope(lines, x0, x1):
+    """Oracle: at each integer x0 <= x <= x1, the floor of min_j (p_j + q_j x) / r_j
+    in Fractions, and the runs (start, intercept, slope) of the line attaining
+    it, ties to the smaller slope, a line taken as the function it is."""
+    floors, runs = [], []
+    for x in range(x0, x1 + 1):
+        value, slope = min((F(p + q * x, r), F(q, r)) for p, q, r in lines)
+        floors.append(math.floor(value))
+        if not runs or runs[-1][1:] != (value - slope * x, slope):
+            runs.append((x, value - slope * x, slope))
+    return floors, runs
+
+
+def _envelope_lines(rng, size, big):
+    """``size`` lines (p, q, r), r > 0, of mixed kinds: random ones; lines
+    through a few shared integer points, so crossings fall on integers and
+    three or more lines meet there (the middle ones own no integer); and
+    copies of earlier lines with their slope kept, as they are or scaled by
+    an integer (identical lines)."""
+    bound = 10**12 if big else 30
+    hubs = [(rng.randint(-10, 10), rng.randint(-bound, bound)) for _ in range(2)]
+    lines = []
+    for _ in range(size):
+        kind = rng.choice(["random", "hub", "copy"] if lines else ["random", "hub"])
+        r = rng.randint(1, bound if big else 6)
+        q = rng.randint(-bound, bound)
+        if kind == "random":
+            lines.append((rng.randint(-bound, bound), q, r))
+        elif kind == "hub":
+            x, y = rng.choice(hubs)
+            lines.append((y * r - q * x, q, r))
+        else:
+            p, q, r = rng.choice(lines)
+            t = rng.randint(1, 3)
+            lines.append((t * p + rng.choice([0, 0, rng.randint(-bound, bound)]), t * q, t * r))
+    return lines
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 8), st.booleans())
+def test_envelope_matches_oracle_walk_and_brute_sum(seed, size, big):
+    """The stack pass over lines in slope order gives the runs of the brute
+    per-x minimum, and its floor sum and floors equal the parent's run walk
+    (``oracle_envelope_floor_sum``, ``oracle_envelope_runs``, lines in any
+    order) and the brute sums, on ranges of one to 31 integers."""
+    rng = random.Random(seed)
+    lines = _envelope_lines(rng, size, big)
+    x0 = rng.randint(-15, 15)
+    x1 = x0 + rng.choice([0, 0, rng.randint(1, 30)])
+    ordered = lattice._by_slope(lines, lambda line: line[1:])
+    floors, runs = brute_envelope(lines, x0, x1)
+    assert [(start, F(p, r), F(q, r))
+            for start, p, q, r in lattice._envelope_runs(ordered, x0, x1)] == runs
+    assert lattice._envelope_floor_sum(ordered, x0, x1) == sum(floors)
+    assert oracle_envelope_floor_sum(lines, x0, x1) == sum(floors)
+    assert lattice._envelope_floors(ordered, x0, x1) == floors
+    # the x-bounds: max_i ceil((A_i w - B_i) / s_i) = -floor(min_i (B_i - A_i w) / s_i)
+    ceils = [-((B - A * w) // s) for start, end, A, B, s
+             in oracle_envelope_runs([(-q, p, r) for p, q, r in lines], x0, x1)
+             for w in range(start, end + 1)]
+    assert ceils == [-f for f in floors]
+    assert lattice._envelope_floor_sum(ordered, x1 + 1, x1) == 0
+
+
+def test_count_sorts_lines_once_per_body_and_sums_each_run_once(monkeypatch):
+    """The slope orders are built on a body's first count and read by every
+    later one: the y-lines of each side in 2-D, and the y-lines and both
+    groups of x-bounds in 3-D.  Each y-envelope calls ``_floor_sum`` once per
+    run of its brute per-x minimum."""
+    sorts, sums, runs = [], [], []
+    by_slope, envelope_floor_sum, floor_sum = (
+        lattice._by_slope, lattice._envelope_floor_sum, lattice._floor_sum)
+
+    def sorting(lines, slope):
+        sorts.append(len(lines))
+        return by_slope(lines, slope)
+
+    def summing(lines, x0, x1):
+        runs.append(len(brute_envelope(lines, x0, x1)[1]))
+        return envelope_floor_sum(lines, x0, x1)
+
+    def counting(*args):
+        sums.append(args)
+        return floor_sum(*args)
+
+    monkeypatch.setattr(lattice, "_by_slope", sorting)
+    monkeypatch.setattr(lattice, "_envelope_floor_sum", summing)
+    monkeypatch.setattr(lattice, "_floor_sum", counting)
+    body = _criterion_04_body(3, 1001, 8)
+    for key in ("lines", "slabs"):
+        body._cache.pop(key, None)
+    assert count(body, 60) == oracle_count(body, 60)
+    assert sorts == [7, 7, 28, 22]
+    assert count(body, 59) == oracle_count(body, 59)
+    assert len(sorts) == 4
+    assert len(sums) == sum(runs) and len(runs) > 100
+    sorts.clear(), sums.clear(), runs.clear()
+    plane = sub_body_sampler(UNIT_SQUARE, F(1, 10), seed=0)(1)[0]
+    plane._cache.pop("lines", None)
+    for k in range(1, 13):
+        assert count(plane, k) == oracle_count(plane, k)
+    assert len(sorts) == 2
+    # two envelopes at each of the 11 levels whose x-range is not empty
+    assert len(sums) == sum(runs) and len(runs) == 22
 
 
 # SHA-256 of the lines "k count(body, k)" for every k in (C, k_max], C the

@@ -861,6 +861,32 @@ def test_score_tables_match_per_level_oracle():
                 assert g.scaled_values(points, k) == oracle_scaled_values(g, points, k)
 
 
+def test_point_clouds_come_sorted_from_their_producers(monkeypatch):
+    """``PointCloud`` keeps sorted, distinct points after an O(n) check and
+    sorts anything else itself.  Every producer hands it sorted, distinct
+    points, so that sort never runs: the idealized level and Delta_k in
+    lattice order, the gap set sorted from its frozenset, and each compatible
+    family sorted from score order."""
+    handed = []
+    post_init = PointCloud.__post_init__
+
+    def checking(cloud):
+        points = cloud.points
+        handed.append(all(a < b for a, b in zip(points, points[1:])))
+        post_init(cloud)
+
+    monkeypatch.setattr(PointCloud, "__post_init__", checking)
+    for model, transforms, levels in _differential_cases():
+        for k in levels:
+            model.idealized_body(k), model.discrete_body(k), model.gap_set(k)
+            d = model.d_k(k)
+            for g in transforms:
+                v = ValuationModel("v", F(1), g)
+                for m in {1, max(d // 2, 1), d}:
+                    select_compatible_family(model, v, k, m)
+    assert len(handed) > 100 and all(handed)
+
+
 def test_jumping_vector_rejects_an_increase():
     JumpingVector(1, (F(2), F(1), F(1), F(1)))  # equal, distinct Fractions pass
     for values in ((F(0), F(1)), (F(1), F(1), F(2)), (F(3), F(1), F(2), F(2))):
