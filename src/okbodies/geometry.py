@@ -16,7 +16,9 @@ as integer rows from the parent's (D, Z).  Fractions are built once, for the
 final vertex tuples, and every body from these constructors comes with its
 (D, Z), affine rank and vertex-facet incidence already cached.  Tight sets,
 the sign tests and crossings of clipping, and affine ranks read (D, Z), so
-they compare and eliminate exact ints instead of summing Fractions.
+they compare and eliminate exact ints instead of summing Fractions; a clip
+that cuts a body reads its tight sets and rank off the parent's incidence
+and rank instead.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the only
 Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -433,15 +435,23 @@ def _affine_equalities(D: int, Z: Sequence[Sequence[int]], n: int) -> list[HalfS
 
 
 def _maximal(sets: set[frozenset[int]]) -> set[frozenset[int]]:
-    """The members of a family of sets that lie in no other member."""
-    return {s for s in sets if not any(s < t for t in sets)}
+    """The members of a family of sets that lie in no other member.
+
+    Largest first: a set inside another member lies inside a maximal one,
+    which is larger and already kept, so each set is compared with the kept
+    sets only."""
+    kept: list[frozenset[int]] = []
+    for s in sorted(sets, key=len, reverse=True):
+        if not any(s < t for t in kept):
+            kept.append(s)
+    return set(kept)
 
 
 def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
-            tight: dict[HalfSpace, frozenset[int]], rank: int) -> ConvexBody:
+            tight: Iterable[tuple[HalfSpace, frozenset[int]]], rank: int) -> ConvexBody:
     """The body on the vertices Z / D (D > 0, sorted, distinct integer rows of
-    affine rank ``rank``) and the halfspaces of ``tight`` (halfspace -> tight
-    row indices).
+    affine rank ``rank``) and the distinct halfspaces of ``tight``, pairs
+    (halfspace, tight row indices).
 
     Its caches are seeded: the incidence from ``tight``, the affine rank, and
     the integer vertex form, (D, Z) divided by gcd(D, every entry), which is
@@ -455,9 +465,10 @@ def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
     body = object.__new__(ConvexBody)
     body.dim = n
     body.vertices = tuple(tuple(Fraction(c, D) for c in z) for z in Z)
-    body.halfspaces = tuple(sorted(tight))
+    pairs = sorted(tight, key=itemgetter(0))
+    body.halfspaces = tuple(h for h, _ in pairs)
     body._cache = {"int_form": (D, tuple(Z)), "arank": rank,
-                   "incidence": tuple(tight[h] for h in body.halfspaces)}
+                   "incidence": tuple(t for _, t in pairs)}
     return body
 
 
@@ -468,7 +479,7 @@ def _hull_degenerate(D: int, Z: Sequence[tuple[int, ...]], n: int,
     direction space, lifted back, plus the affine-hull equalities."""
     equalities = _affine_equalities(D, Z, n)
     if not pivots:
-        return _primed(n, D, Z[:1], dict.fromkeys(equalities, frozenset({0})), 0)
+        return _primed(n, D, Z[:1], [(h, frozenset({0})) for h in equalities], 0)
     back = {tuple(z[j] for j in pivots): z for z in Z}
     inner = _hull_full(D, sorted(back), len(pivots))
     d, rows = inner.int_form()
@@ -482,7 +493,7 @@ def _hull_degenerate(D: int, Z: Sequence[tuple[int, ...]], n: int,
         for coeff, j in zip(h.normal, pivots):
             normal[j] = coeff
         tight[HalfSpace(tuple(normal), h.offset)] = frozenset(index[lifted[i]] for i in t)
-    return _primed(n, D, vertices, tight, len(pivots))
+    return _primed(n, D, vertices, tight.items(), len(pivots))
 
 
 def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
@@ -545,29 +556,8 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
             for w in tight:
                 tight_at[w].append(len(vertices))
             vertices.append(P[i])
-    return _primed(n, D, vertices, {HalfSpace(w, Fraction(b, D)): frozenset(tight_at[w])
-                                    for w, b in merged.items()}, n)
-
-
-def _synced_body(D: int, Z: Sequence[tuple[int, ...]], candidates: Iterable[HalfSpace],
-                 n: int) -> ConvexBody:
-    """The body on the vertices Z / D (D > 0, sorted, distinct integer rows)
-    with the facet-inducing candidates and the affine-hull equalities.
-
-    Every candidate holds on the vertices and every facet of their hull is among
-    the candidates, so the facets are the candidates whose tight vertex sets are
-    maximal among the proper, nonempty ones.  The tight sets and the affine
-    rank are read off (D, Z) and seeded into the body's caches with its
-    canonical integer vertex form (``_primed``), so no later query rebuilds
-    them.
-    """
-    rank = _affine_rank(Z)[0]
-    tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
-    facets = _maximal({t for t in tight.values() if 0 < len(t) < len(Z)})
-    synced = {h: t for h, t in tight.items() if t in facets}
-    if rank < n:
-        synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(Z)))))
-    return _primed(n, D, Z, synced, rank)
+    return _primed(n, D, vertices, [(HalfSpace(w, Fraction(b, D)), frozenset(tight_at[w]))
+                                    for w, b in merged.items()], n)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +570,20 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
     Works on the body's integer vertex form (D, Z): with s_i the scaled value
     of hs at z_i, the crossing on an edge (i, j) is
     (s_j z_i - s_i z_j) / (D (s_j - s_i)), so every new vertex is an integer
-    row over D times the lcm of the reduced crossing denominators, and the
-    rows go to ``_synced_body`` without becoming Fractions on the way.
+    row over D times the lcm of the reduced crossing denominators and never
+    becomes a Fraction on the way.
+
+    When hs cuts the body (some s_i < 0 < some s_j), the tight sets of the
+    result are read off the parent's incidence, with no dot product: a parent
+    halfspace is tight at a kept vertex iff it was tight there, and at the
+    crossing on (i, j) iff it is tight at both ends; hs is tight at every
+    crossing and every vertex with s_i = 0.  The facets are the candidates
+    whose tight sets are maximal among the proper, nonempty ones.  The
+    relatively open part {s < 0} of the body is nonempty, so the result keeps
+    the parent's affine rank r, and the equalities of its affine hull are
+    added only when r < n.  An edge of the parent lies on at least r - 1 of
+    its facets, all of which are among its halfspaces, so only vertex pairs
+    that share r - 1 halfspaces are tested for an edge.
     """
     if len(hs.normal) != body.dim:
         raise DimensionMismatch("halfspace dimension differs from body dimension")
@@ -598,29 +600,53 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
         if not on:
             return empty_body(body.dim)
         return _hull_rows(D, on, body.dim)
-    inside = [i for i, s in enumerate(vals) if s <= 0]
-    outside = [i for i, s in enumerate(vals) if s > 0]
+    n, rank = body.dim, body.affine_rank()
+    outside = [j for j, s in enumerate(vals) if s > 0]
     incidence = body.incidence()
+    at: list[list[int]] = [[] for _ in Z]  # the halfspaces tight at each vertex
+    mask = [0] * len(Z)  # the same, as bit masks
+    for h, t in enumerate(incidence):
+        for i in t:
+            at[i].append(h)
+            mask[i] |= 1 << h
     everything = frozenset(range(len(vals)))
-    crossings: list[tuple[int, tuple[int, ...]]] = []
-    for i in inside:
-        si = vals[i]
+    # each new vertex: (numerator row, its denominator over D, the parent
+    # halfspaces tight at it, whether hs is tight at it)
+    new: list[tuple[tuple[int, ...], int, list[int], bool]] = []
+    for i, si in enumerate(vals):
+        if si > 0:
+            continue
+        new.append((Z[i], 1, at[i], si == 0))
         if si == 0:
             continue
-        at_i = [t for t in incidence if i in t]
         for j in outside:
+            if (mask[i] & mask[j]).bit_count() < rank - 1:
+                continue  # an edge lies on at least rank - 1 facets
+            common = [h for h in at[i] if j in incidence[h]]
             # an edge iff the smallest face holding both ends has two vertices
-            if len(everything.intersection(*(t for t in at_i if j in t))) != 2:
+            if len(everything.intersection(*(incidence[h] for h in common))) != 2:
                 continue
             # z_i / D + lam (z_j - z_i) / D with lam = -s_i / (s_j - s_i)
             sj = vals[j]
             num = [a * sj - b * si for a, b in zip(Z[i], Z[j])]
             g = gcd(sj - si, *num)
-            crossings.append(((sj - si) // g, tuple(c // g for c in num)))
-    L = lcm(*(den for den, _ in crossings))
-    rows = {tuple(L * c for c in Z[i]) for i in inside}
-    rows.update(tuple(L // den * c for c in num) for den, num in crossings)
-    return _synced_body(D * L, sorted(rows), list(body.halfspaces) + [hs], body.dim)
+            new.append((tuple(c // g for c in num), (sj - si) // g, common, True))
+    L = lcm(*(den for _, den, _, _ in new))
+    rows = sorted((tuple(L // den * c for c in z), tight, on) for z, den, tight, on in new)
+    tight_sets: list[list[int]] = [[] for _ in incidence]
+    on_hs = []
+    for idx, (_, tight, on) in enumerate(rows):
+        for h in tight:
+            tight_sets[h].append(idx)
+        if on:
+            on_hs.append(idx)
+    candidates = [*zip(body.halfspaces, map(frozenset, tight_sets)), (hs, frozenset(on_hs))]
+    facets = _maximal({t for _, t in candidates if 0 < len(t) < len(rows)})
+    synced = [(h, t) for h, t in candidates if t in facets]
+    Z = [z for z, _, _ in rows]
+    if rank < n:
+        synced += [(h, frozenset(range(len(Z)))) for h in _affine_equalities(D * L, Z, n)]
+    return _primed(n, D * L, Z, synced, rank)
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
@@ -654,16 +680,20 @@ def minkowski_cube(body: ConvexBody, eps) -> ConvexBody:
 
 
 def superlevel(body: ConvexBody, g: "ConcavePL", t) -> ConvexBody:
-    """body intersected with {g >= t}: one halfspace cut per affine piece."""
+    """body intersected with {g >= t}: one halfspace cut per affine piece.
+
+    The cut of a piece c + grad . x is w . x <= (c - t) r, with the
+    primitive normal w of -grad and its scale r read off ``g.cuts``, so each
+    call builds its halfspaces without reducing a normal."""
     t = rat(t)
     result = body
-    for piece in g.pieces:
-        if all(c == 0 for c in piece.gradient):
+    for piece, cut in zip(g.pieces, g.cuts):
+        if cut is None:
             if piece.constant < t:
                 return empty_body(body.dim)
             continue  # constant piece >= t everywhere
-        hs = HalfSpace.make([-c for c in piece.gradient], piece.constant - t)
-        result = intersect_halfspace(result, hs)
+        normal, scale = cut
+        result = intersect_halfspace(result, HalfSpace(normal, (piece.constant - t) * scale))
         if result.is_empty:
             return result
     return result
@@ -713,6 +743,22 @@ class ConcavePL:
         L = lcm(*(c.denominator for f in self.pieces for c in (*f.gradient, f.constant)))
         return L, tuple((tuple(int(c * L) for c in f.gradient), int(f.constant * L))
                         for f in self.pieces)
+
+    @cached_property
+    def cuts(self) -> tuple[tuple[tuple[int, ...], Fraction] | None, ...]:
+        """Per piece c + grad . x, the primitive normal w of -grad and the scale
+        r with w = r (-grad), so {piece >= t} is the halfspace
+        w . x <= (c - t) r (``HalfSpace.make``'s normal and offset); None for
+        a constant piece."""
+        out = []
+        for f in self.pieces:
+            if not any(f.gradient):
+                out.append(None)
+                continue
+            normal = _primitive([-c for c in f.gradient])
+            idx = next(i for i, c in enumerate(normal) if c)
+            out.append((normal, Fraction(normal[idx]) / -f.gradient[idx]))
+        return tuple(out)
 
     def __hash__(self) -> int:
         return self._hash

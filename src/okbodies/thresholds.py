@@ -39,7 +39,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     AffineFunctional,
@@ -262,18 +262,40 @@ def mu_k(model: GradedSeriesModel, v: ValuationModel, k: int) -> EmpiricalMeasur
 # continuous ccdf / quantile machinery
 # ---------------------------------------------------------------------------
 
+class _Ccdf(NamedTuple):
+    """The ccdf of G on an ambient body: its maximum s0 and vertex minimum
+    sigma, the ambient volume, the top atom F(s0) = vol{G >= s0} / vol, the
+    candidate breakpoints and one (lo, hi, coefficients) piece per candidate
+    interval."""
+
+    s0: Fraction
+    sigma: Fraction
+    vol: Fraction
+    atom: Fraction
+    breaks: tuple[Fraction, ...]
+    pieces: tuple[tuple[Fraction, Fraction, tuple[Fraction, ...]], ...]
+
+
 @lru_cache(maxsize=128)
-def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
-    """Breakpoints and per-piece polynomials of t -> |{G >= t}| / |ambient|.
+def _ccdf_data(ambient: ConvexBody, g: ConcavePL) -> _Ccdf:
+    """Breakpoints and per-piece polynomials of F(t) = |{G >= t}| / |ambient|.
 
     Candidate breakpoints are the t-values where n+1 of the constraint
     hyperplanes in (x, t)-space meet in a point: a superset of the true
     combinatorial-change values.  The volume can only change polynomial at
     the t-value of a vertex of the hypograph {(x, t) : x in ambient,
     t <= G(x)}, so a candidate whose point satisfies every constraint is a
-    real breakpoint.  One polynomial of degree <= n is interpolated exactly
-    per interval between real breakpoints, and every candidate interval
-    inside it carries that polynomial.
+    real breakpoint.  One polynomial of degree <= n is fitted exactly per
+    interval between real breakpoints, and every candidate interval inside
+    it carries that polynomial.
+
+    Each fit reuses the values of F it already knows.  G >= sigma on the
+    ambient, so F = 1 on [0, sigma]: an interval there is the constant
+    (1,), with no volume.  A concave G is constant on no open set below its
+    maximum, so F is continuous on [0, s0) and left-continuous at s0; a fit
+    on [a, b] takes F(a) from the fit before it (or 1 at a <= sigma) and
+    F(s0) is the top atom, measured once.  So each fitted interval measures
+    n new superlevel volumes, and the last one n - 1 besides the atom.
     """
     n = ambient.dim
     vol = volume(ambient)
@@ -281,6 +303,11 @@ def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
         raise ValueError("ambient body must be full-dimensional")
     s0 = max_transform(ambient, g)
     sigma = min(g(x) for x in ambient.vertices)
+
+    def ccdf(t: Fraction) -> Fraction:
+        return volume(superlevel(ambient, g, t)) / vol
+
+    atom = Fraction(1) if s0 <= sigma else ccdf(s0)  # s0 = sigma: G is constant
     # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
     # common denominator to integers, which changes no solution
     _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
@@ -303,41 +330,43 @@ def _ccdf_data(ambient: ConvexBody, g: ConcavePL):
     real_breaks = sorted(c for c in real if 0 <= c <= s0)
     next_real = dict(zip(real_breaks, real_breaks[1:]))
     pieces = []
+    coeffs: tuple[Fraction, ...] = ()
     for lo, hi in zip(breaks, breaks[1:]):
         if lo in next_real:  # 0 is real, so the first interval starts a fit
             a, b = lo, next_real[lo]
-            ts = [a + (b - a) * Fraction(j + 1, n + 2) for j in range(n + 1)]
-            coeffs = _lagrange(ts, [volume(superlevel(ambient, g, t)) / vol for t in ts])
+            if b <= sigma:
+                coeffs = (Fraction(1),)
+            else:
+                # F(a) is measured only at a = 0 with sigma < 0 (G < 0 somewhere)
+                fa = Fraction(1) if a <= sigma else _poly_eval(coeffs, a) if coeffs else ccdf(a)
+                inner = n - 1 if b == s0 else n
+                ts = [a] + [a + (b - a) * Fraction(j, inner + 1) for j in range(1, inner + 1)]
+                vals = [fa] + [ccdf(t) for t in ts[1:]]
+                if b == s0:
+                    ts.append(s0)
+                    vals.append(atom)
+                coeffs = _newton(ts, vals)
         pieces.append((lo, hi, coeffs))
-    return s0, sigma, vol, tuple(breaks), tuple(pieces)
+    return _Ccdf(s0, sigma, vol, atom, tuple(breaks), tuple(pieces))
 
 
-def _lagrange(ts: list[Fraction], vals: list[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the interpolating polynomial."""
+def _newton(ts: list[Fraction], vals: list[Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients (ascending) of the polynomial of degree < len(ts) through
+    (ts[i], vals[i]), trailing zeros dropped: divided differences, then the
+    Newton form expanded by Horner's rule, O(m^2) Fraction operations."""
     m = len(ts)
-    coeffs = [Fraction(0)] * m
-    for i in range(m):
-        num = [Fraction(1)]
-        den = Fraction(1)
-        for j in range(m):
-            if j == i:
-                continue
-            num = _poly_mul(num, [-ts[j], Fraction(1)])
-            den *= ts[i] - ts[j]
-        w = vals[i] / den
-        for d, c in enumerate(num):
-            coeffs[d] += w * c
+    dd = list(vals)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - j])
+    # p = dd[0] + (t - ts[0]) (dd[1] + (t - ts[1]) (... + (t - ts[m-2]) dd[m-1]))
+    coeffs = [dd[-1]]
+    for i in range(m - 2, -1, -1):
+        coeffs = ([dd[i] - ts[i] * coeffs[0]]
+                  + [below - ts[i] * c for below, c in zip(coeffs, coeffs[1:])] + [coeffs[-1]])
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def _poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
@@ -350,18 +379,14 @@ def _poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
 def ccdf_continuous(model: GradedSeriesModel, v: ValuationModel, t) -> Fraction:
     """F(t) = |{G >= t}| / |ambient|, exact; t must lie in [0, S0]."""
     t = rat(t)
-    s0, _, vol, _, pieces = _ccdf_data(model.ambient, v.G)
-    if not 0 <= t <= s0:
-        raise ValueError(f"t={t} outside [0, {s0}]")
-    for lo, hi, coeffs in pieces:
+    data = _ccdf_data(model.ambient, v.G)
+    if not 0 <= t <= data.s0:
+        raise ValueError(f"t={t} outside [0, {data.s0}]")
+    for lo, hi, coeffs in data.pieces:
         if lo <= t <= hi:
             return _poly_eval(coeffs, t)
-    # s0 == 0 edge: single point range
-    return volume(superlevel(model.ambient, v.G, t)) / vol
-
-
-def _top_atom(ambient: ConvexBody, g: ConcavePL, s0: Fraction, vol: Fraction) -> Fraction:
-    return volume(superlevel(ambient, g, s0)) / vol
+    # s0 == 0 edge: single point range, t = s0
+    return data.atom
 
 
 def _exact_poly_root(coeffs, tau, lo, hi) -> Optional[Fraction]:
@@ -403,8 +428,7 @@ def quantile(model: GradedSeriesModel, v: ValuationModel, tau,
         raise ValueError("tau must lie in [0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s0, _, vol, _, pieces = _ccdf_data(model.ambient, v.G)
-    atom = _top_atom(model.ambient, v.G, s0, vol)
+    s0, _, _, atom, _, pieces = _ccdf_data(model.ambient, v.G)
     if tau <= atom:
         return TailSpec(tau, s0, atom, exact=True)
     for lo, hi, coeffs in reversed(pieces):
@@ -446,7 +470,7 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
     tau = rat(tau)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
-    s0, _, vol, _, pieces = _ccdf_data(model.ambient, v.G)
+    s0, _, _, _, _, pieces = _ccdf_data(model.ambient, v.G)
     if tau == 0:
         return s0
     spec = quantile(model, v, tau, tol)

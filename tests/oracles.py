@@ -30,16 +30,28 @@ y-lines (``oracle_slab_count``), and ``oracle_envelope_floor_sum`` and
 twice per run, on lines in any order: the paths that the library's pair
 bounds pruned once per level and its one stack pass over lines sorted once
 per body must match exactly.
+``oracle_clip_rows`` is the integer-row clip that re-derives every tight set
+by dot products and the rank by one elimination per clip, and
+``oracle_maximal`` compares each set with every other: the paths that the
+library's clip, which reads tight sets and rank off the parent's incidence,
+and its largest-first ``_maximal`` must match exactly.
+``oracle_superlevel`` builds one ``HalfSpace.make`` cut per piece and call,
+and ``oracle_ccdf_data`` fits every candidate interval of the ccdf from its
+own n+1 superlevel volumes with the O(m^3) ``oracle_lagrange``, reading s0
+off ``oracle_hypograph_points``: the paths that the library's cached cuts,
+n volumes per real interval and Newton fits must match exactly.
 """
 
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
+from math import gcd, lcm
 from operator import mul
 
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
-                               _affine_equalities, _affine_rank, _hull_full, _int_form,
-                               _maximal, _primitive, _tight_set, empty_body, hull, rat, volume)
+                               _affine_equalities, _affine_rank, _hull_full, _hull_rows,
+                               _int_form, _primed, _primitive, _tight_set,
+                               empty_body, hull, rat, volume)
 from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
                               enumerate_points)
 from okbodies.series import ModelError
@@ -270,7 +282,7 @@ def _oracle_synced_body(vertices, candidates, n):
     D, Z = _int_form(vertices)
     rank = _affine_rank(Z)[0]
     tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
-    facets = _maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
+    facets = oracle_maximal({t for t in tight.values() if 0 < len(t) < len(vertices)})
     synced = {h: t for h, t in tight.items() if t in facets}
     if rank < n:
         synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(vertices)))))
@@ -436,3 +448,150 @@ def oracle_count(body, k: int) -> int:
     lo, hi, levels = _scaled_constraints(body, k)
     return sum(oracle_slab_count(lo, hi, levels, prefix)
                for prefix in _prefixes(lo, hi, levels, body.dim - 2))
+
+
+def oracle_maximal(sets):
+    """The members of a family of sets that lie in no other member, each
+    compared with every member."""
+    return {s for s in sets if not any(s < t for t in sets)}
+
+
+def _oracle_synced_rows(D, Z, candidates, n):
+    """The body on the vertices Z / D (D > 0, sorted, distinct integer rows)
+    with the facet-inducing candidates and the affine-hull equalities: every
+    tight set by dot products over (D, Z), and the affine rank by one
+    ``_affine_rank`` on the rows."""
+    rank = _affine_rank(Z)[0]
+    tight = {h: _tight_set(h, D, Z) for h in set(candidates)}
+    facets = oracle_maximal({t for t in tight.values() if 0 < len(t) < len(Z)})
+    synced = {h: t for h, t in tight.items() if t in facets}
+    if rank < n:
+        synced.update(dict.fromkeys(_affine_equalities(D, Z, n), frozenset(range(len(Z)))))
+    return _primed(n, D, Z, synced.items(), rank)
+
+
+def oracle_clip_rows(body, hs):
+    """body ∩ hs on integer rows, each crossing on an edge (i, j) formed as
+    (s_j z_i - s_i z_j) / (D (s_j - s_i)); the tight sets of every candidate
+    halfspace and the rank are re-derived from the new rows
+    (``_oracle_synced_rows``)."""
+    if len(hs.normal) != body.dim:
+        raise DimensionMismatch("halfspace dimension differs from body dimension")
+    if body.is_empty:
+        return body
+    D, Z = body.int_form()
+    q, target = hs.offset.denominator, D * hs.offset.numerator
+    vals = [q * sum(map(mul, hs.normal, z)) - target for z in Z]
+    if all(s <= 0 for s in vals):
+        return body
+    if all(s >= 0 for s in vals):
+        on = [z for z, s in zip(Z, vals) if s == 0]
+        if not on:
+            return empty_body(body.dim)
+        return _hull_rows(D, on, body.dim)
+    inside = [i for i, s in enumerate(vals) if s <= 0]
+    outside = [i for i, s in enumerate(vals) if s > 0]
+    incidence = body.incidence()
+    everything = frozenset(range(len(vals)))
+    crossings = []
+    for i in inside:
+        si = vals[i]
+        if si == 0:
+            continue
+        at_i = [t for t in incidence if i in t]
+        for j in outside:
+            if len(everything.intersection(*(t for t in at_i if j in t))) != 2:
+                continue
+            sj = vals[j]
+            num = [a * sj - b * si for a, b in zip(Z[i], Z[j])]
+            g = gcd(sj - si, *num)
+            crossings.append(((sj - si) // g, tuple(c // g for c in num)))
+    L = lcm(*(den for den, _ in crossings))
+    rows = {tuple(L * c for c in Z[i]) for i in inside}
+    rows.update(tuple(L // den * c for c in num) for den, num in crossings)
+    return _oracle_synced_rows(D * L, sorted(rows), list(body.halfspaces) + [hs], body.dim)
+
+
+def oracle_superlevel(body, g, t):
+    """body ∩ {g >= t}: one ``HalfSpace.make`` cut per affine piece, each
+    clipped by ``oracle_clip_rows``."""
+    t = rat(t)
+    result = body
+    for piece in g.pieces:
+        if all(c == 0 for c in piece.gradient):
+            if piece.constant < t:
+                return empty_body(body.dim)
+            continue
+        hs = HalfSpace.make([-c for c in piece.gradient], piece.constant - t)
+        result = oracle_clip_rows(result, hs)
+        if result.is_empty:
+            return result
+    return result
+
+
+def _oracle_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def oracle_lagrange(ts, vals):
+    """Coefficients (ascending) of the interpolating polynomial, trailing zeros
+    dropped: the Lagrange basis polynomials multiplied out, O(m^3)."""
+    m = len(ts)
+    coeffs = [Fraction(0)] * m
+    for i in range(m):
+        num = [Fraction(1)]
+        den = Fraction(1)
+        for j in range(m):
+            if j == i:
+                continue
+            num = _oracle_poly_mul(num, [-ts[j], Fraction(1)])
+            den *= ts[i] - ts[j]
+        w = vals[i] / den
+        for d, c in enumerate(num):
+            coeffs[d] += w * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def oracle_hypograph_points(ambient, g):
+    """(t, feasible) for every point (x, t) where n+1 constraint hyperplanes of
+    the hypograph {(x, t) : x in ambient, t <= G(x)} meet, by Gauss-Jordan
+    over Q; feasible if the point satisfies every constraint, i.e. is a vertex
+    of the hypograph."""
+    n = ambient.dim
+    rows = [[Fraction(c) for c in h.normal] + [Fraction(0), h.offset] for h in ambient.halfspaces]
+    rows += [[-c for c in f.gradient] + [Fraction(1), f.constant] for f in g.pieces]
+    points = []
+    for combo in combinations(rows, n + 1):
+        _, pivots, red = oracle_row_reduce(list(combo))
+        if pivots == list(range(n + 1)):
+            xt = [r[-1] for r in red]
+            points.append((xt[-1], all(sum(map(mul, r[:-1], xt)) <= r[-1] for r in rows)))
+    return points
+
+
+def oracle_ccdf_data(ambient, g):
+    """(s0, sigma, vol, atom, breaks, pieces) of the all-candidates ccdf: every
+    t of ``oracle_hypograph_points`` is a breakpoint, and each interval
+    between two is interpolated from its own n+1 interior superlevel volumes
+    (``oracle_superlevel``, ``oracle_lagrange``).  s0 is the largest t of a
+    hypograph vertex, and the atom the volume of the superlevel body at s0."""
+    n = ambient.dim
+    vol = volume(ambient)
+    sigma = min(g(x) for x in ambient.vertices)
+    points = oracle_hypograph_points(ambient, g)
+    s0 = max(t for t, feasible in points if feasible)
+    cuts = {Fraction(0), s0, min(sigma, s0)} | {t for t, _ in points}
+    breaks = sorted(c for c in cuts if 0 <= c <= s0)
+    pieces = []
+    for lo, hi in zip(breaks, breaks[1:]):
+        ts = [lo + (hi - lo) * Fraction(j + 1, n + 2) for j in range(n + 1)]
+        vals = [volume(oracle_superlevel(ambient, g, t)) / vol for t in ts]
+        pieces.append((lo, hi, oracle_lagrange(ts, vals)))
+    atom = volume(oracle_superlevel(ambient, g, s0)) / vol
+    return s0, sigma, vol, atom, tuple(breaks), tuple(pieces)

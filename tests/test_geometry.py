@@ -41,8 +41,9 @@ from okbodies.geometry import (
 )
 from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
-from oracles import (oracle_hull_front, oracle_intersect_halfspace, oracle_nullspace,
-                     oracle_row_reduce, oracle_simplex_max)
+from oracles import (oracle_clip_rows, oracle_hull_front, oracle_intersect_halfspace,
+                     oracle_maximal, oracle_nullspace, oracle_row_reduce, oracle_simplex_max,
+                     oracle_superlevel)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -999,6 +1000,79 @@ def test_integer_hull_and_clip_match_fraction_oracles(n):
             assert representation(clipped) == representation(oracle_intersect_halfspace(body, hs))
             validate_body(clipped)
             body = clipped
+
+
+SEEDED = ("int_form", "arank", "incidence")
+
+
+def crossing_cut(rng, body):
+    """A cut with vertices strictly on both sides where the normal allows it:
+    through a vertex of middle value, or between two vertex values."""
+    n = body.dim
+    normal = [rng.randrange(-3, 4) for _ in range(n)]
+    normal[rng.randrange(n)] = rng.choice((-1, 1)) * rng.randrange(1, 4)
+    values = sorted({_dot(normal, v) for v in body.vertices})
+    if len(values) < 2:
+        return HalfSpace.make(normal, values[0])
+    if len(values) > 2 and rng.randrange(2):
+        return HalfSpace.make(normal, rng.choice(values[1:-1]))
+    i = rng.randrange(len(values) - 1)
+    return HalfSpace.make(normal, (values[i] + values[i + 1]) / 2)
+
+
+def assert_same_clip(clipped, ref):
+    """The same vertices, halfspaces and incidence, the same seeded caches,
+    and a valid body."""
+    assert [clipped._cache.get(key) for key in SEEDED] == [ref._cache.get(key) for key in SEEDED]
+    assert representation(clipped) == representation(ref)
+    validate_body(clipped)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_clip_matches_dot_product_row_clip_oracle(n):
+    """The clip that reads tight sets and rank off the parent's incidence
+    against the row clip that re-derives them by dot products and one
+    elimination per clip: seeded clouds (flat ones included) and 3-cut chains
+    whose cuts pass through a vertex, between vertices, onto a face or leave
+    nothing."""
+    rng = random.Random(2000 + n)
+    for _ in range(50):
+        body = hull(differential_cloud(rng, n))
+        for _ in range(3):
+            if body.is_empty:
+                break
+            hs = crossing_cut(rng, body) if rng.randrange(3) else differential_cut(rng, body)
+            clipped = intersect_halfspace(body, hs)
+            assert_same_clip(clipped, oracle_clip_rows(body, hs))
+            body = clipped
+
+
+def test_maximal_matches_all_pairs_oracle():
+    """Largest-first maximal sets against comparing every pair, on seeded
+    families with nested chains, equal sizes and the empty set."""
+    rng = random.Random(17)
+    for _ in range(300):
+        universe = range(rng.randrange(1, 9))
+        family = {frozenset(x for x in universe if rng.randrange(3)) for _ in range(rng.randrange(1, 12))}
+        assert geometry._maximal(family) == oracle_maximal(family)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_superlevel_matches_make_path_oracle(n):
+    """Superlevels with the cuts cached on G against one ``HalfSpace.make`` per
+    piece and call, on seeded clouds and transforms with constant and
+    duplicate pieces, at t from below the minimum of G to above its maximum."""
+    rng = random.Random(3000 + n)
+    for _ in range(15):
+        body = hull(differential_cloud(rng, n))
+        pieces = [AffineFunctional.make([rng.randrange(-3, 4) for _ in range(n)],
+                                        F(rng.randrange(0, 9), rng.choice((1, 2, 3))))
+                  for _ in range(rng.randrange(1, 4))]
+        pieces += rng.sample(pieces, rng.randrange(2))
+        g = ConcavePL.make(pieces, body, require_nonnegative=False)
+        values = sorted({g(v) for v in body.vertices})
+        for t in {values[0] - 1, *values, (values[0] + values[-1]) / 2, values[-1] + 1}:
+            assert_same_clip(superlevel(body, g, t), oracle_superlevel(body, g, t))
 
 
 def off_denominator_cut(w, body):

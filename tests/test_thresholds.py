@@ -19,7 +19,6 @@ from okbodies.geometry import (
     hull,
     max_transform,
     superlevel,
-    volume,
 )
 from okbodies.lattice import PointCloud, concave_sum, count, enumerate_points
 from okbodies.series import (
@@ -57,8 +56,8 @@ from okbodies.thresholds import (
     select_compatible_family,
     valuation_from_json,
 )
-from oracles import (oracle_jumping_values, oracle_row_reduce, oracle_scaled_values,
-                     oracle_score_level)
+from oracles import (oracle_ccdf_data, oracle_hypograph_points, oracle_jumping_values,
+                     oracle_lagrange, oracle_scaled_values, oracle_score_level)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -446,30 +445,6 @@ def test_max_mean_bound():
         assert S0_and_sigma(model, v).S0 <= (n + 1) * S_tau(model, v, 1)
 
 
-def oracle_ccdf_data(ambient, g):
-    """The all-candidates ccdf: every t where n+1 constraint hyperplanes of the
-    hypograph meet is a breakpoint, and each interval between two is
-    interpolated from its own n+1 superlevel volumes."""
-    n = ambient.dim
-    vol = volume(ambient)
-    s0 = max_transform(ambient, g)
-    sigma = min(g(x) for x in ambient.vertices)
-    rows = [([F(c) for c in h.normal] + [F(0)], h.offset) for h in ambient.halfspaces]
-    rows += [([-c for c in f.gradient] + [F(1)], f.constant) for f in g.pieces]
-    cuts = {F(0), s0, min(sigma, s0)}
-    for combo in itertools.combinations(range(len(rows)), n + 1):
-        _, pivots, red = oracle_row_reduce([rows[i][0] + [rows[i][1]] for i in combo])
-        if pivots == list(range(n + 1)) and 0 <= red[n][-1] <= s0:
-            cuts.add(red[n][-1])
-    breaks = sorted(c for c in cuts if 0 <= c <= s0)
-    pieces = []
-    for lo, hi in zip(breaks, breaks[1:]):
-        ts = [lo + (hi - lo) * F(j + 1, n + 2) for j in range(n + 1)]
-        vals = [volume(superlevel(ambient, g, t)) / vol for t in ts]
-        pieces.append((lo, hi, thresholds._lagrange(ts, vals)))
-    return s0, sigma, vol, tuple(breaks), tuple(pieces)
-
-
 def simplex_transform(seed):
     """A 3-piece concave G on a rational 3-simplex, drawn as perfbench's
     geometry-bodies workload draws them: gradients in [-2, 2]^3, lifted to
@@ -482,6 +457,32 @@ def simplex_transform(seed):
     lift = F(1, 4) - min(sum(a * x for a, x in zip(grad, v))
                          for grad in grads for v in simplex.vertices)
     return ConcavePL.make([AffineFunctional.make(grad, lift) for grad in grads], simplex)
+
+
+def edge_transforms():
+    """(G, ambient) pairs at the edges of the ccdf fits: sigma > 0, a constant
+    G (s0 = sigma), 1-D tents and flat tops, a 3-D flat top with an atom,
+    duplicate pieces, a 4-D G with sigma > 0, and a G that is negative on
+    part of the ambient (sigma < 0, so F(0) < 1)."""
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    segment = hull([(0,), (2,)])
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    simplex4 = hull([(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+
+    def G(ambient, *pieces, nonnegative=True):
+        return ConcavePL.make([AffineFunctional.make(grad, c) for grad, c in pieces], ambient,
+                              require_nonnegative=nonnegative), ambient
+
+    return [
+        G(square, ((1, 1), F(1, 3))),
+        G(square, ((0, 0), F(1, 2))),
+        G(segment, ((1,), F(1, 4)), ((-1,), F(9, 4))),
+        G(segment, ((1,), 0), ((0,), F(1, 2))),
+        G(cube, ((1, 1, 1), 0), ((0, 0, 0), 1)),
+        G(square, ((2, -1), 1), ((2, -1), 1), ((-1, 1), F(3, 2))),
+        G(simplex4, ((1, -1, 0, 1), F(3, 2)), ((-1, 0, 2, 0), 2)),
+        G(square, ((1, 0), F(-1, 2)), nonnegative=False),
+    ]
 
 
 def test_ccdf_data_matches_all_candidates_oracle():
@@ -503,8 +504,58 @@ def test_ccdf_data_matches_all_candidates_oracle():
     tent = ConcavePL.make([AffineFunctional.make(grads[0], lift),
                            AffineFunctional.make(grads[1], lift + F(1, 7))], simplex4)
     cases.append((tent, simplex4))
-    for g, ambient in cases:
+    for g, ambient in cases + edge_transforms():
         assert thresholds._ccdf_data(ambient, g) == oracle_ccdf_data(ambient, g)
+
+
+def test_newton_matches_lagrange_oracle():
+    """Divided differences against the multiplied-out Lagrange basis on seeded
+    distinct nodes, with random values or the values of a random polynomial of
+    lower degree (so trailing zeros are dropped)."""
+    rng = random.Random(19)
+    for _ in range(300):
+        m = rng.randrange(1, 7)
+        ts = sorted({F(rng.randrange(-40, 41), rng.randrange(1, 9)) for _ in range(m)})
+        if rng.randrange(3):
+            vals = [F(rng.randrange(-30, 31), rng.randrange(1, 7)) for _ in ts]
+        else:
+            poly = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(rng.randrange(1, m + 1))]
+            vals = [sum(c * t ** d for d, c in enumerate(poly)) for t in ts]
+        assert thresholds._newton(ts, vals) == oracle_lagrange(ts, vals)
+
+
+def test_ccdf_measures_n_volumes_per_fit_and_none_below_sigma(monkeypatch):
+    """With sigma >= 0, no superlevel is measured on [0, sigma], where F = 1,
+    and each fitted interval (a, b] between real breakpoints measures exactly
+    n of them: n - 1 interior ones and the atom at b = s0 on the last.  A
+    warm quantile measures none."""
+    calls = []
+    real = thresholds.superlevel
+
+    def counted(body, g, t):
+        calls.append(t)
+        return real(body, g, t)
+
+    monkeypatch.setattr(thresholds, "superlevel", counted)
+    cases = [(V_SIMPLEX.G, SIMPLEX.ambient), (V_SEGMENT.G, SEGMENT.ambient)]
+    cases += [(g, g.domain) for g in map(simplex_transform, (1, 2))]
+    cases += edge_transforms()[:-1]
+    for g, ambient in cases:
+        thresholds._ccdf_data.cache_clear()
+        calls.clear()
+        data = thresholds._ccdf_data(ambient, g)
+        n, s0, sigma = ambient.dim, data.s0, data.sigma
+        assert sigma >= 0
+        real_breaks = sorted({F(0), s0, sigma} | {t for t, feasible in oracle_hypograph_points(ambient, g)
+                                                   if feasible and 0 <= t <= s0})
+        fits = [(a, b) for a, b in zip(real_breaks, real_breaks[1:]) if b > sigma]
+        assert all(t > sigma for t in calls)
+        for a, b in fits:
+            assert sum(a < t <= b for t in calls) == n
+        assert len(calls) == n * len(fits)
+        calls.clear()
+        quantile(ToricModel(ambient), ValuationModel("G", F(1), g), F(1, 2))
+        assert calls == []
 
 
 # ---------------------------------------------------------------------------
