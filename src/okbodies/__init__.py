@@ -8,8 +8,8 @@ Submodules:
   concave sums, the certified count constant.
 * ``series``     — graded-series backends generating discrete bodies with gaps
   (toric, curve divisor, canonical curve, synthetic).
-* ``thresholds`` — jumping numbers, S_{k,m} invariants, empirical measures,
-  volume quantiles and tail expectations, restricted stability thresholds.
+* ``thresholds`` — jumping numbers, S_{k,m} invariants, volume quantiles and
+  tail expectations, restricted stability thresholds.
 * ``estimates``  — the verification harness (sweep reports, certified and
   stability assertions, rate fits).
 * ``cli``        — the ``okbodies`` command-line front end.
@@ -45,7 +45,6 @@ from .thresholds import (
     delta_km_restricted,
     delta_tau_restricted,
     jumping_numbers,
-    mu_k,
     quantile,
 )
 
@@ -60,6 +59,6 @@ __all__ = [
     "model_from_json",
     "S0_and_sigma", "S_km", "S_tau", "Sbar_km", "ValuationModel",
     "delta_km_restricted", "delta_tau_restricted", "jumping_numbers",
-    "mu_k", "quantile",
+    "quantile",
     "__version__",
 ]

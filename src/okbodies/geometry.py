@@ -100,10 +100,6 @@ def rat_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
-def point(*coords) -> Vec:
-    return tuple(rat(c) for c in coords)
-
-
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
@@ -747,17 +743,16 @@ class ConcavePL:
     @cached_property
     def cuts(self) -> tuple[tuple[tuple[int, ...], Fraction] | None, ...]:
         """Per piece c + grad . x, the primitive normal w of -grad and the scale
-        r with w = r (-grad), so {piece >= t} is the halfspace
-        w . x <= (c - t) r (``HalfSpace.make``'s normal and offset); None for
-        a constant piece."""
+        r with w = r (-grad), read off ``HalfSpace.make(-grad, 1)``, so
+        {piece >= t} is the halfspace w . x <= (c - t) r; None for a constant
+        piece."""
         out = []
         for f in self.pieces:
             if not any(f.gradient):
                 out.append(None)
                 continue
-            normal = _primitive([-c for c in f.gradient])
-            idx = next(i for i, c in enumerate(normal) if c)
-            out.append((normal, Fraction(normal[idx]) / -f.gradient[idx]))
+            cut = HalfSpace.make([-c for c in f.gradient], 1)
+            out.append((cut.normal, cut.offset))
         return tuple(out)
 
     def __hash__(self) -> int:
@@ -864,10 +859,10 @@ def slice_volume(body: ConvexBody, f: AffineFunctional, t) -> Fraction:
     t = rat(t)
     if body.is_empty:
         return Fraction(0)
-    g = _primitive(f.gradient)
+    plane = HalfSpace.make(f.gradient, t - f.constant)
+    g = plane.normal
     idx = next(i for i, c in enumerate(g) if c != 0)
-    scale = Fraction(g[idx]) / f.gradient[idx]
-    face = _section(body, HalfSpace(g, (t - f.constant) * scale))
+    face = _section(body, plane)
     if face.is_empty:
         return Fraction(0)
     n = body.dim
@@ -938,14 +933,6 @@ def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
             vol, first = _moments(region)
             total += _dot(f.gradient, first) + f.constant * vol
     return total
-
-
-def mean_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
-    """Average value of a concave PL transform over a positive-volume body."""
-    vol = volume(body)
-    if vol == 0:
-        raise DegenerateBody("mean requires a positive-volume body")
-    return integrate_transform(body, g) / vol
 
 
 # ---------------------------------------------------------------------------

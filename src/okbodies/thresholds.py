@@ -3,9 +3,9 @@
 Given a model (series module) and a valuation transform (a positive rational
 log-discrepancy input A plus a concave PL transform G on the ambient body),
 this module computes jumping numbers and their idealized analogues, the
-S_{k,m} averages, empirical vanishing measures, the continuous ccdf/quantile
-machinery with tail expectations S_tau, compatible families, and restricted
-Grassmannian thresholds delta_{k,m} over finite valuation families.
+S_{k,m} averages, the continuous ccdf/quantile machinery with tail
+expectations S_tau, compatible families, and restricted Grassmannian
+thresholds delta_{k,m} over finite valuation families.
 
 All values are exact rationals except where a quantile has no rational root,
 in which case results are interval-certified to a caller-supplied tolerance.
@@ -13,7 +13,7 @@ Restricted minima over a finite family are upper bounds on the corresponding
 infima over all valuations, and are reported as such.
 
 Every level-k query (jumping numbers, S_{k,m}, Sbar_{k,m}, quantum quantiles
-and vanishing orders, mu_k, compatible families, restricted delta_{k,m}) reads
+and vanishing orders, compatible families, restricted delta_{k,m}) reads
 one integer score table of the level.  With L the lcm of the denominators of
 G, each point z/k of the idealized level ambient ∩ Z^n/k scores
 k L G(z/k) = min_i(L grad_i . z + k L c_i), an exact int; that level is
@@ -33,7 +33,6 @@ lexicographically smaller label), making reductions order-independent.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,7 +48,6 @@ from .geometry import (
     _int_reduce,
     first_coordinate_transform,
     max_transform,
-    mean_transform,
     rat,
     superlevel,
     volume,
@@ -95,26 +93,6 @@ class JumpingVector:
 
     def __len__(self):
         return len(self.values)
-
-
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Finitely many weighted atoms on the rational line; weights sum to 1."""
-
-    atoms: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        total = sum((w for _, w in self.atoms), Fraction(0))
-        if total != 1:
-            raise ValueError(f"atom weights sum to {total}, not 1")
-        if any(w <= 0 for _, w in self.atoms):
-            raise ValueError("atom weights must be positive")
-
-    def barycenter(self) -> Fraction:
-        return sum((p * w for p, w in self.atoms), Fraction(0))
-
-    def ccdf(self, t: Fraction) -> Fraction:
-        return sum((w for p, w in self.atoms if p >= t), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -250,14 +228,6 @@ def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel,
     return VanishingOrders((s0, sigma, q_s0, q_sigma))
 
 
-def mu_k(model: GradedSeriesModel, v: ValuationModel, k: int) -> EmpiricalMeasure:
-    """Empirical vanishing measure: mass 1/d_k at each j_{k,l}/k, merged atoms."""
-    L, scores, _, _ = _level_scores(model, v.G, k)
-    d = len(scores)
-    return EmpiricalMeasure(tuple((Fraction(s, L * k), Fraction(c, d))
-                                  for s, c in sorted(Counter(scores).items())))
-
-
 # ---------------------------------------------------------------------------
 # continuous ccdf / quantile machinery
 # ---------------------------------------------------------------------------
@@ -376,6 +346,12 @@ def _poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
     return acc
 
 
+def _poly_integral(coeffs: Sequence[Fraction], a: Fraction, b: Fraction) -> Fraction:
+    """The integral over [a, b] of the polynomial with ascending coefficients."""
+    anti = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(coeffs)]
+    return _poly_eval(anti, b) - _poly_eval(anti, a)
+
+
 def ccdf_continuous(model: GradedSeriesModel, v: ValuationModel, t) -> Fraction:
     """F(t) = |{G >= t}| / |ambient|, exact; t must lie in [0, S0]."""
     t = rat(t)
@@ -464,8 +440,10 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
           tol=DEFAULT_TOL) -> Fraction:
     """Tail expectation: the average of G over the quantile superlevel body.
 
-    Exact whenever the quantile is exact (integration subdivides the body into
-    the linearity regions of G); otherwise certified to within tol.
+    Read off the ccdf F by the layer-cake identity
+    E[G | G >= q] = q + (∫_q^{s0} F(t) dt) / F(q), integrated exactly on the
+    ccdf pieces, so no body is built.  Exact whenever the quantile is exact;
+    otherwise certified to within tol.
     """
     tau = rat(tau)
     if not 0 <= tau <= 1:
@@ -476,13 +454,24 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
     spec = quantile(model, v, tau, tol)
     if spec.quantile == s0:
         return s0
-    if spec.exact:
-        body = superlevel(model.ambient, v.G, spec.quantile)
-        return mean_transform(body, v.G)
+    # the candidate intervals of one fit share its coefficients; merged (exact,
+    # as integration is additive), each fit is integrated once per tail mean
+    fits: list[tuple[Fraction, Fraction, tuple[Fraction, ...]]] = []
+    for lo, hi, coeffs in pieces:
+        if fits and fits[-1][2] == coeffs:
+            fits[-1] = (fits[-1][0], hi, coeffs)
+        else:
+            fits.append((lo, hi, coeffs))
 
     def tail_mean(q: Fraction) -> Fraction:
-        return mean_transform(superlevel(model.ambient, v.G, q), v.G)
+        above = [(max(lo, q), hi, c) for lo, hi, c in fits if hi > q]
+        if not above:  # q = s0: the tail is the top level set, where G = s0
+            return s0
+        area = sum(_poly_integral(c, lo, hi) for lo, hi, c in above)
+        return q + area / _poly_eval(above[0][2], q)
 
+    if spec.exact:
+        return tail_mean(spec.quantile)
     a, b = spec.bracket
     # the bracket lies inside the ccdf piece that quantile bisected, and stays there
     coeffs = next(c for lo, hi, c in pieces if lo <= a and b <= hi)

@@ -40,6 +40,10 @@ and ``oracle_ccdf_data`` fits every candidate interval of the ccdf from its
 own n+1 superlevel volumes with the O(m^3) ``oracle_lagrange``, reading s0
 off ``oracle_hypograph_points``: the paths that the library's cached cuts,
 n volumes per real interval and Newton fits must match exactly.
+``oracle_S_tau`` averages G over the superlevel body at the quantile, and at
+every step of the bisection of an inexact quantile's bracket, with
+``superlevel``, ``integrate_transform`` and ``volume``: the path that the
+library's layer-cake tail mean, read off the cached ccdf, must match exactly.
 """
 
 import random
@@ -51,10 +55,12 @@ from operator import mul
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _hull_rows,
                                _int_form, _primed, _primitive, _tight_set,
-                               empty_body, hull, rat, volume)
+                               empty_body, hull, integrate_transform, rat, superlevel,
+                               volume)
 from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
                               enumerate_points)
 from okbodies.series import ModelError
+from okbodies.thresholds import DEFAULT_TOL, _ccdf_data, _poly_eval, quantile
 
 
 def oracle_row_reduce(rows: list[list[Fraction]]) -> tuple[int, list[int], list[list[Fraction]]]:
@@ -595,3 +601,38 @@ def oracle_ccdf_data(ambient, g):
         pieces.append((lo, hi, oracle_lagrange(ts, vals)))
     atom = volume(oracle_superlevel(ambient, g, s0)) / vol
     return s0, sigma, vol, atom, tuple(breaks), tuple(pieces)
+
+
+def oracle_S_tau(model, v, tau, tol=DEFAULT_TOL):
+    """The tail expectation as the mean of G over the superlevel body at the
+    quantile.  An inexact quantile's bracket is bisected as ``S_tau`` does,
+    with one superlevel body per end, until the two tail means are within
+    tol; their midpoint is returned."""
+    tau = rat(tau)
+    s0, _, _, _, _, pieces = _ccdf_data(model.ambient, v.G)
+    if tau == 0:
+        return s0
+    spec = quantile(model, v, tau, tol)
+    if spec.quantile == s0:
+        return s0
+
+    def tail_mean(q):
+        body = superlevel(model.ambient, v.G, q)
+        return integrate_transform(body, v.G) / volume(body)
+
+    if spec.exact:
+        return tail_mean(spec.quantile)
+    a, b = spec.bracket
+    coeffs = next(c for lo, hi, c in pieces if lo <= a and b <= hi)
+    lo_val, hi_val = tail_mean(a), tail_mean(b)
+    for _ in range(256):
+        if hi_val - lo_val <= tol:
+            break
+        mid = (a + b) / 2
+        if _poly_eval(coeffs, mid) >= tau:
+            a = mid
+            lo_val = tail_mean(a)
+        else:
+            b = mid
+            hi_val = tail_mean(b)
+    return (lo_val + hi_val) / 2

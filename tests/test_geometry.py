@@ -457,6 +457,11 @@ def test_slice_volume_non_axis_direction():
     f = AffineFunctional.make((1, 1), 0)
     assert slice_volume(UNIT_SQUARE, f, 1) == 1
     assert slice_volume(UNIT_SQUARE, f, F(1, 2)) == F(1, 2)
+    # {x + y/2 + 1/4 = t} has the primitive normal (2, 1): at t = 1/2 it is
+    # the segment from (1/4, 0) to (0, 1/2), 1/4 of the lattice vector (-1, 2)
+    g = AffineFunctional.make((1, F(1, 2)), F(1, 4))
+    assert slice_volume(UNIT_SQUARE, g, F(1, 2)) == F(1, 4)
+    assert slice_volume(UNIT_SQUARE, g, F(3, 4)) == F(1, 2)
 
 
 def test_slice_volume_integrates_to_volume():
@@ -1170,11 +1175,12 @@ def test_moments_of_4d_cut_body_make_no_hull_calls(monkeypatch):
 
 
 def test_min_mean_transform():
-    from okbodies.geometry import max_transform, mean_transform
+    """The maximum and the integral of x1 on the unit simplex; the integral
+    over the volume 1/2 is the mean 1/3."""
+    from okbodies.geometry import max_transform
 
     g = first_coordinate_transform(UNIT_SIMPLEX)
     assert max_transform(UNIT_SIMPLEX, g) == 1
-    assert mean_transform(UNIT_SIMPLEX, g) == F(1, 3)
     assert integrate_transform(UNIT_SIMPLEX, g) == F(1, 6)
 
 

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from okbodies import thresholds
+from okbodies import geometry, thresholds
 from okbodies.cli import main
 from okbodies.geometry import (
     AffineFunctional,
@@ -37,7 +37,6 @@ from okbodies.series import (
 )
 from okbodies.thresholds import (
     INFINITE,
-    EmpiricalMeasure,
     JumpingVector,
     S0_and_sigma,
     S_km,
@@ -50,14 +49,13 @@ from okbodies.thresholds import (
     empirical_family_measure,
     idealized_jumping,
     jumping_numbers,
-    mu_k,
     quantile,
     quantum_quantile,
     select_compatible_family,
     valuation_from_json,
 )
 from oracles import (oracle_ccdf_data, oracle_hypograph_points, oracle_jumping_values,
-                     oracle_lagrange, oracle_scaled_values, oracle_score_level)
+                     oracle_lagrange, oracle_S_tau, oracle_scaled_values, oracle_score_level)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -235,40 +233,6 @@ def test_S0_interior_peak_needs_lp():
     assert (vo.S0, vo.sigma) == (F(1, 2), 0)
 
 
-def test_mu_k_atoms():
-    m = mu_k(SIMPLEX, V_SIMPLEX, 2)
-    assert m.atoms == ((F(0), F(1, 2)), (F(1, 2), F(1, 3)), (F(1), F(1, 6)))
-    assert m.barycenter() == F(1, 3)
-    m5 = mu_k(HYPERFLEX, V_HYPER, 5)
-    assert m5.atoms == ((F(1, 5), F(1, 3)), (F(2, 5), F(1, 3)), (F(1), F(1, 3)))
-
-
-def test_mu_k_single_point():
-    m = mu_k(HYPERFLEX, V_HYPER, 1)  # Delta_1 = {1}
-    assert m.atoms == ((F(1), F(1)),)
-
-
-def test_mu_k_barycenter_is_full_average():
-    # b(mu_{v,k}) = S_{k,d_k} identically
-    for model, v in [(SIMPLEX, V_SIMPLEX), (HYPERFLEX, V_HYPER), (CANONICAL3, V_CAN)]:
-        for k in (1, 2, 5):
-            d = model.d_k(k)
-            assert mu_k(model, v, k).barycenter() == S_km(model, v, k, d)
-
-
-def test_empirical_measure_ccdf():
-    m = mu_k(SIMPLEX, V_SIMPLEX, 2)  # atoms at 0, 1/2, 1
-    assert m.ccdf(F(0)) == 1
-    assert m.ccdf(F(1, 2)) == F(1, 2)
-    assert m.ccdf(F(3, 4)) == F(1, 6)
-    assert m.ccdf(F(2)) == 0
-
-
-def test_empirical_measure_validates():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(((F(0), F(1, 2)),))
-
-
 # ---------------------------------------------------------------------------
 # ccdf / quantiles
 # ---------------------------------------------------------------------------
@@ -443,6 +407,89 @@ def test_max_mean_bound():
     # S0 <= (n+1) S_1 for the first-coordinate transform on a convex body
     for model, v, n in [(SIMPLEX, V_SIMPLEX, 2), (SEGMENT, V_SEGMENT, 1)]:
         assert S0_and_sigma(model, v).S0 <= (n + 1) * S_tau(model, v, 1)
+
+
+def _tail_ambient(rng, n):
+    """A full-dimensional rational hull of the origin and n to n+2 more points
+    in [0, 1]^n."""
+    while True:
+        pts = [(0,) * n] + [tuple(F(rng.randint(0, 4), 4) for _ in range(n))
+                            for _ in range(rng.randint(n, n + 2))]
+        body = hull(pts)
+        if body.is_full_dim():
+            return body
+
+
+def _tail_transforms():
+    """(ambient, G) for the S_tau differential, seeded: rational hulls in
+    n = 1..4 with 1-3 random pieces, the same G with one piece listed twice,
+    and with a constant piece that cuts a flat top (an atom at s0)."""
+    rng = random.Random(21)
+    for n in (1, 2, 3, 4) * 3:
+        ambient = _tail_ambient(rng, n)
+        g = _random_transform(rng, ambient)
+        yield ambient, g
+        yield ambient, ConcavePL.make(g.pieces + (rng.choice(g.pieces),), ambient)
+        s0, sigma = max_transform(ambient, g), min(g(x) for x in ambient.vertices)
+        if s0 > sigma:
+            flat = AffineFunctional.make((0,) * n, (s0 + sigma) / 2)
+            yield ambient, ConcavePL.make(g.pieces + (flat,), ambient)
+
+
+def test_S_tau_matches_body_oracle():
+    """The layer-cake S_tau, read off the ccdf, is the same Fraction as the
+    mean of G over the superlevel body, on exact and inexact quantiles alike
+    (the inexact ones bisect the same bracket to the same midpoint)."""
+    rng = random.Random(22)
+    inexact = Counter()
+    for ambient, g in _tail_transforms():
+        model, v = ToricModel(ambient), ValuationModel("G", F(1), g)
+        for tau in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(rng.randint(1, 99), 100)):
+            assert S_tau(model, v, tau) == oracle_S_tau(model, v, tau)
+            inexact[ambient.dim] += tau > 0 and not quantile(model, v, tau).exact
+    assert all(inexact[n] > 0 for n in (2, 3, 4))
+
+
+def test_S_tau_builds_no_body_once_the_ccdf_is_cached(monkeypatch):
+    """Once _ccdf_data(ambient, G) is cached, S_tau measures nothing: no
+    superlevel body, volume or integral, on exact and inexact quantiles."""
+    calls = Counter()
+    for module in (thresholds, geometry):
+        for name in ("superlevel", "volume", "integrate_transform"):
+            if hasattr(module, name):
+                real = getattr(module, name)
+                monkeypatch.setattr(module, name,
+                                    lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    simplex3 = ToricModel(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    ridge = ConcavePL.make(
+        [AffineFunctional.make((2, 0), 0), AffineFunctional.make((-1, 0), 1)], SIMPLEX.ambient)
+    cases = [(SIMPLEX, V_SIMPLEX, F(1, 4)), (SIMPLEX, V_SIMPLEX, F(1, 2)),
+             (SIMPLEX, ValuationModel("ridge", F(1), ridge), F(7, 12)),
+             (simplex3, ValuationModel.divisorial("e1", simplex3.ambient), F(1, 3))]
+    exact = []
+    for model, v, tau in cases:
+        thresholds._ccdf_data(model.ambient, v.G)
+        exact.append(quantile(model, v, tau).exact)
+        calls.clear()
+        S_tau(model, v, tau)
+        assert calls == Counter()
+    assert exact == [True, False, True, False]
+
+
+def test_S_tau_bracket_ending_at_an_empty_top():
+    """tau far below tol: the quantile's bracket ends at s0, whose level set
+    has no volume.  The tail mean there is s0 (its limit).  F(t) = (1 - t)^3
+    on the unit 3-simplex gives the tail mean q + (1 - q) / 4, and the tail
+    means at the two ends of the bracket are already within tol."""
+    simplex3 = ToricModel(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    v = ValuationModel.divisorial("e1", simplex3.ambient)
+    tau = F(1, 10**30)
+    spec = quantile(simplex3, v, tau)
+    lo, hi = spec.bracket
+    assert not spec.exact and spec.atom_at_top == 0 and hi == 1
+    lo_val = lo + (1 - lo) / 4
+    assert 1 - lo_val <= thresholds.DEFAULT_TOL
+    assert S_tau(simplex3, v, tau) == (lo_val + 1) / 2
 
 
 def simplex_transform(seed):
@@ -800,11 +847,6 @@ def test_level_scores_match_fraction_oracle(seed, kind):
         for tau in (F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(rng.randint(0, 7), 7)):
             m = math.floor(tau * d)
             assert quantum_quantile(model, v, k, tau) == j[max(m - 1, 0)] / k
-        weights = {}
-        for val in j:
-            weights[val / k] = weights.get(val / k, 0) + 1
-        assert mu_k(model, v, k).atoms == tuple(
-            sorted((pos, F(c, d)) for pos, c in weights.items()))
         assert S0_and_sigma(model, v, k) == (s0, sigma, j[0] / k, j[-1] / k)
         assert concave_sum(model.ambient, v.G, k) == _oracle_concave_sum(
             model.ambient, v.G, k)
