@@ -219,8 +219,15 @@ def _nullspace(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
 
 
 def _det(mat: Sequence[Sequence]) -> Fraction | int:
-    """Laplace expansion; exact over ints and Fractions alike.  A 0x0 matrix
-    has determinant 1: it is the empty cofactor of a 1-D hull's facet normal."""
+    """Exact determinant over ints and Fractions alike.  A 0x0 matrix has
+    determinant 1: it is the empty cofactor of a 1-D hull's facet normal.
+
+    Closed forms up to n = 4, where every volume and facet normal of a body
+    of dimension <= 4 lands: cofactors of the first row for n = 3, and for
+    n = 4 the Laplace expansion along rows 0-1, each 2x2 minor of those rows
+    times the complementary 2x2 minor of rows 2-3.  Larger matrices expand
+    along the first row down to n = 4.
+    """
     n = len(mat)
     if n == 0:
         return 1
@@ -228,6 +235,17 @@ def _det(mat: Sequence[Sequence]) -> Fraction | int:
         return mat[0][0]
     if n == 2:
         return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = mat
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = mat
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
     total = 0
     sign = 1
     for j in range(n):
@@ -502,9 +520,14 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     outward integer normal w and offset b (w . z <= b); a new point replaces
     the facets it lies strictly beyond (a coplanar point is beneath) by the
     cone from it over the horizon, the ridges of exactly one replaced facet.
-    Coplanar simplices are then merged by their primitive normal, and a point
-    is a vertex iff the normals of the facets tight at it have rank n.  Only
-    the vertex rows become Fractions (``_primed``).
+    Coplanar simplices are then merged by their primitive normal.  A point of
+    a boundary simplex is a vertex iff the normals of the facets tight at it
+    have rank n, so one on fewer than n facets is none.  Every (n-2)-face of
+    an n-polytope lies on exactly two facets, and a facet's relative interior
+    on one, so for n <= 3 a boundary point that is no vertex lies on at most
+    n - 1 facets: there n tight facets make a vertex, and only n >= 4 (where
+    an edge can lie on n facets) needs the rank.  Only the vertex rows become
+    Fractions (``_primed``).
     """
     seed = [0]
     for i in range(1, len(P)):
@@ -548,7 +571,7 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     vertices: list[tuple[int, ...]] = []
     for i in sorted({v for verts, _, _ in facets for v in verts}):
         tight = [w for w, b in merged.items() if sum(map(mul, w, P[i])) == b]
-        if _int_reduce(tight)[0] == n:
+        if len(tight) >= n and (n <= 3 or _int_reduce(tight)[0] == n):
             for w in tight:
                 tight_at[w].append(len(vertices))
             vertices.append(P[i])

@@ -390,13 +390,53 @@ def _exact_poly_root(coeffs, tau, lo, hi) -> Optional[Fraction]:
     return max(valid) if valid else None
 
 
+def _bisect(coeffs: Sequence[Fraction], tau: Fraction, lo: Fraction, hi: Fraction,
+            tol: Fraction) -> tuple[Fraction, Fraction]:
+    """The bracket [a, b] left by halving [lo, hi] until b - a <= tol, each
+    midpoint t replacing a where P(t) >= tau and b elsewhere, for the
+    polynomial P with ascending coefficients.
+
+    Run in integers: with h = hi - lo, the midpoint of step s is
+    t = lo + h m / 2^s for an odd m.  P is Taylor-shifted once to
+    R(x) = P(lo + h x) and R and tau are scaled by one common denominator
+    to integer coefficients r_i and an integer T, so P(t) >= tau iff
+    sum_i r_i m^i 2^(s (d - i)) >= T 2^(s d), one Horner pass in ints.
+    Bracket and steps are those of the same bisection in Fractions.
+    """
+    h = hi - lo
+    shifted = list(coeffs)
+    for i in range(len(shifted) - 1):
+        for j in range(len(shifted) - 2, i - 1, -1):
+            shifted[j] += lo * shifted[j + 1]
+    scaled = [c * h ** i for i, c in enumerate(shifted)]
+    den = math.lcm(tau.denominator, *(c.denominator for c in scaled))
+    r = [c.numerator * (den // c.denominator) for c in scaled]
+    target = tau.numerator * (den // tau.denominator)
+    d = len(r) - 1
+    # a = lo + h m / 2^s and b = lo + h (m + 1) / 2^s; step while h / 2^s > tol
+    m = s = 0
+    wide, narrow = h.numerator * tol.denominator, tol.numerator * h.denominator
+    while wide > narrow << s:
+        s += 1
+        mid = 2 * m + 1
+        acc = r[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * mid + (r[i] << (s * (d - i)))
+        m = mid if acc >= target << (s * d) else 2 * m
+    return lo + h * Fraction(m, 1 << s), lo + h * Fraction(m + 1, 1 << s)
+
+
 def quantile(model: GradedSeriesModel, v: ValuationModel, tau,
              tol=DEFAULT_TOL) -> TailSpec:
     """The volume quantile Q(tau) = sup{t : F(t) >= tau}.
 
     Exact when the crossing piece has a rational root (always for linear
     pieces, for quadratics with square discriminant); otherwise bisected to a
-    certified bracket of width <= tol. tau <= atom-at-top returns S0.
+    certified bracket of width <= tol, in integers (``_bisect``). tau <=
+    atom-at-top returns S0.  Solved once per (ambient, G, tau, tol) and kept
+    next to the ccdf, so ``S_tau`` reads the quantile its caller just asked
+    for.  Where G < 0 on part of the ambient, F(0) < 1, and a tau above F(0)
+    raises ``ValueError``: F on [0, S0] never reaches it.
     """
     tau = rat(tau)
     tol = rat(tol)
@@ -404,7 +444,13 @@ def quantile(model: GradedSeriesModel, v: ValuationModel, tau,
         raise ValueError("tau must lie in [0, 1]")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    s0, _, _, atom, _, pieces = _ccdf_data(model.ambient, v.G)
+    return _quantile_spec(model.ambient, v.G, tau, tol)
+
+
+@lru_cache(maxsize=128)
+def _quantile_spec(ambient: ConvexBody, g: ConcavePL, tau: Fraction, tol: Fraction) -> TailSpec:
+    """``quantile`` for a checked tau in [0, 1] and tol > 0."""
+    s0, _, _, atom, _, pieces = _ccdf_data(ambient, g)
     if tau <= atom:
         return TailSpec(tau, s0, atom, exact=True)
     for lo, hi, coeffs in reversed(pieces):
@@ -413,15 +459,10 @@ def quantile(model: GradedSeriesModel, v: ValuationModel, tau,
         root = _exact_poly_root(coeffs, tau, lo, hi)
         if root is not None:
             return TailSpec(tau, root, atom, exact=True)
-        a, b = lo, hi  # P(a) >= tau > P(b), P monotone non-increasing
-        while b - a > tol:
-            mid = (a + b) / 2
-            if _poly_eval(coeffs, mid) >= tau:
-                a = mid
-            else:
-                b = mid
+        a, b = _bisect(coeffs, tau, lo, hi, tol)  # P(a) >= tau > P(b)
         return TailSpec(tau, (a + b) / 2, atom, exact=False, bracket=(a, b))
-    raise AssertionError("unreachable: F(0) = 1 >= tau")
+    raise ValueError(f"F on [0, {s0}] never reaches tau={tau}: "
+                     f"G is negative on part of the ambient, so F(0) < tau")
 
 
 def quantum_quantile(model: GradedSeriesModel, v: ValuationModel, k: int, tau) -> Fraction:

@@ -2,7 +2,9 @@
 
 ``oracle_row_reduce`` is Gauss-Jordan over Q and ``oracle_nullspace`` reads a
 primitive nullspace basis from it: the slow paths that the library's integer
-``_int_reduce`` and ``_nullspace`` are checked against.  ``oracle_simplex_max``
+``_int_reduce`` and ``_nullspace`` are checked against.  ``oracle_det`` is
+the recursive Laplace expansion that the library's closed-form 3x3 and 4x4
+``_det`` must equal.  ``oracle_simplex_max``
 is the dense Fraction tableau simplex that the library's fraction-free
 ``_simplex_max`` must match pivot for pivot.  ``oracle_level`` builds
 k*Delta_k per backend by enumeration and set difference, the way the series
@@ -18,6 +20,10 @@ integer-row ``hull`` and ``intersect_halfspace`` replaced: they coerce,
 de-duplicate and sort Fraction tuples, hash Fraction crossing points, and
 re-derive each body's integer form from its Fraction vertices.  Both call the
 library's one beneath-beyond core for a full-dimensional hull.
+``oracle_hull_full`` is that core with a rank test of the tight facet
+normals at every candidate vertex and ``oracle_det`` facet normals: the path
+that the library's facet-count vertex test (a rank test only for n >= 4)
+must match exactly.
 ``oracle_score_level`` scores and sorts Delta_k (``discrete_body``) or the
 idealized level directly, each with the per-point ``oracle_scaled_values``,
 and ``oracle_jumping_values`` builds one Fraction per point and compares
@@ -44,6 +50,9 @@ n volumes per real interval and Newton fits must match exactly.
 every step of the bisection of an inexact quantile's bracket, with
 ``superlevel``, ``integrate_transform`` and ``volume``: the path that the
 library's layer-cake tail mean, read off the cached ccdf, must match exactly.
+``oracle_bisect`` halves a quantile's bracket in Fractions, evaluating the
+piece at every midpoint: the path that the library's integer bisection must
+match bracket for bracket.
 """
 
 import random
@@ -54,7 +63,7 @@ from operator import mul
 
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _hull_rows,
-                               _int_form, _primed, _primitive, _tight_set,
+                               _int_form, _int_reduce, _primed, _primitive, _tight_set,
                                empty_body, hull, integrate_transform, rat, superlevel,
                                volume)
 from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
@@ -101,6 +110,26 @@ def oracle_nullspace(rows: list[list[Fraction]], n: int) -> list[tuple[int, ...]
             w[p] = -red[i][f]
         basis.append(_primitive(w))
     return basis
+
+
+def oracle_det(mat):
+    """Laplace expansion along the first row at every size, skipping zero
+    entries; exact over ints and Fractions alike, 1 for a 0x0 matrix."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    if n == 1:
+        return mat[0][0]
+    if n == 2:
+        return mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
+    total = 0
+    sign = 1
+    for j in range(n):
+        if mat[0][j] != 0:
+            minor = [tuple(row[c] for c in range(n) if c != j) for row in mat[1:]]
+            total += sign * mat[0][j] * oracle_det(minor)
+        sign = -sign
+    return total
 
 
 def oracle_simplex_max(A: list[list[Fraction]], b: list[Fraction],
@@ -246,6 +275,60 @@ def _oracle_primed(n, vertices, tight):
 def _oracle_full(pts, n):
     """The library's beneath-beyond core on sorted, distinct Fraction points."""
     return _hull_full(*_int_form(pts), n)
+
+
+def oracle_hull_full(D, P, n):
+    """The beneath-beyond hull of the points P / D (D > 0; sorted, distinct
+    integer rows spanning R^n) with ``oracle_det`` facet normals and one
+    ``_int_reduce`` rank test of the tight normals per candidate vertex, at
+    every n."""
+    seed = [0]
+    for i in range(1, len(P)):
+        rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
+        if _int_reduce(rows)[0] == len(seed):
+            seed.append(i)
+            if len(seed) == n + 1:
+                break
+    inner = [sum(c) for c in zip(*(P[i] for i in seed))]
+
+    def facet(verts):
+        base = P[verts[0]]
+        rows = [[x - y for x, y in zip(P[v], base)] for v in verts[1:]]
+        w = tuple((-1) ** j * oracle_det([r[:j] + r[j + 1:] for r in rows]) for j in range(n))
+        b = sum(map(mul, w, base))
+        if sum(map(mul, w, inner)) > (n + 1) * b:
+            w, b = tuple(-c for c in w), -b
+        return verts, w, b
+
+    facets = [facet(verts) for verts in combinations(seed, n)]
+    for i in sorted(set(range(len(P))) - set(seed)):
+        p = P[i]
+        beneath, visible = [], []
+        for f in facets:
+            (visible if sum(map(mul, f[1], p)) > f[2] else beneath).append(f)
+        if not visible:
+            continue
+        ridges = {}
+        for verts, _, _ in visible:
+            for r in combinations(verts, n - 1):
+                ridges[r] = ridges.get(r, 0) + 1
+        horizon = [r for r, seen in ridges.items() if seen == 1]
+        facets = beneath + [facet(tuple(sorted(r + (i,)))) for r in horizon]
+
+    merged = {}
+    for _, w, b in facets:
+        g = gcd(*w)
+        merged[tuple(c // g for c in w)] = b // g
+    tight_at = {w: [] for w in merged}
+    vertices = []
+    for i in sorted({v for verts, _, _ in facets for v in verts}):
+        tight = [w for w, b in merged.items() if sum(map(mul, w, P[i])) == b]
+        if _int_reduce(tight)[0] == n:
+            for w in tight:
+                tight_at[w].append(len(vertices))
+            vertices.append(P[i])
+    return _primed(n, D, vertices, [(HalfSpace(w, Fraction(b, D)), frozenset(tight_at[w]))
+                                    for w, b in merged.items()], n)
 
 
 def oracle_hull_front(points):
@@ -601,6 +684,19 @@ def oracle_ccdf_data(ambient, g):
         pieces.append((lo, hi, oracle_lagrange(ts, vals)))
     atom = volume(oracle_superlevel(ambient, g, s0)) / vol
     return s0, sigma, vol, atom, tuple(breaks), tuple(pieces)
+
+
+def oracle_bisect(coeffs, tau, lo, hi, tol):
+    """Halve [lo, hi] in Fractions until b - a <= tol, evaluating the
+    polynomial at each midpoint by Horner's rule; returns (a, b)."""
+    a, b = lo, hi
+    while b - a > tol:
+        mid = (a + b) / 2
+        if _poly_eval(coeffs, mid) >= tau:
+            a = mid
+        else:
+            b = mid
+    return a, b
 
 
 def oracle_S_tau(model, v, tau, tol=DEFAULT_TOL):

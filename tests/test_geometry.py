@@ -41,9 +41,9 @@ from okbodies.geometry import (
 )
 from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
-from oracles import (oracle_clip_rows, oracle_hull_front, oracle_intersect_halfspace,
-                     oracle_maximal, oracle_nullspace, oracle_row_reduce, oracle_simplex_max,
-                     oracle_superlevel)
+from oracles import (oracle_clip_rows, oracle_det, oracle_hull_front, oracle_hull_full,
+                     oracle_intersect_halfspace, oracle_maximal, oracle_nullspace,
+                     oracle_row_reduce, oracle_simplex_max, oracle_superlevel)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -330,6 +330,74 @@ def test_hull_matches_supporting_hyperplane_oracle(n, kind, seed):
     again = hull(pts)
     assert (again.vertices, again.halfspaces, again._cache["incidence"]) == (
         body.vertices, body.halfspaces, body._cache["incidence"])
+
+
+@pytest.mark.parametrize("n, kind", [
+    (n, kind) for n in (1, 2, 3, 4)
+    for kind in ("grid", "duplicates", "cospherical", "minkowski", "hyperplane", "line")
+    if (n, kind) != (1, "cospherical")])
+def test_hull_full_matches_rank_test_oracle(n, kind):
+    """The facet-count vertex test gives the same body as a rank test at
+    every candidate (``oracle_hull_full``): vertices, halfspaces, incidence,
+    integer form and affine rank, for full-dimensional clouds and for the
+    inner hull of flat ones.  Grid and Minkowski clouds put points inside
+    edges and facets."""
+    rng = random.Random(1000 * n + len(kind))
+    for _ in range(12):
+        pts = oracle_cloud(rng, n, kind)
+        body = hull(pts)
+        with mock.patch.object(geometry, "_hull_full", oracle_hull_full):
+            ref = hull(pts)
+        assert body.vertices == ref.vertices
+        assert body.halfspaces == ref.halfspaces
+        assert body._cache["incidence"] == ref._cache["incidence"]
+        assert body.int_form() == ref.int_form()
+        assert body._cache["arank"] == ref._cache["arank"]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_hull_full_reduces_tight_normals_only_in_4d(monkeypatch, n):
+    """In 3-D a candidate on n tight facets is a vertex with no elimination,
+    so ``_int_reduce`` runs only for the seed simplex: n calls when the first
+    n + 1 rows are affinely independent.  In 4-D every vertex still takes
+    one rank test."""
+    reduce = geometry._int_reduce
+    calls = []
+    monkeypatch.setattr(geometry, "_int_reduce", lambda rows: calls.append(rows) or reduce(rows))
+    rng = random.Random(n)
+    tested = 0
+    for kind in ("grid", "cospherical", "minkowski") * 4:
+        D, Z = geometry._int_form([tuple(map(rat, p)) for p in oracle_cloud(rng, n, kind)])
+        P = sorted(set(Z))
+        if geometry._affine_rank(P[:n + 1])[0] != n:
+            continue
+        calls.clear()
+        body = geometry._hull_full(D, P, n)
+        if n == 3:
+            assert len(calls) == n
+        else:
+            assert len(calls) >= n + len(body.vertices)
+        tested += 1
+    assert tested >= 4
+
+
+def test_det_matches_laplace_oracle():
+    """The closed forms for n = 3, 4 and the expansion above them equal the
+    recursive Laplace expansion on seeded int and Fraction matrices, sparse
+    and singular ones included."""
+    rng = random.Random(7)
+    for n in range(7):
+        for _ in range(150):
+            frac = rng.random() < 0.5
+            rows = [[F(rng.randint(-9, 9), rng.randint(1, 6)) if frac else rng.randint(-50, 50)
+                     for _ in range(n)] for _ in range(n)]
+            if n and rng.random() < 0.3:
+                rows[rng.randrange(n)][rng.randrange(n)] = 0
+            if n > 1 and rng.random() < 0.2:
+                rows[-1] = list(rows[0])
+            det = geometry._det(rows)
+            assert det == oracle_det(rows)
+            assert isinstance(det, int) or frac
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +868,7 @@ def oracle_moments(body):
     fact = factorial(n)
     vol, acc = F(0), [F(0)] * n
     for s in oracle_triangulate(body.vertices, body.halfspaces, n):
-        w = abs(geometry._det([geometry._vsub(p, s[0]) for p in s[1:]])) / fact
+        w = abs(oracle_det([geometry._vsub(p, s[0]) for p in s[1:]])) / fact
         vol += w
         for i in range(n):
             acc[i] += w * sum(p[i] for p in s) / (n + 1)

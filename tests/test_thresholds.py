@@ -54,8 +54,9 @@ from okbodies.thresholds import (
     select_compatible_family,
     valuation_from_json,
 )
-from oracles import (oracle_ccdf_data, oracle_hypograph_points, oracle_jumping_values,
-                     oracle_lagrange, oracle_S_tau, oracle_scaled_values, oracle_score_level)
+from oracles import (oracle_bisect, oracle_ccdf_data, oracle_hypograph_points,
+                     oracle_jumping_values, oracle_lagrange, oracle_S_tau, oracle_scaled_values,
+                     oracle_score_level)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -288,6 +289,57 @@ def test_quantile_bisects_a_cubic_ccdf_piece():
     # its quadratic part 1 - 3t + 3t^2 = 1/3 has the rational roots 1/3 and 2/3
     cubic = (F(1), F(-3), F(3), F(-1))
     assert thresholds._exact_poly_root(cubic, F(1, 3), F(0), F(1)) is None
+
+
+def test_bisect_matches_fraction_bisection_oracle():
+    """The integer bisection keeps the same bracket as halving in Fractions
+    on seeded pieces of degree 0-4 (monotone or not, so the decisions go both
+    ways) over rational intervals, at tol 1/10, 10^-3 and 10^-9."""
+    rng = random.Random(23)
+    for _ in range(1500):
+        coeffs = [F(rng.randint(-20, 20), rng.randint(1, 12)) for _ in range(rng.randint(1, 5))]
+        lo = F(rng.randint(-10, 10), rng.randint(1, 9))
+        hi = lo + F(rng.randint(1, 30), rng.randint(1, 9))
+        tau = thresholds._poly_eval(coeffs, lo + (hi - lo) * F(rng.randint(0, 8), 8))
+        tau += rng.choice((0, F(rng.randint(-3, 3), rng.randint(1, 50))))
+        tol = rng.choice((F(1, 10), F(1, 10**3), F(1, 10**9)))
+        assert thresholds._bisect(coeffs, tau, lo, hi, tol) == oracle_bisect(coeffs, tau, lo, hi, tol)
+
+
+def test_quantile_beyond_F0_raises_value_error():
+    """G = x - 1/2 on the unit square is negative on half of it, so F(0) =
+    1/2: tau = 1/2 is reached at 0, and a larger tau is never reached."""
+    g, ambient = edge_transforms()[-1]
+    model, v = ToricModel(ambient), ValuationModel("G", F(1), g)
+    assert ccdf_continuous(model, v, 0) == F(1, 2)
+    assert quantile(model, v, F(1, 2)).quantile == 0
+    for tau in (F(3, 4), F(1)):
+        with pytest.raises(ValueError, match="never reaches"):
+            quantile(model, v, tau)
+        with pytest.raises(ValueError, match="never reaches"):
+            S_tau(model, v, tau)
+
+
+def test_S_tau_after_quantile_solves_nothing_again(monkeypatch):
+    """quantile keeps each solved TailSpec, so S_tau with the same
+    arguments neither looks for an exact root nor bisects."""
+    calls = Counter()
+    for name in ("_exact_poly_root", "_bisect"):
+        real = getattr(thresholds, name)
+        monkeypatch.setattr(thresholds, name,
+                            lambda *a, real=real, name=name: calls.update([name]) or real(*a))
+    simplex3 = ToricModel(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    cases = [(SIMPLEX, V_SIMPLEX, F(1, 4), F(1, 10**9)), (SIMPLEX, V_SIMPLEX, F(1, 2), F(1, 10**6)),
+             (simplex3, ValuationModel.divisorial("e1", simplex3.ambient), F(1, 3), F(1, 10**9))]
+    solved = Counter()
+    for model, v, tau, tol in cases:
+        calls.clear()
+        quantile(model, v, tau, tol)
+        solved += calls
+        calls.clear()
+        S_tau(model, v, tau, tol)
+        assert calls == Counter()
+    assert solved == Counter({"_exact_poly_root": 3, "_bisect": 2})
 
 
 def test_quantile_consistency():
@@ -589,6 +641,7 @@ def test_ccdf_measures_n_volumes_per_fit_and_none_below_sigma(monkeypatch):
     cases += edge_transforms()[:-1]
     for g, ambient in cases:
         thresholds._ccdf_data.cache_clear()
+        thresholds._quantile_spec.cache_clear()
         calls.clear()
         data = thresholds._ccdf_data(ambient, g)
         n, s0, sigma = ambient.dim, data.s0, data.sigma
