@@ -22,6 +22,7 @@ import math
 import random
 import statistics
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -550,7 +551,9 @@ def _plus_body_count(model: GradedSeriesModel, k: int, quantum_max: Fraction) ->
     (threshold quantum_max + 1/(2k): any epsilon in (0,1/k) gives the same set)."""
     # z1/k >= threshold  <=>  z1 >= ceil(k * threshold), z1 an integer
     cut = math.ceil(k * (quantum_max + Fraction(1, 2 * k)))
-    return sum(1 for z in model.idealized_body(k).points if z[0] >= cut)
+    # the level is sorted, so the points with z1 >= cut are those from (cut,) on
+    points = model.idealized_body(k).points
+    return len(points) - bisect_left(points, (cut,))
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, isqrt, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -789,11 +789,32 @@ class ConcavePL:
 
     def scaled_values(self, points: Sequence[Sequence[int]], k: int) -> list[int]:
         """k L G(z/k) = min_i(L grad_i . z + k L c_i) for each integer numerator
-        vector z, as exact ints (L from integer_form): one column per piece,
-        then their element-wise min."""
-        cols = [[sum(map(mul, grad, z)) + k * c for z in points]
-                for grad, c in self.integer_form[1]]
-        return cols[0] if len(cols) == 1 else list(map(min, *cols))
+        vector z, as exact ints (L from integer_form), in the order of points.
+
+        Scored by columns: the points are transposed once into axes, and each
+        piece sums its axes in one pass.  A zero gradient entry adds nothing,
+        an entry of +-1 adds or subtracts the axis itself and any other entry
+        adds its multiple of the axis; k L c_i is added once.  The pieces are
+        then combined by one element-wise min.
+        """
+        axes = list(zip(*points))
+        cols = []
+        for grad, c in self.integer_form[1]:
+            col = None  # the sum of the axis terms so far, lazily
+            for a, axis in zip(grad, axes):
+                if a == 1:
+                    col = axis if col is None else map(add, col, axis)
+                elif a == -1:
+                    col = map(neg, axis) if col is None else map(sub, col, axis)
+                elif a:
+                    term = map(mul, itertools.repeat(a), axis)
+                    col = term if col is None else map(add, col, term)
+            if col is None:
+                col = itertools.repeat(k * c, len(points))
+            elif c:
+                col = map(add, col, itertools.repeat(k * c))
+            cols.append(col)
+        return list(cols[0] if len(cols) == 1 else map(min, *cols))
 
 
 def first_coordinate_transform(domain: ConvexBody) -> ConcavePL:

@@ -432,16 +432,16 @@ def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
 
     Sums the exact integer scores k L g(z/k) of ``ConcavePL.scaled_values``
     over the numerators of the lattice walk (no ``PointCloud``, no sort) and
-    divides once by L k^(n+1).
+    divides once by L k^(n+1).  The points are walked only to name the first
+    negative one.
     """
     points = _numerators(body, k)
-    total = 0
-    for z, score in zip(points, g.scaled_values(points, k)):
-        if score < 0:
-            x = tuple(Fraction(c, k) for c in z)
-            raise ValueError(f"concave transform is negative at lattice point {x}")
-        total += score
-    return Fraction(total, g.integer_form[0] * k ** (body.dim + 1))
+    scores = g.scaled_values(points, k)
+    if scores and min(scores) < 0:
+        z = next(z for z, score in zip(points, scores) if score < 0)
+        x = tuple(Fraction(c, k) for c in z)
+        raise ValueError(f"concave transform is negative at lattice point {x}")
+    return Fraction(sum(scores), g.integer_form[0] * k ** (body.dim + 1))
 
 
 def analytic_count_constant(body: ConvexBody, bits: int = 64) -> Fraction:

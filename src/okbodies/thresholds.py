@@ -17,7 +17,12 @@ and vanishing orders, compatible families, restricted delta_{k,m}) reads
 one integer score table of the level.  With L the lcm of the denominators of
 G, each point z/k of the idealized level ambient ∩ Z^n/k scores
 k L G(z/k) = min_i(L grad_i . z + k L c_i), an exact int; that level is
-scored and sorted once per (model, G, k).  Delta_k's table is the same table
+scored and sorted once per (model, G, k).  It is scored by columns, one pass
+per piece over the transposed points (``ConcavePL.scaled_values``), and
+ranked by one sort of point indices keyed by score alone: the level's points
+are strictly increasing, so the stable sort of the indices taken from last
+to first breaks score ties toward the lexicographically larger point without
+comparing points (``_score_level``).  Delta_k's table is the same table
 minus the level's gaps, read off it in one order-preserving pass (on a level
 without gaps it is the same table).  The model keeps both with the rest of
 its current level only.  Results are the same Fractions as scoring G(z/k)
@@ -36,9 +41,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from operator import mul
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import (
     AffineFunctional,
@@ -126,20 +131,28 @@ class FamilyMeasure:
 _LevelScores = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
 
 
-def _table(L: int, pairs: Sequence[tuple[int, tuple[int, ...]]]) -> _LevelScores:
-    """(L, scores, points, prefix) of (score, point) pairs in table order."""
-    scores = tuple(s for s, _ in pairs)
-    return L, scores, tuple(z for _, z in pairs), tuple(accumulate(scores, initial=0))
+def _table(L: int, scores: Iterable[int], points: Iterable[tuple[int, ...]]) -> _LevelScores:
+    """(L, scores, points, prefix) of scores and points in table order."""
+    scores = tuple(scores)
+    return L, scores, tuple(points), tuple(accumulate(scores, initial=0))
 
 
 def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int) -> _LevelScores:
     """(L, scores, points, prefix) of the idealized level ambient ∩ Z^n/k:
     scores[i] = k L G(points[i]/k) in descending order, ties lexicographically
     larger point first (the deterministic tie-break used everywhere), and
-    prefix[m] = scores[0] + ... + scores[m-1]."""
+    prefix[m] = scores[0] + ... + scores[m-1].
+
+    The level is scored by columns (``ConcavePL.scaled_values``) and ranked by
+    one sort of point indices keyed by score alone.  A level's points are
+    strictly increasing (``PointCloud``), so the indices go in from last to
+    first and the stable descending sort leaves tied scores in that order:
+    lexicographically larger point first, with no point ever compared."""
     points = model.idealized_body(k).points
-    return _table(g.integer_form[0],
-                  sorted(zip(g.scaled_values(points, k), points), reverse=True))
+    scores = g.scaled_values(points, k)
+    order = sorted(range(len(points) - 1, -1, -1), key=scores.__getitem__, reverse=True)
+    return _table(g.integer_form[0], map(scores.__getitem__, order),
+                  map(points.__getitem__, order))
 
 
 def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
@@ -153,9 +166,14 @@ def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
     table = model._at_level(k, (g, True), lambda: _score_level(model, g, k))
     if ideal or not (gaps := model._level_gaps(k)):
         return table
+    return model._at_level(k, (g, False), lambda: _without_gaps(table, gaps))
+
+
+def _without_gaps(table: _LevelScores, gaps: frozenset[tuple[int, ...]]) -> _LevelScores:
+    """The rows of a score table whose point is not a gap, in table order."""
     L, scores, points, _ = table
-    return model._at_level(k, (g, False), lambda: _table(
-        L, [(s, z) for s, z in zip(scores, points) if z not in gaps]))
+    kept = [z not in gaps for z in points]
+    return _table(L, compress(scores, kept), compress(points, kept))
 
 
 def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,

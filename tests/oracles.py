@@ -25,11 +25,15 @@ normals at every candidate vertex and ``oracle_det`` facet normals: the path
 that the library's facet-count vertex test (a rank test only for n >= 4)
 must match exactly.
 ``oracle_score_level`` scores and sorts Delta_k (``discrete_body``) or the
-idealized level directly, each with the per-point ``oracle_scaled_values``,
-and ``oracle_jumping_values`` builds one Fraction per point and compares
-every neighbour: the paths that the library's single idealized score table,
-the gap-filtered Delta_k table read off it, column-wise scoring and the
-shared-Fraction ``JumpingVector`` must match exactly.
+idealized level directly, each with the per-point ``oracle_scaled_values``
+and one sort of (score, point) pairs, and ``oracle_jumping_values`` builds
+one Fraction per point and compares every neighbour: the paths that the
+library's single idealized score table, ranked by an index sort keyed by
+score alone, the gap-filtered Delta_k table read off it, column-wise
+scoring and the shared-Fraction ``JumpingVector`` must match exactly.
+``oracle_plus_body_count`` scans every point of the idealized level for the
+plus-body count of the maxp1 suite: the path that the library's one
+bisection of the sorted level must match.
 ``oracle_count`` clips every 2-D slab with every (upper, lower) pair of its
 y-lines (``oracle_slab_count``), and ``oracle_envelope_floor_sum`` and
 ``oracle_envelope_runs`` walk an envelope run by run, scanning every line
@@ -55,6 +59,7 @@ piece at every midpoint: the path that the library's integer bisection must
 match bracket for bracket.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -425,6 +430,13 @@ def oracle_score_level(model, g, k: int, ideal: bool):
     scores = tuple(s for s, _ in pairs)
     return (g.integer_form[0], scores, tuple(z for _, z in pairs),
             tuple(accumulate(scores, initial=0)))
+
+
+def oracle_plus_body_count(model, k: int, quantum_max: Fraction) -> int:
+    """# of idealized lattice points z with z1 >= ceil(k quantum_max + 1/2),
+    point by point."""
+    cut = math.ceil(k * (quantum_max + Fraction(1, 2 * k)))
+    return sum(1 for z in model.idealized_body(k).points if z[0] >= cut)
 
 
 def oracle_jumping_values(table) -> tuple[Fraction, ...]:

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import okbodies
 from okbodies.cli import main
 from okbodies.geometry import HalfSpace, hull, intersect_halfspace, rat, rat_str, validate_body
 
@@ -477,6 +481,22 @@ def test_benchmark_arguments_still_parse():
     assert args.tau == 1 / 2 and args.k_max == 14
     for suite in ("ehrhart", "cones", "all"):
         assert parser.parse_args(["verify", suite, "--k-max", "12"]).k_max == 12
+
+
+def test_python_dash_m_runs_the_cli():
+    """``python -m okbodies`` from a source checkout, without the console script."""
+    src = str(Path(okbodies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "okbodies", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    shown = run("--help")
+    assert shown.returncode == 0 and shown.stdout.startswith("usage: okbodies")
+    unknown = run("verify", "nosuch")
+    assert unknown.returncode == 2 and "invalid choice: 'nosuch'" in unknown.stderr
 
 
 CUBE4_JSON = {"dim": 4, "vertices": [[str((i >> b) & 1) for b in range(4)] for i in range(16)]}

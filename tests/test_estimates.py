@@ -32,7 +32,7 @@ from okbodies.estimates import (
     verify_uniform_ehrhart,
     verify_weierstrass,
 )
-from oracles import oracle_sub_body_sampler
+from oracles import oracle_plus_body_count, oracle_sub_body_sampler
 
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -338,6 +338,25 @@ def test_verify_maxp1_top_column():
         assert row["plus_count"] == k + 1
         # bound needs C >= (k+1)^{-1/2}: C = 1 works
         assert (row["gap"] * k) ** 2 <= 1 * row["plus_count"]
+
+
+def test_plus_body_count_matches_the_point_scan():
+    """The plus-body count read off the sorted level by one bisection against
+    scanning every point (``oracles.oracle_plus_body_count``), on both maxp1
+    models for k <= 40, with cuts from below the first to above the last x1."""
+    rng = random.Random(44)
+    for model in (CanonicalCurveModel(3), top_column_gap_model()):
+        for k in range(1, 41):
+            points = model.idealized_body(k).points
+            lo, hi = points[0][0], points[-1][0]
+            tops = [F(j, k) for j in range(lo - 3, hi + 3)]
+            tops += [F(rng.randint(2 * lo - 7, 2 * hi + 7), 2 * k + 1) for _ in range(5)]
+            for top in tops:
+                assert estimates._plus_body_count(model, k, top) == oracle_plus_body_count(
+                    model, k, top)
+            # a cut below the first x1 keeps every point, one above the last none
+            assert estimates._plus_body_count(model, k, F(lo - 3, k)) == len(points)
+            assert estimates._plus_body_count(model, k, F(hi + 2, k)) == 0
 
 
 # ---------------------------------------------------------------------------

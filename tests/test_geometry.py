@@ -43,7 +43,8 @@ from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
 from oracles import (oracle_clip_rows, oracle_det, oracle_hull_front, oracle_hull_full,
                      oracle_intersect_halfspace, oracle_maximal, oracle_nullspace,
-                     oracle_row_reduce, oracle_simplex_max, oracle_superlevel)
+                     oracle_row_reduce, oracle_scaled_values, oracle_simplex_max,
+                     oracle_superlevel)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -508,6 +509,57 @@ def test_concavepl_rejects_a_gradient_of_the_wrong_length():
         pieces = [AffineFunctional.make((0, 1), 0), AffineFunctional.make(grad, 1)]
         with pytest.raises(DimensionMismatch, match="R\\^2"):
             ConcavePL.make(pieces, UNIT_SQUARE)
+
+
+def test_scaled_values_match_the_per_point_oracle():
+    """Column scoring (``ConcavePL.scaled_values``) against scoring point by
+    point (``oracles.oracle_scaled_values``): n = 1..4, gradient entries 0,
+    +-1, large and rational, constant and duplicated pieces, and point lists
+    that are empty, unsorted or repeat a point.  ``ConcavePL.make`` scores
+    the vertex rows of its domain, which are not sorted by score either."""
+    rng = random.Random(23)
+    big = 10**12 + 7
+    entries = [0, 0, 1, -1, 1, -1, 2, -3, big, -big, F(1, 2), F(-5, 3)]
+    for n in (1, 2, 3, 4):
+        for _ in range(40):
+            domain = hull([tuple(F(rng.randint(-6, 6), rng.choice((1, 2, 3))) for _ in range(n))
+                           for _ in range(n + 1 + rng.randint(0, 4))])
+            pieces = [AffineFunctional.make([rng.choice(entries) for _ in range(n)],
+                                            rng.choice((0, 0, 1, -2, F(7, 2), big, -big)))
+                      for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.3:
+                pieces.append(AffineFunctional.make([0] * n, rng.choice((0, -1, F(5, 3)))))
+            if rng.random() < 0.3:
+                pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(pieces))
+            g = ConcavePL.make(pieces, domain, require_nonnegative=False)
+            points = [tuple(rng.randint(-9, 9) for _ in range(n))
+                      for _ in range(rng.randint(0, 12))]
+            points += rng.sample(points, min(len(points), 2))
+            rng.shuffle(points)
+            for k in (1, rng.randint(2, 50)):
+                assert g.scaled_values(points, k) == oracle_scaled_values(g, points, k)
+                assert g.scaled_values([], k) == []
+            if domain.is_empty:
+                continue
+            D, Z = domain.int_form()
+            rows = list(Z)
+            rng.shuffle(rows)
+            for vertex_rows in (Z, rows):
+                assert g.scaled_values(vertex_rows, D) == oracle_scaled_values(g, vertex_rows, D)
+            if min(oracle_scaled_values(g, Z, D)) < 0:
+                with pytest.raises(GeometryError, match="negative on the domain"):
+                    ConcavePL.make(pieces, domain)
+            else:
+                assert ConcavePL.make(pieces, domain) == g
+
+
+def test_scaled_values_of_constant_pieces():
+    """A G without any nonzero gradient entry scores k L c for every point."""
+    g = ConcavePL.make([AffineFunctional.make((0, 0), F(3, 2)),
+                        AffineFunctional.make((0, 0), F(5, 2))], UNIT_SQUARE)
+    points = [(4, 1), (0, 0), (4, 1), (-2, 7)]
+    assert g.scaled_values(points, 3) == [9, 9, 9, 9]
+    assert g.scaled_values([], 3) == []
 
 
 # ---------------------------------------------------------------------------

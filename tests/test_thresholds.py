@@ -950,16 +950,21 @@ def _random_ambient(rng, n):
             return body
 
 
-def _differential_cases():
-    """(model, transforms, levels): every bundled backend, then seeded
-    synthetic models with gaps placed on top and tied scores of their G."""
-    rng = random.Random(16)
+def _bundled_models():
+    """One model of every bundled backend and gap pattern."""
     bundled = [ToricModel(hull([(0, 0), (1, 0), (0, 1)])), ToricModel(hull([(0,), (1,)])),
                CanonicalCurveModel(3), p1xp1_model(True), p1xp1_model(False),
                top_column_gap_model()]
     bundled += [plane_quartic_model(kind) for kind in PLANE_QUARTIC_GAP_SEQUENCES]
     bundled += [genus3_canonical_model(kind) for kind in GENUS3_CANONICAL_PATTERNS]
-    for model in bundled:
+    return bundled
+
+
+def _differential_cases():
+    """(model, transforms, levels): every bundled backend, then seeded
+    synthetic models with gaps placed on top and tied scores of their G."""
+    rng = random.Random(16)
+    for model in _bundled_models():
         transforms = [first_coordinate_transform(model.ambient),
                       _repeated_piece_transform(rng, model.ambient)]
         yield model, transforms, [k for k in range(1, 9) if model.has_level(k)]
@@ -1005,6 +1010,73 @@ def test_score_tables_match_per_level_oracle():
                 for m in {1, min(2, d), max(d // 2, 1), max(d - 1, 1), d, rng.randint(1, d)}:
                     assert select_compatible_family(model, v, k, m) == PointCloud(k, points[:m])
                 assert g.scaled_values(points, k) == oracle_scaled_values(g, points, k)
+
+
+def _tie_heavy_transforms(ambient):
+    """Transforms under which most points of a level tie: a constant, each
+    coordinate, and the min of the first coordinate with a constant."""
+    n = ambient.dim
+    top = max(v[0] for v in ambient.vertices)
+    axes = [ConcavePL.make([AffineFunctional.make([int(i == j) for j in range(n)], 0)], ambient)
+            for i in range(n) if min(v[i] for v in ambient.vertices) >= 0]
+    return axes + [
+        ConcavePL.make([AffineFunctional.make([0] * n, F(2, 3))], ambient),
+        ConcavePL.make([AffineFunctional.make([1] + [0] * (n - 1), 0),
+                        AffineFunctional.make([0] * n, top / 2)], ambient),
+    ]
+
+
+def test_score_tables_match_oracle_on_tied_levels():
+    """Both tables of a level (ambient ∩ Z^n/k and Delta_k) against scoring
+    and sorting each set with (score, point) pairs, on levels where most
+    points tie: every bundled model and synthetic gap models with their gaps
+    inside the tie classes, up to k = 16."""
+    rng = random.Random(73)
+    cases = [(model, range(1, 17)) for model in _bundled_models()]
+    for n in (1, 2, 2, 3):
+        ambient = _random_ambient(rng, n)
+        g = _tie_heavy_transforms(ambient)[0]
+        levels = sorted(rng.sample(range(1, 17), 4))
+        cases.append((SyntheticModel(ambient, {k: _gaps_on_ties(rng, g, ambient, k)
+                                               for k in levels}), levels))
+    tied = 0
+    for model, levels in cases:
+        for k in levels:
+            if not model.has_level(k):
+                continue
+            for g in _tie_heavy_transforms(model.ambient):
+                for ideal in (True, False):
+                    table = thresholds._level_scores(model, g, k, ideal)
+                    assert table == oracle_score_level(model, g, k, ideal)
+                    tied += len(table[1]) - len(set(table[1]))
+    assert tied > 10_000
+
+
+class _Unordered(tuple):
+    """A point that refuses every order comparison."""
+
+    def _refuse(self, other):
+        raise TypeError("a level's points must not be compared")
+
+    __lt__ = __le__ = __gt__ = __ge__ = _refuse
+
+
+def test_ranking_a_level_never_compares_points():
+    """``_score_level`` ranks a level by score and point index alone: with
+    points that refuse comparisons, P^2's jumping numbers and S_{k,m} are
+    those of the oracle, on levels full of ties."""
+    model = ToricModel(hull([(0, 0), (3, 0), (0, 3)]))
+    for k in (5, 12):
+        cloud = model.idealized_body(k)
+        object.__setattr__(cloud, "points", tuple(map(_Unordered, cloud.points)))
+        with pytest.raises(TypeError):
+            cloud.points[0] < cloud.points[1]
+        for v in coordinate_family(model):
+            oracle = oracle_score_level(ToricModel(model.ambient), v.G, k, ideal=False)
+            L, scores, _, prefix = oracle
+            assert jumping_numbers(model, v, k).values == oracle_jumping_values(oracle)
+            for m in (1, len(scores) // 2, len(scores)):
+                assert S_km(model, v, k, m) == F(prefix[m], L * k * m)
 
 
 def test_point_clouds_come_sorted_from_their_producers(monkeypatch):
