@@ -9,10 +9,11 @@ Scale assumptions: ambient dimension n <= 4 and at most a few hundred vertices.
 Every body has an integer vertex form (D, Z): the least common denominator D
 of its vertices and their integer numerator rows, vertices[i] = Z[i] / D.
 The exact constructors run on integer rows: ``hull`` clears the denominators
-of its points once, and one incremental beneath-beyond hull in exact
-integers, in any dimension n >= 1, builds every full-dimensional hull from
-the sorted, distinct rows; ``intersect_halfspace`` forms its crossing points
-as integer rows from the parent's (D, Z).  Fractions are built once, for the
+of its points once, and builds every full-dimensional hull from the sorted,
+distinct rows: by Andrew's monotone chain for polygons (n = 2), and by one
+incremental beneath-beyond hull in exact integers in every other dimension
+n >= 1.  ``intersect_halfspace`` forms its crossing points as integer rows
+from the parent's (D, Z).  Fractions are built once, for the
 final vertex tuples, and every body from these constructors comes with its
 (D, Z), affine rank and vertex-facet incidence already cached.  Tight sets,
 the sign tests and crossings of clipping, and affine ranks read (D, Z), so
@@ -24,7 +25,8 @@ and rank instead.
 Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
 The inscribed-ball LP ``_simplex_max`` pivots a fraction-free integer tableau
 the same way (Bland's rule, one exact division per update), and volumes and
-first moments sum integer determinants of Z-row differences over n! D^n.
+first moments sum integer determinants of Z-row differences over n! D^n:
+over the fan from vertex 0 for a polygon, else over a pulling triangulation.
 
 Face structure is read from one cached vertex-facet incidence per body: for
 each halfspace, the set of vertex indices tight on it.  The facets of a face F
@@ -413,7 +415,8 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
 
     The points are coerced, scaled once to integer rows over one common
     denominator D, de-duplicated and sorted as rows (for D > 0 the row order is
-    the Fraction order) and handed to ``_hull_rows``.
+    the Fraction order) and handed to ``_hull_rows``: a monotone chain in the
+    plane, the beneath-beyond hull in every other dimension.
     """
     if not points:
         raise GeometryError("hull of an empty point set")
@@ -430,7 +433,13 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
 
 def _hull_rows(D: int, Z: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     """Hull of the points Z / D, for D > 0 and sorted, distinct integer rows Z
-    in R^n: ``_hull_full`` if they span R^n, else ``_hull_degenerate``."""
+    in R^n: ``_hull_full`` if they span R^n, else ``_hull_degenerate``.
+
+    For n = 2 the monotone chain (``_chain``) runs first, with no rank test:
+    a ring of three or more vertices is the polygon (``_polygon``), and a
+    shorter one means the rows are collinear."""
+    if n == 2 and len(ring := _chain(Z)) > 2:
+        return _polygon(D, Z, ring)
     rank, pivots = _affine_rank(Z)
     if rank == n:
         return _hull_full(D, Z, n)
@@ -510,13 +519,57 @@ def _hull_degenerate(D: int, Z: Sequence[tuple[int, ...]], n: int,
     return _primed(n, D, vertices, tight.items(), len(pivots))
 
 
+def _chain(P: Sequence[tuple[int, ...]]) -> list[int]:
+    """Andrew's monotone chain (A. M. Andrew, Inf. Proc. Letters 9, 1979) on
+    sorted, distinct 2-D integer rows P: the indices of their hull's
+    vertices, a counter-clockwise ring from P[0].
+
+    The lower and the upper chain each pop their last index while it makes
+    no left turn (an integer cross product <= 0), so a point inside an edge
+    is no vertex.  Fewer than three indices means the rows are collinear."""
+    def half(order: Iterable[int]) -> list[int]:
+        out: list[int] = []
+        for i in order:
+            x, y = P[i]
+            while len(out) > 1:
+                ax, ay = P[out[-2]]
+                bx, by = P[out[-1]]
+                if (bx - ax) * (y - ay) > (by - ay) * (x - ax):
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    return half(range(len(P)))[:-1] + half(reversed(range(len(P))))[:-1]
+
+
+def _polygon(D: int, P: Sequence[tuple[int, ...]], ring: list[int]) -> ConvexBody:
+    """The polygon over D > 0 on the counter-clockwise ring of at least three
+    indices into the sorted, distinct rows P (``_chain``).  An edge from a
+    to b, with (dx, dy) = P[b] - P[a], is the facet with the primitive
+    outward normal (dy, -dx) / gcd(dx, dy) and the tight set {a, b}: the
+    facet the beneath-beyond hull merges there."""
+    order = sorted(ring)  # row order, as P is sorted
+    index = {i: k for k, i in enumerate(order)}
+    tight = []
+    for a, b in zip(ring, ring[1:] + ring[:1]):
+        ax, ay = P[a]
+        bx, by = P[b]
+        g = gcd(bx - ax, by - ay)
+        wx, wy = (by - ay) // g, (ax - bx) // g
+        tight.append((HalfSpace((wx, wy), Fraction(wx * ax + wy * ay, D)),
+                      frozenset((index[a], index[b]))))
+    return _primed(2, D, [P[i] for i in order], tight, 2)
+
+
 def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     """Hull of the points P / D, for D > 0 and sorted, distinct integer rows P
-    that affinely span R^n: the incremental (beneath-beyond) hull in exact
-    integers, for every n >= 1.
+    that affinely span R^n: the monotone chain (``_chain``, ``_polygon``) for
+    n = 2, and the incremental (beneath-beyond) hull in exact integers for
+    every other n >= 1.  Both give the same body in the plane.
 
-    The hull starts as the simplex on the first n + 1 affinely independent
-    rows and takes the rest in sorted order.  Each simplicial facet keeps an
+    The beneath-beyond hull starts as the simplex on the first n + 1
+    affinely independent rows and takes the rest in sorted order.  Each simplicial facet keeps an
     outward integer normal w and offset b (w . z <= b); a new point replaces
     the facets it lies strictly beyond (a coplanar point is beneath) by the
     cone from it over the horizon, the ridges of exactly one replaced facet.
@@ -529,6 +582,8 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     an edge can lie on n facets) needs the rank.  Only the vertex rows become
     Fractions (``_primed``).
     """
+    if n == 2:
+        return _polygon(D, P, _chain(P))
     seed = [0]
     for i in range(1, len(P)):
         rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
@@ -828,11 +883,12 @@ def first_coordinate_transform(domain: ConvexBody) -> ConcavePL:
 
 def triangulate(body: ConvexBody) -> list[tuple[int, ...]]:
     """Pulling triangulation of a full-dimensional body, as tuples of indices
-    into body.vertices.
+    into body.vertices, in any dimension.
 
     Each face is coned from its smallest vertex over its facets that miss that
     vertex; faces are vertex-index sets read from the incidence, and each face
-    is triangulated once.
+    is triangulated once.  ``_moments`` uses it for n != 2; for a polygon it
+    is the fan from vertex 0, which ``_moments`` reads off the edges directly.
     """
     if not body.is_full_dim():
         raise DegenerateBody("triangulation requires a full-dimensional body")
@@ -858,18 +914,35 @@ def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:
     w / (n! D^n) for the integer w = |det(Z[s_j] - Z[s_0])|, and its integral
     of x_i is that volume times the mean of its vertices' x_i, so both moments
     are integer sums over a common denominator.
+
+    For n = 2 the simplices are the fan from vertex 0 over the edges, the
+    tight sets of two vertices (a redundant halfspace of a body built by
+    hand may be tight at one or none), with cross products for
+    determinants: the triangles, and so the sums, of the pulling
+    triangulation, as the two edges at vertex 0 add 0.  Every other n pulls
+    (``triangulate``).
     """
     if "moments" not in body._cache:
         n = body.dim
         D, Z = body.int_form()
         dets = 0
         first = [0] * n
-        for s in triangulate(body):
-            base = Z[s[0]]
-            w = abs(_det([[x - y for x, y in zip(Z[j], base)] for j in s[1:]]))
-            dets += w
-            for i in range(n):
-                first[i] += w * sum(Z[j][i] for j in s)
+        if n == 2:
+            x0, y0 = Z[0]
+            for a, b in (t for t in body.incidence() if len(t) == 2):
+                ax, ay = Z[a]
+                bx, by = Z[b]
+                w = abs((ax - x0) * (by - y0) - (ay - y0) * (bx - x0))
+                dets += w
+                first[0] += w * (x0 + ax + bx)
+                first[1] += w * (y0 + ay + by)
+        else:
+            for s in triangulate(body):
+                base = Z[s[0]]
+                w = abs(_det([[x - y for x, y in zip(Z[j], base)] for j in s[1:]]))
+                dets += w
+                for i in range(n):
+                    first[i] += w * sum(Z[j][i] for j in s)
         den = factorial(n) * D ** n
         body._cache["moments"] = (Fraction(dets, den),
                                   tuple(Fraction(c, den * (n + 1) * D) for c in first))

@@ -96,6 +96,15 @@ class JumpingVector:
         if any(a is not b and a < b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("jumping values must be non-increasing")
 
+    @classmethod
+    def _sorted(cls, k: int, values: tuple[Fraction, ...]) -> "JumpingVector":
+        """The vector of values already non-increasing, as a score table's
+        are, built without the order check of ``__post_init__``."""
+        vec = object.__new__(cls)
+        object.__setattr__(vec, "k", k)
+        object.__setattr__(vec, "values", values)
+        return vec
+
     def __len__(self):
         return len(self.values)
 
@@ -181,7 +190,7 @@ def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
     L, scores, _, _ = _level_scores(model, v.G, k, ideal)
     # one Fraction per distinct score, shared by the points that tie on it
     value = {s: Fraction(s, L) for s in set(scores)}
-    return JumpingVector(k, tuple(map(value.__getitem__, scores)))
+    return JumpingVector._sorted(k, tuple(map(value.__getitem__, scores)))
 
 
 def jumping_numbers(model: GradedSeriesModel, v: ValuationModel, k: int) -> JumpingVector:

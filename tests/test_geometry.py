@@ -264,8 +264,10 @@ def oracle_hull_rows(D, Z, n):
 
 def oracle_hull_of(points):
     """hull(points) with every full-dimensional hull, the inner hull of a flat
-    cloud included, built by oracle_hull."""
-    with mock.patch.object(geometry, "_hull_full", oracle_hull_rows):
+    cloud included, built by oracle_hull; a 2-D cloud's polygon too, which
+    ``_hull_rows`` builds with no ``_hull_full`` call."""
+    with mock.patch.object(geometry, "_hull_full", oracle_hull_rows), \
+            mock.patch.object(geometry, "_polygon", lambda D, P, ring: oracle_hull_rows(D, P, 2)):
         return hull(points)
 
 
@@ -361,7 +363,8 @@ def test_hull_full_reduces_tight_normals_only_in_4d(monkeypatch, n):
     """In 3-D a candidate on n tight facets is a vertex with no elimination,
     so ``_int_reduce`` runs only for the seed simplex: n calls when the first
     n + 1 rows are affinely independent.  In 4-D every vertex still takes
-    one rank test."""
+    one rank test.  In 2-D the monotone chain makes no call at all
+    (``test_planar_hull_and_volume_make_no_elimination``)."""
     reduce = geometry._int_reduce
     calls = []
     monkeypatch.setattr(geometry, "_int_reduce", lambda rows: calls.append(rows) or reduce(rows))
@@ -380,6 +383,111 @@ def test_hull_full_reduces_tight_normals_only_in_4d(monkeypatch, n):
             assert len(calls) >= n + len(body.vertices)
         tested += 1
     assert tested >= 4
+
+
+def test_planar_hull_and_volume_make_no_elimination(monkeypatch):
+    """A full-dimensional 2-D ``hull`` and its ``volume`` and ``barycenter``
+    take no rank test, determinant or triangulation: the monotone chain
+    finds the polygon and the fan over its edges sums the moments."""
+    calls = []
+    for name in ("_int_reduce", "_det", "triangulate"):
+        original = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a))
+    rng = random.Random(2)
+    tested = 0
+    for kind in ("grid", "cospherical", "minkowski") * 4:
+        calls.clear()
+        body = hull(oracle_cloud(rng, 2, kind))
+        if body.is_full_dim():  # a flat grid cloud takes the rank test
+            volume(body), barycenter(body)
+            assert calls == []
+            tested += 1
+    assert tested >= 8
+    body = hull([(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 2), 0)])
+    assert volume(body) == 1 and barycenter(body) == (F(1, 2), F(1, 2))
+    assert calls == []
+
+
+def test_planar_moments_read_only_the_edges_of_a_hand_built_polygon():
+    """A polygon built by hand may carry halfspaces tight at one vertex or
+    at none; the fan skips them, as the pulling triangulation does."""
+    extra = [HalfSpace((1, 1), F(2)), HalfSpace((1, 2), F(5))]
+    body = ConvexBody(2, UNIT_SQUARE.vertices, [*UNIT_SQUARE.halfspaces, *extra])
+    assert (volume(body), barycenter(body)) == (1, (F(1, 2), F(1, 2)))
+
+
+def oracle_planar_hull(points):
+    """The 2-D hull as ``_hull_rows`` built it before the monotone chain: a
+    rank test, then ``oracle_hull_full`` on a cloud that spans the plane, or
+    the flat path with ``oracle_hull_full`` for its inner hull."""
+    D, Z = geometry._int_form([tuple(map(rat, p)) for p in points])
+    P = sorted(set(Z))
+    rank, pivots = geometry._affine_rank(P)
+    if rank == 2:
+        return oracle_hull_full(D, P, 2)
+    with mock.patch.object(geometry, "_hull_full", oracle_hull_full):
+        return geometry._hull_degenerate(D, P, 2, pivots)
+
+
+def planar_cloud(rng, kind):
+    """A 2-D cloud of one kind: lattice grids, collinear points only,
+    repeats spelled as unreduced "p/q", six sampler-shaped points on the
+    1/32 grid of the unit square, or just 3-4 points."""
+    if kind == "grid":
+        den = rng.randint(1, 3)
+        return [tuple(F(rng.randrange(-den, den + 1), den) for _ in range(2))
+                for _ in range(rng.randrange(3, 21))]
+    if kind == "collinear":
+        base = (F(rng.randrange(-3, 4)), F(rng.randrange(-3, 4), 2))
+        step = (rng.randrange(-2, 3), rng.randrange(-2, 3))
+        return [tuple(b + F(t, 3) * d for b, d in zip(base, step))
+                for t in (rng.randrange(7) for _ in range(rng.randrange(1, 9)))]
+    if kind == "duplicates":
+        pts = [(rng.randrange(-4, 5), F(rng.randrange(-4, 5), rng.randint(1, 3)))
+               for _ in range(rng.randrange(1, 10))]
+        return pts + [(f"{2 * x}/2", f"{3 * y.numerator}/{3 * y.denominator}")
+                      for x, y in pts[:len(pts) // 2 + 1]]
+    if kind == "sampler":
+        return [(F(rng.randrange(33), 32), F(rng.randrange(33), 32)) for _ in range(6)]
+    return [(F(rng.randrange(-6, 7), rng.randint(1, 4)), F(rng.randrange(-6, 7), rng.randint(1, 4)))
+            for _ in range(rng.randint(3, 4))]
+
+
+@pytest.mark.parametrize("kind", ["grid", "collinear", "duplicates", "sampler", "small"])
+def test_planar_hull_and_moments_match_beneath_beyond_oracles(kind):
+    """On 250 seeded 2-D clouds per kind, ``hull`` (the monotone chain, and
+    the flat path when the ring has fewer than three vertices) equals the
+    rank-tested ``oracle_planar_hull`` field for field, and the fan moments
+    equal the pulling triangulation (``triangulate``) and ``oracle_moments``
+    on the hull and on two clips of it."""
+    rng = random.Random(kind)
+    for _ in range(250):
+        pts = planar_cloud(rng, kind)
+        body, ref = hull(pts), oracle_planar_hull(pts)
+        assert body.vertices == ref.vertices
+        assert body.halfspaces == ref.halfspaces
+        assert body._cache["incidence"] == ref._cache["incidence"]
+        assert body.int_form() == ref.int_form()
+        assert body._cache["arank"] == ref._cache["arank"]
+        if kind == "collinear":
+            assert not body.is_full_dim()
+        if not body.is_full_dim():
+            continue
+        for _ in range(2):
+            D, Z = body.int_form()
+            dets, first = 0, [0, 0]
+            for s in triangulate(body):
+                w = abs(geometry._det([[x - y for x, y in zip(Z[j], Z[s[0]])] for j in s[1:]]))
+                dets += w
+                first = [c + w * sum(Z[j][i] for j in s) for i, c in enumerate(first)]
+            assert geometry._moments(body) == (F(dets, 2 * D * D),
+                                               tuple(F(c, 6 * D ** 3) for c in first))
+            assert (volume(body), barycenter(body)) == oracle_moments(body)
+            cut = intersect_halfspace(body, random_cut(rng, body))
+            if cut.is_empty or not cut.is_full_dim():
+                break
+            body = cut
 
 
 def test_det_matches_laplace_oracle():

@@ -1112,6 +1112,27 @@ def test_jumping_vector_rejects_an_increase():
             JumpingVector(1, values)
 
 
+def test_library_jumping_vectors_skip_the_order_check(monkeypatch):
+    """``jumping_numbers`` and ``idealized_jumping`` read an already sorted
+    score table and run no order check, and each vector equals the checked
+    construction of its values, on every bundled model for k <= 16 (a
+    caller's increasing vector still raises: the test above)."""
+    checked = []
+    post_init = JumpingVector.__post_init__
+    monkeypatch.setattr(JumpingVector, "__post_init__",
+                        lambda vec: checked.append(vec) or post_init(vec))
+    built = 0
+    for model in _bundled_models():
+        v = ValuationModel("v", F(1), first_coordinate_transform(model.ambient))
+        for k in filter(model.has_level, range(1, 17)):
+            for vec in (jumping_numbers(model, v, k), idealized_jumping(model, v, k)):
+                assert checked == []
+                assert JumpingVector(k, vec.values) == vec
+                checked.clear()
+                built += 1
+    assert built > 300
+
+
 def test_equal_transforms_hash_equal_and_share_a_level_entry(monkeypatch):
     model = ToricModel(hull([(0, 0), (3, 0), (0, 3)]))
     pieces = [AffineFunctional.make((1, 0), 0), AffineFunctional.make((-1, -1), 3)]
