@@ -3,21 +3,34 @@
 Denominators are cleared once per body (``_lattice_form``, cached on the
 body) and the rest is pure integer arithmetic.  Per call only the k-scaling
 runs, one floor division per bound: a point z/k (z integral) satisfies
-a.x <= b iff a.z <= floor(k*b), since a is a primitive integer normal.  Both
-queries list integer prefixes axis by axis in lexicographic order
-(``_prefixes``), so enumeration output is deterministic and sorted.
-``enumerate_points`` runs that walk over all n axes; ``count`` stops two axes
-early and counts each 2-D slab in closed form with the Euclid-like
-``floor_sum`` recurrence (Beck & Robins, *Computing the Continuous
-Discretely*), so its cost grows like log k, not k, in the last two axes.
+a.x <= b iff a.z <= floor(k*b), since a is a primitive integer normal.
+``enumerate_points`` lists integer prefixes axis by axis in lexicographic
+order (``_prefixes``), so its output is deterministic and sorted.  ``count``
+counts 2-D slabs in closed form with the Euclid-like ``floor_sum``
+recurrence (Beck & Robins, *Computing the Continuous Discretely*,
+ch. 1-2), so its cost grows like log k, not k, in the last two axes.
 
-A slab's rows are empty outside the x-range where every (upper, lower) pair
-of its y-lines allows a row.  For n >= 3 these pair bounds, the x-box and the
-constraints on x are built once per body (``_slab_form``) and set up once per
-level: a bound free of x narrows the ranges of the outer axes once, and the
-others become lines over the last outer axis, of which only the upper
-envelope of the lower bounds on x and the lower envelope of the upper ones
-can bind, so each slab evaluates one bound per side.
+Which path counts which body:
+- a full-dimensional body of dimension 2 or 3 is read off its chains
+  (``_chain_form``, built once per body from its vertices, edges and
+  incidence).  Between consecutive vertex levels of the first axis the same
+  edges cross every slab in the same x order, so a slab's rows split at
+  breakpoints linear in the slab's level into one run per facet of its
+  upper and lower chain, and each run is one ``floor_sum``: no per-slab
+  line lists, stack passes or pair bounds.
+- a 1-D body is one interval.
+- a flat body (affine rank < n) and every 4-D body walk the prefixes of all
+  but the last two axes, as ``enumerate_points`` walks all n, and count
+  each slab from its constraint lines (``_plane_count``, ``_slab_sum``).
+
+On that last path a slab's rows are empty outside the x-range where every
+(upper, lower) pair of its y-lines allows a row.  For n >= 3 these pair
+bounds, the x-box and the constraints on x are built once per body
+(``_slab_form``) and set up once per level: a bound free of x narrows the
+ranges of the outer axes once, and the others become lines over the last
+outer axis, of which only the upper envelope of the lower bounds on x and
+the lower envelope of the upper ones can bind, so each slab evaluates one
+bound per side.
 
 Every envelope is the minimum of lines over a range of integers: the y-lines
 of a slab, the upper bounds on x, and the lower bounds on x as the minimum of
@@ -33,8 +46,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
-from operator import lt
+from math import gcd, prod
+from operator import lt, mul
 
 from .geometry import (ConcavePL, ConvexBody, GeometryError, chebyshev_ball, sqrt_upper_bound,
                        volume)
@@ -79,24 +92,32 @@ def _ceil_div(p: int, q: int) -> int:
 
 
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum_{0 <= i < n} floor((a i + b) / m) for m > 0 and any integers a, b.
+    """sum_{0 <= i < n} floor((a i + b) / m) for n >= 0, m > 0 and any integers
+    a, b.
 
     The Euclid-like recurrence: split off the integer parts of a/m and b/m,
     then count the points under the remaining line from the other axis, which
     swaps a and m.  O(log m) steps on exact Python ints.
     """
-    total = 0
-    while n > 0:
-        q, a = divmod(a, m)
-        total += q * (n * (n - 1) // 2)
-        q, b = divmod(b, m)
-        total += q * n
+    q = a // m
+    a -= q * m
+    total = q * (n * (n - 1) // 2)
+    q = b // m
+    b -= q * m
+    total += q * n
+    while True:
         top = a * n + b
         if top < m:
-            break
-        n, b = divmod(top, m)
+            return total
+        n = top // m
+        b = top - n * m
         m, a = a, m
-    return total
+        q = a // m
+        a -= q * m
+        total += q * (n * (n - 1) // 2)
+        q = b // m
+        b -= q * m
+        total += q * n
 
 
 def _lattice_form(body: ConvexBody):
@@ -129,15 +150,14 @@ def _scaled_constraints(body: ConvexBody, k: int):
 
 def _rest(a: tuple[int, ...], c: int, prefix) -> int:
     """c - a.prefix: the right-hand side of a.z <= c once the prefix is fixed."""
-    return c - sum(ai * zi for ai, zi in zip(a, prefix) if ai)
+    return c - sum(map(mul, a, prefix))
 
 
-def _interval(lo: int, hi: int, constraints, prefix) -> tuple[int, int]:
-    """Integer range of the axis after ``prefix`` allowed by its constraints."""
-    axis = len(prefix)
-    for a, c in constraints:
-        rest = _rest(a, c, prefix)
-        aj = a[axis]
+def _range(lo: int, hi: int, split, prefix) -> tuple[int, int]:
+    """Integer range of the axis after ``prefix`` allowed by its constraints,
+    each split as (a[:axis], a[axis], c) once per axis, not once per prefix."""
+    for a, aj, c in split:
+        rest = c - sum(map(mul, a, prefix))
         if aj > 0:
             hi = min(hi, rest // aj)
         else:
@@ -146,14 +166,21 @@ def _interval(lo: int, hi: int, constraints, prefix) -> tuple[int, int]:
     return lo, hi
 
 
+def _interval(lo: int, hi: int, constraints, prefix) -> tuple[int, int]:
+    """Integer range of the axis after ``prefix`` allowed by its constraints."""
+    axis = len(prefix)
+    return _range(lo, hi, [(a[:axis], a[axis], c) for a, c in constraints], prefix)
+
+
 def _prefixes(lo, hi, levels, depth: int) -> list[tuple[int, ...]]:
     """Every integer prefix (z_0, ..., z_{depth-1}) allowed by the constraints
     of its axes, in lexicographic order.  With depth = n these are the points."""
     prefixes: list[tuple[int, ...]] = [()]
     for axis in range(depth):
+        split = [(a[:axis], a[axis], c) for a, c in levels[axis]]
         grown = []
         for p in prefixes:
-            lo_j, hi_j = _interval(lo[axis], hi[axis], levels[axis], p)
+            lo_j, hi_j = _range(lo[axis], hi[axis], split, p)
             grown.extend([p + (z,) for z in range(lo_j, hi_j + 1)])
         prefixes = grown
     return prefixes
@@ -264,7 +291,8 @@ def _offsets(lo, hi, levels, x: int) -> list[int]:
 
 
 def _plane_count(body: ConvexBody, lo, hi, levels) -> int:
-    """Points of a 2-D body, one slab in closed form.
+    """Points of a flat 2-D body, one slab in closed form (``count`` reads a
+    full-dimensional polygon off its chains).
 
     With x the first axis and y the second, the y-lines of ``_line_form``
     bound y from above and below.  Outside the x-interval where
@@ -328,7 +356,8 @@ def _slab_form(body: ConvexBody):
 
 
 def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
-    """Points of a body of dimension n >= 3 at one level, as a sum of 2-D slabs.
+    """Points of a 4-D body or a flat 3-D one at one level, as a sum of 2-D
+    slabs (``count`` reads a full-dimensional 3-D body off its chains).
 
     With the bounds of ``_slab_form`` at this level, the flat bounds join the
     constraints of the outer axes, so they narrow the outer ranges once.  Then
@@ -373,6 +402,134 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
     return total
 
 
+def _chain_form(body: ConvexBody):
+    """The k-free chains of the slabs of a full-dimensional body of dimension 2
+    or 3, cached next to ``_lattice_form`` and built in integers from the
+    body's vertex form (D, Z) and incidence.
+
+    With y the last axis, x the one before it and w the first axis of a 3-D
+    body, the slab w = z of k*body is a polygon whose rows run from its lower
+    chain to its upper one: runs of the facets with a_y < 0 and a_y > 0.  On
+    each open interval between consecutive vertex levels of w, the same body
+    edges cross the slab in the same x order, so one section lists each
+    chain's edges left to right as breakpoints X(z) = (k alpha + z beta) /
+    gamma, with the facet that bounds y between each consecutive pair.  An
+    edge (u, v) with u_w < v_w crosses w = z at alpha = u_x v_w - u_w v_x,
+    beta = D (v_x - u_x) and gamma = D (v_w - u_w).  A polygon is one section
+    whose breakpoints are its vertices (beta = 0).
+
+    Returns (D, offsets, sections): the offsets (p, q) of the facets that
+    bound y, and the sections (w_0, w_1, left, right, upper, lower) between
+    the levels w_0 / D and w_1 / D (0 and 0 for a polygon).  left and right
+    are the breakpoints (alpha, beta, gamma), gamma > 0, that end both
+    chains.  A chain is a pair: each facet but the last as (a_w, -a_x,
+    |a_y|, i, alpha, beta, gamma), with the breakpoint that ends its rows and
+    i indexing the offsets (a_w = 0 in 2-D), then the last facet as
+    (a_w, -a_x, |a_y|, i).
+    """
+    if "chains" not in body._cache:
+        D, Z = body.int_form()
+        n = body.dim
+        incidence = body.incidence()
+        sides, offsets = [], []
+        for h, t in zip(body.halfspaces, incidence):
+            a = h.normal
+            # a halfspace tight at fewer than n vertices is redundant, no facet
+            if len(t) >= n and a[-1]:
+                sides.append((t, (a[0] if n == 3 else 0, -a[-2], abs(a[-1]), len(offsets)),
+                              a[-1] > 0))
+                offsets.append((h.offset.numerator, h.offset.denominator))
+
+        def section(runs):
+            # runs (left end's x, left break, right break, facet, upper?) of
+            # both chains, each sorted left to right
+            split = ([], [])
+            for *run, up in runs:
+                split[up].append(run)
+            upper, lower = map(sorted, split[::-1])
+            return (upper[0][1], upper[-1][2],
+                    *(([(*facet, *right) for _, _, right, facet in chain[:-1]], chain[-1][3])
+                      for chain in (upper, lower)))
+
+        if n == 2:
+            runs = []
+            for t, term, up in sides:
+                u, v = sorted(t)  # the rows are sorted, so u is the left end
+                runs.append((Z[u][0], (Z[u][0], 0, D), (Z[v][0], 0, D), term, up))
+            sections = [(0, 0, *section(runs))]
+        else:
+            def line(u, v):
+                (uw, ux, _), (vw, vx, _) = Z[u], Z[v]
+                alpha, beta, gamma = ux * vw - uw * vx, D * (vx - ux), D * (vw - uw)
+                g = gcd(alpha, beta, gamma)
+                return uw, vw, (alpha // g, beta // g, gamma // g)
+
+            # the edges of a facet that are not level in w, each the two
+            # vertices it shares with another facet
+            crossing = [[line(*sorted(e)) for e in {t & s for s in incidence} if len(e) == 2
+                         and Z[min(e)][0] < Z[max(e)][0]] for t, _, _ in sides]
+            W = sorted({z[0] for z in Z})
+            sections = []
+            for w0, w1 in zip(W, W[1:]):
+                runs = []
+                for (_, term, up), edges in zip(sides, crossing):
+                    cut = [ln for uw, vw, ln in edges if uw <= w0 and vw >= w1]
+                    if cut:
+                        # the facet's two edges across the section, in the
+                        # order of X at the level (w0 + w1) / (2D), times 2D
+                        (x, left), (_, right) = sorted(
+                            (Fraction(2 * D * al + (w0 + w1) * be, ga), (al, be, ga))
+                            for al, be, ga in cut)
+                        runs.append((x, left, right, term, up))
+                sections.append((w0, w1, *section(runs)))
+        body._cache["chains"] = (D, offsets, sections)
+    return body._cache["chains"]
+
+
+def _chain_count(body: ConvexBody, k: int) -> int:
+    """Points of a full-dimensional body of dimension 2 or 3 at one level, read
+    off ``_chain_form``.
+
+    A slab on a vertex level takes the section above it, and the top level
+    the last section.  Its rows are the integers ceil X_left <= x <=
+    floor X_right, row x holding floor U(x) + floor(-L(x)) + 1 points for
+    the upper and lower envelopes U and L of y.  Each facet of a chain owns
+    the rows ceil X_i <= x < ceil X_{i+1} between its breakpoints, the last
+    one up to floor X_right: one ``_floor_sum`` per facet and slab, and none
+    for a facet that owns no row.  The floored offsets are exact there,
+    since floor((floor(k b) - a.prefix) / |a_y|) = floor((k b - a.prefix) /
+    |a_y|), so at every row the floor of the facet's line is the floor of the
+    real envelope.
+    """
+    D, offsets, sections = _chain_form(body)
+    c = [(k * p) // q for p, q in offsets]
+    last = len(sections) - 1
+    total = 0
+    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), *chains) in enumerate(sections):
+        z0 = _ceil_div(k * w0, D)
+        z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
+        if z0 > z1:
+            continue
+        A0, A1 = k * A0, k * A1
+        for z in range(z0, z1 + 1):
+            x_lo = -((-A0 - b0 * z) // g0)
+            x_hi = (A1 + b1 * z) // g1
+            if x_lo > x_hi:
+                continue
+            total += x_hi - x_lo + 1
+            for inner, closing in chains:
+                start = x_lo
+                for aw, q, r, i, al, be, ga in inner:
+                    end = -((-k * al - be * z) // ga)
+                    if end > start:
+                        total += _floor_sum(end - start, r, q, c[i] - aw * z + q * start)
+                        start = end
+                if x_hi >= start:
+                    aw, q, r, i = closing
+                    total += _floor_sum(x_hi + 1 - start, r, q, c[i] - aw * z + q * start)
+    return total
+
+
 def _numerators(body: ConvexBody, k: int) -> list[tuple[int, ...]]:
     """The integer numerators z of body ∩ Z^n/k, sorted and distinct: the
     ``_prefixes`` walk over all n axes."""
@@ -392,19 +549,25 @@ def enumerate_points(body: ConvexBody, k: int) -> PointCloud:
 def count(body: ConvexBody, k: int) -> int:
     """#(body ∩ Z^n/k) without materializing the points.
 
-    Lists the integer prefixes of all but the last two axes with the walk
-    ``enumerate_points`` runs over all n, and counts each 2-D slab in closed
-    form (``_plane_count``, ``_slab_sum``), so a 2-D count takes
-    O(m^2 + t log k) for m constraints, t of them owning a run of the
-    y-envelopes, and a 3-D count O(m^2 + k (m + t log k)): one stack pass per
-    slab and side and one floor sum per run, after the body's pair bounds and
-    slope orders are built once, in O(m^2 log m).  A 1-D body is one
-    interval.
+    A full-dimensional body of dimension 2 or 3 is read off its chains
+    (``_chain_count``): one floor sum per facet run of each slab, so a
+    polygon of m edges takes O(m log k), and a 3-D body O(k (b + t log k))
+    for b breakpoints per slab, t of them ending a nonempty run, after the
+    chains are built once, in O(F^2 + L F log F) for F facets and L vertex
+    levels.  A flat body and a 4-D one list the integer prefixes of all but
+    the last two axes with the walk ``enumerate_points`` runs over all n and
+    count each slab from its constraint lines (``_plane_count``,
+    ``_slab_sum``): O(m^2 + t log k) for a flat polygon of m constraints, and
+    one stack pass per slab and side and one floor sum per envelope run for
+    n = 4, after the body's pair bounds and slope orders are built once, in
+    O(m^2 log m).  A 1-D body is one interval.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if body.is_empty:
         return 0
+    if body.dim in (2, 3) and body.affine_rank() == body.dim:
+        return _chain_count(body, k)
     lo, hi, levels = _scaled_constraints(body, k)
     if body.dim == 1:
         lo_j, hi_j = _interval(lo[0], hi[0], levels[0], ())

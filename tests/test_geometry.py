@@ -344,13 +344,24 @@ def test_hull_full_matches_rank_test_oracle(n, kind):
     every candidate (``oracle_hull_full``): vertices, halfspaces, incidence,
     integer form and affine rank, for full-dimensional clouds and for the
     inner hull of flat ones.  Grid and Minkowski clouds put points inside
-    edges and facets."""
+    edges and facets.  A full-dimensional 2-D cloud takes ``_polygon``, with
+    no ``_hull_full`` call, so the oracle replaces that too, and it must run
+    once on every full-dimensional cloud."""
     rng = random.Random(1000 * n + len(kind))
+    ran = []
+
+    def oracle(D, P, m):
+        ran.append(m)
+        return oracle_hull_full(D, P, m)
+
     for _ in range(12):
         pts = oracle_cloud(rng, n, kind)
         body = hull(pts)
-        with mock.patch.object(geometry, "_hull_full", oracle_hull_full):
+        ran.clear()
+        with mock.patch.object(geometry, "_hull_full", oracle), \
+                mock.patch.object(geometry, "_polygon", lambda D, P, ring: oracle(D, P, 2)):
             ref = hull(pts)
+        assert ran == [n] or not body.is_full_dim()
         assert body.vertices == ref.vertices
         assert body.halfspaces == ref.halfspaces
         assert body._cache["incidence"] == ref._cache["incidence"]

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction as F
@@ -14,6 +15,7 @@ from okbodies import lattice
 from okbodies.geometry import (
     AffineFunctional,
     ConcavePL,
+    ConvexBody,
     GeometryError,
     HalfSpace,
     empty_body,
@@ -339,7 +341,8 @@ def _slab_body(rng, n, kind):
 @given(st.integers(0, 10**6), st.integers(2, 4),
        st.sampled_from(["hull", "prism", "parallel", "sliver"]))
 def test_count_matches_unpruned_slab_oracle(seed, n, kind):
-    """``count`` prunes the pair bounds of each slab once per outer axis; the
+    """``count`` reads a full-dimensional 2-D or 3-D body off its chains and
+    prunes the pair bounds of each slab once per outer axis in 4-D; the
     unpruned oracle clips with every pair on every slab.  A multiple of the
     vertex denominator puts the vertices on Z^n/k, where pair bounds and
     envelope crossings tie at integers."""
@@ -359,13 +362,15 @@ def _criterion_04_body(n, seed, points):
 
 
 def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
-    """Each slab evaluates one lower and one upper x-bound: the line of its
-    run.  The unit cube's (upper, lower) pairs all have slope 0, so none
-    reaches the slab loop and each side is one run of a box bound.  The
-    first 3-D criterion-04 body has 7 upper and 7 lower y-lines: its 49
-    pairs and 2 box bounds are 28 lower, 22 upper and 1 flat bound on x, and
-    only 3 lower and 5 upper ones ever bind at k = 60, where the unpruned
-    path clips each of its slabs with all 49 pairs."""
+    """Each slab of ``_slab_sum`` (n = 4 and flat bodies; called here on
+    full-dimensional 3-D bodies, which ``count`` reads off their chains)
+    evaluates one lower and one upper x-bound: the line of its run.  The unit
+    cube's (upper, lower) pairs all have slope 0, so none reaches the slab
+    loop and each side is one run of a box bound.  The first 3-D
+    criterion-04 body has 7 upper and 7 lower y-lines: its 49 pairs and 2 box
+    bounds are 28 lower, 22 upper and 1 flat bound on x, and only 3 lower and
+    5 upper ones ever bind at k = 60, where the unpruned path clips each of
+    its slabs with all 49 pairs."""
     runs = []
     envelope_floors = lattice._envelope_floors
 
@@ -377,13 +382,13 @@ def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
     cube = hull(list(itertools.product((0, 1), repeat=3)))
     _, _, x_lower, x_upper, flat = lattice._slab_form(cube)
     assert (len(x_lower), len(x_upper), len(flat)) == (2, 2, 4)
-    assert count(cube, 50) == 51 ** 3
+    assert lattice._slab_sum(cube, *_scaled_constraints(cube, 50)) == 51 ** 3
     assert runs == [(2, 1), (2, 1)]
     runs.clear()
     body = _criterion_04_body(3, 1001, 8)
     _, _, x_lower, x_upper, flat = lattice._slab_form(body)
     assert (len(x_lower), len(x_upper), len(flat)) == (28, 22, 1)
-    assert count(body, 60) == oracle_count(body, 60)
+    assert lattice._slab_sum(body, *_scaled_constraints(body, 60)) == oracle_count(body, 60)
     assert runs == [(28, 3), (22, 5)]
 
 
@@ -452,10 +457,12 @@ def test_envelope_matches_oracle_walk_and_brute_sum(seed, size, big):
 
 
 def test_count_sorts_lines_once_per_body_and_sums_each_run_once(monkeypatch):
-    """The slope orders are built on a body's first count and read by every
-    later one: the y-lines of each side in 2-D, and the y-lines and both
-    groups of x-bounds in 3-D.  Each y-envelope calls ``_floor_sum`` once per
-    run of its brute per-x minimum."""
+    """The slope orders of ``_slab_sum`` and ``_plane_count`` (n = 4 and flat
+    bodies; called here on full-dimensional bodies, which ``count`` reads off
+    their chains) are built on a body's first count and read by every later
+    one: the y-lines of each side in 2-D, and the y-lines and both groups of
+    x-bounds in 3-D.  Each y-envelope calls ``_floor_sum`` once per run of its
+    brute per-x minimum."""
     sorts, sums, runs = [], [], []
     by_slope, envelope_floor_sum, floor_sum = (
         lattice._by_slope, lattice._envelope_floor_sum, lattice._floor_sum)
@@ -478,19 +485,153 @@ def test_count_sorts_lines_once_per_body_and_sums_each_run_once(monkeypatch):
     body = _criterion_04_body(3, 1001, 8)
     for key in ("lines", "slabs"):
         body._cache.pop(key, None)
-    assert count(body, 60) == oracle_count(body, 60)
-    assert sorts == [7, 7, 28, 22]
-    assert count(body, 59) == oracle_count(body, 59)
-    assert len(sorts) == 4
+    for k in (60, 59):
+        assert lattice._slab_sum(body, *_scaled_constraints(body, k)) == oracle_count(body, k)
+        assert sorts == [7, 7, 28, 22]
     assert len(sums) == sum(runs) and len(runs) > 100
     sorts.clear(), sums.clear(), runs.clear()
     plane = sub_body_sampler(UNIT_SQUARE, F(1, 10), seed=0)(1)[0]
     plane._cache.pop("lines", None)
     for k in range(1, 13):
-        assert count(plane, k) == oracle_count(plane, k)
+        assert lattice._plane_count(plane, *_scaled_constraints(plane, k)) == oracle_count(plane, k)
     assert len(sorts) == 2
     # two envelopes at each of the 11 levels whose x-range is not empty
     assert len(sums) == sum(runs) and len(runs) == 22
+
+
+def brute_owner_runs(body, k):
+    """Oracle: the runs of a brute per-x owner walk over the slabs of k*body,
+    n = 2 or 3.  In the slab w = z (the whole polygon in 2-D), over the
+    integers of its x-range, read off the Fraction clip of k*body to w = z,
+    the owner on each side is the facet whose real line bounds y first, ties
+    to the smaller slope (``brute_envelope`` over every facet of that side);
+    one run per maximal stretch of one owner.  On a vertex level a facet that
+    meets the slab only at its right end can tie there with a smaller slope
+    than the chain's last facet; the walk then starts a run of one row that
+    the chain leaves in its last facet's run, so in general a chain count
+    makes at most this many floor sums.  The bodies it is used on below meet
+    no such tie."""
+    scaled = scale_translate(body, k)
+    if body.dim == 2:
+        slabs = [((), scaled)]
+    else:
+        w_lo, w_hi = scaled.bounding_box()[0]
+        slabs = [((z,), intersect_halfspace(intersect_halfspace(
+                    scaled, HalfSpace.make((1, 0, 0), z)), HalfSpace.make((-1, 0, 0), -z)))
+                 for z in range(math.ceil(w_lo), math.floor(w_hi) + 1)]
+    runs = 0
+    for prefix, cut in slabs:
+        x0, x1 = cut.bounding_box()[-2]
+        for side in (1, -1):
+            lines = [(k * h.offset - sum(a * z for a, z in zip(h.normal, prefix)),
+                      -h.normal[-2], abs(h.normal[-1]))
+                     for h in body.halfspaces if side * h.normal[-1] > 0]
+            runs += len(brute_envelope(lines, math.ceil(x0), math.floor(x1))[1])
+    return runs
+
+
+def test_chain_count_builds_once_and_sums_one_run_per_owner(monkeypatch):
+    """A full-dimensional 2-D or 3-D count reads the body's chains: built on
+    its first count and read by every later one, with no stack pass and no
+    slope sort, and one ``_floor_sum`` per nonempty run of a brute per-x
+    owner walk (``brute_owner_runs``)."""
+    builds, sums = [], []
+    chain_form, floor_sum = lattice._chain_form, lattice._floor_sum
+
+    def building(body):
+        builds.append("chains" not in body._cache)
+        return chain_form(body)
+
+    def counting(*args):
+        sums.append(args)
+        return floor_sum(*args)
+
+    def refused(*args):
+        raise AssertionError("a chain count runs no stack pass and no slope sort")
+
+    monkeypatch.setattr(lattice, "_chain_form", building)
+    monkeypatch.setattr(lattice, "_floor_sum", counting)
+    monkeypatch.setattr(lattice, "_envelope_runs", refused)
+    monkeypatch.setattr(lattice, "_by_slope", refused)
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    plane = sub_body_sampler(UNIT_SQUARE, F(1, 10), seed=0)(1)[0]
+    cases = [(_criterion_04_body(3, 1001, 8), (60, 59, 17)), (plane, range(1, 13)),
+             (cube, (1, 7)), (UNIT_SIMPLEX, (1, 10))]
+    for body, ks in cases:
+        body._cache.pop("chains", None)
+        builds.clear()
+        for k in ks:
+            sums.clear()
+            assert count(body, k) == oracle_count(body, k)
+            assert len(sums) == brute_owner_runs(body, k), (body, k)
+        assert builds == [True] + [False] * (len(ks) - 1)
+
+
+CHAIN_K_MAX = 300
+
+
+def _chain_body(rng, n, kind):
+    """A random full-dimensional rational n-body, n = 2 or 3, for the chain
+    differential, with a common denominator of its vertices: a hull of
+    points with denominators 1 to 32 and negative coordinates; a hull on a
+    coarse grid (denominator 1 to 4), so that many vertices share a level; a
+    box; a prism along a random axis (along y its side facets are vertical
+    in every slab, along w it has facets normal to w at its top and bottom);
+    a thin sliver along a tilted hyperplane; a hull built again by hand with
+    two more halfspaces, tight at one vertex or at none; or a fixed unit
+    body."""
+    if kind == "redundant":
+        body, den = _chain_body(rng, n, "hull")
+        extra = []
+        for _ in range(2):
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            if any(a):
+                top = max(sum(map(operator.mul, a, v)) for v in body.vertices)
+                extra.append(HalfSpace.make(a, top + rng.choice([0, F(1, den)])))
+        return ConvexBody(n, body.vertices, [*body.halfspaces, *extra]), den
+    den = rng.randint(1, 4 if kind == "grid" else 32)
+
+    def coord(spread=2):
+        return F(rng.randint(-spread * den, spread * den), den)
+
+    if kind == "unit":
+        corners = [(0,) * n] + [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        return rng.choice([hull(corners), hull(list(itertools.product((0, 1), repeat=n)))]), 1
+    if kind == "box":
+        return hull(list(itertools.product(*(sorted((coord(), coord())) for _ in range(n))))), den
+    pts = [[coord(3 if kind == "grid" else 2) for _ in range(n)]
+           for _ in range(rng.randint(n + 1, 12))]
+    if kind == "prism":
+        axis, ends = rng.randrange(n), (coord(), coord())
+        pts = [p[:axis] + [t] + p[axis + 1:] for p in pts for t in ends]
+    elif kind == "sliver":
+        # within 1/(4 k_max) of d x_0 = g (a . rest) + o, d = 3 g + 1
+        g = rng.choice([3, 5])
+        a = [rng.randint(1, 2) for _ in range(n - 1)]
+        o = coord()
+        for p in pts:
+            p[0] = (g * sum(ai * c for ai, c in zip(a, p[1:])) + o
+                    + F(rng.randint(0, 1), 4 * CHAIN_K_MAX)) / (3 * g + 1)
+    return hull([tuple(p) for p in pts]), den
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]),
+       st.sampled_from(["hull", "grid", "box", "prism", "sliver", "redundant", "unit"]))
+def test_chain_count_matches_stack_pass_paths(seed, n, kind):
+    """``count`` reads a full-dimensional 2-D or 3-D body off its chains; the
+    stack-pass paths it replaced there, ``_plane_count`` and ``_slab_sum``,
+    still serve flat bodies and n = 4 and must agree.  A multiple of the
+    vertex denominator puts the vertices on Z^n/k, so slabs fall on vertex
+    levels and breakpoints on integers."""
+    rng = random.Random(seed)
+    body, den = _chain_body(rng, n, kind)
+    if not body.is_full_dim():
+        return
+    slow = lattice._plane_count if n == 2 else lattice._slab_sum
+    for k in (1, rng.randint(1, CHAIN_K_MAX), rng.randint(1, CHAIN_K_MAX),
+              den, den * rng.randint(1, CHAIN_K_MAX // den)):
+        assert count(body, k) == slow(body, *_scaled_constraints(body, k))
 
 
 # SHA-256 of the lines "k count(body, k)" for every k in (C, k_max], C the
