@@ -15,7 +15,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-from math import floor, prod
 from pathlib import Path
 
 from .geometry import (
@@ -32,7 +31,7 @@ from .geometry import (
     rat_str,
     volume,
 )
-from .lattice import count, slab_bound
+from .lattice import count, prefix_bound, slab_bound
 from .series import (
     CanonicalCurveModel,
     ModelError,
@@ -66,6 +65,9 @@ MAX_COUNT_SLABS = 10**6
 # may score, summed over their levels.  The 3-D unit cube allows ``series
 # --k-max 43`` (980,099 points; --k-max 40 lists about 0.74 M points in about
 # 3 s on a 2-vCPU host), and P^2 allows ``thresholds --k-max 86`` (987,710).
+# It also bounds the integer prefixes the enumeration walks to list them
+# (``lattice.prefix_bound``), which a thin or flat ambient can make far more
+# than its points.
 MAX_ENUM_POINTS = 10**6
 
 SUITES = ("ehrhart", "lowerbound", "concave", "cones", "maxp1",
@@ -208,18 +210,20 @@ def cmd_body(args) -> int:
 def _check_series_size(model, ks: range, what: str) -> None:
     """Raise InputError, before any point is enumerated, when the levels in ks
     (``what`` names them: the flag or spec they come from) hold more than
-    MAX_ENUM_POINTS ambient points in all, or when counting them would sum
-    more than MAX_COUNT_SLABS 2-D slabs.
+    MAX_ENUM_POINTS ambient points in all, or when listing them would walk
+    more than MAX_ENUM_POINTS integer prefixes (``lattice.prefix_bound``),
+    or when counting them would sum more than MAX_COUNT_SLABS 2-D slabs.
+    Each level's slab bound is at least 1, so the slab pass ends within
+    MAX_COUNT_SLABS + 1 levels, even on a body too thin to hold a slab at
+    most levels.
 
     The slab pass stops as soon as no later level can pass the slab limit,
     so a long range whose levels are one slab each is not summed to its end;
     the point pass then stops at the level that passes the point limit.
     """
     body = model.ambient
-    # no level in ks has more slabs: an outer axis of width w holds at most
-    # floor(k w) + 1 integers of k*body
-    top = ks[-1] if ks else 0
-    cap = prod(floor(top * (hi - lo)) + 1 for lo, hi in body.bounding_box()[:-2])
+    # slab_bound is non-decreasing in k, so no level in ks has more slabs
+    cap = slab_bound(body, ks[-1]) if ks else 0
     slabs = 0
     for i, k in enumerate(ks):
         if model.has_level(k):
@@ -229,12 +233,16 @@ def _check_series_size(model, ks: range, what: str) -> None:
                                  f"slab counts to size")
         if slabs + (len(ks) - 1 - i) * cap <= MAX_COUNT_SLABS:
             break  # no later level can pass the slab limit
-    points = 0
+    points = prefixes = 0
     for k in filter(model.has_level, ks):
         points += count(body, k)
+        prefixes += prefix_bound(body, k)
         if points > MAX_ENUM_POINTS:
             raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
                              f"(the limit is passed at level {k})")
+        if prefixes > MAX_ENUM_POINTS:
+            raise InputError(f"{what} walks more than {MAX_ENUM_POINTS} lattice prefixes "
+                             f"to list its points (the limit is passed at level {k})")
 
 
 def cmd_series(args) -> int:

@@ -10,18 +10,23 @@ counts 2-D slabs in closed form with the Euclid-like ``floor_sum``
 recurrence (Beck & Robins, *Computing the Continuous Discretely*,
 ch. 1-2), so its cost grows like log k, not k, in the last two axes.
 
-Which path counts which body:
-- a full-dimensional body of dimension 2 or 3 is read off its chains
-  (``_chain_form``, built once per body from its vertices, edges and
-  incidence).  Between consecutive vertex levels of the first axis the same
-  edges cross every slab in the same x order, so a slab's rows split at
-  breakpoints linear in the slab's level into one run per facet of its
-  upper and lower chain, and each run is one ``floor_sum``: no per-slab
-  line lists, stack passes or pair bounds.
-- a 1-D body is one interval.
-- a flat body (affine rank < n) and every 4-D body walk the prefixes of all
-  but the last two axes, as ``enumerate_points`` walks all n, and count
-  each slab from its constraint lines (``_plane_count``, ``_slab_sum``).
+A flat body (affine rank r < n) is counted and enumerated in its own
+lattice aff(P) ∩ Z^n: a unimodular change of coordinates (``_chart``, built
+once per body) maps that lattice onto {c} x Z^r and the body onto {c} x P'
+for a full-dimensional P' in R^r, so count(P, k) = count(P', k) when k c is
+integral and 0 otherwise, and the points of P are those of P' mapped back.
+``count`` then picks its kernel by affine rank alone:
+- rank 0, a point: 1 or 0;
+- rank 1, an interval;
+- rank 2 or 3, the chains (``_chain_form``, built once per body from its
+  vertices, edges and incidence).  Between consecutive vertex levels of the
+  first axis the same edges cross every slab in the same x order, so a
+  slab's rows split at breakpoints linear in the slab's level into one run
+  per facet of its upper and lower chain, and each run is one
+  ``floor_sum``: no per-slab line lists, stack passes or pair bounds.
+- rank 4, a full-dimensional 4-D body: the prefixes of the first two axes,
+  walked as ``enumerate_points`` walks all n, each slab counted from its
+  constraint lines (``_slab_sum``).
 
 On that last path a slab's rows are empty outside the x-range where every
 (upper, lower) pair of its y-lines allows a row.  For n >= 3 these pair
@@ -46,11 +51,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, prod
 from operator import lt, mul
 
-from .geometry import (ConcavePL, ConvexBody, GeometryError, chebyshev_ball, sqrt_upper_bound,
-                       volume)
+from .geometry import (ConcavePL, ConvexBody, GeometryError, _hull_rows, _nullspace,
+                       chebyshev_ball, sqrt_upper_bound, volume)
 
 
 @dataclass(frozen=True)
@@ -257,8 +263,9 @@ def _rows(upper, lower, x_lo: int, x_hi: int) -> int:
 
 
 def _line_form(body: ConvexBody):
-    """The y-lines of the 2-D slabs of a body of dimension n >= 2, each side in
-    ``_by_slope`` order, cached next to ``_lattice_form``.  x and y are the
+    """The y-lines of the 2-D slabs of a body of dimension n >= 3
+    (``_slab_sum``), each side in ``_by_slope`` order, cached next to
+    ``_lattice_form``.  x and y are the
     last two axes and the outer axes the n - 2 before them.  A line's
     right-hand side at level k is read off the level's scaled offsets c:
     c[0] = hi_x, c[1] = -lo_x, c[2] = hi_y, c[3] = -lo_y, then the
@@ -288,35 +295,6 @@ def _offsets(lo, hi, levels, x: int) -> list[int]:
     y = x + 1
     return [hi[x], -lo[x], hi[y], -lo[y],
             *(cj for _, cj in levels[x]), *(cj for _, cj in levels[y])]
-
-
-def _plane_count(body: ConvexBody, lo, hi, levels) -> int:
-    """Points of a flat 2-D body, one slab in closed form (``count`` reads a
-    full-dimensional polygon off its chains).
-
-    With x the first axis and y the second, the y-lines of ``_line_form``
-    bound y from above and below.  Outside the x-interval where
-    min upper + min lower >= 0 the rows are empty, so clip to it (one
-    inequality per pair of lines) and sum each envelope (``_rows``).
-    """
-    x_lo, x_hi = _interval(lo[0], hi[0], levels[0], ())
-    if x_lo > x_hi:
-        return 0
-    upper, lower = _line_form(body)
-    c = _offsets(lo, hi, levels, 0)
-    upper = [(c[i], q, r) for _, q, r, i in upper]
-    lower = [(c[i], q, r) for _, q, r, i in lower]
-    for pu, qu, ru in upper:
-        for pl, ql, rl in lower:
-            # (pu + qu x) / ru + (pl + ql x) / rl >= 0  <=>  slope x >= -offset
-            slope, offset = qu * rl + ql * ru, pu * rl + pl * ru
-            if slope > 0:
-                x_lo = max(x_lo, -(offset // slope))
-            elif slope < 0:
-                x_hi = min(x_hi, offset // -slope)
-            elif offset < 0:
-                return 0
-    return _rows(upper, lower, x_lo, x_hi)
 
 
 def _slab_form(body: ConvexBody):
@@ -356,8 +334,9 @@ def _slab_form(body: ConvexBody):
 
 
 def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
-    """Points of a 4-D body or a flat 3-D one at one level, as a sum of 2-D
-    slabs (``count`` reads a full-dimensional 3-D body off its chains).
+    """Points of a full-dimensional 4-D body at one level, as a sum of 2-D
+    slabs (the walk holds for any body of dimension n >= 3, flat or not, but
+    ``count`` sends it 4-D bodies only).
 
     With the bounds of ``_slab_form`` at this level, the flat bounds join the
     constraints of the outer axes, so they narrow the outer ranges once.  Then
@@ -530,13 +509,83 @@ def _chain_count(body: ConvexBody, k: int) -> int:
     return total
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s a + t b."""
+    s, s1, t, t1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b, s, s1, t, t1 = b, a - q * b, s1, s - q * s1, t1, t - q * t1
+    return (a, s, t) if a >= 0 else (-a, -s, -t)
+
+
+def _chart(body: ConvexBody):
+    """The unimodular chart of a flat nonempty body P (affine rank r < n),
+    cached next to ``_lattice_form`` and built in integers from its vertex
+    form (D, Z).
+
+    The rows of E, a primitive integer basis of the equalities of aff(P)
+    (``_nullspace`` of the vertex differences), are reduced to [H | 0] by
+    extended-gcd column operations, E U = [H | 0] with H lower triangular
+    and U unimodular (Cohen, *A Course in Computational Algebraic Number
+    Theory*, §2.4.2).  The same column operations build U from the identity,
+    and each one's inverse acts on the rows of U^-1, so nothing is inverted.
+    The last r columns of U are a basis of the direction lattice of P, so
+    y = U^-1 z maps Z^n onto itself and aff(P) onto {y : y_head = c}, where
+    the head c (the first n - r coordinates of U^-1 v) is one point for
+    every vertex v, and P onto {c} x P' for the full-dimensional hull P' in
+    R^r of the tails of U^-1 Z / D.  So P holds no point at level k unless
+    the period, the least common denominator of c, divides k, and then its
+    points are z = (k / period) o + L y for the points y of P' at level k,
+    with o = U (period c, 0) and L the last r columns of U: count(P, k) =
+    count(P', k).
+
+    Returns (period, P', o, L as rows), P' None for a point (r = 0).
+    """
+    if "chart" not in body._cache:
+        D, Z = body.int_form()
+        n, base = body.dim, Z[0]
+        E = [list(w) for w in _nullspace([[x - y for x, y in zip(z, base)] for z in Z[1:]], n)]
+        U = [[int(i == j) for j in range(n)] for i in range(n)]
+        inv = [row[:] for row in U]
+        for i, row in enumerate(E):
+            for j in range(i + 1, n):
+                if row[j]:
+                    # columns (i, j) <- (s col_i + t col_j, (x col_j - y col_i) / g),
+                    # which clears row[j]; rows of E before i are zero in both
+                    g, s, t = _xgcd(row[i], row[j])
+                    x, y = row[i] // g, row[j] // g
+                    for e in E[i:] + U:
+                        e[i], e[j] = s * e[i] + t * e[j], x * e[j] - y * e[i]
+                    inv[i], inv[j] = ([x * a + y * b for a, b in zip(inv[i], inv[j])],
+                                      [s * b - t * a for a, b in zip(inv[i], inv[j])])
+        m = len(E)
+        head = [sum(map(mul, u, base)) for u in inv[:m]]
+        g = gcd(D, *head)
+        image = None
+        if m < n:
+            rows = sorted(tuple(sum(map(mul, u, z)) for u in inv[m:]) for z in Z)
+            image = _hull_rows(D, rows, n - m)
+        origin = tuple(sum(a * h // g for a, h in zip(u, head)) for u in U)
+        body._cache["chart"] = (D // g, image, origin, tuple(tuple(u[m:]) for u in U))
+    return body._cache["chart"]
+
+
 def _numerators(body: ConvexBody, k: int) -> list[tuple[int, ...]]:
     """The integer numerators z of body ∩ Z^n/k, sorted and distinct: the
-    ``_prefixes`` walk over all n axes."""
+    ``_prefixes`` walk over all n axes, or for a flat body over the r axes
+    of its chart image, each point lifted back (``_chart``) and the lifts
+    sorted."""
     if k < 1:
         raise ValueError("k must be a positive integer")
     if body.is_empty:
         return []
+    if not body.is_full_dim():
+        period, image, origin, lift = _chart(body)
+        if k % period:
+            return []
+        q = k // period
+        return sorted(tuple(q * o + sum(map(mul, row, y)) for o, row in zip(origin, lift))
+                      for y in ([()] if image is None else _numerators(image, k)))
     lo, hi, levels = _scaled_constraints(body, k)
     return _prefixes(lo, hi, levels, body.dim)
 
@@ -554,13 +603,16 @@ def count(body: ConvexBody, k: int) -> int:
     polygon of m edges takes O(m log k), and a 3-D body O(k (b + t log k))
     for b breakpoints per slab, t of them ending a nonempty run, after the
     chains are built once, in O(F^2 + L F log F) for F facets and L vertex
-    levels.  A flat body and a 4-D one list the integer prefixes of all but
-    the last two axes with the walk ``enumerate_points`` runs over all n and
-    count each slab from its constraint lines (``_plane_count``,
-    ``_slab_sum``): O(m^2 + t log k) for a flat polygon of m constraints, and
-    one stack pass per slab and side and one floor sum per envelope run for
-    n = 4, after the body's pair bounds and slope orders are built once, in
-    O(m^2 log m).  A 1-D body is one interval.
+    levels.  A flat body of affine rank r is the full-dimensional body P' of
+    its chart (``_chart``, built once per body in O(n^3) integer operations
+    and one r-dimensional hull), counted the same way: a point is 1 or 0, an
+    interval one range, and ranks 2 and 3 take the chains.  Only a
+    full-dimensional 4-D body lists the integer prefixes of its first two
+    axes with the walk ``enumerate_points`` runs over all n and counts each
+    slab from its constraint lines (``_slab_sum``): one stack pass per slab
+    and side and one floor sum per envelope run, after the body's pair
+    bounds and slope orders are built once, in O(m^2 log m) for m
+    constraints.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -568,21 +620,45 @@ def count(body: ConvexBody, k: int) -> int:
         return 0
     if body.dim in (2, 3) and body.affine_rank() == body.dim:
         return _chain_count(body, k)
+    if not body.is_full_dim():
+        period, image, _, _ = _chart(body)
+        if k % period:
+            return 0
+        return 1 if image is None else count(image, k)
     lo, hi, levels = _scaled_constraints(body, k)
     if body.dim == 1:
         lo_j, hi_j = _interval(lo[0], hi[0], levels[0], ())
         return max(0, hi_j - lo_j + 1)
-    if body.dim == 2:
-        return _plane_count(body, lo, hi, levels)
     return _slab_sum(body, lo, hi, levels)
 
 
 def slab_bound(body: ConvexBody, k: int) -> int:
     """Upper bound on the 2-D slabs ``count(body, k)`` sums, known before any
-    counting: the integer points of the bounding box of k*body on all but the
-    last two axes (1 for n <= 2)."""
+    counting, at least 1 and non-decreasing in k: floor(k w) + 1 for each of
+    all but the last two axes, w the width of the body whose slabs ``count``
+    walks, the body itself or the chart image P' of a flat body (``_chart``)
+    (1 for n <= 2 and for a point)."""
+    if not body.is_full_dim():
+        body = _chart(body)[1]
+        if body is None:
+            return 1
+    D, box, _ = _lattice_form(body)
+    return prod((k * (hi - lo)) // D + 1 for lo, hi in box[:-2])
+
+
+def prefix_bound(body: ConvexBody, k: int) -> int:
+    """Upper bound on the integer prefixes ``enumerate_points(body, k)`` walks
+    before its last axis, known before any walking: the integer points of
+    the bounding box of k*body on its first j axes, summed over j < n (0 for
+    n = 1), taken on the chart image P' of a flat body (``_chart``), whose
+    prefixes the enumeration walks (0 for a point).  A long body too thin to
+    hold many points still has many prefixes."""
+    if not body.is_full_dim():
+        body = _chart(body)[1]
+        if body is None:
+            return 0
     lo, hi, _ = _scaled_constraints(body, k)
-    return prod(max(0, h - l + 1) for l, h in zip(lo[:-2], hi[:-2]))
+    return sum(accumulate((max(0, h - l + 1) for l, h in zip(lo[:-1], hi[:-1])), mul))
 
 
 def discrepancy(body: ConvexBody, k: int) -> Fraction:

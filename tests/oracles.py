@@ -35,12 +35,14 @@ scoring and the shared-Fraction ``JumpingVector`` must match exactly.
 plus-body count of the maxp1 suite: the path that the library's one
 bisection of the sorted level must match.
 ``oracle_count`` clips every 2-D slab with every (upper, lower) pair of its
-y-lines (``oracle_slab_count``), and ``oracle_envelope_floor_sum`` and
-``oracle_envelope_runs`` walk an envelope run by run, scanning every line
-twice per run, on lines in any order: the paths that the library's chain
-count (one run per facet between breakpoints read off the body's edges),
-its pair bounds pruned once per level and its one stack pass over lines
-sorted once per body must match exactly.
+y-lines (``oracle_slab_count``) in the body's own coordinates, flat bodies
+included, and ``oracle_envelope_floor_sum`` and ``oracle_envelope_runs``
+walk an envelope run by run, scanning every line twice per run, on lines in
+any order: the paths that the library's chain count (one run per facet
+between breakpoints read off the body's edges, on a flat body read off the
+full-dimensional image of its unimodular chart) and the stack-pass slab sum
+of a 4-D body (its pair bounds pruned once per level and its one stack pass
+over lines sorted once per body) must match exactly.
 ``oracle_clip_rows`` is the integer-row clip that re-derives every tight set
 by dot products and the rank by one elimination per clip, and
 ``oracle_maximal`` compares each set with every other: the paths that the

@@ -1,18 +1,26 @@
 """End-to-end CLI tests: exit codes, output formats, determinism."""
 
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import okbodies
 from okbodies.cli import main
-from okbodies.geometry import HalfSpace, hull, intersect_halfspace, rat, rat_str, validate_body
+from okbodies.geometry import (HalfSpace, body_from_json, hull, intersect_halfspace, rat, rat_str,
+                               validate_body)
+from oracles import oracle_count
 
 SIMPLEX_JSON = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 SEGMENT_MODEL = {"backend": "toric", "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}
@@ -707,3 +715,177 @@ def test_thresholds_above_point_limit_exits2_before_enumerating(tmp_path, capsys
     cli._check_series_size(p2, range(1, 87), "--k-max 86")
     with pytest.raises(cli.InputError, match="passed at level 87"):
         cli._check_series_size(p2, range(1, 88), "--k-max 87")
+
+
+# the rank-3 body on x3 = x0 - x1 + 2 x2 + 1/3 over the unit cube of (x0, x1,
+# x2): its flat holds lattice points only at the levels 3 | k, (k + 1)^3 of them
+FLAT4_POLYTOPE = {"dim": 4, "vertices": [
+    [str(x0), str(x1), str(x2), f"{3 * (x0 - x1 + 2 * x2) + 1}/3"]
+    for x0 in (0, 1) for x1 in (0, 1) for x2 in (0, 1)]}
+
+
+def test_series_sizes_a_flat_ambient_by_its_chart_image(tmp_path, capsys, monkeypatch):
+    """``count`` walks the slabs of a flat body's chart image, so the slab
+    bound is the image's: k + 1 per level for the rank-3 ambient above, whose
+    image, a unimodular image of the unit cube, has width 1 on its first
+    axis, not the (k + 1)^2 of the body's box on its first two axes.  With the slab limit between the two sums to level 6 (27 and
+    139), the ambient sizes and lists its levels; one slab below the image's
+    sum it exits 2 before any count."""
+    import okbodies.cli as cli
+    import okbodies.lattice as lattice
+    from okbodies.geometry import body_from_json
+
+    ambient = body_from_json(FLAT4_POLYTOPE)
+    assert [lattice.slab_bound(ambient, k) for k in range(1, 7)] == [2, 3, 4, 5, 6, 7]
+    assert sum((k + 1) ** 2 for k in range(1, 7)) == 139
+    infile = write(tmp_path, "flat4.json", {"backend": "toric", "polytope": FLAT4_POLYTOPE})
+    monkeypatch.setattr(cli, "MAX_COUNT_SLABS", 27)
+    out = tmp_path / "flat4.csv"
+    assert main(["series", "--in", infile, "--k-max", "6", "--out", str(out)]) == 0
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert [(int(row[0]), int(row[2])) for row in rows] == [
+        (1, 0), (2, 0), (3, 4 ** 3), (4, 0), (5, 0), (6, 7 ** 3)]
+    monkeypatch.setattr(cli, "MAX_COUNT_SLABS", 26)
+    monkeypatch.setattr(cli, "count", lambda *args: pytest.fail("counting started"))
+    assert main(["series", "--in", infile, "--k-max", "6"]) == 2
+    assert "needs more than 26 slab counts" in capsys.readouterr().err
+
+
+def test_size_check_counts_a_level_without_slabs_as_one(tmp_path, capsys, monkeypatch):
+    """A 3-D ambient 10^-30 wide on its first axis has no slab at any level
+    below about 10^29, and a slab pass that summed its exact slab counts,
+    0 at each level, walked every level of ``--k-max 10**12``.  The slab
+    bound is at least 1, so the pass exits 2 at the level after the limit."""
+    import okbodies.cli as cli
+    import okbodies.lattice as lattice
+
+    calls = []
+
+    def counting(body, k):
+        calls.append((k, lattice.slab_bound(body, k)))
+        return calls[-1][1]
+
+    lo, hi = f"{10**30 + 1}/{3 * 10**30}", f"{10**30 + 2}/{3 * 10**30}"
+    thin = {"dim": 3, "vertices": [[lo, "0", "0"], [hi, "0", "0"], [lo, "1", "0"], [lo, "0", "1"]]}
+    infile = write(tmp_path, "thin.json", {"backend": "toric", "polytope": thin})
+    monkeypatch.setattr(cli, "MAX_COUNT_SLABS", 1000)
+    monkeypatch.setattr(cli, "slab_bound", counting)
+    assert main(["series", "--in", infile, "--k-max", str(10**12)]) == 2
+    assert "needs more than 1000 slab counts" in capsys.readouterr().err
+    assert calls[0] == (10**12, 1) and calls[1:] == [(k, 1) for k in range(1, 1002)]
+
+
+SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+BROKEN = st.one_of(st.sampled_from(["1/0", "0x1", "1.5", "", "x", "1/2/3", "--1"]),
+                   st.floats(-2, 2), st.booleans(), st.none())
+# huge and tiny: 10^-30 wide bodies hold no slab at most levels
+HUGE = st.sampled_from([10**30, -10**30, f"{10**40}/3", f"-{10**25}/7", f"1/{10**30}"])
+
+
+@st.composite
+def fuzz_polytope(draw):
+    """Polytope JSON in dimensions 1-4: hulls of small rationals (full or,
+    with few points, flat), hulls on a random flat of every rank r < n, and
+    broken inputs: bad numbers, huge and tiny values, vertices of the wrong
+    length or none, and a wrong ``dim``."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["full", "flat", "broken", "huge", "shape"]))
+    if kind == "flat":
+        r = draw(st.integers(0, n - 1))
+        base = draw(st.lists(SMALL, min_size=n, max_size=n))
+        steps = draw(st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                              min_size=r, max_size=r))
+        ts = draw(st.lists(st.lists(SMALL, min_size=r, max_size=r), min_size=1, max_size=6))
+        vertices = [[rat_str(b + sum(t * step[i] for t, step in zip(tt, steps)))
+                     for i, b in enumerate(base)] for tt in ts]
+    else:
+        number = {"broken": st.one_of(SMALL.map(rat_str), BROKEN),
+                  "huge": st.one_of(SMALL.map(rat_str), HUGE)}.get(kind, SMALL.map(rat_str))
+        size = st.integers(max(0, n - 1), n + 1) if kind == "shape" else st.just(n)
+        vertices = draw(st.lists(size.flatmap(lambda m: st.lists(number, min_size=m, max_size=m)),
+                                 min_size=0 if kind == "shape" else 1, max_size=7))
+    dim = n
+    if kind == "shape" and draw(st.booleans()):
+        dim = draw(st.sampled_from([0, 5, -1, "2", 2.0, True]))
+    return {"dim": dim, "vertices": vertices}
+
+
+def _reference_count(body, k):
+    """``oracle_count`` (a closed form in 1-D), or None where the oracle's
+    walk over the prefixes of the body's own box, on all but its last two
+    axes, would pass 10^4 prefixes (a flat body's chart image can be small
+    where that box is huge)."""
+    box = [max(0, math.floor(k * hi) - math.ceil(k * lo) + 1) for lo, hi in body.bounding_box()]
+    if body.dim == 1:
+        return box[0]
+    return oracle_count(body, k) if math.prod(box[:-2]) <= 10**4 else None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(fuzz_polytope(), st.sampled_from(["body", "series"]),
+       st.one_of(st.integers(1, 12), st.sampled_from([-1, 0, 200, 201, 10**6, 10**12])))
+def test_cli_fuzz_body_and_series_exit_codes(polytope, command, k):
+    """``body --k`` and ``series --k-max`` on fuzzed polytope JSON (a toric
+    model for ``series``), with the slab and point limits lowered so that
+    every accepted input is small: the CLI returns 0, 1 or 2, never raises
+    and prints no traceback, and every count it reports on an accepted input
+    equals ``oracle_count`` (a closed form in 1-D) where the oracle's walk
+    is small, and on ``series`` the points it lists."""
+    import okbodies.cli as cli
+
+    data = polytope if command == "body" else {"backend": "toric", "polytope": polytope}
+    flag = "--k" if command == "body" else "--k-max"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_COUNT_SLABS", 200)
+        mp.setattr(cli, "MAX_ENUM_POINTS", 2000)
+        infile = write(Path(tmp), "in.json", data)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = _exit_code([command, "--in", infile, flag, str(k)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        body = body_from_json(polytope)
+        if command == "body":
+            counts = {k: json.loads(out.getvalue())["count"]}
+        else:
+            rows = list(csv.reader(io.StringIO(out.getvalue())))[1:]
+            assert [int(row[0]) for row in rows] == list(range(1, k + 1))
+            assert all(int(row[2]) == len(row[4].split(";")) - (not row[4]) for row in rows)
+            counts = {int(row[0]): int(row[2]) for row in rows}
+        for level, counted in counts.items():
+            assert _reference_count(body, level) in (counted, None)
+
+
+def test_size_check_bounds_the_prefixes_the_enumeration_walks(tmp_path, capsys, monkeypatch):
+    """A long ambient too thin to hold points still makes the enumeration
+    walk every integer prefix of its box: a sliver 10^9 long under y = 1/3 +
+    10^-12 holds no point at level 1 but walks 10^9 + 1 rows, and exits 2
+    before any enumeration.  A flat ambient is walked in its chart: the
+    plane x2 = x0 + x1 + 1/3 over [0, 10^4]^2 walks the 10^4 + 1 prefixes of
+    its image's first axis at level 1, not the 10^8 of its own box, and
+    holds no point at levels 1 and 2, which it lists at once."""
+    import okbodies.lattice as lattice
+    import okbodies.series as series
+    from okbodies.geometry import body_from_json
+
+    side, tiny = 10**4, f"{10**12 + 3}/{3 * 10**12}"
+    sliver = {"dim": 2, "vertices": [["0", "1/3"], [str(10**9), "1/3"], ["0", tiny]]}
+    plane = {"dim": 3, "vertices": [[str(x0), str(x1), f"{3 * (x0 + x1) + 1}/3"]
+                                    for x0 in (0, side) for x1 in (0, side)]}
+    assert lattice.count(body_from_json(sliver), 1) == 0
+    assert lattice.prefix_bound(body_from_json(sliver), 1) == 10**9 + 1
+    assert lattice.prefix_bound(body_from_json(plane), 1) == side + 1
+    assert lattice.prefix_bound(body_from_json(FLAT4_POLYTOPE), 1) == 2 + 2 * 4
+    with monkeypatch.context() as mp:
+        mp.setattr(series, "enumerate_points", lambda *args: pytest.fail("enumeration started"))
+        infile = write(tmp_path, "sliver.json", {"backend": "toric", "polytope": sliver})
+        assert main(["series", "--in", infile, "--k-max", "2"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "input error: --k-max 2 walks more than 1000000 lattice prefixes to list its points "
+            "(the limit is passed at level 1)")
+    infile = write(tmp_path, "plane.json", {"backend": "toric", "polytope": plane})
+    assert main(["series", "--in", infile, "--k-max", "2"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1:] == [["1", "0", "0", "0", "", ""], ["2", "0", "0", "0", "", ""]]

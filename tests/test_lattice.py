@@ -34,6 +34,7 @@ from okbodies.lattice import (
     count,
     discrepancy,
     enumerate_points,
+    slab_bound,
 )
 from okbodies.estimates import sub_body_sampler
 from oracles import (oracle_box, oracle_count, oracle_envelope_floor_sum, oracle_envelope_runs,
@@ -137,10 +138,16 @@ def test_enumerate_degenerate_segment_in_plane():
     assert cloud.points == ((0, 0), (1, 1), (2, 2), (3, 3))
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.integers(1, 6))
-def test_enumerate_matches_brute_oracle(seed, n, k):
-    body = random_body(seed, n)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3]), st.integers(1, 6),
+       st.sampled_from(["random", "point", "flat", "skew"]))
+def test_enumerate_matches_brute_oracle(seed, n, k, kind):
+    """The prefix walk, and for the flat kinds of ``_differential_body`` the
+    walk over the chart image lifted back, list exactly the brute scan."""
+    if kind == "random":
+        body = random_body(seed, n)
+    else:
+        body, _ = _differential_body(random.Random(seed), n, kind)
     assert list(enumerate_points(body, k).points) == brute_points(body, k)
 
 
@@ -175,21 +182,43 @@ def test_counting_claim_random(seed, n, k, ell):
 
 # k caps per dimension keep the oracle scan and the enumeration to seconds
 DIFF_K_MAX = {1: 80, 2: 80, 3: 20, 4: 8}
+# the flat kinds are also counted against ``oracle_count`` up to this level
+FLAT_K_MAX = 60
+# direction lattices that no coordinate projection maps onto Z^r
+SKEW_DIRECTIONS = {1: [], 2: [(2, 1)], 3: [(3, 2, 0)], 4: [(2, 1, 0, 0), (0, 0, 3, 1)]}
+FLAT_KINDS = ("point", "flat", "skew")
 
 
 def _differential_body(rng, n, kind):
     """A random rational body of one of the shapes the slab counter must
     handle: generic hulls (any dimension up to n), boxes (parallel and
     zero-slope lines), hulls of points on a hyperplane or a line (equality
-    pairs), and the empty body. Returns the body and a common denominator
-    of its vertices."""
-    den = rng.randint(1, 6)
+    pairs), and the empty body; and the flat kinds, counted in their chart:
+    a single point, hulls of points on a random flat of every rank r < n
+    (integer directions in [-3, 3]^n, denominators up to 12), and hulls on a
+    flat along ``SKEW_DIRECTIONS`` through a point with coordinates offset
+    by 0, 1/3 or 1/5, which holds no lattice point unless 3 or 5 divides k.
+    Returns the body and a common denominator of its vertices."""
+    den = rng.randint(1, 12 if kind in FLAT_KINDS else 6)
 
     def coord():
         return F(rng.randint(-den, den), den)
 
     if kind == "empty":
         return empty_body(n), den
+    if kind == "point":
+        return hull([tuple(coord() for _ in range(n))]), den
+    if kind in ("flat", "skew"):
+        if kind == "flat":
+            base = [coord() for _ in range(n)]
+            steps = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randrange(n))]
+        else:
+            base = [rng.randint(-1, 1) + rng.choice([0, F(1, 3), F(1, 5)]) for _ in range(n)]
+            steps, den = SKEW_DIRECTIONS[n], 15
+        pts = [[b + sum(t * step[i] for t, step in zip(ts, steps)) for i, b in enumerate(base)]
+               for ts in ([F(rng.randint(-2, 2), 4) for _ in steps]
+                          for _ in range(rng.randint(len(steps) + 1, 8)))]
+        return hull([tuple(p) for p in pts]), den
     if kind == "box":
         corners = [sorted((coord(), coord())) for _ in range(n)]
         return hull(list(itertools.product(*corners))), den
@@ -206,19 +235,29 @@ def _differential_body(rng, n, kind):
     return hull([tuple(p) for p in pts]), den
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
+@settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(1, 4),
-       st.sampled_from(["hull", "box", "hyperplane", "line", "empty"]))
+       st.sampled_from(["hull", "box", "hyperplane", "line", "empty", *FLAT_KINDS]))
 def test_count_matches_scan_oracle_and_enumeration(seed, n, kind):
+    """``count`` equals the scan oracle, the enumeration and, for n >= 2,
+    the pair-clipping ``oracle_count``; a flat body is counted in its chart.
+    A multiple of the vertex denominator puts the vertices on Z^n/k, where
+    constraint lines tie at integer x; for the flat kinds a random level up
+    to ``FLAT_K_MAX`` and a multiple of the chart's period, at which the flat
+    holds lattice points, are also checked against ``oracle_count``."""
     rng = random.Random(seed)
     body, den = _differential_body(rng, n, kind)
     k_max = DIFF_K_MAX[n]
-    # a multiple of the vertex denominator puts the vertices on Z^n/k, where
-    # constraint lines tie at integer x
     for k in (rng.randint(1, k_max), den * rng.randint(1, max(1, k_max // den))):
         expected = scan_count(body, k)
         assert count(body, k) == expected
         assert len(enumerate_points(body, k)) == expected
+        if n >= 2:
+            assert oracle_count(body, k) == expected
+    if kind in FLAT_KINDS and n >= 2 and not body.is_full_dim():
+        period = lattice._chart(body)[0]
+        for k in (rng.randint(1, FLAT_K_MAX), period * rng.randint(1, max(1, FLAT_K_MAX // period))):
+            assert count(body, k) == oracle_count(body, k)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -281,9 +320,79 @@ def test_count_2d_rational_body_matches_pick():
     assert count(body, k) == (twice_area + boundary) // 2 + 1
 
 
+def test_flat_counts_match_closed_forms():
+    """Two flat triangles in R^3 with known counts, at small k and at k = 10^9:
+    on x2 = x0 + x1 the triangle conv{0, e0 + e2, e1 + e2} is a copy of the
+    unit simplex, (k + 1)(k + 2)/2 points; on 2 x2 = x0 + x1 the triangle
+    conv{0, (2, 0, 1), (0, 2, 1)} holds the points (x0, x1) of the simplex of
+    side 2k with x0 + x1 even, which are (k + 1)^2."""
+    tilted = hull([(0, 0, 0), (1, 0, 1), (0, 1, 1)])
+    halved = hull([(0, 0, 0), (2, 0, 1), (0, 2, 1)])
+    for k in (1, 2, 3, 7, 10**9):
+        assert count(tilted, k) == (k + 1) * (k + 2) // 2
+        assert count(halved, k) == (k + 1) ** 2
+        if k < 10:
+            assert len(enumerate_points(tilted, k)) == (k + 1) * (k + 2) // 2
+            assert len(enumerate_points(halved, k)) == (k + 1) ** 2
+
+
+def test_flat_count_builds_its_chart_once_and_walks_no_stack_pass(monkeypatch):
+    """A flat body builds its chart on its first count and reads it on every
+    later one, and its counts call neither ``_slab_sum`` nor
+    ``_envelope_runs``: every chart image has rank <= 3.  A full-dimensional
+    body never builds a chart."""
+    builds = []
+    chart = lattice._chart
+
+    def building(body):
+        builds.append("chart" not in body._cache)
+        return chart(body)
+
+    def refused(*args):
+        raise AssertionError("a flat count runs no stack pass")
+
+    monkeypatch.setattr(lattice, "_chart", building)
+    monkeypatch.setattr(lattice, "_slab_sum", refused)
+    monkeypatch.setattr(lattice, "_envelope_runs", refused)
+    flats = [hull([(F(1, 3), F(1, 2), 0, F(2, 5))]),
+             hull([(0, F(1, 3), 0, 0), (4, F(7, 3), 0, 0), (0, F(1, 3), 3, 1)]),
+             hull([(x0, x1, x2, x0 - x1 + 2 * x2 + F(1, 3))
+                   for x0 in (0, 1) for x1 in (0, 1) for x2 in (0, 1)]),
+             hull([(0, 0, 0), (3, 2, 0)]), hull([(0, 0, 0), (1, 0, 1), (0, 1, 1)])]
+    for body in flats:
+        builds.clear()
+        for k in (1, 3, 15, 60):
+            assert count(body, k) == oracle_count(body, k)
+        assert builds == [True, False, False, False]
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "_chart", refused)
+    for body in (SEGMENT, UNIT_SQUARE, *(hull(list(itertools.product((0, 1), repeat=n)))
+                                          for n in (3, 4))):
+        assert count(body, 5) == 6 ** body.dim
+        assert "chart" not in body._cache
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(2, 4), st.sampled_from(FLAT_KINDS))
+def test_slab_bound_of_a_flat_body_is_its_chart_images(seed, n, kind):
+    """``count`` walks the slabs of a flat body's chart image P', so
+    ``slab_bound`` is floor(k w) + 1 for the Fraction width w of P' on each
+    of all but its last two axes (1 for a point), however wide the body's
+    own box is, and at least the integer points of that box of k P'."""
+    body, _ = _differential_body(random.Random(seed), n, kind)
+    if body.is_full_dim():
+        return
+    image = lattice._chart(body)[1]
+    box = [] if image is None else image.bounding_box()[:-2]
+    for k in (1, 2, 3, 15, 60, 10**9 + 7):
+        assert slab_bound(body, k) == math.prod(math.floor(k * (hi - lo)) + 1 for lo, hi in box)
+        assert slab_bound(body, k) >= math.prod(
+            max(0, math.floor(k * hi) - math.ceil(k * lo) + 1) for lo, hi in box)
+
+
 def test_slab_count_sums_one_run_per_envelope_edge(monkeypatch):
-    # the unit simplex has one edge above (y <= k - x, tied with the box
-    # bound y <= k at x = 0) and one below (y >= 0): two runs in all
+    # the unit simplex's chains are one facet above (y <= k - x) and one
+    # below (y >= 0), with no box bound: one run each, two in all
     calls = []
     floor_sum = lattice._floor_sum
 
@@ -457,12 +566,11 @@ def test_envelope_matches_oracle_walk_and_brute_sum(seed, size, big):
 
 
 def test_count_sorts_lines_once_per_body_and_sums_each_run_once(monkeypatch):
-    """The slope orders of ``_slab_sum`` and ``_plane_count`` (n = 4 and flat
-    bodies; called here on full-dimensional bodies, which ``count`` reads off
-    their chains) are built on a body's first count and read by every later
-    one: the y-lines of each side in 2-D, and the y-lines and both groups of
-    x-bounds in 3-D.  Each y-envelope calls ``_floor_sum`` once per run of its
-    brute per-x minimum."""
+    """The slope orders of ``_slab_sum`` (full-dimensional 4-D bodies; called
+    here on a 3-D body, which ``count`` reads off its chains) are built on a
+    body's first count and read by every later one: the y-lines and both
+    groups of x-bounds.  Each y-envelope calls ``_floor_sum`` once per run of
+    its brute per-x minimum."""
     sorts, sums, runs = [], [], []
     by_slope, envelope_floor_sum, floor_sum = (
         lattice._by_slope, lattice._envelope_floor_sum, lattice._floor_sum)
@@ -489,14 +597,6 @@ def test_count_sorts_lines_once_per_body_and_sums_each_run_once(monkeypatch):
         assert lattice._slab_sum(body, *_scaled_constraints(body, k)) == oracle_count(body, k)
         assert sorts == [7, 7, 28, 22]
     assert len(sums) == sum(runs) and len(runs) > 100
-    sorts.clear(), sums.clear(), runs.clear()
-    plane = sub_body_sampler(UNIT_SQUARE, F(1, 10), seed=0)(1)[0]
-    plane._cache.pop("lines", None)
-    for k in range(1, 13):
-        assert lattice._plane_count(plane, *_scaled_constraints(plane, k)) == oracle_count(plane, k)
-    assert len(sorts) == 2
-    # two envelopes at each of the 11 levels whose x-range is not empty
-    assert len(sums) == sum(runs) and len(runs) == 22
 
 
 def brute_owner_runs(body, k):
@@ -620,18 +720,19 @@ def _chain_body(rng, n, kind):
        st.sampled_from(["hull", "grid", "box", "prism", "sliver", "redundant", "unit"]))
 def test_chain_count_matches_stack_pass_paths(seed, n, kind):
     """``count`` reads a full-dimensional 2-D or 3-D body off its chains; the
-    stack-pass paths it replaced there, ``_plane_count`` and ``_slab_sum``,
-    still serve flat bodies and n = 4 and must agree.  A multiple of the
-    vertex denominator puts the vertices on Z^n/k, so slabs fall on vertex
-    levels and breakpoints on integers."""
+    pair-clipping oracle (n = 2) and the stack-pass ``_slab_sum`` that serves
+    n = 4 (n = 3) must agree.  A multiple of the vertex denominator puts the
+    vertices on Z^n/k, so slabs fall on vertex levels and breakpoints on
+    integers."""
     rng = random.Random(seed)
     body, den = _chain_body(rng, n, kind)
     if not body.is_full_dim():
         return
-    slow = lattice._plane_count if n == 2 else lattice._slab_sum
     for k in (1, rng.randint(1, CHAIN_K_MAX), rng.randint(1, CHAIN_K_MAX),
               den, den * rng.randint(1, CHAIN_K_MAX // den)):
-        assert count(body, k) == slow(body, *_scaled_constraints(body, k))
+        expected = (oracle_count(body, k) if n == 2
+                    else lattice._slab_sum(body, *_scaled_constraints(body, k)))
+        assert count(body, k) == expected
 
 
 # SHA-256 of the lines "k count(body, k)" for every k in (C, k_max], C the
