@@ -217,24 +217,26 @@ def _check_series_size(model, ks: range, what: str) -> None:
     MAX_COUNT_SLABS + 1 levels, even on a body too thin to hold a slab at
     most levels.
 
-    The slab pass stops as soon as no later level can pass the slab limit,
-    so a long range whose levels are one slab each is not summed to its end;
-    the point pass then stops at the level that passes the point limit.
+    Both passes walk ``model.levels_in(ks)``, so a model with few levels in
+    a long range is not stepped through every k of it.  The slab pass stops
+    as soon as no later level can pass the slab limit, so a long range whose
+    levels are one slab each is not summed to its end; the point pass then
+    stops at the level that passes the point limit.
     """
     body = model.ambient
+    levels = model.levels_in(ks)
     # slab_bound is non-decreasing in k, so no level in ks has more slabs
-    cap = slab_bound(body, ks[-1]) if ks else 0
+    cap = slab_bound(body, levels[-1]) if levels else 0
     slabs = 0
-    for i, k in enumerate(ks):
-        if model.has_level(k):
-            slabs += slab_bound(body, k)
-            if slabs > MAX_COUNT_SLABS:
-                raise InputError(f"{what} needs more than {MAX_COUNT_SLABS} "
-                                 f"slab counts to size")
-        if slabs + (len(ks) - 1 - i) * cap <= MAX_COUNT_SLABS:
+    for i, k in enumerate(levels):
+        slabs += slab_bound(body, k)
+        if slabs > MAX_COUNT_SLABS:
+            raise InputError(f"{what} needs more than {MAX_COUNT_SLABS} "
+                             f"slab counts to size")
+        if slabs + (len(levels) - 1 - i) * cap <= MAX_COUNT_SLABS:
             break  # no later level can pass the slab limit
     points = prefixes = 0
-    for k in filter(model.has_level, ks):
+    for k in levels:
         points += count(body, k)
         prefixes += prefix_bound(body, k)
         if points > MAX_ENUM_POINTS:
@@ -288,9 +290,7 @@ def cmd_thresholds(args) -> int:
               "quantum_quantile", "S_tau", "delta_km", "delta_argmin"]
     rows = []
     s_tau_by_label = {v.label: S_tau(model, v, tau, args.tol) for v in family}
-    for k in k_iter:
-        if not model.has_level(k):
-            continue
+    for k in model.levels_in(k_iter):
         d, D = model.d_k(k), model.D_k(k)
         m = m_rule(d, k)
         delta, argmin = delta_km_restricted(model, family, k, m)

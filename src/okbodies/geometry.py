@@ -23,8 +23,9 @@ and rank instead.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the only
 Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
-The inscribed-ball LP ``_simplex_max`` pivots a fraction-free integer tableau
-the same way (Bland's rule, one exact division per update), and volumes and
+The inscribed-ball LP ``_simplex_max`` pivots a condensed fraction-free integer
+dictionary the same way (one column per nonbasic variable, no slack block,
+Bland's rule by variable label, one exact division per update), and volumes and
 first moments sum integer determinants of Z-row differences over n! D^n:
 over the fan from vertex 0 for a polygon, else over a pulling triangulation.
 
@@ -1061,33 +1062,35 @@ def _simplex_max(A: list[list[Fraction]], b: list[Fraction],
     """max c.z s.t. A z <= b, z >= 0, with b >= 0 (slack basis feasible), for
     exact rationals (ints or Fractions).
 
-    Dense tableau simplex with Bland's rule, pivoted fraction-free in ints.
-    Row i of [A | I | b] is scaled by the lcm s_i of its denominators, so its
-    slack entry is s_i, and the objective row [-c | 0 | 0] by the lcm cs of
-    c's denominators.  Each pivot p updates every other row x as
-    (p x - f y) // d, with y the pivot row, and then sets d = p, as
-    _int_reduce does.  p > 0, so every row stays a positive multiple of the
-    Fraction tableau's row: s_i d times it while row i keeps its slack basic,
-    d times it once pivoted, and cs d times it for the objective.  Positive
-    row scales change neither the sign of a reduced cost nor a ratio, so the
-    pivots are the Fraction tableau's.
+    Bland's-rule simplex on a condensed dictionary, pivoted fraction-free in
+    ints as in Avis's lrs.  Labels 0..n-1 are z, n..n+m-1 the slacks; rows
+    belong to basic labels, columns to nonbasic ones (no slack block).  Row i
+    of [A | b] is scaled by the lcm of its denominators (scaling slack n+i),
+    the objective [-c | 0] by cs, the lcm of c's: each row is then d times
+    the Fraction dictionary's (cs d for the objective), d the last pivot.  A
+    pivot p > 0 at (r, s) keeps row r but puts d at column s; every other
+    row gets -f at column s (f its old entry) and (p x - f y) // d elsewhere,
+    y row r's entry (exact, as in _int_reduce); then d = p and the labels
+    swap.  Entering: the smallest label with a negative reduced cost; ratio
+    ties: the smallest basic label.  Positive row and variable scales keep
+    every sign and ratio order, so the pivots are the Fraction tableau's.
     """
     m, n = len(A), len(c)
     tab = []
     for i in range(m):
         row = [*A[i], b[i]]
         s = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (s // x.denominator) for x in row]
-        tab.append(ints[:n] + [s if j == i else 0 for j in range(m)] + ints[n:])
+        tab.append([x.numerator * (s // x.denominator) for x in row])
     cs = lcm(*(x.denominator for x in c))
-    obj = [-x.numerator * (cs // x.denominator) for x in c] + [0] * (m + 1)
-    basis = [n + i for i in range(m)]
+    obj = [-x.numerator * (cs // x.denominator) for x in c] + [0]
+    basis = list(range(n, n + m))  # label of the basic variable of each row
+    labels = list(range(n))  # label of the nonbasic variable of each column
     d = 1
     while True:
-        col = next((j for j in range(n + m) if obj[j] < 0), None)
+        col = min((j for j in range(n) if obj[j] < 0), key=labels.__getitem__, default=None)
         if col is None:
             break
-        # Bland: smallest ratio b_i / a_i (cross-multiplied), then smallest basis index
+        # Bland: smallest ratio b_i / a_i (cross-multiplied), then smallest basic label
         piv = None
         for i, row in enumerate(tab):
             a = row[col]
@@ -1100,15 +1103,18 @@ def _simplex_max(A: list[list[Fraction]], b: list[Fraction],
         for i, row in enumerate(tab):
             if i != piv:
                 f = row[col]
-                tab[i] = [(pa * x - f * y) // d for x, y in zip(row, top)]
+                tab[i] = row = [(pa * x - f * y) // d for x, y in zip(row, top)]
+                row[col] = -f
         f = obj[col]
         obj = [(pa * x - f * y) // d for x, y in zip(obj, top)]
+        obj[col] = -f
+        top[col] = d
         d = pa
-        basis[piv] = col
+        basis[piv], labels[col] = labels[col], basis[piv]
     z = [Fraction(0)] * n
-    for i, bi in enumerate(basis):
-        if bi < n:
-            z[bi] = Fraction(tab[i][-1], d)
+    for i, label in enumerate(basis):
+        if label < n:
+            z[label] = Fraction(tab[i][-1], d)
     return Fraction(obj[-1], d * cs), z
 
 
@@ -1119,7 +1125,8 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
     so the optimal r is a lower bound on the true Chebyshev radius and the
     returned ball is guaranteed to fit inside the body.  The LP starts from the
     vertex centroid x0, read from the integer vertex form, and is solved once
-    per (body, bits).
+    per (body, bits).  Its norm column is scaled to ints, r = S r' with S the
+    lcm of the rho_i denominators (powers of two), so no row lcm holds 2^bits.
     """
     if body.is_empty or not body.is_full_dim():
         raise DegenerateBody("chebyshev_ball requires a full-dimensional body")
@@ -1129,14 +1136,17 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
         D, Z = body.int_form()
         total = [sum(col) for col in zip(*Z)]
         den = D * len(Z)  # x0 = total / den
+        norms = [sqrt_upper_bound(Fraction(sum(w * w for w in h.normal)), bits)
+                 for h in body.halfspaces]  # a full-dimensional body holds only facets
+        S = max(rho.denominator for rho in norms)  # their lcm: all are powers of two
         A, rhs = [], []
-        for h in body.halfspaces:  # a full-dimensional body holds only facets
+        for h, rho in zip(body.halfspaces, norms):
             A.append([e for w in h.normal for e in (w, -w)]
-                     + [sqrt_upper_bound(Fraction(sum(w * w for w in h.normal)), bits)])
+                     + [rho.numerator * (S // rho.denominator)])
             q = h.offset.denominator  # h.offset - h.value(x0) over q den
             rhs.append(Fraction(h.offset.numerator * den - q * sum(map(mul, h.normal, total)),
                                 q * den))
-        radius, z = _simplex_max(A, rhs, [0] * (2 * n) + [1])
+        radius, z = _simplex_max(A, rhs, [0] * (2 * n) + [S])  # r = S r'
         body._cache[key] = (tuple(Fraction(total[i], den) + z[2 * i] - z[2 * i + 1]
                                   for i in range(n)), radius)
     return body._cache[key]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -69,6 +70,12 @@ class GradedSeriesModel:
     def has_level(self, k: int) -> bool:
         return k >= 1
 
+    def levels_in(self, ks: range) -> Sequence[int]:
+        """The levels in ks, in order (here ks without its k < 1, a range).
+        Loops over a range of levels read this, so a model with few levels
+        is not stepped through every k of a long range."""
+        return ks[bisect_left(ks, 1):]
+
     def _check_level(self, k: int) -> None:
         if not isinstance(k, int) or k < 1:
             raise LevelError(f"k must be a positive integer, got {k!r}")
@@ -112,9 +119,7 @@ class GradedSeriesModel:
         if k_max < 1:
             raise ValueError("k_max must be >= 1")
         rows = []
-        for k in range(1, k_max + 1):
-            if not self.has_level(k):
-                continue
+        for k in self.levels_in(range(1, k_max + 1)):
             dk, Dk = self.d_k(k), self.D_k(k)
             rows.append(GapRow(k, dk, Dk, Dk - dk))
         return rows
@@ -130,7 +135,7 @@ class GradedSeriesModel:
 
     def validate_superadditive(self, k_max: int) -> None:
         """Check k Delta_k + k' Delta_k' subset (k+k') Delta_{k+k'}, building each level once."""
-        bodies = {k: self.discrete_body(k).points for k in range(1, k_max + 1) if self.has_level(k)}
+        bodies = {k: self.discrete_body(k).points for k in self.levels_in(range(1, k_max + 1))}
         for (k, left), (kp, right) in itertools.product(bodies.items(), repeat=2):
             if k + kp not in bodies:
                 continue
@@ -314,6 +319,11 @@ class SyntheticModel(GradedSeriesModel):
 
     def has_level(self, k: int) -> bool:
         return k >= 1 and (self._levels is None or k in self._levels)
+
+    def levels_in(self, ks: range) -> Sequence[int]:
+        if self._levels is None:
+            return super().levels_in(ks)
+        return sorted(k for k in self._levels if k >= 1 and k in ks)
 
     def _gaps(self, k: int) -> frozenset[tuple[int, ...]]:
         gaps = frozenset(tuple(int(c) for c in z) for z in self._gap_fn(k))

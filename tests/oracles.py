@@ -5,8 +5,10 @@ primitive nullspace basis from it: the slow paths that the library's integer
 ``_int_reduce`` and ``_nullspace`` are checked against.  ``oracle_det`` is
 the recursive Laplace expansion that the library's closed-form 3x3 and 4x4
 ``_det`` must equal.  ``oracle_simplex_max``
-is the dense Fraction tableau simplex that the library's fraction-free
-``_simplex_max`` must match pivot for pivot.  ``oracle_level`` builds
+is the dense Fraction tableau simplex, slack identity block and all, that
+the library's condensed fraction-free dictionary ``_simplex_max`` must match
+pivot for pivot: Bland's rule picks the same labels in both, so both end at
+the same optimal vertex even where the optimum is not unique.  ``oracle_level`` builds
 k*Delta_k per backend by enumeration and set difference, the way the series
 models did before each backend stated only its gap sets, and
 ``oracle_recover_gaps`` reads the Weierstrass gaps off those levels.

@@ -51,6 +51,16 @@ def test_body_square_volume(tmp_path, capsys):
     assert out["volume"] == "1" and out["chebyshev_radius_lb"] == "1/2"
 
 
+def test_body_rectangle_chebyshev_center(tmp_path, capsys):
+    # every point of the segment [1/2, 3/2] x {1/2} is a Chebyshev center of
+    # [0, 2] x [0, 1]; the LP's pivot path from the vertex centroid picks (1, 1/2)
+    infile = write(tmp_path, "rectangle.json",
+                   {"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "1"], ["2", "1"]]})
+    assert main(["body", "--in", infile]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["chebyshev_center"] == ["1", "1/2"] and out["chebyshev_radius_lb"] == "1/2"
+
+
 def test_body_malformed_rational_exit2(tmp_path, capsys):
     infile = write(tmp_path, "bad.json", {"dim": 1, "vertices": [["1/0"]]})
     assert main(["body", "--in", infile]) == 2
@@ -387,8 +397,8 @@ THRESHOLDS = ["thresholds", "--in", "{segment}", "--valuations", "{vseg}"]
 SIMPLEX_MODEL = {"backend": "toric", "polytope": SIMPLEX_JSON}
 
 
-def valuation(label, *grad):
-    return {"label": label, "A": "1", "G": {"pieces": [{"grad": list(grad), "const": "0"}]}}
+def valuation(label, *grad, const="0"):
+    return {"label": label, "A": "1", "G": {"pieces": [{"grad": list(grad), "const": const}]}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -856,6 +866,97 @@ def test_cli_fuzz_body_and_series_exit_codes(polytope, command, k):
             counts = {int(row[0]): int(row[2]) for row in rows}
         for level, counted in counts.items():
             assert _reference_count(body, level) in (counted, None)
+
+
+def test_series_and_thresholds_walk_only_the_models_levels(tmp_path, capsys, monkeypatch):
+    """A synthetic model with few levels in a range of 10^12 is walked level by
+    level, not k by k: ``has_level`` raises after a few thousand calls, so a
+    loop that steps through the range fails instead of running for hours.
+    The slab early stop caps the levels left, not the k left, so a level far
+    out still passes the slab limit (exit 2) before any level is built."""
+    import okbodies.series as series
+
+    has_level, calls = series.SyntheticModel.has_level, []
+
+    def counted(self, k):
+        calls.append(k)
+        if len(calls) > 5000:
+            raise AssertionError("a loop steps through every k of the range")
+        return has_level(self, k)
+
+    monkeypatch.setattr(series.SyntheticModel, "has_level", counted)
+    big = str(10**12)
+    infile = write(tmp_path, "one.json", {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                                          "levels": [1], "per_k_gaps": {"1": [[1, 0]]}})
+    vfile = write(tmp_path, "v.json", [valuation("e1", "1", "0")])
+    assert main(["series", "--in", infile, "--k-max", big]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[1:] == [["1", "2", "3", "1", "0,0;0,1", "1,0"]]
+    assert main(["thresholds", "--in", infile, "--valuations", vfile, "--k-max", big]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert [row[0] for row in rows[1:]] == ["1"]
+    tetra = {"dim": 3, "vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],
+                                    ["0", "0", "1"]]}  # 2-D bodies count without slabs
+    far = write(tmp_path, "far.json", {"backend": "synthetic", "polytope": tetra,
+                                       "levels": [1, 2, 10**11]})
+    vfile = write(tmp_path, "v3.json", [valuation("e1", "1", "0", "0")])
+    monkeypatch.setattr(series, "enumerate_points", lambda *args: pytest.fail("enumeration started"))
+    for argv in (["series", "--in", far, "--k-max", big],
+                 ["thresholds", "--in", far, "--valuations", vfile, "--k-max", big]):
+        assert main(argv) == 2
+        assert "slab counts to size" in capsys.readouterr().err
+    assert len(calls) < 100
+
+
+# full-dimensional ambients, which most fuzzed polytopes are not: a
+# simplex in each dimension, and 3-D bodies 10^-30 thin and 10^9 long
+THRESHOLD_AMBIENTS = [
+    {"dim": n, "vertices": [["0"] * n] + [[s if j == i else "0" for j in range(n)]
+                                          for i in range(n)]}
+    for n in (1, 2, 3, 4) for s in ("1", "3/2")] + [
+    {"dim": 3, "vertices": [["0", "0", "0"], ["1", "0", "0"], ["0", "1", "0"],
+                            ["0", "0", f"1/{10**30}"]]},
+    {"dim": 3, "vertices": [["0", "0", "0"], [str(10**9), "0", "0"], ["0", "1", "0"],
+                            ["0", "0", "1"]]}]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(st.one_of(fuzz_polytope(), st.sampled_from(THRESHOLD_AMBIENTS)),
+       st.one_of(st.none(), st.lists(
+           st.one_of(st.integers(-1, 14), st.sampled_from([10**6, 10**12])), max_size=5)),
+       st.one_of(st.integers(1, 12), st.sampled_from([0, 200, 10**6, 10**12])),
+       st.integers(1, 3))
+def test_cli_fuzz_thresholds_exit_codes(polytope, levels, k_max, k_min):
+    """``thresholds`` on fuzzed polytope JSON as a toric model (``levels`` is
+    None) or as a synthetic model with the drawn ``levels``, up to
+    ``--k-max`` 10^12, with the slab and point limits lowered: the CLI returns
+    0, 1 or 2, never raises and prints no traceback, and an accepted run
+    lists only levels of the model, each once per valuation."""
+    import okbodies.cli as cli
+
+    data = {"backend": "toric", "polytope": polytope}
+    if levels is not None:
+        data = {"backend": "synthetic", "polytope": polytope, "levels": levels}
+    n = polytope["dim"] if type(polytope["dim"]) is int and 1 <= polytope["dim"] <= 4 else 2
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_COUNT_SLABS", 200)
+        mp.setattr(cli, "MAX_ENUM_POINTS", 2000)
+        infile = write(Path(tmp), "in.json", data)
+        vfile = write(Path(tmp), "v.json", [valuation("a", *["1"] + ["0"] * (n - 1), const="2"),
+                                             valuation("b", *["-1/2"] * n, const="4")])
+        with redirect_stdout(out), redirect_stderr(err):
+            code = _exit_code(["thresholds", "--in", infile, "--valuations", vfile,
+                               "--k-min", str(k_min), "--k-max", str(k_max)])
+    assert code in (0, 1, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        ks = [int(row[0]) for row in list(csv.reader(io.StringIO(out.getvalue())))[1:]]
+        expect = range(k_min, k_max + 1)
+        if levels is not None:
+            expect = sorted({k for k in levels if k_min <= k <= k_max})
+        assert ks == [k for k in expect for _ in "ab"]
 
 
 def test_size_check_bounds_the_prefixes_the_enumeration_walks(tmp_path, capsys, monkeypatch):

@@ -837,7 +837,10 @@ def random_lp(rng, shape):
     About a third of b is 0, so the slack basis is often degenerate.  "ties"
     appends positive multiples of rows (equal ratios in the ratio test),
     "degenerate" zeroes all of b, and "unbounded" makes one profitable column
-    that no row bounds.
+    that no row bounds.  "ball" is shaped as ``chebyshev_ball``'s LP: integer
+    normals w split into paired columns (w, -w) for free variables, and a
+    last column of norm bounds over 2^bits scaled to integers by their lcm
+    S, with objective S on it, and b > 0.
     """
     dens = (1, 2, 3, 4, 6, 7, 12)
 
@@ -860,11 +863,22 @@ def random_lp(rng, shape):
         c[j] = entry(1, 3)
         for row in A:
             row[j] = -abs(row[j])
+    elif shape == "ball":
+        dim, bits = rng.randint(1, 4), rng.choice((4, 8, 64))
+        normals = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(m)]
+        for w in normals:
+            w[rng.randrange(dim)] = rng.choice((-1, 1)) * rng.randint(1, 3)
+        norms = [sqrt_upper_bound(F(sum(x * x for x in w)), bits) for w in normals]
+        S = max(rho.denominator for rho in norms)
+        A = [[F(e) for x in w for e in (x, -x)] + [rho * S] for w, rho in zip(normals, norms)]
+        b = [entry(1, 6) for _ in range(m)]  # x0 lies inside the body
+        c = [F(0)] * (2 * dim) + [F(S)]
     return A, b, c
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.integers(0, 10**6), st.sampled_from(["random", "ties", "degenerate", "unbounded"]))
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6),
+       st.sampled_from(["random", "ties", "degenerate", "unbounded", "ball"]))
 def test_simplex_max_matches_fraction_tableau_oracle(seed, shape):
     A, b, c = random_lp(random.Random(seed), shape)
     try:
@@ -886,6 +900,19 @@ def test_simplex_max_breaks_ratio_ties_by_basis_index():
     A = [[F(x) for x in row] for row in A]
     b, c = [F(x) for x in (1, 0, 0, 0, 1, 1)], [F(x) for x in (1, -1, 2, 2, 1)]
     expected = (F(3), [F(0), F(0), F(0), F(1), F(1)])
+    assert oracle_simplex_max(A, b, c) == expected
+    assert geometry._simplex_max(A, b, c) == expected
+
+
+def test_simplex_max_enters_the_smallest_label_not_the_first_column():
+    # after the pivots z_0 for slack 4, then z_2 for slack 3, the condensed
+    # columns hold the labels (4, 1, 3) and both slack 4 (column 0) and z_1
+    # (column 1) have negative reduced costs; Bland enters z_1, the smallest
+    # label, while entering the first such column ends at the other optimal
+    # vertex (0, 0, 2)
+    A = [[F(2), F(1), F(1)], [F(1), F(1), F(-1)]]
+    b, c = [F(2), F(0)], [F(1), F(1), F(1)]
+    expected = (F(2), [F(0), F(1), F(1)])
     assert oracle_simplex_max(A, b, c) == expected
     assert geometry._simplex_max(A, b, c) == expected
 
@@ -915,6 +942,22 @@ def test_chebyshev_ball_matches_fraction_lp_on_hulls_and_cut_bodies(seed, n):
         assert chebyshev_ball(body) == oracle_chebyshev_ball(body)
         assert chebyshev_ball(body, 8) == oracle_chebyshev_ball(body, 8)
         body = intersect_halfspace(body, random_cut(rng, body))
+
+
+@pytest.mark.parametrize("sides", [(2, 1), (3, 1, 2), (2, 1, 3, F(1, 2))])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_chebyshev_ball_keeps_the_non_unique_centers_of_boxes_and_their_cuts(sides, seed):
+    """A box that is not a cube, and most bodies cut from it, has a segment or
+    more of Chebyshev centers; only the Fraction tableau's own pivot path
+    ends at the center it returns."""
+    rng = random.Random(seed)
+    body = hull(list(itertools.product(*[(0, s) for s in sides])))
+    for _ in range(4):
+        for bits in (64, 8):
+            assert chebyshev_ball(body, bits) == oracle_chebyshev_ball(body, bits)
+        body = intersect_halfspace(body, random_cut(rng, body))
+        if body.is_empty or not body.is_full_dim():
+            break
 
 
 def test_chebyshev_ball_is_solved_once_per_body_and_bits(monkeypatch):

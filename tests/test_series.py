@@ -280,6 +280,19 @@ def test_synthetic_gap_on_rational_facet():
     assert SyntheticModel(model.ambient, {3: [(1, 0)]}).d_k(3) == model.D_k(3) - 1
 
 
+def test_levels_in_reads_the_levels_without_stepping_through_the_range():
+    # toric, curve and canonical models keep the plain range, less its k < 1
+    assert ToricModel(UNIT_SIMPLEX).levels_in(range(-2, 5)) == range(1, 5)
+    assert plane_quartic_model("flex").levels_in(range(3, 10**12)) == range(3, 10**12)
+    assert CanonicalCurveModel(3).levels_in(range(0, 1)) == range(1, 1)
+    model = SyntheticModel(UNIT_SIMPLEX, {3: [], 1: [(1, 0)], 10**12: []})
+    assert model.levels_in(range(2, 10**12)) == [3]
+    assert model.levels_in(range(1, 10**12 + 1)) == [1, 3, 10**12]
+    assert SyntheticModel(UNIT_SIMPLEX, {}).levels_in(range(1, 10**12)) == []
+    table = SyntheticModel(UNIT_SIMPLEX, {3: [], 1: [(1, 0)]}).gap_table(10**12)
+    assert [(r.k, r.d_k, r.D_k) for r in table] == [(1, 2, 3), (3, 10, 10)]
+
+
 # ---------------------------------------------------------------------------
 # differential: gap-derived levels against the enumerating oracle
 # ---------------------------------------------------------------------------
