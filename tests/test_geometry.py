@@ -947,7 +947,7 @@ def test_chebyshev_ball_matches_fraction_lp_on_hulls_and_cut_bodies(seed, n):
 @pytest.mark.parametrize("sides", [(2, 1), (3, 1, 2), (2, 1, 3, F(1, 2))])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_chebyshev_ball_keeps_the_non_unique_centers_of_boxes_and_their_cuts(sides, seed):
-    """A box that is not a cube, and most bodies cut from it, has a segment or
+    """A box that is not a cube, and many bodies cut from it, have a segment or
     more of Chebyshev centers; only the Fraction tableau's own pivot path
     ends at the center it returns."""
     rng = random.Random(seed)
