@@ -438,8 +438,10 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
         if bad is not None:  # malformed input (exit 2), not a ModelError (exit 1)
             raise ValueError(f"gap vector {list(bad)} does not have dim = {ambient.dim} entries")
         levels = data.get("levels")
-        return SyntheticModel(
-            ambient, gap_sets,
-            levels=None if levels is None else [_json_level(json_int(k, "level")) for k in levels],
-        )
+        if levels is not None:
+            levels = [_json_level(json_int(k, "level")) for k in levels]
+        if not (gap_sets if levels is None else levels):  # exit 2, not a run of no levels
+            raise ValueError("a synthetic model needs at least one level: a nonempty "
+                             "'levels' list, or 'per_k_gaps' keys when 'levels' is absent")
+        return SyntheticModel(ambient, gap_sets, levels=levels)
     raise ModelError(f"unknown backend {backend!r}")

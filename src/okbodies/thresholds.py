@@ -22,11 +22,12 @@ per piece over the transposed points (``ConcavePL.scaled_values``), and
 ranked by one sort of point indices keyed by score alone: the level's points
 are strictly increasing, so the stable sort of the indices taken from last
 to first breaks score ties toward the lexicographically larger point without
-comparing points (``_score_level``).  Delta_k's table is the same table
-minus the level's gaps, read off it in one order-preserving pass (on a level
-without gaps it is the same table).  The model keeps both with the rest of
-its current level only.  Results are the same Fractions as scoring G(z/k)
-directly.
+comparing points (``_score_level``).  A table keeps those indices, not
+the points, which only the gap filter and compatible families read.
+Delta_k's table is the same table minus the level's gaps, read off it in
+one order-preserving pass (on a level without gaps it is the same table).
+The model keeps both with the rest of its current level only.  Results are
+the same Fractions as scoring G(z/k) directly.
 
 Everything here is a pure query over immutable models and valuations (the
 level slot never changes a result). Because a model keeps one level, a sweep
@@ -38,6 +39,7 @@ lexicographically smaller label), making reductions order-independent.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -49,13 +51,14 @@ from .geometry import (
     AffineFunctional,
     ConcavePL,
     ConvexBody,
+    _det,
     _int_form,
     _int_reduce,
+    _linearity_regions,
     first_coordinate_transform,
     max_transform,
     rat,
-    superlevel,
-    volume,
+    triangulate,
 )
 from .lattice import PointCloud
 from .series import GradedSeriesModel
@@ -137,18 +140,19 @@ class FamilyMeasure:
 # jumping numbers
 # ---------------------------------------------------------------------------
 
-_LevelScores = tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...], tuple[int, ...]]
+_LevelScores = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _table(L: int, scores: Iterable[int], points: Iterable[tuple[int, ...]]) -> _LevelScores:
-    """(L, scores, points, prefix) of scores and points in table order."""
+def _table(L: int, scores: Iterable[int], order: Iterable[int]) -> _LevelScores:
+    """(L, scores, order, prefix) of scores and point indices in table order."""
     scores = tuple(scores)
-    return L, scores, tuple(points), tuple(accumulate(scores, initial=0))
+    return L, scores, tuple(order), tuple(accumulate(scores, initial=0))
 
 
 def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int) -> _LevelScores:
-    """(L, scores, points, prefix) of the idealized level ambient ∩ Z^n/k:
-    scores[i] = k L G(points[i]/k) in descending order, ties lexicographically
+    """(L, scores, order, prefix) of the idealized level ambient ∩ Z^n/k:
+    scores[i] = k L G(z/k) for the point z = points[order[i]] of
+    ``model.idealized_body(k)``, in descending order, ties lexicographically
     larger point first (the deterministic tie-break used everywhere), and
     prefix[m] = scores[0] + ... + scores[m-1].
 
@@ -156,12 +160,12 @@ def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int) -> _LevelScores
     one sort of point indices keyed by score alone.  A level's points are
     strictly increasing (``PointCloud``), so the indices go in from last to
     first and the stable descending sort leaves tied scores in that order:
-    lexicographically larger point first, with no point ever compared."""
+    lexicographically larger point first, with no point ever compared.  The
+    table keeps the indices; the few readers of its points map them."""
     points = model.idealized_body(k).points
     scores = g.scaled_values(points, k)
     order = sorted(range(len(points) - 1, -1, -1), key=scores.__getitem__, reverse=True)
-    return _table(g.integer_form[0], map(scores.__getitem__, order),
-                  map(points.__getitem__, order))
+    return _table(g.integer_form[0], map(scores.__getitem__, order), order)
 
 
 def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
@@ -169,20 +173,23 @@ def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
     """The score table of ambient ∩ Z^n/k if ideal, else of Delta_k, kept by
     the model with the rest of level k.  The idealized level is scored once
     (``_score_level``); Delta_k's table is that table minus the gaps, which
-    keeps the order, so only the prefix sums are summed again."""
+    keeps the order, so only the prefix sums are summed again.  Both tables
+    index the points of ``model.idealized_body(k)``."""
     if not ideal:
         model._check_level(k)
     table = model._at_level(k, (g, True), lambda: _score_level(model, g, k))
     if ideal or not (gaps := model._level_gaps(k)):
         return table
-    return model._at_level(k, (g, False), lambda: _without_gaps(table, gaps))
+    return model._at_level(k, (g, False), lambda: _without_gaps(
+        table, gaps, model.idealized_body(k).points))
 
 
-def _without_gaps(table: _LevelScores, gaps: frozenset[tuple[int, ...]]) -> _LevelScores:
+def _without_gaps(table: _LevelScores, gaps: frozenset[tuple[int, ...]],
+                  points: Sequence[tuple[int, ...]]) -> _LevelScores:
     """The rows of a score table whose point is not a gap, in table order."""
-    L, scores, points, _ = table
-    kept = [z not in gaps for z in points]
-    return _table(L, compress(scores, kept), compress(points, kept))
+    L, scores, order, _ = table
+    kept = [points[i] not in gaps for i in order]
+    return _table(L, compress(scores, kept), compress(order, kept))
 
 
 def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
@@ -262,8 +269,9 @@ def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel,
 class _Ccdf(NamedTuple):
     """The ccdf of G on an ambient body: its maximum s0 and vertex minimum
     sigma, the ambient volume, the top atom F(s0) = vol{G >= s0} / vol, the
-    candidate breakpoints and one (lo, hi, coefficients) piece per candidate
-    interval."""
+    candidate breakpoints, and one (lo, hi, coefficients) piece per interval
+    between consecutive breaks: F on [lo, hi] as ascending coefficients in
+    t, trailing zeros dropped."""
 
     s0: Fraction
     sigma: Fraction
@@ -275,95 +283,118 @@ class _Ccdf(NamedTuple):
 
 @lru_cache(maxsize=128)
 def _ccdf_data(ambient: ConvexBody, g: ConcavePL) -> _Ccdf:
-    """Breakpoints and per-piece polynomials of F(t) = |{G >= t}| / |ambient|.
+    """Breakpoints and per-piece polynomials of F(t) = |{G >= t}| / |ambient|,
+    in closed form on the triangulated linearity regions of G; no superlevel
+    body is built.
 
-    Candidate breakpoints are the t-values where n+1 of the constraint
-    hyperplanes in (x, t)-space meet in a point: a superset of the true
-    combinatorial-change values.  The volume can only change polynomial at
-    the t-value of a vertex of the hypograph {(x, t) : x in ambient,
-    t <= G(x)}, so a candidate whose point satisfies every constraint is a
-    real breakpoint.  One polynomial of degree <= n is fitted exactly per
-    interval between real breakpoints, and every candidate interval inside
-    it carries that polynomial.
+    vol{G >= t} is a sum of truncated powers (z - t)_+^p over the knots z,
+    the values of G at the vertices of the regions' simplices
+    (``_knot_terms``).  On an interval between breaks, F is the sum of the
+    terms of every knot above it, so one sweep of the knots from s0 down
+    adds each knot's terms into one polynomial in t, divided by vol.  The
+    atom F(s0) is the (z - t)^0 coefficient at z = s0: the volume of the
+    simplices on which G = s0.
 
-    Each fit reuses the values of F it already knows.  G >= sigma on the
-    ambient, so F = 1 on [0, sigma]: an interval there is the constant
-    (1,), with no volume.  A concave G is constant on no open set below its
-    maximum, so F is continuous on [0, s0) and left-continuous at s0; a fit
-    on [a, b] takes F(a) from the fit before it (or 1 at a <= sigma) and
-    F(s0) is the top atom, measured once.  So each fitted interval measures
-    n new superlevel volumes, and the last one n - 1 besides the atom.
+    The breaks are the candidates: the t in [0, s0] where n+1 of the
+    constraint hyperplanes of the hypograph {(x, t) : x in ambient,
+    t <= G(x)} meet in a point, with 0, s0 and min(sigma, s0).  Each knot
+    in [0, s0] is one, as (v, G(v)) is such a point for a region vertex v.
+    The candidates that are not knots change no polynomial; they are kept
+    because an inexact quantile bisects inside its candidate interval, so
+    they fix where its bracket lies.
     """
     n = ambient.dim
-    vol = volume(ambient)
-    if vol == 0:
+    if not ambient.is_full_dim():
         raise ValueError("ambient body must be full-dimensional")
     s0 = max_transform(ambient, g)
-    sigma = min(g(x) for x in ambient.vertices)
-
-    def ccdf(t: Fraction) -> Fraction:
-        return volume(superlevel(ambient, g, t)) / vol
-
-    atom = Fraction(1) if s0 <= sigma else ccdf(s0)  # s0 = sigma: G is constant
+    D, Z = ambient.int_form()
+    sigma = Fraction(min(g.scaled_values(Z, D)), D * g.integer_form[0])
     # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
     # common denominator to integers, which changes no solution
     _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
                         + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
     cuts = {Fraction(0), s0, min(sigma, s0)}
-    real = set(cuts)
     for combo in combinations(rows, n + 1):
         _, pivots, red, d = _int_reduce(combo)
-        if pivots != list(range(n + 1)):
-            continue
-        t = Fraction(red[n][-1], d)
-        if not 0 <= t <= s0:
-            continue
-        # the point (x, t) where the n+1 hyperplanes meet is xt / d, with d > 0
-        xt = [r[-1] for r in red]
-        cuts.add(t)
-        if all(sum(map(mul, r[:-1], xt)) <= r[-1] * d for r in rows):
-            real.add(t)
+        if pivots == list(range(n + 1)):
+            cuts.add(Fraction(red[n][-1], d))
     breaks = sorted(c for c in cuts if 0 <= c <= s0)
-    real_breaks = sorted(c for c in real if 0 <= c <= s0)
-    next_real = dict(zip(real_breaks, real_breaks[1:]))
+    vol, terms = _knot_terms(ambient, g)
+    knots = sorted(terms)
+    poly = [Fraction(0)] * (n + 1)  # vol{G >= t} on the current interval
     pieces = []
-    coeffs: tuple[Fraction, ...] = ()
-    for lo, hi in zip(breaks, breaks[1:]):
-        if lo in next_real:  # 0 is real, so the first interval starts a fit
-            a, b = lo, next_real[lo]
-            if b <= sigma:
-                coeffs = (Fraction(1),)
-            else:
-                # F(a) is measured only at a = 0 with sigma < 0 (G < 0 somewhere)
-                fa = Fraction(1) if a <= sigma else _poly_eval(coeffs, a) if coeffs else ccdf(a)
-                inner = n - 1 if b == s0 else n
-                ts = [a] + [a + (b - a) * Fraction(j, inner + 1) for j in range(1, inner + 1)]
-                vals = [fa] + [ccdf(t) for t in ts[1:]]
-                if b == s0:
-                    ts.append(s0)
-                    vals.append(atom)
-                coeffs = _newton(ts, vals)
+    for lo, hi in reversed(list(zip(breaks, breaks[1:]))):
+        fresh = not pieces
+        while knots and knots[-1] >= hi:
+            fresh = True
+            z = knots.pop()
+            for p, c in enumerate(terms[z]):
+                if c:  # c (z - t)^p = sum_q c C(p, q) z^(p - q) (-t)^q
+                    for q in range(p + 1):
+                        poly[q] += c * math.comb(p, q) * z ** (p - q) * (-1) ** q
+        if fresh:  # a candidate that is no knot keeps the polynomial
+            coeffs = [c / vol for c in poly]
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            coeffs = tuple(coeffs)
         pieces.append((lo, hi, coeffs))
+    pieces.reverse()
+    atom = terms[s0][0] / vol  # s0 is the largest knot
     return _Ccdf(s0, sigma, vol, atom, tuple(breaks), tuple(pieces))
 
 
-def _newton(ts: list[Fraction], vals: list[Fraction]) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the polynomial of degree < len(ts) through
-    (ts[i], vals[i]), trailing zeros dropped: divided differences, then the
-    Newton form expanded by Horner's rule, O(m^2) Fraction operations."""
-    m = len(ts)
-    dd = list(vals)
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - j])
-    # p = dd[0] + (t - ts[0]) (dd[1] + (t - ts[1]) (... + (t - ts[m-2]) dd[m-1]))
-    coeffs = [dd[-1]]
-    for i in range(m - 2, -1, -1):
-        coeffs = ([dd[i] - ts[i] * coeffs[0]]
-                  + [below - ts[i] * c for below, c in zip(coeffs, coeffs[1:])] + [coeffs[-1]])
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _knot_terms(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
+    """(vol, terms): the volume of a full-dimensional ambient and, per knot z,
+    the coefficients c_0..c_n with vol{G >= t} = sum_z sum_p c_p (z - t)_+^p,
+    where (z - t)_+^0 is 1 for t < z.
+
+    Each full-dimensional region of ``_linearity_regions``, on which G is
+    one piece f, is triangulated once.  A simplex S with volume V and knots
+    y_j = f(v_j) at its vertices has vol(S ∩ {f >= t}) = V [y_0, ..., y_n]
+    (y - t)_+^n, a divided difference in y (Curry & Schoenberg, "On Pólya
+    frequency functions IV", 1966).  A distinct knot z of multiplicity mu
+    adds sum_{m < mu} a_m C(n, m) (z - t)_+^(n - m) to it, with a_m the
+    Taylor coefficient of order mu - 1 - m at z of 1 / prod_{y_j != z}
+    (x - y_j); tied knots take the confluent terms m > 0.
+
+    The knots are read in integers: with the region's vertices Z / D and f
+    = (L grad . x + L c) / L, they are u_j / M for the integers u_j = L
+    grad . Z_j + L c D and M = L D, so a_m is M^(n - m) times the same
+    Taylor coefficient of 1 / prod (x - u_j) at u, and V = |det| /
+    (n! D^n) as in ``_moments``.
+    """
+    n = ambient.dim
+    L, forms = g.integer_form
+    form = dict(zip(g.pieces, forms))
+    vol = Fraction(0)
+    terms: dict[Fraction, list[Fraction]] = {}
+    for f, region in _linearity_regions(ambient, g):
+        if not region.is_full_dim():
+            continue
+        D, Z = region.int_form()
+        grad, c = form[f]
+        M = L * D
+        us = [sum(map(mul, grad, z)) + c * D for z in Z]
+        den = math.factorial(n) * D ** n
+        for s in triangulate(region):
+            base = Z[s[0]]
+            V = Fraction(abs(_det([[x - y for x, y in zip(Z[j], base)] for j in s[1:]])), den)
+            vol += V
+            mult = Counter(us[j] for j in s)
+            for u, mu in mult.items():
+                # Taylor coefficients at u, orders < mu, of prod_w 1 / (x - w)^nu:
+                # each factor 1 / ((u - w) + e) is sum_r (-e)^r / (u - w)^(r + 1)
+                series = [Fraction(1)] + [Fraction(0)] * (mu - 1)
+                for w, nu in mult.items():
+                    if w != u:
+                        inv = [Fraction((-1) ** r, (u - w) ** (r + 1)) for r in range(mu)]
+                        for _ in range(nu):
+                            series = [sum(series[a] * inv[r - a] for a in range(r + 1))
+                                      for r in range(mu)]
+                coeffs = terms.setdefault(Fraction(u, M), [Fraction(0)] * (n + 1))
+                for m in range(mu):
+                    coeffs[n - m] += V * math.comb(n, m) * M ** (n - m) * series[mu - 1 - m]
+    return vol, terms
 
 
 def _poly_eval(coeffs: Sequence[Fraction], t: Fraction) -> Fraction:
@@ -566,10 +597,11 @@ def select_compatible_family(model: GradedSeriesModel, v: ValuationModel,
                              k: int, m: int) -> PointCloud:
     """The m points of Delta_k with the largest G-values (ties: lex-larger
     first); families are nested in m by construction."""
-    _, _, points, _ = _level_scores(model, v.G, k)
-    if not 1 <= m <= len(points):
-        raise ValueError(f"m={m} out of range [1, {len(points)}]")
-    return PointCloud(k, tuple(sorted(points[:m])))
+    _, _, order, _ = _level_scores(model, v.G, k)
+    if not 1 <= m <= len(order):
+        raise ValueError(f"m={m} out of range [1, {len(order)}]")
+    points = model.idealized_body(k).points
+    return PointCloud(k, tuple(sorted(map(points.__getitem__, order[:m]))))
 
 
 def empirical_family_measure(model: GradedSeriesModel, v: ValuationModel,

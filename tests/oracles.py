@@ -53,8 +53,11 @@ and its largest-first ``_maximal`` must match exactly.
 ``oracle_superlevel`` builds one ``HalfSpace.make`` cut per piece and call,
 and ``oracle_ccdf_data`` fits every candidate interval of the ccdf from its
 own n+1 superlevel volumes with the O(m^3) ``oracle_lagrange``, reading s0
-off ``oracle_hypograph_points``: the paths that the library's cached cuts,
-n volumes per real interval and Newton fits must match exactly.
+off ``oracle_hypograph_points``; ``oracle_ccdf_fit`` measures n superlevel
+volumes per interval between real breaks and fits them with the divided
+differences of ``oracle_newton``: the paths that the library's cached cuts
+and its closed-form ccdf, summed over the simplices of the triangulated
+linearity regions with no superlevel body, must match exactly.
 ``oracle_S_tau`` averages G over the superlevel body at the quantile, and at
 every step of the bisection of an inexact quantile's bracket, with
 ``superlevel``, ``integrate_transform`` and ``volume``: the path that the
@@ -74,8 +77,8 @@ from operator import mul
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _hull_rows,
                                _int_form, _int_reduce, _primed, _primitive, _tight_set,
-                               empty_body, hull, integrate_transform, rat, superlevel,
-                               volume)
+                               empty_body, hull, integrate_transform, max_transform, rat,
+                               superlevel, volume)
 from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
                               enumerate_points)
 from okbodies.series import ModelError
@@ -701,6 +704,87 @@ def oracle_ccdf_data(ambient, g):
         pieces.append((lo, hi, oracle_lagrange(ts, vals)))
     atom = volume(oracle_superlevel(ambient, g, s0)) / vol
     return s0, sigma, vol, atom, tuple(breaks), tuple(pieces)
+
+
+def oracle_ccdf_fit(ambient, g):
+    """(s0, sigma, vol, atom, breaks, pieces) of the ccdf fitted from
+    superlevel volumes: every candidate t is a break, a candidate whose
+    hypograph point satisfies every constraint is a real break, and one
+    polynomial of degree <= n is fitted per interval between real breaks
+    (``oracle_newton``) and carried by every candidate interval inside it.
+    F = 1 on [0, sigma] with no volume; each fit takes F(a) from the fit
+    before it and F(s0) from the atom, so it measures n new superlevel
+    volumes, the last one n - 1 besides the atom."""
+    n = ambient.dim
+    vol = volume(ambient)
+    if vol == 0:
+        raise ValueError("ambient body must be full-dimensional")
+    s0 = max_transform(ambient, g)
+    sigma = min(g(x) for x in ambient.vertices)
+
+    def ccdf(t: Fraction) -> Fraction:
+        return volume(superlevel(ambient, g, t)) / vol
+
+    atom = Fraction(1) if s0 <= sigma else ccdf(s0)  # s0 = sigma: G is constant
+    # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
+    # common denominator to integers, which changes no solution
+    _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
+                        + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
+    cuts = {Fraction(0), s0, min(sigma, s0)}
+    real = set(cuts)
+    for combo in combinations(rows, n + 1):
+        _, pivots, red, d = _int_reduce(combo)
+        if pivots != list(range(n + 1)):
+            continue
+        t = Fraction(red[n][-1], d)
+        if not 0 <= t <= s0:
+            continue
+        # the point (x, t) where the n+1 hyperplanes meet is xt / d, with d > 0
+        xt = [r[-1] for r in red]
+        cuts.add(t)
+        if all(sum(map(mul, r[:-1], xt)) <= r[-1] * d for r in rows):
+            real.add(t)
+    breaks = sorted(c for c in cuts if 0 <= c <= s0)
+    real_breaks = sorted(c for c in real if 0 <= c <= s0)
+    next_real = dict(zip(real_breaks, real_breaks[1:]))
+    pieces = []
+    coeffs: tuple[Fraction, ...] = ()
+    for lo, hi in zip(breaks, breaks[1:]):
+        if lo in next_real:  # 0 is real, so the first interval starts a fit
+            a, b = lo, next_real[lo]
+            if b <= sigma:
+                coeffs = (Fraction(1),)
+            else:
+                # F(a) is measured only at a = 0 with sigma < 0 (G < 0 somewhere)
+                fa = Fraction(1) if a <= sigma else _poly_eval(coeffs, a) if coeffs else ccdf(a)
+                inner = n - 1 if b == s0 else n
+                ts = [a] + [a + (b - a) * Fraction(j, inner + 1) for j in range(1, inner + 1)]
+                vals = [fa] + [ccdf(t) for t in ts[1:]]
+                if b == s0:
+                    ts.append(s0)
+                    vals.append(atom)
+                coeffs = oracle_newton(ts, vals)
+        pieces.append((lo, hi, coeffs))
+    return s0, sigma, vol, atom, tuple(breaks), tuple(pieces)
+
+
+def oracle_newton(ts: list[Fraction], vals: list[Fraction]) -> tuple[Fraction, ...]:
+    """Coefficients (ascending) of the polynomial of degree < len(ts) through
+    (ts[i], vals[i]), trailing zeros dropped: divided differences, then the
+    Newton form expanded by Horner's rule, O(m^2) Fraction operations."""
+    m = len(ts)
+    dd = list(vals)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (ts[i] - ts[i - j])
+    # p = dd[0] + (t - ts[0]) (dd[1] + (t - ts[1]) (... + (t - ts[m-2]) dd[m-1]))
+    coeffs = [dd[-1]]
+    for i in range(m - 2, -1, -1):
+        coeffs = ([dd[i] - ts[i] * coeffs[0]]
+                  + [below - ts[i] * c for below, c in zip(coeffs, coeffs[1:])] + [coeffs[-1]])
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def oracle_bisect(coeffs, tau, lo, hi, tol):

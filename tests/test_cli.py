@@ -908,6 +908,29 @@ def test_series_and_thresholds_walk_only_the_models_levels(tmp_path, capsys, mon
     assert len(calls) < 100
 
 
+@pytest.mark.parametrize("levels", [
+    {}, {"levels": []}, {"per_k_gaps": {}}, {"levels": [], "per_k_gaps": {"1": [[1, 0]]}},
+])
+def test_synthetic_model_without_levels_exits2(tmp_path, capsys, monkeypatch, levels):
+    """A synthetic model with no level, from absent keys, an empty ``levels``
+    list or an empty ``per_k_gaps`` object, is an input error (exit 2) that
+    names both keys: ``series`` lists nothing and ``thresholds`` computes no
+    ``S_tau`` for it (exit 0 with a bare header before)."""
+    import okbodies.cli as cli
+
+    monkeypatch.setattr(cli, "S_tau", lambda *args: pytest.fail("S_tau ran"))
+    infile = write(tmp_path, "bare.json", {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                                           **levels})
+    vfile = write(tmp_path, "v.json", [valuation("e1", "1", "0")])
+    for argv in (["series", "--in", infile, "--k-max", "5"],
+                 ["thresholds", "--in", infile, "--valuations", vfile, "--k-max", "5"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: a synthetic model needs at least one level")
+        assert "'levels'" in captured.err and "'per_k_gaps'" in captured.err
+
+
 # full-dimensional ambients, which most fuzzed polytopes are not: a
 # simplex in each dimension, and 3-D bodies 10^-30 thin and 10^9 long
 THRESHOLD_AMBIENTS = [

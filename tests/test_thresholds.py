@@ -54,8 +54,8 @@ from okbodies.thresholds import (
     select_compatible_family,
     valuation_from_json,
 )
-from oracles import (oracle_bisect, oracle_ccdf_data, oracle_hypograph_points,
-                     oracle_jumping_values, oracle_lagrange, oracle_S_tau, oracle_scaled_values,
+from oracles import (oracle_bisect, oracle_ccdf_data, oracle_ccdf_fit, oracle_jumping_values,
+                     oracle_lagrange, oracle_newton, oracle_S_tau, oracle_scaled_values,
                      oracle_score_level)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
@@ -608,9 +608,9 @@ def test_ccdf_data_matches_all_candidates_oracle():
 
 
 def test_newton_matches_lagrange_oracle():
-    """Divided differences against the multiplied-out Lagrange basis on seeded
-    distinct nodes, with random values or the values of a random polynomial of
-    lower degree (so trailing zeros are dropped)."""
+    """The fit oracle's divided differences against the multiplied-out
+    Lagrange basis on seeded distinct nodes, with random values or the values
+    of a random polynomial of lower degree (so trailing zeros are dropped)."""
     rng = random.Random(19)
     for _ in range(300):
         m = rng.randrange(1, 7)
@@ -620,42 +620,86 @@ def test_newton_matches_lagrange_oracle():
         else:
             poly = [F(rng.randrange(-5, 6), rng.randrange(1, 4)) for _ in range(rng.randrange(1, m + 1))]
             vals = [sum(c * t ** d for d, c in enumerate(poly)) for t in ts]
-        assert thresholds._newton(ts, vals) == oracle_lagrange(ts, vals)
+        assert oracle_newton(ts, vals) == oracle_lagrange(ts, vals)
 
 
-def test_ccdf_measures_n_volumes_per_fit_and_none_below_sigma(monkeypatch):
-    """With sigma >= 0, no superlevel is measured on [0, sigma], where F = 1,
-    and each fitted interval (a, b] between real breakpoints measures exactly
-    n of them: n - 1 interior ones and the atom at b = s0 on the last.  A
-    warm quantile measures none."""
-    calls = []
-    real = thresholds.superlevel
+def _closed_form_cases():
+    """(G, ambient) for the closed-form ccdf, seeded: random hulls in n = 1..4
+    with 1-3 pieces, the same G with a duplicate piece, with a constant piece
+    (an atom at s0) and shifted below zero at a vertex (sigma < 0), then
+    first coordinates and tents on cubes, constant on facets and with tied
+    knots at many vertices."""
+    rng = random.Random(28)
+    for n in (1, 2, 3, 4) * 3:
+        ambient = _tail_ambient(rng, n)
+        g = _random_transform(rng, ambient)
+        s0, sigma = max_transform(ambient, g), min(g(x) for x in ambient.vertices)
+        pieces = list(g.pieces)
+        yield g, ambient
+        yield ConcavePL.make(pieces + [rng.choice(pieces)], ambient), ambient
+        if s0 > sigma:
+            flat = AffineFunctional.make((0,) * n, (s0 + sigma) / 2)
+            yield ConcavePL.make(pieces + [flat], ambient), ambient
+            drop = sigma + (s0 - sigma) / 3
+            yield ConcavePL.make([AffineFunctional(f.gradient, f.constant - drop) for f in pieces],
+                                 ambient, require_nonnegative=False), ambient
+    for n in (1, 2, 3, 4):
+        cube = hull(list(itertools.product((0, 1), repeat=n)))
+        x0 = [1] + [0] * (n - 1)
+        yield first_coordinate_transform(cube), cube
+        yield ConcavePL.make([AffineFunctional.make(x0, 0),
+                              AffineFunctional.make([-c for c in x0], 1)], cube), cube
+        yield ConcavePL.make([AffineFunctional.make([1] * n, 0),
+                              AffineFunctional.make([0] * n, F(n, 2))], cube), cube
 
-    def counted(body, g, t):
-        calls.append(t)
-        return real(body, g, t)
 
-    monkeypatch.setattr(thresholds, "superlevel", counted)
+def test_ccdf_data_matches_fit_oracles():
+    """The closed-form ccdf equals the superlevel fit of every real interval
+    (``oracle_ccdf_fit``) field for field, and the fit of every candidate
+    interval (``oracle_ccdf_data``) where that is cheap, on seeded bodies in
+    n = 1..4 with duplicate and constant pieces, G constant on a facet, tied
+    knots and sigma < 0."""
+    seen = Counter()
+    for g, ambient in itertools.chain(_closed_form_cases(), edge_transforms()):
+        data = thresholds._ccdf_data(ambient, g)
+        assert data == oracle_ccdf_fit(ambient, g)
+        if ambient.dim <= 3:
+            assert data == oracle_ccdf_data(ambient, g)
+        seen[ambient.dim, data.sigma < 0, data.atom > 0] += 1
+    assert all(seen[n, False, False] for n in (1, 2, 3, 4))
+    assert all(seen[n, True, False] for n in (1, 2, 3, 4))
+    assert all(seen[n, False, True] for n in (1, 2, 3, 4))
+
+
+def test_ccdf_builds_no_superlevel_and_triangulates_each_region_once(monkeypatch):
+    """A cold ``_ccdf_data`` builds no superlevel body and triangulates each
+    full-dimensional linearity region once (and nothing else); a warm
+    quantile does neither."""
+    calls = Counter()
+    real_triangulate = thresholds.triangulate
+
+    def triangulate(body):
+        calls[body] += 1
+        return real_triangulate(body)
+
+    def no_superlevel(*args):
+        raise AssertionError("a superlevel body was built")
+
+    monkeypatch.setattr(thresholds, "triangulate", triangulate)
+    monkeypatch.setattr(geometry, "superlevel", no_superlevel)
     cases = [(V_SIMPLEX.G, SIMPLEX.ambient), (V_SEGMENT.G, SEGMENT.ambient)]
     cases += [(g, g.domain) for g in map(simplex_transform, (1, 2))]
-    cases += edge_transforms()[:-1]
+    cases += edge_transforms()
     for g, ambient in cases:
         thresholds._ccdf_data.cache_clear()
         thresholds._quantile_spec.cache_clear()
         calls.clear()
-        data = thresholds._ccdf_data(ambient, g)
-        n, s0, sigma = ambient.dim, data.s0, data.sigma
-        assert sigma >= 0
-        real_breaks = sorted({F(0), s0, sigma} | {t for t, feasible in oracle_hypograph_points(ambient, g)
-                                                   if feasible and 0 <= t <= s0})
-        fits = [(a, b) for a, b in zip(real_breaks, real_breaks[1:]) if b > sigma]
-        assert all(t > sigma for t in calls)
-        for a, b in fits:
-            assert sum(a < t <= b for t in calls) == n
-        assert len(calls) == n * len(fits)
+        thresholds._ccdf_data(ambient, g)
+        regions = [r for _, r in geometry._linearity_regions(ambient, g) if r.is_full_dim()]
+        assert calls == Counter(regions)
         calls.clear()
-        quantile(ToricModel(ambient), ValuationModel("G", F(1), g), F(1, 2))
-        assert calls == []
+        quantile(ToricModel(ambient), ValuationModel("G", F(1), g), F(1, 4))
+        assert calls == Counter()
 
 
 # ---------------------------------------------------------------------------
@@ -976,6 +1020,14 @@ def _differential_cases():
         yield model, [g, _random_transform(rng, ambient)], levels
 
 
+def _table_points(model, k, table):
+    """A score table (L, scores, order, prefix) with its point indices mapped
+    to the points of the idealized level, as the oracle's tables hold them."""
+    L, scores, order, prefix = table
+    points = model.idealized_body(k).points
+    return L, scores, tuple(points[i] for i in order), prefix
+
+
 def test_score_tables_match_per_level_oracle():
     """One idealized scoring per level, Delta_k's table read off it, column-wise
     scores and shared-Fraction jumping vectors, against scoring each set on its
@@ -989,7 +1041,7 @@ def test_score_tables_match_per_level_oracle():
                 order = (False, True) if rng.random() < 0.5 else (True, False)
                 tables = {ideal: thresholds._level_scores(model, g, k, ideal) for ideal in order}
                 oracle = {ideal: oracle_score_level(model, g, k, ideal) for ideal in order}
-                assert tables == oracle
+                assert {ideal: _table_points(model, k, t) for ideal, t in tables.items()} == oracle
                 if not model._level_gaps(k):
                     assert tables[False] is tables[True]
                 L, scores, points, prefix = oracle[False]
@@ -1047,7 +1099,7 @@ def test_score_tables_match_oracle_on_tied_levels():
             for g in _tie_heavy_transforms(model.ambient):
                 for ideal in (True, False):
                     table = thresholds._level_scores(model, g, k, ideal)
-                    assert table == oracle_score_level(model, g, k, ideal)
+                    assert _table_points(model, k, table) == oracle_score_level(model, g, k, ideal)
                     tied += len(table[1]) - len(set(table[1]))
     assert tied > 10_000
 
