@@ -581,6 +581,8 @@ def make_m_rule(name: str, tau=None, const: int = 1):
 def sweep_from_json(data: dict):
     """Parse a sweep spec {"tau": "p/q", "m_rule": name, "k_range": [k0, k1]}
     into (tau, m_rule callable, k range)."""
+    if not isinstance(data, dict):
+        raise ValueError("a sweep spec must be a JSON object")
     tau = rat(data.get("tau", "1"))
     if not 0 <= tau <= 1:
         raise ValueError(f"sweep tau {rat_str(tau)} is outside [0, 1]")

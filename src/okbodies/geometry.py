@@ -755,20 +755,18 @@ def minkowski_cube(body: ConvexBody, eps) -> ConvexBody:
 
 
 def superlevel(body: ConvexBody, g: "ConcavePL", t) -> ConvexBody:
-    """body intersected with {g >= t}: one halfspace cut per affine piece.
-
-    The cut of a piece c + grad . x is w . x <= (c - t) r, with the
-    primitive normal w of -grad and its scale r read off ``g.cuts``, so each
-    call builds its halfspaces without reducing a normal."""
+    """body intersected with {g >= t}: one halfspace cut -grad . x <= c - t
+    per affine piece c + grad . x.  The ccdf reads no superlevel body; this
+    serves the cone counts, where G has one piece."""
     t = rat(t)
     result = body
-    for piece, cut in zip(g.pieces, g.cuts):
-        if cut is None:
+    for piece in g.pieces:
+        if not any(piece.gradient):
             if piece.constant < t:
                 return empty_body(body.dim)
             continue  # constant piece >= t everywhere
-        normal, scale = cut
-        result = intersect_halfspace(result, HalfSpace(normal, (piece.constant - t) * scale))
+        result = intersect_halfspace(
+            result, HalfSpace.make([-c for c in piece.gradient], piece.constant - t))
         if result.is_empty:
             return result
     return result
@@ -818,21 +816,6 @@ class ConcavePL:
         L = lcm(*(c.denominator for f in self.pieces for c in (*f.gradient, f.constant)))
         return L, tuple((tuple(int(c * L) for c in f.gradient), int(f.constant * L))
                         for f in self.pieces)
-
-    @cached_property
-    def cuts(self) -> tuple[tuple[tuple[int, ...], Fraction] | None, ...]:
-        """Per piece c + grad . x, the primitive normal w of -grad and the scale
-        r with w = r (-grad), read off ``HalfSpace.make(-grad, 1)``, so
-        {piece >= t} is the halfspace w . x <= (c - t) r; None for a constant
-        piece."""
-        out = []
-        for f in self.pieces:
-            if not any(f.gradient):
-                out.append(None)
-                continue
-            cut = HalfSpace.make([-c for c in f.gradient], 1)
-            out.append((cut.normal, cut.offset))
-        return tuple(out)
 
     def __hash__(self) -> int:
         return self._hash

@@ -418,7 +418,19 @@ def _json_level_key(key: str) -> int:
     return int(key)
 
 
+def _json_per_k_gaps(data: Mapping) -> Mapping:
+    """A model's ``per_k_gaps``: an object keyed by level, {} when absent."""
+    per_k = data.get("per_k_gaps")
+    if per_k is None:
+        return {}
+    if not isinstance(per_k, Mapping):
+        raise ValueError("per_k_gaps must be a JSON object keyed by level")
+    return per_k
+
+
 def model_from_json(data: Mapping) -> GradedSeriesModel:
+    if not isinstance(data, Mapping):
+        raise ValueError("a model must be a JSON object")
     backend = data.get("backend")
     if backend == "toric":
         return ToricModel(body_from_json(data["polytope"]))
@@ -427,13 +439,13 @@ def model_from_json(data: Mapping) -> GradedSeriesModel:
                                  [json_int(n, "gap") for n in data["gaps"]])
     if backend == "canonical":
         per_k = {_json_level_key(k): [json_int(x, "gap") for x in v]
-                 for k, v in (data.get("per_k_gaps") or {}).items()}
+                 for k, v in _json_per_k_gaps(data).items()}
         return CanonicalCurveModel(json_int(data["genus"], "genus"), per_k)
     if backend == "synthetic":
         ambient = body_from_json(data["polytope"])
         gap_sets = {_json_level_key(k): [tuple(json_int(c, "gap coordinate") for c in z)
                                          for z in v]
-                    for k, v in (data.get("per_k_gaps") or {}).items()}
+                    for k, v in _json_per_k_gaps(data).items()}
         bad = next((z for pts in gap_sets.values() for z in pts if len(z) != ambient.dim), None)
         if bad is not None:  # malformed input (exit 2), not a ModelError (exit 1)
             raise ValueError(f"gap vector {list(bad)} does not have dim = {ambient.dim} entries")

@@ -267,80 +267,76 @@ def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel,
 # ---------------------------------------------------------------------------
 
 class _Ccdf(NamedTuple):
-    """The ccdf of G on an ambient body: its maximum s0 and vertex minimum
-    sigma, the ambient volume, the top atom F(s0) = vol{G >= s0} / vol, the
-    candidate breakpoints, and one (lo, hi, coefficients) piece per interval
-    between consecutive breaks: F on [lo, hi] as ascending coefficients in
-    t, trailing zeros dropped."""
+    """The ccdf F(t) = vol{G >= t} / vol of G on an ambient body: its
+    maximum s0, the top atom F(s0), and one (lo, hi, coefficients) piece per
+    polynomial of F on [0, s0]: F on [lo, hi] as ascending coefficients in
+    t, trailing zeros dropped.  The pieces end at 0, s0 and the knots of
+    ``_knot_terms`` between them where F changes polynomial."""
 
     s0: Fraction
-    sigma: Fraction
-    vol: Fraction
     atom: Fraction
-    breaks: tuple[Fraction, ...]
     pieces: tuple[tuple[Fraction, Fraction, tuple[Fraction, ...]], ...]
 
 
 @lru_cache(maxsize=128)
 def _ccdf_data(ambient: ConvexBody, g: ConcavePL) -> _Ccdf:
-    """Breakpoints and per-piece polynomials of F(t) = |{G >= t}| / |ambient|,
-    in closed form on the triangulated linearity regions of G; no superlevel
-    body is built.
+    """The pieces of F(t) = |{G >= t}| / |ambient|, in closed form on the
+    triangulated linearity regions of G; no superlevel body is built.
 
     vol{G >= t} is a sum of truncated powers (z - t)_+^p over the knots z,
     the values of G at the vertices of the regions' simplices
-    (``_knot_terms``).  On an interval between breaks, F is the sum of the
-    terms of every knot above it, so one sweep of the knots from s0 down
-    adds each knot's terms into one polynomial in t, divided by vol.  The
-    atom F(s0) is the (z - t)^0 coefficient at z = s0: the volume of the
-    simplices on which G = s0.
-
-    The breaks are the candidates: the t in [0, s0] where n+1 of the
-    constraint hyperplanes of the hypograph {(x, t) : x in ambient,
-    t <= G(x)} meet in a point, with 0, s0 and min(sigma, s0).  Each knot
-    in [0, s0] is one, as (v, G(v)) is such a point for a region vertex v.
-    The candidates that are not knots change no polynomial; they are kept
-    because an inexact quantile bisects inside its candidate interval, so
-    they fix where its bracket lies.
+    (``_knot_terms``).  Between two knots, F is the sum of the terms of
+    every knot above it, so one sweep of the knots from s0 down adds each
+    knot's terms into one polynomial in t, divided by vol.  A knot whose
+    terms cancel changes no polynomial, so it ends no piece.  s0 is the
+    largest knot, and the atom F(s0) its (z - t)^0 coefficient: the volume
+    of the simplices on which G = s0.
     """
     n = ambient.dim
     if not ambient.is_full_dim():
         raise ValueError("ambient body must be full-dimensional")
-    s0 = max_transform(ambient, g)
-    D, Z = ambient.int_form()
-    sigma = Fraction(min(g.scaled_values(Z, D)), D * g.integer_form[0])
-    # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
-    # common denominator to integers, which changes no solution
-    _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
-                        + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
-    cuts = {Fraction(0), s0, min(sigma, s0)}
-    for combo in combinations(rows, n + 1):
-        _, pivots, red, d = _int_reduce(combo)
-        if pivots == list(range(n + 1)):
-            cuts.add(Fraction(red[n][-1], d))
-    breaks = sorted(c for c in cuts if 0 <= c <= s0)
     vol, terms = _knot_terms(ambient, g)
+    s0 = max(terms)
+    cuts = {Fraction(0), s0}.union(z for z, c in terms.items() if any(c))
+    breaks = sorted(c for c in cuts if 0 <= c <= s0)
     knots = sorted(terms)
     poly = [Fraction(0)] * (n + 1)  # vol{G >= t} on the current interval
     pieces = []
     for lo, hi in reversed(list(zip(breaks, breaks[1:]))):
-        fresh = not pieces
         while knots and knots[-1] >= hi:
-            fresh = True
             z = knots.pop()
             for p, c in enumerate(terms[z]):
                 if c:  # c (z - t)^p = sum_q c C(p, q) z^(p - q) (-t)^q
                     for q in range(p + 1):
                         poly[q] += c * math.comb(p, q) * z ** (p - q) * (-1) ** q
-        if fresh:  # a candidate that is no knot keeps the polynomial
-            coeffs = [c / vol for c in poly]
-            while len(coeffs) > 1 and coeffs[-1] == 0:
-                coeffs.pop()
-            coeffs = tuple(coeffs)
-        pieces.append((lo, hi, coeffs))
+        coeffs = [c / vol for c in poly]
+        while len(coeffs) > 1 and coeffs[-1] == 0:
+            coeffs.pop()
+        pieces.append((lo, hi, tuple(coeffs)))
     pieces.reverse()
-    atom = terms[s0][0] / vol  # s0 is the largest knot
-    return _Ccdf(s0, sigma, vol, atom, tuple(breaks), tuple(pieces))
+    return _Ccdf(s0, terms[s0][0] / vol, tuple(pieces))
+
+
+@lru_cache(maxsize=128)
+def _candidates(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, ...]:
+    """The candidate breaks of the ccdf, ascending: 0, s0 and the t in
+    [0, s0] where n+1 constraint hyperplanes of the hypograph {(x, t) : x in
+    ambient, t <= G(x)} meet in a point.  Every end of a ccdf piece is one,
+    as (v, G(v)) is such a point for a region vertex v.  Only an inexact
+    quantile reads them: it bisects the candidate interval where F crosses
+    tau, so they fix where its bracket lies."""
+    n = ambient.dim
+    s0 = max_transform(ambient, g)
+    # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
+    # common denominator to integers, which changes no solution
+    _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
+                        + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
+    cuts = {Fraction(0), s0}
+    for combo in combinations(rows, n + 1):
+        _, pivots, red, d = _int_reduce(combo)
+        if pivots == list(range(n + 1)):
+            cuts.add(Fraction(red[n][-1], d))
+    return tuple(sorted(c for c in cuts if 0 <= c <= s0))
 
 
 def _knot_terms(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
@@ -507,8 +503,13 @@ def quantile(model: GradedSeriesModel, v: ValuationModel, tau,
 
 @lru_cache(maxsize=128)
 def _quantile_spec(ambient: ConvexBody, g: ConcavePL, tau: Fraction, tol: Fraction) -> TailSpec:
-    """``quantile`` for a checked tau in [0, 1] and tol > 0."""
-    s0, _, _, atom, _, pieces = _ccdf_data(ambient, g)
+    """``quantile`` for a checked tau in [0, 1] and tol > 0.
+
+    F crosses tau in the highest piece P with P(lo) >= tau; as P(hi) < tau
+    and F does not increase, P = tau at one point of it.  A rational root is
+    the quantile.  Otherwise the bisection starts from the highest candidate
+    interval [b, b'] of the piece (``_candidates``) with P(b) >= tau."""
+    s0, atom, pieces = _ccdf_data(ambient, g)
     if tau <= atom:
         return TailSpec(tau, s0, atom, exact=True)
     for lo, hi, coeffs in reversed(pieces):
@@ -517,7 +518,9 @@ def _quantile_spec(ambient: ConvexBody, g: ConcavePL, tau: Fraction, tol: Fracti
         root = _exact_poly_root(coeffs, tau, lo, hi)
         if root is not None:
             return TailSpec(tau, root, atom, exact=True)
-        a, b = _bisect(coeffs, tau, lo, hi, tol)  # P(a) >= tau > P(b)
+        grid = [lo, *(c for c in _candidates(ambient, g) if lo < c < hi), hi]
+        i = next(i for i in range(len(grid) - 2, -1, -1) if _poly_eval(coeffs, grid[i]) >= tau)
+        a, b = _bisect(coeffs, tau, grid[i], grid[i + 1], tol)  # P(a) >= tau > P(b)
         return TailSpec(tau, (a + b) / 2, atom, exact=False, bracket=(a, b))
     raise ValueError(f"F on [0, {s0}] never reaches tau={tau}: "
                      f"G is negative on part of the ambient, so F(0) < tau")
@@ -541,29 +544,21 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
 
     Read off the ccdf F by the layer-cake identity
     E[G | G >= q] = q + (∫_q^{s0} F(t) dt) / F(q), integrated exactly on the
-    ccdf pieces, so no body is built.  Exact whenever the quantile is exact;
-    otherwise certified to within tol.
+    ccdf pieces, one polynomial each, so no body is built.  Exact whenever
+    the quantile is exact; otherwise certified to within tol.
     """
     tau = rat(tau)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
-    s0, _, _, _, _, pieces = _ccdf_data(model.ambient, v.G)
+    s0, _, pieces = _ccdf_data(model.ambient, v.G)
     if tau == 0:
         return s0
     spec = quantile(model, v, tau, tol)
     if spec.quantile == s0:
         return s0
-    # the candidate intervals of one fit share its coefficients; merged (exact,
-    # as integration is additive), each fit is integrated once per tail mean
-    fits: list[tuple[Fraction, Fraction, tuple[Fraction, ...]]] = []
-    for lo, hi, coeffs in pieces:
-        if fits and fits[-1][2] == coeffs:
-            fits[-1] = (fits[-1][0], hi, coeffs)
-        else:
-            fits.append((lo, hi, coeffs))
 
     def tail_mean(q: Fraction) -> Fraction:
-        above = [(max(lo, q), hi, c) for lo, hi, c in fits if hi > q]
+        above = [(max(lo, q), hi, c) for lo, hi, c in pieces if hi > q]
         if not above:  # q = s0: the tail is the top level set, where G = s0
             return s0
         area = sum(_poly_integral(c, lo, hi) for lo, hi, c in above)

@@ -55,9 +55,10 @@ and ``oracle_ccdf_data`` fits every candidate interval of the ccdf from its
 own n+1 superlevel volumes with the O(m^3) ``oracle_lagrange``, reading s0
 off ``oracle_hypograph_points``; ``oracle_ccdf_fit`` measures n superlevel
 volumes per interval between real breaks and fits them with the divided
-differences of ``oracle_newton``: the paths that the library's cached cuts
-and its closed-form ccdf, summed over the simplices of the triangulated
-linearity regions with no superlevel body, must match exactly.
+differences of ``oracle_newton``: the paths that the library's
+``superlevel`` clip and its closed-form ccdf, summed over the simplices of
+the triangulated linearity regions with no superlevel body, must match
+exactly.
 ``oracle_S_tau`` averages G over the superlevel body at the quantile, and at
 every step of the bisection of an inexact quantile's bracket, with
 ``superlevel``, ``integrate_transform`` and ``volume``: the path that the
@@ -806,7 +807,7 @@ def oracle_S_tau(model, v, tau, tol=DEFAULT_TOL):
     with one superlevel body per end, until the two tail means are within
     tol; their midpoint is returned."""
     tau = rat(tau)
-    s0, _, _, _, _, pieces = _ccdf_data(model.ambient, v.G)
+    s0, _, pieces = _ccdf_data(model.ambient, v.G)
     if tau == 0:
         return s0
     spec = quantile(model, v, tau, tol)

@@ -1013,3 +1013,97 @@ def test_size_check_bounds_the_prefixes_the_enumeration_walks(tmp_path, capsys, 
     assert main(["series", "--in", infile, "--k-max", "2"]) == 0
     rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
     assert rows[1:] == [["1", "0", "0", "0", "", ""], ["2", "0", "0", "0", "", ""]]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["series", "--in", "{array_model}", "--k-max", "2"], "a model must be a JSON object"),
+    (["thresholds", "--in", "{array_model}", "--valuations", "{vp2}"],
+     "a model must be a JSON object"),
+    (["series", "--in", "{canonical_array_gaps}", "--k-max", "2"],
+     "per_k_gaps must be a JSON object keyed by level"),
+    (["series", "--in", "{synthetic_array_gaps}", "--k-max", "2"],
+     "per_k_gaps must be a JSON object keyed by level"),
+    (["thresholds", "--in", "{p2}", "--valuations", "{vp2}", "--sweep", "{array_sweep}"],
+     "a sweep spec must be a JSON object"),
+])
+def test_non_object_json_exits2_with_one_line(tmp_path, capsys, argv, message):
+    """A model whose top level is an array, ``per_k_gaps`` given as an array
+    (canonical and synthetic) and a sweep spec whose top level is an array
+    are input errors (an ``AttributeError`` traceback before): exit 2 with
+    one line that names the expected object."""
+    inputs = {"array_model": [SIMPLEX_MODEL], "p2": SIMPLEX_MODEL,
+              "vp2": [valuation("D1", "1", "0")],
+              "canonical_array_gaps": {"backend": "canonical", "genus": 3,
+                                       "per_k_gaps": [[3, 4]]},
+              "synthetic_array_gaps": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                                       "per_k_gaps": [[[1, 0]]]},
+              "array_sweep": [{"tau": "1/2", "k_range": [1, 2]}]}
+    paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
+    assert _exit_code([a.format(**paths) for a in argv]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+# JSON values that are not objects: arrays, strings, numbers, booleans and null
+NON_OBJECT = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 4), st.sampled_from(["1", "dim", "grad"]), st.none(),
+                       st.lists(st.integers(0, 2), max_size=2)), max_size=3),
+    st.sampled_from(["", "1/2", "dim", "vertices", "pieces", "dim vertices", "{}"]),
+    st.integers(-2, 3), st.sampled_from([0.5, -1.0, 1e300]), st.booleans(), st.none())
+# where a non-object goes: the model document, its polytope, its per_k_gaps
+# and one of their values, the valuation family, one valuation, its G, G's
+# pieces and one piece, the sweep spec and its k_range
+NON_OBJECT_SLOTS = ["model", "polytope", "per_k_gaps", "gaps", "family", "valuation",
+                    "G", "pieces", "piece", "sweep", "k_range"]
+FUZZ_MODELS = {
+    "toric": {"backend": "toric", "polytope": SIMPLEX_JSON},
+    "synthetic": {"backend": "synthetic", "polytope": SIMPLEX_JSON, "per_k_gaps": {"1": [[1, 0]]}},
+    "canonical": {"backend": "canonical", "genus": 3, "per_k_gaps": {"1": [3, 4]}},
+}
+
+
+@settings(max_examples=250, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(sorted(FUZZ_MODELS)), st.sampled_from(NON_OBJECT_SLOTS), NON_OBJECT,
+       st.sampled_from(["series", "thresholds"]))
+def test_cli_fuzz_non_object_json_exit_codes(backend, slot, value, command):
+    """``series`` and ``thresholds --sweep`` on model, valuation and sweep
+    JSON with one object (or one value of an object) replaced by an array, a
+    string, a number, a boolean or null: the CLI returns 0, 1, 2 or 3, never
+    raises and prints no traceback, and a failing run prints one error
+    line."""
+    model = json.loads(json.dumps(FUZZ_MODELS[backend]))
+    piece = {"grad": ["1"] + ["0"] * (1 if backend != "canonical" else 0), "const": "0"}
+    v = {"label": "e1", "A": "1", "G": {"pieces": [piece]}}
+    docs = {"model": model, "family": [v], "sweep": {"tau": "1/2", "k_range": [1, 2]}}
+    if slot in ("model", "family", "sweep"):
+        docs[slot] = value
+    elif slot in ("polytope", "per_k_gaps"):
+        model[slot] = value
+    elif slot == "gaps":
+        model["per_k_gaps"] = {"1": value}
+    elif slot == "valuation":
+        docs["family"] = [value]
+    elif slot == "G":
+        v["G"] = value
+    elif slot == "pieces":
+        v["G"]["pieces"] = value
+    elif slot == "piece":
+        v["G"]["pieces"] = [value]
+    else:
+        docs["sweep"]["k_range"] = value
+    if slot in ("family", "valuation", "G", "pieces", "piece", "sweep", "k_range"):
+        command = "thresholds"
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: write(Path(tmp), f"{name}.json", doc) for name, doc in docs.items()}
+        argv = [command, "--in", paths["model"], "--k-max", "2"]
+        if command == "thresholds":
+            argv = argv[:3] + ["--valuations", paths["family"], "--sweep", paths["sweep"]]
+        with redirect_stdout(out), redirect_stderr(err):
+            code = _exit_code(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) == (code != 0), lines
+    assert not lines or lines[0].split(":")[0] in (
+        "input error", "domain error", "model error", "geometry error")

@@ -1346,9 +1346,10 @@ def test_maximal_matches_all_pairs_oracle():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_superlevel_matches_make_path_oracle(n):
-    """Superlevels with the cuts cached on G against one ``HalfSpace.make`` per
-    piece and call, on seeded clouds and transforms with constant and
-    duplicate pieces, at t from below the minimum of G to above its maximum."""
+    """Superlevels against ``oracle_superlevel``, which clips one
+    ``HalfSpace.make`` cut per piece with its own row clip, on seeded clouds
+    and transforms with constant and duplicate pieces, at t from below the
+    minimum of G to above its maximum."""
     rng = random.Random(3000 + n)
     for _ in range(15):
         body = hull(differential_cloud(rng, n))

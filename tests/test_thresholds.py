@@ -584,6 +584,23 @@ def edge_transforms():
     ]
 
 
+def assert_ccdf_matches(ambient, g, oracle):
+    """``_ccdf_data`` against an oracle (s0, sigma, vol, atom, breaks,
+    pieces) with one piece per candidate interval: s0 and the atom are
+    equal, ``_candidates`` are the oracle's breaks, the pieces tile [0, s0]
+    with a new polynomial each, and every oracle interval lies inside
+    exactly one piece, with identical coefficients."""
+    s0, _, _, atom, breaks, intervals = oracle
+    data = thresholds._ccdf_data(ambient, g)
+    assert (data.s0, data.atom) == (s0, atom)
+    assert thresholds._candidates(ambient, g) == breaks
+    pieces = data.pieces
+    assert (pieces[0][0], pieces[-1][1]) == (0, s0) if pieces else len(breaks) <= 1
+    assert all(a[1] == b[0] and a[2] != b[2] for a, b in zip(pieces, pieces[1:]))
+    for lo, hi, coeffs in intervals:
+        assert [c for a, b, c in pieces if a <= lo and hi <= b] == [coeffs]
+
+
 def test_ccdf_data_matches_all_candidates_oracle():
     square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     flat_top = ConcavePL.make(
@@ -604,7 +621,7 @@ def test_ccdf_data_matches_all_candidates_oracle():
                            AffineFunctional.make(grads[1], lift + F(1, 7))], simplex4)
     cases.append((tent, simplex4))
     for g, ambient in cases + edge_transforms():
-        assert thresholds._ccdf_data(ambient, g) == oracle_ccdf_data(ambient, g)
+        assert_ccdf_matches(ambient, g, oracle_ccdf_data(ambient, g))
 
 
 def test_newton_matches_lagrange_oracle():
@@ -661,11 +678,11 @@ def test_ccdf_data_matches_fit_oracles():
     knots and sigma < 0."""
     seen = Counter()
     for g, ambient in itertools.chain(_closed_form_cases(), edge_transforms()):
-        data = thresholds._ccdf_data(ambient, g)
-        assert data == oracle_ccdf_fit(ambient, g)
+        assert_ccdf_matches(ambient, g, oracle_ccdf_fit(ambient, g))
         if ambient.dim <= 3:
-            assert data == oracle_ccdf_data(ambient, g)
-        seen[ambient.dim, data.sigma < 0, data.atom > 0] += 1
+            assert_ccdf_matches(ambient, g, oracle_ccdf_data(ambient, g))
+        sigma = min(g(x) for x in ambient.vertices)
+        seen[ambient.dim, sigma < 0, thresholds._ccdf_data(ambient, g).atom > 0] += 1
     assert all(seen[n, False, False] for n in (1, 2, 3, 4))
     assert all(seen[n, True, False] for n in (1, 2, 3, 4))
     assert all(seen[n, False, True] for n in (1, 2, 3, 4))
@@ -700,6 +717,38 @@ def test_ccdf_builds_no_superlevel_and_triangulates_each_region_once(monkeypatch
         calls.clear()
         quantile(ToricModel(ambient), ValuationModel("G", F(1), g), F(1, 4))
         assert calls == Counter()
+
+
+def test_only_an_inexact_quantile_solves_the_candidate_breaks(monkeypatch):
+    """The candidate loop, the only caller of ``thresholds._int_reduce``, is
+    the bisection grid of an inexact quantile alone: cold ``ccdf_continuous``,
+    an atom-capped quantile and exact quantiles solve no candidate, and two
+    inexact taus on one (ambient, G) run the loop once."""
+    calls = []
+    reduce = thresholds._int_reduce
+    monkeypatch.setattr(thresholds, "_int_reduce", lambda rows: calls.append(rows) or reduce(rows))
+    square = ToricModel(hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    flat_top = ValuationModel("flat", F(1), ConcavePL.make(
+        [AffineFunctional.make((1, 0), F(1, 2)), AffineFunctional.make((0, 0), 1)], square.ambient))
+    simplex3 = ToricModel(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    e1 = ValuationModel.divisorial("e1", simplex3.ambient)
+    cold = [lambda: ccdf_continuous(simplex3, e1, F(1, 3)),
+            lambda: quantile(square, flat_top, F(1, 4)),  # tau <= atom = 1/2
+            lambda: quantile(SEGMENT, V_SEGMENT, F(1, 2)),
+            lambda: quantile(SIMPLEX, V_SIMPLEX, F(1, 4))]  # (1 - q)^2 = 1/4
+    for solve in cold:
+        thresholds._ccdf_data.cache_clear()
+        thresholds._quantile_spec.cache_clear()
+        solve()
+    assert calls == []
+    assert quantile(square, flat_top, F(1, 4)).quantile == 1
+    assert (quantile(SEGMENT, V_SEGMENT, F(1, 2)).quantile,
+            quantile(SIMPLEX, V_SIMPLEX, F(1, 4)).quantile) == (F(1, 2), F(1, 2))
+    assert not quantile(simplex3, e1, F(1, 3)).exact  # (1 - q)^3 = 1/3
+    loop = len(calls)
+    assert loop > 0
+    assert not quantile(simplex3, e1, F(1, 5)).exact
+    assert len(calls) == loop
 
 
 # ---------------------------------------------------------------------------
