@@ -97,6 +97,15 @@ def json_int(x, what: str) -> int:
     return x
 
 
+def json_array(x, what: str) -> Sequence:
+    """An array read from JSON: a string, object, number, boolean or null
+    raises ValueError, so a string such as ``"30"`` is never read as the
+    sequence of its characters."""
+    if not isinstance(x, (list, tuple)):
+        raise ValueError(f"{what} {x!r} is not a JSON array")
+    return x
+
+
 def rat_str(q: Fraction) -> str:
     """Serialize a rational as ``"p/q"`` (or ``"p"`` when integral)."""
     q = Fraction(q)
@@ -1223,7 +1232,8 @@ def body_from_json(data: dict) -> ConvexBody:
     n = json_int(data["dim"], "polytope dimension")
     if not 1 <= n <= 4:
         raise ValueError(f"polytope dimension {n} is outside the supported range 1..4")
-    verts = [tuple(rat(c) for c in v) for v in data["vertices"]]
+    verts = [tuple(rat(c) for c in json_array(v, "vertex"))
+             for v in json_array(data["vertices"], "vertices")]
     if not verts:
         raise ValueError("polytope JSON has no vertices")
     for v in verts:
@@ -1234,10 +1244,11 @@ def body_from_json(data: dict) -> ConvexBody:
         # given halfspaces are validated against the hull, then the canonical
         # recomputed representation is kept (the schema treats them as a hint)
         given = []
-        for h in data["halfspaces"]:
-            if len(h["normal"]) != n:
-                raise ValueError(f"halfspace normal {h['normal']} does not have dimension {n}")
-            given.append(HalfSpace.make([rat(c) for c in h["normal"]], rat(h["offset"])))
+        for h in json_array(data["halfspaces"], "halfspaces"):
+            normal = json_array(h["normal"], "halfspace normal")
+            if len(normal) != n:
+                raise ValueError(f"halfspace normal {normal} does not have dimension {n}")
+            given.append(HalfSpace.make([rat(c) for c in normal], rat(h["offset"])))
         for h in given:
             for v in body.vertices:
                 if not h.contains(v):

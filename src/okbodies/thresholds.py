@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, compress
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import (
@@ -52,10 +52,9 @@ from .geometry import (
     ConcavePL,
     ConvexBody,
     _det,
-    _int_form,
-    _int_reduce,
     _linearity_regions,
     first_coordinate_transform,
+    json_array,
     max_transform,
     rat,
     triangulate,
@@ -324,19 +323,58 @@ def _candidates(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, ...]:
     ambient, t <= G(x)} meet in a point.  Every end of a ccdf piece is one,
     as (v, G(v)) is such a point for a region vertex v.  Only an inexact
     quantile reads them: it bisects the candidate interval where F crosses
-    tau, so they fix where its bracket lies."""
+    tau, so they fix where its bracket lies.
+
+    A point needs j >= 1 piece hyperplanes t = f(x), as the facets leave t
+    free.  Taking the first piece's row from the other j - 1 leaves n
+    equations in x alone: n + 1 - j facets and the j - 1 equalities f_1 =
+    f_i.  They meet in one point iff their n x n coefficient matrix is
+    nonsingular, and then x comes from Cramer's rule (``_meet``) and t is
+    f_1(x).  With j = 1 the n equations are facets only, so each facet
+    n-subset is solved once and read by every piece.  In integers
+    throughout: each facet row is scaled by its offset's denominator, and
+    the pieces are L f (``integer_form``)."""
     n = ambient.dim
     s0 = max_transform(ambient, g)
-    # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
-    # common denominator to integers, which changes no solution
-    _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
-                        + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
-    cuts = {Fraction(0), s0}
-    for combo in combinations(rows, n + 1):
-        _, pivots, red, d = _int_reduce(combo)
-        if pivots == list(range(n + 1)):
-            cuts.add(Fraction(red[n][-1], d))
-    return tuple(sorted(c for c in cuts if 0 <= c <= s0))
+    L, forms = g.integer_form
+    # h . (x, 1) = 0 on each facet hyperplane, and r . (x, 1) = L f(x) per piece
+    facets = [(*(a * h.offset.denominator for a in h.normal), -h.offset.numerator)
+              for h in ambient.halfspaces]
+    pieces = [(*grad, c) for grad, c in forms]
+    # (the rows f_1 - f_i, the pieces that read t) per subset of j pieces
+    groups = [((), pieces)]
+    for j in range(2, min(len(pieces), n + 1) + 1):
+        for first, *rest in combinations(pieces, j):
+            groups.append((tuple(tuple(map(sub, first, r)) for r in rest), (first,)))
+    cuts = {Fraction(0), s0} if s0 >= 0 else set()
+    top, bottom = s0.numerator, s0.denominator
+    for rows, readers in groups:
+        for combo in combinations(facets, n - len(rows)):
+            w = _meet(combo + rows)
+            if w is None:
+                continue
+            den = L * w[n]  # t = r . w / den for each reader r
+            for r in readers:
+                num = sum(map(mul, r, w))
+                if 0 <= num and num * bottom <= top * den:
+                    cuts.add(Fraction(num, den))
+    # ordered by floor(2^64 t) first, so only a tie there compares Fractions
+    return tuple(sorted(cuts, key=lambda t: ((t.numerator << 64) // t.denominator, t)))
+
+
+def _meet(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """The point where n hyperplanes h . (x, 1) = 0 in R^n meet, as integer
+    homogeneous coordinates w with x = w[:n] / w[n] and w[n] > 0 (Cramer's
+    rule, in closed-form ``_det`` minors: w_k = ±(-1)^k det of the rows
+    without column k), or None when the hyperplanes do not meet in one
+    point."""
+    n = len(rows)
+    last = (-1) ** n * _det([r[:n] for r in rows])
+    if not last:
+        return None
+    sign = 1 if last > 0 else -1
+    return [sign * (-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(n)] + [
+        abs(last)]
 
 
 def _knot_terms(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:
@@ -654,8 +692,9 @@ def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationMod
 
 def valuation_from_json(data: dict, ambient: ConvexBody) -> ValuationModel:
     pieces = [
-        AffineFunctional.make([rat(c) for c in p["grad"]], rat(p["const"]))
-        for p in data["G"]["pieces"]
+        AffineFunctional.make([rat(c) for c in json_array(p["grad"], "gradient")],
+                              rat(p["const"]))
+        for p in json_array(data["G"]["pieces"], "pieces")
     ]
     return ValuationModel(str(data["label"]), rat(data["A"]),
                           ConcavePL.make(pieces, ambient))

@@ -66,6 +66,10 @@ library's layer-cake tail mean, read off the cached ccdf, must match exactly.
 ``oracle_bisect`` halves a quantile's bracket in Fractions, evaluating the
 piece at every midpoint: the path that the library's integer bisection must
 match bracket for bracket.
+``oracle_candidates`` reduces every (n+1)-combination of the hypograph's
+facet and piece rows by Bareiss elimination, facet-only ones included: the
+path that the library's candidate breaks, solved by Cramer's rule only over
+combinations that hold a piece row, must match tuple for tuple.
 """
 
 import math
@@ -683,6 +687,25 @@ def oracle_hypograph_points(ambient, g):
             xt = [r[-1] for r in red]
             points.append((xt[-1], all(sum(map(mul, r[:-1], xt)) <= r[-1] for r in rows)))
     return points
+
+
+def oracle_candidates(ambient, g):
+    """The candidate breaks of the ccdf, ascending, by one Bareiss
+    ``_int_reduce`` of every (n+1)-combination of facet and piece rows of the
+    hypograph, facet-only combinations included: 0, s0 and the t in [0, s0]
+    of each combination whose first n+1 columns are its pivots."""
+    n = ambient.dim
+    s0 = max_transform(ambient, g)
+    # rows (a, b) of the constraints a . (x, t) <= b, all scaled by one
+    # common denominator to integers, which changes no solution
+    _, rows = _int_form([(*h.normal, 0, h.offset) for h in ambient.halfspaces]
+                        + [(*(-c for c in f.gradient), 1, f.constant) for f in g.pieces])
+    cuts = {Fraction(0), s0}
+    for combo in combinations(rows, n + 1):
+        _, pivots, red, d = _int_reduce(combo)
+        if pivots == list(range(n + 1)):
+            cuts.add(Fraction(red[n][-1], d))
+    return tuple(sorted(c for c in cuts if 0 <= c <= s0))
 
 
 def oracle_ccdf_data(ambient, g):

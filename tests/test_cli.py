@@ -1025,19 +1025,39 @@ def test_size_check_bounds_the_prefixes_the_enumeration_walks(tmp_path, capsys, 
      "per_k_gaps must be a JSON object keyed by level"),
     (["thresholds", "--in", "{p2}", "--valuations", "{vp2}", "--sweep", "{array_sweep}"],
      "a sweep spec must be a JSON object"),
+    # strings where arrays belong (read as their characters before: exit 0)
+    (["body", "--in", "{string_vertices}"], "vertex '00' is not a JSON array"),
+    (["body", "--in", "{string_vertex_list}"], "vertices '003003' is not a JSON array"),
+    (["body", "--in", "{string_normal}"], "halfspace normal '11' is not a JSON array"),
+    (["series", "--in", "{toric_string_vertices}", "--k-max", "2"],
+     "vertex '00' is not a JSON array"),
+    (["thresholds", "--in", "{p2}", "--valuations", "{string_grad}"],
+     "gradient '10' is not a JSON array"),
+    (["thresholds", "--in", "{p2}", "--valuations", "{string_pieces}"],
+     "pieces '' is not a JSON array"),
 ])
 def test_non_object_json_exits2_with_one_line(tmp_path, capsys, argv, message):
     """A model whose top level is an array, ``per_k_gaps`` given as an array
     (canonical and synthetic) and a sweep spec whose top level is an array
     are input errors (an ``AttributeError`` traceback before): exit 2 with
-    one line that names the expected object."""
+    one line that names the expected object.  So are a string given for the
+    vertices, a vertex, a halfspace normal, G's pieces or a gradient, which
+    was read as the sequence of its characters."""
     inputs = {"array_model": [SIMPLEX_MODEL], "p2": SIMPLEX_MODEL,
               "vp2": [valuation("D1", "1", "0")],
               "canonical_array_gaps": {"backend": "canonical", "genus": 3,
                                        "per_k_gaps": [[3, 4]]},
               "synthetic_array_gaps": {"backend": "synthetic", "polytope": SIMPLEX_JSON,
                                        "per_k_gaps": [[[1, 0]]]},
-              "array_sweep": [{"tau": "1/2", "k_range": [1, 2]}]}
+              "array_sweep": [{"tau": "1/2", "k_range": [1, 2]}],
+              "string_vertices": {"dim": 2, "vertices": ["00", "30", "03"]},
+              "string_vertex_list": {"dim": 2, "vertices": "003003"},
+              "string_normal": dict(SIMPLEX_JSON, halfspaces=[{"normal": "11", "offset": "1"}]),
+              "toric_string_vertices": {"backend": "toric",
+                                        "polytope": {"dim": 2, "vertices": ["00", "30", "03"]}},
+              "string_grad": [{"label": "D1", "A": "1",
+                               "G": {"pieces": [{"grad": "10", "const": "0"}]}}],
+              "string_pieces": [{"label": "D1", "A": "1", "G": {"pieces": ""}}]}
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"

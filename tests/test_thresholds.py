@@ -54,9 +54,9 @@ from okbodies.thresholds import (
     select_compatible_family,
     valuation_from_json,
 )
-from oracles import (oracle_bisect, oracle_ccdf_data, oracle_ccdf_fit, oracle_jumping_values,
-                     oracle_lagrange, oracle_newton, oracle_S_tau, oracle_scaled_values,
-                     oracle_score_level)
+from oracles import (oracle_bisect, oracle_candidates, oracle_ccdf_data, oracle_ccdf_fit,
+                     oracle_jumping_values, oracle_lagrange, oracle_newton, oracle_S_tau,
+                     oracle_scaled_values, oracle_score_level)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -719,14 +719,12 @@ def test_ccdf_builds_no_superlevel_and_triangulates_each_region_once(monkeypatch
         assert calls == Counter()
 
 
-def test_only_an_inexact_quantile_solves_the_candidate_breaks(monkeypatch):
-    """The candidate loop, the only caller of ``thresholds._int_reduce``, is
-    the bisection grid of an inexact quantile alone: cold ``ccdf_continuous``,
-    an atom-capped quantile and exact quantiles solve no candidate, and two
-    inexact taus on one (ambient, G) run the loop once."""
-    calls = []
-    reduce = thresholds._int_reduce
-    monkeypatch.setattr(thresholds, "_int_reduce", lambda rows: calls.append(rows) or reduce(rows))
+def test_only_an_inexact_quantile_solves_the_candidate_breaks():
+    """The candidate breaks (``thresholds._candidates``) are the bisection
+    grid of an inexact quantile alone: cold ``ccdf_continuous``, an
+    atom-capped quantile and exact quantiles solve none, and two inexact taus
+    on one (ambient, G) solve them once."""
+    solves = thresholds._candidates.cache_info
     square = ToricModel(hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
     flat_top = ValuationModel("flat", F(1), ConcavePL.make(
         [AffineFunctional.make((1, 0), F(1, 2)), AffineFunctional.make((0, 0), 1)], square.ambient))
@@ -740,15 +738,109 @@ def test_only_an_inexact_quantile_solves_the_candidate_breaks(monkeypatch):
         thresholds._ccdf_data.cache_clear()
         thresholds._quantile_spec.cache_clear()
         solve()
-    assert calls == []
+    assert solves().misses == 0
     assert quantile(square, flat_top, F(1, 4)).quantile == 1
     assert (quantile(SEGMENT, V_SEGMENT, F(1, 2)).quantile,
             quantile(SIMPLEX, V_SIMPLEX, F(1, 4)).quantile) == (F(1, 2), F(1, 2))
+    assert solves().misses == 0
     assert not quantile(simplex3, e1, F(1, 3)).exact  # (1 - q)^3 = 1/3
-    loop = len(calls)
-    assert loop > 0
+    assert solves().misses == 1
     assert not quantile(simplex3, e1, F(1, 5)).exact
-    assert len(calls) == loop
+    assert solves().misses == 1
+
+
+def _lifted(ambient, pieces, low=F(0)):
+    """G = min of the pieces, all shifted by one constant so that the
+    minimum of G over the ambient is low (negative at a vertex if low < 0)."""
+    g = ConcavePL.make(pieces, ambient, require_nonnegative=False)
+    shift = low - min(g(v) for v in ambient.vertices)
+    return ConcavePL.make([AffineFunctional(f.gradient, f.constant + shift) for f in pieces],
+                          ambient, require_nonnegative=low >= 0)
+
+
+def grid_hull_transform(n, size, seed):
+    """G and its ambient as in the S_tau timings of ROADMAP.md: the hull of
+    `size` points with coordinates in {0, 1/24, ..., 1}^n, and three pieces
+    with gradients in {-3/2, ..., 3/2}^n and constants 6..12."""
+    rng = random.Random(seed)
+    ambient = hull([tuple(F(rng.randint(0, 24), 24) for _ in range(n)) for _ in range(size)])
+    pieces = [AffineFunctional.make([F(rng.randint(-3, 3), 2) for _ in range(n)],
+                                    F(rng.randint(6, 12))) for _ in range(3)]
+    return ConcavePL.make(pieces, ambient), ambient
+
+
+def _candidate_cases():
+    """(G, ambient) for the candidate differential, seeded: random hulls,
+    boxes and prisms (parallel facets, so many singular combinations) in
+    n = 1..4, each with random pieces, a duplicated and a constant piece, a
+    piece parallel to a facet, n + 2 pieces, and G negative at a vertex."""
+    rng = random.Random(30)
+    ambients = []
+    for n in (1, 2, 3, 4):
+        ambients += [_tail_ambient(rng, n), _tail_ambient(rng, n)]
+        sides = [_random_rational(rng, 1, 3) for _ in range(n)]
+        ambients.append(hull(list(itertools.product(*((0, s) for s in sides)))))
+        if n >= 2:
+            base = _tail_ambient(rng, n - 1)
+            ambients.append(hull([(*v, z) for v in base.vertices for z in (0, F(1, 2))]))
+    for ambient in ambients:
+        n = ambient.dim
+        pieces = [_random_piece(rng, n) for _ in range(rng.randint(1, 3))]
+        facet = rng.choice(ambient.halfspaces)
+        scale = rng.choice((-1, 1)) * _random_rational(rng, 1, 2)
+        parallel = AffineFunctional.make([scale * c for c in facet.normal], facet.offset)
+        constant = AffineFunctional.make([0] * n, _random_rational(rng, 0, 2))
+        yield _lifted(ambient, pieces), ambient
+        yield _lifted(ambient, pieces + [pieces[0], constant]), ambient
+        yield _lifted(ambient, [parallel, rng.choice(pieces)]), ambient
+        yield _lifted(ambient, [_random_piece(rng, n) for _ in range(n + 2)]), ambient
+        yield _lifted(ambient, pieces + [parallel], low=F(-1, 3)), ambient
+    yield grid_hull_transform(3, 20, 1)
+
+
+def test_candidates_match_the_elimination_oracle():
+    """``_candidates`` (Cramer's rule over the combinations that hold a piece
+    row) equals the Bareiss elimination of every combination
+    (``oracle_candidates``), tuple for tuple, on seeded hulls, boxes and
+    prisms in n = 1..4 with constant, duplicated, facet-parallel and n + 2
+    pieces, on G negative at a vertex, and on the 3-D 22-facet S_tau hull."""
+    seen = Counter()
+    for g, ambient in _candidate_cases():
+        assert thresholds._candidates(ambient, g) == oracle_candidates(ambient, g)
+        n = ambient.dim
+        seen[n, min(g(v) for v in ambient.vertices) < 0, len(g.pieces) > n + 1] += 1
+    assert all(seen[n, negative, many] for n in (1, 2, 3, 4)
+               for negative, many in ((False, False), (True, False), (False, True)))
+
+
+def test_candidates_solve_no_facet_only_combination(monkeypatch):
+    """``_candidates`` makes no Bareiss elimination and solves only
+    combinations with a piece row: one n x n Cramer solve (``_meet``) per
+    facet n-subset, read by every piece, and one per combination of n + 1 - j
+    facets with j >= 2 pieces; never one of the C(F, n + 1) facet-only
+    combinations."""
+    calls = []
+
+    def no_reduce(rows):
+        raise AssertionError("an elimination ran")
+
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    cases = [(g, g.domain) for g in map(simplex_transform, (1, 2))]
+    cases += [grid_hull_transform(3, 20, 1), grid_hull_transform(4, 6, 2),
+              (_lifted(cube, [AffineFunctional.make(grad, 0) for grad in
+                              ((1, 0, 0), (0, 1, 0), (-1, -1, 1), (0, 0, -1), (1, 1, 1))]), cube)]
+    for g, ambient in cases:
+        max_transform(ambient, g)  # the regions, cached on the body
+    meet = thresholds._meet
+    monkeypatch.setattr(thresholds, "_meet", lambda rows: calls.append(rows) or meet(rows))
+    monkeypatch.setattr(geometry, "_int_reduce", no_reduce)
+    for g, ambient in cases:
+        calls.clear()
+        thresholds._candidates(ambient, g)
+        n, facets, p = ambient.dim, len(ambient.halfspaces), len(g.pieces)
+        assert len(calls) == math.comb(facets, n) + sum(
+            math.comb(p, j) * math.comb(facets, n + 1 - j) for j in range(2, min(p, n + 1) + 1))
+        assert all(len(rows) == n for rows in calls)
 
 
 # ---------------------------------------------------------------------------
@@ -922,17 +1014,20 @@ def _random_rational(rng, lo, hi):
     return F(rng.randint(lo * den, hi * den), den)
 
 
+def _random_piece(rng, n):
+    """An affine piece with small integer (tied) or rational gradient entries
+    and a rational constant in [0, 3]."""
+    if rng.random() < 0.4:
+        grad = [F(rng.randint(-1, 1)) for _ in range(n)]
+    else:
+        grad = [_random_rational(rng, -2, 2) for _ in range(n)]
+    return AffineFunctional.make(grad, _random_rational(rng, 0, 3))
+
+
 def _random_transform(rng, domain):
     """1-3 pieces with non-unit rational denominators, shifted to be >= 0 on
     the domain; small integer gradients (zeros included) give tied values."""
-    n = domain.dim
-    pieces = []
-    for _ in range(rng.randint(1, 3)):
-        if rng.random() < 0.4:
-            grad = [F(rng.randint(-1, 1)) for _ in range(n)]
-        else:
-            grad = [_random_rational(rng, -2, 2) for _ in range(n)]
-        pieces.append(AffineFunctional.make(grad, _random_rational(rng, 0, 3)))
+    pieces = [_random_piece(rng, domain.dim) for _ in range(rng.randint(1, 3))]
     low = min(ConcavePL.make(pieces, domain, require_nonnegative=False)(v)
               for v in domain.vertices)
     if low < 0:
