@@ -209,6 +209,12 @@ def rate_fit(samples: Sequence[tuple[int, Fraction]], limit) -> RateFit:
     return RateFit((slope, resid))
 
 
+def _fit_rate(report: SweepReport, samples: Sequence[tuple[int, Fraction]], limit) -> None:
+    """Record the rate fit of samples towards limit on report, given 4 or more."""
+    if len(samples) >= 4:
+        report.exponent, report.residual = rate_fit(samples, limit)
+
+
 # ---------------------------------------------------------------------------
 # seeded samplers
 # ---------------------------------------------------------------------------
@@ -406,21 +412,19 @@ def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
 # ---------------------------------------------------------------------------
 
 def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
-                       ell_rule: Callable[[int], int] = None,
                        slice_b: Optional[Fraction] = None) -> SweepReport:
     """Lattice counts of shrinking cone superlevels against certified bounds.
 
-    For the apex cone at V: for t = b - (l_k/k)(b-a), the superlevel at t is a
-    k/l_k-scaled translate of the cone, so its Z^n/k count equals the Z^n/l_k
-    count of a shifted cone (asserted exactly), which the explicit-constant
-    lattice bound certifies from below. The cube-enlarged cone is the ambient
-    that contains every shifted copy. A slice-cone variant checks the
-    k^iota * l^{n-iota} scaling via two-halves stability of the fitted ratio.
+    For the apex cone at V and l_k = max(1, floor(k/2)): for t = b - (l_k/k)(b-a),
+    the superlevel at t is a k/l_k-scaled translate of the cone, so its Z^n/k
+    count equals the Z^n/l_k count of a shifted cone (asserted exactly), which
+    the explicit-constant lattice bound certifies from below. The cube-enlarged
+    cone is the ambient that contains every shifted copy. A slice-cone variant
+    checks the k^iota * l^{n-iota} scaling via two-halves stability of the
+    fitted ratio.
     """
     a, b = rat(a), rat(b)
     V = tuple(rat(c) for c in V)
-    if ell_rule is None:
-        ell_rule = lambda k: max(1, k // 2)
     cone = apex_cone(B, a, b, V)
     g = first_coordinate_transform(cone)
     vol = volume(cone)
@@ -435,9 +439,9 @@ def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
     report.fitted["C_cone"] = c_const
     exact_fail = bound_fail = 0
     for k in sorted(k_range):
-        ell = ell_rule(k)
-        if not 1 <= ell <= k:
+        if k < 1:
             continue
+        ell = max(1, k // 2)
         t = b - Fraction(ell, k) * (b - a)
         cut = superlevel(cone, g, t)
         cnt = count(cut, k)
@@ -466,9 +470,9 @@ def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
         gs = first_coordinate_transform(scone)
         ks, ratios = [], []
         for k in sorted(k_range):
-            ell = ell_rule(k)
-            if not 1 <= ell <= k:
+            if k < 1:
                 continue
+            ell = max(1, k // 2)
             t = sb - Fraction(ell, k) * (sb - a)
             cnt = count(superlevel(scone, gs, t), k)
             denom = Fraction(k) ** iota * Fraction(ell) ** (n - iota)
@@ -495,7 +499,7 @@ def _slice_dimension(B: ConvexBody, b: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 def verify_maxp1(model: GradedSeriesModel, v: ValuationModel,
-                 k_range: Sequence[int], iota: Optional[int] = None) -> SweepReport:
+                 k_range: range, iota: Optional[int] = None) -> SweepReport:
     """Gap of the quantum maximum against the plus-body lattice count.
 
     Checks 0 <= max_ambient p1 - max_{Delta_k} p1, that the plus-body count is
@@ -510,9 +514,7 @@ def verify_maxp1(model: GradedSeriesModel, v: ValuationModel,
     )
     ks_pos, cn_vals, cn_improved = [], [], []
     neg = degenerate = 0
-    for k in sorted(k_range):
-        if not model.has_level(k):
-            continue
+    for k in model.levels_in(k_range):
         top_amb, top_disc, gap = model.max_gap_stat(k)
         if gap < 0:
             neg += 1
@@ -539,10 +541,7 @@ def verify_maxp1(model: GradedSeriesModel, v: ValuationModel,
         report.fitted["C_improved_pow"] = max(cn_improved)
         _two_halves(report, "improved-rate constant is stable across k-halves",
                     ks_pos, cn_improved)
-    gaps = [(r["k"], r["gap"]) for r in report.rows]
-    if len(gaps) >= 4:
-        fit = rate_fit(gaps, 0)
-        report.exponent, report.residual = fit.exponent, fit.residual
+    _fit_rate(report, [(r["k"], r["gap"]) for r in report.rows], 0)
     return report
 
 
@@ -595,34 +594,37 @@ def sweep_from_json(data: dict):
 
 
 def verify_S_two_sided(model: GradedSeriesModel, v: ValuationModel, tau,
-                       m_rule, k_range: Sequence[int],
-                       tol=Fraction(1, 10**9)) -> SweepReport:
+                       m_rule, k_range: range) -> SweepReport:
     """Upper bound S_{k,m_k} <= (1+C/k) max{tau d_k/m_k, 1} S_tau and the
     matching lower bound ((1-C/k) min-scaling for tau > 0, the k^{-1/n}
     envelope at tau = 0), with the minimal validating C fitted per side."""
-    return verify_S_two_sided_sweeps(model, v, [(tau, m_rule)], k_range, tol)[0]
+    return verify_S_two_sided_sweeps(model, v, [(tau, m_rule)], k_range)[0]
+
+
+def _S_km_sweep(model: GradedSeriesModel, v: ValuationModel, m_rules: Sequence,
+                k_range: range) -> list[list[tuple[int, int, int, Fraction]]]:
+    """Per m_k rule, the (k, d_k, m_k, S_{k,m_k}) of each level in k_range.
+
+    The sweep is k-outer, so each level is scored once for all the rules.
+    """
+    values = [[] for _ in m_rules]
+    for k in model.levels_in(k_range):
+        d = model.d_k(k)
+        for m_rule, vals in zip(m_rules, values):
+            m = m_rule(d, k)
+            vals.append((k, d, m, S_km(model, v, k, m)))
+    return values
 
 
 def verify_S_two_sided_sweeps(model: GradedSeriesModel, v: ValuationModel,
-                              sweeps: Sequence[tuple], k_range: Sequence[int],
-                              tol=Fraction(1, 10**9)) -> list[SweepReport]:
-    """verify_S_two_sided for each (tau, m_rule) of sweeps, in that order.
-
-    The sweep is k-outer, so each level is scored once for all of them.
-    """
-    sweeps = [(rat(tau), m_rule) for tau, m_rule in sweeps]
+                              sweeps: Sequence[tuple], k_range: range) -> list[SweepReport]:
+    """verify_S_two_sided for each (tau, m_rule) of sweeps, in that order."""
+    taus = [rat(tau) for tau, _ in sweeps]
     n = model.ambient.dim
-    values = [[] for _ in sweeps]
-    for k in sorted(k_range):
-        if not model.has_level(k):
-            continue
-        d = model.d_k(k)
-        for (_, m_rule), vals in zip(sweeps, values):
-            m = m_rule(d, k)
-            vals.append((k, d, m, S_km(model, v, k, m)))
+    values = _S_km_sweep(model, v, [m_rule for _, m_rule in sweeps], k_range)
     reports = []
-    for (tau, _), vals in zip(sweeps, values):
-        s_tau = S_tau(model, v, tau, tol)
+    for tau, vals in zip(taus, values):
+        s_tau = S_tau(model, v, tau)
         report = SweepReport(
             "S_two_sided",
             {"tau": tau, "k_range": [min(k_range), max(k_range)], "S_tau": s_tau},
@@ -648,9 +650,7 @@ def verify_S_two_sided_sweeps(model: GradedSeriesModel, v: ValuationModel,
         report.fitted["C_upper"] = c_upper
         report.fitted["C_lower" if tau > 0 else "C_lower_pow_n"] = c_lower
         report.check("fitted constants are finite rationals", True)
-        if len(samples) >= 4:
-            fit = rate_fit(samples, s_tau)
-            report.exponent, report.residual = fit.exponent, fit.residual
+        _fit_rate(report, samples, s_tau)
         errs = [abs(s - s_tau) * k for k, s in samples]
         _two_halves(report, "k-scaled deviation |S_km - S_tau| * k is stable",
                     ks, errs)
@@ -659,13 +659,12 @@ def verify_S_two_sided_sweeps(model: GradedSeriesModel, v: ValuationModel,
 
 
 def verify_delta_rate(model: GradedSeriesModel, family: Sequence[ValuationModel],
-                      tau, m_rule, k_range: Sequence[int],
-                      tol=Fraction(1, 10**9)) -> SweepReport:
+                      tau, m_rule, k_range: range) -> SweepReport:
     """Restricted delta_{k,m_k} against restricted delta_tau: sandwich constants
     fitted; at tau = 0 additionally the k^{-1/n} envelope on alpha_k - alpha."""
     tau = rat(tau)
     n = model.ambient.dim
-    d_tau, d_label = delta_tau_restricted(model, family, tau, tol)
+    d_tau, d_label = delta_tau_restricted(model, family, tau)
     report = SweepReport(
         "delta_rate",
         {"tau": tau, "k_range": [min(k_range), max(k_range)],
@@ -675,11 +674,8 @@ def verify_delta_rate(model: GradedSeriesModel, family: Sequence[ValuationModel]
     ks, samples = [], []
     c_fit = Fraction(0)
     env_fit = Fraction(0)
-    for k in sorted(k_range):
-        if not model.has_level(k):
-            continue
-        d = model.d_k(k)
-        m = m_rule(d, k)
+    for k in model.levels_in(k_range):
+        m = m_rule(model.d_k(k), k)
         val, label = delta_km_restricted(model, family, k, m)
         if val == float("inf"):
             continue
@@ -693,9 +689,8 @@ def verify_delta_rate(model: GradedSeriesModel, family: Sequence[ValuationModel]
     report.fitted["C_relative"] = c_fit
     if tau == 0:
         report.fitted["C_envelope_pow_n"] = env_fit
-    if len(samples) >= 4 and isinstance(d_tau, Fraction):
-        fit = rate_fit(samples, d_tau)
-        report.exponent, report.residual = fit.exponent, fit.residual
+    if isinstance(d_tau, Fraction):
+        _fit_rate(report, samples, d_tau)
     scaled = [abs(val - d_tau) * k for k, val in samples]
     _two_halves(report, "k-scaled deviation |delta_km - delta_tau| * k is stable",
                 ks, scaled)
@@ -703,7 +698,7 @@ def verify_delta_rate(model: GradedSeriesModel, family: Sequence[ValuationModel]
 
 
 def verify_endpoint_limits(model: GradedSeriesModel, v: ValuationModel,
-                           k_range: Sequence[int]) -> SweepReport:
+                           k_range: range) -> SweepReport:
     """S_{k,m_k} -> S0 for collapsing families (m_k = 1 or ~sqrt(d_k)) and
     -> S_1 for near-full ones.
 
@@ -725,19 +720,11 @@ def verify_endpoint_limits(model: GradedSeriesModel, v: ValuationModel,
         "m=dk_minus_sqrt": (make_m_rule("dk_minus_sqrt"), s1, "full"),
         "m=dk": (make_m_rule("dk"), s1, "full"),
     }
-    # k-outer, so each level is scored once for all four rules
-    values = {rule_name: [] for rule_name in rules}
-    for k in sorted(k_range):
-        if not model.has_level(k):
-            continue
-        d = model.d_k(k)
-        for rule_name, (rule, _, _) in rules.items():
-            m = rule(d, k)
-            values[rule_name].append((k, d, m, S_km(model, v, k, m)))
+    values = _S_km_sweep(model, v, [rule for rule, _, _ in rules.values()], k_range)
     upper_violations = 0
-    for rule_name, (_, target, kind) in rules.items():
+    for (rule_name, (_, target, kind)), vals in zip(rules.items(), values):
         ks, scaled = [], []
-        for k, d, m, s in values[rule_name]:
+        for k, d, m, s in vals:
             err = abs(s - target)
             if kind == "collapsing" and s > vo.S0:
                 upper_violations += 1

@@ -40,6 +40,7 @@ Triangulation, clipping and facet filtering all work on these index sets.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -68,7 +69,11 @@ class DegenerateBody(GeometryError):
 # ---------------------------------------------------------------------------
 
 def rat(x) -> Fraction:
-    """Coerce ints, strings like ``"3/4"``, or Fractions to an exact rational."""
+    """Coerce ints, strings like ``"3/4"``, or Fractions to an exact rational.
+
+    A string must be ``p`` or ``p/q`` in ASCII digits, with an optional minus
+    sign on p: ``int`` alone would also read spaces, "+", "_" and non-ASCII
+    digits."""
     if isinstance(x, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(x, Fraction):
@@ -76,14 +81,13 @@ def rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        s = x.strip()
-        if "/" in s:
-            num, den = s.split("/", 1)
-            d = int(den)
-            if d == 0:
-                raise ValueError(f"zero denominator in rational {x!r}")
-            return Fraction(int(num), d)
-        return Fraction(int(s))
+        if not re.fullmatch("-?[0-9]+(/[0-9]+)?", x):
+            raise ValueError(f"{x!r} is not a rational p or p/q")
+        num, _, den = x.partition("/")
+        d = int(den or 1)
+        if d == 0:
+            raise ValueError(f"zero denominator in rational {x!r}")
+        return Fraction(int(num), d)
     if isinstance(x, float):
         raise TypeError("floats are not allowed in the exact geometry kernel")
     return Fraction(x)
@@ -373,12 +377,6 @@ class ConvexBody:
         if self.is_empty:
             return False
         return all(h.contains(p) for h in self.halfspaces)
-
-    def bounding_box(self) -> list[tuple[Fraction, Fraction]]:
-        if self.is_empty:
-            raise GeometryError("empty body has no bounding box")
-        D, Z = self.int_form()
-        return [(Fraction(min(col), D), Fraction(max(col), D)) for col in zip(*Z)]
 
     def incidence(self) -> tuple[frozenset[int], ...]:
         """For each halfspace, the indices of the vertices tight on it."""

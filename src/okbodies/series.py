@@ -125,26 +125,18 @@ class GradedSeriesModel:
         return rows
 
     def max_gap_stat(self, k: int) -> tuple[Fraction, Fraction, Fraction]:
-        """(max over ambient of p1, max over Delta_k of p1, their difference)."""
-        body = self.discrete_body(k)
-        if not body.points:
+        """(max over ambient of p1, max over Delta_k of p1, their difference).
+
+        The idealized level is sorted, so the last point that is not a gap
+        has the largest z1 in Delta_k: Delta_k itself is not built."""
+        self._check_level(k)
+        gaps = self._level_gaps(k)
+        top = next((z[0] for z in reversed(self.idealized_body(k).points) if z not in gaps), None)
+        if top is None:
             raise LevelError(f"Delta_{k} is empty")
         top_ambient = max(v[0] for v in self.ambient.vertices)
-        top_discrete = Fraction(max(z[0] for z in body.points), k)
+        top_discrete = Fraction(top, k)
         return top_ambient, top_discrete, top_ambient - top_discrete
-
-    def validate_superadditive(self, k_max: int) -> None:
-        """Check k Delta_k + k' Delta_k' subset (k+k') Delta_{k+k'}, building each level once."""
-        bodies = {k: self.discrete_body(k).points for k in self.levels_in(range(1, k_max + 1))}
-        for (k, left), (kp, right) in itertools.product(bodies.items(), repeat=2):
-            if k + kp not in bodies:
-                continue
-            target = set(bodies[k + kp])
-            for a, b in itertools.product(left, right):
-                if tuple(x + y for x, y in zip(a, b)) not in target:
-                    raise ModelError(
-                        f"superadditivity fails: {a}/{k} + {b}/{kp} not in Delta_{k + kp}"
-                    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +287,8 @@ class SyntheticModel(GradedSeriesModel):
 
     ``gap_sets`` maps k to an iterable of integer numerator vectors, or is a
     callable k -> iterable for models defined at every level. Levels default
-    to the dict keys (or all k >= 1 for callables). Superadditivity is only
-    checked on demand via validate_superadditive().
+    to the dict keys (or all k >= 1 for callables). Superadditivity is not
+    checked.
     """
 
     backend = "synthetic"

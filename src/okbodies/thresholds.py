@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, compress
 from operator import mul, sub
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import (
     AffineFunctional,
@@ -650,13 +650,19 @@ def empirical_family_measure(model: GradedSeriesModel, v: ValuationModel,
 # restricted Grassmannian thresholds
 # ---------------------------------------------------------------------------
 
-def _restricted_min(pairs: list[tuple[str, Fraction]]):
-    """Min of A/S ratios; zero-S entries count as the +inf sentinel and are
-    excluded unless every entry is infinite. Lexicographic label tie-break."""
+def _restricted_min(family: Sequence[ValuationModel], S: Callable[[ValuationModel], Fraction]):
+    """Min over the family of A(v)/S(v); zero-S entries count as the +inf
+    sentinel and are excluded unless every entry is infinite. Lexicographic
+    label tie-break."""
+    if not family:
+        raise ValueError("valuation family must be nonempty")
+    pairs = []
+    for v in family:
+        s = S(v)
+        pairs.append((v.label, None if s == 0 else v.A / s))
     finite = [(val, label) for label, val in pairs if val is not None]
     if not finite:
-        labels = sorted(label for label, _ in pairs)
-        return INFINITE, labels[0] if labels else None
+        return INFINITE, min(label for label, _ in pairs)
     best = min(val for val, _ in finite)
     label = min(label for val, label in finite if val == best)
     return best, label
@@ -667,27 +673,15 @@ def delta_km_restricted(model: GradedSeriesModel, family: Sequence[ValuationMode
     """min over the family of A(v)/S_{k,m}(v): an UPPER bound on the
     Grassmannian threshold delta_{k,m} (which is an infimum over all
     divisorial valuations, unreachable from any finite family)."""
-    if not family:
-        raise ValueError("valuation family must be nonempty")
-    pairs = []
-    for v in family:
-        s = S_km(model, v, k, m)
-        pairs.append((v.label, None if s == 0 else v.A / s))
-    return _restricted_min(pairs)
+    return _restricted_min(family, lambda v: S_km(model, v, k, m))
 
 
 def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationModel],
                          tau, tol=DEFAULT_TOL):
     """min over the family of A(v)/S_tau(v); tau = 0 uses S0. Upper bound on
     the limiting threshold, as for delta_km_restricted."""
-    if not family:
-        raise ValueError("valuation family must be nonempty")
-    tau = rat(tau)
-    pairs = []
-    for v in family:
-        s = S0_and_sigma(model, v).S0 if tau == 0 else S_tau(model, v, tau, tol)
-        pairs.append((v.label, None if s == 0 else v.A / s))
-    return _restricted_min(pairs)
+    return _restricted_min(family, lambda v: S0_and_sigma(model, v).S0 if rat(tau) == 0
+                           else S_tau(model, v, tau, tol))
 
 
 def valuation_from_json(data: dict, ambient: ConvexBody) -> ValuationModel:

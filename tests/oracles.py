@@ -12,6 +12,9 @@ the same optimal vertex even where the optimum is not unique.  ``oracle_level`` 
 k*Delta_k per backend by enumeration and set difference, the way the series
 models did before each backend stated only its gap sets, and
 ``oracle_recover_gaps`` reads the Weierstrass gaps off those levels.
+``oracle_superadditive`` checks k Delta_k + k' Delta_k' inside
+(k+k') Delta_{k+k'} over every pair of levels: the all-pairs check that a
+check from the gaps alone must agree with.
 ``oracle_scaled_constraints`` and ``oracle_sub_body_sampler`` take a body's
 bounding box by Fraction ``min``/``max`` over its vertices on every call and
 test candidate points with Fraction ``contains``: the per-call paths that the
@@ -72,6 +75,7 @@ path that the library's candidate breaks, solved by Cramer's rule only over
 combinations that hold a piece row, must match tuple for tuple.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -229,6 +233,21 @@ def oracle_recover_gaps(model) -> list[tuple[int, int]]:
             found.append((k, k))
             seen = D - d
     return found
+
+
+def oracle_superadditive(model, k_max: int) -> None:
+    """Check k Delta_k + k' Delta_k' subset (k+k') Delta_{k+k'} over every pair
+    of levels up to k_max, building each level once; ModelError on a failure."""
+    bodies = {k: model.discrete_body(k).points for k in model.levels_in(range(1, k_max + 1))}
+    for (k, left), (kp, right) in itertools.product(bodies.items(), repeat=2):
+        if k + kp not in bodies:
+            continue
+        target = set(bodies[k + kp])
+        for a, b in itertools.product(left, right):
+            if tuple(x + y for x, y in zip(a, b)) not in target:
+                raise ModelError(
+                    f"superadditivity fails: {a}/{k} + {b}/{kp} not in Delta_{k + kp}"
+                )
 
 
 def oracle_box(body) -> list[tuple[Fraction, Fraction]]:

@@ -20,7 +20,7 @@ import okbodies
 from okbodies.cli import main
 from okbodies.geometry import (HalfSpace, body_from_json, hull, intersect_halfspace, rat, rat_str,
                                validate_body)
-from oracles import oracle_count
+from oracles import oracle_box, oracle_count
 
 SIMPLEX_JSON = {"dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
 SEGMENT_MODEL = {"backend": "toric", "polytope": {"dim": 1, "vertices": [["0"], ["1"]]}}
@@ -825,7 +825,7 @@ def _reference_count(body, k):
     walk over the prefixes of the body's own box, on all but its last two
     axes, would pass 10^4 prefixes (a flat body's chart image can be small
     where that box is huge)."""
-    box = [max(0, math.floor(k * hi) - math.ceil(k * lo) + 1) for lo, hi in body.bounding_box()]
+    box = [max(0, math.floor(k * hi) - math.ceil(k * lo) + 1) for lo, hi in oracle_box(body)]
     if body.dim == 1:
         return box[0]
     return oracle_count(body, k) if math.prod(box[:-2]) <= 10**4 else None
@@ -1061,6 +1061,26 @@ def test_non_object_json_exits2_with_one_line(tmp_path, capsys, argv, message):
     paths = {name: write(tmp_path, f"{name}.json", data) for name, data in inputs.items()}
     assert _exit_code([a.format(**paths) for a in argv]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", " 3 ", "+1", " 1 / -2 ", "1/-2", "1 /2", "1/",
+                                  "/2", "", "-", "1/2/3", "1.5", "1e3", "0x1", "3\n", "--1"])
+def test_sloppy_rational_strings_exit2(tmp_path, capsys, text):
+    """A number string must be p or p/q in ASCII digits, p with an optional
+    minus sign: in body vertices, a thresholds gradient and --tau, anything
+    else is an input error (``int`` read underscores, spaces, "+" and
+    non-ASCII digits before: exit 0)."""
+    body = write(tmp_path, "body.json", {"dim": 2, "vertices": [["0", "0"], [text, "0"], ["0", "1"]]})
+    model = write(tmp_path, "p2.json", SIMPLEX_MODEL)
+    family = write(tmp_path, "v.json", [valuation("D1", text, "0")])
+    vp2 = write(tmp_path, "vp2.json", [valuation("D1", "1", "0")])
+    for argv in (["body", "--in", body],
+                 ["thresholds", "--in", model, "--valuations", family, "--k-max", "2"]):
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert _exit_code(["thresholds", "--in", model, "--valuations", vp2, f"--tau={text}"]) == 2
+    assert "is not a rational p/q" in capsys.readouterr().err
 
 
 # JSON values that are not objects: arrays, strings, numbers, booleans and null

@@ -12,7 +12,7 @@ import okbodies.geometry as geometry
 from okbodies.geometry import (AffineFunctional, ConcavePL, GeometryError, hull,
                                integrate_transform, max_transform, validate_body, volume)
 from okbodies.lattice import count, discrepancy
-from okbodies.series import CanonicalCurveModel, ToricModel, top_column_gap_model
+from okbodies.series import CanonicalCurveModel, SyntheticModel, ToricModel, top_column_gap_model
 from okbodies.thresholds import ValuationModel
 from okbodies.estimates import (
     NEG_INF,
@@ -412,6 +412,30 @@ def test_verify_endpoint_limits_segment():
         by_rule.setdefault(row["rule"], []).append(row["error"])
     assert by_rule["m=dk"] == [F(0)] * len(by_rule["m=dk"])  # exact at every k
     assert by_rule["m=ceil_sqrt_dk"][-1] < by_rule["m=ceil_sqrt_dk"][0]
+
+
+def test_level_sweeps_visit_only_the_levels_of_the_model(monkeypatch):
+    """Over k < 10^4 on a model with levels {3, 7}, each level sweep asks
+    has_level about its own two levels only, not about every k of the range."""
+    calls = []
+    has_level = SyntheticModel.has_level
+
+    def counted(self, k):
+        calls.append(k)
+        return has_level(self, k)
+
+    monkeypatch.setattr(SyntheticModel, "has_level", counted)
+    model = SyntheticModel(UNIT_SIMPLEX, {3: [], 7: [(0, 0)]})
+    v = ValuationModel.divisorial("e1", UNIT_SIMPLEX)
+    ks, half = range(1, 10**4), make_m_rule("ceil_tau", F(1, 2))
+    for sweep in (lambda: verify_S_two_sided(model, v, F(1, 2), half, ks),
+                  lambda: verify_endpoint_limits(model, v, ks),
+                  lambda: verify_delta_rate(model, [v], F(1, 2), half, ks),
+                  lambda: verify_maxp1(model, v, ks)):
+        calls.clear()
+        rep = sweep()
+        assert {row["k"] for row in rep.rows} == {3, 7}
+        assert set(calls) <= {3, 7} and len(calls) <= 20, (rep.name, len(calls))
 
 
 # ---------------------------------------------------------------------------

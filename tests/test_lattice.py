@@ -47,7 +47,7 @@ SEGMENT = hull([(0,), (1,)])
 
 def brute_points(body, k):
     """Oracle: full box scan with exact rational membership tests."""
-    box = body.bounding_box()
+    box = oracle_box(body)
     ranges = [
         range(math.ceil(lo * k), math.floor(hi * k) + 1)
         for lo, hi in box
@@ -277,7 +277,6 @@ def test_scaled_constraints_match_fraction_oracle(seed, n, kind):
                 u, v = rng.choice(body.vertices), rng.choice(body.vertices)
                 offset = sum(a * (x + y) for a, x, y in zip(normal, u, v)) / 2
                 body = intersect_halfspace(body, HalfSpace.make(normal, offset))
-    assert body.bounding_box() == oracle_box(body)
     for k in (1, rng.randint(2, 50), den * rng.randint(1, 50), rng.randint(1, 10**6), 10**6):
         assert _scaled_constraints(body, k) == oracle_scaled_constraints(body, k)
 
@@ -383,7 +382,7 @@ def test_slab_bound_of_a_flat_body_is_its_chart_images(seed, n, kind):
     if body.is_full_dim():
         return
     image = lattice._chart(body)[1]
-    box = [] if image is None else image.bounding_box()[:-2]
+    box = [] if image is None else oracle_box(image)[:-2]
     for k in (1, 2, 3, 15, 60, 10**9 + 7):
         assert slab_bound(body, k) == math.prod(math.floor(k * (hi - lo)) + 1 for lo, hi in box)
         assert slab_bound(body, k) >= math.prod(
@@ -615,13 +614,13 @@ def brute_owner_runs(body, k):
     if body.dim == 2:
         slabs = [((), scaled)]
     else:
-        w_lo, w_hi = scaled.bounding_box()[0]
+        w_lo, w_hi = oracle_box(scaled)[0]
         slabs = [((z,), intersect_halfspace(intersect_halfspace(
                     scaled, HalfSpace.make((1, 0, 0), z)), HalfSpace.make((-1, 0, 0), -z)))
                  for z in range(math.ceil(w_lo), math.floor(w_hi) + 1)]
     runs = 0
     for prefix, cut in slabs:
-        x0, x1 = cut.bounding_box()[-2]
+        x0, x1 = oracle_box(cut)[-2]
         for side in (1, -1):
             lines = [(k * h.offset - sum(a * z for a, z in zip(h.normal, prefix)),
                       -h.normal[-2], abs(h.normal[-1]))

@@ -27,7 +27,7 @@ from okbodies.series import (
     top_column_gap_model,
 )
 from okbodies.thresholds import ValuationModel, _level_scores
-from oracles import oracle_level, oracle_recover_gaps
+from oracles import oracle_level, oracle_recover_gaps, oracle_superadditive
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 
@@ -115,7 +115,7 @@ def test_curve_min_delta_k_detects_gaps():
 
 
 def test_curve_superadditive():
-    plane_quartic_model("hyperflex").validate_superadditive(10)
+    oracle_superadditive(plane_quartic_model("hyperflex"), 10)
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +178,14 @@ def test_genus3_patterns_reproduce_declared_bodies():
 
 def test_genus3_patterns_superadditive_up_to_declared_levels():
     for kind in GENUS3_CANONICAL_PATTERNS:
-        genus3_canonical_model(kind).validate_superadditive(2)
+        oracle_superadditive(genus3_canonical_model(kind), 2)
 
 
 def test_hyperflex_canonical_not_superadditive_past_declared_levels():
     # the generic default at k=3 is wrong for a hyperflex point: 2*4 + 4 = 12
     # lies in Delta_1 + Delta_2 scaled but not in the generic {0..9}
     with pytest.raises(ModelError):
-        genus3_canonical_model("hyperflex").validate_superadditive(3)
+        oracle_superadditive(genus3_canonical_model("hyperflex"), 3)
 
 
 def test_canonical_rejects_bad_patterns():
@@ -211,16 +211,8 @@ def test_toric_no_gaps():
     assert model.max_gap_stat(4) == (F(1), F(1), F(0))
 
 
-def test_toric_superadditive(monkeypatch):
-    levels = []
-
-    def counting(body, k):
-        levels.append(k)
-        return enumerate_points(body, k)
-
-    monkeypatch.setattr(series, "enumerate_points", counting)
-    ToricModel(UNIT_SIMPLEX).validate_superadditive(6)
-    assert sorted(levels) == [1, 2, 3, 4, 5, 6]  # each level built once
+def test_toric_superadditive():
+    oracle_superadditive(ToricModel(UNIT_SIMPLEX), 6)
 
 
 def test_gap_set_is_complement():
@@ -250,6 +242,51 @@ def test_top_column_gap_model():
     for k in (1, 2, 5):
         assert model.d_k(k) == (k + 1) ** 2 - (k + 1)
         assert model.max_gap_stat(k)[2] == F(1, k)
+
+
+def test_max_gap_stat_equals_the_maximum_over_delta_k():
+    """The quantum maximum read off the sorted idealized level equals
+    max z1 over Delta_k, on gap, canonical and toric models, with gaps that
+    take the top points of a level; an empty Delta_k raises LevelError."""
+    models = [plane_quartic_model("flex"), top_column_gap_model(), p1xp1_model(True),
+              CanonicalCurveModel(3), genus3_canonical_model("hyperflex"),
+              ToricModel(UNIT_SIMPLEX), ToricModel(hull([(0, 0), (2, 0), (0, 1), (2, 1)]))]
+    rng = random.Random(4200)
+    for n in (1, 2, 3):
+        ambient = hull([tuple(F(rng.randint(0, 3), 3) for _ in range(n)) for _ in range(n + 3)])
+        gap_sets = {}
+        for k in range(1, 6):
+            ideal = enumerate_points(ambient, k).points
+            top = rng.randint(0, max(0, len(ideal) - 1))  # the last `top` points are gaps
+            gap_sets[k] = list(ideal[len(ideal) - top:]) + rng.sample(ideal, min(2, len(ideal)))
+        models.append(SyntheticModel(ambient, gap_sets))
+    for model in models:
+        top_ambient = max(v[0] for v in model.ambient.vertices)
+        for k in model.levels_in(range(1, 7)):
+            points = model.discrete_body(k).points
+            if not points:
+                with pytest.raises(LevelError):
+                    model.max_gap_stat(k)
+                continue
+            top = F(max(z[0] for z in points), k)
+            assert model.max_gap_stat(k) == (top_ambient, top, top_ambient - top), (model, k)
+    empty = SyntheticModel(UNIT_SIMPLEX, {1: [(0, 0), (0, 1), (1, 0)], 2: []})
+    assert empty.discrete_body(1).points == ()
+    with pytest.raises(LevelError, match="Delta_1 is empty"):
+        empty.max_gap_stat(1)
+    with pytest.raises(LevelError):
+        empty.max_gap_stat(3)  # not a level
+
+
+def test_maxp1_builds_no_delta_k(monkeypatch):
+    """maxp1 reads its quantum maximum and plus-body count off the idealized
+    level alone."""
+    monkeypatch.setattr(series.GradedSeriesModel, "discrete_body",
+                        lambda *args: pytest.fail("discrete_body called"))
+    for model in (CanonicalCurveModel(3), top_column_gap_model(), plane_quartic_model("hyperflex"),
+                  ToricModel(UNIT_SIMPLEX)):
+        rep = verify_maxp1(model, ValuationModel.divisorial("x", model.ambient), range(1, 13))
+        assert len(rep.rows) == 12 and rep.passed
 
 
 def test_synthetic_rejects_gap_outside_ambient():

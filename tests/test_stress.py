@@ -22,6 +22,7 @@ from okbodies.geometry import (
     volume,
 )
 from okbodies.lattice import count
+from oracles import oracle_box
 
 
 def random_cut_chain(trial: int):
@@ -52,7 +53,7 @@ def test_cut_chain_consistency(trial):
     assert abs(float(volume(body)) - q.volume) < 1e-9
     rng = random.Random(10_000 + trial)
     k = rng.randrange(1, 5)
-    box = body.bounding_box()
+    box = oracle_box(body)
     ranges = [range(math.ceil(lo * k), math.floor(hi * k) + 1) for lo, hi in box]
     brute = sum(
         1 for z in itertools.product(*ranges)
