@@ -4,8 +4,8 @@ Submodules:
 
 * ``geometry``   — exact rational polytopes (hulls, cuts, volumes, barycenters,
   slices, cones, certified inscribed balls).
-* ``lattice``    — scaled-lattice enumeration, counting, discrepancies,
-  concave sums, the certified count constant.
+* ``lattice``    — scaled-lattice enumeration, counting, concave sums, the
+  certified count constant.
 * ``series``     — graded-series backends generating discrete bodies with gaps
   (toric, curve divisor, canonical curve, synthetic).
 * ``thresholds`` — jumping numbers, S_{k,m} invariants, volume quantiles and
@@ -28,7 +28,7 @@ from .geometry import (
     rat_str,
     volume,
 )
-from .lattice import PointCloud, count, discrepancy, enumerate_points
+from .lattice import PointCloud, count, enumerate_points
 from .series import (
     CanonicalCurveModel,
     CurveDivisorModel,
@@ -54,7 +54,7 @@ __all__ = [
     "AffineFunctional", "ConcavePL", "ConvexBody", "HalfSpace",
     "barycenter", "chebyshev_ball", "hull", "intersect_halfspace",
     "rat", "rat_str", "volume",
-    "PointCloud", "count", "discrepancy", "enumerate_points",
+    "PointCloud", "count", "enumerate_points",
     "CanonicalCurveModel", "CurveDivisorModel", "SyntheticModel", "ToricModel",
     "model_from_json",
     "S0_and_sigma", "S_km", "S_tau", "Sbar_km", "ValuationModel",

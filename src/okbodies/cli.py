@@ -346,10 +346,8 @@ def _suite_reports(suite: str, k_max: int, seed: int):
             square, Fraction(1, 4), Fraction(3, 4), (Fraction(3, 4), 0),
             range(2, min(k_max, 40) + 1), slice_b=Fraction(3, 4))
     elif suite == "maxp1":
-        yield estimates.verify_maxp1(canonical, v_can, range(1, k_max + 1), iota=0)
-        top_gap = top_column_gap_model()
-        v_top = ValuationModel.divisorial("e1", top_gap.ambient)
-        yield estimates.verify_maxp1(top_gap, v_top, range(1, k_max + 1), iota=1)
+        yield estimates.verify_maxp1(canonical, range(1, k_max + 1), iota=0)
+        yield estimates.verify_maxp1(top_column_gap_model(), range(1, k_max + 1), iota=1)
     elif suite == "stwosided":
         sweeps = [(tau, estimates.make_m_rule("ceil_tau", tau))
                   for tau in (Fraction(1, 4), Fraction(1, 2), Fraction(1))]

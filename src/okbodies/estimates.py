@@ -394,12 +394,20 @@ def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
     ks = sorted(k_range)
     vals = []
     for k in ks:
-        worst = Fraction(0)
+        # (S - I) k / sup G = (s i' - i s') k p' / (s' i' p) for S = s / s',
+        # I = i / i' and sup G = p / p' > 0: the largest by
+        # cross-multiplication, from 0, then one Fraction
+        top, den = 0, 1
         for P, g, sup_g, integral in pairs:
             if sup_g == 0:
                 continue
-            q = (concave_sum(P, g, k) - integral) * k / sup_g
-            worst = max(worst, q)
+            S = concave_sum(P, g, k)
+            a = ((S.numerator * integral.denominator - integral.numerator * S.denominator)
+                 * k * sup_g.denominator)
+            d = S.denominator * integral.denominator * sup_g.numerator
+            if a * den > top * d:
+                top, den = a, d
+        worst = Fraction(top, den)
         vals.append(worst)
         report.rows.append({"k": k, "worst_normalized_excess": worst})
     report.fitted["sup_normalized_excess"] = max(vals)
@@ -498,8 +506,8 @@ def _slice_dimension(B: ConvexBody, b: Fraction) -> int:
 # blow-up estimate for the quantum maximum
 # ---------------------------------------------------------------------------
 
-def verify_maxp1(model: GradedSeriesModel, v: ValuationModel,
-                 k_range: range, iota: Optional[int] = None) -> SweepReport:
+def verify_maxp1(model: GradedSeriesModel, k_range: range,
+                 iota: Optional[int] = None) -> SweepReport:
     """Gap of the quantum maximum against the plus-body lattice count.
 
     Checks 0 <= max_ambient p1 - max_{Delta_k} p1, that the plus-body count is

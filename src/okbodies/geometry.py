@@ -1018,11 +1018,24 @@ def max_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
 
     G is the affine piece f_i on its linearity region R_i, and the regions
     cover the body, so the maximum is the largest f_i(v) over the vertices v
-    of every region.  This holds for lower-dimensional bodies too.
+    of every region.  This holds for lower-dimensional bodies too.  With
+    f_i = (grad_i . x + c_i) / L in integers (``integer_form``) and a
+    region's vertices z / D (``int_form``), each region's maximum is the
+    largest grad_i . z + c_i D over its vertex rows, over L D; the regions
+    are compared by cross-multiplication and one Fraction is built.
     """
     if body.is_empty:
         raise GeometryError("max over an empty body")
-    return max(f(v) for f, region in _linearity_regions(body, g) for v in region.vertices)
+    L, forms = g.integer_form
+    form = dict(zip(g.pieces, forms))
+    top, den = None, 1
+    for f, region in _linearity_regions(body, g):
+        grad, c = form[f]
+        D, Z = region.int_form()
+        m = max(sum(map(mul, grad, z)) for z in Z) + c * D
+        if top is None or m * den > top * D:
+            top, den = m, D
+    return Fraction(top, L * den)
 
 
 def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:

@@ -28,6 +28,13 @@ integral and 0 otherwise, and the points of P are those of P' mapped back.
   walked as ``enumerate_points`` walks all n, each slab counted from its
   constraint lines (``_slab_sum``).
 
+``concave_sum`` takes the same dispatch for a full-dimensional body of
+dimension 2 or 3: it walks the rows of the chains, reads each row's column
+of points off its two owner facets and sums G along the column in closed
+form, one run of one piece at a time (``_chain_concave_sum``), so it lists
+no point.  Other bodies, and a body where G scores a point negative, sum
+over the listed points (``_enumerated_concave_sum``).
+
 On that last path a slab's rows are empty outside the x-range where every
 (upper, lower) pair of its y-lines allows a row.  For n >= 3 these pair
 bounds, the x-box and the constraints on x are built once per body
@@ -53,10 +60,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
-from operator import lt, mul
+from operator import itemgetter, lt, mul
 
 from .geometry import (ConcavePL, ConvexBody, GeometryError, _hull_rows, _nullspace,
-                       chebyshev_ball, sqrt_upper_bound, volume)
+                       chebyshev_ball, sqrt_upper_bound)
 
 
 @dataclass(frozen=True)
@@ -509,6 +516,84 @@ def _chain_count(body: ConvexBody, k: int) -> int:
     return total
 
 
+def _chain_floors(chain, c, k: int, z: int, x_lo: int, x_hi: int) -> list[int]:
+    """[floor((c_i - a_w z + q x) / r) for x_lo <= x <= x_hi] for the owner
+    facet i of each row of one chain of ``_chain_form`` at slab z, split at
+    the breakpoints ``_chain_count`` reads."""
+    inner, (aw, q, r, i) = chain
+    floors: list[int] = []
+    start = x_lo
+    for aw_i, q_i, r_i, i_i, al, be, ga in inner:
+        end = -((-k * al - be * z) // ga)
+        if end > start:
+            p = c[i_i] - aw_i * z
+            floors += [(p + q_i * x) // r_i for x in range(start, end)]
+            start = end
+    p = c[i] - aw * z
+    floors += [(p + q * x) // r for x in range(start, x_hi + 1)]
+    return floors
+
+
+def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
+    """The sum of the integer scores k L G(z/k) (``ConcavePL.scaled_values``)
+    over the points z of a full-dimensional body of dimension 2 or 3 at one
+    level, read off ``_chain_form`` column by column, or None if a score is
+    negative.
+
+    Each slab walks the rows of ``_chain_count``, and row x holds the column
+    -floor(-L(x)) <= y <= floor U(x) (``_chain_floors``).  Along a column a
+    piece scores e + a_y y for an e fixed by the column, so a run of m points
+    on one piece sums in closed form to m (e_0 + e_1) / 2, e_0 and e_1 its
+    end scores: a one-piece G is one run per column, and several pieces split
+    each column into the runs of their lower envelope (``_envelope_runs``,
+    r = 1).  G is concave along a column, so a negative score shows at one of
+    the column's two ends, and only the ends are checked.
+    """
+    D, offsets, sections = _chain_form(body)
+    c = [(k * p) // q for p, q in offsets]
+    # (a_w, a_x, a_y, k L c) of each distinct piece (a_w = 0 in 2-D), largest
+    # a_y first: the ``_by_slope`` order of their lines in y
+    forms = sorted({(grad[0] if len(grad) == 3 else 0, grad[-2], grad[-1], k * const)
+                    for grad, const in g.integer_form[1]}, key=itemgetter(2), reverse=True)
+    last = len(sections) - 1
+    twice = 0  # every run adds m (e_0 + e_1), an even number
+    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), upper, lower) in enumerate(sections):
+        z0 = _ceil_div(k * w0, D)
+        z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
+        A0, A1 = k * A0, k * A1
+        for z in range(z0, z1 + 1):
+            x_lo = -((-A0 - b0 * z) // g0)
+            x_hi = (A1 + b1 * z) // g1
+            if x_lo > x_hi:
+                continue
+            # column x runs from y = -bottom to y = top
+            columns = zip(range(x_lo, x_hi + 1), _chain_floors(upper, c, k, z, x_lo, x_hi),
+                          _chain_floors(lower, c, k, z, x_lo, x_hi))
+            if len(forms) == 1:
+                (aw, ax, ay, v), = forms
+                v += aw * z
+                for x, top, bottom in columns:
+                    e = v + ax * x
+                    e0, e1 = e - ay * bottom, e + ay * top
+                    if (e0 < 0 or e1 < 0) and top + bottom >= 0:
+                        return None
+                    twice += (e0 + e1) * (top + bottom + 1)
+                continue
+            lines = [(aw * z + v, ax, ay) for aw, ax, ay, v in forms]
+            for x, top, bottom in columns:
+                if top + bottom < 0:
+                    continue
+                runs = _envelope_runs([(v + ax * x, ay, 1) for v, ax, ay in lines], -bottom, top)
+                (_, p0, q0, _), (_, p1, q1, _) = runs[0], runs[-1]
+                if p0 - q0 * bottom < 0 or p1 + q1 * top < 0:
+                    return None
+                end = top + 1
+                for start, p, q, _ in reversed(runs):
+                    twice += (2 * p + q * (start + end - 1)) * (end - start)
+                    end = start
+    return twice // 2
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s a + t b."""
     s, s1, t, t1 = 1, 0, 0, 1
@@ -661,26 +746,39 @@ def prefix_bound(body: ConvexBody, k: int) -> int:
     return sum(accumulate((max(0, h - l + 1) for l, h in zip(lo[:-1], hi[:-1])), mul))
 
 
-def discrepancy(body: ConvexBody, k: int) -> Fraction:
-    """Signed Ehrhart discrepancy count(body,k) - |body| k^n, exact."""
-    return count(body, k) - volume(body) * Fraction(k) ** body.dim
-
-
-def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
-    """(1/k^n) * sum of g over body ∩ Z^n/k; g must be nonnegative there.
-
-    Sums the exact integer scores k L g(z/k) of ``ConcavePL.scaled_values``
-    over the numerators of the lattice walk (no ``PointCloud``, no sort) and
-    divides once by L k^(n+1).  The points are walked only to name the first
-    negative one.
-    """
+def _enumerated_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int:
+    """The sum of the integer scores k L G(z/k) (``ConcavePL.scaled_values``)
+    over the numerators of the lattice walk (``_numerators``: no
+    ``PointCloud``, no sort), raising ValueError at the first negative
+    score with its point: the sum of every body the chains do not serve,
+    and the oracle of ``_chain_concave_sum``."""
     points = _numerators(body, k)
     scores = g.scaled_values(points, k)
     if scores and min(scores) < 0:
         z = next(z for z, score in zip(points, scores) if score < 0)
         x = tuple(Fraction(c, k) for c in z)
         raise ValueError(f"concave transform is negative at lattice point {x}")
-    return Fraction(sum(scores), g.integer_form[0] * k ** (body.dim + 1))
+    return sum(scores)
+
+
+def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
+    """(1/k^n) * sum of g over body ∩ Z^n/k; g must be nonnegative there.
+
+    Sums the exact integer scores k L g(z/k) and divides once by L k^(n+1).
+    A full-dimensional body of dimension 2 or 3 is summed off the chains that
+    ``count`` reads, column by column with no point listed
+    (``_chain_concave_sum``).  Other bodies walk their lattice points
+    (``_enumerated_concave_sum``), and so does a body with a negative score,
+    to name the first negative point.
+    """
+    if k < 1:
+        raise ValueError("k must be a positive integer")
+    total = None
+    if not body.is_empty and body.dim in (2, 3) and body.affine_rank() == body.dim:
+        total = _chain_concave_sum(body, g, k)
+    if total is None:
+        total = _enumerated_concave_sum(body, g, k)
+    return Fraction(total, g.integer_form[0] * k ** (body.dim + 1))
 
 
 def analytic_count_constant(body: ConvexBody, bits: int = 64) -> Fraction:

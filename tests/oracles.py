@@ -36,6 +36,10 @@ one Fraction per point and compares every neighbour: the paths that the
 library's single idealized score table, ranked by an index sort keyed by
 score alone, the gap-filtered Delta_k table read off it, column-wise
 scoring and the shared-Fraction ``JumpingVector`` must match exactly.
+``oracle_region_max`` takes max G as the largest Fraction value of each
+piece over the vertices of its linearity region: the path that the
+library's ``max_transform``, which compares each region's integer maximum
+by cross-multiplication and builds one Fraction, must match exactly.
 ``oracle_plus_body_count`` scans every point of the idealized level for the
 plus-body count of the maxp1 suite: the path that the library's one
 bisection of the sorted level must match.
@@ -48,6 +52,9 @@ between breakpoints read off the body's edges, on a flat body read off the
 full-dimensional image of its unimodular chart) and the stack-pass slab sum
 of a 4-D body (its pair bounds pruned once per level and its one stack pass
 over lines sorted once per body) must match exactly.
+``oracle_discrepancy`` is the signed Ehrhart discrepancy count - |P| k^n in
+Fractions, which the verify suite's integer cross-multiplied maximum must
+match.
 ``oracle_clip_rows`` is the integer-row clip that re-derives every tight set
 by dot products and the rank by one elimination per clip, and
 ``oracle_maximal`` compares each set with every other: the paths that the
@@ -85,11 +92,11 @@ from operator import mul
 
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _hull_rows,
-                               _int_form, _int_reduce, _primed, _primitive, _tight_set,
-                               empty_body, hull, integrate_transform, max_transform, rat,
-                               superlevel, volume)
+                               _int_form, _int_reduce, _linearity_regions, _primed, _primitive,
+                               _tight_set, empty_body, hull, integrate_transform, max_transform,
+                               rat, superlevel, volume)
 from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
-                              enumerate_points)
+                              count, enumerate_points)
 from okbodies.series import ModelError
 from okbodies.thresholds import DEFAULT_TOL, _ccdf_data, _poly_eval, quantile
 
@@ -454,6 +461,14 @@ def oracle_scaled_values(g, points, k: int) -> list[int]:
     return [min(sum(map(mul, grad, z)) + kc for grad, kc in rows) for z in points]
 
 
+def oracle_region_max(body, g) -> Fraction:
+    """max G over a nonempty body: the largest f_i(v) over the vertices v of
+    every linearity region R_i, one Fraction dot product per vertex."""
+    if body.is_empty:
+        raise GeometryError("max over an empty body")
+    return max(f(v) for f, region in _linearity_regions(body, g) for v in region.vertices)
+
+
 def oracle_score_level(model, g, k: int, ideal: bool):
     """(L, scores, points, prefix) of Delta_k, or of ambient ∩ Z^n/k if ideal,
     each scored and sorted on its own (descending, lex-larger point first)."""
@@ -581,6 +596,11 @@ def oracle_count(body, k: int) -> int:
     lo, hi, levels = _scaled_constraints(body, k)
     return sum(oracle_slab_count(lo, hi, levels, prefix)
                for prefix in _prefixes(lo, hi, levels, body.dim - 2))
+
+
+def oracle_discrepancy(body, k: int) -> Fraction:
+    """Signed Ehrhart discrepancy count(body, k) - |body| k^n, exact."""
+    return count(body, k) - volume(body) * Fraction(k) ** body.dim
 
 
 def oracle_maximal(sets):

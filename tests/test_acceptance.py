@@ -431,8 +431,8 @@ def test_acceptance_09_maxp1_chain():
     vcan = ValuationModel.divisorial("p", can.ambient)
     top = top_column_gap_model()
     vtop = ValuationModel.divisorial("e1", top.ambient)
-    rep1 = verify_maxp1(can, vcan, range(1, 61), iota=0)
-    rep2 = verify_maxp1(top, vtop, range(1, 61), iota=1)
+    rep1 = verify_maxp1(can, range(1, 61), iota=0)
+    rep2 = verify_maxp1(top, range(1, 61), iota=1)
     ok = rep1.passed and rep2.passed
     # single fitted C across both models: (gap*k)^n <= C^n * plus_count
     cn = max(rep1.fitted["C_pow_n"], rep2.fitted["C_pow_n"])

@@ -11,7 +11,7 @@ import okbodies.estimates as estimates
 import okbodies.geometry as geometry
 from okbodies.geometry import (AffineFunctional, ConcavePL, GeometryError, hull,
                                integrate_transform, max_transform, validate_body, volume)
-from okbodies.lattice import count, discrepancy
+from okbodies.lattice import concave_sum, count
 from okbodies.series import CanonicalCurveModel, SyntheticModel, ToricModel, top_column_gap_model
 from okbodies.thresholds import ValuationModel
 from okbodies.estimates import (
@@ -32,7 +32,8 @@ from okbodies.estimates import (
     verify_uniform_ehrhart,
     verify_weierstrass,
 )
-from oracles import oracle_plus_body_count, oracle_sub_body_sampler
+from oracles import (oracle_discrepancy, oracle_plus_body_count, oracle_region_max,
+                     oracle_sub_body_sampler)
 
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -162,13 +163,13 @@ UNIT_CUBE = hull(list(itertools.product((0, 1), repeat=3)))
 
 @pytest.mark.parametrize("K, nu", [(UNIT_SQUARE, F(1, 10)), (UNIT_CUBE, F(1, 50))])
 def test_verify_uniform_ehrhart_rows_match_fraction_discrepancies(K, nu):
-    """The integer cross-multiplied maximum is max |discrepancy(P, k)| over the
-    sampled bodies, recomputed in Fractions."""
+    """The integer cross-multiplied maximum is max |oracle_discrepancy(P, k)|
+    over the sampled bodies, recomputed in Fractions."""
     rep = verify_uniform_ehrhart(K, nu, range(1, 9), n_bodies=12, seed=4)
     bodies = sub_body_sampler(K, nu, 4)(12)
     want = []
     for k in range(1, 9):
-        w = max(abs(discrepancy(P, k)) for P in bodies)
+        w = max(abs(oracle_discrepancy(P, k)) for P in bodies)
         want.append({"k": k, "max_abs_discrepancy": w, "normalized": w / F(k) ** (K.dim - 1)})
     assert rep.rows == want
 
@@ -193,6 +194,37 @@ def test_verify_lower_bound_segment():
 def test_verify_concave_sum_small():
     rep = verify_concave_sum_bound(UNIT_SQUARE, range(1, 15), n_pairs=8, seed=2)
     assert rep.passed
+
+
+@pytest.mark.parametrize("K, nu", [(UNIT_SQUARE, F(1, 10)), (UNIT_CUBE, F(1, 50))])
+def test_verify_concave_rows_match_fraction_excesses(K, nu, monkeypatch):
+    """The integer cross-multiplied worst excess is the largest
+    (concave_sum - integral) k / sup G over the sampled pairs, recomputed in
+    Fractions from 0, with the pairs whose sup G is 0 skipped: every third
+    sampled G is replaced by G = 0."""
+    real = estimates.concave_sampler
+    drawn = []
+
+    def sampler(P, rng):
+        g = real(P, rng)
+        if len(drawn) % 3 == 0:
+            g = ConcavePL.make([AffineFunctional.make((0,) * P.dim, 0)], P)
+        drawn.append(g)
+        return g
+
+    monkeypatch.setattr(estimates, "concave_sampler", sampler)
+    rep = verify_concave_sum_bound(K, range(1, 7), n_pairs=9, seed=3, min_volume=nu)
+    pairs = list(zip(sub_body_sampler(K, nu, 3)(9), drawn))
+    want = []
+    for k in range(1, 7):
+        worst = F(0)
+        for P, g in pairs:
+            sup_g = oracle_region_max(P, g)
+            if sup_g:
+                worst = max(worst, (concave_sum(P, g, k) - integrate_transform(P, g)) * k / sup_g)
+        want.append({"k": k, "worst_normalized_excess": worst})
+    assert rep.rows == want
+    assert any(row["worst_normalized_excess"] > 0 for row in want)
 
 
 def test_verify_concave_computes_max_and_integral_once_per_pair(tmp_path, monkeypatch):
@@ -308,8 +340,7 @@ def test_cone_full_cut_is_whole_cone():
 
 def test_verify_maxp1_canonical():
     model = CanonicalCurveModel(3)
-    v = ValuationModel.divisorial("p", model.ambient)
-    rep = verify_maxp1(model, v, range(1, 31), iota=0)
+    rep = verify_maxp1(model, range(1, 31), iota=0)
     assert rep.passed
     # generic pattern: gap = g/k, plus-count = g (k >= 2), so C^n = g
     for row in rep.rows:
@@ -321,16 +352,14 @@ def test_verify_maxp1_canonical():
 
 def test_verify_maxp1_toric_zero_gap():
     model = ToricModel(UNIT_SIMPLEX)
-    v = ValuationModel.divisorial("e1", model.ambient)
-    rep = verify_maxp1(model, v, range(1, 15))
+    rep = verify_maxp1(model, range(1, 15))
     assert rep.passed
     assert all(row["gap"] == 0 for row in rep.rows)
 
 
 def test_verify_maxp1_top_column():
     model = top_column_gap_model()
-    v = ValuationModel.divisorial("e1", model.ambient)
-    rep = verify_maxp1(model, v, range(1, 25))
+    rep = verify_maxp1(model, range(1, 25))
     assert rep.passed
     for row in rep.rows:
         k = row["k"]
@@ -431,7 +460,7 @@ def test_level_sweeps_visit_only_the_levels_of_the_model(monkeypatch):
     for sweep in (lambda: verify_S_two_sided(model, v, F(1, 2), half, ks),
                   lambda: verify_endpoint_limits(model, v, ks),
                   lambda: verify_delta_rate(model, [v], F(1, 2), half, ks),
-                  lambda: verify_maxp1(model, v, ks)):
+                  lambda: verify_maxp1(model, ks)):
         calls.clear()
         rep = sweep()
         assert {row["k"] for row in rep.rows} == {3, 7}

@@ -43,8 +43,8 @@ from okbodies.geometry import _dot, _vsub
 import okbodies.geometry as geometry
 from oracles import (oracle_clip_rows, oracle_det, oracle_hull_front, oracle_hull_full,
                      oracle_intersect_halfspace, oracle_maximal, oracle_nullspace,
-                     oracle_row_reduce, oracle_scaled_values, oracle_simplex_max,
-                     oracle_superlevel)
+                     oracle_region_max, oracle_row_reduce, oracle_scaled_values,
+                     oracle_simplex_max, oracle_superlevel)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -1520,6 +1520,27 @@ def test_max_transform_matches_lp_oracle(seed, n, flat, shape):
         body = intersect_halfspace(body, random_cut(rng, body))
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]), st.booleans(),
+       st.sampled_from(["single", "random", "duplicate", "parallel", "nowhere"]))
+def test_max_transform_matches_region_vertex_oracle(seed, n, flat, shape):
+    """The integer region maxima, compared by cross-multiplication, give the
+    largest Fraction value of each piece over its region's vertices, for
+    pieces with rational gradients and constants, on hulls and their cuts."""
+    rng = random.Random(seed)
+    body = random_body(seed, n, flat)
+    scale = F(rng.randint(1, 5), rng.choice([1, 3, 8]))
+    shift = F(rng.randint(-5, 5), rng.choice([1, 7]))
+    pieces = [AffineFunctional(tuple(c * scale for c in f.gradient), f.constant * scale + shift)
+              for f in random_pieces(rng, n, shape)]
+    for _ in range(2):
+        if body.is_empty:
+            break
+        g = ConcavePL.make(pieces, body, require_nonnegative=False)
+        assert geometry.max_transform(body, g) == oracle_region_max(body, g)
+        body = intersect_halfspace(body, random_cut(rng, body))
+
+
 def test_max_transform_on_empty_body_raises():
     empty = geometry.empty_body(2)
     g = ConcavePL.make([P1, AffineFunctional.make((0, 1), 0)], empty)
@@ -1527,6 +1548,8 @@ def test_max_transform_on_empty_body_raises():
         geometry.max_transform(empty, g)
     with pytest.raises(GeometryError):
         oracle_max_transform(empty, g)
+    with pytest.raises(GeometryError):
+        oracle_region_max(empty, g)
 
 
 def test_duplicate_pieces_count_once():

@@ -32,13 +32,12 @@ from okbodies.lattice import (
     analytic_count_constant,
     concave_sum,
     count,
-    discrepancy,
     enumerate_points,
     slab_bound,
 )
 from okbodies.estimates import sub_body_sampler
-from oracles import (oracle_box, oracle_count, oracle_envelope_floor_sum, oracle_envelope_runs,
-                     oracle_scaled_constraints)
+from oracles import (oracle_box, oracle_count, oracle_discrepancy, oracle_envelope_floor_sum,
+                     oracle_envelope_runs, oracle_scaled_constraints)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -775,15 +774,15 @@ def test_count_monotone_under_inclusion():
 
 def test_discrepancy_examples():
     for k in (1, 3, 10):
-        assert discrepancy(UNIT_SQUARE, k) == 2 * k + 1
-        assert discrepancy(SEGMENT, k) == 1
-    assert discrepancy(UNIT_SIMPLEX, 2) == 6 - 2
+        assert oracle_discrepancy(UNIT_SQUARE, k) == 2 * k + 1
+        assert oracle_discrepancy(SEGMENT, k) == 1
+    assert oracle_discrepancy(UNIT_SIMPLEX, 2) == 6 - 2
 
 
 def test_discrepancy_signed():
     # a thin off-lattice sliver undershoots its volume at k=1
     body = hull([(F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3))])
-    assert discrepancy(body, 1) == -volume(body)
+    assert oracle_discrepancy(body, 1) == -volume(body)
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +811,119 @@ def test_concave_sum_rejects_negative():
     with pytest.raises(ValueError, match=re.escape(
             "concave transform is negative at lattice point (Fraction(0, 1), Fraction(0, 1))")):
         concave_sum(UNIT_SQUARE, g, 2)
+
+
+CONCAVE_K_MAX = 40
+
+
+def _concave_transform(rng, body, shape):
+    """A concave transform on ``body``: 1-3 affine pieces with rational
+    gradients and constants, lifted so that their minimum over the vertices
+    is 0 or a little more, with one more piece by ``shape``: a duplicate, a
+    constant piece, or a piece tied with another in its y-slope; G = 0; or
+    (negative) a lift that leaves G negative somewhere on the body."""
+    n = body.dim
+    if shape == "zero":
+        return ConcavePL.make([AffineFunctional.make((0,) * n, 0)], body)
+
+    def gradient():
+        return [F(rng.randint(-6, 6), rng.choice([1, 2, 3, 4])) for _ in range(n)]
+
+    pieces = [AffineFunctional.make(gradient(), F(rng.randint(0, 8), rng.choice([1, 2, 5])))
+              for _ in range(rng.randint(1, 3))]
+    f = rng.choice(pieces)
+    if shape == "duplicate":
+        pieces.insert(rng.randrange(len(pieces) + 1), f)
+    elif shape == "constant":
+        pieces.append(AffineFunctional.make((0,) * n, f.constant + rng.randint(-1, 1)))
+    elif shape == "tied":
+        pieces.append(AffineFunctional.make(gradient()[:-1] + [f.gradient[-1]],
+                                            f.constant + rng.randint(-1, 1)))
+    low = min(min(p(v) for p in pieces) for v in body.vertices)
+    lift = F(rng.randint(-3, 0) if shape == "negative" else rng.randint(0, 2), 3) - low
+    pieces = [AffineFunctional(p.gradient, p.constant + lift) for p in pieces]
+    return ConcavePL.make(pieces, body, require_nonnegative=False)
+
+
+def _enumerated_or_error(body, g, k):
+    try:
+        return lattice._enumerated_concave_sum(body, g, k)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3]),
+       st.sampled_from(["hull", "grid", "box", "prism", "sliver", "redundant", "unit"]),
+       st.sampled_from(["random", "duplicate", "constant", "tied", "zero", "negative"]))
+def test_chain_concave_sum_matches_enumerated_oracle(seed, n, kind, shape):
+    """``concave_sum`` of a full-dimensional 2-D or 3-D body sums its scores
+    off the chains, column by column; the enumerating path must give the same
+    integer sum, or the same error where a lattice point scores negative, and
+    the chain sum gives up exactly then.  A 3-D body is shrunk to width at
+    most 1, so that the oracle stays quick at k = 40."""
+    rng = random.Random(seed)
+    body, den = _chain_body(rng, n, kind)
+    if not body.is_full_dim():
+        return
+    if n == 3:
+        body = scale_translate(body, F(1, 6))
+    g = _concave_transform(rng, body, shape)
+    L = g.integer_form[0]
+    for k in (1, rng.randint(1, CONCAVE_K_MAX), den, CONCAVE_K_MAX if n == 2 else 2 * den):
+        total = lattice._chain_concave_sum(body, g, k)
+        expected = _enumerated_or_error(body, g, k)
+        if isinstance(expected, str):
+            # a negative score sends the sum to the enumerating path's error
+            assert total is None
+            with pytest.raises(ValueError) as error:
+                concave_sum(body, g, k)
+            assert str(error.value) == expected
+        else:
+            assert total == expected
+            assert concave_sum(body, g, k) == F(expected, L * k ** (n + 1))
+
+
+def test_concave_sum_negative_only_off_the_lattice_sums_on_the_chains():
+    """G = x_1 + ... + x_n - 1/4 is negative at the corner (1/16, ..., 1/16)
+    of [1/16, 1]^n: a level without that corner sums off the chains, and at
+    k = 16 the corner scores negative, raising the enumerating path's error."""
+    for n in (2, 3):
+        body = hull(list(itertools.product((F(1, 16), 1), repeat=n)))
+        g = ConcavePL.make([AffineFunctional.make((1,) * n, F(-1, 4))], body,
+                           require_nonnegative=False)
+        for k in (1, 2, 5):
+            total = lattice._chain_concave_sum(body, g, k)
+            assert total == lattice._enumerated_concave_sum(body, g, k)
+            assert concave_sum(body, g, k) == F(total, 4 * k ** (n + 1))
+        assert lattice._chain_concave_sum(body, g, 16) is None
+        corner = ", ".join(["Fraction(1, 16)"] * n)
+        with pytest.raises(ValueError, match=re.escape(
+                f"concave transform is negative at lattice point ({corner})")):
+            concave_sum(body, g, 16)
+
+
+def test_concave_sum_of_a_full_dimensional_2d_or_3d_body_lists_no_point(monkeypatch):
+    """A full-dimensional polygon or 3-D body is summed off its chains: with
+    the lattice walk refused, ``concave_sum`` still returns, one- and
+    three-piece transforms alike."""
+    def refused(*args):
+        raise AssertionError("concave_sum listed lattice points")
+
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    polygon = hull([(0, 0), (F(3, 2), F(1, 3)), (F(1, 2), F(5, 4))])
+    cases = []
+    for body in (polygon, cube):
+        n = body.dim
+        three = [AffineFunctional.make([F(i - j, 2) for j in range(n)], 3) for i in range(3)]
+        for g in (first_coordinate_transform(body), ConcavePL.make(three, body)):
+            cases += [(body, g, k) for k in (1, 7, CONCAVE_K_MAX)]
+    expected = [concave_sum(*case) for case in cases]
+    monkeypatch.setattr(lattice, "_prefixes", refused)
+    assert [concave_sum(*case) for case in cases] == expected
+    monkeypatch.undo()
+    assert expected == [F(lattice._enumerated_concave_sum(body, g, k),
+                          g.integer_form[0] * k ** (body.dim + 1)) for body, g, k in cases]
 
 
 # ---------------------------------------------------------------------------

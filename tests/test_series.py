@@ -285,7 +285,7 @@ def test_maxp1_builds_no_delta_k(monkeypatch):
                         lambda *args: pytest.fail("discrete_body called"))
     for model in (CanonicalCurveModel(3), top_column_gap_model(), plane_quartic_model("hyperflex"),
                   ToricModel(UNIT_SIMPLEX)):
-        rep = verify_maxp1(model, ValuationModel.divisorial("x", model.ambient), range(1, 13))
+        rep = verify_maxp1(model, range(1, 13))
         assert len(rep.rows) == 12 and rep.passed
 
 
@@ -434,7 +434,7 @@ def test_model_keeps_only_the_last_level():
         model.discrete_body(k)
     assert model._level_k == 8 and slot_denominators(model) == {8}
     model = top_column_gap_model()
-    verify_maxp1(model, ValuationModel.divisorial("x", model.ambient), range(1, 8), iota=1)
+    verify_maxp1(model, range(1, 8), iota=1)
     assert model._level_k == 7 and slot_denominators(model) == {7}
 
 
