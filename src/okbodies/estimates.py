@@ -224,23 +224,23 @@ _SAMPLERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
-                     points: int = 6, denom: int = 32) -> Callable[[int], list[ConvexBody]]:
+                     points: int = 6) -> Callable[[int], list[ConvexBody]]:
     """Deterministic sampler of convex sub-bodies P of K with |P| >= min_volume.
 
-    Candidates are the grid points lo + (r / denom)(hi - lo) of K's bounding
-    box, r uniform in 0..denom per axis.  With K's integer vertex form (D, Z)
-    each is an integer numerator vector over D * denom, tested against K's
+    Candidates are the grid points lo + (r / 32)(hi - lo) of K's bounding
+    box, r uniform in 0..32 per axis.  With K's integer vertex form (D, Z)
+    each is an integer numerator vector over 32 D, tested against K's
     halfspaces in ints.  The accepted rows go to the integer hull
     (``geometry._hull_rows``) as they are, so only the vertices of each
     sampled body become Fractions.
 
     ``sample(n)`` returns the first n bodies of one fixed sequence, and a
     sampler keeps the bodies it has drawn.  While a caller holds the sampler
-    of (K, min_volume, seed, points, denom), every call with those arguments
+    of (K, min_volume, seed, points), every call with those arguments
     returns it, so the suites it serves draw each body once; an unheld
     sampler is freed with its bodies.
     """
-    key = (K, rat(min_volume), seed, points, denom)
+    key = (K, rat(min_volume), seed, points)
     sample = _SAMPLERS.get(key)
     if sample is None:
         sample = _SAMPLERS[key] = _sampler(*key)
@@ -248,10 +248,11 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
 
 
 def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
-             points: int, denom: int) -> Callable[[int], list[ConvexBody]]:
+             points: int) -> Callable[[int], list[ConvexBody]]:
     if min_volume >= volume(K):
         # the volume floor forces P = K (up to measure zero)
         return lambda count_bodies: [K] * count_bodies
+    denom = 32
     D, Z = K.int_form()
     box = [(min(col), max(col)) for col in zip(*Z)]  # numerators over D
     den = D * denom
@@ -286,12 +287,13 @@ def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
     return sample
 
 
-def concave_sampler(P: ConvexBody, rng: random.Random, max_pieces: int = 3,
-                    denom: int = 8) -> ConcavePL:
-    """Random nonnegative concave PL function on P (constants lifted so min = 0..1)."""
+def concave_sampler(P: ConvexBody, rng: random.Random) -> ConcavePL:
+    """Random nonnegative concave PL function on P: 1-3 pieces with gradients
+    in [-2, 2]^n over 8, constants lifted so min = 0..1."""
     n = P.dim
+    denom = 8
     grads = [tuple(rng.randrange(-2 * denom, 2 * denom + 1) for _ in range(n))
-             for _ in range(rng.randrange(1, max_pieces + 1))]
+             for _ in range(rng.randrange(1, 4))]
     # grad . v = (r . z) / (denom D) for numerators r over denom and z over D
     D, Z = P.int_form()
     lift = Fraction(-min(sum(map(mul, r, z)) for r in grads for z in Z), denom * D)
@@ -378,13 +380,14 @@ def verify_lower_bound_constant(P: ConvexBody, k_range: Sequence[int]) -> SweepR
 # ---------------------------------------------------------------------------
 
 def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
-                             n_pairs: int = 200, seed: int = 0,
-                             min_volume=Fraction(1, 10)) -> SweepReport:
-    """(sum_k G - integral G) * k / sup G stays bounded over random (P, G)."""
+                             n_pairs: int = 200, seed: int = 0) -> SweepReport:
+    """(sum_k G - integral G) * k / sup G stays bounded over random (P, G)
+    whose sub-bodies P of K have volume >= 1/10."""
+    min_volume = Fraction(1, 10)
     report = SweepReport(
         "concave_sum_bound",
         {"k_range": [min(k_range), max(k_range)], "N": n_pairs, "seed": seed,
-         "min_volume": rat(min_volume)},
+         "min_volume": min_volume},
     )
     bodies = sub_body_sampler(K, min_volume, seed)(n_pairs)
     rng = random.Random(seed + 1)
@@ -419,17 +422,16 @@ def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
 # cone counts
 # ---------------------------------------------------------------------------
 
-def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
-                       slice_b: Optional[Fraction] = None) -> SweepReport:
+def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int]) -> SweepReport:
     """Lattice counts of shrinking cone superlevels against certified bounds.
 
     For the apex cone at V and l_k = max(1, floor(k/2)): for t = b - (l_k/k)(b-a),
     the superlevel at t is a k/l_k-scaled translate of the cone, so its Z^n/k
     count equals the Z^n/l_k count of a shifted cone (asserted exactly), which
     the explicit-constant lattice bound certifies from below. The cube-enlarged
-    cone is the ambient that contains every shifted copy. A slice-cone variant
-    checks the k^iota * l^{n-iota} scaling via two-halves stability of the
-    fitted ratio.
+    cone is the ambient that contains every shifted copy. The slice cone
+    between heights a and 3/4 checks the k^iota * l^{n-iota} scaling via
+    two-halves stability of the fitted ratio.
     """
     a, b = rat(a), rat(b)
     V = tuple(rat(c) for c in V)
@@ -471,27 +473,26 @@ def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int],
     report.check("certified lower bound holds whenever l > C", bound_fail == 0,
                  {"failures": bound_fail})
 
-    if slice_b is not None:
-        sb = rat(slice_b)
-        scone = slice_cone(B, a, sb)
-        iota = _slice_dimension(B, sb)
-        gs = first_coordinate_transform(scone)
-        ks, ratios = [], []
-        for k in sorted(k_range):
-            if k < 1:
-                continue
-            ell = max(1, k // 2)
-            t = sb - Fraction(ell, k) * (sb - a)
-            cnt = count(superlevel(scone, gs, t), k)
-            denom = Fraction(k) ** iota * Fraction(ell) ** (n - iota)
-            ks.append(k)
-            ratios.append(Fraction(cnt) / denom)
-            report.rows.append({"k": k, "l": ell, "slice_count": cnt,
-                                "slice_ratio": Fraction(cnt) / denom})
-        if ratios:
-            report.fitted["slice_C2_lower"] = min(ratios)
-            _two_halves(report, "slice-cone count scales like k^iota l^(n-iota)",
-                        ks, ratios, bound="lower")
+    sb = Fraction(3, 4)
+    scone = slice_cone(B, a, sb)
+    iota = _slice_dimension(B, sb)
+    gs = first_coordinate_transform(scone)
+    ks, ratios = [], []
+    for k in sorted(k_range):
+        if k < 1:
+            continue
+        ell = max(1, k // 2)
+        t = sb - Fraction(ell, k) * (sb - a)
+        cnt = count(superlevel(scone, gs, t), k)
+        denom = Fraction(k) ** iota * Fraction(ell) ** (n - iota)
+        ks.append(k)
+        ratios.append(Fraction(cnt) / denom)
+        report.rows.append({"k": k, "l": ell, "slice_count": cnt,
+                            "slice_ratio": Fraction(cnt) / denom})
+    if ratios:
+        report.fitted["slice_C2_lower"] = min(ratios)
+        _two_halves(report, "slice-cone count scales like k^iota l^(n-iota)",
+                    ks, ratios, bound="lower")
     return report
 
 
@@ -776,9 +777,10 @@ P1XP1_LEVEL_SETS = {
 }
 
 
-def verify_weierstrass(k_max: int = 30, genus_max: int = 6) -> SweepReport:
+def verify_weierstrass(k_max: int = 30) -> SweepReport:
     """Exact reproduction of the curve/canonical/ruled-surface gap data plus
-    the gap-sequence round trip, exhaustive through genus_max."""
+    the gap-sequence round trip, exhaustive through genus 6."""
+    genus_max = 6
     report = SweepReport("weierstrass", {"k_max": k_max, "genus_max": genus_max})
     for kind in PLANE_QUARTIC_GAP_SEQUENCES:
         model = plane_quartic_model(kind)

@@ -146,20 +146,20 @@ def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(v // g for v in ints)
 
 
-def sqrt_upper_bound(q: Fraction, bits: int = 64) -> Fraction:
-    """Smallest representable rational upper bound on sqrt(q) at 2^-bits precision.
+def sqrt_upper_bound(q: Fraction) -> Fraction:
+    """Smallest representable rational upper bound on sqrt(q) at 2^-64 precision.
 
     Exact whenever q is the square of a rational; otherwise overshoots by
-    less than 2^-bits / q.denominator.
+    less than 2^-64 / q.denominator.
     """
     if q < 0:
         raise ValueError("negative radicand")
     num, den = q.numerator, q.denominator
-    m = num * den << (2 * bits)
+    m = num * den << 128
     r = isqrt(m)
     if r * r < m:
         r += 1
-    return Fraction(r, den << bits)
+    return Fraction(r, den << 64)
 
 
 def _int_reduce(rows: Sequence[Sequence[int]]) -> tuple[int, list[int], list[list[int]], int]:
@@ -322,9 +322,9 @@ class AffineFunctional:
         return _dot(self.gradient, p) + self.constant
 
 
-def coordinate_projection(n: int, axis: int = 0) -> AffineFunctional:
-    """The projection onto coordinate ``axis`` of R^n (first coordinate by default)."""
-    return AffineFunctional.make([1 if i == axis else 0 for i in range(n)], 0)
+def coordinate_projection(n: int) -> AffineFunctional:
+    """The projection onto the first coordinate of R^n."""
+    return AffineFunctional.make([1] + [0] * (n - 1), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +795,7 @@ class ConcavePL:
     domain: ConvexBody
 
     @staticmethod
-    def make(pieces: Sequence[AffineFunctional], domain: ConvexBody,
-             require_nonnegative: bool = True) -> "ConcavePL":
+    def make(pieces: Sequence[AffineFunctional], domain: ConvexBody) -> "ConcavePL":
         if not pieces:
             raise GeometryError("a concave transform needs at least one piece")
         for piece in pieces:
@@ -804,7 +803,7 @@ class ConcavePL:
                 raise DimensionMismatch(f"gradient of length {len(piece.gradient)} "
                                         f"on a body in R^{domain.dim}")
         g = ConcavePL(tuple(pieces), domain)
-        if require_nonnegative and not domain.is_empty:
+        if not domain.is_empty:
             # D L G(z / D) at the vertex rows z, the minimum over D L
             D, Z = domain.int_form()
             m = min(g.scaled_values(Z, D))
@@ -1121,25 +1120,24 @@ def _simplex_max(A: list[list[Fraction]], b: list[Fraction],
     return Fraction(obj[-1], d * cs), z
 
 
-def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
+def chebyshev_ball(body: ConvexBody) -> tuple[Vec, Fraction]:
     """Certified inscribed Euclidean ball: center and a rational radius lower bound.
 
-    Facet norms enter the LP as rational upper bounds (rounded up at 2^-bits),
+    Facet norms enter the LP as rational upper bounds (rounded up at 2^-64),
     so the optimal r is a lower bound on the true Chebyshev radius and the
     returned ball is guaranteed to fit inside the body.  The LP starts from the
     vertex centroid x0, read from the integer vertex form, and is solved once
-    per (body, bits).  Its norm column is scaled to ints, r = S r' with S the
-    lcm of the rho_i denominators (powers of two), so no row lcm holds 2^bits.
+    per body.  Its norm column is scaled to ints, r = S r' with S the lcm of
+    the rho_i denominators (powers of two), so no row lcm holds 2^64.
     """
     if body.is_empty or not body.is_full_dim():
         raise DegenerateBody("chebyshev_ball requires a full-dimensional body")
-    key = ("ball", bits)
-    if key not in body._cache:
+    if "ball" not in body._cache:
         n = body.dim
         D, Z = body.int_form()
         total = [sum(col) for col in zip(*Z)]
         den = D * len(Z)  # x0 = total / den
-        norms = [sqrt_upper_bound(Fraction(sum(w * w for w in h.normal)), bits)
+        norms = [sqrt_upper_bound(Fraction(sum(w * w for w in h.normal)))
                  for h in body.halfspaces]  # a full-dimensional body holds only facets
         S = max(rho.denominator for rho in norms)  # their lcm: all are powers of two
         A, rhs = [], []
@@ -1150,9 +1148,9 @@ def chebyshev_ball(body: ConvexBody, bits: int = 64) -> tuple[Vec, Fraction]:
             rhs.append(Fraction(h.offset.numerator * den - q * sum(map(mul, h.normal, total)),
                                 q * den))
         radius, z = _simplex_max(A, rhs, [0] * (2 * n) + [S])  # r = S r'
-        body._cache[key] = (tuple(Fraction(total[i], den) + z[2 * i] - z[2 * i + 1]
-                                  for i in range(n)), radius)
-    return body._cache[key]
+        body._cache["ball"] = (tuple(Fraction(total[i], den) + z[2 * i] - z[2 * i + 1]
+                                     for i in range(n)), radius)
+    return body._cache["ball"]
 
 
 # ---------------------------------------------------------------------------

@@ -781,12 +781,12 @@ def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
     return Fraction(total, g.integer_form[0] * k ** (body.dim + 1))
 
 
-def analytic_count_constant(body: ConvexBody, bits: int = 64) -> Fraction:
+def analytic_count_constant(body: ConvexBody) -> Fraction:
     """Certified C with count(body + x, l) >= (1 - C/l)|body| l^n for every shift x.
 
     C = n^{3/2} / (2 r) where r is the certified Chebyshev radius lower bound;
     rounding the square root up only increases C, keeping the bound valid.
     """
     n = body.dim
-    _, r_lb = chebyshev_ball(body, bits)
-    return Fraction(n) * sqrt_upper_bound(Fraction(n), bits) / (2 * r_lb)
+    _, r_lb = chebyshev_ball(body)
+    return Fraction(n) * sqrt_upper_bound(Fraction(n)) / (2 * r_lb)

@@ -160,20 +160,23 @@ class ToricModel(GradedSeriesModel):
 
 def is_gap_sequence(gaps: Sequence[int]) -> bool:
     """Valid Weierstrass gap data: 1 = N_1 < ... < N_g <= 2g-1 with
-    semigroup complement (closed under addition)."""
+    semigroup complement (closed under addition), tested on ints as bitsets:
+    one shift and AND per member s <= N_g / 2, the smaller of any two members
+    whose sum is at most N_g."""
     g = len(gaps)
     if g == 0:
         return False
     gaps = list(gaps)
-    if gaps[0] != 1 or sorted(set(gaps)) != gaps or gaps[-1] > 2 * g - 1:
-        return False
     gap_set = set(gaps)
-    members = [s for s in range(1, gaps[-1] + 1) if s not in gap_set]
-    for s in members:
-        for t in members:
-            if s + t <= gaps[-1] and (s + t) in gap_set:
-                return False
-    return True
+    if gaps[0] != 1 or sorted(gap_set) != gaps or gaps[-1] > 2 * g - 1:
+        return False
+    top = gaps[-1]
+    gap_bits = 0  # bit n is set for each gap n
+    for n in gaps:
+        gap_bits |= 1 << n
+    member_bits = ((1 << (top + 1)) - 2) ^ gap_bits  # the members 1..top
+    return not any((member_bits << s) & gap_bits
+                   for s in range(1, top // 2 + 1) if s not in gap_set)
 
 
 def gap_sequences_of_genus(g: int) -> list[tuple[int, ...]]:
@@ -379,13 +382,13 @@ def p1xp1_model(ramified: bool) -> SyntheticModel:
     return SyntheticModel(ambient, {1: (), 2: (gap,)}, levels=(1, 2))
 
 
-def top_column_gap_model(side: int = 1) -> SyntheticModel:
+def top_column_gap_model() -> SyntheticModel:
     """Unit-square synthetic model with the whole x1 = 1 lattice column removed
     at every level: the quantum maximum trails the true maximum by exactly 1/k."""
-    square = hull([(0, 0), (side, 0), (0, side), (side, side)])
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
 
     def gaps(k: int):
-        return [(k * side, j) for j in range(k * side + 1)]
+        return [(k, j) for j in range(k + 1)]
 
     return SyntheticModel(square, gaps)
 

@@ -77,9 +77,9 @@ class ValuationModel:
     G: ConcavePL
 
     @staticmethod
-    def divisorial(label: str, ambient: ConvexBody, A=1) -> "ValuationModel":
-        """The canonical divisorial convention: G is the first coordinate."""
-        return ValuationModel(label, rat(A), first_coordinate_transform(ambient))
+    def divisorial(label: str, ambient: ConvexBody) -> "ValuationModel":
+        """The canonical divisorial convention: A = 1 and G is the first coordinate."""
+        return ValuationModel(label, Fraction(1), first_coordinate_transform(ambient))
 
     def __post_init__(self):
         if self.A <= 0:
@@ -239,26 +239,17 @@ def Sbar_km(model: GradedSeriesModel, v: ValuationModel, k: int, m: int) -> Frac
 # ---------------------------------------------------------------------------
 
 class VanishingOrders(tuple):
-    """(S0, sigma, quantum_S0, quantum_sigma) with attribute access."""
+    """(S0, sigma) with attribute access."""
 
     S0 = property(lambda s: s[0])
     sigma = property(lambda s: s[1])
-    quantum_S0 = property(lambda s: s[2])
-    quantum_sigma = property(lambda s: s[3])
 
 
-def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel,
-                 k: Optional[int] = None) -> VanishingOrders:
-    """Maximal and minimal vanishing orders: max/min of G over the ambient body,
-    plus the level-k quantum variants j_{k,1}/k and j_{k,d_k}/k when k is given."""
+def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel) -> VanishingOrders:
+    """Maximal and minimal vanishing orders: max/min of G over the ambient body."""
     s0 = max_transform(model.ambient, v.G)
     sigma = min(v.G(x) for x in model.ambient.vertices)
-    q_s0 = q_sigma = None
-    if k is not None:
-        L, scores, _, _ = _level_scores(model, v.G, k)
-        q_s0 = Fraction(scores[0], L * k)
-        q_sigma = Fraction(scores[-1], L * k)
-    return VanishingOrders((s0, sigma, q_s0, q_sigma))
+    return VanishingOrders((s0, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -676,12 +667,11 @@ def delta_km_restricted(model: GradedSeriesModel, family: Sequence[ValuationMode
     return _restricted_min(family, lambda v: S_km(model, v, k, m))
 
 
-def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationModel],
-                         tau, tol=DEFAULT_TOL):
+def delta_tau_restricted(model: GradedSeriesModel, family: Sequence[ValuationModel], tau):
     """min over the family of A(v)/S_tau(v); tau = 0 uses S0. Upper bound on
     the limiting threshold, as for delta_km_restricted."""
     return _restricted_min(family, lambda v: S0_and_sigma(model, v).S0 if rat(tau) == 0
-                           else S_tau(model, v, tau, tol))
+                           else S_tau(model, v, tau))
 
 
 def valuation_from_json(data: dict, ambient: ConvexBody) -> ValuationModel:

@@ -12,6 +12,9 @@ the same optimal vertex even where the optimum is not unique.  ``oracle_level`` 
 k*Delta_k per backend by enumeration and set difference, the way the series
 models did before each backend stated only its gap sets, and
 ``oracle_recover_gaps`` reads the Weierstrass gaps off those levels.
+``oracle_is_gap_sequence`` tests closure of the complement of a gap sequence
+over every pair of members: the quadratic loop that the library's bitset
+``series.is_gap_sequence`` must agree with.
 ``oracle_superadditive`` checks k Delta_k + k' Delta_k' inside
 (k+k') Delta_{k+k'} over every pair of levels: the all-pairs check that a
 check from the gaps alone must agree with.
@@ -240,6 +243,24 @@ def oracle_recover_gaps(model) -> list[tuple[int, int]]:
             found.append((k, k))
             seen = D - d
     return found
+
+
+def oracle_is_gap_sequence(gaps) -> bool:
+    """Weierstrass gap data by the pair loop: 1 = N_1 < ... < N_g <= 2g-1 and
+    no sum of two members at most N_g is a gap."""
+    g = len(gaps)
+    if g == 0:
+        return False
+    gaps = list(gaps)
+    if gaps[0] != 1 or sorted(set(gaps)) != gaps or gaps[-1] > 2 * g - 1:
+        return False
+    gap_set = set(gaps)
+    members = [s for s in range(1, gaps[-1] + 1) if s not in gap_set]
+    for s in members:
+        for t in members:
+            if s + t <= gaps[-1] and (s + t) in gap_set:
+                return False
+    return True
 
 
 def oracle_superadditive(model, k_max: int) -> None:

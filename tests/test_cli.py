@@ -1147,3 +1147,56 @@ def test_cli_fuzz_non_object_json_exit_codes(backend, slot, value, command):
     assert len(lines) == (code != 0), lines
     assert not lines or lines[0].split(":")[0] in (
         "input error", "domain error", "model error", "geometry error")
+
+
+UNREADABLE_JSON = {
+    "huge_int": ('{"dim": 1, "vertices": [[' + "1" * 5001 + '], [0]]}').encode(),
+    "not_utf8": b'\xff\xfe{"dim": 1, "vertices": [[0], [1]]}',
+    "deep": b"[" * 100000 + b"]" * 100000,
+    "directory": None,
+}
+
+
+@pytest.mark.parametrize("slot", ["body", "valuations", "sweep"])
+@pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
+def test_unreadable_json_exits2_with_one_line(tmp_path, capsys, slot, content):
+    """A JSON file with an integer past Python's 4300-digit limit, bytes that
+    are not UTF-8, nesting past the recursion limit, or a directory in its
+    place is an input error in every slot that reads a file (a domain error
+    or a traceback before): exit 2 with one line."""
+    bad = tmp_path / "bad.json"
+    if UNREADABLE_JSON[content] is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(UNREADABLE_JSON[content])
+    model = write(tmp_path, "p2.json", SIMPLEX_MODEL)
+    family = write(tmp_path, "v.json", [valuation("D1", "1", "0")])
+    argv = {"body": ["body", "--in", str(bad)],
+            "valuations": ["thresholds", "--in", model, "--valuations", str(bad)],
+            "sweep": ["thresholds", "--in", model, "--valuations", family,
+                      "--sweep", str(bad)]}[slot]
+    assert _exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["body", "series", "thresholds", "verify"])
+def test_unwritable_out_exits2_with_one_line(tmp_path, capsys, command):
+    """``--out`` naming a directory (a file for ``verify``, which writes a
+    directory) is an input error: exit 2 with one line, no traceback."""
+    taken = tmp_path / "taken"
+    if command == "verify":
+        taken.write_text("")
+    else:
+        taken.mkdir()
+    model = write(tmp_path, "p2.json", SIMPLEX_MODEL)
+    argv = {"body": ["body", "--in", write(tmp_path, "s.json", SIMPLEX_JSON)],
+            "series": ["series", "--in", model, "--k-max", "2"],
+            "thresholds": ["thresholds", "--in", model, "--k-max", "2", "--valuations",
+                           write(tmp_path, "v.json", [valuation("D1", "1", "0")])],
+            "verify": ["verify", "weierstrass", "--k-max", "2"]}[command]
+    assert _exit_code(argv + ["--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err

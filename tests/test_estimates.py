@@ -196,8 +196,8 @@ def test_verify_concave_sum_small():
     assert rep.passed
 
 
-@pytest.mark.parametrize("K, nu", [(UNIT_SQUARE, F(1, 10)), (UNIT_CUBE, F(1, 50))])
-def test_verify_concave_rows_match_fraction_excesses(K, nu, monkeypatch):
+@pytest.mark.parametrize("K", [UNIT_SQUARE, UNIT_CUBE])
+def test_verify_concave_rows_match_fraction_excesses(K, monkeypatch):
     """The integer cross-multiplied worst excess is the largest
     (concave_sum - integral) k / sup G over the sampled pairs, recomputed in
     Fractions from 0, with the pairs whose sup G is 0 skipped: every third
@@ -213,8 +213,8 @@ def test_verify_concave_rows_match_fraction_excesses(K, nu, monkeypatch):
         return g
 
     monkeypatch.setattr(estimates, "concave_sampler", sampler)
-    rep = verify_concave_sum_bound(K, range(1, 7), n_pairs=9, seed=3, min_volume=nu)
-    pairs = list(zip(sub_body_sampler(K, nu, 3)(9), drawn))
+    rep = verify_concave_sum_bound(K, range(1, 7), n_pairs=9, seed=3)
+    pairs = list(zip(sub_body_sampler(K, F(1, 10), 3)(9), drawn))
     want = []
     for k in range(1, 7):
         worst = F(0)
@@ -274,7 +274,6 @@ def test_concave_pl_make_reports_the_exact_negative_minimum():
     assert m == F(-1, 4) * F(3, 2) + F(1, 11) < 0
     with pytest.raises(GeometryError, match=rf"negative on the domain \(min {m}\)$"):
         ConcavePL.make(pieces, P)
-    assert ConcavePL.make(pieces, P, require_nonnegative=False).pieces == tuple(pieces)
 
 
 def test_concave_sum_segment_identity():
@@ -313,14 +312,13 @@ def test_verify_uniform_ehrhart_segment():
 # ---------------------------------------------------------------------------
 
 def test_verify_cone_counts_simplex():
-    rep = verify_cone_counts(UNIT_SIMPLEX, 0, 1, (1, 0), range(2, 25),
-                             slice_b=F(3, 4))
+    rep = verify_cone_counts(UNIT_SIMPLEX, 0, 1, (1, 0), range(2, 25))
     assert rep.passed
 
 
 def test_verify_cone_counts_square_slice():
     rep = verify_cone_counts(UNIT_SQUARE, F(1, 4), F(3, 4), (F(3, 4), 0),
-                             range(2, 21), slice_b=F(3, 4))
+                             range(2, 21))
     assert rep.passed
 
 
@@ -472,7 +470,7 @@ def test_level_sweeps_visit_only_the_levels_of_the_model(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_verify_weierstrass_suite():
-    rep = verify_weierstrass(k_max=20, genus_max=5)
+    rep = verify_weierstrass(k_max=20)
     assert rep.passed
 
 

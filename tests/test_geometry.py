@@ -650,7 +650,7 @@ def test_scaled_values_match_the_per_point_oracle():
                 pieces.append(AffineFunctional.make([0] * n, rng.choice((0, -1, F(5, 3)))))
             if rng.random() < 0.3:
                 pieces.insert(rng.randrange(len(pieces) + 1), rng.choice(pieces))
-            g = ConcavePL.make(pieces, domain, require_nonnegative=False)
+            g = ConcavePL(tuple(pieces), domain)
             points = [tuple(rng.randint(-9, 9) for _ in range(n))
                       for _ in range(rng.randint(0, 12))]
             points += rng.sample(points, min(len(points), 2))
@@ -839,7 +839,7 @@ def random_lp(rng, shape):
     "degenerate" zeroes all of b, and "unbounded" makes one profitable column
     that no row bounds.  "ball" is shaped as ``chebyshev_ball``'s LP: integer
     normals w split into paired columns (w, -w) for free variables, and a
-    last column of norm bounds over 2^bits scaled to integers by their lcm
+    last column of norm bounds over 2^64 scaled to integers by their lcm
     S, with objective S on it, and b > 0.
     """
     dens = (1, 2, 3, 4, 6, 7, 12)
@@ -864,11 +864,11 @@ def random_lp(rng, shape):
         for row in A:
             row[j] = -abs(row[j])
     elif shape == "ball":
-        dim, bits = rng.randint(1, 4), rng.choice((4, 8, 64))
+        dim = rng.randint(1, 4)
         normals = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(m)]
         for w in normals:
             w[rng.randrange(dim)] = rng.choice((-1, 1)) * rng.randint(1, 3)
-        norms = [sqrt_upper_bound(F(sum(x * x for x in w)), bits) for w in normals]
+        norms = [sqrt_upper_bound(F(sum(x * x for x in w))) for w in normals]
         S = max(rho.denominator for rho in norms)
         A = [[F(e) for x in w for e in (x, -x)] + [rho * S] for w, rho in zip(normals, norms)]
         b = [entry(1, 6) for _ in range(m)]  # x0 lies inside the body
@@ -917,7 +917,7 @@ def test_simplex_max_enters_the_smallest_label_not_the_first_column():
     assert geometry._simplex_max(A, b, c) == expected
 
 
-def oracle_chebyshev_ball(body, bits=64):
+def oracle_chebyshev_ball(body):
     """The inscribed-ball LP built over Fractions from the vertex centroid and
     solved by the Fraction tableau."""
     n = body.dim
@@ -925,7 +925,7 @@ def oracle_chebyshev_ball(body, bits=64):
     A, rhs = [], []
     for h in body.halfspaces:
         A.append([F(c) for w in h.normal for c in (w, -w)]
-                 + [sqrt_upper_bound(_dot(h.normal, h.normal), bits)])
+                 + [sqrt_upper_bound(_dot(h.normal, h.normal))])
         rhs.append(h.offset - h.value(x0))
     radius, z = oracle_simplex_max(A, rhs, [F(0)] * (2 * n) + [F(1)])
     return tuple(x0[i] + z[2 * i] - z[2 * i + 1] for i in range(n)), radius
@@ -940,7 +940,6 @@ def test_chebyshev_ball_matches_fraction_lp_on_hulls_and_cut_bodies(seed, n):
         if body.is_empty or not body.is_full_dim():
             break
         assert chebyshev_ball(body) == oracle_chebyshev_ball(body)
-        assert chebyshev_ball(body, 8) == oracle_chebyshev_ball(body, 8)
         body = intersect_halfspace(body, random_cut(rng, body))
 
 
@@ -953,21 +952,22 @@ def test_chebyshev_ball_keeps_the_non_unique_centers_of_boxes_and_their_cuts(sid
     rng = random.Random(seed)
     body = hull(list(itertools.product(*[(0, s) for s in sides])))
     for _ in range(4):
-        for bits in (64, 8):
-            assert chebyshev_ball(body, bits) == oracle_chebyshev_ball(body, bits)
+        assert chebyshev_ball(body) == oracle_chebyshev_ball(body)
         body = intersect_halfspace(body, random_cut(rng, body))
         if body.is_empty or not body.is_full_dim():
             break
 
 
 def test_chebyshev_ball_is_solved_once_per_body_and_bits(monkeypatch):
+    """The inscribed-ball LP, at its one precision of 2^-64, is solved once
+    per body and read from the body's cache after that."""
     body = hull(fan_points(5, 3, 10))
     calls = []
     lp = geometry._simplex_max
     monkeypatch.setattr(geometry, "_simplex_max", lambda *a: calls.append(1) or lp(*a))
     first = chebyshev_ball(body)
     assert chebyshev_ball(body) == first and len(calls) == 1
-    chebyshev_ball(body, 16)
+    chebyshev_ball(hull(fan_points(6, 3, 10)))
     assert len(calls) == 2
 
 
@@ -1178,7 +1178,7 @@ def test_moments_match_rehull_oracle_on_hulls_and_cut_chains(seed, n):
             vol, center = oracle_moments(body)
             assert volume(body) == vol
             assert barycenter(body) == center
-            g = ConcavePL.make(pieces, body, require_nonnegative=False)
+            g = ConcavePL(tuple(pieces), body)
             assert integrate_transform(body, g) == oracle_integrate(body, g)
         else:
             assert volume(body) == 0
@@ -1357,7 +1357,7 @@ def test_superlevel_matches_make_path_oracle(n):
                                         F(rng.randrange(0, 9), rng.choice((1, 2, 3))))
                   for _ in range(rng.randrange(1, 4))]
         pieces += rng.sample(pieces, rng.randrange(2))
-        g = ConcavePL.make(pieces, body, require_nonnegative=False)
+        g = ConcavePL(tuple(pieces), body)
         values = sorted({g(v) for v in body.vertices})
         for t in {values[0] - 1, *values, (values[0] + values[-1]) / 2, values[-1] + 1}:
             assert_same_clip(superlevel(body, g, t), oracle_superlevel(body, g, t))
@@ -1515,7 +1515,7 @@ def test_max_transform_matches_lp_oracle(seed, n, flat, shape):
     for _ in range(2):
         if body.is_empty:
             break
-        g = ConcavePL.make(pieces, body, require_nonnegative=False)
+        g = ConcavePL(tuple(pieces), body)
         assert geometry.max_transform(body, g) == oracle_max_transform(body, g)
         body = intersect_halfspace(body, random_cut(rng, body))
 
@@ -1536,7 +1536,7 @@ def test_max_transform_matches_region_vertex_oracle(seed, n, flat, shape):
     for _ in range(2):
         if body.is_empty:
             break
-        g = ConcavePL.make(pieces, body, require_nonnegative=False)
+        g = ConcavePL(tuple(pieces), body)
         assert geometry.max_transform(body, g) == oracle_region_max(body, g)
         body = intersect_halfspace(body, random_cut(rng, body))
 

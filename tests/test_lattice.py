@@ -806,8 +806,7 @@ def test_concave_sum_zero_transform():
 
 
 def test_concave_sum_rejects_negative():
-    g = ConcavePL.make([AffineFunctional.make((1, 0), F(-1, 4))], UNIT_SQUARE,
-                       require_nonnegative=False)
+    g = ConcavePL((AffineFunctional.make((1, 0), F(-1, 4)),), UNIT_SQUARE)
     with pytest.raises(ValueError, match=re.escape(
             "concave transform is negative at lattice point (Fraction(0, 1), Fraction(0, 1))")):
         concave_sum(UNIT_SQUARE, g, 2)
@@ -842,7 +841,7 @@ def _concave_transform(rng, body, shape):
     low = min(min(p(v) for p in pieces) for v in body.vertices)
     lift = F(rng.randint(-3, 0) if shape == "negative" else rng.randint(0, 2), 3) - low
     pieces = [AffineFunctional(p.gradient, p.constant + lift) for p in pieces]
-    return ConcavePL.make(pieces, body, require_nonnegative=False)
+    return ConcavePL(tuple(pieces), body)
 
 
 def _enumerated_or_error(body, g, k):
@@ -890,8 +889,7 @@ def test_concave_sum_negative_only_off_the_lattice_sums_on_the_chains():
     k = 16 the corner scores negative, raising the enumerating path's error."""
     for n in (2, 3):
         body = hull(list(itertools.product((F(1, 16), 1), repeat=n)))
-        g = ConcavePL.make([AffineFunctional.make((1,) * n, F(-1, 4))], body,
-                           require_nonnegative=False)
+        g = ConcavePL((AffineFunctional.make((1,) * n, F(-1, 4)),), body)
         for k in (1, 2, 5):
             total = lattice._chain_concave_sum(body, g, k)
             assert total == lattice._enumerated_concave_sum(body, g, k)

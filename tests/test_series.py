@@ -1,5 +1,6 @@
 """Backend tests: toric, curve-divisor, canonical-curve, synthetic models."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -27,7 +28,7 @@ from okbodies.series import (
     top_column_gap_model,
 )
 from okbodies.thresholds import ValuationModel, _level_scores
-from oracles import oracle_level, oracle_recover_gaps, oracle_superadditive
+from oracles import oracle_is_gap_sequence, oracle_level, oracle_recover_gaps, oracle_superadditive
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 
@@ -54,6 +55,53 @@ def test_gap_sequence_validation():
     assert not is_gap_sequence([1, 3, 4])     # complement {2,5,...}: 2+2=4 is a gap
     assert not is_gap_sequence([1, 2, 6])     # N_g > 2g-1
     assert not is_gap_sequence([])
+
+
+def _semigroup_gaps(generators):
+    """The gaps of the numerical semigroup spanned by coprime generators."""
+    bound = max(generators) ** 2
+    members = {0}
+    for n in range(1, bound + 1):
+        if any(n - a in members for a in generators if a <= n):
+            members.add(n)
+    return [n for n in range(1, bound + 1) if n not in members]
+
+
+def test_gap_sequence_matches_pair_loop_oracle():
+    """The bitset closure test agrees with the pair loop on every candidate
+    that ``gap_sequences_of_genus`` tries through genus 7, and on large
+    semigroups with one gap moved, added or dropped."""
+    for g in range(1, 8):
+        for rest in itertools.combinations(range(2, 2 * g), g - 1):
+            cand = (1,) + rest
+            assert is_gap_sequence(cand) == oracle_is_gap_sequence(cand), cand
+    rng = random.Random(7)
+    seen = set()
+    for gens in [(2, 61), (7, 11), (13, 17), (10, 13, 17), (19, 23), (5, 31, 47)]:
+        gaps = _semigroup_gaps(gens)
+        assert is_gap_sequence(gaps) and oracle_is_gap_sequence(gaps)
+        top = gaps[-1]
+        for _ in range(40):
+            moved = set(gaps)
+            if rng.random() < 0.5:
+                moved.discard(rng.choice(gaps[1:]))
+            if rng.random() < 0.7 or len(moved) == len(gaps):
+                moved.add(rng.randint(2, top + 2))
+            cand = sorted(moved)
+            want = oracle_is_gap_sequence(cand)
+            assert is_gap_sequence(cand) == want, (gens, cand)
+            seen.add(want)
+    assert seen == {True, False}
+
+
+def test_genus_20000_hyperelliptic_curve_model_builds():
+    """The hyperelliptic gaps 1, 3, ..., 2g - 1 at g = 20,000 pass the
+    closure test (one shift per even member up to g), and moving the gap 3
+    to 2 breaks closure (3 + 4 = 7)."""
+    g = 20000
+    model = CurveDivisorModel(g, range(1, 2 * g, 2))
+    assert model.genus == g and model.gaps[-1] == 2 * g - 1
+    assert not is_gap_sequence([1, 2] + list(range(5, 2 * g, 2)))
 
 
 def test_semigroup_counts_by_genus():
@@ -374,9 +422,7 @@ def test_bundled_models_match_oracle():
         model = p1xp1_model(ramified)
         gap = (1, 1) if ramified else (1, 2)
         assert_matches_oracle(model, 2, lambda k: [gap] if k == 2 else [])
-    for side in (1, 2):
-        model = top_column_gap_model(side)
-        assert_matches_oracle(model, 12, lambda k: [(k * side, j) for j in range(k * side + 1)])
+    assert_matches_oracle(top_column_gap_model(), 12, lambda k: [(k, j) for j in range(k + 1)])
 
 
 @pytest.mark.parametrize("genus", range(1, 6))
