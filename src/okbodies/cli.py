@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -485,7 +486,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, inside the handlers
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): no error, like a filter dying
+        # of SIGPIPE; stdout goes to devnull so the flush at exit is silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except (InputError, OSError) as exc:  # OSError: an unreadable --in or unwritable --out
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

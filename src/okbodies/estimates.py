@@ -230,9 +230,11 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
     Candidates are the grid points lo + (r / 32)(hi - lo) of K's bounding
     box, r uniform in 0..32 per axis.  With K's integer vertex form (D, Z)
     each is an integer numerator vector over 32 D, tested against K's
-    halfspaces in ints.  The accepted rows go to the integer hull
-    (``geometry._hull_rows``) as they are, so only the vertices of each
-    sampled body become Fractions.
+    halfspaces in ints, one at a time until one fails.  The accepted rows go
+    to the integer hull (``geometry._hull_rows``) as they are, and each
+    sampled body keeps its vertices in integers until its ``vertices`` is
+    read: the volume floor, ``count`` and ``concave_sum`` build no Fraction
+    vertex.
 
     ``sample(n)`` returns the first n bodies of one fixed sequence, and a
     sampler keeps the bodies it has drawn.  While a caller holds the sampler
@@ -254,12 +256,13 @@ def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
         return lambda count_bodies: [K] * count_bodies
     denom = 32
     D, Z = K.int_form()
-    box = [(min(col), max(col)) for col in zip(*Z)]  # numerators over D
+    # each axis as (lo denom, hi - lo) for its numerators lo, hi over D
+    axes = [(min(col) * denom, max(col) - min(col)) for col in zip(*Z)]
     den = D * denom
     # a.x <= p/q at x = num/den  <=>  q (a.num) <= p den
     constraints = [(h.normal, h.offset.denominator, h.offset.numerator * den)
                    for h in K.halfspaces]
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     drawn: list[ConvexBody] = []
     tries = 0
 
@@ -276,8 +279,11 @@ def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
             tries += 1
             rows = []
             while len(rows) < points:
-                num = tuple(lo * denom + rng.randrange(0, denom + 1) * (hi - lo) for lo, hi in box)
-                if all(q * sum(map(mul, a, num)) <= pd for a, q, pd in constraints):
+                num = tuple([base + randrange(0, denom + 1) * step for base, step in axes])
+                for a, q, pd in constraints:
+                    if q * sum(map(mul, a, num)) > pd:
+                        break
+                else:
                     rows.append(num)
             body = _hull_rows(den, sorted(set(rows)), K.dim)
             if body.is_full_dim() and volume(body) >= min_volume:

@@ -13,9 +13,9 @@ of its points once, and builds every full-dimensional hull from the sorted,
 distinct rows: by Andrew's monotone chain for polygons (n = 2), and by one
 incremental beneath-beyond hull in exact integers in every other dimension
 n >= 1.  ``intersect_halfspace`` forms its crossing points as integer rows
-from the parent's (D, Z).  Fractions are built once, for the
-final vertex tuples, and every body from these constructors comes with its
-(D, Z), affine rank and vertex-facet incidence already cached.  Tight sets,
+from the parent's (D, Z).  Every body from these constructors comes with
+its (D, Z), affine rank and vertex-facet incidence already cached, and
+builds its Fraction vertex tuples on the first read of ``vertices``.  Tight sets,
 the sign tests and crossings of clipping, and affine ranks read (D, Z), so
 they compare and eliminate exact ints instead of summing Fractions; a clip
 that cuts a body reads its tight sets and rank off the parent's incidence
@@ -118,10 +118,6 @@ def rat_str(q: Fraction) -> str:
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _vsub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 
 def _vadd(a: Vec, b: Vec) -> Vec:
@@ -336,25 +332,36 @@ class ConvexBody:
 
     Lower-dimensional bodies are first-class values (their halfspace list then
     carries equality pairs for the affine hull); the empty body is represented
-    by an empty vertex list.
+    by an empty vertex list.  A body from the exact constructors
+    (``_primed``) builds its vertex tuples from (D, Z) on first read.
     """
 
-    __slots__ = ("dim", "vertices", "halfspaces", "_cache")
+    __slots__ = ("dim", "_vertices", "halfspaces", "_cache")
 
     def __init__(self, dim: int, vertices: Iterable[Vec], halfspaces: Iterable[HalfSpace]):
         self.dim = dim
-        self.vertices: tuple[Vec, ...] = tuple(sorted(set(vertices)))
+        self._vertices: tuple[Vec, ...] | None = tuple(sorted(set(vertices)))
         self.halfspaces: tuple[HalfSpace, ...] = tuple(sorted(set(halfspaces)))
         self._cache: dict = {}
-        for v in self.vertices:
+        for v in self._vertices:
             if len(v) != dim:
                 raise DimensionMismatch(f"vertex {v} not in R^{dim}")
 
     # -- basic queries ------------------------------------------------------
 
     @property
+    def vertices(self) -> tuple[Vec, ...]:
+        """The sorted vertex tuples, built from (D, Z) if the slot is unfilled."""
+        v = self._vertices
+        if v is None:
+            D, Z = self._cache["int_form"]
+            v = self._vertices = tuple(tuple(Fraction(c, D) for c in z) for z in Z)
+        return v
+
+    @property
     def is_empty(self) -> bool:
-        return not self.vertices
+        v = self._vertices
+        return not (self._cache["int_form"][1] if v is None else v)
 
     def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """The integer vertex form (D, Z) of ``_int_form``: seeded by the exact
@@ -399,7 +406,7 @@ class ConvexBody:
         if self.is_empty:
             return f"ConvexBody(dim={self.dim}, empty)"
         return (
-            f"ConvexBody(dim={self.dim}, vertices={len(self.vertices)}, "
+            f"ConvexBody(dim={self.dim}, vertices={len(self.int_form()[1])}, "
             f"halfspaces={len(self.halfspaces)})"
         )
 
@@ -424,7 +431,8 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
     The points are coerced, scaled once to integer rows over one common
     denominator D, de-duplicated and sorted as rows (for D > 0 the row order is
     the Fraction order) and handed to ``_hull_rows``: a monotone chain in the
-    plane, the beneath-beyond hull in every other dimension.
+    plane, the beneath-beyond hull in every other dimension.  Its vertex
+    tuples are built on first read (``_primed``).
     """
     if not points:
         raise GeometryError("hull of an empty point set")
@@ -486,16 +494,17 @@ def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
 
     Its caches are seeded: the incidence from ``tight``, the affine rank, and
     the integer vertex form, (D, Z) divided by gcd(D, every entry), which is
-    ``_int_form`` of the vertices.  The Fraction vertices are built here, once;
-    the rows are already sorted and distinct, so ``ConvexBody.__init__``'s
-    sort of the Fraction tuples is skipped.
+    ``_int_form`` of the vertices.  No Fraction is built here: the vertex
+    slot stays unfilled until ``ConvexBody.vertices`` is first read.  The
+    rows are already sorted and distinct, and for D > 0 the row order is the
+    Fraction order, so ``ConvexBody.__init__``'s sort is skipped.
     """
     g = gcd(D, *itertools.chain.from_iterable(Z))
     if g > 1:
         D, Z = D // g, [tuple(c // g for c in z) for z in Z]
     body = object.__new__(ConvexBody)
     body.dim = n
-    body.vertices = tuple(tuple(Fraction(c, D) for c in z) for z in Z)
+    body._vertices = None
     pairs = sorted(tight, key=itemgetter(0))
     body.halfspaces = tuple(h for h, _ in pairs)
     body._cache = {"int_form": (D, tuple(Z)), "arank": rank,
@@ -587,8 +596,8 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     an n-polytope lies on exactly two facets, and a facet's relative interior
     on one, so for n <= 3 a boundary point that is no vertex lies on at most
     n - 1 facets: there n tight facets make a vertex, and only n >= 4 (where
-    an edge can lie on n facets) needs the rank.  Only the vertex rows become
-    Fractions (``_primed``).
+    an edge can lie on n facets) needs the rank.  The vertex rows stay
+    integers (``_primed``).
     """
     if n == 2:
         return _polygon(D, P, _chain(P))
@@ -894,7 +903,7 @@ def triangulate(body: ConvexBody) -> list[tuple[int, ...]]:
                           for s in pull(facet)] or [(apex,)]
         return memo[face]
 
-    return pull(frozenset(range(len(body.vertices))))
+    return pull(frozenset(range(len(body.int_form()[1]))))
 
 
 def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:
@@ -988,21 +997,27 @@ def _linearity_regions(body: ConvexBody, g: ConcavePL) -> list[tuple[AffineFunct
     The regions cover the body and G = f_i on R_i; lower-dimensional regions
     are kept.  A duplicate piece counts once.  The subdivision is built once
     per (body, pieces) and cached on the body, so ``max_transform`` and
-    ``integrate_transform`` share it.
+    ``integrate_transform`` share it.  The cut f_i <= f_j is read off
+    ``g.integer_form``: normal L (grad_i - grad_j) / d, d its gcd, and offset
+    L (c_j - c_i) / d, the primitive halfspace ``HalfSpace.make`` gives.
     """
-    pieces = tuple(dict.fromkeys(g.pieces))
+    form = dict(zip(g.pieces, g.integer_form[1]))
+    pieces = tuple(form)
     key = ("regions", pieces)
     if key in body._cache:
         return body._cache[key]
     regions = []
     for f_i in pieces:
+        grad_i, c_i = form[f_i]
         region = body
         for f_j in pieces:
-            normal = _vsub(f_i.gradient, f_j.gradient)
+            grad_j, c_j = form[f_j]
+            normal = tuple(map(sub, grad_i, grad_j))
             if any(normal):
-                region = intersect_halfspace(
-                    region, HalfSpace.make(normal, f_j.constant - f_i.constant))
-            elif f_j.constant < f_i.constant:
+                d = gcd(*normal)
+                region = intersect_halfspace(region, HalfSpace(
+                    tuple(c // d for c in normal), Fraction(c_j - c_i, d)))
+            elif c_j < c_i:
                 region = empty_body(body.dim)  # piece j is everywhere smaller
             if region.is_empty:
                 break

@@ -43,6 +43,10 @@ scoring and the shared-Fraction ``JumpingVector`` must match exactly.
 piece over the vertices of its linearity region: the path that the
 library's ``max_transform``, which compares each region's integer maximum
 by cross-multiplication and builds one Fraction, must match exactly.
+``oracle_linearity_regions`` cuts each region with ``HalfSpace.make`` on the
+Fraction differences (``vsub``) of the pieces' gradients and constants: the
+path that the library's ``_linearity_regions``, which builds each primitive
+cut from the pieces' integer form, must match region for region.
 ``oracle_plus_body_count`` scans every point of the idealized level for the
 plus-body count of the maxp1 suite: the path that the library's one
 bisection of the sorted level must match.
@@ -96,8 +100,8 @@ from operator import mul
 from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, HalfSpace,
                                _affine_equalities, _affine_rank, _hull_full, _hull_rows,
                                _int_form, _int_reduce, _linearity_regions, _primed, _primitive,
-                               _tight_set, empty_body, hull, integrate_transform, max_transform,
-                               rat, superlevel, volume)
+                               _tight_set, empty_body, hull, integrate_transform,
+                               intersect_halfspace, max_transform, rat, superlevel, volume)
 from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
                               count, enumerate_points)
 from okbodies.series import ModelError
@@ -480,6 +484,32 @@ def oracle_scaled_values(g, points, k: int) -> list[int]:
     """k L G(z/k) = min_i(L grad_i . z + k L c_i), point by point."""
     rows = [(grad, k * c) for grad, c in g.integer_form[1]]
     return [min(sum(map(mul, grad, z)) + kc for grad, kc in rows) for z in points]
+
+
+def vsub(a, b) -> tuple:
+    """The difference a - b of two vectors, entry by entry."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def oracle_linearity_regions(body, g):
+    """(f_i, R_i) for every nonempty R_i = body ∩ {f_i <= f_j for all j}, a
+    duplicate piece once, each cut a ``HalfSpace.make`` on Fractions."""
+    pieces = tuple(dict.fromkeys(g.pieces))
+    regions = []
+    for f_i in pieces:
+        region = body
+        for f_j in pieces:
+            normal = vsub(f_i.gradient, f_j.gradient)
+            if any(normal):
+                region = intersect_halfspace(
+                    region, HalfSpace.make(normal, f_j.constant - f_i.constant))
+            elif f_j.constant < f_i.constant:
+                region = empty_body(body.dim)
+            if region.is_empty:
+                break
+        if not region.is_empty:
+            regions.append((f_i, region))
+    return regions
 
 
 def oracle_region_max(body, g) -> Fraction:

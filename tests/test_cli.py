@@ -517,6 +517,30 @@ def test_python_dash_m_runs_the_cli():
     assert unknown.returncode == 2 and "invalid choice: 'nosuch'" in unknown.stderr
 
 
+def test_closed_stdout_pipe_exits_0_quietly(tmp_path):
+    """A reader that takes one line and closes the pipe (``| head -1``) ends
+    the command with exit 0 and an empty stderr, not an input error.  The
+    P^2 series to k = 30 is about 240 kB, more than a pipe holds, so the
+    command is still writing when the pipe closes."""
+    src = str(Path(okbodies.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    model = write(tmp_path, "p2.json", P2_MODEL)
+    proc = subprocess.Popen([sys.executable, "-m", "okbodies", "series", "--in", model,
+                             "--k-max", "30"], env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "k,d_k,D_k,diff,delta_k_points,gap_points\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == ""  # no "input error:" line and no traceback
+
+
 CUBE4_JSON = {"dim": 4, "vertices": [[str((i >> b) & 1) for b in range(4)] for i in range(16)]}
 
 

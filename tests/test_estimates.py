@@ -1,6 +1,7 @@
 """Verification-harness tests at reduced sweep sizes (full sizes live in the
 acceptance suite)."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction as F
@@ -104,6 +105,42 @@ def test_sub_body_sampler_deterministic_and_valid():
     for body in a:
         assert volume(body) >= F(1, 10)
         assert all(UNIT_SQUARE.contains(v) for v in body.vertices)
+
+
+def test_sub_body_sampler_body_sequence_digest():
+    """The first 200 bodies of the unit-square sampler at floor 1/10, seed 0
+    (the ehrhart, lowerbound and concave suites' draw), pinned by the sha256
+    of each body's (D, Z) and halfspaces: a change to the candidate loop
+    must make the same rng calls in the same order."""
+    bodies = sub_body_sampler(UNIT_SQUARE, F(1, 10), 0)(200)
+    text = repr([(P.int_form(), [(h.normal, h.offset.numerator, h.offset.denominator)
+                                 for h in P.halfspaces]) for P in bodies])
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d56d16175bb8071b7cfbfe98b6540ef00574614c5fe16e07a2b7ed983f46a4e7")
+
+
+def test_integer_readers_build_no_vertex_fractions():
+    """Bodies from ``hull``, ``intersect_halfspace`` and the sampler keep
+    their vertex slot unfilled through ``is_empty``, ``count``, ``volume``,
+    ``concave_sum`` and ``max_transform`` (the linearity regions too), and
+    the first ``vertices`` read fills it once."""
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    bodies = [hull([(0, 0), (3, 1), (1, 4), (F(1, 2), 2)]),
+              geometry.intersect_halfspace(cube, geometry.HalfSpace((1, 1, 1), F(3, 2))),
+              *sub_body_sampler(hull([(0, 0), (2, 0), (0, 2), (2, 2)]), F(1, 10), 17)(3)]
+    for P in bodies:
+        assert P._vertices is None
+        D, Z = P.int_form()
+        pieces = [AffineFunctional.make([1] + [0] * (P.dim - 1), 0),
+                  AffineFunctional.make([0] * (P.dim - 1) + [-1], 4)]
+        g = ConcavePL.make(pieces, P)
+        assert not P.is_empty
+        count(P, 7), volume(P), concave_sum(P, g, 7), max_transform(P, g)
+        assert P._vertices is None
+        assert all(R._vertices is None for _, R in geometry._linearity_regions(P, g))
+        vertices = P.vertices
+        assert vertices == tuple(tuple(F(c, D) for c in z) for z in Z)
+        assert P._vertices is vertices and P.vertices is vertices
 
 
 def test_sub_body_sampler_extends_one_kept_prefix(monkeypatch):

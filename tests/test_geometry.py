@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from fractions import Fraction as F
 from math import factorial, gcd
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -39,12 +40,12 @@ from okbodies.geometry import (
     validate_body,
     volume,
 )
-from okbodies.geometry import _dot, _vsub
+from okbodies.geometry import _dot
 import okbodies.geometry as geometry
 from oracles import (oracle_clip_rows, oracle_det, oracle_hull_front, oracle_hull_full,
-                     oracle_intersect_halfspace, oracle_maximal, oracle_nullspace,
-                     oracle_region_max, oracle_row_reduce, oracle_scaled_values,
-                     oracle_simplex_max, oracle_superlevel)
+                     oracle_intersect_halfspace, oracle_linearity_regions, oracle_maximal,
+                     oracle_nullspace, oracle_region_max, oracle_row_reduce, oracle_scaled_values,
+                     oracle_simplex_max, oracle_superlevel, vsub)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -226,7 +227,7 @@ def oracle_hull(pts, n):
     seen: set[HalfSpace] = set()
     for combo in itertools.combinations(range(len(pts)), n):
         base = pts[combo[0]]
-        rows = [list(_vsub(pts[i], base)) for i in combo[1:]]
+        rows = [list(vsub(pts[i], base)) for i in combo[1:]]
         normals = oracle_nullspace(rows, n)
         if len(normals) != 1:
             continue  # affinely dependent subset
@@ -1082,7 +1083,7 @@ def oracle_moments(body):
     fact = factorial(n)
     vol, acc = F(0), [F(0)] * n
     for s in oracle_triangulate(body.vertices, body.halfspaces, n):
-        w = abs(oracle_det([geometry._vsub(p, s[0]) for p in s[1:]])) / fact
+        w = abs(oracle_det([vsub(p, s[0]) for p in s[1:]])) / fact
         vol += w
         for i in range(n):
             acc[i] += w * sum(p[i] for p in s) / (n + 1)
@@ -1111,7 +1112,7 @@ def oracle_integrate(body, g):
 
 def affine_rank(points):
     """Affine rank of rational points, by the Fraction row reduction oracle."""
-    rows = [list(_vsub(p, points[0])) for p in points[1:]]
+    rows = [list(vsub(p, points[0])) for p in points[1:]]
     return oracle_row_reduce(rows)[0] if points else -1
 
 
@@ -1436,7 +1437,7 @@ def test_triangulate_tiles_the_body_with_proper_simplices(seed, n):
     if not body.is_full_dim():
         return
     simplices = [tuple(body.vertices[i] for i in s) for s in triangulate(body)]
-    dets = [geometry._det([geometry._vsub(p, s[0]) for p in s[1:]]) for s in simplices]
+    dets = [geometry._det([vsub(p, s[0]) for p in s[1:]]) for s in simplices]
     assert all(len(s) == n + 1 and set(s) <= set(body.vertices) for s in simplices)
     assert all(d != 0 for d in dets)
     assert sum(abs(d) for d in dets) / factorial(n) == oracle_moments(body)[0]
@@ -1550,6 +1551,78 @@ def test_max_transform_on_empty_body_raises():
         oracle_max_transform(empty, g)
     with pytest.raises(GeometryError):
         oracle_region_max(empty, g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]), st.booleans(),
+       st.sampled_from(["single", "random", "duplicate", "parallel", "nowhere", "tie"]))
+def test_linearity_regions_match_halfspace_make_oracle(seed, n, flat, shape):
+    """The cuts built from the pieces' integer form give the pieces, region
+    vertices, halfspaces and integer forms of ``HalfSpace.make`` cuts on the
+    Fraction piece differences: for rational pieces, a duplicate piece,
+    equal gradients with different constants, and pieces all tied at one
+    vertex of the body, on hulls and their cuts."""
+    rng = random.Random(seed)
+    body = random_body(seed, n, flat)
+    scale = F(rng.randint(1, 5), rng.choice([1, 3, 8]))
+    shift = F(rng.randint(-5, 5), rng.choice([1, 7]))
+    pieces = [AffineFunctional(tuple(c * scale for c in f.gradient), f.constant * scale + shift)
+              for f in random_pieces(rng, n, "random" if shape == "tie" else shape)]
+    if shape == "tie":  # every piece takes the value shift at one vertex v
+        v = rng.choice(body.vertices)
+        pieces = [AffineFunctional(f.gradient, shift - sum(map(mul, f.gradient, v)))
+                  for f in pieces]
+    for _ in range(2):
+        if body.is_empty:
+            break
+        g = ConcavePL(tuple(pieces), body)
+        got = geometry._linearity_regions(body, g)
+        want = oracle_linearity_regions(body, g)
+        assert ([(f, R.vertices, R.halfspaces, R.int_form()) for f, R in got]
+                == [(f, R.vertices, R.halfspaces, R.int_form()) for f, R in want])
+        body = intersect_halfspace(body, random_cut(rng, body))
+
+
+def check_lazy_vertices(body):
+    """A constructed body's vertex slot starts unfilled, and its first read
+    builds the Fraction rows of its integer form and keeps them: the rows a
+    body rebuilt by ``ConvexBody(dim, vertices, halfspaces)`` holds."""
+    D, Z = body.int_form()
+    assert body._vertices is None
+    eager = tuple(tuple(F(c, D) for c in z) for z in Z)
+    assert body.vertices == eager
+    assert body.vertices is body._vertices
+    assert ConvexBody(body.dim, eager, body.halfspaces).vertices == eager
+    assert geometry._int_form(eager) == (D, Z)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([1, 2, 3, 4]), st.booleans())
+def test_lazy_vertices_equal_the_eager_rows(seed, n, flat):
+    """On seeded hulls (full-dimensional and flat) and a chain of clips."""
+    rng = random.Random(seed)
+    body = random_body(seed, n, flat)
+    check_lazy_vertices(body)
+    assert body.vertices == oracle_hull_front(body.vertices).vertices
+    for _ in range(3):
+        clipped = intersect_halfspace(body, random_cut(rng, body))
+        if clipped.is_empty:
+            break
+        if clipped is not body:  # a cut that keeps every vertex returns the body
+            check_lazy_vertices(clipped)
+        body = clipped
+
+
+def test_lazy_vertices_of_a_point_and_the_empty_body():
+    point = hull([(F(1, 3), F(2, 3)), (F(1, 3), F(2, 3))])
+    check_lazy_vertices(point)
+    assert point.vertices == ((F(1, 3), F(2, 3)),)
+    empty = intersect_halfspace(hull([(0, 0), (1, 0), (0, 1)]), HalfSpace((1, 1), F(-1)))
+    assert empty.is_empty and empty.vertices == () and repr(empty) == "ConvexBody(dim=2, empty)"
+    # a body from the constructors reports its size without building a Fraction
+    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert repr(square) == "ConvexBody(dim=2, vertices=4, halfspaces=4)"
+    assert not square.is_empty and square._vertices is None
 
 
 def test_duplicate_pieces_count_once():
