@@ -48,7 +48,6 @@ from math import factorial, gcd, isqrt, lcm
 from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 

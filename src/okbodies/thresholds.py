@@ -13,21 +13,19 @@ Restricted minima over a finite family are upper bounds on the corresponding
 infima over all valuations, and are reported as such.
 
 Every level-k query (jumping numbers, S_{k,m}, Sbar_{k,m}, quantum quantiles
-and vanishing orders, compatible families, restricted delta_{k,m}) reads
-one integer score table of the level.  With L the lcm of the denominators of
-G, each point z/k of the idealized level ambient ∩ Z^n/k scores
-k L G(z/k) = min_i(L grad_i . z + k L c_i), an exact int; that level is
-scored and sorted once per (model, G, k).  It is scored by columns, one pass
-per piece over the transposed points (``ConcavePL.scaled_values``), and
-ranked by one sort of point indices keyed by score alone: the level's points
-are strictly increasing, so the stable sort of the indices taken from last
-to first breaks score ties toward the lexicographically larger point without
-comparing points (``_score_level``).  A table keeps those indices, not
-the points, which only the gap filter and compatible families read.
-Delta_k's table is the same table minus the level's gaps, read off it in
-one order-preserving pass (on a level without gaps it is the same table).
-The model keeps both with the rest of its current level only.  Results are
-the same Fractions as scoring G(z/k) directly.
+and vanishing orders, restricted delta_{k,m}) reads one integer score table
+of the level.  With L the lcm of the denominators of G, each point z/k of
+the idealized level ambient ∩ Z^n/k scores k L G(z/k) = min_i(L grad_i . z
++ k L c_i), an exact int; that level is scored and sorted once per (model,
+G, k).  It is scored by columns, one pass per piece over the transposed
+points (``ConcavePL.scaled_values``), and a table holds only the scores in
+descending order and their prefix sums (``_score_level``): every invariant
+of a level depends on the multiset of its scores alone.  Delta_k's table is
+the idealized scores minus the gaps' own scores, subtracted as multisets,
+so no point of the level is read (on a level without gaps it is the same
+table).  The model keeps both with the rest of its current level only.
+Compatible families, the one query that needs points, score and rank their
+level on demand.  Results are the same Fractions as scoring G(z/k) directly.
 
 Everything here is a pure query over immutable models and valuations (the
 level slot never changes a result). Because a model keeps one level, a sweep
@@ -43,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations, compress
+from itertools import accumulate, combinations
 from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -60,7 +58,7 @@ from .geometry import (
     triangulate,
 )
 from .lattice import PointCloud
-from .series import GradedSeriesModel
+from .series import GradedSeriesModel, LevelError
 
 DEFAULT_TOL = Fraction(1, 10**9)
 
@@ -139,61 +137,46 @@ class FamilyMeasure:
 # jumping numbers
 # ---------------------------------------------------------------------------
 
-_LevelScores = tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_LevelScores = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def _table(L: int, scores: Iterable[int], order: Iterable[int]) -> _LevelScores:
-    """(L, scores, order, prefix) of scores and point indices in table order."""
+def _table(scores: Iterable[int]) -> _LevelScores:
+    """(scores, prefix) of scores in descending order, with prefix[m] =
+    scores[0] + ... + scores[m-1]."""
     scores = tuple(scores)
-    return L, scores, tuple(order), tuple(accumulate(scores, initial=0))
+    return scores, tuple(accumulate(scores, initial=0))
 
 
 def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int) -> _LevelScores:
-    """(L, scores, order, prefix) of the idealized level ambient ∩ Z^n/k:
-    scores[i] = k L G(z/k) for the point z = points[order[i]] of
-    ``model.idealized_body(k)``, in descending order, ties lexicographically
-    larger point first (the deterministic tie-break used everywhere), and
-    prefix[m] = scores[0] + ... + scores[m-1].
-
-    The level is scored by columns (``ConcavePL.scaled_values``) and ranked by
-    one sort of point indices keyed by score alone.  A level's points are
-    strictly increasing (``PointCloud``), so the indices go in from last to
-    first and the stable descending sort leaves tied scores in that order:
-    lexicographically larger point first, with no point ever compared.  The
-    table keeps the indices; the few readers of its points map them."""
-    points = model.idealized_body(k).points
-    scores = g.scaled_values(points, k)
-    order = sorted(range(len(points) - 1, -1, -1), key=scores.__getitem__, reverse=True)
-    return _table(g.integer_form[0], map(scores.__getitem__, order), order)
+    """(scores, prefix) of the idealized level ambient ∩ Z^n/k: the scores
+    k L G(z/k) of the points z of ``model.idealized_body(k)``, scored by
+    columns (``ConcavePL.scaled_values``, L from ``g.integer_form``) and
+    sorted as ints, largest first."""
+    return _table(sorted(g.scaled_values(model.idealized_body(k).points, k), reverse=True))
 
 
 def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
                   ideal: bool = False) -> _LevelScores:
     """The score table of ambient ∩ Z^n/k if ideal, else of Delta_k, kept by
     the model with the rest of level k.  The idealized level is scored once
-    (``_score_level``); Delta_k's table is that table minus the gaps, which
-    keeps the order, so only the prefix sums are summed again.  Both tables
-    index the points of ``model.idealized_body(k)``."""
+    (``_score_level``).  Every gap is a point of that level, so Delta_k's
+    scores are the idealized scores minus one copy of each gap's own score:
+    a multiset difference that reads no point of the level and keeps the
+    descending order (``Counter`` arithmetic and ``elements`` keep the order
+    in which the left operand first meets each score)."""
     if not ideal:
         model._check_level(k)
     table = model._at_level(k, (g, True), lambda: _score_level(model, g, k))
     if ideal or not (gaps := model._level_gaps(k)):
         return table
-    return model._at_level(k, (g, False), lambda: _without_gaps(
-        table, gaps, model.idealized_body(k).points))
-
-
-def _without_gaps(table: _LevelScores, gaps: frozenset[tuple[int, ...]],
-                  points: Sequence[tuple[int, ...]]) -> _LevelScores:
-    """The rows of a score table whose point is not a gap, in table order."""
-    L, scores, order, _ = table
-    kept = [points[i] not in gaps for i in order]
-    return _table(L, compress(scores, kept), compress(order, kept))
+    return model._at_level(k, (g, False), lambda: _table(
+        (Counter(table[0]) - Counter(g.scaled_values(gaps, k))).elements()))
 
 
 def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
                     ideal: bool) -> JumpingVector:
-    L, scores, _, _ = _level_scores(model, v.G, k, ideal)
+    scores, _ = _level_scores(model, v.G, k, ideal)
+    L = v.G.integer_form[0]
     # one Fraction per distinct score, shared by the points that tie on it
     value = {s: Fraction(s, L) for s in set(scores)}
     return JumpingVector._sorted(k, tuple(map(value.__getitem__, scores)))
@@ -212,16 +195,17 @@ def idealized_jumping(model: GradedSeriesModel, v: ValuationModel, k: int) -> Ju
 def jumping_head(model: GradedSeriesModel, v: ValuationModel, k: int) -> tuple[Fraction, ...]:
     """The three largest jumping numbers of level k (fewer if d_k < 3), read
     off the score table without a ``JumpingVector``."""
-    L, scores, _, _ = _level_scores(model, v.G, k)
+    scores, _ = _level_scores(model, v.G, k)
+    L = v.G.integer_form[0]
     return tuple(Fraction(s, L) for s in scores[:3])
 
 
 def _top_average(model: GradedSeriesModel, v: ValuationModel, k: int, m: int,
                  ideal: bool) -> Fraction:
-    L, scores, _, prefix = _level_scores(model, v.G, k, ideal)
+    scores, prefix = _level_scores(model, v.G, k, ideal)
     if not 1 <= m <= len(scores):
         raise ValueError(f"m={m} out of range [1, {len(scores)}]")
-    return Fraction(prefix[m], L * k * m)
+    return Fraction(prefix[m], v.G.integer_form[0] * k * m)
 
 
 def S_km(model: GradedSeriesModel, v: ValuationModel, k: int, m: int) -> Fraction:
@@ -561,10 +545,12 @@ def quantum_quantile(model: GradedSeriesModel, v: ValuationModel, k: int, tau) -
     tau = rat(tau)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
-    L, scores, _, _ = _level_scores(model, v.G, k)
+    scores, _ = _level_scores(model, v.G, k)
+    if not scores:
+        raise LevelError(f"Delta_{k} is empty")
     m = math.floor(tau * len(scores))
     idx = 0 if m == 0 else m - 1
-    return Fraction(scores[idx], L * k)
+    return Fraction(scores[idx], v.G.integer_form[0] * k)
 
 
 def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
@@ -620,12 +606,19 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
 def select_compatible_family(model: GradedSeriesModel, v: ValuationModel,
                              k: int, m: int) -> PointCloud:
     """The m points of Delta_k with the largest G-values (ties: lex-larger
-    first); families are nested in m by construction."""
-    _, _, order, _ = _level_scores(model, v.G, k)
-    if not 1 <= m <= len(order):
-        raise ValueError(f"m={m} out of range [1, {len(order)}]")
-    points = model.idealized_body(k).points
-    return PointCloud(k, tuple(sorted(map(points.__getitem__, order[:m]))))
+    first); families are nested in m by construction.
+
+    The only query that reads points, so it scores and ranks its level
+    itself: the points of Delta_k are strictly increasing (``PointCloud``),
+    so their indices go in from last to first and the stable descending sort
+    by score leaves tied points lexicographically larger first, with no
+    point ever compared."""
+    points = model.discrete_body(k).points
+    if not 1 <= m <= len(points):
+        raise ValueError(f"m={m} out of range [1, {len(points)}]")
+    scores = v.G.scaled_values(points, k)
+    order = sorted(range(len(points) - 1, -1, -1), key=scores.__getitem__, reverse=True)
+    return PointCloud(k, tuple(map(points.__getitem__, sorted(order[:m]))))
 
 
 def empirical_family_measure(model: GradedSeriesModel, v: ValuationModel,

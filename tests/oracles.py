@@ -36,9 +36,10 @@ must match exactly.
 idealized level directly, each with the per-point ``oracle_scaled_values``
 and one sort of (score, point) pairs, and ``oracle_jumping_values`` builds
 one Fraction per point and compares every neighbour: the paths that the
-library's single idealized score table, ranked by an index sort keyed by
-score alone, the gap-filtered Delta_k table read off it, column-wise
-scoring and the shared-Fraction ``JumpingVector`` must match exactly.
+library's single idealized score table, sorted as ints, the Delta_k table
+left by subtracting the gaps' scores from it, column-wise scoring, the
+compatible families ranked on demand and the shared-Fraction
+``JumpingVector`` must match exactly.
 ``oracle_region_max`` takes max G as the largest Fraction value of each
 piece over the vertices of its linearity region: the path that the
 library's ``max_transform``, which compares each region's integer maximum

@@ -21,16 +21,36 @@ def test_every_name_in_all_resolves():
     assert len(set(okbodies.__all__)) == len(okbodies.__all__)
 
 
+def _package_trees():
+    """(trees, refs): each module's syntax tree by file name, and every name
+    the package refers to (``_names``) summed over them."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert "estimates.py" in trees
+    return trees, sum((_names(tree) for tree in trees.values()), Counter())
+
+
 def test_every_private_module_function_is_referenced():
     """A module-level ``_private`` function that nothing in the package refers
     to outside its own definition is reached by no command, suite or test
     gate: delete it, or wire it in."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert "estimates.py" in trees
-    refs = sum((_names(tree) for tree in trees.values()), Counter())
+    trees, refs = _package_trees()
     dead = [f"{module}:{node.name}" for module, tree in trees.items() for node in tree.body
             if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
             and not node.name.endswith("__") and refs[node.name] <= _names(node)[node.name]]
+    assert dead == []
+
+
+def test_every_module_level_assignment_is_read():
+    """A module-level name bound by assignment (a constant, an alias), dunders
+    aside, that nothing in the package reads outside its own binding is dead:
+    delete it, or wire it in."""
+    trees, refs = _package_trees()
+    dead = [f"{module}:{name.id}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            for name in ast.walk(target) if isinstance(name, ast.Name)
+            and not (name.id.startswith("__") and name.id.endswith("__"))
+            and refs[name.id] <= _names(node)[name.id]]
     assert dead == []
 
 

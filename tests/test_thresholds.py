@@ -27,6 +27,7 @@ from okbodies.series import (
     CanonicalCurveModel,
     CurveDivisorModel,
     GradedSeriesModel,
+    LevelError,
     SyntheticModel,
     ToricModel,
     gap_sequences_of_genus,
@@ -365,6 +366,14 @@ def test_quantum_quantile():
     assert quantum_quantile(SIMPLEX, V_SIMPLEX, 2, F(1, 2)) == F(1, 2)
     assert quantum_quantile(SIMPLEX, V_SIMPLEX, 2, 1) == 0  # j_{k,d_k}/k
     assert quantum_quantile(SIMPLEX, V_SIMPLEX, 2, F(1, 20)) == 1  # floor = 0 convention
+
+
+def test_quantum_quantile_of_an_empty_level_raises():
+    # every point of the unit simplex at level 1 is a gap, so Delta_1 is empty
+    empty = SyntheticModel(SIMPLEX.ambient, {1: [(0, 0), (0, 1), (1, 0)]})
+    for tau in (F(0), F(1, 2), F(1)):
+        with pytest.raises(LevelError, match="Delta_1 is empty"):
+            quantum_quantile(empty, V_SIMPLEX, 1, tau)
 
 
 def test_quantum_quantile_converges():
@@ -1155,17 +1164,17 @@ def _differential_cases():
         yield model, [g, _random_transform(rng, ambient)], levels
 
 
-def _table_points(model, k, table):
-    """A score table (L, scores, order, prefix) with its point indices mapped
-    to the points of the idealized level, as the oracle's tables hold them."""
-    L, scores, order, prefix = table
-    points = model.idealized_body(k).points
-    return L, scores, tuple(points[i] for i in order), prefix
+def _scores_and_prefix(oracle):
+    """The (scores, prefix) of an oracle table (L, scores, points, prefix):
+    what a library score table holds."""
+    _, scores, _, prefix = oracle
+    return scores, prefix
 
 
 def test_score_tables_match_per_level_oracle():
-    """One idealized scoring per level, Delta_k's table read off it, column-wise
-    scores and shared-Fraction jumping vectors, against scoring each set on its
+    """One idealized scoring per level, Delta_k's table as its scores minus the
+    gaps' scores, column-wise scores, shared-Fraction jumping vectors and
+    families ranked on demand, against scoring each set on its
     own (``oracles.oracle_score_level``): every table and every query equal."""
     rng = random.Random(61)
     for model, transforms, levels in _differential_cases():
@@ -1176,7 +1185,7 @@ def test_score_tables_match_per_level_oracle():
                 order = (False, True) if rng.random() < 0.5 else (True, False)
                 tables = {ideal: thresholds._level_scores(model, g, k, ideal) for ideal in order}
                 oracle = {ideal: oracle_score_level(model, g, k, ideal) for ideal in order}
-                assert {ideal: _table_points(model, k, t) for ideal, t in tables.items()} == oracle
+                assert tables == {ideal: _scores_and_prefix(t) for ideal, t in oracle.items()}
                 if not model._level_gaps(k):
                     assert tables[False] is tables[True]
                 L, scores, points, prefix = oracle[False]
@@ -1214,10 +1223,11 @@ def _tie_heavy_transforms(ambient):
 
 
 def test_score_tables_match_oracle_on_tied_levels():
-    """Both tables of a level (ambient ∩ Z^n/k and Delta_k) against scoring
-    and sorting each set with (score, point) pairs, on levels where most
-    points tie: every bundled model and synthetic gap models with their gaps
-    inside the tie classes, up to k = 16."""
+    """Both tables of a level (ambient ∩ Z^n/k and Delta_k) and Delta_k's
+    compatible families against scoring and sorting each set with (score,
+    point) pairs, on levels where most points tie: every bundled model and
+    synthetic gap models with their gaps inside the tie classes, up to
+    k = 16."""
     rng = random.Random(73)
     cases = [(model, range(1, 17)) for model in _bundled_models()]
     for n in (1, 2, 2, 3):
@@ -1234,8 +1244,14 @@ def test_score_tables_match_oracle_on_tied_levels():
             for g in _tie_heavy_transforms(model.ambient):
                 for ideal in (True, False):
                     table = thresholds._level_scores(model, g, k, ideal)
-                    assert _table_points(model, k, table) == oracle_score_level(model, g, k, ideal)
-                    tied += len(table[1]) - len(set(table[1]))
+                    oracle = oracle_score_level(model, g, k, ideal)
+                    assert table == _scores_and_prefix(oracle)
+                    tied += len(table[0]) - len(set(table[0]))
+                points = oracle[2]  # Delta_k's, in the oracle's (score, point) order
+                d = len(points)
+                v = ValuationModel("v", F(1), g)
+                for m in {1, max(d // 2, 1), d}:
+                    assert select_compatible_family(model, v, k, m) == PointCloud(k, points[:m])
     assert tied > 10_000
 
 
@@ -1249,8 +1265,8 @@ class _Unordered(tuple):
 
 
 def test_ranking_a_level_never_compares_points():
-    """``_score_level`` ranks a level by score and point index alone: with
-    points that refuse comparisons, P^2's jumping numbers and S_{k,m} are
+    """``_score_level`` sorts a level's integer scores alone: with points
+    that refuse comparisons, P^2's jumping numbers and S_{k,m} are
     those of the oracle, on levels full of ties."""
     model = ToricModel(hull([(0, 0), (3, 0), (0, 3)]))
     for k in (5, 12):
@@ -1264,6 +1280,41 @@ def test_ranking_a_level_never_compares_points():
             assert jumping_numbers(model, v, k).values == oracle_jumping_values(oracle)
             for m in (1, len(scores) // 2, len(scores)):
                 assert S_km(model, v, k, m) == F(prefix[m], L * k * m)
+
+
+class _Unhashable(tuple):
+    """A point that refuses hashing and equality."""
+
+    def _refuse(self, *other):
+        raise TypeError("a level's points must not be hashed or compared")
+
+    __hash__ = __eq__ = _refuse
+
+
+def test_delta_k_table_reads_no_point_of_its_level():
+    """Delta_k's table is the idealized scores minus the gaps' own scores:
+    with the idealized points refusing hashes and equality, the jumping
+    numbers, S_{k,m} and quantum quantiles of two gap models are those of the
+    oracle on an untouched copy of the model."""
+    for make in (lambda: genus3_canonical_model("hyperflex"), top_column_gap_model):
+        model, untouched = make(), make()
+        for k in range(1, 7):
+            cloud = model.idealized_body(k)
+            assert model._level_gaps(k)
+            object.__setattr__(cloud, "points", tuple(map(_Unhashable, cloud.points)))
+            with pytest.raises(TypeError):
+                cloud.points[0] in model._level_gaps(k)
+            for g in _tie_heavy_transforms(model.ambient):
+                v = ValuationModel("v", F(1), g)
+                oracle = oracle_score_level(untouched, g, k, ideal=False)
+                L, scores, _, prefix = oracle
+                d = len(scores)
+                assert jumping_numbers(model, v, k).values == oracle_jumping_values(oracle)
+                for m in {1, max(d // 2, 1), d}:
+                    assert S_km(model, v, k, m) == F(prefix[m], L * k * m)
+                for tau in (F(0), F(1, 3), F(1, 2), F(1)):
+                    m = math.floor(tau * d)
+                    assert quantum_quantile(model, v, k, tau) == F(scores[max(m - 1, 0)], L * k)
 
 
 def test_point_clouds_come_sorted_from_their_producers(monkeypatch):
