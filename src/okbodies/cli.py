@@ -32,9 +32,10 @@ from .geometry import (
     rat_str,
     volume,
 )
-from .lattice import count, prefix_bound, slab_bound
+from .lattice import count, first_axis_bound, prefix_bound, slab_bound
 from .series import (
     CanonicalCurveModel,
+    LevelError,
     ModelError,
     ToricModel,
     model_from_json,
@@ -45,6 +46,7 @@ from .thresholds import (
     S_tau,
     Sbar_km,
     ValuationModel,
+    _point_free_frame,
     delta_km_restricted,
     jumping_head,
     quantum_quantile,
@@ -65,10 +67,11 @@ MAX_COUNT_SLABS = 10**6
 # Most ambient points ``series`` may enumerate and print, or ``thresholds``
 # may score, summed over their levels.  The 3-D unit cube allows ``series
 # --k-max 43`` (980,099 points; --k-max 40 lists about 0.74 M points in about
-# 3 s on a 2-vCPU host), and P^2 allows ``thresholds --k-max 86`` (987,710).
-# It also bounds the integer prefixes the enumeration walks to list them
-# (``lattice.prefix_bound``), which a thin or flat ambient can make far more
-# than its points.
+# 3 s on a 2-vCPU host), and P^2 allows ``thresholds --k-max 86`` for a
+# multi-piece G (987,710).  It also bounds the integer prefixes the
+# enumeration walks to list them (``lattice.prefix_bound``), which a thin or
+# flat ambient can make far more than its points, and the columns or slabs
+# read for a one-piece G (``_check_series_size``).
 MAX_ENUM_POINTS = 10**6
 
 SUITES = ("ehrhart", "lowerbound", "concave", "cones", "maxp1",
@@ -208,7 +211,7 @@ def cmd_body(args) -> int:
 # series
 # ---------------------------------------------------------------------------
 
-def _check_series_size(model, ks: range, what: str) -> None:
+def _check_series_size(model, ks: range, what: str, family=None) -> None:
     """Raise InputError, before any point is enumerated, when the levels in ks
     (``what`` names them: the flag or spec they come from) hold more than
     MAX_ENUM_POINTS ambient points in all, or when listing them would walk
@@ -217,6 +220,10 @@ def _check_series_size(model, ks: range, what: str) -> None:
     Each level's slab bound is at least 1, so the slab pass ends within
     MAX_COUNT_SLABS + 1 levels, even on a body too thin to hold a slab at
     most levels.
+
+    With the family of ``thresholds``, the columns or slabs of each frame
+    (``thresholds._point_free_frame``) count against MAX_ENUM_POINTS, and a
+    level's points and prefixes only if some valuation has no frame.
 
     Both passes walk ``model.levels_in(ks)``, so a model with few levels in
     a long range is not stepped through every k of it.  The slab pass stops
@@ -236,9 +243,17 @@ def _check_series_size(model, ks: range, what: str) -> None:
                              f"slab counts to size")
         if slabs + (len(levels) - 1 - i) * cap <= MAX_COUNT_SLABS:
             break  # no later level can pass the slab limit
-    points = prefixes = 0
+    columns = points = prefixes = 0
     for k in levels:
-        points += count(body, k)
+        size = count(body, k)
+        frames = [_point_free_frame(body, v.G, k, size) for v in family or ()] or [None]
+        columns += sum(first_axis_bound(f, k) for f in frames if f is not None)
+        if columns > MAX_ENUM_POINTS:
+            raise InputError(f"{what} reads more than {MAX_ENUM_POINTS} columns or slabs "
+                             f"(the limit is passed at level {k})")
+        if None not in frames:
+            continue
+        points += size
         prefixes += prefix_bound(body, k)
         if points > MAX_ENUM_POINTS:
             raise InputError(f"{what} lists more than {MAX_ENUM_POINTS} points "
@@ -284,15 +299,17 @@ def cmd_thresholds(args) -> int:
             k_iter = range(args.k_min, args.k_max + 1)
     except (ValueError, TypeError) as exc:
         raise InputError(str(exc)) from exc
-    # each level scores its D_k ambient points once
     _check_series_size(model, k_iter, f"the sweep k_range [{k_iter.start}, {k_iter.stop - 1}]"
-                       if args.sweep else f"--k-max {args.k_max}")
+                       if args.sweep else f"--k-max {args.k_max}",
+                       family)
     header = ["k", "m_k", "label", "j_head", "S_km", "Sbar_km",
               "quantum_quantile", "S_tau", "delta_km", "delta_argmin"]
     rows = []
     s_tau_by_label = {v.label: S_tau(model, v, tau, args.tol) for v in family}
     for k in model.levels_in(k_iter):
         d, D = model.d_k(k), model.D_k(k)
+        if not d:  # no m to choose, and every query of the level would raise
+            raise LevelError(f"Delta_{k} is empty")
         m = m_rule(d, k)
         delta, argmin = delta_km_restricted(model, family, k, m)
         delta_str = "inf" if delta == float("inf") else rat_str(delta)

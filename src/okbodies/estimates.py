@@ -22,7 +22,6 @@ import math
 import random
 import statistics
 import weakref
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
@@ -562,12 +561,11 @@ def verify_maxp1(model: GradedSeriesModel, k_range: range,
 
 def _plus_body_count(model: GradedSeriesModel, k: int, quantum_max: Fraction) -> int:
     """# of idealized lattice points strictly above the quantum maximum
-    (threshold quantum_max + 1/(2k): any epsilon in (0,1/k) gives the same set)."""
+    (threshold quantum_max + 1/(2k): any epsilon in (0,1/k) gives the same set),
+    a suffix sum of the level's column counts (``GradedSeriesModel._columns``)."""
     # z1/k >= threshold  <=>  z1 >= ceil(k * threshold), z1 an integer
     cut = math.ceil(k * (quantum_max + Fraction(1, 2 * k)))
-    # the level is sorted, so the points with z1 >= cut are those from (cut,) on
-    points = model.idealized_body(k).points
-    return len(points) - bisect_left(points, (cut,))
+    return sum(n for z, n in model._columns(k).items() if z >= cut)
 
 
 # ---------------------------------------------------------------------------

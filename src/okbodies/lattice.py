@@ -33,7 +33,9 @@ dimension 2 or 3: it walks the rows of the chains, reads each row's column
 of points off its two owner facets and sums G along the column in closed
 form, one run of one piece at a time (``_chain_concave_sum``), so it lists
 no point.  Other bodies, and a body where G scores a point negative, sum
-over the listed points (``_enumerated_concave_sum``).
+over the listed points (``_enumerated_concave_sum``).  The chains also give
+the points per first coordinate (``_first_axis_counts``), in any unimodular
+frame (``_frame``).
 
 On that last path a slab's rows are empty outside the x-range where every
 (upper, lower) pair of its y-lines allows a row.  For n >= 3 these pair
@@ -56,6 +58,7 @@ stack pass over that order finds the runs of the envelope
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -534,6 +537,55 @@ def _chain_floors(chain, c, k: int, z: int, x_lo: int, x_hi: int) -> list[int]:
     return floors
 
 
+def _first_axis_counts(body: ConvexBody, k: int) -> dict[int, int]:
+    """{z1: points of body ∩ Z^n/k with that first numerator}, some 0.  A
+    full-dimensional 2-D or 3-D body lists no point: column x holds floor
+    U(x) + floor(-L(x)) + 1 (``_chain_floors``), slab z the total that
+    ``_chain_count`` sums for it; other bodies count listed points."""
+    if body.is_empty or body.dim not in (2, 3) or body.affine_rank() != body.dim:
+        return Counter(z[0] for z in _numerators(body, k))
+    D, offsets, sections = _chain_form(body)
+    c = [(k * p) // q for p, q in offsets]
+    if body.dim == 2:
+        (_, _, (A0, _, g0), (A1, _, g1), upper, lower), = sections
+        x_lo, x_hi = _ceil_div(k * A0, g0), (k * A1) // g1
+        return {x: top + bottom + 1 for x, top, bottom in zip(
+            range(x_lo, x_hi + 1), _chain_floors(upper, c, k, 0, x_lo, x_hi),
+            _chain_floors(lower, c, k, 0, x_lo, x_hi))}
+    counts = {}
+    last = len(sections) - 1
+    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), *chains) in enumerate(sections):
+        z0 = _ceil_div(k * w0, D)
+        z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
+        A0, A1 = k * A0, k * A1
+        for z in range(z0, z1 + 1):
+            x_lo = -((-A0 - b0 * z) // g0)
+            x_hi = (A1 + b1 * z) // g1
+            if x_lo > x_hi:
+                continue
+            total = x_hi - x_lo + 1
+            for inner, closing in chains:
+                start = x_lo
+                for aw, q, r, i, al, be, ga in inner:
+                    end = -((-k * al - be * z) // ga)
+                    if end > start:
+                        total += _floor_sum(end - start, r, q, c[i] - aw * z + q * start)
+                        start = end
+                if x_hi >= start:
+                    aw, q, r, i = closing
+                    total += _floor_sum(x_hi + 1 - start, r, q, c[i] - aw * z + q * start)
+            counts[z] = total
+    return counts
+
+
+def first_axis_bound(body: ConvexBody, k: int) -> int:
+    """Upper bound on the columns or slabs ``_first_axis_counts(body, k)``
+    reads off a full-dimensional 2-D or 3-D body: floor(k w) + 1 for its
+    width w on the first axis."""
+    D, box, _ = _lattice_form(body)
+    return (k * (box[0][1] - box[0][0])) // D + 1
+
+
 def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
     """The sum of the integer scores k L G(z/k) (``ConcavePL.scaled_values``)
     over the points z of a full-dimensional body of dimension 2 or 3 at one
@@ -603,17 +655,36 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return (a, s, t) if a >= 0 else (-a, -s, -t)
 
 
+def _column_reduction(E: list[list[int]], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """(U, U^-1) for a unimodular U with E U = [H | 0], H lower triangular,
+    reducing the integer rows E in place by extended-gcd column operations
+    (Cohen, *A Course in Computational Algebraic Number Theory*, §2.4.2).
+    The same column operations build U from the identity, and each one's
+    inverse acts on the rows of U^-1, so nothing is inverted."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    inv = [row[:] for row in U]
+    for i, row in enumerate(E):
+        for j in range(i + 1, n):
+            if row[j]:
+                # columns (i, j) <- (s col_i + t col_j, (x col_j - y col_i) / g),
+                # which clears row[j]; rows of E before i are zero in both
+                g, s, t = _xgcd(row[i], row[j])
+                x, y = row[i] // g, row[j] // g
+                for e in E[i:] + U:
+                    e[i], e[j] = s * e[i] + t * e[j], x * e[j] - y * e[i]
+                inv[i], inv[j] = ([x * a + y * b for a, b in zip(inv[i], inv[j])],
+                                  [s * b - t * a for a, b in zip(inv[i], inv[j])])
+    return U, inv
+
+
 def _chart(body: ConvexBody):
     """The unimodular chart of a flat nonempty body P (affine rank r < n),
     cached next to ``_lattice_form`` and built in integers from its vertex
     form (D, Z).
 
     The rows of E, a primitive integer basis of the equalities of aff(P)
-    (``_nullspace`` of the vertex differences), are reduced to [H | 0] by
-    extended-gcd column operations, E U = [H | 0] with H lower triangular
-    and U unimodular (Cohen, *A Course in Computational Algebraic Number
-    Theory*, §2.4.2).  The same column operations build U from the identity,
-    and each one's inverse acts on the rows of U^-1, so nothing is inverted.
+    (``_nullspace`` of the vertex differences), are reduced to [H | 0]
+    (``_column_reduction``), E U = [H | 0] with U unimodular.
     The last r columns of U are a basis of the direction lattice of P, so
     y = U^-1 z maps Z^n onto itself and aff(P) onto {y : y_head = c}, where
     the head c (the first n - r coordinates of U^-1 v) is one point for
@@ -630,19 +701,7 @@ def _chart(body: ConvexBody):
         D, Z = body.int_form()
         n, base = body.dim, Z[0]
         E = [list(w) for w in _nullspace([[x - y for x, y in zip(z, base)] for z in Z[1:]], n)]
-        U = [[int(i == j) for j in range(n)] for i in range(n)]
-        inv = [row[:] for row in U]
-        for i, row in enumerate(E):
-            for j in range(i + 1, n):
-                if row[j]:
-                    # columns (i, j) <- (s col_i + t col_j, (x col_j - y col_i) / g),
-                    # which clears row[j]; rows of E before i are zero in both
-                    g, s, t = _xgcd(row[i], row[j])
-                    x, y = row[i] // g, row[j] // g
-                    for e in E[i:] + U:
-                        e[i], e[j] = s * e[i] + t * e[j], x * e[j] - y * e[i]
-                    inv[i], inv[j] = ([x * a + y * b for a, b in zip(inv[i], inv[j])],
-                                      [s * b - t * a for a, b in zip(inv[i], inv[j])])
+        U, inv = _column_reduction(E, n)
         m = len(E)
         head = [sum(map(mul, u, base)) for u in inv[:m]]
         g = gcd(D, *head)
@@ -653,6 +712,24 @@ def _chart(body: ConvexBody):
         origin = tuple(sum(a * h // g for a, h in zip(u, head)) for u in U)
         body._cache["chart"] = (D // g, image, origin, tuple(tuple(u[m:]) for u in U))
     return body._cache["chart"]
+
+
+def _frame(body: ConvexBody, direction: tuple[int, ...]) -> ConvexBody:
+    """V body, cached next to ``_chart`` by the primitive direction u, for
+    the U^-1 = V of ``_column_reduction`` of the row u, whose first row ±u is
+    set to u: w = V z maps Z^n onto itself and u . z onto w_1.  The body
+    itself for u = e_1."""
+    key = ("frame", direction)
+    if key not in body._cache:
+        frame = body
+        if direction[0] != 1 or any(direction[1:]):
+            D, Z = body.int_form()
+            _, inv = _column_reduction([list(direction)], body.dim)
+            inv[0] = direction
+            frame = _hull_rows(D, sorted(tuple(sum(map(mul, v, z)) for v in inv) for z in Z),
+                               body.dim)
+        body._cache[key] = frame
+    return body._cache[key]
 
 
 def _numerators(body: ConvexBody, k: int) -> list[tuple[int, ...]]:

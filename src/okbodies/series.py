@@ -19,12 +19,13 @@ from __future__ import annotations
 import itertools
 import re
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .geometry import ConvexBody, body_from_json, hull, json_int
-from .lattice import PointCloud, count, enumerate_points
+from .lattice import PointCloud, _first_axis_counts, count, enumerate_points
 
 
 class ModelError(ValueError):
@@ -48,7 +49,7 @@ class GradedSeriesModel:
     ambient ∩ Z^n/k missing from Delta_k (none by default). Delta_k filters the
     idealized set by the gaps; D_k is a ``count`` and d_k = D_k - #gaps.
 
-    Per-level results (point sets, gap set, threshold score tables) live in one
+    Per-level results (point sets, counts, gap set, score tables) live in one
     slot, ``_level`` for level ``_level_k``: a level left and revisited is rebuilt.
     """
 
@@ -108,7 +109,8 @@ class GradedSeriesModel:
         return self.D_k(k) - len(self._level_gaps(k))
 
     def D_k(self, k: int) -> int:
-        return count(self.ambient, k)
+        """#(ambient ∩ Z^n/k), counted once per visit of level k."""
+        return self._at_level(k, "D", lambda: count(self.ambient, k))
 
     def gap_set(self, k: int) -> PointCloud:
         """(ambient ∩ Z^n/k) \\ Delta_k."""
@@ -124,14 +126,18 @@ class GradedSeriesModel:
             rows.append(GapRow(k, dk, Dk, Dk - dk))
         return rows
 
+    def _columns(self, k: int) -> dict[int, int]:
+        """``lattice._first_axis_counts`` of the ambient, once per level visit."""
+        return self._at_level(k, "columns", lambda: _first_axis_counts(self.ambient, k))
+
     def max_gap_stat(self, k: int) -> tuple[Fraction, Fraction, Fraction]:
         """(max over ambient of p1, max over Delta_k of p1, their difference).
 
-        The idealized level is sorted, so the last point that is not a gap
-        has the largest z1 in Delta_k: Delta_k itself is not built."""
+        The largest z1 in Delta_k is the highest column (``_columns``) with
+        more points than gaps: no point is listed."""
         self._check_level(k)
-        gaps = self._level_gaps(k)
-        top = next((z[0] for z in reversed(self.idealized_body(k).points) if z not in gaps), None)
+        gaps = Counter(z[0] for z in self._level_gaps(k))
+        top = max((z for z, n in self._columns(k).items() if n > gaps[z]), default=None)
         if top is None:
             raise LevelError(f"Delta_{k} is empty")
         top_ambient = max(v[0] for v in self.ambient.vertices)

@@ -16,14 +16,13 @@ Every level-k query (jumping numbers, S_{k,m}, Sbar_{k,m}, quantum quantiles
 and vanishing orders, restricted delta_{k,m}) reads one integer score table
 of the level.  With L the lcm of the denominators of G, each point z/k of
 the idealized level ambient ∩ Z^n/k scores k L G(z/k) = min_i(L grad_i . z
-+ k L c_i), an exact int; that level is scored and sorted once per (model,
-G, k).  It is scored by columns, one pass per piece over the transposed
-points (``ConcavePL.scaled_values``), and a table holds only the scores in
-descending order and their prefix sums (``_score_level``): every invariant
-of a level depends on the multiset of its scores alone.  Delta_k's table is
-the idealized scores minus the gaps' own scores, subtracted as multisets,
-so no point of the level is read (on a level without gaps it is the same
-table).  The model keeps both with the rest of its current level only.
++ k L c_i), an exact int.  A table holds the distinct scores with the
+cumulative counts and sums of the points above each (``_table``), built
+once per (model, G, k) (``_score_level``): every invariant of a level
+depends on the multiset of its scores alone.  Delta_k's table is the
+idealized scores minus the gaps' own scores, subtracted as multisets, so no
+point of the level is read (on a level without gaps it is the same table).
+The model keeps both with the rest of its current level only.
 Compatible families, the one query that needs points, score and rank their
 level on demand.  Results are the same Fractions as scoring G(z/k) directly.
 
@@ -37,11 +36,12 @@ lexicographically smaller label), making reductions order-independent.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations, repeat
 from operator import mul, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -57,7 +57,7 @@ from .geometry import (
     rat,
     triangulate,
 )
-from .lattice import PointCloud
+from .lattice import PointCloud, _first_axis_counts, _frame, first_axis_bound
 from .series import GradedSeriesModel, LevelError
 
 DEFAULT_TOL = Fraction(1, 10**9)
@@ -137,49 +137,89 @@ class FamilyMeasure:
 # jumping numbers
 # ---------------------------------------------------------------------------
 
-_LevelScores = tuple[tuple[int, ...], tuple[int, ...]]
+_LevelScores = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 
 
-def _table(scores: Iterable[int]) -> _LevelScores:
-    """(scores, prefix) of scores in descending order, with prefix[m] =
-    scores[0] + ... + scores[m-1]."""
-    scores = tuple(scores)
-    return scores, tuple(accumulate(scores, initial=0))
+def _table(histogram: dict[int, int]) -> _LevelScores:
+    """(scores, ranks, sums) of {score: points > 0}, scores descending:
+    ranks[i] and sums[i] count and sum the points above scores[i]."""
+    scores = tuple(histogram)
+    return (scores, tuple(accumulate(histogram.values(), initial=0)),
+            tuple(accumulate(map(mul, scores, histogram.values()), initial=0)))
+
+
+def _histogram(table: _LevelScores) -> Iterable[tuple[int, int]]:
+    """The (score, points) pairs of a table, in its descending score order."""
+    scores, ranks, _ = table
+    return zip(scores, map(sub, ranks[1:], ranks))
+
+
+def _top(table: _LevelScores, m: int) -> tuple[int, int]:
+    """(the m-th largest score, the sum of the m largest), 1 <= m <= the
+    points of the table: one bisect and a partial run."""
+    scores, ranks, sums = table
+    i = bisect_left(ranks, m) - 1
+    return scores[i], sums[i] + (m - ranks[i]) * scores[i]
+
+
+def _point_free_frame(ambient: ConvexBody, g: ConcavePL, k: int,
+                      points: int) -> Optional[ConvexBody]:
+    """For a one-piece G on a full-dimensional 2-D or 3-D ambient, the
+    ambient in the frame (``lattice._frame``) of the direction of L grad (or
+    itself, G constant), unless its first axis at level k has more values
+    than the level has points (a steep G); else None."""
+    forms = set(g.integer_form[1])
+    if len(forms) != 1 or ambient.dim not in (2, 3) or ambient.affine_rank() != ambient.dim:
+        return None
+    (grad, _), = forms
+    d = math.gcd(*grad)
+    frame = _frame(ambient, tuple(a // d for a in grad) if d else (1,) + (0,) * (ambient.dim - 1))
+    return frame if first_axis_bound(frame, k) <= points else None
 
 
 def _score_level(model: GradedSeriesModel, g: ConcavePL, k: int) -> _LevelScores:
-    """(scores, prefix) of the idealized level ambient ∩ Z^n/k: the scores
-    k L G(z/k) of the points z of ``model.idealized_body(k)``, scored by
-    columns (``ConcavePL.scaled_values``, L from ``g.integer_form``) and
-    sorted as ints, largest first."""
-    return _table(sorted(g.scaled_values(model.idealized_body(k).points, k), reverse=True))
+    """The table of ambient ∩ Z^n/k.  With L grad = d u for the one piece of
+    G, u primitive, z scores d (u . z) + k L c, read off the first-axis
+    counts of the frame of u (``_point_free_frame``) with no point listed;
+    else the listed level is scored (``ConcavePL.scaled_values``)."""
+    frame = _point_free_frame(model.ambient, g, k, model.D_k(k))
+    if frame is None:
+        # counted in descending order, so its keys are
+        return _table(Counter(sorted(g.scaled_values(model.idealized_body(k).points, k),
+                                     reverse=True)))
+    (grad, c), = set(g.integer_form[1])
+    d = math.gcd(*grad)
+    counts = _first_axis_counts(frame, k)
+    if not d:  # constant G
+        return _table({k * c: sum(counts.values())})
+    return _table({d * z + k * c: counts[z] for z in sorted(counts, reverse=True) if counts[z]})
 
 
 def _level_scores(model: GradedSeriesModel, g: ConcavePL, k: int,
                   ideal: bool = False) -> _LevelScores:
     """The score table of ambient ∩ Z^n/k if ideal, else of Delta_k, kept by
-    the model with the rest of level k.  The idealized level is scored once
+    the model with the rest of level k.  The idealized table is built once
     (``_score_level``).  Every gap is a point of that level, so Delta_k's
     scores are the idealized scores minus one copy of each gap's own score:
     a multiset difference that reads no point of the level and keeps the
-    descending order (``Counter`` arithmetic and ``elements`` keep the order
-    in which the left operand first meets each score)."""
+    descending order (``Counter`` subtraction keeps the order of its left
+    operand)."""
     if not ideal:
         model._check_level(k)
     table = model._at_level(k, (g, True), lambda: _score_level(model, g, k))
     if ideal or not (gaps := model._level_gaps(k)):
         return table
     return model._at_level(k, (g, False), lambda: _table(
-        (Counter(table[0]) - Counter(g.scaled_values(gaps, k))).elements()))
+        Counter(dict(_histogram(table))) - Counter(g.scaled_values(gaps, k))))
 
 
 def _jumping_vector(model: GradedSeriesModel, v: ValuationModel, k: int,
                     ideal: bool) -> JumpingVector:
-    scores, _ = _level_scores(model, v.G, k, ideal)
+    table = _level_scores(model, v.G, k, ideal)
     L = v.G.integer_form[0]
     # one Fraction per distinct score, shared by the points that tie on it
-    value = {s: Fraction(s, L) for s in set(scores)}
-    return JumpingVector._sorted(k, tuple(map(value.__getitem__, scores)))
+    return JumpingVector._sorted(k, tuple(chain.from_iterable(
+        repeat(Fraction(s, L), n) for s, n in _histogram(table))))
 
 
 def jumping_numbers(model: GradedSeriesModel, v: ValuationModel, k: int) -> JumpingVector:
@@ -195,17 +235,17 @@ def idealized_jumping(model: GradedSeriesModel, v: ValuationModel, k: int) -> Ju
 def jumping_head(model: GradedSeriesModel, v: ValuationModel, k: int) -> tuple[Fraction, ...]:
     """The three largest jumping numbers of level k (fewer if d_k < 3), read
     off the score table without a ``JumpingVector``."""
-    scores, _ = _level_scores(model, v.G, k)
+    table = _level_scores(model, v.G, k)
     L = v.G.integer_form[0]
-    return tuple(Fraction(s, L) for s in scores[:3])
+    return tuple(Fraction(_top(table, m)[0], L) for m in range(1, min(3, table[1][-1]) + 1))
 
 
 def _top_average(model: GradedSeriesModel, v: ValuationModel, k: int, m: int,
                  ideal: bool) -> Fraction:
-    scores, prefix = _level_scores(model, v.G, k, ideal)
-    if not 1 <= m <= len(scores):
-        raise ValueError(f"m={m} out of range [1, {len(scores)}]")
-    return Fraction(prefix[m], v.G.integer_form[0] * k * m)
+    table = _level_scores(model, v.G, k, ideal)
+    if not 1 <= m <= table[1][-1]:
+        raise ValueError(f"m={m} out of range [1, {table[1][-1]}]")
+    return Fraction(_top(table, m)[1], v.G.integer_form[0] * k * m)
 
 
 def S_km(model: GradedSeriesModel, v: ValuationModel, k: int, m: int) -> Fraction:
@@ -545,12 +585,12 @@ def quantum_quantile(model: GradedSeriesModel, v: ValuationModel, k: int, tau) -
     tau = rat(tau)
     if not 0 <= tau <= 1:
         raise ValueError("tau must lie in [0, 1]")
-    scores, _ = _level_scores(model, v.G, k)
-    if not scores:
+    table = _level_scores(model, v.G, k)
+    d = table[1][-1]
+    if not d:
         raise LevelError(f"Delta_{k} is empty")
-    m = math.floor(tau * len(scores))
-    idx = 0 if m == 0 else m - 1
-    return Fraction(scores[idx], v.G.integer_form[0] * k)
+    m = math.floor(tau * d)
+    return Fraction(_top(table, max(m, 1))[0], v.G.integer_form[0] * k)
 
 
 def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,

@@ -36,10 +36,15 @@ must match exactly.
 idealized level directly, each with the per-point ``oracle_scaled_values``
 and one sort of (score, point) pairs, and ``oracle_jumping_values`` builds
 one Fraction per point and compares every neighbour: the paths that the
-library's single idealized score table, sorted as ints, the Delta_k table
-left by subtracting the gaps' scores from it, column-wise scoring, the
-compatible families ranked on demand and the shared-Fraction
-``JumpingVector`` must match exactly.
+library's single idealized score table (a histogram of distinct scores,
+read off first-axis counts for a one-piece G), the Delta_k table left by
+subtracting the gaps' scores from it, column-wise scoring, the compatible
+families ranked on demand and the shared-Fraction ``JumpingVector`` must
+match exactly.
+``oracle_sorted_scores`` is the library's enumerate, score and sort table
+of the idealized level: its listed points scored by columns and sorted as
+ints, the path that the tables read off first-axis counts must match at
+levels too large for the per-point oracle.
 ``oracle_region_max`` takes max G as the largest Fraction value of each
 piece over the vertices of its linearity region: the path that the
 library's ``max_transform``, which compares each region's integer maximum
@@ -49,8 +54,8 @@ Fraction differences (``vsub``) of the pieces' gradients and constants: the
 path that the library's ``_linearity_regions``, which builds each primitive
 cut from the pieces' integer form, must match region for region.
 ``oracle_plus_body_count`` scans every point of the idealized level for the
-plus-body count of the maxp1 suite: the path that the library's one
-bisection of the sorted level must match.
+plus-body count of the maxp1 suite: the path that the library's suffix sum
+of the level's first-axis counts must match.
 ``oracle_count`` clips every 2-D slab with every (upper, lower) pair of its
 y-lines (``oracle_slab_count``) in the body's own coordinates, flat bodies
 included, and ``oracle_envelope_floor_sum`` and ``oracle_envelope_runs``
@@ -529,6 +534,14 @@ def oracle_score_level(model, g, k: int, ideal: bool):
     scores = tuple(s for s, _ in pairs)
     return (g.integer_form[0], scores, tuple(z for _, z in pairs),
             tuple(accumulate(scores, initial=0)))
+
+
+def oracle_sorted_scores(model, g, k: int):
+    """(scores, prefix) of ambient ∩ Z^n/k: the listed points of the level
+    scored by ``ConcavePL.scaled_values``, sorted descending as ints, and
+    their prefix sums."""
+    scores = tuple(sorted(g.scaled_values(model.idealized_body(k).points, k), reverse=True))
+    return scores, tuple(accumulate(scores, initial=0))
 
 
 def oracle_plus_body_count(model, k: int, quantum_max: Fraction) -> int:

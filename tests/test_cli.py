@@ -201,6 +201,9 @@ P2_MODEL = {"backend": "toric", "polytope": {"dim": 2, "vertices": [["0", "0"], 
 P2_FAMILY = [{"label": label, "A": "1", "G": {"pieces": [{"grad": grad, "const": const}]}}
              for label, grad, const in (("D1", ["1", "0"], "0"), ("D2", ["0", "1"], "0"),
                                         ("D3", ["-1", "-1"], "3"))]
+# min(x, y): a two-piece G, whose score tables score the listed points
+MIN_XY = [{"label": "min", "A": "1", "G": {"pieces": [{"grad": ["1", "0"], "const": "0"},
+                                                      {"grad": ["0", "1"], "const": "0"}]}}]
 
 
 def test_thresholds_p2_golden_digest(tmp_path, monkeypatch):
@@ -707,7 +710,7 @@ def test_size_check_counts_levels_that_stop_below_the_last_k(tmp_path, capsys, m
     square = write(tmp_path, "square.json", {"backend": "synthetic", "levels": [1500],
                                              "polytope": {"dim": 2, "vertices": [
                                                  ["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}})
-    family = write(tmp_path, "family.json", P2_FAMILY[:1])
+    family = write(tmp_path, "family.json", MIN_XY)
     sweep = write(tmp_path, "sweep.json", {"tau": "1/2", "k_range": [1, 2 * 10**6]})
     assert main(["thresholds", "--in", square, "--valuations", family, "--sweep", sweep]) == 2
     assert capsys.readouterr().err.startswith(
@@ -723,7 +726,9 @@ def test_thresholds_above_point_limit_exits2_before_enumerating(tmp_path, capsys
         raise AssertionError("work started")
 
     model = write(tmp_path, "p2.json", P2_MODEL)
-    family = write(tmp_path, "family.json", P2_FAMILY)
+    # the two-piece G scores the listed points (a one-piece family lists none:
+    # test_thresholds_of_one_piece_families_bound_columns_not_points)
+    family = write(tmp_path, "family.json", P2_FAMILY + MIN_XY)
     monkeypatch.setattr(series, "enumerate_points", no_work)
     monkeypatch.setattr(cli, "S_tau", no_work)
     # P^2 has (3k + 1)(3k + 2)/2 points at level k: 987,710 up to 86, 1,022,163 up to 87
@@ -749,6 +754,69 @@ def test_thresholds_above_point_limit_exits2_before_enumerating(tmp_path, capsys
     cli._check_series_size(p2, range(1, 87), "--k-max 86")
     with pytest.raises(cli.InputError, match="passed at level 87"):
         cli._check_series_size(p2, range(1, 88), "--k-max 87")
+
+
+def test_thresholds_of_one_piece_families_bound_columns_not_points(tmp_path, capsys,
+                                                                   monkeypatch):
+    """A one-piece G on a full-dimensional 2-D or 3-D ambient is read off the
+    first-axis counts of its frame, so ``thresholds`` lists no point and
+    bounds those columns (2-D) or slabs (3-D), summed over the levels and
+    valuations, by MAX_ENUM_POINTS.  P^2 with D1/D2/D3 reads 3 (3k + 1)
+    columns at level k, and the unit cube with x1 + x2 + x3 reads 3k + 1
+    slabs: past the edge both exit 2 before any work, and the edge passes
+    the check (not run)."""
+    import okbodies.cli as cli
+    import okbodies.lattice as lattice
+    import okbodies.series as series
+    import okbodies.thresholds as thresholds
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    columns = [sum(3 * (3 * k + 1) for k in range(1, K + 1)) for K in (470, 471)]
+    slabs = [sum(3 * k + 1 for k in range(1, K + 1)) for K in (815, 816)]
+    assert columns == [997_575, 1_001_817] and slabs == [998_375, 1_000_824]
+    p2, family = write(tmp_path, "p2.json", P2_MODEL), write(tmp_path, "f.json", P2_FAMILY)
+    cube = write(tmp_path, "cube.json", CUBE3_MODEL)
+    diagonal = write(tmp_path, "diagonal.json", [valuation("s", "1", "1", "1")])
+    with monkeypatch.context() as mp:
+        for module, name in ((series, "enumerate_points"), (series, "_first_axis_counts"),
+                             (thresholds, "_first_axis_counts"), (cli, "S_tau")):
+            mp.setattr(module, name, no_work)
+        for infile, vfile, k in ((p2, family, 471), (cube, diagonal, 816)):
+            assert main(["thresholds", "--in", infile, "--valuations", vfile,
+                         "--k-max", str(k)]) == 2
+            assert capsys.readouterr().err == (
+                f"input error: --k-max {k} reads more than 1000000 columns or slabs "
+                f"(the limit is passed at level {k})\n")
+    for model_json, family_json, k in ((P2_MODEL, P2_FAMILY, 470),
+                                       (CUBE3_MODEL, [valuation("s", "1", "1", "1")], 815)):
+        model = series.model_from_json(model_json)
+        family = [thresholds.valuation_from_json(v, model.ambient) for v in family_json]
+        size = lattice.count(model.ambient, k)
+        frames = [thresholds._point_free_frame(model.ambient, v.G, k, size) for v in family]
+        assert all(lattice.first_axis_bound(f, k) == 3 * k + 1 for f in frames)
+        cli._check_series_size(model, range(1, k + 1), f"--k-max {k}", family)
+        with pytest.raises(cli.InputError, match=f"passed at level {k + 1}"):
+            cli._check_series_size(model, range(1, k + 2), f"--k-max {k + 1}", family)
+    # the limit itself passes: P^2 reads 3 (4 + 7 + 10) = 63 columns up to level 3
+    p2_model = series.model_from_json(P2_MODEL)
+    family = [thresholds.valuation_from_json(v, p2_model.ambient) for v in P2_FAMILY]
+    monkeypatch.setattr(cli, "MAX_ENUM_POINTS", 63)
+    cli._check_series_size(p2_model, range(1, 4), "--k-max 3", family)
+    monkeypatch.setattr(cli, "MAX_ENUM_POINTS", 62)
+    with pytest.raises(cli.InputError, match="passed at level 3"):
+        cli._check_series_size(p2_model, range(1, 4), "--k-max 3", family)
+
+
+def test_thresholds_on_an_empty_level_names_it(tmp_path, capsys):
+    """A level whose points are all gaps has no m to choose: ``thresholds``
+    exits 1 naming the empty Delta_k, not an m the user never gave."""
+    model = write(tmp_path, "m.json", {"backend": "synthetic", "polytope": SIMPLEX_JSON,
+                                       "per_k_gaps": {"1": [[0, 0], [1, 0], [0, 1]], "2": []}})
+    family = write(tmp_path, "v.json", [valuation("x", "1", "0")])
+    assert main(["thresholds", "--in", model, "--valuations", family, "--k-max", "2"]) == 1
+    assert capsys.readouterr().err == "model error: Delta_1 is empty\n"
 
 
 # the rank-3 body on x3 = x0 - x1 + 2 x2 + 1/3 over the unit cube of (x0, x1,

@@ -405,14 +405,21 @@ def test_verify_maxp1_top_column():
 
 
 def test_plus_body_count_matches_the_point_scan():
-    """The plus-body count read off the sorted level by one bisection against
-    scanning every point (``oracles.oracle_plus_body_count``), on both maxp1
-    models for k <= 40, with cuts from below the first to above the last x1."""
+    """The plus-body count, a suffix sum of the level's first-axis counts,
+    against scanning every point (``oracles.oracle_plus_body_count``), and
+    the quantum maximum against the largest x1 of Delta_k, on both maxp1
+    models for k <= 40 and on a unit-cube model that loses its top slab and
+    one more point for k <= 12, with cuts from below the first to above the
+    last x1."""
     rng = random.Random(44)
-    for model in (CanonicalCurveModel(3), top_column_gap_model()):
-        for k in range(1, 41):
+    slab_gap = SyntheticModel(UNIT_CUBE, lambda k: [(k - 1, 0, 0)] + [
+        (k, j, i) for j in range(k + 1) for i in range(k + 1)])
+    for model, ks in ((CanonicalCurveModel(3), range(1, 41)),
+                      (top_column_gap_model(), range(1, 41)), (slab_gap, range(1, 13))):
+        for k in ks:
             points = model.idealized_body(k).points
             lo, hi = points[0][0], points[-1][0]
+            assert model.max_gap_stat(k)[1] == F(max(z[0] for z in model.discrete_body(k)), k)
             tops = [F(j, k) for j in range(lo - 3, hi + 3)]
             tops += [F(rng.randint(2 * lo - 7, 2 * hi + 7), 2 * k + 1) for _ in range(5)]
             for top in tops:

@@ -6,6 +6,7 @@ import math
 import operator
 import random
 import re
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -234,12 +235,25 @@ def _differential_body(rng, n, kind):
     return hull([tuple(p) for p in pts]), den
 
 
+def _first_axis_histogram(body, k):
+    """{z_1: points} of ``_first_axis_counts``, its counts checked nonnegative
+    and, off the chains of a full-dimensional 2-D or 3-D body, its columns or
+    slabs no more than ``first_axis_bound``."""
+    counts = lattice._first_axis_counts(body, k)
+    assert min(counts.values(), default=0) >= 0
+    if body.dim in (2, 3) and not body.is_empty and body.is_full_dim():
+        assert len(counts) <= lattice.first_axis_bound(body, k)
+    return {z: n for z, n in counts.items() if n}
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.integers(1, 4),
        st.sampled_from(["hull", "box", "hyperplane", "line", "empty", *FLAT_KINDS]))
 def test_count_matches_scan_oracle_and_enumeration(seed, n, kind):
     """``count`` equals the scan oracle, the enumeration and, for n >= 2,
     the pair-clipping ``oracle_count``; a flat body is counted in its chart.
+    The points per first numerator (``_first_axis_counts``) are those of the
+    enumeration.
     A multiple of the vertex denominator puts the vertices on Z^n/k, where
     constraint lines tie at integer x; for the flat kinds a random level up
     to ``FLAT_K_MAX`` and a multiple of the chart's period, at which the flat
@@ -251,6 +265,7 @@ def test_count_matches_scan_oracle_and_enumeration(seed, n, kind):
         expected = scan_count(body, k)
         assert count(body, k) == expected
         assert len(enumerate_points(body, k)) == expected
+        assert _first_axis_histogram(body, k) == Counter(z[0] for z in enumerate_points(body, k))
         if n >= 2:
             assert oracle_count(body, k) == expected
     if kind in FLAT_KINDS and n >= 2 and not body.is_full_dim():
@@ -721,7 +736,8 @@ def test_chain_count_matches_stack_pass_paths(seed, n, kind):
     pair-clipping oracle (n = 2) and the stack-pass ``_slab_sum`` that serves
     n = 4 (n = 3) must agree.  A multiple of the vertex denominator puts the
     vertices on Z^n/k, so slabs fall on vertex levels and breakpoints on
-    integers."""
+    integers.  At small levels the points per first numerator read off the
+    same chains (``_first_axis_counts``) are those of the enumeration."""
     rng = random.Random(seed)
     body, den = _chain_body(rng, n, kind)
     if not body.is_full_dim():
@@ -731,6 +747,36 @@ def test_chain_count_matches_stack_pass_paths(seed, n, kind):
         expected = (oracle_count(body, k) if n == 2
                     else lattice._slab_sum(body, *_scaled_constraints(body, k)))
         assert count(body, k) == expected
+    for k in {1, rng.randint(1, 12), den if den <= 12 else 1}:
+        assert _first_axis_histogram(body, k) == Counter(z[0] for z in enumerate_points(body, k))
+
+
+def test_frame_puts_a_direction_on_the_first_axis():
+    """``_frame(body, u)`` is V body for a unimodular V whose first row is
+    the primitive direction u: it has the body's volume, and at every level
+    its points are the body's moved by V, so it counts as many and their
+    first coordinates are the values u . z.  Each frame is built once per
+    body and direction, and e_1 gives the body itself."""
+    rng = random.Random(12)
+    for n in (2, 3):
+        for _ in range(3):
+            body, _ = _chain_body(rng, n, rng.choice(["hull", "grid", "sliver"]))
+            e1 = (1,) + (0,) * (n - 1)
+            directions = [e1, tuple(-a for a in e1), e1[::-1], tuple(-a for a in e1[::-1])]
+            while len(directions) < 8:
+                u = [rng.randint(-5, 5) for _ in range(n)]
+                if any(u):
+                    directions.append(tuple(a // math.gcd(*u) for a in u))
+            for u in directions:
+                frame = lattice._frame(body, u)
+                assert lattice._frame(body, u) is frame
+                assert (frame is body) == (u == e1)
+                assert volume(frame) == volume(body)
+                for k in (1, 3, 7):
+                    points = enumerate_points(body, k).points
+                    assert count(frame, k) == len(points)
+                    assert Counter(sum(map(operator.mul, u, z)) for z in points) == Counter(
+                        w[0] for w in enumerate_points(frame, k).points)
 
 
 # SHA-256 of the lines "k count(body, k)" for every k in (C, k_max], C the

@@ -481,7 +481,10 @@ def test_model_keeps_only_the_last_level():
     assert model._level_k == 8 and slot_denominators(model) == {8}
     model = top_column_gap_model()
     verify_maxp1(model, range(1, 8), iota=1)
-    assert model._level_k == 7 and slot_denominators(model) == {7}
+    # maxp1 reads level 7's column counts and gaps, and lists no point
+    assert model._level_k == 7 and slot_denominators(model) == set()
+    assert model._level["columns"] == {x: 8 for x in range(8)}
+    assert model._level["gaps"] == frozenset((7, j) for j in range(8))
 
 
 def level_state(model, g, k):

@@ -6,6 +6,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction as F
+from operator import gt, lt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,7 +58,7 @@ from okbodies.thresholds import (
 )
 from oracles import (oracle_bisect, oracle_candidates, oracle_ccdf_data, oracle_ccdf_fit,
                      oracle_jumping_values, oracle_lagrange, oracle_newton, oracle_S_tau,
-                     oracle_scaled_values, oracle_score_level)
+                     oracle_scaled_values, oracle_score_level, oracle_sorted_scores)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -1165,10 +1166,21 @@ def _differential_cases():
 
 
 def _scores_and_prefix(oracle):
-    """The (scores, prefix) of an oracle table (L, scores, points, prefix):
-    what a library score table holds."""
+    """The (scores, prefix) of an oracle table (L, scores, points, prefix)."""
     _, scores, _, prefix = oracle
     return scores, prefix
+
+
+def _expanded(table):
+    """The (scores, prefix) a library score table stands for: its histogram
+    expanded to one score per point, descending, and the sum of the m
+    largest scores for every m, each read with ``thresholds._top`` (prefix[0]
+    = 0).  The table's scores must be distinct and its counts positive."""
+    scores, ranks, _ = table
+    assert all(map(gt, scores, scores[1:])) and all(map(lt, ranks, ranks[1:]))
+    expanded = tuple(s for s, n in thresholds._histogram(table) for _ in range(n))
+    assert all(thresholds._top(table, m)[0] == s for m, s in enumerate(expanded, 1))
+    return expanded, (0, *(thresholds._top(table, m)[1] for m in range(1, len(expanded) + 1)))
 
 
 def test_score_tables_match_per_level_oracle():
@@ -1185,7 +1197,8 @@ def test_score_tables_match_per_level_oracle():
                 order = (False, True) if rng.random() < 0.5 else (True, False)
                 tables = {ideal: thresholds._level_scores(model, g, k, ideal) for ideal in order}
                 oracle = {ideal: oracle_score_level(model, g, k, ideal) for ideal in order}
-                assert tables == {ideal: _scores_and_prefix(t) for ideal, t in oracle.items()}
+                assert {ideal: _expanded(t) for ideal, t in tables.items()} == {
+                    ideal: _scores_and_prefix(t) for ideal, t in oracle.items()}
                 if not model._level_gaps(k):
                     assert tables[False] is tables[True]
                 L, scores, points, prefix = oracle[False]
@@ -1245,8 +1258,9 @@ def test_score_tables_match_oracle_on_tied_levels():
                 for ideal in (True, False):
                     table = thresholds._level_scores(model, g, k, ideal)
                     oracle = oracle_score_level(model, g, k, ideal)
-                    assert table == _scores_and_prefix(oracle)
-                    tied += len(table[0]) - len(set(table[0]))
+                    expanded = _expanded(table)
+                    assert expanded == _scores_and_prefix(oracle)
+                    tied += len(expanded[0]) - len(table[0])
                 points = oracle[2]  # Delta_k's, in the oracle's (score, point) order
                 d = len(points)
                 v = ValuationModel("v", F(1), g)
@@ -1484,3 +1498,156 @@ def test_verify_all_scores_each_level_once(tmp_path, monkeypatch):
     # stwosided 24, deltarate 3 x 12 (P^2) + 11 (canonical), endpoints 22
     assert len(calls) == 93
     assert set(calls.values()) == {1}
+
+
+def _one_piece_transforms(rng, ambient):
+    """One-piece G >= 0 on an ambient: an even gradient (gcd > 1 once
+    cleared), a rational gradient, the negated first axis, a constant, a
+    random integer gradient and, for n > 1, -3 times the last axis and a
+    steep (60, 1, ...), whose frame has more columns than a low level has
+    points; each with a rational constant that puts its minimum in [0, 2]."""
+    n = ambient.dim
+    grads = [[2 * rng.choice([-2, -1, 1, 2]) for _ in range(n)],
+             [_random_rational(rng, -2, 2) for _ in range(n)],
+             [-1] + [0] * (n - 1), [0] * n, [rng.randint(-3, 3) for _ in range(n)]]
+    if n > 1:
+        grads += [[0] * (n - 1) + [-3], [60] + [1] * (n - 1)]
+    transforms = []
+    for grad in grads:
+        low = min(sum(F(a) * x for a, x in zip(grad, v)) for v in ambient.vertices)
+        transforms.append(ConcavePL.make(
+            [AffineFunctional.make(grad, _random_rational(rng, 0, 2) - low)], ambient))
+    return transforms
+
+
+def _one_piece_cases():
+    """(model, transforms, levels): every bundled model, seeded synthetic gap
+    models on random 1-, 2- and 3-D ambients with their gaps on the top and
+    tied scores of one transform, and two models whose level 1 is all gaps."""
+    rng = random.Random(36)
+    for model in _bundled_models():
+        yield model, _one_piece_transforms(rng, model.ambient), [
+            k for k in range(1, 9) if model.has_level(k)]
+    for n in (1, 2, 3) * 3:
+        ambient = _random_ambient(rng, n)
+        transforms = _one_piece_transforms(rng, ambient)
+        g = rng.choice(transforms)
+        levels = sorted(rng.sample(range(1, 13), 3))
+        yield (SyntheticModel(ambient, {k: _gaps_on_ties(rng, g, ambient, k) for k in levels}),
+               transforms, levels)
+    for ambient in (SIMPLEX.ambient, hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])):
+        gaps = enumerate_points(ambient, 1).points
+        yield (SyntheticModel(ambient, {1: gaps, 2: [gaps[-1]]}),
+               _one_piece_transforms(rng, ambient), [1, 2])
+
+
+def test_one_piece_tables_match_the_per_point_oracle():
+    """A one-piece G on a full-dimensional 2-D or 3-D ambient is read off the
+    first-axis counts of its frame, unless the frame has more columns or
+    slabs than the level has points; every other input counts the scores of
+    its listed points.  Both tables of every level, the jumping numbers,
+    S_{k,m} and Sbar_{k,m} at m = 1 and d_k, the head and the quantum
+    quantiles equal the per-point oracle's, gcd > 1, rational and constant
+    G, gaps on the top score and an empty Delta_k (``LevelError``)
+    included."""
+    paths, empty = Counter(), 0
+    for model, transforms, levels in _one_piece_cases():
+        for k in levels:
+            for g in transforms:
+                v = ValuationModel("v", F(1), g)
+                if model.ambient.dim > 1:
+                    paths[thresholds._point_free_frame(
+                        model.ambient, g, k, count(model.ambient, k)) is None] += 1
+                for ideal in (True, False):
+                    table = thresholds._level_scores(model, g, k, ideal)
+                    assert _expanded(table) == _scores_and_prefix(
+                        oracle_score_level(model, g, k, ideal))
+                L, scores, _, prefix = oracle_score_level(model, g, k, ideal=False)
+                _, ideal_scores, _, ideal_prefix = oracle_score_level(model, g, k, ideal=True)
+                d, D = len(scores), len(ideal_scores)
+                assert jumping_numbers(model, v, k).values == tuple(F(s, L) for s in scores)
+                assert idealized_jumping(model, v, k).values == tuple(
+                    F(s, L) for s in ideal_scores)
+                assert thresholds.jumping_head(model, v, k) == tuple(F(s, L) for s in scores[:3])
+                for m in {1, D}:
+                    assert Sbar_km(model, v, k, m) == F(ideal_prefix[m], L * k * m)
+                if not d:
+                    empty += 1
+                    with pytest.raises(LevelError, match=f"Delta_{k} is empty"):
+                        quantum_quantile(model, v, k, F(1, 2))
+                    with pytest.raises(ValueError, match=r"m=1 out of range \[1, 0\]"):
+                        S_km(model, v, k, 1)
+                    continue
+                for m in {1, d}:
+                    assert S_km(model, v, k, m) == F(prefix[m], L * k * m)
+                for tau in (F(0), F(1, 2), F(1)):
+                    m = math.floor(tau * d)
+                    assert quantum_quantile(model, v, k, tau) == F(scores[max(m - 1, 0)], L * k)
+    assert paths == {False: 225, True: 69} and empty == 14
+
+
+def test_one_piece_tables_match_the_sorted_scores_at_large_levels():
+    """The tables of P^2 and of a random 3-D body against the enumerate,
+    score and sort table (``oracles.oracle_sorted_scores``) at every level
+    up to 40 and 16: every expanded score and prefix sum.  All but a few,
+    the steep G at low levels, are read off first-axis counts."""
+    rng = random.Random(35)
+    listed = 0
+    for model, k_max in ((ToricModel(hull([(0, 0), (3, 0), (0, 3)])), 40),
+                         (ToricModel(_random_ambient(rng, 3)), 16)):
+        transforms = _one_piece_transforms(rng, model.ambient)
+        for k in range(1, k_max + 1):
+            for g in transforms:
+                listed += thresholds._point_free_frame(
+                    model.ambient, g, k, count(model.ambient, k)) is None
+                assert _expanded(thresholds._level_scores(model, g, k, ideal=True)) == \
+                    oracle_sorted_scores(model, g, k)
+    assert listed == 62
+
+
+def test_one_piece_tables_list_no_point(monkeypatch):
+    """With every point listing refused (``enumerate_points`` in ``lattice``
+    and ``series``, and the lattice walk), the one-piece tables of P^2 and of
+    a 3-D gap model, every level query on them and the maxp1 statistics of
+    2-D and 3-D models still give the values of an untouched twin model."""
+    import okbodies.lattice as lattice
+    import okbodies.series as series
+    from okbodies.estimates import _plus_body_count
+
+    cube = hull(list(itertools.product((0, 1), repeat=3)))
+    grads = {2: [(1, 0), (0, -3), (-1, -1), (2, 4), (F(1, 2), F(1, 4)), (0, 0)],
+             3: [(1, 0, 0), (0, 0, -3), (1, 1, 1), (2, 2, -2), (F(1, 2), 0, F(-1, 3)), (0, 0, 0)]}
+
+    def models():
+        return [ToricModel(hull([(0, 0), (3, 0), (0, 3)])), top_column_gap_model(),
+                SyntheticModel(cube, lambda k: [(k, k, k), (k, 0, k), (0, k, 0)])]
+
+    def transforms(ambient):
+        return [ConcavePL.make([AffineFunctional.make(grad, 12)], ambient)
+                for grad in grads[ambient.dim]]
+
+    def answers(model):
+        out = []
+        for k in range(1, 7):
+            for g in transforms(model.ambient):
+                assert thresholds._point_free_frame(model.ambient, g, k, count(model.ambient, k))
+                v = ValuationModel("v", F(1), g)
+                d = model.d_k(k)
+                out += [jumping_numbers(model, v, k), idealized_jumping(model, v, k),
+                        thresholds.jumping_head(model, v, k), S_km(model, v, k, d),
+                        S_km(model, v, k, max(d // 3, 1)), Sbar_km(model, v, k, 1),
+                        quantum_quantile(model, v, k, F(2, 3)),
+                        delta_km_restricted(model, [v], k, 1)]
+            top = model.max_gap_stat(k)
+            out += [top, _plus_body_count(model, k, top[1])]
+        return out
+
+    expected = [answers(model) for model in models()]
+
+    def refused(*args):
+        raise AssertionError("a point was listed")
+
+    for module, name in ((lattice, "enumerate_points"), (series, "enumerate_points"),
+                         (lattice, "_numerators")):
+        monkeypatch.setattr(module, name, refused)
+    assert [answers(model) for model in models()] == expected
