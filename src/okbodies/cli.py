@@ -30,6 +30,7 @@ from .geometry import (
     hull,
     rat,
     rat_str,
+    read_int,
     volume,
 )
 from .lattice import count, first_axis_bound, prefix_bound, slab_bound
@@ -116,13 +117,22 @@ def _positive_rational(text: str) -> Fraction:
     return value
 
 
+def _json_int(text: str) -> int:
+    """json ``parse_int``: an integer of more digits than an input may have is
+    bad input, not malformed JSON."""
+    try:
+        return read_int(text)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_int=_json_int)
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
-    except (ValueError, RecursionError) as exc:  # also not UTF-8, too many digits, too deep
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, too deep
         raise InputError(f"malformed JSON in {path}: {exc}") from exc
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, isqrt, lcm
-from operator import add, itemgetter, mul, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -83,10 +83,10 @@ def rat(x) -> Fraction:
         if not re.fullmatch("-?[0-9]+(/[0-9]+)?", x):
             raise ValueError(f"{x!r} is not a rational p or p/q")
         num, _, den = x.partition("/")
-        d = int(den or 1)
+        d = read_int(den or "1")
         if d == 0:
             raise ValueError(f"zero denominator in rational {x!r}")
-        return Fraction(int(num), d)
+        return Fraction(read_int(num), d)
     if isinstance(x, float):
         raise TypeError("floats are not allowed in the exact geometry kernel")
     return Fraction(x)
@@ -109,10 +109,44 @@ def json_array(x, what: str) -> Sequence:
     return x
 
 
+MAX_INPUT_DIGITS = 4300  # per input integer: the interpreter's default int/str limit
+_STR_BOUND = 10 ** 640  # 640 digits pass any int/str limit an interpreter can be set to
+
+
+def read_int(text: str) -> int:
+    """The int of a decimal string, an optional minus sign and digits, of at
+    most MAX_INPUT_DIGITS digits; a longer one raises ValueError."""
+    digits = len(text) - text.startswith("-")
+    if digits > MAX_INPUT_DIGITS:
+        raise ValueError(f"an input integer has {digits} digits, "
+                         f"more than the limit of {MAX_INPUT_DIGITS}")
+    return int(text)
+
+
+def _int_str(n: int) -> str:
+    """The decimal digits of n at any size: ``str`` below ``_STR_BOUND``,
+    else n >= 0 split as hi 10^e + lo for the least e = 640 * 2^j with n <
+    10^(2e), and lo zero-padded to e digits."""
+    if -_STR_BOUND < n < _STR_BOUND:
+        return str(n)
+    if n < 0:
+        return "-" + _int_str(-n)
+    e = 640
+    while n >= 10 ** (2 * e):
+        e *= 2
+    hi, lo = divmod(n, 10 ** e)
+    return _int_str(hi) + _int_str(lo).zfill(e)
+
+
 def rat_str(q: Fraction) -> str:
-    """Serialize a rational as ``"p/q"`` (or ``"p"`` when integral)."""
+    """Serialize a rational as ``"p/q"`` (or ``"p"`` when integral), every
+    digit at any size (``_int_str``)."""
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    try:
+        return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's limit on int/str conversion
+        p = _int_str(q.numerator)
+        return p if q.denominator == 1 else f"{p}/{_int_str(q.denominator)}"
 
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
@@ -504,7 +538,8 @@ def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
     body = object.__new__(ConvexBody)
     body.dim = n
     body._vertices = None
-    pairs = sorted(tight, key=itemgetter(0))
+    # the order of HalfSpace.__lt__, compared as C tuples
+    pairs = sorted(tight, key=lambda pair: (pair[0].normal, pair[0].offset))
     body.halfspaces = tuple(h for h, _ in pairs)
     body._cache = {"int_form": (D, tuple(Z)), "arank": rank,
                    "incidence": tuple(t for _, t in pairs)}

@@ -18,11 +18,15 @@ integral and 0 otherwise, and the points of P are those of P' mapped back.
 ``count`` then picks its kernel by affine rank alone:
 - rank 0, a point: 1 or 0;
 - rank 1, an interval;
-- rank 2 or 3, the chains (``_chain_form``, built once per body from its
-  vertices, edges and incidence).  Between consecutive vertex levels of the
-  first axis the same edges cross every slab in the same x order, so a
-  slab's rows split at breakpoints linear in the slab's level into one run
-  per facet of its upper and lower chain, and each run is one
+- rank 2, a polygon: its two chains of edges, flat (``_chain_form``, built
+  once per body from its vertices and incidence).  The vertices split its
+  rows into one run per facet of its upper and lower chain, each run one
+  ``floor_sum`` (``_polygon_count``): no section, no slab loop.
+- rank 3, the chains of the slabs (``_chain_form``, built once per body
+  from its vertices, edges and incidence).  Between consecutive vertex
+  levels of the first axis the same edges cross every slab in the same x
+  order, so a slab's rows split at breakpoints linear in the slab's level
+  into one run per facet of its upper and lower chain, and each run is one
   ``floor_sum``: no per-slab line lists, stack passes or pair bounds.
 - rank 4, a full-dimensional 4-D body: the prefixes of the first two axes,
   walked as ``enumerate_points`` walks all n, each slab counted from its
@@ -30,10 +34,11 @@ integral and 0 otherwise, and the points of P are those of P' mapped back.
 
 ``concave_sum`` takes the same dispatch for a full-dimensional body of
 dimension 2 or 3: it walks the rows of the chains, reads each row's column
-of points off its two owner facets and sums G along the column in closed
-form, one run of one piece at a time (``_chain_concave_sum``), so it lists
-no point.  Other bodies, and a body where G scores a point negative, sum
-over the listed points (``_enumerated_concave_sum``).  The chains also give
+of points off its two owner facets (``_polygon_columns``, or
+``_chain_floors`` per slab) and sums G along the column in closed form, one
+run of one piece at a time (``_chain_concave_sum``), so it lists no point.
+Other bodies, and a body where G scores a point negative, sum over the
+listed points (``_enumerated_concave_sum``).  The chains also give
 the points per first coordinate (``_first_axis_counts``), in any unimodular
 frame (``_frame``).
 
@@ -392,92 +397,92 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
 
 
 def _chain_form(body: ConvexBody):
-    """The k-free chains of the slabs of a full-dimensional body of dimension 2
-    or 3, cached next to ``_lattice_form`` and built in integers from the
-    body's vertex form (D, Z) and incidence.
+    """The k-free chains of a full-dimensional body of dimension 2 or 3,
+    cached next to ``_lattice_form`` and built in integers from the body's
+    vertex form (D, Z) and incidence.
 
-    With y the last axis, x the one before it and w the first axis of a 3-D
-    body, the slab w = z of k*body is a polygon whose rows run from its lower
-    chain to its upper one: runs of the facets with a_y < 0 and a_y > 0.  On
-    each open interval between consecutive vertex levels of w, the same body
-    edges cross the slab in the same x order, so one section lists each
-    chain's edges left to right as breakpoints X(z) = (k alpha + z beta) /
-    gamma, with the facet that bounds y between each consecutive pair.  An
-    edge (u, v) with u_w < v_w crosses w = z at alpha = u_x v_w - u_w v_x,
-    beta = D (v_x - u_x) and gamma = D (v_w - u_w).  A polygon is one section
-    whose breakpoints are its vertices (beta = 0).
+    With y the last axis and x the one before it, the rows of a polygon, or
+    of the slab w = z of a 3-D body with first axis w, run from its lower
+    chain to its upper one: runs of the facets with a_y < 0 and a_y > 0.
 
-    Returns (D, offsets, sections): the offsets (p, q) of the facets that
-    bound y, and the sections (w_0, w_1, left, right, upper, lower) between
-    the levels w_0 / D and w_1 / D (0 and 0 for a polygon).  left and right
-    are the breakpoints (alpha, beta, gamma), gamma > 0, that end both
-    chains.  A chain is a pair: each facet but the last as (a_w, -a_x,
-    |a_y|, i, alpha, beta, gamma), with the breakpoint that ends its rows and
-    i indexing the offsets (a_w = 0 in 2-D), then the last facet as
+    A polygon's form is flat: ((alpha_0, gamma_0), (alpha_1, gamma_1),
+    upper, lower), its x-range ends alpha / gamma, and each chain a pair:
+    every facet but the last, left to right, as (p, q, -a_x, |a_y|, alpha,
+    gamma), with the offset p / q of a.x <= p / q and the vertex alpha /
+    gamma that ends its rows, then the last facet as (p, q, -a_x, |a_y|).
+
+    A 3-D body's form is (D, offsets, sections): the offsets (p, q) of the
+    facets that bound y, and one section per open interval between
+    consecutive vertex levels of w, where the same body edges cross the slab
+    in the same x order.  A section (w_0, w_1, left, right, upper, lower)
+    lies between the levels w_0 / D and w_1 / D and lists each chain's edges
+    left to right as breakpoints X(z) = (k alpha + z beta) / gamma, gamma >
+    0, with the facet that bounds y between each consecutive pair: an edge
+    (u, v) with u_w < v_w crosses w = z at alpha = u_x v_w - u_w v_x, beta =
+    D (v_x - u_x) and gamma = D (v_w - u_w).  left and right are the
+    breakpoints that end both chains.  A chain is a pair: each facet but the
+    last as (a_w, -a_x, |a_y|, i, alpha, beta, gamma), with the breakpoint
+    that ends its rows and i indexing the offsets, then the last facet as
     (a_w, -a_x, |a_y|, i).
     """
     if "chains" not in body._cache:
         D, Z = body.int_form()
         n = body.dim
         incidence = body.incidence()
-        sides, offsets = [], []
-        for h, t in zip(body.halfspaces, incidence):
-            a = h.normal
-            # a halfspace tight at fewer than n vertices is redundant, no facet
-            if len(t) >= n and a[-1]:
-                sides.append((t, (a[0] if n == 3 else 0, -a[-2], abs(a[-1]), len(offsets)),
-                              a[-1] > 0))
-                offsets.append((h.offset.numerator, h.offset.denominator))
-
-        def section(runs):
-            # runs (left end's x, left break, right break, facet, upper?) of
-            # both chains, each sorted left to right
-            split = ([], [])
-            for *run, up in runs:
-                split[up].append(run)
-            upper, lower = map(sorted, split[::-1])
-            return (upper[0][1], upper[-1][2],
-                    *(([(*facet, *right) for _, _, right, facet in chain[:-1]], chain[-1][3])
-                      for chain in (upper, lower)))
-
+        # a halfspace tight at fewer than n vertices is redundant, no facet,
+        # and a facet with a_y = 0 bounds no row
+        facets = [(h, t) for h, t in zip(body.halfspaces, incidence)
+                  if len(t) >= n and h.normal[-1]]
         if n == 2:
-            runs = []
-            for t, term, up in sides:
+            split = ([], [])
+            for h, t in facets:
                 u, v = sorted(t)  # the rows are sorted, so u is the left end
-                runs.append((Z[u][0], (Z[u][0], 0, D), (Z[v][0], 0, D), term, up))
-            sections = [(0, 0, *section(runs))]
-        else:
-            def line(u, v):
-                (uw, ux, _), (vw, vx, _) = Z[u], Z[v]
-                alpha, beta, gamma = ux * vw - uw * vx, D * (vx - ux), D * (vw - uw)
-                g = gcd(alpha, beta, gamma)
-                return uw, vw, (alpha // g, beta // g, gamma // g)
+                (a, b), offset = h.normal, h.offset
+                split[b > 0].append((Z[u][0], Z[v][0],
+                                     (offset.numerator, offset.denominator, -a, abs(b))))
+            upper, lower = map(sorted, split[::-1])
+            body._cache["chains"] = ((upper[0][0], D), (upper[-1][1], D), *(
+                (tuple((*facet, right, D) for _, right, facet in chain[:-1]), chain[-1][2])
+                for chain in (upper, lower)))
+            return body._cache["chains"]
+        offsets = [(h.offset.numerator, h.offset.denominator) for h, _ in facets]
+        sides = [(t, (h.normal[0], -h.normal[1], abs(h.normal[2]), i), h.normal[2] > 0)
+                 for i, (h, t) in enumerate(facets)]
 
-            # the edges of a facet that are not level in w, each the two
-            # vertices it shares with another facet
-            crossing = [[line(*sorted(e)) for e in {t & s for s in incidence} if len(e) == 2
-                         and Z[min(e)][0] < Z[max(e)][0]] for t, _, _ in sides]
-            W = sorted({z[0] for z in Z})
-            sections = []
-            for w0, w1 in zip(W, W[1:]):
-                runs = []
-                for (_, term, up), edges in zip(sides, crossing):
-                    cut = [ln for uw, vw, ln in edges if uw <= w0 and vw >= w1]
-                    if cut:
-                        # the facet's two edges across the section, in the
-                        # order of X at the level (w0 + w1) / (2D), times 2D
-                        (x, left), (_, right) = sorted(
-                            (Fraction(2 * D * al + (w0 + w1) * be, ga), (al, be, ga))
-                            for al, be, ga in cut)
-                        runs.append((x, left, right, term, up))
-                sections.append((w0, w1, *section(runs)))
+        def line(u, v):
+            (uw, ux, _), (vw, vx, _) = Z[u], Z[v]
+            alpha, beta, gamma = ux * vw - uw * vx, D * (vx - ux), D * (vw - uw)
+            g = gcd(alpha, beta, gamma)
+            return uw, vw, (alpha // g, beta // g, gamma // g)
+
+        # the edges of a facet that are not level in w, each the two
+        # vertices it shares with another facet
+        crossing = [[line(*sorted(e)) for e in {t & s for s in incidence} if len(e) == 2
+                     and Z[min(e)][0] < Z[max(e)][0]] for t, _, _ in sides]
+        W = sorted({z[0] for z in Z})
+        sections = []
+        for w0, w1 in zip(W, W[1:]):
+            split = ([], [])
+            for (_, term, up), edges in zip(sides, crossing):
+                cut = [ln for uw, vw, ln in edges if uw <= w0 and vw >= w1]
+                if cut:
+                    # the facet's two edges across the section, in the
+                    # order of X at the level (w0 + w1) / (2D), times 2D
+                    (x, left), (_, right) = sorted(
+                        (Fraction(2 * D * al + (w0 + w1) * be, ga), (al, be, ga))
+                        for al, be, ga in cut)
+                    split[up].append((x, left, right, term))
+            upper, lower = map(sorted, split[::-1])
+            sections.append((w0, w1, upper[0][1], upper[-1][2],
+                             *(([(*facet, *right) for _, _, right, facet in chain[:-1]],
+                                chain[-1][3]) for chain in (upper, lower))))
         body._cache["chains"] = (D, offsets, sections)
     return body._cache["chains"]
 
 
 def _chain_count(body: ConvexBody, k: int) -> int:
-    """Points of a full-dimensional body of dimension 2 or 3 at one level, read
-    off ``_chain_form``.
+    """Points of a full-dimensional 3-D body at one level, read off the
+    sections of its ``_chain_form``.
 
     A slab on a vertex level takes the section above it, and the top level
     the last section.  Its rows are the integers ceil X_left <= x <=
@@ -519,6 +524,54 @@ def _chain_count(body: ConvexBody, k: int) -> int:
     return total
 
 
+def _polygon_count(body: ConvexBody, k: int) -> int:
+    """Points of a full-dimensional polygon at level k, read off its flat
+    ``_chain_form``: rows ceil(k alpha_0 / gamma_0) <= x <= floor(k alpha_1 /
+    gamma_1), row x holding floor U(x) + floor(-L(x)) + 1 points for the
+    upper and lower envelopes U and L of y.  A facet owns the rows up to
+    ceil(k alpha / gamma) - 1 for its breakpoint, the last one up to the
+    right end: one floor division per breakpoint and one ``_floor_sum`` per
+    facet that owns a row, on the offset floor(k p / q), exact as in
+    ``_chain_count``."""
+    (A0, g0), (A1, g1), *chains = _chain_form(body)
+    x_lo = -((-k * A0) // g0)
+    x_hi = (k * A1) // g1
+    if x_lo > x_hi:
+        return 0
+    total = x_hi - x_lo + 1
+    for inner, (p, q, a, r) in chains:
+        start = x_lo
+        for p_i, q_i, a_i, r_i, al, ga in inner:
+            end = -((-k * al) // ga)
+            if end > start:
+                total += _floor_sum(end - start, r_i, a_i, (k * p_i) // q_i + a_i * start)
+                start = end
+        if x_hi >= start:
+            total += _floor_sum(x_hi + 1 - start, r, a, (k * p) // q + a * start)
+    return total
+
+
+def _polygon_columns(body: ConvexBody, k: int):
+    """The columns (x, top, bottom) of a full-dimensional polygon at level
+    k, column x running from y = -bottom to y = top (empty if top + bottom
+    < 0), read off the rows and owners of ``_polygon_count``."""
+    (A0, g0), (A1, g1), *chains = _chain_form(body)
+    x_lo = -((-k * A0) // g0)
+    x_hi = (k * A1) // g1
+    floors = ([], [])
+    for (inner, (p, q, a, r)), out in zip(chains, floors):
+        start = x_lo
+        for p_i, q_i, a_i, r_i, al, ga in inner:
+            end = -((-k * al) // ga)
+            if end > start:
+                c = (k * p_i) // q_i
+                out += [(c + a_i * x) // r_i for x in range(start, end)]
+                start = end
+        c = (k * p) // q
+        out += [(c + a * x) // r for x in range(start, x_hi + 1)]
+    return zip(range(x_lo, x_hi + 1), *floors)
+
+
 def _chain_floors(chain, c, k: int, z: int, x_lo: int, x_hi: int) -> list[int]:
     """[floor((c_i - a_w z + q x) / r) for x_lo <= x <= x_hi] for the owner
     facet i of each row of one chain of ``_chain_form`` at slab z, split at
@@ -539,42 +592,28 @@ def _chain_floors(chain, c, k: int, z: int, x_lo: int, x_hi: int) -> list[int]:
 
 def _first_axis_counts(body: ConvexBody, k: int) -> dict[int, int]:
     """{z1: points of body ∩ Z^n/k with that first numerator}, some 0.  A
-    full-dimensional 2-D or 3-D body lists no point: column x holds floor
-    U(x) + floor(-L(x)) + 1 (``_chain_floors``), slab z the total that
-    ``_chain_count`` sums for it; other bodies count listed points."""
+    full-dimensional 2-D or 3-D body lists no point: a polygon's column x
+    holds floor U(x) + floor(-L(x)) + 1 (``_polygon_columns``), a 3-D
+    body's slab z the total that ``_chain_count`` sums for it; other bodies
+    count listed points."""
     if body.is_empty or body.dim not in (2, 3) or body.affine_rank() != body.dim:
         return Counter(z[0] for z in _numerators(body, k))
-    D, offsets, sections = _chain_form(body)
-    c = [(k * p) // q for p, q in offsets]
     if body.dim == 2:
-        (_, _, (A0, _, g0), (A1, _, g1), upper, lower), = sections
-        x_lo, x_hi = _ceil_div(k * A0, g0), (k * A1) // g1
-        return {x: top + bottom + 1 for x, top, bottom in zip(
-            range(x_lo, x_hi + 1), _chain_floors(upper, c, k, 0, x_lo, x_hi),
-            _chain_floors(lower, c, k, 0, x_lo, x_hi))}
+        return {x: top + bottom + 1 for x, top, bottom in _polygon_columns(body, k)}
     counts = {}
-    last = len(sections) - 1
-    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), *chains) in enumerate(sections):
-        z0 = _ceil_div(k * w0, D)
-        z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
-        A0, A1 = k * A0, k * A1
-        for z in range(z0, z1 + 1):
-            x_lo = -((-A0 - b0 * z) // g0)
-            x_hi = (A1 + b1 * z) // g1
-            if x_lo > x_hi:
-                continue
-            total = x_hi - x_lo + 1
-            for inner, closing in chains:
-                start = x_lo
-                for aw, q, r, i, al, be, ga in inner:
-                    end = -((-k * al - be * z) // ga)
-                    if end > start:
-                        total += _floor_sum(end - start, r, q, c[i] - aw * z + q * start)
-                        start = end
-                if x_hi >= start:
-                    aw, q, r, i = closing
-                    total += _floor_sum(x_hi + 1 - start, r, q, c[i] - aw * z + q * start)
-            counts[z] = total
+    for z, x_lo, x_hi, c, chains in _slabs(body, k):
+        total = x_hi - x_lo + 1
+        for inner, closing in chains:
+            start = x_lo
+            for aw, q, r, i, al, be, ga in inner:
+                end = -((-k * al - be * z) // ga)
+                if end > start:
+                    total += _floor_sum(end - start, r, q, c[i] - aw * z + q * start)
+                    start = end
+            if x_hi >= start:
+                aw, q, r, i = closing
+                total += _floor_sum(x_hi + 1 - start, r, q, c[i] - aw * z + q * start)
+        counts[z] = total
     return counts
 
 
@@ -586,63 +625,73 @@ def first_axis_bound(body: ConvexBody, k: int) -> int:
     return (k * (box[0][1] - box[0][0])) // D + 1
 
 
-def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
-    """The sum of the integer scores k L G(z/k) (``ConcavePL.scaled_values``)
-    over the points z of a full-dimensional body of dimension 2 or 3 at one
-    level, read off ``_chain_form`` column by column, or None if a score is
-    negative.
-
-    Each slab walks the rows of ``_chain_count``, and row x holds the column
-    -floor(-L(x)) <= y <= floor U(x) (``_chain_floors``).  Along a column a
-    piece scores e + a_y y for an e fixed by the column, so a run of m points
-    on one piece sums in closed form to m (e_0 + e_1) / 2, e_0 and e_1 its
-    end scores: a one-piece G is one run per column, and several pieces split
-    each column into the runs of their lower envelope (``_envelope_runs``,
-    r = 1).  G is concave along a column, so a negative score shows at one of
-    the column's two ends, and only the ends are checked.
-    """
+def _slabs(body: ConvexBody, k: int):
+    """(z, x_lo, x_hi, c, chains) for each nonempty slab w = z of a
+    full-dimensional 3-D body at level k, as ``_chain_count`` walks them:
+    its rows x_lo <= x <= x_hi, the scaled offsets c and the (upper, lower)
+    chains of its section of ``_chain_form``."""
     D, offsets, sections = _chain_form(body)
     c = [(k * p) // q for p, q in offsets]
-    # (a_w, a_x, a_y, k L c) of each distinct piece (a_w = 0 in 2-D), largest
-    # a_y first: the ``_by_slope`` order of their lines in y
-    forms = sorted({(grad[0] if len(grad) == 3 else 0, grad[-2], grad[-1], k * const)
-                    for grad, const in g.integer_form[1]}, key=itemgetter(2), reverse=True)
     last = len(sections) - 1
-    twice = 0  # every run adds m (e_0 + e_1), an even number
-    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), upper, lower) in enumerate(sections):
+    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), *chains) in enumerate(sections):
         z0 = _ceil_div(k * w0, D)
         z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
         A0, A1 = k * A0, k * A1
         for z in range(z0, z1 + 1):
             x_lo = -((-A0 - b0 * z) // g0)
             x_hi = (A1 + b1 * z) // g1
-            if x_lo > x_hi:
-                continue
-            # column x runs from y = -bottom to y = top
-            columns = zip(range(x_lo, x_hi + 1), _chain_floors(upper, c, k, z, x_lo, x_hi),
-                          _chain_floors(lower, c, k, z, x_lo, x_hi))
-            if len(forms) == 1:
-                (aw, ax, ay, v), = forms
-                v += aw * z
-                for x, top, bottom in columns:
-                    e = v + ax * x
-                    e0, e1 = e - ay * bottom, e + ay * top
-                    if (e0 < 0 or e1 < 0) and top + bottom >= 0:
-                        return None
-                    twice += (e0 + e1) * (top + bottom + 1)
-                continue
-            lines = [(aw * z + v, ax, ay) for aw, ax, ay, v in forms]
+            if x_lo <= x_hi:
+                yield z, x_lo, x_hi, c, chains
+
+
+def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
+    """The sum of the integer scores k L G(z/k) (``ConcavePL.scaled_values``)
+    over the points z of a full-dimensional body of dimension 2 or 3 at one
+    level, read off ``_chain_form`` column by column, or None if a score is
+    negative.
+
+    The columns are those of the polygon (``_polygon_columns``) or of each
+    slab of a 3-D body (``_slabs``, ``_chain_floors``), column x running
+    from y = -floor(-L(x)) to floor U(x).  Along a column a piece scores e + a_y y
+    for an e fixed by the column, so a run of m points on one piece sums in
+    closed form to m (e_0 + e_1) / 2, e_0 and e_1 its end scores: a
+    one-piece G is one run per column, and several pieces split each column
+    into the runs of their lower envelope (``_envelope_runs``, r = 1).  G is
+    concave along a column, so a negative score shows at one of the
+    column's two ends, and only the ends are checked.
+    """
+    # (a_w, a_x, a_y, k L c) of each distinct piece (a_w = 0 in 2-D), largest
+    # a_y first: the ``_by_slope`` order of their lines in y
+    forms = sorted({(grad[0] if len(grad) == 3 else 0, grad[-2], grad[-1], k * const)
+                    for grad, const in g.integer_form[1]}, key=itemgetter(2), reverse=True)
+    slabs = [(0, _polygon_columns(body, k))] if body.dim == 2 else (
+        (z, zip(range(x_lo, x_hi + 1), _chain_floors(upper, c, k, z, x_lo, x_hi),
+                _chain_floors(lower, c, k, z, x_lo, x_hi)))
+        for z, x_lo, x_hi, c, (upper, lower) in _slabs(body, k))
+    twice = 0  # every run adds m (e_0 + e_1), an even number
+    for z, columns in slabs:
+        if len(forms) == 1:
+            (aw, ax, ay, v), = forms
+            v += aw * z
             for x, top, bottom in columns:
-                if top + bottom < 0:
-                    continue
-                runs = _envelope_runs([(v + ax * x, ay, 1) for v, ax, ay in lines], -bottom, top)
-                (_, p0, q0, _), (_, p1, q1, _) = runs[0], runs[-1]
-                if p0 - q0 * bottom < 0 or p1 + q1 * top < 0:
+                e = v + ax * x
+                e0, e1 = e - ay * bottom, e + ay * top
+                if (e0 < 0 or e1 < 0) and top + bottom >= 0:
                     return None
-                end = top + 1
-                for start, p, q, _ in reversed(runs):
-                    twice += (2 * p + q * (start + end - 1)) * (end - start)
-                    end = start
+                twice += (e0 + e1) * (top + bottom + 1)
+            continue
+        lines = [(aw * z + v, ax, ay) for aw, ax, ay, v in forms]
+        for x, top, bottom in columns:
+            if top + bottom < 0:
+                continue
+            runs = _envelope_runs([(v + ax * x, ay, 1) for v, ax, ay in lines], -bottom, top)
+            (_, p0, q0, _), (_, p1, q1, _) = runs[0], runs[-1]
+            if p0 - q0 * bottom < 0 or p1 + q1 * top < 0:
+                return None
+            end = top + 1
+            for start, p, q, _ in reversed(runs):
+                twice += (2 * p + q * (start + end - 1)) * (end - start)
+                end = start
     return twice // 2
 
 
@@ -760,14 +809,16 @@ def enumerate_points(body: ConvexBody, k: int) -> PointCloud:
 def count(body: ConvexBody, k: int) -> int:
     """#(body ∩ Z^n/k) without materializing the points.
 
-    A full-dimensional body of dimension 2 or 3 is read off its chains
-    (``_chain_count``): one floor sum per facet run of each slab, so a
-    polygon of m edges takes O(m log k), and a 3-D body O(k (b + t log k))
-    for b breakpoints per slab, t of them ending a nonempty run, after the
-    chains are built once, in O(F^2 + L F log F) for F facets and L vertex
-    levels.  A flat body of affine rank r is the full-dimensional body P' of
-    its chart (``_chart``, built once per body in O(n^3) integer operations
-    and one r-dimensional hull), counted the same way: a point is 1 or 0, an
+    A full-dimensional body of dimension 2 or 3 is read off its chains: a
+    polygon of m edges (``_polygon_count``) takes one floor division per
+    vertex and one floor sum per facet that owns a row, O(m log k), and a
+    3-D body (``_chain_count``) one floor sum per facet run of each slab,
+    O(k (b + t log k)) for b breakpoints per slab, t of them ending a
+    nonempty run.  The chains are built once, in O(m log m) for a polygon
+    and O(F^2 + L F log F) for F facets and L vertex levels in 3-D.  A flat
+    body of affine rank r is the full-dimensional body P' of its chart
+    (``_chart``, built once per body in O(n^3) integer operations and one
+    r-dimensional hull), counted the same way: a point is 1 or 0, an
     interval one range, and ranks 2 and 3 take the chains.  Only a
     full-dimensional 4-D body lists the integer prefixes of its first two
     axes with the walk ``enumerate_points`` runs over all n and counts each
@@ -781,7 +832,7 @@ def count(body: ConvexBody, k: int) -> int:
     if body.is_empty:
         return 0
     if body.dim in (2, 3) and body.affine_rank() == body.dim:
-        return _chain_count(body, k)
+        return _polygon_count(body, k) if body.dim == 2 else _chain_count(body, k)
     if not body.is_full_dim():
         period, image, _, _ = _chart(body)
         if k % period:

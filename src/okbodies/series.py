@@ -22,9 +22,10 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
-from .geometry import ConvexBody, body_from_json, hull, json_int
+from .geometry import ConvexBody, body_from_json, hull, json_int, read_int
 from .lattice import PointCloud, _first_axis_counts, count, enumerate_points
 
 
@@ -331,10 +332,13 @@ class SyntheticModel(GradedSeriesModel):
         # z/k lies in the ambient iff a.z <= floor(k b) for every a.x <= b
         rows = [(h.normal, k * h.offset.numerator // h.offset.denominator)
                 for h in self.ambient.halfspaces]
+        n = self.ambient.dim
         for z in gaps:
-            if len(z) != self.ambient.dim or any(
-                    sum(a * c for a, c in zip(normal, z)) > rhs for normal, rhs in rows):
+            if len(z) != n:
                 raise ModelError(f"level {k} gap {z} is not in the idealized lattice set")
+            for normal, rhs in rows:
+                if sum(map(mul, normal, z)) > rhs:
+                    raise ModelError(f"level {k} gap {z} is not in the idealized lattice set")
         return gaps
 
 
@@ -416,7 +420,7 @@ def _json_level_key(key: str) -> int:
     if not re.fullmatch("[1-9][0-9]*", key):
         raise ValueError(f"per_k_gaps key {key!r} is not a positive base-10 integer "
                          "without sign, spaces or leading zeros")
-    return int(key)
+    return read_int(key)
 
 
 def _json_per_k_gaps(data: Mapping) -> Mapping:

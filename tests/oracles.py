@@ -65,6 +65,12 @@ between breakpoints read off the body's edges, on a flat body read off the
 full-dimensional image of its unimodular chart) and the stack-pass slab sum
 of a 4-D body (its pair bounds pruned once per level and its one stack pass
 over lines sorted once per body) must match exactly.
+``oracle_polygon_sections`` builds a polygon's chains as one section of
+the 3-D chain form, and ``oracle_section_count``,
+``oracle_section_columns`` and ``oracle_section_concave_sum`` read counts,
+columns and concave sums off it the way the 3-D chain kernel reads one
+slab: the paths that the library's flat edge-run form of a polygon, and
+its ``_polygon_count`` and ``_polygon_columns``, must match exactly.
 ``oracle_discrepancy`` is the signed Ehrhart discrepancy count - |P| k^n in
 Fractions, which the verify suite's integer cross-multiplied maximum must
 match.
@@ -108,8 +114,8 @@ from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, Hal
                                _int_form, _int_reduce, _linearity_regions, _primed, _primitive,
                                _tight_set, empty_body, hull, integrate_transform,
                                intersect_halfspace, max_transform, rat, superlevel, volume)
-from okbodies.lattice import (_floor_sum, _interval, _prefixes, _rest, _scaled_constraints,
-                              count, enumerate_points)
+from okbodies.lattice import (_chain_floors, _envelope_runs, _floor_sum, _interval, _prefixes,
+                              _rest, _scaled_constraints, count, enumerate_points)
 from okbodies.series import ModelError
 from okbodies.thresholds import DEFAULT_TOL, _ccdf_data, _poly_eval, quantile
 
@@ -661,6 +667,86 @@ def oracle_count(body, k: int) -> int:
     lo, hi, levels = _scaled_constraints(body, k)
     return sum(oracle_slab_count(lo, hi, levels, prefix)
                for prefix in _prefixes(lo, hi, levels, body.dim - 2))
+
+
+def oracle_polygon_sections(body):
+    """The chain form ``lattice._chain_form`` built for a full-dimensional
+    polygon before its flat edge-run form: (D, offsets, sections) as for a
+    3-D body, with one section (0, 0, left, right, upper, lower) whose
+    breakpoints (alpha, 0, D) are the vertices alpha / D, each facet as
+    (0, -a_x, |a_y|, i) with i indexing the offsets (p, q)."""
+    D, Z = body.int_form()
+    offsets, split = [], ([], [])
+    for h, t in zip(body.halfspaces, body.incidence()):
+        a = h.normal
+        if len(t) >= 2 and a[1]:
+            u, v = sorted(t)
+            split[a[1] > 0].append((Z[u][0], (Z[u][0], 0, D), (Z[v][0], 0, D),
+                                    (0, -a[0], abs(a[1]), len(offsets))))
+            offsets.append((h.offset.numerator, h.offset.denominator))
+    upper, lower = map(sorted, split[::-1])
+    return D, offsets, [(0, 0, upper[0][1], upper[-1][2],
+                         *(([(*facet, *right) for _, _, right, facet in chain[:-1]],
+                            chain[-1][3]) for chain in (upper, lower)))]
+
+
+def _oracle_section(body, k: int):
+    """The scaled offsets, the x-range and the two chains of the one section
+    of ``oracle_polygon_sections`` at level k."""
+    _, offsets, ((_, _, (A0, _, g0), (A1, _, g1), upper, lower),) = oracle_polygon_sections(body)
+    return ([(k * p) // q for p, q in offsets], -((-k * A0) // g0), (k * A1) // g1,
+            (upper, lower))
+
+
+def oracle_section_count(body, k: int) -> int:
+    """Points of a full-dimensional polygon at level k, as the 2-D and 3-D
+    chain count summed the one section of ``oracle_polygon_sections``: one
+    ``_floor_sum`` per facet that owns a row."""
+    c, x_lo, x_hi, chains = _oracle_section(body, k)
+    if x_lo > x_hi:
+        return 0
+    total = x_hi - x_lo + 1
+    for inner, (_, q, r, i) in chains:
+        start = x_lo
+        for _, q_i, r_i, i_i, al, _, ga in inner:
+            end = -((-k * al) // ga)
+            if end > start:
+                total += _floor_sum(end - start, r_i, q_i, c[i_i] + q_i * start)
+                start = end
+        if x_hi >= start:
+            total += _floor_sum(x_hi + 1 - start, r, q, c[i] + q * start)
+    return total
+
+
+def oracle_section_columns(body, k: int) -> list[tuple[int, int, int]]:
+    """The columns (x, top, bottom) of a full-dimensional polygon at level k,
+    column x running from y = -bottom to top, read off the one section of
+    ``oracle_polygon_sections`` with the 3-D body's ``_chain_floors``."""
+    c, x_lo, x_hi, chains = _oracle_section(body, k)
+    return list(zip(range(x_lo, x_hi + 1),
+                    *(_chain_floors(chain, c, k, 0, x_lo, x_hi) for chain in chains)))
+
+
+def oracle_section_concave_sum(body, g, k: int):
+    """The sum of the integer scores k L G(z/k) over the points of a
+    full-dimensional polygon at level k, or None if a score is negative, off
+    ``oracle_section_columns`` as the chain concave sum read them: one
+    arithmetic run per column and piece of the pieces' lower envelope."""
+    forms = sorted({(grad[0], grad[1], k * const) for grad, const in g.integer_form[1]},
+                   key=lambda form: form[1], reverse=True)
+    twice = 0
+    for x, top, bottom in oracle_section_columns(body, k):
+        if top + bottom < 0:
+            continue
+        runs = _envelope_runs([(v + ax * x, ay, 1) for ax, ay, v in forms], -bottom, top)
+        (_, p0, q0, _), (_, p1, q1, _) = runs[0], runs[-1]
+        if p0 - q0 * bottom < 0 or p1 + q1 * top < 0:
+            return None
+        end = top + 1
+        for start, p, q, _ in reversed(runs):
+            twice += (2 * p + q * (start + end - 1)) * (end - start)
+            end = start
+    return twice // 2
 
 
 def oracle_discrepancy(body, k: int) -> Fraction:

@@ -1252,7 +1252,7 @@ UNREADABLE_JSON = {
 @pytest.mark.parametrize("slot", ["body", "valuations", "sweep"])
 @pytest.mark.parametrize("content", sorted(UNREADABLE_JSON))
 def test_unreadable_json_exits2_with_one_line(tmp_path, capsys, slot, content):
-    """A JSON file with an integer past Python's 4300-digit limit, bytes that
+    """A JSON file with an integer past the 4300-digit input limit, bytes that
     are not UTF-8, nesting past the recursion limit, or a directory in its
     place is an input error in every slot that reads a file (a domain error
     or a traceback before): exit 2 with one line."""
@@ -1271,6 +1271,36 @@ def test_unreadable_json_exits2_with_one_line(tmp_path, capsys, slot, content):
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+
+
+def test_long_exact_results_print_and_long_inputs_exit2(tmp_path, capsys):
+    """The triangle (0,0), (1/q,0), (0,1/q), q = 10^2200 + 1, has volume
+    1/(2 q^2), whose denominator has 4401 digits: ``body`` prints it and
+    exits 0 (a domain error from the interpreter's 4300-digit limit on
+    int/str conversion before), and leaves that limit as it was.  An input
+    integer of more than 4300 digits, in a "p/q" string, a JSON number or a
+    ``per_k_gaps`` key, is still refused with exit 2, now with the
+    library's own message."""
+    q = "1" + "0" * 2199 + "1"
+    triangle = write(tmp_path, "t.json", {"dim": 2, "vertices": [
+        ["0", "0"], [f"1/{q}", "0"], ["0", f"1/{q}"]]})
+    limit = sys.get_int_max_str_digits()
+    assert main(["body", "--in", triangle]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    # 2 q^2 = 2 10^4400 + 4 10^2200 + 2
+    assert json.loads(capsys.readouterr().out)["volume"] == f"1/2{'0' * 2199}4{'0' * 2199}2"
+    long = "1" * 4301
+    for vertex in ([f'"{long}"', '"0"'], [long, "0"], [f'"1/{long}"', '"0"']):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"dim": 2, "vertices": [[0, 0], [%s], [0, 1]]}' % ", ".join(vertex))
+        assert _exit_code(["body", "--in", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            "input error: an input integer has 4301 digits, more than the limit of 4300\n")
+    model = write(tmp_path, "m.json", {"backend": "synthetic", "polytope": {
+        "dim": 1, "vertices": [["0"], ["1"]]}, "per_k_gaps": {long: []}})
+    assert _exit_code(["series", "--in", model, "--k-max", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "input error: an input integer has 4301 digits, more than the limit of 4300\n")
 
 
 @pytest.mark.parametrize("command", ["body", "series", "thresholds", "verify"])

@@ -2,10 +2,11 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 from fractions import Fraction as F
 from math import factorial, gcd
-from operator import mul
+from operator import itemgetter, mul
 from unittest import mock
 
 import pytest
@@ -74,10 +75,34 @@ def test_rat_parsing_and_formatting():
     assert rat_str(F(4, 2)) == "2"
     with pytest.raises(ValueError):
         rat("1/0")
+    # at most MAX_INPUT_DIGITS = 4300 digits per integer, a sign not counted
+    assert rat(f"-{'9' * 4300}/{'7' * 4300}") == F(-int("9" * 4300), int("7" * 4300))
+    for text in ("1" * 4301, f"1/{'1' * 4301}"):
+        with pytest.raises(ValueError, match="4301 digits"):
+            rat(text)
     with pytest.raises(TypeError):
         rat(0.5)
     with pytest.raises(TypeError):
         rat(True)
+
+
+def test_rat_str_prints_any_size():
+    """``rat_str`` prints every digit of a rational past the interpreter's
+    limit on int/str conversion, also with that limit at its least value,
+    640, and leaves the limit as it was."""
+    sevens = 7 * (10 ** 5000 - 1) // 9
+    cases = [(F(-sevens, 10 ** 4400), "-" + "7" * 5000 + "/1" + "0" * 4400),
+             (F(10 ** 5000 + 1), "1" + "0" * 4999 + "1"),
+             (F(10 ** 1280, 3), "1" + "0" * 1280 + "/3"),
+             (F(-(10 ** 640) + 1), "-" + "9" * 640), (F(10 ** 640), "1" + "0" * 640)]
+    limit = sys.get_int_max_str_digits()
+    try:
+        for digits in (limit, 640):
+            sys.set_int_max_str_digits(digits)
+            assert [rat_str(q) for q, _ in cases] == [text for _, text in cases]
+            assert sys.get_int_max_str_digits() == digits
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_sqrt_upper_bound_exact_on_squares():
@@ -165,6 +190,26 @@ def tight_sets(body):
 def test_hull_primes_its_incidence(seed, n, flat):
     body = random_body(seed, n, flat)
     assert body._cache["incidence"] == tight_sets(body)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]), st.booleans())
+def test_primed_sorts_halfspaces_in_dataclass_order(seed, n, flat):
+    """``_primed`` sorts its (halfspace, tight set) pairs by (normal, offset)
+    as plain tuples, the order of the dataclass ``HalfSpace.__lt__``: a hull
+    and a body primed again from its pairs shuffled, with a parallel copy of
+    one halfspace added, list them as ``sorted(..., key=itemgetter(0))``
+    does."""
+    body = random_body(seed, n, flat)
+    pairs = list(zip(body.halfspaces, body.incidence()))
+    assert pairs == sorted(pairs, key=itemgetter(0))
+    rng = random.Random(seed)
+    h = rng.choice(body.halfspaces)
+    pairs.append((HalfSpace(h.normal, h.offset + F(1, 3)), frozenset()))
+    rng.shuffle(pairs)
+    D, Z = body.int_form()
+    primed = geometry._primed(n, D, Z, pairs, body.affine_rank())
+    assert list(zip(primed.halfspaces, primed.incidence())) == sorted(pairs, key=itemgetter(0))
 
 
 # ---------------------------------------------------------------------------

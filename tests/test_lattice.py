@@ -38,7 +38,8 @@ from okbodies.lattice import (
 )
 from okbodies.estimates import sub_body_sampler
 from oracles import (oracle_box, oracle_count, oracle_discrepancy, oracle_envelope_floor_sum,
-                     oracle_envelope_runs, oracle_scaled_constraints)
+                     oracle_envelope_runs, oracle_scaled_constraints, oracle_section_columns,
+                     oracle_section_concave_sum, oracle_section_count)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -644,8 +645,9 @@ def brute_owner_runs(body, k):
 
 
 def test_chain_count_builds_once_and_sums_one_run_per_owner(monkeypatch):
-    """A full-dimensional 2-D or 3-D count reads the body's chains: built on
-    its first count and read by every later one, with no stack pass and no
+    """A full-dimensional 2-D or 3-D count reads the body's chains, a
+    polygon's flat edge-run form or a 3-D body's sections: built on its
+    first count and read by every later one, with no stack pass and no
     slope sort, and one ``_floor_sum`` per nonempty run of a brute per-x
     owner walk (``brute_owner_runs``)."""
     builds, sums = [], []
@@ -749,6 +751,57 @@ def test_chain_count_matches_stack_pass_paths(seed, n, kind):
         assert count(body, k) == expected
     for k in {1, rng.randint(1, 12), den if den <= 12 else 1}:
         assert _first_axis_histogram(body, k) == Counter(z[0] for z in enumerate_points(body, k))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6),
+       st.sampled_from(["hull", "grid", "box", "prism", "sliver", "redundant", "unit"]),
+       st.sampled_from(["random", "duplicate", "constant", "tied", "zero", "negative"]))
+def test_polygon_kernels_match_section_oracle(seed, kind, shape):
+    """A polygon's count (``_polygon_count``), its points per first numerator
+    (``_first_axis_counts``) and its concave sums (``_chain_concave_sum``)
+    read its flat edge-run form; the one-section chain form that the 3-D
+    kernel reads (``oracle_polygon_sections``) must give the same count, the
+    same columns and the same sum, or give up on the same negative score, at
+    levels up to ``CHAIN_K_MAX``.  The shapes have redundant halfspaces,
+    vertical edges (prisms and boxes) and slivers, and a multiple of the
+    vertex denominator puts the vertices on Z^2/k."""
+    rng = random.Random(seed)
+    body, den = _chain_body(rng, 2, kind)
+    if not body.is_full_dim():
+        return
+    g = _concave_transform(rng, body, shape)
+    for k in (1, rng.randint(1, CHAIN_K_MAX), rng.randint(1, CHAIN_K_MAX),
+              den, den * rng.randint(1, CHAIN_K_MAX // den)):
+        columns = oracle_section_columns(body, k)
+        assert list(lattice._polygon_columns(body, k)) == columns
+        assert lattice._polygon_count(body, k) == oracle_section_count(body, k) == sum(
+            top + bottom + 1 for _, top, bottom in columns)
+        assert lattice._first_axis_counts(body, k) == {
+            x: top + bottom + 1 for x, top, bottom in columns}
+        assert lattice._chain_concave_sum(body, g, k) == oracle_section_concave_sum(body, g, k)
+
+
+def test_polygon_count_runs_no_slab_loop(monkeypatch):
+    """A polygon, on its own or as the chart image of a flat 3-D or 4-D body,
+    is counted by ``_polygon_count`` and never by the 3-D ``_chain_count``,
+    and its form is one flat edge-run form: two x-range ends and two chains,
+    with no offsets list and no section."""
+    def refused(*args):
+        raise AssertionError("a polygon count runs no slab loop")
+
+    monkeypatch.setattr(lattice, "_chain_count", refused)
+    rng = random.Random(37)
+    flat3 = hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, F(1, 2), F(-1, 2))])
+    flat4 = hull([(0, 0, 0, 0), (1, 0, 1, F(1, 2)), (0, 1, 1, F(1, 3))])
+    polygons = [_chain_body(rng, 2, kind)[0] for kind in ("hull", "prism", "sliver", "redundant")]
+    for body in [UNIT_SIMPLEX, UNIT_SQUARE, *polygons, flat3, flat4]:
+        assert body.affine_rank() == 2
+        for k in (1, 6, 35):
+            assert count(body, k) == oracle_count(body, k)
+    for body in [UNIT_SIMPLEX, *polygons]:
+        (A0, g0), (A1, g1), upper, lower = lattice._chain_form(body)
+        assert A0 * g1 < A1 * g0 and all(len(chain) == 2 for chain in (upper, lower))
 
 
 def test_frame_puts_a_direction_on_the_first_axis():
