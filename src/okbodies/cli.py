@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 domain error, 2 input error, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -43,6 +44,7 @@ from .series import (
     top_column_gap_model,
 )
 from .thresholds import (
+    INFINITE,
     S_km,
     S_tau,
     Sbar_km,
@@ -181,13 +183,8 @@ def _dump_json(data, path: str | None) -> None:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list[str]]) -> None:
-    if path:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        writer = csv.writer(sys.stdout)
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
 
@@ -322,7 +319,7 @@ def cmd_thresholds(args) -> int:
             raise LevelError(f"Delta_{k} is empty")
         m = m_rule(d, k)
         delta, argmin = delta_km_restricted(model, family, k, m)
-        delta_str = "inf" if delta == float("inf") else rat_str(delta)
+        delta_str = "inf" if delta == INFINITE else rat_str(delta)
         for v in sorted(family, key=lambda v: v.label):
             head = "|".join(rat_str(x) for x in jumping_head(model, v, k))
             rows.append([
@@ -342,7 +339,7 @@ def cmd_thresholds(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _suite_reports(suite: str, k_max: int, seed: int):
-    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+    square = estimates.UNIT_SQUARE
     simplex = hull([(0, 0), (1, 0), (0, 1)])
     segment = ToricModel(hull([(0,), (1,)]))
     v_seg = ValuationModel.divisorial("p", segment.ambient)
@@ -352,20 +349,16 @@ def _suite_reports(suite: str, k_max: int, seed: int):
     v_can = ValuationModel.divisorial("p", canonical.ambient)
 
     if suite == "ehrhart":
-        yield estimates.verify_uniform_ehrhart(
-            square, Fraction(1, 10), range(1, min(k_max, 40) + 1),
-            n_bodies=200, seed=seed)
+        yield estimates.verify_uniform_ehrhart(range(1, min(k_max, 40) + 1), seed)
     elif suite == "lowerbound":
         yield estimates.verify_lower_bound_constant(square, range(1, k_max + 1))
         yield estimates.verify_lower_bound_constant(simplex, range(1, k_max + 1))
-        sampler = estimates.sub_body_sampler(square, Fraction(1, 10), seed)
-        for i, body in enumerate(sampler(10)):
+        for i, body in enumerate(estimates.suite_sampler(seed)(10)):
             rep = estimates.verify_lower_bound_constant(body, range(1, k_max + 1))
             rep.name = f"lower_bound_constant[seeded {i}]"
             yield rep
     elif suite == "concave":
-        yield estimates.verify_concave_sum_bound(
-            square, range(1, min(k_max, 30) + 1), n_pairs=50, seed=seed)
+        yield estimates.verify_concave_sum_bound(range(1, min(k_max, 30) + 1), seed)
     elif suite == "cones":
         yield estimates.verify_cone_counts(
             simplex, 0, 1, (1, 0), range(2, min(k_max, 40) + 1))
@@ -398,10 +391,9 @@ def _suite_reports(suite: str, k_max: int, seed: int):
     elif suite == "weierstrass":
         yield estimates.verify_weierstrass(k_max=max(k_max, 10))
     elif suite == "all":
-        # ehrhart, lowerbound and concave sample the unit square at floor 1/10
-        # with this seed; holding that sampler while they run makes one draw
-        # serve all three, and dropping it after them frees its bodies
-        shared = estimates.sub_body_sampler(square, Fraction(1, 10), seed)
+        # holding the suite sampler while ehrhart, lowerbound and concave run
+        # makes one draw serve all three; dropping it after them frees its bodies
+        shared = estimates.suite_sampler(seed)
         for name in SUITES[:3]:
             yield from _suite_reports(name, k_max, seed)
         del shared

@@ -36,6 +36,7 @@ from .geometry import (
     coordinate_slice,
     first_coordinate_transform,
     _hull_rows,
+    hull,
     integrate_transform,
     json_int,
     max_transform,
@@ -60,6 +61,7 @@ from .series import (
     CurveDivisorModel,
 )
 from .thresholds import (
+    INFINITE,
     S0_and_sigma,
     S_km,
     S_tau,
@@ -292,6 +294,20 @@ def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
     return sample
 
 
+# The body, volume floor and sizes of the sampled suites (ehrhart, lowerbound
+# and concave), which read prefixes of one seeded sequence of sub-bodies.
+UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
+SUITE_FLOOR = Fraction(1, 10)
+EHRHART_BODIES = 200
+CONCAVE_PAIRS = 50
+
+
+def suite_sampler(seed: int) -> Callable[[int], list[ConvexBody]]:
+    """The sampled suites' ``sub_body_sampler``: while a caller holds it,
+    every suite with this seed reads its one draw."""
+    return sub_body_sampler(UNIT_SQUARE, SUITE_FLOOR, seed)
+
+
 def concave_sampler(P: ConvexBody, rng: random.Random) -> ConcavePL:
     """Random nonnegative concave PL function on P: 1-3 pieces with gradients
     in [-2, 2]^n over 8, constants lifted so min = 0..1."""
@@ -311,19 +327,18 @@ def concave_sampler(P: ConvexBody, rng: random.Random) -> ConcavePL:
 # uniform Ehrhart stability
 # ---------------------------------------------------------------------------
 
-def verify_uniform_ehrhart(K: ConvexBody, nu, k_range: Sequence[int],
-                           n_bodies: int = 200, seed: int = 0) -> SweepReport:
-    """Max over sampled sub-bodies of |discrepancy| / k^{n-1}, with the
-    two-halves stability assertion standing in for the uniform bound."""
-    nu = rat(nu)
+def verify_uniform_ehrhart(k_range: Sequence[int], seed: int) -> SweepReport:
+    """Max of |discrepancy| / k^{n-1} over the first EHRHART_BODIES bodies of
+    ``suite_sampler(seed)``, with the two-halves stability assertion standing
+    in for the uniform bound."""
+    ks = sorted(k_range)
     report = SweepReport(
         "uniform_ehrhart",
-        {"nu": nu, "k_range": [min(k_range), max(k_range)], "N": n_bodies, "seed": seed},
+        {"nu": SUITE_FLOOR, "k_range": [ks[0], ks[-1]], "N": EHRHART_BODIES, "seed": seed},
     )
-    bodies = sub_body_sampler(K, nu, seed)(n_bodies)
-    n = K.dim
+    bodies = suite_sampler(seed)(EHRHART_BODIES)
+    n = UNIT_SQUARE.dim
     vols = [volume(P) for P in bodies]
-    ks = sorted(k_range)
     vals = []
     for k in ks:
         # |discrepancy| = |count q - p k^n| / q for volume p / q: the largest
@@ -384,22 +399,19 @@ def verify_lower_bound_constant(P: ConvexBody, k_range: Sequence[int]) -> SweepR
 # concave sum upper bound
 # ---------------------------------------------------------------------------
 
-def verify_concave_sum_bound(K: ConvexBody, k_range: Sequence[int],
-                             n_pairs: int = 200, seed: int = 0) -> SweepReport:
-    """(sum_k G - integral G) * k / sup G stays bounded over random (P, G)
-    whose sub-bodies P of K have volume >= 1/10."""
-    min_volume = Fraction(1, 10)
+def verify_concave_sum_bound(k_range: Sequence[int], seed: int) -> SweepReport:
+    """(sum_k G - integral G) * k / sup G stays bounded over CONCAVE_PAIRS
+    random (P, G): P from ``suite_sampler(seed)``, G from ``concave_sampler``."""
+    ks = sorted(k_range)
     report = SweepReport(
         "concave_sum_bound",
-        {"k_range": [min(k_range), max(k_range)], "N": n_pairs, "seed": seed,
-         "min_volume": min_volume},
+        {"k_range": [ks[0], ks[-1]], "N": CONCAVE_PAIRS, "seed": seed, "min_volume": SUITE_FLOOR},
     )
-    bodies = sub_body_sampler(K, min_volume, seed)(n_pairs)
+    bodies = suite_sampler(seed)(CONCAVE_PAIRS)
     rng = random.Random(seed + 1)
     pairs = [(P, concave_sampler(P, rng)) for P in bodies]
     # sup G and the integral of G do not depend on k
     pairs = [(P, g, max_transform(P, g), integrate_transform(P, g)) for P, g in pairs]
-    ks = sorted(k_range)
     vals = []
     for k in ks:
         # (S - I) k / sup G = (s i' - i s') k p' / (s' i' p) for S = s / s',
@@ -606,14 +618,6 @@ def sweep_from_json(data: dict):
     return tau, rule, range(k0, k1 + 1)
 
 
-def verify_S_two_sided(model: GradedSeriesModel, v: ValuationModel, tau,
-                       m_rule, k_range: range) -> SweepReport:
-    """Upper bound S_{k,m_k} <= (1+C/k) max{tau d_k/m_k, 1} S_tau and the
-    matching lower bound ((1-C/k) min-scaling for tau > 0, the k^{-1/n}
-    envelope at tau = 0), with the minimal validating C fitted per side."""
-    return verify_S_two_sided_sweeps(model, v, [(tau, m_rule)], k_range)[0]
-
-
 def _S_km_sweep(model: GradedSeriesModel, v: ValuationModel, m_rules: Sequence,
                 k_range: range) -> list[list[tuple[int, int, int, Fraction]]]:
     """Per m_k rule, the (k, d_k, m_k, S_{k,m_k}) of each level in k_range.
@@ -631,7 +635,10 @@ def _S_km_sweep(model: GradedSeriesModel, v: ValuationModel, m_rules: Sequence,
 
 def verify_S_two_sided_sweeps(model: GradedSeriesModel, v: ValuationModel,
                               sweeps: Sequence[tuple], k_range: range) -> list[SweepReport]:
-    """verify_S_two_sided for each (tau, m_rule) of sweeps, in that order."""
+    """One report per (tau, m_rule) of sweeps, in that order: the upper bound
+    S_{k,m_k} <= (1+C/k) max{tau d_k/m_k, 1} S_tau and the matching lower
+    bound ((1-C/k) min-scaling for tau > 0, the k^{-1/n} envelope at
+    tau = 0), with the minimal validating C fitted per side."""
     taus = [rat(tau) for tau, _ in sweeps]
     n = model.ambient.dim
     values = _S_km_sweep(model, v, [m_rule for _, m_rule in sweeps], k_range)
@@ -690,7 +697,7 @@ def verify_delta_rate(model: GradedSeriesModel, family: Sequence[ValuationModel]
     for k in model.levels_in(k_range):
         m = m_rule(model.d_k(k), k)
         val, label = delta_km_restricted(model, family, k, m)
-        if val == float("inf"):
+        if val == INFINITE:
             continue
         ks.append(k)
         samples.append((k, val))

@@ -42,14 +42,14 @@ listed points (``_enumerated_concave_sum``).  The chains also give
 the points per first coordinate (``_first_axis_counts``), in any unimodular
 frame (``_frame``).
 
-On that last path a slab's rows are empty outside the x-range where every
-(upper, lower) pair of its y-lines allows a row.  For n >= 3 these pair
-bounds, the x-box and the constraints on x are built once per body
-(``_slab_form``) and set up once per level: a bound free of x narrows the
-ranges of the outer axes once, and the others become lines over the last
-outer axis, of which only the upper envelope of the lower bounds on x and
-the lower envelope of the upper ones can bind, so each slab evaluates one
-bound per side.
+On that last path, which only full-dimensional 4-D bodies take, a slab's
+rows are empty outside the x-range where every (upper, lower) pair of its
+y-lines allows a row.  These pair bounds, the x-box and the constraints on
+x are built once per body (``_slab_form``) and set up once per level: a
+bound free of x narrows the ranges of the outer axes once, and the others
+become lines over the last outer axis, of which only the upper envelope of
+the lower bounds on x and the lower envelope of the upper ones can bind, so
+each slab evaluates one bound per side.
 
 Every envelope is the minimum of lines over a range of integers: the y-lines
 of a slab, the upper bounds on x, and the lower bounds on x as the minimum of

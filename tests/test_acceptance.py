@@ -55,7 +55,7 @@ from okbodies.estimates import (
     rate_fit,
     sub_body_sampler,
     verify_maxp1,
-    verify_S_two_sided,
+    verify_S_two_sided_sweeps,
     verify_uniform_ehrhart,
     make_m_rule,
 )
@@ -231,9 +231,7 @@ def test_acceptance_04_lower_bound_constant():
 
 def test_acceptance_05_uniform_ehrhart():
     t0 = time.time()
-    square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
-    rep = verify_uniform_ehrhart(square, F(1, 10), range(1, 41),
-                                 n_bodies=200, seed=0)
+    rep = verify_uniform_ehrhart(range(1, 41), seed=0)
     lower = max(r["normalized"] for r in rep.rows if r["k"] <= 20)
     upper = max(r["normalized"] for r in rep.rows if r["k"] > 20)
     ok = rep.passed and upper <= 2 * lower
@@ -442,7 +440,7 @@ def test_acceptance_09_maxp1_chain():
                 ok &= (row["gap"] * row["k"]) ** n <= cn * row["plus_count"]
     # tau = 0 collapsing lower bound (Case-2 envelope) on the same models
     for model, v in ((can, vcan), (top, vtop)):
-        rep = verify_S_two_sided(model, v, 0, make_m_rule("one"), range(2, 61))
+        rep = verify_S_two_sided_sweeps(model, v, [(0, make_m_rule("one"))], range(2, 61))[0]
         ok &= rep.passed
     report(9, "quantum-max blow-up bound with one fitted C across models and "
               "tau=0 collapsing envelope", ok, t0, 120.0,

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import okbodies
-from okbodies.cli import main
+from okbodies.cli import SUITES, main
 from okbodies.geometry import (HalfSpace, body_from_json, hull, intersect_halfspace, rat, rat_str,
                                validate_body)
 from oracles import oracle_box, oracle_count
@@ -1239,6 +1239,21 @@ def test_cli_fuzz_non_object_json_exit_codes(backend, slot, value, command):
     assert len(lines) == (code != 0), lines
     assert not lines or lines[0].split(":")[0] in (
         "input error", "domain error", "model error", "geometry error")
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_cli_fuzz_verify_exit_codes(suite):
+    """``verify`` on every suite at --k-max 2, 3 and 5 and seeds 0, 1 and 2,
+    in-process: the CLI returns 0 or 3, never raises and prints no
+    traceback, and its summary passes exactly when it returns 0."""
+    for k_max in (2, 3, 5):
+        for seed in (0, 1, 2):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = _exit_code(["verify", suite, "--k-max", str(k_max), "--seed", str(seed)])
+            assert code in (0, 3), err.getvalue()
+            assert "Traceback" not in err.getvalue()
+            assert json.loads(out.getvalue())["passed"] is (code == 0)
 
 
 UNREADABLE_JSON = {

@@ -28,7 +28,6 @@ from okbodies.estimates import (
     verify_endpoint_limits,
     verify_lower_bound_constant,
     verify_maxp1,
-    verify_S_two_sided,
     verify_S_two_sided_sweeps,
     verify_uniform_ehrhart,
     verify_weierstrass,
@@ -181,33 +180,26 @@ def test_sub_body_sampler_guard_raises_below_one_body_in_200_tries():
 # ---------------------------------------------------------------------------
 
 def test_verify_uniform_ehrhart_small():
-    rep = verify_uniform_ehrhart(UNIT_SQUARE, F(1, 10), range(1, 17),
-                                 n_bodies=20, seed=7)
+    rep = verify_uniform_ehrhart(range(1, 17), seed=7)
     assert rep.passed
     assert rep.fitted["sup_normalized_discrepancy"] <= 4
-
-
-def test_verify_uniform_ehrhart_fixed_square():
-    # P = K: M(k) = (2k+1)/k <= 3
-    rep = verify_uniform_ehrhart(UNIT_SQUARE, F(1), range(1, 13), n_bodies=1, seed=0)
-    assert rep.passed
-    for row in rep.rows:
-        assert row["normalized"] == F(2 * row["k"] + 1, row["k"])
 
 
 UNIT_CUBE = hull(list(itertools.product((0, 1), repeat=3)))
 
 
-@pytest.mark.parametrize("K, nu", [(UNIT_SQUARE, F(1, 10)), (UNIT_CUBE, F(1, 50))])
+@pytest.mark.parametrize("K, nu", [(UNIT_SQUARE, F(1, 10))])
 def test_verify_uniform_ehrhart_rows_match_fraction_discrepancies(K, nu):
     """The integer cross-multiplied maximum is max |oracle_discrepancy(P, k)|
-    over the sampled bodies, recomputed in Fractions."""
-    rep = verify_uniform_ehrhart(K, nu, range(1, 9), n_bodies=12, seed=4)
-    bodies = sub_body_sampler(K, nu, 4)(12)
+    over the suite's 200 sub-bodies of K with volume >= nu, recomputed in
+    Fractions."""
+    bodies = sub_body_sampler(K, nu, 4)(200)  # held: the suite reads this draw
+    rep = verify_uniform_ehrhart(range(1, 9), seed=4)
+    assert rep.grid == {"nu": nu, "k_range": [1, 8], "N": 200, "seed": 4}
     want = []
     for k in range(1, 9):
         w = max(abs(oracle_discrepancy(P, k)) for P in bodies)
-        want.append({"k": k, "max_abs_discrepancy": w, "normalized": w / F(k) ** (K.dim - 1)})
+        want.append({"k": k, "max_abs_discrepancy": w, "normalized": w / k})
     assert rep.rows == want
 
 
@@ -229,16 +221,17 @@ def test_verify_lower_bound_segment():
 
 
 def test_verify_concave_sum_small():
-    rep = verify_concave_sum_bound(UNIT_SQUARE, range(1, 15), n_pairs=8, seed=2)
+    rep = verify_concave_sum_bound(range(1, 15), seed=2)
     assert rep.passed
 
 
-@pytest.mark.parametrize("K", [UNIT_SQUARE, UNIT_CUBE])
+@pytest.mark.parametrize("K", [UNIT_SQUARE])
 def test_verify_concave_rows_match_fraction_excesses(K, monkeypatch):
     """The integer cross-multiplied worst excess is the largest
-    (concave_sum - integral) k / sup G over the sampled pairs, recomputed in
-    Fractions from 0, with the pairs whose sup G is 0 skipped: every third
-    sampled G is replaced by G = 0."""
+    (concave_sum - integral) k / sup G over the suite's 50 pairs on
+    sub-bodies of K with volume >= 1/10, recomputed in Fractions from 0,
+    with the pairs whose sup G is 0 skipped: every third sampled G is
+    replaced by G = 0."""
     real = estimates.concave_sampler
     drawn = []
 
@@ -250,15 +243,17 @@ def test_verify_concave_rows_match_fraction_excesses(K, monkeypatch):
         return g
 
     monkeypatch.setattr(estimates, "concave_sampler", sampler)
-    rep = verify_concave_sum_bound(K, range(1, 7), n_pairs=9, seed=3)
-    pairs = list(zip(sub_body_sampler(K, F(1, 10), 3)(9), drawn))
+    bodies = sub_body_sampler(K, F(1, 10), 3)(50)  # held: the suite reads this draw
+    rep = verify_concave_sum_bound(range(1, 7), seed=3)
+    assert rep.grid == {"k_range": [1, 6], "N": 50, "seed": 3, "min_volume": F(1, 10)}
+    pairs = [(P, g, oracle_region_max(P, g), integrate_transform(P, g))
+             for P, g in zip(bodies, drawn)]
     want = []
     for k in range(1, 7):
         worst = F(0)
-        for P, g in pairs:
-            sup_g = oracle_region_max(P, g)
+        for P, g, sup_g, integral in pairs:
             if sup_g:
-                worst = max(worst, (concave_sum(P, g, k) - integrate_transform(P, g)) * k / sup_g)
+                worst = max(worst, (concave_sum(P, g, k) - integral) * k / sup_g)
         want.append({"k": k, "worst_normalized_excess": worst})
     assert rep.rows == want
     assert any(row["worst_normalized_excess"] > 0 for row in want)
@@ -333,15 +328,6 @@ def test_concave_sum_simplex_instance():
     g = first_coordinate_transform(UNIT_SIMPLEX)
     assert integrate_transform(UNIT_SIMPLEX, g) == F(1, 6)
     assert (concave_sum(UNIT_SIMPLEX, g, 2) - F(1, 6)) * 2 == F(2, 3)
-
-
-def test_verify_uniform_ehrhart_segment():
-    # n = 1: the discrepancy of any sub-segment lies in (-1, 1]
-    seg = hull([(0,), (1,)])
-    rep = verify_uniform_ehrhart(seg, F(1, 10), range(1, 21), n_bodies=40, seed=1)
-    assert rep.passed
-    for row in rep.rows:
-        assert row["max_abs_discrepancy"] <= 1
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +421,15 @@ def test_plus_body_count_matches_the_point_scan():
 # ---------------------------------------------------------------------------
 
 def test_verify_S_two_sided_segment():
-    rep = verify_S_two_sided(SEGMENT, V_SEG, F(1, 2),
-                             make_m_rule("ceil_tau", F(1, 2)), range(1, 41))
+    half = (F(1, 2), make_m_rule("ceil_tau", F(1, 2)))
+    rep = verify_S_two_sided_sweeps(SEGMENT, V_SEG, [half], range(1, 41))[0]
     assert rep.passed
     assert rep.fitted["C_upper"] <= 2
     assert -1.3 <= rep.exponent <= -0.8
 
 
 def test_verify_S_two_sided_tau_zero():
-    rep = verify_S_two_sided(SEGMENT, V_SEG, 0, make_m_rule("one"), range(1, 31))
+    rep = verify_S_two_sided_sweeps(SEGMENT, V_SEG, [(0, make_m_rule("one"))], range(1, 31))[0]
     assert rep.passed
     # S_{k,1} = 1 = S0 for every k: both constants vanish
     assert rep.fitted["C_upper"] == 0
@@ -458,7 +444,8 @@ def test_verify_S_two_sided_sweeps_match_one_sweep_per_tau():
     sweeps.append((0, make_m_rule("one")))
     for model, v in ((SEGMENT, V_SEG), (simplex_model, v_simp)):
         together = verify_S_two_sided_sweeps(model, v, sweeps, range(1, 13))
-        alone = [verify_S_two_sided(model, v, tau, rule, range(1, 13)) for tau, rule in sweeps]
+        alone = [verify_S_two_sided_sweeps(model, v, [sweep], range(1, 13))[0]
+                 for sweep in sweeps]
         assert [r.to_json() for r in together] == [r.to_json() for r in alone]
 
 
@@ -499,7 +486,7 @@ def test_level_sweeps_visit_only_the_levels_of_the_model(monkeypatch):
     model = SyntheticModel(UNIT_SIMPLEX, {3: [], 7: [(0, 0)]})
     v = ValuationModel.divisorial("e1", UNIT_SIMPLEX)
     ks, half = range(1, 10**4), make_m_rule("ceil_tau", F(1, 2))
-    for sweep in (lambda: verify_S_two_sided(model, v, F(1, 2), half, ks),
+    for sweep in (lambda: verify_S_two_sided_sweeps(model, v, [(F(1, 2), half)], ks)[0],
                   lambda: verify_endpoint_limits(model, v, ks),
                   lambda: verify_delta_rate(model, [v], F(1, 2), half, ks),
                   lambda: verify_maxp1(model, ks)):

@@ -54,16 +54,21 @@ def test_every_module_level_assignment_is_read():
     assert dead == []
 
 
-def _defaulted_parameters_and_calls():
-    """The package's defaulted parameters and the arguments of every call in
-    the package and in ``perfbench/``.
+ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
-    ``params`` maps (module:function, parameter) to (callee, position): the
-    name a call uses (``Class`` for ``Class.__init__``) and the position,
-    not counting a method's self, or None for a keyword-only parameter.
-    ``calls`` lists (callee, slot, forwarded): a position or keyword (a
-    ``*`` splat counts as the one position it stands at), and the caller's
-    own defaulted parameter when the argument passes it on unchanged.
+
+def _parameters_and_calls(*scanned):
+    """The package's parameters and the arguments of every call in the
+    package, in ``perfbench/`` and in the files ``scanned``.
+
+    ``params`` maps (module:function, parameter) to (callee, position,
+    default): the name a call uses (``Class`` for ``Class.__init__``), the
+    position, not counting a method's self, or None for a keyword-only
+    parameter, and the default's node, or None for a parameter without one.
+    ``calls`` lists, per call, its callee and a dict from each slot (a
+    position or keyword; a ``*`` splat counts as the one position it stands
+    at) to (value, forwarded): the argument's node, and the caller's own
+    defaulted parameter when the argument passes it on unchanged, or None.
     Calls match by name alone, so a parameter of one ``make`` counts as set
     by a call of another."""
     params, calls = {}, []
@@ -78,28 +83,31 @@ def _defaulted_parameters_and_calls():
                         getattr(d, "id", None) == "staticmethod" for d in child.decorator_list):
                     positional = positional[1:]
                 callee = owner if child.name == "__init__" else child.name
-                first = len(positional) - len(args.defaults)
-                defaulted = [(a.arg, i) for i, a in enumerate(positional[first:], first)]
-                defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                              if d is not None]
+                defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
                 where = f"{module}:{child.name}"
-                params.update({(where, arg): (callee, i) for arg, i in defaulted})
-                inner = (where, {arg for arg, _ in defaulted})
+                params.update({(where, a.arg): (callee, i, d)
+                               for i, (a, d) in enumerate(zip(positional, defaults))})
+                params.update({(where, a.arg): (callee, None, d)
+                               for a, d in zip(args.kwonlyargs, args.kw_defaults)})
+                inner = (where, {a.arg for a, d in zip(positional, defaults) if d}
+                         | {a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d})
             elif isinstance(child, ast.Call):
                 f = child.func
                 callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-                slots = [*enumerate(child.args), *((kw.arg, kw.value) for kw in child.keywords)]
-                for slot, value in slots:
+                slots = {}
+                for slot, value in [*enumerate(child.args),
+                                    *((kw.arg, kw.value) for kw in child.keywords)]:
                     forwarded = None
                     if scope and isinstance(value, ast.Name) and value.id in scope[1]:
                         forwarded = (scope[0], value.id)
-                    calls.append((callee, slot, forwarded))
+                    slots[slot] = (value, forwarded)
+                calls.append((callee, slots))
             visit(child, module, child.name if isinstance(child, ast.ClassDef) else owner,
                   inner)
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None, None)
-    for path in sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+    for path in [*sorted((SRC.parent.parent / "perfbench").glob("*.py")), *scanned]:
         visit(ast.parse(path.read_text()), None, None, None)
     return params, calls
 
@@ -108,16 +116,39 @@ def test_every_defaulted_parameter_is_set_by_some_caller():
     """A parameter with a default that no call in the package or the
     benchmark passes, or passes only on from such a parameter, holds one
     value on every path a command, suite or benchmark takes: make the value
-    a constant, or wire a caller in.  (A parameter passed only one constant
-    value is not caught here.)"""
-    params, calls = _defaulted_parameters_and_calls()
-    assert ("estimates:verify_uniform_ehrhart", "n_bodies") in params
+    a constant, or wire a caller in.  (A parameter every call passes one
+    literal is caught by the next test.)"""
+    params, calls = _parameters_and_calls()
+    params = {p: (callee, i) for p, (callee, i, default) in params.items() if default}
+    assert ("estimates:sub_body_sampler", "points") in params
     unset = set(params)
     while True:  # drop what a call sets, until only parameters set by no call remain
-        setting = {(callee, slot) for callee, slot, forwarded in calls if forwarded not in unset}
+        setting = {(callee, slot) for callee, slots in calls
+                   for slot, (_, forwarded) in slots.items() if forwarded not in unset}
         still = {p for p in unset
                  if (params[p][0], p[1]) not in setting and params[p] not in setting}
         if still == unset:
             break
         unset = still
     assert sorted(f"{where}({arg})" for where, arg in unset) == []
+
+
+def test_no_parameter_is_passed_one_literal_by_every_call():
+    """A parameter to which every call in the package, the benchmark and the
+    acceptance criteria passes the same literal (``ast.Constant``; a call
+    that leaves it out passes its default) holds one value on every gated
+    path: make the value a constant, and let a test that needs another
+    value build it directly.  Only a call that names the function is seen;
+    a parameter no such call reaches is the previous test's."""
+    params, calls = _parameters_and_calls(ACCEPTANCE)
+    by_callee = {}
+    for callee, slots in calls:
+        by_callee.setdefault(callee, []).append(slots)
+    single = []
+    for (where, arg), (callee, i, default) in params.items():
+        passed = [slots.get(i, slots.get(arg, (default, None)))[0]
+                  for slots in by_callee.get(callee, ())]
+        literals = {(type(v.value), v.value) for v in passed if isinstance(v, ast.Constant)}
+        if passed and len(literals) == 1 and all(isinstance(v, ast.Constant) for v in passed):
+            single.append(f"{where}({arg})")
+    assert sorted(single) == []
