@@ -252,9 +252,6 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
 
 def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
              points: int) -> Callable[[int], list[ConvexBody]]:
-    if min_volume >= volume(K):
-        # the volume floor forces P = K (up to measure zero)
-        return lambda count_bodies: [K] * count_bodies
     denom = 32
     D, Z = K.int_form()
     # each axis as (lo denom, hi - lo) for its numerators lo, hi over D

@@ -21,8 +21,11 @@ they compare and eliminate exact ints instead of summing Fractions; a clip
 that cuts a body reads its tight sets and rank off the parent's incidence
 and rank instead.
 
-``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the only
-Gaussian elimination: every rank, pivot set, nullspace and point solve reads it.
+``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the
+Gaussian elimination of this module: every rank, pivot set and nullspace
+here reads it.  Two solvers live elsewhere: ``thresholds._meet`` solves for
+a point by Cramer's rule over ``_det``, and ``lattice._column_reduction``
+reduces integer rows by extended-gcd column operations.
 The inscribed-ball LP ``_simplex_max`` pivots a condensed fraction-free integer
 dictionary the same way (one column per nonbasic variable, no slack block,
 Bland's rule by variable label, one exact division per update), and volumes and

@@ -27,19 +27,20 @@ integral and 0 otherwise, and the points of P are those of P' mapped back.
   levels of the first axis the same edges cross every slab in the same x
   order, so a slab's rows split at breakpoints linear in the slab's level
   into one run per facet of its upper and lower chain, and each run is one
-  ``floor_sum``: no per-slab line lists, stack passes or pair bounds.
+  ``floor_sum``: no per-slab line lists, stack passes or pair bounds.  One
+  walk (``_slab_counts``) gives each slab's total, which ``count`` sums.
 - rank 4, a full-dimensional 4-D body: the prefixes of the first two axes,
   walked as ``enumerate_points`` walks all n, each slab counted from its
   constraint lines (``_slab_sum``).
 
-``concave_sum`` takes the same dispatch for a full-dimensional body of
-dimension 2 or 3: it walks the rows of the chains, reads each row's column
-of points off its two owner facets (``_polygon_columns``, or
-``_chain_floors`` per slab) and sums G along the column in closed form, one
-run of one piece at a time (``_chain_concave_sum``), so it lists no point.
-Other bodies, and a body where G scores a point negative, sum over the
-listed points (``_enumerated_concave_sum``).  The chains also give
-the points per first coordinate (``_first_axis_counts``), in any unimodular
+``concave_sum`` of a full-dimensional polygon walks the rows of its
+chains, reads each row's column of points off its two owner facets
+(``_polygon_columns``) and sums G along the column in closed form, one run
+of one piece at a time (``_chain_concave_sum``), so it lists no point.
+Every other body, 3-D ones included, and a polygon where G scores a point
+negative, sum over the listed points (``_enumerated_concave_sum``).  The
+chains also give the points per first coordinate (``_first_axis_counts``:
+a polygon's columns, a 3-D body's ``_slab_counts``), in any unimodular
 frame (``_frame``).
 
 On that last path, which only full-dimensional 4-D bodies take, a slab's
@@ -480,9 +481,11 @@ def _chain_form(body: ConvexBody):
     return body._cache["chains"]
 
 
-def _chain_count(body: ConvexBody, k: int) -> int:
-    """Points of a full-dimensional 3-D body at one level, read off the
-    sections of its ``_chain_form``.
+def _slab_counts(body: ConvexBody, k: int) -> dict[int, int]:
+    """{z: points of the slab w = z} for each slab of a full-dimensional 3-D
+    body at level k that holds a row, read off the sections of its
+    ``_chain_form``: the one walk behind its ``count`` and its
+    ``_first_axis_counts``.
 
     A slab on a vertex level takes the section above it, and the top level
     the last section.  Its rows are the integers ceil X_left <= x <=
@@ -498,19 +501,17 @@ def _chain_count(body: ConvexBody, k: int) -> int:
     D, offsets, sections = _chain_form(body)
     c = [(k * p) // q for p, q in offsets]
     last = len(sections) - 1
-    total = 0
+    counts = {}
     for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), *chains) in enumerate(sections):
         z0 = _ceil_div(k * w0, D)
         z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
-        if z0 > z1:
-            continue
         A0, A1 = k * A0, k * A1
         for z in range(z0, z1 + 1):
             x_lo = -((-A0 - b0 * z) // g0)
             x_hi = (A1 + b1 * z) // g1
             if x_lo > x_hi:
                 continue
-            total += x_hi - x_lo + 1
+            total = x_hi - x_lo + 1
             for inner, closing in chains:
                 start = x_lo
                 for aw, q, r, i, al, be, ga in inner:
@@ -521,7 +522,8 @@ def _chain_count(body: ConvexBody, k: int) -> int:
                 if x_hi >= start:
                     aw, q, r, i = closing
                     total += _floor_sum(x_hi + 1 - start, r, q, c[i] - aw * z + q * start)
-    return total
+            counts[z] = total
+    return counts
 
 
 def _polygon_count(body: ConvexBody, k: int) -> int:
@@ -532,7 +534,7 @@ def _polygon_count(body: ConvexBody, k: int) -> int:
     ceil(k alpha / gamma) - 1 for its breakpoint, the last one up to the
     right end: one floor division per breakpoint and one ``_floor_sum`` per
     facet that owns a row, on the offset floor(k p / q), exact as in
-    ``_chain_count``."""
+    ``_slab_counts``."""
     (A0, g0), (A1, g1), *chains = _chain_form(body)
     x_lo = -((-k * A0) // g0)
     x_hi = (k * A1) // g1
@@ -572,49 +574,17 @@ def _polygon_columns(body: ConvexBody, k: int):
     return zip(range(x_lo, x_hi + 1), *floors)
 
 
-def _chain_floors(chain, c, k: int, z: int, x_lo: int, x_hi: int) -> list[int]:
-    """[floor((c_i - a_w z + q x) / r) for x_lo <= x <= x_hi] for the owner
-    facet i of each row of one chain of ``_chain_form`` at slab z, split at
-    the breakpoints ``_chain_count`` reads."""
-    inner, (aw, q, r, i) = chain
-    floors: list[int] = []
-    start = x_lo
-    for aw_i, q_i, r_i, i_i, al, be, ga in inner:
-        end = -((-k * al - be * z) // ga)
-        if end > start:
-            p = c[i_i] - aw_i * z
-            floors += [(p + q_i * x) // r_i for x in range(start, end)]
-            start = end
-    p = c[i] - aw * z
-    floors += [(p + q * x) // r for x in range(start, x_hi + 1)]
-    return floors
-
-
 def _first_axis_counts(body: ConvexBody, k: int) -> dict[int, int]:
     """{z1: points of body ∩ Z^n/k with that first numerator}, some 0.  A
     full-dimensional 2-D or 3-D body lists no point: a polygon's column x
-    holds floor U(x) + floor(-L(x)) + 1 (``_polygon_columns``), a 3-D
-    body's slab z the total that ``_chain_count`` sums for it; other bodies
+    holds floor U(x) + floor(-L(x)) + 1 (``_polygon_columns``), and a 3-D
+    body's slabs are those ``count`` sums (``_slab_counts``); other bodies
     count listed points."""
     if body.is_empty or body.dim not in (2, 3) or body.affine_rank() != body.dim:
         return Counter(z[0] for z in _numerators(body, k))
     if body.dim == 2:
         return {x: top + bottom + 1 for x, top, bottom in _polygon_columns(body, k)}
-    counts = {}
-    for z, x_lo, x_hi, c, chains in _slabs(body, k):
-        total = x_hi - x_lo + 1
-        for inner, closing in chains:
-            start = x_lo
-            for aw, q, r, i, al, be, ga in inner:
-                end = -((-k * al - be * z) // ga)
-                if end > start:
-                    total += _floor_sum(end - start, r, q, c[i] - aw * z + q * start)
-                    start = end
-            if x_hi >= start:
-                aw, q, r, i = closing
-                total += _floor_sum(x_hi + 1 - start, r, q, c[i] - aw * z + q * start)
-        counts[z] = total
-    return counts
+    return _slab_counts(body, k)
 
 
 def first_axis_bound(body: ConvexBody, k: int) -> int:
@@ -625,73 +595,45 @@ def first_axis_bound(body: ConvexBody, k: int) -> int:
     return (k * (box[0][1] - box[0][0])) // D + 1
 
 
-def _slabs(body: ConvexBody, k: int):
-    """(z, x_lo, x_hi, c, chains) for each nonempty slab w = z of a
-    full-dimensional 3-D body at level k, as ``_chain_count`` walks them:
-    its rows x_lo <= x <= x_hi, the scaled offsets c and the (upper, lower)
-    chains of its section of ``_chain_form``."""
-    D, offsets, sections = _chain_form(body)
-    c = [(k * p) // q for p, q in offsets]
-    last = len(sections) - 1
-    for s, (w0, w1, (A0, b0, g0), (A1, b1, g1), *chains) in enumerate(sections):
-        z0 = _ceil_div(k * w0, D)
-        z1 = (k * w1) // D if s == last else _ceil_div(k * w1, D) - 1
-        A0, A1 = k * A0, k * A1
-        for z in range(z0, z1 + 1):
-            x_lo = -((-A0 - b0 * z) // g0)
-            x_hi = (A1 + b1 * z) // g1
-            if x_lo <= x_hi:
-                yield z, x_lo, x_hi, c, chains
-
-
 def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
     """The sum of the integer scores k L G(z/k) (``ConcavePL.scaled_values``)
-    over the points z of a full-dimensional body of dimension 2 or 3 at one
-    level, read off ``_chain_form`` column by column, or None if a score is
-    negative.
+    over the points z of a full-dimensional polygon at one level, read off
+    its columns (``_polygon_columns``), or None if a score is negative.
 
-    The columns are those of the polygon (``_polygon_columns``) or of each
-    slab of a 3-D body (``_slabs``, ``_chain_floors``), column x running
-    from y = -floor(-L(x)) to floor U(x).  Along a column a piece scores e + a_y y
-    for an e fixed by the column, so a run of m points on one piece sums in
-    closed form to m (e_0 + e_1) / 2, e_0 and e_1 its end scores: a
-    one-piece G is one run per column, and several pieces split each column
-    into the runs of their lower envelope (``_envelope_runs``, r = 1).  G is
-    concave along a column, so a negative score shows at one of the
-    column's two ends, and only the ends are checked.
+    Column x runs from y = -floor(-L(x)) to floor U(x).  Along a column a
+    piece scores e + a_y y for an e fixed by the column, so a run of m points
+    on one piece sums in closed form to m (e_0 + e_1) / 2, e_0 and e_1 its
+    end scores: a one-piece G is one run per column, and several pieces
+    split each column into the runs of their lower envelope
+    (``_envelope_runs``, r = 1).  G is concave along a column, so a negative
+    score shows at one of the column's two ends, and only the ends are
+    checked.
     """
-    # (a_w, a_x, a_y, k L c) of each distinct piece (a_w = 0 in 2-D), largest
-    # a_y first: the ``_by_slope`` order of their lines in y
-    forms = sorted({(grad[0] if len(grad) == 3 else 0, grad[-2], grad[-1], k * const)
-                    for grad, const in g.integer_form[1]}, key=itemgetter(2), reverse=True)
-    slabs = [(0, _polygon_columns(body, k))] if body.dim == 2 else (
-        (z, zip(range(x_lo, x_hi + 1), _chain_floors(upper, c, k, z, x_lo, x_hi),
-                _chain_floors(lower, c, k, z, x_lo, x_hi)))
-        for z, x_lo, x_hi, c, (upper, lower) in _slabs(body, k))
+    # (a_x, a_y, k L c) of each distinct piece, largest a_y first: the
+    # ``_by_slope`` order of their lines in y
+    forms = sorted({(ax, ay, k * const) for (ax, ay), const in g.integer_form[1]},
+                   key=itemgetter(1), reverse=True)
     twice = 0  # every run adds m (e_0 + e_1), an even number
-    for z, columns in slabs:
-        if len(forms) == 1:
-            (aw, ax, ay, v), = forms
-            v += aw * z
-            for x, top, bottom in columns:
-                e = v + ax * x
-                e0, e1 = e - ay * bottom, e + ay * top
-                if (e0 < 0 or e1 < 0) and top + bottom >= 0:
-                    return None
-                twice += (e0 + e1) * (top + bottom + 1)
-            continue
-        lines = [(aw * z + v, ax, ay) for aw, ax, ay, v in forms]
-        for x, top, bottom in columns:
-            if top + bottom < 0:
-                continue
-            runs = _envelope_runs([(v + ax * x, ay, 1) for v, ax, ay in lines], -bottom, top)
-            (_, p0, q0, _), (_, p1, q1, _) = runs[0], runs[-1]
-            if p0 - q0 * bottom < 0 or p1 + q1 * top < 0:
+    if len(forms) == 1:
+        (ax, ay, v), = forms
+        for x, top, bottom in _polygon_columns(body, k):
+            e = v + ax * x
+            e0, e1 = e - ay * bottom, e + ay * top
+            if (e0 < 0 or e1 < 0) and top + bottom >= 0:
                 return None
-            end = top + 1
-            for start, p, q, _ in reversed(runs):
-                twice += (2 * p + q * (start + end - 1)) * (end - start)
-                end = start
+            twice += (e0 + e1) * (top + bottom + 1)
+        return twice // 2
+    for x, top, bottom in _polygon_columns(body, k):
+        if top + bottom < 0:
+            continue
+        runs = _envelope_runs([(v + ax * x, ay, 1) for ax, ay, v in forms], -bottom, top)
+        (_, p0, q0, _), (_, p1, q1, _) = runs[0], runs[-1]
+        if p0 - q0 * bottom < 0 or p1 + q1 * top < 0:
+            return None
+        end = top + 1
+        for start, p, q, _ in reversed(runs):
+            twice += (2 * p + q * (start + end - 1)) * (end - start)
+            end = start
     return twice // 2
 
 
@@ -812,9 +754,9 @@ def count(body: ConvexBody, k: int) -> int:
     A full-dimensional body of dimension 2 or 3 is read off its chains: a
     polygon of m edges (``_polygon_count``) takes one floor division per
     vertex and one floor sum per facet that owns a row, O(m log k), and a
-    3-D body (``_chain_count``) one floor sum per facet run of each slab,
-    O(k (b + t log k)) for b breakpoints per slab, t of them ending a
-    nonempty run.  The chains are built once, in O(m log m) for a polygon
+    3-D body sums the totals of its slabs (``_slab_counts``), one floor sum
+    per facet run of each slab, O(k (b + t log k)) for b breakpoints per
+    slab, t of them ending a nonempty run.  The chains are built once, in O(m log m) for a polygon
     and O(F^2 + L F log F) for F facets and L vertex levels in 3-D.  A flat
     body of affine rank r is the full-dimensional body P' of its chart
     (``_chart``, built once per body in O(n^3) integer operations and one
@@ -832,7 +774,7 @@ def count(body: ConvexBody, k: int) -> int:
     if body.is_empty:
         return 0
     if body.dim in (2, 3) and body.affine_rank() == body.dim:
-        return _polygon_count(body, k) if body.dim == 2 else _chain_count(body, k)
+        return _polygon_count(body, k) if body.dim == 2 else sum(_slab_counts(body, k).values())
     if not body.is_full_dim():
         period, image, _, _ = _chart(body)
         if k % period:
@@ -893,16 +835,16 @@ def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
     """(1/k^n) * sum of g over body ∩ Z^n/k; g must be nonnegative there.
 
     Sums the exact integer scores k L g(z/k) and divides once by L k^(n+1).
-    A full-dimensional body of dimension 2 or 3 is summed off the chains that
-    ``count`` reads, column by column with no point listed
-    (``_chain_concave_sum``).  Other bodies walk their lattice points
-    (``_enumerated_concave_sum``), and so does a body with a negative score,
-    to name the first negative point.
+    A full-dimensional polygon is summed off the chains that ``count``
+    reads, column by column with no point listed (``_chain_concave_sum``).
+    Other bodies walk their lattice points (``_enumerated_concave_sum``),
+    and so does a polygon with a negative score, to name the first negative
+    point.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     total = None
-    if not body.is_empty and body.dim in (2, 3) and body.affine_rank() == body.dim:
+    if not body.is_empty and body.dim == 2 and body.is_full_dim():
         total = _chain_concave_sum(body, g, k)
     if total is None:
         total = _enumerated_concave_sum(body, g, k)

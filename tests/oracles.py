@@ -114,8 +114,8 @@ from okbodies.geometry import (ConvexBody, DimensionMismatch, GeometryError, Hal
                                _int_form, _int_reduce, _linearity_regions, _primed, _primitive,
                                _tight_set, empty_body, hull, integrate_transform,
                                intersect_halfspace, max_transform, rat, superlevel, volume)
-from okbodies.lattice import (_chain_floors, _envelope_runs, _floor_sum, _interval, _prefixes,
-                              _rest, _scaled_constraints, count, enumerate_points)
+from okbodies.lattice import (_envelope_runs, _floor_sum, _interval, _prefixes, _rest,
+                              _scaled_constraints, count, enumerate_points)
 from okbodies.series import ModelError
 from okbodies.thresholds import DEFAULT_TOL, _ccdf_data, _poly_eval, quantile
 
@@ -320,8 +320,6 @@ def oracle_sub_body_sampler(K, min_volume, seed: int, points: int = 6, denom: in
     candidates lo + (r / denom)(hi - lo), r = rng.randrange(0, denom + 1) per
     axis, kept when K contains them."""
     min_volume = rat(min_volume)
-    if min_volume >= volume(K):
-        return lambda count_bodies: [K] * count_bodies
 
     def sample(count_bodies: int) -> list:
         rng = random.Random(seed)
@@ -718,13 +716,29 @@ def oracle_section_count(body, k: int) -> int:
     return total
 
 
+def _oracle_chain_floors(chain, c, k: int, x_lo: int, x_hi: int) -> list[int]:
+    """[floor((c_i + q x) / r) for x_lo <= x <= x_hi] for the owner facet i
+    of each row of one chain of the section of ``oracle_polygon_sections``,
+    split at its breakpoints as ``oracle_section_count`` splits them."""
+    inner, (_, q, r, i) = chain
+    floors = []
+    start = x_lo
+    for _, q_i, r_i, i_i, al, _, ga in inner:
+        end = -((-k * al) // ga)
+        if end > start:
+            floors += [(c[i_i] + q_i * x) // r_i for x in range(start, end)]
+            start = end
+    floors += [(c[i] + q * x) // r for x in range(start, x_hi + 1)]
+    return floors
+
+
 def oracle_section_columns(body, k: int) -> list[tuple[int, int, int]]:
     """The columns (x, top, bottom) of a full-dimensional polygon at level k,
     column x running from y = -bottom to top, read off the one section of
-    ``oracle_polygon_sections`` with the 3-D body's ``_chain_floors``."""
+    ``oracle_polygon_sections`` owner by owner (``_oracle_chain_floors``)."""
     c, x_lo, x_hi, chains = _oracle_section(body, k)
     return list(zip(range(x_lo, x_hi + 1),
-                    *(_chain_floors(chain, c, k, 0, x_lo, x_hi) for chain in chains)))
+                    *(_oracle_chain_floors(chain, c, k, x_lo, x_hi) for chain in chains)))
 
 
 def oracle_section_concave_sum(body, g, k: int):

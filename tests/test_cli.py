@@ -300,6 +300,51 @@ def test_thresholds_m_rule_one(tmp_path, capsys):
     assert all(line.split(",")[s_col] == "1" for line in lines[1:])
 
 
+def test_thresholds_one_valuation_object_reads_as_a_family_of_one(tmp_path, capsys):
+    """A ``--valuations`` file that holds one JSON object is the family of
+    that one valuation: the same CSV as the one-element list."""
+    model = write(tmp_path, "m.json", SEGMENT_MODEL)
+    outputs = []
+    for name, family in (("list.json", VSEG), ("object.json", VSEG[0])):
+        vals = write(tmp_path, name, family)
+        assert main(["thresholds", "--in", model, "--valuations", vals,
+                     "--tau", "1/2", "--k-max", "6"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == 1 + 6
+
+
+def test_thresholds_sweep_constant_m_rule_caps_m_at_d(tmp_path, capsys):
+    """A sweep spec with ``"m_rule": "constant", "const": 3`` takes
+    m_k = min(d_k, 3) at every level."""
+    model = write(tmp_path, "m.json", SEGMENT_MODEL)
+    vals = write(tmp_path, "v.json", VSEG)
+    sweep = write(tmp_path, "sweep.json",
+                  {"tau": "1/2", "m_rule": "constant", "const": 3, "k_range": [1, 6]})
+    assert main(["thresholds", "--in", model, "--valuations", vals, "--sweep", sweep]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    # d_k = k + 1 on the unit segment
+    assert [(int(r["k"]), int(r["m_k"])) for r in rows] == [
+        (k, min(k + 1, 3)) for k in range(1, 7)]
+
+
+@pytest.mark.parametrize("sweep, message", [
+    ({"tau": "1/2", "m_rule": "half", "k_range": [1, 2]}, "unknown m-rule 'half'"),
+    ({"tau": "1/2", "k_range": [5, 2]}, "bad k_range [5, 2]"),
+])
+def test_thresholds_bad_sweep_spec_exits2_with_one_line(tmp_path, capsys, sweep, message):
+    """An unknown ``m_rule`` and a ``k_range`` whose start exceeds its end
+    are input errors: exit 2 with one stderr line and no traceback."""
+    model = write(tmp_path, "m.json", SEGMENT_MODEL)
+    vals = write(tmp_path, "v.json", VSEG)
+    path = write(tmp_path, "sweep.json", sweep)
+    assert _exit_code(["thresholds", "--in", model, "--valuations", vals,
+                       "--sweep", path]) == 2
+    err = capsys.readouterr().err
+    assert err == f"input error: {message}\n"
+    assert "Traceback" not in err
+
+
 def test_verify_weierstrass_passes(tmp_path, capsys):
     out = tmp_path / "reports"
     assert main(["verify", "weierstrass", "--out", str(out)]) == 0

@@ -89,13 +89,6 @@ def test_sub_body_sampler_matches_fraction_oracle(K, min_volume, seed):
         validate_body(P)  # the seeded integer form and rank included
 
 
-@pytest.mark.parametrize("K", [UNIT_SQUARE, SLANTED])
-def test_sub_body_sampler_volume_floor_at_K_returns_K(K):
-    for floor in (volume(K), volume(K) + 1):
-        assert sub_body_sampler(K, floor, seed=2)(3) == [K] * 3
-        assert oracle_sub_body_sampler(K, floor, seed=2)(3) == [K] * 3
-
-
 def test_sub_body_sampler_deterministic_and_valid():
     sample = sub_body_sampler(UNIT_SQUARE, F(1, 10), seed=3)
     a = sample(5)

@@ -57,6 +57,29 @@ def test_every_module_level_assignment_is_read():
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 
+def test_every_function_is_referenced_by_a_gated_path():
+    """A function defined in the package, public or private, a method or a
+    nested function alike, dunders aside, whose name nothing in the package,
+    the benchmark (``perfbench/``) or the acceptance criteria refers to
+    outside its own body, as a call, an attribute or an import, is reached by
+    no command, suite, criterion or workload: delete it, or wire it in.
+    Names match alone, so a function that shares its name with a referenced
+    one is still checked by hand."""
+    sources = sorted(SRC.glob("*.py"))
+    readers = [*sources, *sorted((SRC.parent.parent / "perfbench").glob("*.py")), ACCEPTANCE]
+    trees = {path: ast.parse(path.read_text()) for path in readers}
+    refs = Counter()
+    for tree in trees.values():
+        refs += _names(tree)
+        refs += Counter(alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) for alias in node.names)
+    dead = [f"{path.stem}:{node.name}" for path in sources for node in ast.walk(trees[path])
+            if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and refs[node.name] <= _names(node)[node.name]]
+    assert dead == []
+
+
 def _parameters_and_calls(*scanned):
     """The package's parameters and the arguments of every call in the
     package, in ``perfbench/`` and in the files ``scanned``.
