@@ -268,16 +268,6 @@ def _envelope_floors(lines, x0: int, x1: int) -> list[int]:
             for x in range(start, end)]
 
 
-def _rows(upper, lower, x_lo: int, x_hi: int) -> int:
-    """Points of a 2-D slab whose x-range [x_lo, x_hi] is already clipped so that
-    min upper + min lower >= 0 there: row x holds floor(min upper) +
-    floor(min lower) + 1 points, each envelope summed in closed form."""
-    if x_lo > x_hi:
-        return 0
-    return (_envelope_floor_sum(upper, x_lo, x_hi)
-            + _envelope_floor_sum(lower, x_lo, x_hi) + x_hi - x_lo + 1)
-
-
 def _line_form(body: ConvexBody):
     """The y-lines of the 2-D slabs of a body of dimension n >= 3
     (``_slab_sum``), each side in ``_by_slope`` order, cached next to
@@ -359,8 +349,8 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
     for each prefix of all outer axes but the last one, w, the other bounds
     become lines in w, and the x-range of each slab is read off the two
     envelopes of the bounds on x (``_envelope_floors``): only the lines that
-    bind are evaluated, one per slab and side.  Each slab is then summed in
-    closed form (``_rows``).
+    bind are evaluated, one per slab and side.  Each nonempty slab is then
+    summed in closed form, one ``_envelope_floor_sum`` per side.
     """
     upper, lower, x_lower, x_upper, flat = _slab_form(body)
     x = body.dim - 2
@@ -392,8 +382,10 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
         down = [(_rest(a, p, prefix), a[w], q, r) for p, a, q, r in lower]
         for z, x0, x1 in zip(range(w_lo, w_hi + 1), x_lo, x_hi):
             if x0 <= x1:
-                total += _rows([(p - a * z, q, r) for p, a, q, r in up],
-                               [(p - a * z, q, r) for p, a, q, r in down], x0, x1)
+                # row x holds floor(min upper) + floor(min lower) + 1 points
+                total += (_envelope_floor_sum([(p - a * z, q, r) for p, a, q, r in up], x0, x1)
+                          + _envelope_floor_sum([(p - a * z, q, r) for p, a, q, r in down], x0, x1)
+                          + x1 - x0 + 1)
     return total
 
 

@@ -111,13 +111,17 @@ class JumpingVector:
 
 @dataclass(frozen=True)
 class TailSpec:
-    """A solved quantile: position, top-atom mass, and certification data."""
+    """A solved quantile: position, top-atom mass, and the certified bracket
+    (a, b) of an inexact one (None when the quantile is exact)."""
 
     tau: Fraction
     quantile: Fraction
     atom_at_top: Fraction
-    exact: bool = True
     bracket: Optional[tuple[Fraction, Fraction]] = None
+
+    @property
+    def exact(self) -> bool:
+        return self.bracket is None
 
 
 @dataclass(frozen=True)
@@ -350,7 +354,7 @@ def _candidates(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, ...]:
     throughout: each facet row is scaled by its offset's denominator, and
     the pieces are L f (``integer_form``)."""
     n = ambient.dim
-    s0 = max_transform(ambient, g)
+    s0 = _ccdf_data(ambient, g).s0
     L, forms = g.integer_form
     # h . (x, 1) = 0 on each facet hyperplane, and r . (x, 1) = L f(x) per piece
     facets = [(*(a * h.offset.denominator for a in h.normal), -h.offset.numerator)
@@ -473,7 +477,8 @@ def ccdf_continuous(model: GradedSeriesModel, v: ValuationModel, t) -> Fraction:
 
 
 def _exact_poly_root(coeffs, tau, lo, hi) -> Optional[Fraction]:
-    """Largest rational root of P(t) = tau in [lo, hi], for deg <= 2, else None."""
+    """Largest rational root of P(t) = tau in [lo, hi], for a non-constant P
+    of degree <= 2, else None."""
     if len(coeffs) > 3:
         return None
     c = list(coeffs) + [Fraction(0)] * (3 - len(coeffs))
@@ -481,7 +486,7 @@ def _exact_poly_root(coeffs, tau, lo, hi) -> Optional[Fraction]:
     roots: list[Fraction] = []
     if a2 == 0:
         if a1 == 0:
-            return hi if a0 == 0 else None
+            return None
         roots = [-a0 / a1]
     else:
         disc = a1 * a1 - 4 * a2 * a0
@@ -537,9 +542,10 @@ def quantile(model: GradedSeriesModel, v: ValuationModel, tau,
              tol=DEFAULT_TOL) -> TailSpec:
     """The volume quantile Q(tau) = sup{t : F(t) >= tau}.
 
-    Exact when the crossing piece has a rational root (always for linear
-    pieces, for quadratics with square discriminant); otherwise bisected to a
-    certified bracket of width <= tol, in integers (``_bisect``). tau <=
+    Exact when F crosses tau at the left end of a ccdf piece, of any degree,
+    or where the crossing piece has a rational root (always for linear
+    pieces, for quadratics with square discriminant); otherwise bisected to
+    a certified bracket of width <= tol, in integers (``_bisect``). tau <=
     atom-at-top returns S0.  Solved once per (ambient, G, tau, tol) and kept
     next to the ccdf, so ``S_tau`` reads the quantile its caller just asked
     for.  Where G < 0 on part of the ambient, F(0) < 1, and a tau above F(0)
@@ -559,22 +565,25 @@ def _quantile_spec(ambient: ConvexBody, g: ConcavePL, tau: Fraction, tol: Fracti
     """``quantile`` for a checked tau in [0, 1] and tol > 0.
 
     F crosses tau in the highest piece P with P(lo) >= tau; as P(hi) < tau
-    and F does not increase, P = tau at one point of it.  A rational root is
-    the quantile.  Otherwise the bisection starts from the highest candidate
-    interval [b, b'] of the piece (``_candidates``) with P(b) >= tau."""
+    and F is strictly decreasing on [max(0, min G), s0), P is not constant
+    and P = tau at one point of it.  P(lo) = tau makes lo the quantile, at
+    any degree; else a rational root is.  Otherwise the bisection starts
+    from the highest candidate interval [b, b'] of the piece
+    (``_candidates``) with P(b) >= tau."""
     s0, atom, pieces = _ccdf_data(ambient, g)
     if tau <= atom:
-        return TailSpec(tau, s0, atom, exact=True)
+        return TailSpec(tau, s0, atom)
     for lo, hi, coeffs in reversed(pieces):
-        if _poly_eval(coeffs, lo) < tau:
+        at_lo = _poly_eval(coeffs, lo)
+        if at_lo < tau:
             continue
-        root = _exact_poly_root(coeffs, tau, lo, hi)
+        root = lo if at_lo == tau else _exact_poly_root(coeffs, tau, lo, hi)
         if root is not None:
-            return TailSpec(tau, root, atom, exact=True)
+            return TailSpec(tau, root, atom)
         grid = [lo, *(c for c in _candidates(ambient, g) if lo < c < hi), hi]
         i = next(i for i in range(len(grid) - 2, -1, -1) if _poly_eval(coeffs, grid[i]) >= tau)
         a, b = _bisect(coeffs, tau, grid[i], grid[i + 1], tol)  # P(a) >= tau > P(b)
-        return TailSpec(tau, (a + b) / 2, atom, exact=False, bracket=(a, b))
+        return TailSpec(tau, (a + b) / 2, atom, bracket=(a, b))
     raise ValueError(f"F on [0, {s0}] never reaches tau={tau}: "
                      f"G is negative on part of the ambient, so F(0) < tau")
 
@@ -600,17 +609,13 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
     Read off the ccdf F by the layer-cake identity
     E[G | G >= q] = q + (∫_q^{s0} F(t) dt) / F(q), integrated exactly on the
     ccdf pieces, one polynomial each, so no body is built.  Exact whenever
-    the quantile is exact; otherwise certified to within tol.
+    the quantile is exact.  For a bracket (a, b) it is the midpoint of the
+    tail means at a and b, within tol / 2 of the true value: F is
+    log-concave (Brunn-Minkowski), so the tail mean is non-decreasing and
+    1-Lipschitz in q, and the two ends are at most b - a <= tol apart.
     """
-    tau = rat(tau)
-    if not 0 <= tau <= 1:
-        raise ValueError("tau must lie in [0, 1]")
-    s0, _, pieces = _ccdf_data(model.ambient, v.G)
-    if tau == 0:
-        return s0
     spec = quantile(model, v, tau, tol)
-    if spec.quantile == s0:
-        return s0
+    s0, _, pieces = _ccdf_data(model.ambient, v.G)
 
     def tail_mean(q: Fraction) -> Fraction:
         above = [(max(lo, q), hi, c) for lo, hi, c in pieces if hi > q]
@@ -622,21 +627,7 @@ def S_tau(model: GradedSeriesModel, v: ValuationModel, tau,
     if spec.exact:
         return tail_mean(spec.quantile)
     a, b = spec.bracket
-    # the bracket lies inside the ccdf piece that quantile bisected, and stays there
-    coeffs = next(c for lo, hi, c in pieces if lo <= a and b <= hi)
-    lo_val, hi_val = tail_mean(a), tail_mean(b)
-    for _ in range(256):
-        if hi_val - lo_val <= tol:
-            break
-        # shrink the quantile bracket; the tail mean is monotone in q
-        mid = (a + b) / 2
-        if _poly_eval(coeffs, mid) >= tau:
-            a = mid
-            lo_val = tail_mean(a)
-        else:
-            b = mid
-            hi_val = tail_mean(b)
-    return (lo_val + hi_val) / 2
+    return (tail_mean(a) + tail_mean(b)) / 2
 
 
 # ---------------------------------------------------------------------------

@@ -88,10 +88,12 @@ differences of ``oracle_newton``: the paths that the library's
 ``superlevel`` clip and its closed-form ccdf, summed over the simplices of
 the triangulated linearity regions with no superlevel body, must match
 exactly.
-``oracle_S_tau`` averages G over the superlevel body at the quantile, and at
-every step of the bisection of an inexact quantile's bracket, with
+``oracle_S_tau`` averages G over the superlevel body at the quantile
+(``oracle_tail_mean``), and at every step of a bisection of an inexact
+quantile's bracket until the tail means at its ends are within tol, with
 ``superlevel``, ``integrate_transform`` and ``volume``: the path that the
-library's layer-cake tail mean, read off the cached ccdf, must match exactly.
+library's layer-cake tail mean, read off the cached ccdf at the bracket's
+two ends only, must match exactly.
 ``oracle_bisect`` halves a quantile's bracket in Fractions, evaluating the
 piece at every midpoint: the path that the library's integer bisection must
 match bracket for bracket.
@@ -1028,11 +1030,22 @@ def oracle_bisect(coeffs, tau, lo, hi, tol):
     return a, b
 
 
+def oracle_tail_mean(model, v, q):
+    """E[G | G >= q] as the mean of G over the superlevel body {G >= q}; at
+    q = s0, where that body may have no volume, its limit s0."""
+    if q == max_transform(model.ambient, v.G):
+        return q
+    body = superlevel(model.ambient, v.G, q)
+    return integrate_transform(body, v.G) / volume(body)
+
+
 def oracle_S_tau(model, v, tau, tol=DEFAULT_TOL):
     """The tail expectation as the mean of G over the superlevel body at the
-    quantile.  An inexact quantile's bracket is bisected as ``S_tau`` does,
+    quantile.  This reference still bisects an inexact quantile's bracket,
     with one superlevel body per end, until the two tail means are within
-    tol; their midpoint is returned."""
+    tol, and returns their midpoint; ``S_tau`` reads the midpoint at the
+    bracket's ends, which the 1-Lipschitz tail mean already puts within
+    tol of each other."""
     tau = rat(tau)
     s0, _, pieces = _ccdf_data(model.ambient, v.G)
     if tau == 0:
@@ -1041,23 +1054,19 @@ def oracle_S_tau(model, v, tau, tol=DEFAULT_TOL):
     if spec.quantile == s0:
         return s0
 
-    def tail_mean(q):
-        body = superlevel(model.ambient, v.G, q)
-        return integrate_transform(body, v.G) / volume(body)
-
     if spec.exact:
-        return tail_mean(spec.quantile)
+        return oracle_tail_mean(model, v, spec.quantile)
     a, b = spec.bracket
     coeffs = next(c for lo, hi, c in pieces if lo <= a and b <= hi)
-    lo_val, hi_val = tail_mean(a), tail_mean(b)
+    lo_val, hi_val = oracle_tail_mean(model, v, a), oracle_tail_mean(model, v, b)
     for _ in range(256):
         if hi_val - lo_val <= tol:
             break
         mid = (a + b) / 2
         if _poly_eval(coeffs, mid) >= tau:
             a = mid
-            lo_val = tail_mean(a)
+            lo_val = oracle_tail_mean(model, v, a)
         else:
             b = mid
-            hi_val = tail_mean(b)
+            hi_val = oracle_tail_mean(model, v, b)
     return (lo_val + hi_val) / 2

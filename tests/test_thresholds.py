@@ -58,7 +58,8 @@ from okbodies.thresholds import (
 )
 from oracles import (oracle_bisect, oracle_candidates, oracle_ccdf_data, oracle_ccdf_fit,
                      oracle_jumping_values, oracle_lagrange, oracle_newton, oracle_S_tau,
-                     oracle_scaled_values, oracle_score_level, oracle_sorted_scores)
+                     oracle_scaled_values, oracle_score_level, oracle_sorted_scores,
+                     oracle_tail_mean)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -285,6 +286,25 @@ def test_quantile_bisects_a_cubic_ccdf_piece():
     assert thresholds._exact_poly_root(cubic, F(1, 3), F(0), F(1)) is None
 
 
+def test_quantile_at_a_piece_left_end_is_exact_at_any_degree():
+    """F crossing tau at the left end of a cubic ccdf piece gives that end
+    exactly, not a bracket.  On the unit 3-simplex, G = x1 + 1 has F = 1 up
+    to sigma = 1, so Q(1) = 1 and the tail is the whole simplex; the
+    two-piece G (x1 + x2 + 1/2) ∧ (x3 - x1 + 2) has F = 1/2 at its knot 1."""
+    simplex3 = ToricModel(hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+    ambient = simplex3.ambient
+    shift = ConcavePL.make([AffineFunctional.make((1, 0, 0), 1)], ambient)
+    ridge = ConcavePL.make([AffineFunctional.make((1, 1, 0), F(1, 2)),
+                            AffineFunctional.make((-1, 0, 1), 2)], ambient)
+    for g, tau in ((shift, F(1)), (ridge, F(1, 2))):
+        v = ValuationModel("G", F(1), g)
+        assert (1, 4) in {(lo, len(c)) for lo, _, c in thresholds._ccdf_data(ambient, g).pieces}
+        spec = quantile(simplex3, v, tau)
+        assert spec.exact and spec.quantile == 1
+        assert S_tau(simplex3, v, tau) == oracle_S_tau(simplex3, v, tau)
+    assert S_tau(simplex3, ValuationModel("G", F(1), shift), 1) == F(5, 4)
+
+
 def test_bisect_matches_fraction_bisection_oracle():
     """The integer bisection keeps the same bracket as halving in Fractions
     on seeded pieces of degree 0-4 (monotone or not, so the decisions go both
@@ -314,9 +334,17 @@ def test_quantile_beyond_F0_raises_value_error():
             S_tau(model, v, tau)
 
 
+def test_S_tau_checks_tol_as_quantile_does():
+    for tol in (0, -1):
+        for call in (quantile, S_tau):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                call(SIMPLEX, V_SIMPLEX, 0, tol=tol)
+
+
 def test_S_tau_after_quantile_solves_nothing_again(monkeypatch):
     """quantile keeps each solved TailSpec, so S_tau with the same
-    arguments neither looks for an exact root nor bisects."""
+    arguments neither looks for an exact root nor bisects.  No case crosses
+    at a piece's left end, which is solved without either."""
     calls = Counter()
     for name in ("_exact_poly_root", "_bisect"):
         real = getattr(thresholds, name)
@@ -328,8 +356,10 @@ def test_S_tau_after_quantile_solves_nothing_again(monkeypatch):
     solved = Counter()
     for model, v, tau, tol in cases:
         calls.clear()
-        quantile(model, v, tau, tol)
+        spec = quantile(model, v, tau, tol)
         solved += calls
+        pieces = thresholds._ccdf_data(model.ambient, v.G).pieces
+        assert spec.quantile not in {lo for lo, _, _ in pieces}
         calls.clear()
         S_tau(model, v, tau, tol)
         assert calls == Counter()
@@ -501,6 +531,40 @@ def test_S_tau_matches_body_oracle():
         for tau in (F(0), F(1, 4), F(1, 2), F(3, 4), F(1), F(rng.randint(1, 99), 100)):
             assert S_tau(model, v, tau) == oracle_S_tau(model, v, tau)
             inexact[ambient.dim] += tau > 0 and not quantile(model, v, tau).exact
+    assert all(inexact[n] > 0 for n in (2, 3, 4))
+
+
+def test_tail_mean_is_one_lipschitz_so_S_tau_reads_the_bracket_ends():
+    """F is log-concave (Brunn-Minkowski), so the tail mean E[G | G >= q]
+    is non-decreasing and 1-Lipschitz in q: at the ends of an inexact
+    quantile's bracket (a, b) the tail means are at most b - a apart, and
+    S_tau, their midpoint, needs no further bisection.  Checked with the
+    oracle's superlevel-body tail means on seeded inexact quantiles of 2-D,
+    3-D and 4-D hulls at three tolerances, G with and without a flat top;
+    S_tau matches the bisecting oracle there, at tau 0, at the top atom
+    (quantile s0) and at a piece's left end (exact)."""
+    rng = random.Random(24)
+    inexact = Counter()
+    for n in (2, 3, 4) * 2:
+        ambient = _tail_ambient(rng, n)
+        model, g = ToricModel(ambient), _random_transform(rng, ambient)
+        s0, sigma = max_transform(ambient, g), min(g(x) for x in ambient.vertices)
+        flat = AffineFunctional.make((0,) * n, (3 * s0 + sigma) / 4)
+        for v in (ValuationModel("G", F(1), g),
+                  ValuationModel("flat", F(1), ConcavePL.make(g.pieces + (flat,), ambient))):
+            _, atom, pieces = thresholds._ccdf_data(ambient, v.G)
+            ends = [(lo, thresholds._poly_eval(c, lo)) for lo, _, c in pieces if lo > 0]
+            lo, tau = next((lo, tau) for lo, tau in reversed(ends) if tau > atom)
+            assert quantile(model, v, tau).quantile == lo
+            for tau in (F(0), atom, tau, *(F(rng.randint(1, 99), 100) for _ in range(3))):
+                tol = rng.choice((F(1, 10), F(1, 1000), thresholds.DEFAULT_TOL))
+                assert S_tau(model, v, tau, tol) == oracle_S_tau(model, v, tau, tol)
+                spec = quantile(model, v, tau, tol)
+                if not spec.exact:
+                    a, b = spec.bracket
+                    gap = oracle_tail_mean(model, v, b) - oracle_tail_mean(model, v, a)
+                    assert 0 <= gap <= b - a
+                    inexact[n] += 1
     assert all(inexact[n] > 0 for n in (2, 3, 4))
 
 
