@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 import weakref
-from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
 
 from .geometry import (
@@ -80,22 +78,28 @@ MIN_HALF_LEVELS = 4
 # reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Assertion:
-    name: str
-    passed: bool
-    witness: Optional[dict] = None
+class Assertion(tuple):
+    """One checked claim of a report: the tuple (name, passed, witness)."""
+
+    __slots__ = ()
+    name = property(itemgetter(0))
+    passed = property(itemgetter(1))
+    witness = property(itemgetter(2))
+
+    def __new__(cls, name: str, passed: bool, witness: Optional[dict]) -> "Assertion":
+        return tuple.__new__(cls, (name, passed, witness))
 
 
-@dataclass
 class SweepReport:
-    name: str
-    grid: dict
-    rows: list = field(default_factory=list)
-    fitted: dict = field(default_factory=dict)
-    assertions: list = field(default_factory=list)
-    exponent: Optional[float] = None
-    residual: Optional[float] = None
+    """A verify suite's result: its grid, rows, fitted constants, assertions
+    and rate fit, filled in as the suite runs."""
+
+    __slots__ = ("name", "grid", "rows", "fitted", "assertions", "exponent", "residual")
+
+    def __init__(self, name: str, grid: dict):
+        self.name, self.grid = name, grid
+        self.rows, self.fitted, self.assertions = [], {}, []
+        self.exponent = self.residual = None  # floats once a rate is fitted
 
     @property
     def passed(self) -> bool:
@@ -184,8 +188,9 @@ def _two_halves(report: SweepReport, name: str, ks: Sequence[int],
 # ---------------------------------------------------------------------------
 
 class RateFit(tuple):
-    exponent = property(lambda s: s[0])
-    residual = property(lambda s: s[1])
+    __slots__ = ()
+    exponent = property(itemgetter(0))
+    residual = property(itemgetter(1))
 
 
 def rate_fit(samples: Sequence[tuple[int, Fraction]], limit) -> RateFit:
@@ -203,7 +208,12 @@ def rate_fit(samples: Sequence[tuple[int, Fraction]], limit) -> RateFit:
         return RateFit((NEG_INF, 0.0))
     xs = [math.log(k) for k, _ in pts]
     ys = [math.log(float(e)) for _, e in pts]
-    slope, intercept = statistics.linear_regression(xs, ys)
+    # ordinary least squares in the fsum steps of statistics.linear_regression
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
+    slope = (math.fsum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
+             / math.fsum((x - xbar) * (x - xbar) for x in xs))
+    intercept = ybar - slope * xbar
     resid = math.sqrt(
         sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs)
     )

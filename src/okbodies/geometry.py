@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import factorial, gcd, isqrt, lcm
-from operator import add, mul, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -308,12 +307,17 @@ def _det(mat: Sequence[Sequence]) -> Fraction | int:
 # halfspaces and affine data
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, order=True)
-class HalfSpace:
-    """The set {x : normal . x <= offset}, with a primitive integer normal."""
+class HalfSpace(tuple):
+    """The set {x : normal . x <= offset}, with a primitive integer normal.
 
-    normal: tuple[int, ...]
-    offset: Fraction
+    The tuple (normal, offset), which it hashes, compares and orders as."""
+
+    __slots__ = ()
+    normal = property(itemgetter(0))
+    offset = property(itemgetter(1))
+
+    def __new__(cls, normal: tuple[int, ...], offset: Fraction) -> "HalfSpace":
+        return tuple.__new__(cls, (normal, offset))
 
     @staticmethod
     def make(normal: Sequence, offset) -> "HalfSpace":
@@ -339,12 +343,15 @@ class HalfSpace:
         return HalfSpace(tuple(-c for c in self.normal), -self.offset)
 
 
-@dataclass(frozen=True)
-class AffineFunctional:
-    """x |-> gradient . x + constant."""
+class AffineFunctional(tuple):
+    """x |-> gradient . x + constant, the tuple (gradient, constant)."""
 
-    gradient: Vec
-    constant: Fraction
+    __slots__ = ()
+    gradient = property(itemgetter(0))
+    constant = property(itemgetter(1))
+
+    def __new__(cls, gradient: Vec, constant: Fraction) -> "AffineFunctional":
+        return tuple.__new__(cls, (gradient, constant))
 
     @staticmethod
     def make(gradient: Sequence, constant=0) -> "AffineFunctional":
@@ -541,8 +548,7 @@ def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
     body = object.__new__(ConvexBody)
     body.dim = n
     body._vertices = None
-    # the order of HalfSpace.__lt__, compared as C tuples
-    pairs = sorted(tight, key=lambda pair: (pair[0].normal, pair[0].offset))
+    pairs = sorted(tight, key=itemgetter(0))
     body.halfspaces = tuple(h for h, _ in pairs)
     body._cache = {"int_form": (D, tuple(Z)), "arank": rank,
                    "incidence": tuple(t for _, t in pairs)}
@@ -829,16 +835,19 @@ def superlevel(body: ConvexBody, g: "ConcavePL", t) -> ConvexBody:
 # concave piecewise-affine transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConcavePL:
-    """Pointwise min of affine functionals: concave by construction.
+class ConcavePL(tuple):
+    """Pointwise min of affine functionals: concave by construction.  The
+    tuple (pieces, domain), with a dict for its cached properties.
 
     The nonnegativity invariant on the domain is checked at construction
     (min of a concave function over a polytope sits at a vertex).
     """
 
-    pieces: tuple[AffineFunctional, ...]
-    domain: ConvexBody
+    pieces = property(itemgetter(0))
+    domain = property(itemgetter(1))
+
+    def __new__(cls, pieces: tuple[AffineFunctional, ...], domain: ConvexBody) -> "ConcavePL":
+        return tuple.__new__(cls, (pieces, domain))
 
     @staticmethod
     def make(pieces: Sequence[AffineFunctional], domain: ConvexBody) -> "ConcavePL":
@@ -874,9 +883,9 @@ class ConcavePL:
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of (pieces, domain), computed once: level slots and
+        """The tuple hash of (pieces, domain), computed once: level slots and
         ``_ccdf_data`` look G up by it on every query."""
-        return hash((self.pieces, self.domain))
+        return tuple.__hash__(self)
 
     def scaled_values(self, points: Sequence[Sequence[int]], k: int) -> list[int]:
         """k L G(z/k) = min_i(L grad_i . z + k L c_i) for each integer numerator
@@ -1269,15 +1278,15 @@ def validate_body(body: ConvexBody) -> None:
     for v in body.vertices:
         for h in body.halfspaces:
             if not h.contains(v):
-                raise GeometryError(f"vertex {v} violates halfspace {h}")
+                raise GeometryError(f"vertex {_vec_str(v)} violates halfspace {_halfspace_str(h)}")
         trank = _int_reduce([h.normal for h in body.halfspaces if h.is_tight(v)])[0]
         if trank < n:
-            raise GeometryError(f"vertex {v} is tight on a rank-{trank} set only")
+            raise GeometryError(f"vertex {_vec_str(v)} is tight on a rank-{trank} set only")
     tight = tuple(frozenset(i for i, v in enumerate(body.vertices) if h.is_tight(v))
                   for h in body.halfspaces)
     for h, t in zip(body.halfspaces, tight):
         if not t:
-            raise GeometryError(f"halfspace {h} is tight at no vertex")
+            raise GeometryError(f"halfspace {_halfspace_str(h)} is tight at no vertex")
     if body._cache.get("incidence", tight) != tight:
         raise GeometryError("cached incidence differs from the tight vertex sets")
     rebuilt = hull(body.vertices)
@@ -1285,6 +1294,16 @@ def validate_body(body: ConvexBody) -> None:
         raise GeometryError("vertex list is redundant")
     if rank == n and set(rebuilt.halfspaces) != set(body.halfspaces):
         raise GeometryError("halfspace list out of sync with the vertex hull")
+
+
+def _vec_str(v: Sequence) -> str:
+    """A vector as ``(p/q, ...)``, each entry by ``rat_str``."""
+    return f"({', '.join(map(rat_str, v))})"
+
+
+def _halfspace_str(h: HalfSpace) -> str:
+    """A halfspace as ``(a, ...) . x <= b``."""
+    return f"{_vec_str(h.normal)} . x <= {rat_str(h.offset)}"
 
 
 def body_from_json(data: dict) -> ConvexBody:

@@ -65,7 +65,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, prod
@@ -75,14 +74,18 @@ from .geometry import (ConcavePL, ConvexBody, GeometryError, _hull_rows, _nullsp
                        chebyshev_ball, sqrt_upper_bound)
 
 
-@dataclass(frozen=True)
 class PointCloud:
     """Finite subset of Z^n/k stored as integer numerator vectors over a shared k,
     sorted and distinct.  The producers hand it sorted, distinct points, which
-    it keeps after one O(n) check; other input is sorted once here."""
+    it keeps after one O(n) check; other input is sorted once here.  Frozen:
+    it hashes and compares as the tuple (denominator, points)."""
 
-    denominator: int
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ("denominator", "points")
+
+    def __init__(self, denominator: int, points: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "points", points)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.denominator < 1:
@@ -91,6 +94,17 @@ class PointCloud:
         if not all(map(lt, points, points[1:])):
             points = tuple(sorted(set(points)))
         object.__setattr__(self, "points", points)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a PointCloud")
+
+    def __eq__(self, other):
+        if other.__class__ is not PointCloud:
+            return NotImplemented
+        return self.denominator == other.denominator and self.points == other.points
+
+    def __hash__(self):
+        return hash((self.denominator, self.points))
 
     def __len__(self):
         return len(self.points)

@@ -20,9 +20,8 @@ import itertools
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .geometry import ConvexBody, body_from_json, hull, json_int, read_int
@@ -37,12 +36,17 @@ class LevelError(ModelError):
     """Requested level k is outside N(L) for this model."""
 
 
-@dataclass(frozen=True)
-class GapRow:
-    k: int
-    d_k: int
-    D_k: int
-    diff: int
+class GapRow(tuple):
+    """One row of ``gap_table``: the tuple (k, d_k, D_k, diff)."""
+
+    __slots__ = ()
+    k = property(itemgetter(0))
+    d_k = property(itemgetter(1))
+    D_k = property(itemgetter(2))
+    diff = property(itemgetter(3))
+
+    def __new__(cls, k: int, d_k: int, D_k: int, diff: int) -> "GapRow":
+        return tuple.__new__(cls, (k, d_k, D_k, diff))
 
 
 class GradedSeriesModel:

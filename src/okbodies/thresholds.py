@@ -38,12 +38,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, repeat
-from operator import mul, sub
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter, mul, sub
+from typing import Callable, Iterable, Optional, Sequence
 
 from .geometry import (
     AffineFunctional,
@@ -65,14 +64,20 @@ DEFAULT_TOL = Fraction(1, 10**9)
 INFINITE = math.inf  # sentinel ratio when S_{k,m} = 0
 
 
-@dataclass(frozen=True)
-class ValuationModel:
+class ValuationModel(tuple):
     """A valuation presented by its log discrepancy A > 0 (supplied data, never
-    computed here) and its concave transform G on the ambient body."""
+    computed here) and its concave transform G on the ambient body: the tuple
+    (label, A, G)."""
 
-    label: str
-    A: Fraction
-    G: ConcavePL
+    __slots__ = ()
+    label = property(itemgetter(0))
+    A = property(itemgetter(1))
+    G = property(itemgetter(2))
+
+    def __new__(cls, label: str, A: Fraction, G: ConcavePL) -> "ValuationModel":
+        v = tuple.__new__(cls, (label, A, G))
+        v.__post_init__()
+        return v
 
     @staticmethod
     def divisorial(label: str, ambient: ConvexBody) -> "ValuationModel":
@@ -84,12 +89,18 @@ class ValuationModel:
             raise ValueError("log discrepancy A must be positive")
 
 
-@dataclass(frozen=True)
-class JumpingVector:
-    """Non-increasing vanishing orders at one level (values are k * G(x))."""
+class JumpingVector(tuple):
+    """Non-increasing vanishing orders at one level (values are k * G(x)): the
+    tuple (k, values), whose ``len`` is that of its values."""
 
-    k: int
-    values: tuple[Fraction, ...]
+    __slots__ = ()
+    k = property(itemgetter(0))
+    values = property(itemgetter(1))
+
+    def __new__(cls, k: int, values: tuple[Fraction, ...]) -> "JumpingVector":
+        vec = tuple.__new__(cls, (k, values))
+        vec.__post_init__()
+        return vec
 
     def __post_init__(self):
         # tied neighbours share one Fraction, which needs no comparison
@@ -100,35 +111,41 @@ class JumpingVector:
     def _sorted(cls, k: int, values: tuple[Fraction, ...]) -> "JumpingVector":
         """The vector of values already non-increasing, as a score table's
         are, built without the order check of ``__post_init__``."""
-        vec = object.__new__(cls)
-        object.__setattr__(vec, "k", k)
-        object.__setattr__(vec, "values", values)
-        return vec
+        return tuple.__new__(cls, (k, values))
 
     def __len__(self):
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TailSpec:
+class TailSpec(tuple):
     """A solved quantile: position, top-atom mass, and the certified bracket
-    (a, b) of an inexact one (None when the quantile is exact)."""
+    (a, b) of an inexact one (None when the quantile is exact).  The tuple
+    (tau, quantile, atom_at_top, bracket)."""
 
-    tau: Fraction
-    quantile: Fraction
-    atom_at_top: Fraction
-    bracket: Optional[tuple[Fraction, Fraction]] = None
+    __slots__ = ()
+    tau = property(itemgetter(0))
+    quantile = property(itemgetter(1))
+    atom_at_top = property(itemgetter(2))
+    bracket = property(itemgetter(3))
+
+    def __new__(cls, tau: Fraction, quantile: Fraction, atom_at_top: Fraction,
+                bracket: Optional[tuple[Fraction, Fraction]]) -> "TailSpec":
+        return tuple.__new__(cls, (tau, quantile, atom_at_top, bracket))
 
     @property
     def exact(self) -> bool:
         return self.bracket is None
 
 
-@dataclass(frozen=True)
-class FamilyMeasure:
-    """Uniform empirical measure on a compatible family (atoms in R^n)."""
+class FamilyMeasure(tuple):
+    """Uniform empirical measure on a compatible family (atoms in R^n): the
+    1-tuple (atoms,)."""
 
-    atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
+    __slots__ = ()
+    atoms = property(itemgetter(0))
+
+    def __new__(cls, atoms: tuple[tuple[tuple[Fraction, ...], Fraction], ...]) -> "FamilyMeasure":
+        return tuple.__new__(cls, (atoms,))
 
     def mean(self) -> tuple[Fraction, ...]:
         n = len(self.atoms[0][0])
@@ -269,8 +286,9 @@ def Sbar_km(model: GradedSeriesModel, v: ValuationModel, k: int, m: int) -> Frac
 class VanishingOrders(tuple):
     """(S0, sigma) with attribute access."""
 
-    S0 = property(lambda s: s[0])
-    sigma = property(lambda s: s[1])
+    __slots__ = ()
+    S0 = property(itemgetter(0))
+    sigma = property(itemgetter(1))
 
 
 def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel) -> VanishingOrders:
@@ -284,16 +302,21 @@ def S0_and_sigma(model: GradedSeriesModel, v: ValuationModel) -> VanishingOrders
 # continuous ccdf / quantile machinery
 # ---------------------------------------------------------------------------
 
-class _Ccdf(NamedTuple):
-    """The ccdf F(t) = vol{G >= t} / vol of G on an ambient body: its
-    maximum s0, the top atom F(s0), and one (lo, hi, coefficients) piece per
-    polynomial of F on [0, s0]: F on [lo, hi] as ascending coefficients in
-    t, trailing zeros dropped.  The pieces end at 0, s0 and the knots of
-    ``_knot_terms`` between them where F changes polynomial."""
+class _Ccdf(tuple):
+    """The ccdf F(t) = vol{G >= t} / vol of G on an ambient body: the tuple
+    of its maximum s0, the top atom F(s0), and one (lo, hi, coefficients)
+    piece per polynomial of F on [0, s0]: F on [lo, hi] as ascending
+    coefficients in t, trailing zeros dropped.  The pieces end at 0, s0 and
+    the knots of ``_knot_terms`` between them where F changes polynomial."""
 
-    s0: Fraction
-    atom: Fraction
-    pieces: tuple[tuple[Fraction, Fraction, tuple[Fraction, ...]], ...]
+    __slots__ = ()
+    s0 = property(itemgetter(0))
+    atom = property(itemgetter(1))
+    pieces = property(itemgetter(2))
+
+    def __new__(cls, s0: Fraction, atom: Fraction,
+                pieces: tuple[tuple[Fraction, Fraction, tuple[Fraction, ...]], ...]) -> "_Ccdf":
+        return tuple.__new__(cls, (s0, atom, pieces))
 
 
 @lru_cache(maxsize=128)
@@ -572,18 +595,18 @@ def _quantile_spec(ambient: ConvexBody, g: ConcavePL, tau: Fraction, tol: Fracti
     (``_candidates``) with P(b) >= tau."""
     s0, atom, pieces = _ccdf_data(ambient, g)
     if tau <= atom:
-        return TailSpec(tau, s0, atom)
+        return TailSpec(tau, s0, atom, None)
     for lo, hi, coeffs in reversed(pieces):
         at_lo = _poly_eval(coeffs, lo)
         if at_lo < tau:
             continue
         root = lo if at_lo == tau else _exact_poly_root(coeffs, tau, lo, hi)
         if root is not None:
-            return TailSpec(tau, root, atom)
+            return TailSpec(tau, root, atom, None)
         grid = [lo, *(c for c in _candidates(ambient, g) if lo < c < hi), hi]
         i = next(i for i in range(len(grid) - 2, -1, -1) if _poly_eval(coeffs, grid[i]) >= tau)
         a, b = _bisect(coeffs, tau, grid[i], grid[i + 1], tol)  # P(a) >= tau > P(b)
-        return TailSpec(tau, (a + b) / 2, atom, bracket=(a, b))
+        return TailSpec(tau, (a + b) / 2, atom, (a, b))
     raise ValueError(f"F on [0, {s0}] never reaches tau={tau}: "
                      f"G is negative on part of the ambient, so F(0) < tau")
 

@@ -3,11 +3,14 @@ acceptance suite)."""
 
 import hashlib
 import itertools
+import math
 import random
+import statistics
 from fractions import Fraction as F
 
 import pytest
 
+import okbodies.cli as cli
 import okbodies.estimates as estimates
 import okbodies.geometry as geometry
 from okbodies.geometry import (AffineFunctional, ConcavePL, GeometryError, hull,
@@ -62,6 +65,40 @@ def test_rate_fit_constant_sentinel():
 def test_rate_fit_needs_samples():
     with pytest.raises(ValueError):
         rate_fit([(1, F(1))], 0)
+
+
+def test_rate_fit_is_statistics_linear_regression_bit_for_bit(monkeypatch):
+    """``rate_fit`` takes its least-squares line in the ``math.fsum`` steps of
+    ``statistics.linear_regression``, so its exponent is that slope to the
+    last bit, and its residual is read off that line: on seeded samples and
+    on every fit of a ``verify stwosided --k-max 12`` run."""
+    rng = random.Random(12)
+    cases = []
+    for _ in range(300):
+        limit = F(rng.randint(-5, 5), rng.randint(1, 7))
+        ks = sorted(rng.sample(range(1, 500), rng.randint(4, 30)))
+        cases.append(([(k, limit + F(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+                        / k ** rng.randint(0, 2)) for k in ks], limit))
+    seen = []
+    monkeypatch.setattr(estimates, "rate_fit", lambda samples, limit:
+                        seen.append((samples, limit)) or rate_fit(samples, limit))
+    assert cli.main(["verify", "stwosided", "--k-max", "12"]) == 0
+    fitted = 0
+    for samples, limit in cases + seen:
+        fit = rate_fit(samples, limit)
+        limit = geometry.rat(limit)
+        pts = [(k, abs(v - limit)) for k, v in samples if v != limit]
+        if len(pts) < 3:
+            assert fit.exponent == NEG_INF
+            continue
+        xs = [math.log(k) for k, _ in pts]
+        ys = [math.log(float(e)) for _, e in pts]
+        slope, intercept = statistics.linear_regression(xs, ys)
+        assert fit.exponent.hex() == slope.hex()
+        assert fit.residual == math.sqrt(
+            sum((y - (slope * x + intercept)) ** 2 for x, y in zip(xs, ys)) / len(xs))
+        fitted += 1
+    assert len(seen) > 0 and fitted > len(cases)
 
 
 # ---------------------------------------------------------------------------

@@ -151,6 +151,39 @@ def test_hull_3d_cube():
     validate_body(cube)
 
 
+def _broken_triangle(*halfspaces):
+    """The unit simplex's vertices with the given halfspaces, unsynced."""
+    return ConvexBody(2, UNIT_SIMPLEX.vertices,
+                      [HalfSpace.make(normal, offset) for normal, offset in halfspaces])
+
+
+def test_validate_body_names_vertices_and_halfspaces_by_rat_str():
+    """A broken body's message prints its vertex and halfspace as p/q text,
+    not as Fraction or tuple reprs."""
+    sides = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
+    with pytest.raises(GeometryError) as err:
+        validate_body(_broken_triangle(*sides, ((2, 0), 1)))
+    assert str(err.value) == "vertex (1, 0) violates halfspace (1, 0) . x <= 1/2"
+    with pytest.raises(GeometryError) as err:
+        validate_body(_broken_triangle(*sides, ((1, 0), 2)))
+    assert str(err.value) == "halfspace (1, 0) . x <= 2 is tight at no vertex"
+    with pytest.raises(GeometryError) as err:
+        validate_body(_broken_triangle(*sides[1:]))
+    assert str(err.value) == "vertex (0, 0) is tight on a rank-1 set only"
+    validate_body(_broken_triangle(*sides))
+
+
+def test_halfspaces_sort_by_normal_then_offset():
+    """A ``HalfSpace`` orders as its (normal, offset) tuple."""
+    rng = random.Random(23)
+    for n in (1, 2, 3, 4):
+        hs = [HalfSpace.make([rng.randint(-2, 2) for _ in range(n - 1)] + [rng.choice((-1, 1))],
+                             F(rng.randint(-9, 9), rng.randint(1, 4)))
+              for _ in range(60)]
+        assert sorted(hs) == sorted(hs, key=lambda h: (h.normal, h.offset))
+        assert len({h.normal for h in hs}) < len(set(hs))  # offsets break ties
+
+
 def test_hull_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hull([(0, 0), (1, 0, 0)])
@@ -194,12 +227,12 @@ def test_hull_primes_its_incidence(seed, n, flat):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 10**6), st.sampled_from([2, 3, 4]), st.booleans())
-def test_primed_sorts_halfspaces_in_dataclass_order(seed, n, flat):
-    """``_primed`` sorts its (halfspace, tight set) pairs by (normal, offset)
-    as plain tuples, the order of the dataclass ``HalfSpace.__lt__``: a hull
-    and a body primed again from its pairs shuffled, with a parallel copy of
-    one halfspace added, list them as ``sorted(..., key=itemgetter(0))``
-    does."""
+def test_primed_sorts_halfspaces_in_normal_offset_order(seed, n, flat):
+    """``_primed`` sorts its (halfspace, tight set) pairs by halfspace, and a
+    ``HalfSpace`` is the tuple (normal, offset), so by normal, then offset: a
+    hull and a body primed again from its pairs shuffled, with a parallel
+    copy of one halfspace added, list them as ``sorted(...,
+    key=itemgetter(0))`` does."""
     body = random_body(seed, n, flat)
     pairs = list(zip(body.halfspaces, body.incidence()))
     assert pairs == sorted(pairs, key=itemgetter(0))

@@ -1,10 +1,21 @@
 """The package surface: ``import okbodies`` and every name it exports."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter
+from fractions import Fraction as F
 from pathlib import Path
 
+import pytest
+
 import okbodies
+from okbodies.estimates import Assertion
+from okbodies.geometry import AffineFunctional, ConcavePL, HalfSpace, hull
+from okbodies.lattice import PointCloud
+from okbodies.series import GapRow
+from okbodies.thresholds import FamilyMeasure, JumpingVector, TailSpec, ValuationModel, _Ccdf
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "okbodies"
 
@@ -19,6 +30,68 @@ def test_every_name_in_all_resolves():
     # a name in __all__ that the package no longer binds raises AttributeError
     exec("from okbodies import *", {})
     assert len(set(okbodies.__all__)) == len(okbodies.__all__)
+
+
+def test_import_loads_no_dataclasses_inspect_or_statistics():
+    """``import okbodies, okbodies.cli`` in a fresh interpreter adds none of
+    ``dataclasses``, ``inspect`` and ``statistics`` to ``sys.modules``: every
+    command starts a fresh interpreter, and these cost each one its start-up.
+    Compared with the interpreter's own modules before the import, since
+    ``site`` loads some of its own."""
+    code = ("import sys; before = set(sys.modules); import okbodies, okbodies.cli; "
+            "new = set(sys.modules) - before; "
+            "print(*sorted({'dataclasses', 'inspect', 'statistics'} & new))")
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout.strip() == ""
+
+
+def test_no_module_imports_dataclasses_statistics_or_namedtuple():
+    trees, refs = _package_trees()
+    imported = {name for tree in trees.values() for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in [getattr(node, "module", None), *(a.name for a in node.names)]}
+    assert {"dataclasses", "statistics", "NamedTuple"} & (imported | set(refs)) == set()
+
+
+_TRIANGLE = hull([(0, 0), (3, 0), (0, 3)])
+_G = ConcavePL.make([AffineFunctional.make((1, 0), 0)], _TRIANGLE)
+_G2 = ConcavePL.make([AffineFunctional.make((0, 1), 1)], hull([(0, 0), (1, 0), (0, 1)]))
+
+# each record type, its field names, and two field tuples that differ in every field
+RECORDS = [
+    (HalfSpace, ("normal", "offset"), ((1, 0), F(1, 2)), ((0, 1), F(1, 3))),
+    (AffineFunctional, ("gradient", "constant"), ((F(1), F(0)), F(0)), ((F(0), F(1)), F(2))),
+    (ConcavePL, ("pieces", "domain"), (_G.pieces, _TRIANGLE), (_G2.pieces, _G2.domain)),
+    (GapRow, ("k", "d_k", "D_k", "diff"), (3, 8, 10, 2), (4, 9, 12, 3)),
+    (ValuationModel, ("label", "A", "G"), ("D1", F(1), _G), ("D2", F(2), _G2)),
+    (JumpingVector, ("k", "values"), (2, (F(2), F(1))), (3, (F(2), F(2)))),
+    (TailSpec, ("tau", "quantile", "atom_at_top", "bracket"), (F(1, 2), F(1), F(0), None),
+     (F(1, 3), F(2), F(1, 9), (F(1), F(3)))),
+    (FamilyMeasure, ("atoms",), ((((F(0), F(0)), F(1)),),), ((((F(1), F(0)), F(1)),),)),
+    (Assertion, ("name", "passed", "witness"), ("bound", True, None), ("rate", False, "w")),
+    (_Ccdf, ("s0", "atom", "pieces"), (F(3), F(0), ((F(0), F(3), (F(1), F(-2, 3))),)),
+     (F(2), F(1, 2), ())),
+    (PointCloud, ("denominator", "points"), (2, ((0, 0), (1, 0))), (3, ((0, 0), (1, 1)))),
+]
+
+
+@pytest.mark.parametrize("cls, names, fields, other", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_records_hash_compare_and_freeze_as_their_field_tuples(cls, names, fields, other):
+    """A record hashes as the tuple of its fields, the hash of the frozen
+    dataclass it replaces, so set and dict orders hold; it equals another
+    exactly when every field is equal; and no field can be assigned."""
+    record = cls(*fields)
+    assert tuple(getattr(record, name) for name in names) == fields
+    assert hash(record) == hash(fields)
+    assert record == cls(*fields)
+    for i in range(len(fields)):
+        assert record != cls(*fields[:i], other[i], *fields[i + 1:])
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(record, name, getattr(record, name))
 
 
 def _package_trees():

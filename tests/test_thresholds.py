@@ -1428,6 +1428,24 @@ def test_jumping_vector_rejects_an_increase():
             JumpingVector(1, values)
 
 
+def test_valuation_model_rejects_a_nonpositive_log_discrepancy():
+    g = first_coordinate_transform(hull([(0,), (1,)]))
+    assert ValuationModel("v", F(1, 3), g).A == F(1, 3)
+    for A in (F(0), F(-1, 2)):
+        with pytest.raises(ValueError, match="log discrepancy A must be positive"):
+            ValuationModel("v", A, g)
+
+
+def test_tail_spec_is_exact_exactly_without_a_bracket():
+    assert thresholds.TailSpec(F(1, 2), F(1), F(0), None).exact
+    assert not thresholds.TailSpec(F(1, 2), F(1), F(0), (F(1), F(1) + F(1, 2**30))).exact
+    g = first_coordinate_transform(hull([(0, 0), (3, 0), (0, 3)]))
+    model = ToricModel(g.domain)
+    specs = [quantile(model, ValuationModel("v", F(1), g), tau) for tau in (F(1, 9), F(1, 2))]
+    assert [spec.exact for spec in specs] == [True, False]
+    assert [spec.bracket is None for spec in specs] == [True, False]
+
+
 def test_library_jumping_vectors_skip_the_order_check(monkeypatch):
     """``jumping_numbers`` and ``idealized_jumping`` read an already sorted
     score table and run no order check, and each vector equals the checked
