@@ -479,9 +479,10 @@ def verify_cone_counts(B: ConvexBody, a, b, V: Sequence, k_range: Sequence[int])
         t = b - Fraction(ell, k) * (b - a)
         cut = superlevel(cone, g, t)
         cnt = count(cut, k)
-        shift = tuple((t - a) / (b - t) * c for c in V) if t != b else None
-        translated = count(scale_translate(cone, 1, shift), ell) if shift else None
-        if translated is not None and translated != cnt:
+        # t < b, as l_k >= 1 and a < b (``apex_cone``)
+        shift = tuple((t - a) / (b - t) * c for c in V)
+        translated = count(scale_translate(cone, 1, shift), ell)
+        if translated != cnt:
             exact_fail += 1
             report.check("superlevel count equals translated-cone count", False,
                          {"k": k, "l": ell, "count": cnt, "translated": translated})
@@ -531,14 +532,13 @@ def _slice_dimension(B: ConvexBody, b: Fraction) -> int:
 # blow-up estimate for the quantum maximum
 # ---------------------------------------------------------------------------
 
-def verify_maxp1(model: GradedSeriesModel, k_range: range,
-                 iota: Optional[int] = None) -> SweepReport:
+def verify_maxp1(model: GradedSeriesModel, k_range: range, iota: int) -> SweepReport:
     """Gap of the quantum maximum against the plus-body lattice count.
 
     Checks 0 <= max_ambient p1 - max_{Delta_k} p1, that the plus-body count is
     positive whenever the gap is, and fits the smallest C with
     (gap * k)^n <= C^n * plus_count across the sweep (reported, with
-    two-halves stability as the boundedness proxy). With a declared iota the
+    two-halves stability as the boundedness proxy). For iota < n the
     improved exponent n - iota is fitted as well.
     """
     n = model.ambient.dim
@@ -559,7 +559,7 @@ def verify_maxp1(model: GradedSeriesModel, k_range: range,
         if gap > 0 and plus > 0:
             ks_pos.append(k)
             cn_vals.append((gap * k) ** n / plus)
-            if iota is not None and iota < n:
+            if iota < n:
                 # improved blow-up rate: gap <= C k^{-1/(n-iota)}
                 cn_improved.append(gap ** (n - iota) * k)
         report.rows.append({"k": k, "max_ambient": top_amb, "max_quantum": top_disc,
@@ -579,12 +579,11 @@ def verify_maxp1(model: GradedSeriesModel, k_range: range,
 
 
 def _plus_body_count(model: GradedSeriesModel, k: int, quantum_max: Fraction) -> int:
-    """# of idealized lattice points strictly above the quantum maximum
-    (threshold quantum_max + 1/(2k): any epsilon in (0,1/k) gives the same set),
-    a suffix sum of the level's column counts (``GradedSeriesModel._columns``)."""
-    # z1/k >= threshold  <=>  z1 >= ceil(k * threshold), z1 an integer
-    cut = math.ceil(k * (quantum_max + Fraction(1, 2 * k)))
-    return sum(n for z, n in model._columns(k).items() if z >= cut)
+    """# of idealized lattice points strictly above the quantum maximum: a
+    suffix sum of the level's column counts (``GradedSeriesModel._columns``),
+    over the columns z1 > k * quantum_max, the top column of Delta_k."""
+    top = k * quantum_max
+    return sum(n for z, n in model._columns(k).items() if z > top)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +794,7 @@ P1XP1_LEVEL_SETS = {
 }
 
 
-def verify_weierstrass(k_max: int = 30) -> SweepReport:
+def verify_weierstrass(k_max: int) -> SweepReport:
     """Exact reproduction of the curve/canonical/ruled-surface gap data plus
     the gap-sequence round trip, exhaustive through genus 6."""
     genus_max = 6

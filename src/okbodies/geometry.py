@@ -13,19 +13,22 @@ of its points once, and builds every full-dimensional hull from the sorted,
 distinct rows: by Andrew's monotone chain for polygons (n = 2), and by one
 incremental beneath-beyond hull in exact integers in every other dimension
 n >= 1.  ``intersect_halfspace`` forms its crossing points as integer rows
-from the parent's (D, Z).  Every body from these constructors comes with
-its (D, Z), affine rank and vertex-facet incidence already cached, and
-builds its Fraction vertex tuples on the first read of ``vertices``.  Tight sets,
-the sign tests and crossings of clipping, and affine ranks read (D, Z), so
-they compare and eliminate exact ints instead of summing Fractions; a clip
-that cuts a body reads its tight sets and rank off the parent's incidence
-and rank instead.
+from the parent's (D, Z).  Every body comes with its (D, Z), affine rank
+and vertex-facet incidence already cached: ``ConvexBody(...)`` computes
+them from its vertices and halfspaces, and the exact constructors seed them
+(``_primed``) and build their Fraction vertex tuples on the first read of
+``vertices``.  Tight sets, the sign tests and crossings of clipping, and
+affine ranks read (D, Z), so they compare and eliminate exact ints instead
+of summing Fractions; a clip that cuts a body reads its tight sets and rank
+off the parent's incidence and rank instead.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the
 Gaussian elimination of this module: every rank, pivot set and nullspace
-here reads it.  Two solvers live elsewhere: ``thresholds._meet`` solves for
-a point by Cramer's rule over ``_det``, and ``lattice._column_reduction``
-reduces integer rows by extended-gcd column operations.
+here reads it, except the facet normals of ``_hull_full``, which are
+cofactor minors over ``_det``.  Two solvers live elsewhere:
+``thresholds._meet`` solves for a point by Cramer's rule over ``_det``, and
+``lattice._column_reduction`` reduces integer rows by extended-gcd column
+operations.
 The inscribed-ball LP ``_simplex_max`` pivots a condensed fraction-free integer
 dictionary the same way (one column per nonbasic variable, no slack block,
 Bland's rule by variable label, one exact division per update), and volumes and
@@ -375,8 +378,10 @@ class ConvexBody:
 
     Lower-dimensional bodies are first-class values (their halfspace list then
     carries equality pairs for the affine hull); the empty body is represented
-    by an empty vertex list.  A body from the exact constructors
-    (``_primed``) builds its vertex tuples from (D, Z) on first read.
+    by an empty vertex list.  Every body is primed: its integer vertex form,
+    affine rank and vertex-facet incidence are cached when it is built, here
+    from its vertices and halfspaces, and by ``_primed`` for the exact
+    constructors, whose Fraction vertex tuples alone wait for their first read.
     """
 
     __slots__ = ("dim", "_vertices", "halfspaces", "_cache")
@@ -385,10 +390,12 @@ class ConvexBody:
         self.dim = dim
         self._vertices: tuple[Vec, ...] | None = tuple(sorted(set(vertices)))
         self.halfspaces: tuple[HalfSpace, ...] = tuple(sorted(set(halfspaces)))
-        self._cache: dict = {}
         for v in self._vertices:
             if len(v) != dim:
                 raise DimensionMismatch(f"vertex {v} not in R^{dim}")
+        D, Z = _int_form(self._vertices)
+        self._cache: dict = {"int_form": (D, Z), "arank": _affine_rank(Z)[0],
+                             "incidence": tuple(_tight_set(h, D, Z) for h in self.halfspaces)}
 
     # -- basic queries ------------------------------------------------------
 
@@ -403,19 +410,14 @@ class ConvexBody:
 
     @property
     def is_empty(self) -> bool:
-        v = self._vertices
-        return not (self._cache["int_form"][1] if v is None else v)
+        return not self._cache["int_form"][1]
 
     def int_form(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """The integer vertex form (D, Z) of ``_int_form``: seeded by the exact
-        constructors (``hull``, ``intersect_halfspace``), else computed once."""
-        if "int_form" not in self._cache:
-            self._cache["int_form"] = _int_form(self.vertices)
+        """The integer vertex form (D, Z) of ``_int_form``, cached when the
+        body is built."""
         return self._cache["int_form"]
 
     def affine_rank(self) -> int:
-        if "arank" not in self._cache:
-            self._cache["arank"] = _affine_rank(self.int_form()[1])[0]
         return self._cache["arank"]
 
     def is_full_dim(self) -> bool:
@@ -430,9 +432,6 @@ class ConvexBody:
 
     def incidence(self) -> tuple[frozenset[int], ...]:
         """For each halfspace, the indices of the vertices tight on it."""
-        if "incidence" not in self._cache:
-            D, Z = self.int_form()
-            self._cache["incidence"] = tuple(_tight_set(h, D, Z) for h in self.halfspaces)
         return self._cache["incidence"]
 
     def __eq__(self, other) -> bool:
@@ -1263,16 +1262,16 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
 # ---------------------------------------------------------------------------
 
 def validate_body(body: ConvexBody) -> None:
-    """Check representation sync, and a cached integer vertex form, affine rank
-    and incidence against the vertices and tight sets; raises GeometryError on
-    violation."""
+    """Check representation sync, and the cached integer vertex form, affine
+    rank and incidence against the vertices and tight sets; raises
+    GeometryError on violation."""
     if body.is_empty:
         return
     D, Z = _int_form(body.vertices)
-    if body._cache.get("int_form", (D, Z)) != (D, Z):
+    if body.int_form() != (D, Z):
         raise GeometryError("cached integer vertex form differs from the vertices")
     rank = _affine_rank(Z)[0]
-    if body._cache.get("arank", rank) != rank:
+    if body.affine_rank() != rank:
         raise GeometryError("cached affine rank differs from the vertices")
     n = body.dim
     for v in body.vertices:
@@ -1287,7 +1286,7 @@ def validate_body(body: ConvexBody) -> None:
     for h, t in zip(body.halfspaces, tight):
         if not t:
             raise GeometryError(f"halfspace {_halfspace_str(h)} is tight at no vertex")
-    if body._cache.get("incidence", tight) != tight:
+    if body.incidence() != tight:
         raise GeometryError("cached incidence differs from the tight vertex sets")
     rebuilt = hull(body.vertices)
     if rebuilt.vertices != body.vertices:

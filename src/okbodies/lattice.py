@@ -17,7 +17,8 @@ for a full-dimensional P' in R^r, so count(P, k) = count(P', k) when k c is
 integral and 0 otherwise, and the points of P are those of P' mapped back.
 ``count`` then picks its kernel by affine rank alone:
 - rank 0, a point: 1 or 0;
-- rank 1, an interval;
+- rank 1, an interval: its two halfspaces are its box, so it is one range
+  read off the scaled box of ``_lattice_form``;
 - rank 2, a polygon: its two chains of edges, flat (``_chain_form``, built
   once per body from its vertices and incidence).  The vertices split its
   rows into one run per facet of its upper and lower chain, each run one
@@ -55,10 +56,9 @@ each slab evaluates one bound per side.
 Every envelope is the minimum of lines over a range of integers: the y-lines
 of a slab, the upper bounds on x, and the lower bounds on x as the minimum of
 their negations.  A line's slope depends only on the body, so each body
-sorts its lines by slope once (``_line_form``, ``_slab_form``), and one
-stack pass over that order finds the runs of the envelope
-(``_envelope_runs``): O(m + runs) per envelope of m lines, and one
-``floor_sum`` per run of a y-envelope.
+sorts its lines by slope once (``_slab_form``), and one stack pass over
+that order finds the runs of the envelope (``_envelope_runs``): O(m + runs)
+per envelope of m lines, and one ``floor_sum`` per run of a y-envelope.
 """
 
 from __future__ import annotations
@@ -282,49 +282,22 @@ def _envelope_floors(lines, x0: int, x1: int) -> list[int]:
             for x in range(start, end)]
 
 
-def _line_form(body: ConvexBody):
-    """The y-lines of the 2-D slabs of a body of dimension n >= 3
-    (``_slab_sum``), each side in ``_by_slope`` order, cached next to
-    ``_lattice_form``.  x and y are the
-    last two axes and the outer axes the n - 2 before them.  A line's
-    right-hand side at level k is read off the level's scaled offsets c:
-    c[0] = hi_x, c[1] = -lo_x, c[2] = hi_y, c[3] = -lo_y, then the
-    constraints of the x-level and of the y-level in order.
-
-    ``upper`` and ``lower`` hold (a, q, r, i): y <= (p + q x) / r, or
-    -y <= (p + q x) / r, with p = c[i] - a.outer.  Only p depends on k and
-    on the outer prefix, so the slope order q / r is the body's.
-    """
-    if "lines" not in body._cache:
-        _, _, levels = _lattice_form(body)
-        x = body.dim - 2
-        y = x + 1
-        zero = (0,) * x
-        upper, lower = [(zero, 0, 1, 2)], [(zero, 0, 1, 3)]
-        first_y = 4 + len(levels[x])
-        for j, (a, _, _) in enumerate(levels[y]):
-            (upper if a[y] > 0 else lower).append((a[:x], -a[x], abs(a[y]), first_y + j))
-        body._cache["lines"] = tuple(_by_slope(side, lambda line: line[1:3])
-                                     for side in (upper, lower))
-    return body._cache["lines"]
-
-
-def _offsets(lo, hi, levels, x: int) -> list[int]:
-    """The scaled offsets c of one level that ``_line_form`` and ``_slab_form``
-    index: the x- and y-box, then the constraints of the x- and y-level."""
-    y = x + 1
-    return [hi[x], -lo[x], hi[y], -lo[y],
-            *(cj for _, cj in levels[x]), *(cj for _, cj in levels[y])]
-
-
 def _slab_form(body: ConvexBody):
     """The k-free bounds of the 2-D slabs of a body of dimension n >= 3, cached
-    next to ``_lattice_form``: the y-lines ``upper`` and ``lower`` of
-    ``_line_form``, then every bound on x, each a bound s x >= A.outer - B
-    with B = w_1 c[i_1] + w_2 c[i_2] on the offsets c of ``_line_form``: the
-    x-box, each x-constraint, and each (upper, lower) pair of y-lines, whose
-    rows are empty unless (p_u + q_u x) / r_u + (p_l + q_l x) / r_l >= 0,
-    i.e. s = q_u r_l + q_l r_u, A = a_u r_l + a_l r_u and B = c_u r_l + c_l r_u.
+    next to ``_lattice_form``.  x and y are the last two axes and the outer
+    axes the n - 2 before them.  A bound's right-hand side at level k is read
+    off the level's scaled offsets c: c[0] = hi_x, c[1] = -lo_x, c[2] = hi_y,
+    c[3] = -lo_y, then the constraints of the x-level and of the y-level in
+    order.
+
+    First the y-lines ``upper`` and ``lower``, each side in ``_by_slope``
+    order, as (a, q, r, i): y <= (p + q x) / r, or -y <= (p + q x) / r, with
+    p = c[i] - a.outer.  Only p depends on k and on the outer prefix, so the
+    slope order q / r is the body's.  Then every bound on x, each a bound
+    s x >= A.outer - B with B = w_1 c[i_1] + w_2 c[i_2]: the x-box, each
+    x-constraint, and each (upper, lower) pair of y-lines, whose rows are
+    empty unless (p_u + q_u x) / r_u + (p_l + q_l x) / r_l >= 0, i.e.
+    s = q_u r_l + q_l r_u, A = a_u r_l + a_l r_u and B = c_u r_l + c_l r_u.
     Only B depends on k.  The bounds are kept as (A, |s|, w_1, i_1, w_2, i_2)
     in three groups: lower bounds on x (s > 0), upper bounds on x (s < 0) and
     flat bounds (s = 0), which read A.outer <= B and bound the outer axes
@@ -335,9 +308,14 @@ def _slab_form(body: ConvexBody):
     """
     if "slabs" not in body._cache:
         _, _, levels = _lattice_form(body)
-        upper, lower = _line_form(body)
         x = body.dim - 2
+        y = x + 1
         zero = (0,) * x
+        upper, lower = [(zero, 0, 1, 2)], [(zero, 0, 1, 3)]
+        first_y = 4 + len(levels[x])
+        for j, (a, _, _) in enumerate(levels[y]):
+            (upper if a[y] > 0 else lower).append((a[:x], -a[x], abs(a[y]), first_y + j))
+        upper, lower = (_by_slope(side, lambda line: line[1:3]) for side in (upper, lower))
         bounds = [(1, zero, 1, 1, 0, 0), (-1, zero, 1, 0, 0, 0)]
         bounds += [(-a[x], a[:x], 1, 4 + j, 0, 0) for j, (a, _, _) in enumerate(levels[x])]
         bounds += [(qu * rl + ql * ru, tuple(u * rl + l * ru for u, l in zip(au, al)),
@@ -368,7 +346,8 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
     """
     upper, lower, x_lower, x_upper, flat = _slab_form(body)
     x = body.dim - 2
-    c = _offsets(lo, hi, levels, x)
+    y = x + 1
+    c = [hi[x], -lo[x], hi[y], -lo[y], *(cj for _, cj in levels[x]), *(cj for _, cj in levels[y])]
     outer = [list(group) for group in levels[:x]]
     for A, _, w1, i1, w2, i2 in flat:
         B = w1 * c[i1] + w2 * c[i2]
@@ -762,35 +741,37 @@ def count(body: ConvexBody, k: int) -> int:
     vertex and one floor sum per facet that owns a row, O(m log k), and a
     3-D body sums the totals of its slabs (``_slab_counts``), one floor sum
     per facet run of each slab, O(k (b + t log k)) for b breakpoints per
-    slab, t of them ending a nonempty run.  The chains are built once, in O(m log m) for a polygon
-    and O(F^2 + L F log F) for F facets and L vertex levels in 3-D.  A flat
-    body of affine rank r is the full-dimensional body P' of its chart
-    (``_chart``, built once per body in O(n^3) integer operations and one
-    r-dimensional hull), counted the same way: a point is 1 or 0, an
-    interval one range, and ranks 2 and 3 take the chains.  Only a
-    full-dimensional 4-D body lists the integer prefixes of its first two
-    axes with the walk ``enumerate_points`` runs over all n and counts each
-    slab from its constraint lines (``_slab_sum``): one stack pass per slab
-    and side and one floor sum per envelope run, after the body's pair
-    bounds and slope orders are built once, in O(m^2 log m) for m
-    constraints.
+    slab, t of them ending a nonempty run.  The chains are built once, in
+    O(m log m) for a polygon and O(F^2 + L F log F) for F facets and L
+    vertex levels in 3-D.  A flat body of affine rank r is the
+    full-dimensional body P' of its chart (``_chart``, built once per body
+    in O(n^3) integer operations and one r-dimensional hull), counted the
+    same way: a point is 1 or 0, an interval the range of its scaled box,
+    and ranks 2 and 3 take the chains.  Only a full-dimensional 4-D body
+    lists the integer prefixes of its first two axes with the walk
+    ``enumerate_points`` runs over all n and counts each slab from its
+    constraint lines (``_slab_sum``): one stack pass per slab and side and
+    one floor sum per envelope run, after the body's pair bounds and slope
+    orders are built once, in O(m^2 log m) for m constraints.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     if body.is_empty:
         return 0
-    if body.dim in (2, 3) and body.affine_rank() == body.dim:
-        return _polygon_count(body, k) if body.dim == 2 else sum(_slab_counts(body, k).values())
     if not body.is_full_dim():
         period, image, _, _ = _chart(body)
         if k % period:
             return 0
         return 1 if image is None else count(image, k)
-    lo, hi, levels = _scaled_constraints(body, k)
     if body.dim == 1:
-        lo_j, hi_j = _interval(lo[0], hi[0], levels[0], ())
-        return max(0, hi_j - lo_j + 1)
-    return _slab_sum(body, lo, hi, levels)
+        # an interval's two halfspaces are its box
+        D, ((lo, hi),), _ = _lattice_form(body)
+        return max(0, (k * hi) // D - _ceil_div(k * lo, D) + 1)
+    if body.dim == 2:
+        return _polygon_count(body, k)
+    if body.dim == 3:
+        return sum(_slab_counts(body, k).values())
+    return _slab_sum(body, *_scaled_constraints(body, k))
 
 
 def slab_bound(body: ConvexBody, k: int) -> int:

@@ -104,7 +104,6 @@ combinations that hold a piece row, must match tuple for tuple.
 """
 
 import itertools
-import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -551,10 +550,9 @@ def oracle_sorted_scores(model, g, k: int):
 
 
 def oracle_plus_body_count(model, k: int, quantum_max: Fraction) -> int:
-    """# of idealized lattice points z with z1 >= ceil(k quantum_max + 1/2),
-    point by point."""
-    cut = math.ceil(k * (quantum_max + Fraction(1, 2 * k)))
-    return sum(1 for z in model.idealized_body(k).points if z[0] >= cut)
+    """# of idealized lattice points strictly above the quantum maximum, z1 / k
+    > quantum_max, point by point."""
+    return sum(1 for z in model.idealized_body(k).points if Fraction(z[0], k) > quantum_max)
 
 
 def oracle_jumping_values(table) -> tuple[Fraction, ...]:

@@ -403,14 +403,14 @@ def test_verify_maxp1_canonical():
 
 def test_verify_maxp1_toric_zero_gap():
     model = ToricModel(UNIT_SIMPLEX)
-    rep = verify_maxp1(model, range(1, 15))
+    rep = verify_maxp1(model, range(1, 15), iota=0)  # p1 tops out at the vertex (1, 0)
     assert rep.passed
     assert all(row["gap"] == 0 for row in rep.rows)
 
 
 def test_verify_maxp1_top_column():
     model = top_column_gap_model()
-    rep = verify_maxp1(model, range(1, 25))
+    rep = verify_maxp1(model, range(1, 25), iota=1)  # p1 tops out on the edge x1 = 1
     assert rep.passed
     for row in rep.rows:
         k = row["k"]
@@ -519,7 +519,7 @@ def test_level_sweeps_visit_only_the_levels_of_the_model(monkeypatch):
     for sweep in (lambda: verify_S_two_sided_sweeps(model, v, [(F(1, 2), half)], ks)[0],
                   lambda: verify_endpoint_limits(model, v, ks),
                   lambda: verify_delta_rate(model, [v], F(1, 2), half, ks),
-                  lambda: verify_maxp1(model, ks)):
+                  lambda: verify_maxp1(model, ks, iota=0)):
         calls.clear()
         rep = sweep()
         assert {row["k"] for row in rep.rows} == {3, 7}

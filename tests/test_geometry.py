@@ -5,7 +5,7 @@ import random
 import sys
 from fractions import Fraction
 from fractions import Fraction as F
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 from operator import itemgetter, mul
 from unittest import mock
 
@@ -171,6 +171,34 @@ def test_validate_body_names_vertices_and_halfspaces_by_rat_str():
         validate_body(_broken_triangle(*sides[1:]))
     assert str(err.value) == "vertex (0, 0) is tight on a rank-1 set only"
     validate_body(_broken_triangle(*sides))
+
+
+def assert_primed(body):
+    """A body's integer vertex form, affine rank and incidence, read from its
+    cache before any query, equal their recomputation from its vertices and
+    halfspaces by Fraction arithmetic."""
+    cached = [body._cache[key] for key in SEEDED]
+    vertices = body.vertices
+    D = lcm(1, *(c.denominator for v in vertices for c in v))
+    assert cached == [(D, tuple(tuple(int(c * D) for c in v) for v in vertices)),
+                      affine_rank(vertices), tight_sets(body)]
+
+
+def test_a_hand_built_body_is_primed_with_redundant_halfspaces():
+    """``ConvexBody(dim, vertices, halfspaces)`` seeds its integer form, affine
+    rank and incidence, a redundant halfspace tight at one vertex or at none
+    included, as the exact constructors do."""
+    sides = [((-1, 0), 0), ((0, -1), 0), ((1, 1), 1)]
+    # the vertices sort as (0, 0), (0, 1), (1, 0), the normals as (-1, 0),
+    # (0, -1), (1, 0), (1, 1)
+    for extra, tight in ((((1, 0), 1), {2}), (((1, 0), 2), set())):
+        body = _broken_triangle(*sides, extra)
+        assert_primed(body)
+        assert body.incidence() == ({0, 1}, {0, 2}, tight, {1, 2})
+        assert body.int_form() == (1, ((0, 0), (0, 1), (1, 0))) and body.affine_rank() == 2
+    for body in (_broken_triangle(*sides), scale_translate(UNIT_SIMPLEX, F(3, 2), (F(1, 2), -1))):
+        assert_primed(body)
+        validate_body(body)
 
 
 def test_halfspaces_sort_by_normal_then_offset():
@@ -1670,7 +1698,9 @@ def check_lazy_vertices(body):
     eager = tuple(tuple(F(c, D) for c in z) for z in Z)
     assert body.vertices == eager
     assert body.vertices is body._vertices
-    assert ConvexBody(body.dim, eager, body.halfspaces).vertices == eager
+    rebuilt = ConvexBody(body.dim, eager, body.halfspaces)
+    assert rebuilt.vertices == eager
+    assert [rebuilt._cache[key] for key in SEEDED] == [body._cache[key] for key in SEEDED]
     assert geometry._int_form(eager) == (D, Z)
 
 
@@ -1701,6 +1731,18 @@ def test_lazy_vertices_of_a_point_and_the_empty_body():
     square = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
     assert repr(square) == "ConvexBody(dim=2, vertices=4, halfspaces=4)"
     assert not square.is_empty and square._vertices is None
+    # built by hand, a point and the empty body are primed too
+    point = ConvexBody(2, [(F(1, 3), F(2, 3))], [HalfSpace.make(w, c) for w, c in (
+        ((1, 0), F(1, 3)), ((-1, 0), F(-1, 3)), ((0, 1), F(2, 3)), ((0, -1), F(-2, 3)))])
+    assert_primed(point)
+    assert (point.int_form(), point.affine_rank(), point.incidence()) == (
+        (3, ((1, 2),)), 0, (frozenset({0}),) * 4)
+    validate_body(point)
+    for n in (1, 3):
+        empty = geometry.empty_body(n)
+        assert_primed(empty)
+        assert (empty.int_form(), empty.affine_rank(), empty.incidence()) == ((1, ()), -1, ())
+        assert empty.is_empty and repr(empty) == f"ConvexBody(dim={n}, empty)"
 
 
 def test_duplicate_pieces_count_once():

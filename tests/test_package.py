@@ -208,6 +208,16 @@ def _parameters_and_calls(*scanned):
     return params, calls
 
 
+def _gated_parameters_and_calls():
+    """The params of ``_parameters_and_calls(ACCEPTANCE)``, and its calls
+    grouped by callee: a list of slot dicts per name."""
+    params, calls = _parameters_and_calls(ACCEPTANCE)
+    by_callee = {}
+    for callee, slots in calls:
+        by_callee.setdefault(callee, []).append(slots)
+    return params, by_callee
+
+
 def test_every_defaulted_parameter_is_set_by_some_caller():
     """A parameter with a default that no call in the package or the
     benchmark passes, or passes only on from such a parameter, holds one
@@ -236,10 +246,7 @@ def test_no_parameter_is_passed_one_literal_by_every_call():
     path: make the value a constant, and let a test that needs another
     value build it directly.  Only a call that names the function is seen;
     a parameter no such call reaches is the previous test's."""
-    params, calls = _parameters_and_calls(ACCEPTANCE)
-    by_callee = {}
-    for callee, slots in calls:
-        by_callee.setdefault(callee, []).append(slots)
+    params, by_callee = _gated_parameters_and_calls()
     single = []
     for (where, arg), (callee, i, default) in params.items():
         passed = [slots.get(i, slots.get(arg, (default, None)))[0]
@@ -248,3 +255,18 @@ def test_no_parameter_is_passed_one_literal_by_every_call():
         if passed and len(literals) == 1 and all(isinstance(v, ast.Constant) for v in passed):
             single.append(f"{where}({arg})")
     assert sorted(single) == []
+
+
+def test_no_defaulted_parameter_is_passed_by_every_call():
+    """A parameter with a default that every call in the package, the
+    benchmark and the acceptance criteria passes explicitly, by position or
+    by keyword, never takes its default on a gated path: the default is
+    dead, so drop it and let each caller say what it means.  Only a call
+    that names the function is seen; a parameter no such call reaches is
+    ``test_every_defaulted_parameter_is_set_by_some_caller``'s."""
+    params, by_callee = _gated_parameters_and_calls()
+    explicit = [f"{where}({arg})" for (where, arg), (callee, i, default) in params.items()
+                if default and by_callee.get(callee)
+                and all((i is not None and i in slots) or arg in slots
+                        for slots in by_callee[callee])]
+    assert sorted(explicit) == []

@@ -331,9 +331,9 @@ def test_maxp1_builds_no_delta_k(monkeypatch):
     level alone."""
     monkeypatch.setattr(series.GradedSeriesModel, "discrete_body",
                         lambda *args: pytest.fail("discrete_body called"))
-    for model in (CanonicalCurveModel(3), top_column_gap_model(), plane_quartic_model("hyperflex"),
-                  ToricModel(UNIT_SIMPLEX)):
-        rep = verify_maxp1(model, range(1, 13))
+    for model, iota in ((CanonicalCurveModel(3), 0), (top_column_gap_model(), 1),
+                        (plane_quartic_model("hyperflex"), 0), (ToricModel(UNIT_SIMPLEX), 0)):
+        rep = verify_maxp1(model, range(1, 13), iota)
         assert len(rep.rows) == 12 and rep.passed
 
 
