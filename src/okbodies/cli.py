@@ -198,15 +198,18 @@ def cmd_body(args) -> int:
     if args.k is not None and (slabs := slab_bound(body, args.k)) > MAX_COUNT_SLABS:
         raise InputError(f"--k {args.k} needs {slabs} slab counts, "
                          f"above the limit of {MAX_COUNT_SLABS}")
-    center, radius = chebyshev_ball(body)
     out = {
         "dim": body.dim,
         "vertices": len(body.vertices),
         "volume": rat_str(volume(body)),
-        "barycenter": [rat_str(c) for c in barycenter(body)],
-        "chebyshev_center": [rat_str(c) for c in center],
-        "chebyshev_radius_lb": rat_str(radius),
     }
+    # a flat body has no barycenter or inscribed ball: with --k it reports
+    # its volume 0 and its count, and without it is a domain error
+    if args.k is None or body.is_full_dim():
+        center, radius = chebyshev_ball(body)
+        out["barycenter"] = [rat_str(c) for c in barycenter(body)]
+        out["chebyshev_center"] = [rat_str(c) for c in center]
+        out["chebyshev_radius_lb"] = rat_str(radius)
     if args.k is not None:
         out["k"] = args.k
         out["count"] = count(body, args.k)
@@ -391,13 +394,7 @@ def _suite_reports(suite: str, k_max: int, seed: int):
     elif suite == "weierstrass":
         yield estimates.verify_weierstrass(k_max=max(k_max, 10))
     elif suite == "all":
-        # holding the suite sampler while ehrhart, lowerbound and concave run
-        # makes one draw serve all three; dropping it after them frees its bodies
-        shared = estimates.suite_sampler(seed)
-        for name in SUITES[:3]:
-            yield from _suite_reports(name, k_max, seed)
-        del shared
-        for name in SUITES[3:-1]:
+        for name in SUITES[:-1]:
             yield from _suite_reports(name, k_max, seed)
     else:
         raise InputError(f"unknown suite {suite!r} (choose from {', '.join(SUITES)})")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import random
-import weakref
 from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Callable, Optional, Sequence
@@ -230,10 +229,6 @@ def _fit_rate(report: SweepReport, samples: Sequence[tuple[int, Fraction]], limi
 # seeded samplers
 # ---------------------------------------------------------------------------
 
-# the samplers some caller still holds, by their arguments
-_SAMPLERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
 def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
                      points: int = 6) -> Callable[[int], list[ConvexBody]]:
     """Deterministic sampler of convex sub-bodies P of K with |P| >= min_volume.
@@ -247,21 +242,11 @@ def sub_body_sampler(K: ConvexBody, min_volume, seed: int,
     read: the volume floor, ``count`` and ``concave_sum`` build no Fraction
     vertex.
 
-    ``sample(n)`` returns the first n bodies of one fixed sequence, and a
-    sampler keeps the bodies it has drawn.  While a caller holds the sampler
-    of (K, min_volume, seed, points), every call with those arguments
-    returns it, so the suites it serves draw each body once; an unheld
-    sampler is freed with its bodies.
+    Each call ``sample(n)`` draws afresh from ``random.Random(seed)``, with
+    a budget of 200 n tries.  A try makes the same rng calls whatever n is,
+    so ``sample(n)`` is the first n bodies of one fixed sequence.
     """
-    key = (K, rat(min_volume), seed, points)
-    sample = _SAMPLERS.get(key)
-    if sample is None:
-        sample = _SAMPLERS[key] = _sampler(*key)
-    return sample
-
-
-def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
-             points: int) -> Callable[[int], list[ConvexBody]]:
+    min_volume = rat(min_volume)
     denom = 32
     D, Z = K.int_form()
     # each axis as (lo denom, hi - lo) for its numerators lo, hi over D
@@ -270,17 +255,11 @@ def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
     # a.x <= p/q at x = num/den  <=>  q (a.num) <= p den
     constraints = [(h.normal, h.offset.denominator, h.offset.numerator * den)
                    for h in K.halfspaces]
-    randrange = random.Random(seed).randrange
-    drawn: list[ConvexBody] = []
-    tries = 0
 
     def sample(count_bodies: int) -> list[ConvexBody]:
-        nonlocal tries
-        # A try makes the same rng calls whatever count_bodies is, so the
-        # bodies come in one order and each call returns a prefix of it.
-        # count_bodies only sets the guard (200 tries per body asked for):
-        # a prefix served from a larger draw is exactly what a draw of its
-        # own size returns, unless that draw would have raised.
+        randrange = random.Random(seed).randrange
+        drawn: list[ConvexBody] = []
+        tries = 0
         while len(drawn) < count_bodies:
             if tries >= 200 * count_bodies:
                 raise RuntimeError("sampler failed to reach the volume floor")
@@ -296,7 +275,7 @@ def _sampler(K: ConvexBody, min_volume: Fraction, seed: int,
             body = _hull_rows(den, sorted(set(rows)), K.dim)
             if body.is_full_dim() and volume(body) >= min_volume:
                 drawn.append(body)
-        return drawn[:count_bodies]
+        return drawn
 
     return sample
 
@@ -310,8 +289,8 @@ CONCAVE_PAIRS = 50
 
 
 def suite_sampler(seed: int) -> Callable[[int], list[ConvexBody]]:
-    """The sampled suites' ``sub_body_sampler``: while a caller holds it,
-    every suite with this seed reads its one draw."""
+    """The sampled suites' ``sub_body_sampler``: every suite with this seed
+    reads a prefix of its one sequence."""
     return sub_body_sampler(UNIT_SQUARE, SUITE_FLOOR, seed)
 
 

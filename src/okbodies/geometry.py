@@ -632,6 +632,8 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     outward integer normal w and offset b (w . z <= b); a new point replaces
     the facets it lies strictly beyond (a coplanar point is beneath) by the
     cone from it over the horizon, the ridges of exactly one replaced facet.
+    Every later row lies outside the hull so far, so its horizon is never
+    empty.
     Coplanar simplices are then merged by their primitive normal.  A point of
     a boundary simplex is a vertex iff the normals of the facets tight at it
     have rank n, so one on fewer than n facets is none.  Every (n-2)-face of
@@ -668,8 +670,6 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
         beneath, visible = [], []
         for f in facets:
             (visible if sum(map(mul, f[1], p)) > f[2] else beneath).append(f)
-        if not visible:
-            continue
         ridges: dict[tuple[int, ...], int] = {}
         for verts, _, _ in visible:
             for r in itertools.combinations(verts, n - 1):

@@ -72,6 +72,22 @@ def test_body_degenerate_exit1(tmp_path, capsys):
     assert main(["body", "--in", infile]) == 1
 
 
+@pytest.mark.parametrize("vertices", [
+    [(0, 0), (2, 1)],  # a segment in R^2
+    [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)],  # a unit square at z = 1
+    [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)],  # a 3-polytope
+])
+def test_body_counts_a_flat_body(tmp_path, capsys, vertices):
+    """``body --k`` on a flat body reports its volume 0 and its count, with no
+    barycenter or inscribed ball."""
+    infile = write(tmp_path, "flat.json", {"dim": len(vertices[0]),
+                                           "vertices": [[str(c) for c in v] for v in vertices]})
+    assert main(["body", "--in", infile, "--k", "9"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"dim": len(vertices[0]), "vertices": len(vertices), "volume": "0",
+                   "k": 9, "count": oracle_count(hull(vertices), 9)}
+
+
 @pytest.mark.parametrize("n, size", [(3, 150), (4, 40)])
 def test_body_on_large_rational_cloud(tmp_path, capsys, n, size):
     rng = random.Random(size)
@@ -168,32 +184,31 @@ def test_verify_all_k40_golden_digests(tmp_path, capsys):
     assert verify_all_digests(tmp_path, capsys, 40) == golden
 
 
-def test_verify_all_draws_each_sub_body_once(tmp_path, capsys, monkeypatch):
-    """``ehrhart``, ``lowerbound`` and ``concave`` sample the unit square at
-    floor 1/10 and one seed: ``verify all`` makes one draw of it, with the
-    tries of ``ehrhart`` alone, and the other two read its first 10 and 50."""
-    from okbodies import estimates
+def test_verify_all_writes_the_single_suite_reports(tmp_path, capsys):
+    """``verify all --out`` writes each single-suite run's report files,
+    byte for byte, renumbered in suite order."""
+    from okbodies.cli import SUITES
 
-    tries = []
-    hull_rows = estimates._hull_rows
-    monkeypatch.setattr(estimates, "_hull_rows", lambda *a: tries.append(a) or hull_rows(*a))
-    samplers = []
-    sampler = estimates._sampler
-    monkeypatch.setattr(estimates, "_sampler", lambda *a: samplers.append(a) or sampler(*a))
-    held_at_cones = []
-    cone_counts = estimates.verify_cone_counts
-    monkeypatch.setattr(estimates, "verify_cone_counts", lambda *a, **kw: (
-        held_at_cones.append(len(estimates._SAMPLERS)) or cone_counts(*a, **kw)))
-    assert main(["verify", "ehrhart", "--k-max", "4", "--seed", "3"]) == 0
-    alone = len(tries)
-    tries.clear()
-    samplers.clear()
-    assert main(["verify", "all", "--k-max", "4", "--seed", "3", "--out", str(tmp_path)]) == 0
-    assert len(samplers) == 1
-    assert len(tries) == alone
-    # the sampler and its bodies are let go before the suites after concave
-    assert held_at_cones == [0, 0]
-    capsys.readouterr()
+    def run(suite):
+        out = tmp_path / suite
+        assert main(["verify", suite, "--k-max", "4", "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        tags = [r["report"] for r in json.loads((out / "summary.json").read_text())["reports"]]
+        return out, tags
+
+    whole, whole_tags = run("all")
+    want = {}
+    tags = []
+    for suite in SUITES[:-1]:
+        out, suite_tags = run(suite)
+        for tag in suite_tags:
+            renumbered = f"{len(tags):02d}{tag[2:]}"
+            tags.append(renumbered)
+            for f in out.glob(f"{tag}.*"):
+                want[renumbered + f.suffix] = f.read_bytes()
+    assert whole_tags == tags
+    got = {f.name: f.read_bytes() for f in whole.iterdir() if f.name != "summary.json"}
+    assert got == want
 
 
 P2_MODEL = {"backend": "toric", "polytope": {"dim": 2, "vertices": [["0", "0"], ["3", "0"],
@@ -298,6 +313,23 @@ def test_thresholds_m_rule_one(tmp_path, capsys):
     s_col = lines[0].split(",").index("S_km")
     # m=1: S_{k,1} = 1 at every level (alpha_k column)
     assert all(line.split(",")[s_col] == "1" for line in lines[1:])
+
+
+def test_thresholds_of_zero_G_score_zero(tmp_path, capsys):
+    """G = 0 on the unit square: every score is 0, and with S_tau = 0 the
+    restricted delta is infinite."""
+    model = write(tmp_path, "m.json", {"backend": "toric", "polytope": {
+        "dim": 2, "vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]}})
+    vals = write(tmp_path, "v.json", [{"label": "zero", "A": "1", "G": {
+        "pieces": [{"grad": ["0", "0"], "const": "0"}]}}])
+    assert main(["thresholds", "--in", model, "--valuations", vals,
+                 "--tau", "1/2", "--k-max", "4"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [row["k"] for row in rows] == ["1", "2", "3", "4"]
+    for row in rows:
+        assert set(row["j_head"].split("|")) == {"0"}
+        assert all(row[c] == "0" for c in ("S_km", "Sbar_km", "quantum_quantile", "S_tau"))
+        assert row["delta_km"] == "inf"
 
 
 def test_thresholds_one_valuation_object_reads_as_a_family_of_one(tmp_path, capsys):

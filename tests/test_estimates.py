@@ -172,31 +172,30 @@ def test_integer_readers_build_no_vertex_fractions():
         assert P._vertices is vertices and P.vertices is vertices
 
 
-def test_sub_body_sampler_extends_one_kept_prefix(monkeypatch):
-    """While a sampler is held, smaller and larger asks with its arguments
-    return prefixes of one sequence, the same as a fresh draw of each size,
-    and no body is drawn twice; an unheld sampler is freed."""
+def test_sub_body_sampler_draws_afresh_on_every_call(monkeypatch):
+    """Each call of one sampler makes exactly the tries of a fresh draw of
+    its size, and smaller asks return prefixes of larger ones."""
     tries = []
     hull_rows = estimates._hull_rows
     monkeypatch.setattr(estimates, "_hull_rows", lambda *a: tries.append(a) or hull_rows(*a))
-    held = sub_body_sampler(SLANTED, F(1, 4), seed=7)
-    first = held(6)
-    drawn = len(tries)
-    assert sub_body_sampler(SLANTED, "1/4", 7) is held
-    assert sub_body_sampler(SLANTED, F(1, 4), seed=7)(2) == first[:2]
-    assert len(tries) == drawn
-    more = sub_body_sampler(SLANTED, F(1, 4), seed=7)(9)
-    assert more[:6] == first
+
+    def tries_of(sample, n):
+        tries.clear()
+        bodies = sample(n)
+        return bodies, len(tries)
+
+    sample = sub_body_sampler(SLANTED, F(1, 4), seed=7)
+    six, six_tries = tries_of(sample, 6)
+    two, two_tries = tries_of(sample, 2)
+    nine, nine_tries = tries_of(sample, 9)
+    for n, got in ((6, six_tries), (2, two_tries), (9, nine_tries)):
+        assert tries_of(sub_body_sampler(SLANTED, "1/4", 7), n)[1] == got
+    assert two_tries < six_tries < nine_tries
+    assert two == six[:2] and six == nine[:6]
+    assert tries_of(sample, 6) == (six, six_tries)
     want = oracle_sub_body_sampler(SLANTED, F(1, 4), 7)(9)
-    assert [(P.vertices, P.halfspaces) for P in more] == [(P.vertices, P.halfspaces)
+    assert [(P.vertices, P.halfspaces) for P in nine] == [(P.vertices, P.halfspaces)
                                                          for P in want]
-    # the asks together made the tries of one fresh draw of 9
-    total = len(tries)
-    del held
-    assert not estimates._SAMPLERS
-    tries.clear()
-    sub_body_sampler(SLANTED, F(1, 4), seed=7)(9)
-    assert len(tries) == total
 
 
 def test_sub_body_sampler_guard_raises_below_one_body_in_200_tries():
@@ -223,7 +222,7 @@ def test_verify_uniform_ehrhart_rows_match_fraction_discrepancies(K, nu):
     """The integer cross-multiplied maximum is max |oracle_discrepancy(P, k)|
     over the suite's 200 sub-bodies of K with volume >= nu, recomputed in
     Fractions."""
-    bodies = sub_body_sampler(K, nu, 4)(200)  # held: the suite reads this draw
+    bodies = sub_body_sampler(K, nu, 4)(200)
     rep = verify_uniform_ehrhart(range(1, 9), seed=4)
     assert rep.grid == {"nu": nu, "k_range": [1, 8], "N": 200, "seed": 4}
     want = []
@@ -273,7 +272,7 @@ def test_verify_concave_rows_match_fraction_excesses(K, monkeypatch):
         return g
 
     monkeypatch.setattr(estimates, "concave_sampler", sampler)
-    bodies = sub_body_sampler(K, F(1, 10), 3)(50)  # held: the suite reads this draw
+    bodies = sub_body_sampler(K, F(1, 10), 3)(50)
     rep = verify_concave_sum_bound(range(1, 7), seed=3)
     assert rep.grid == {"k_range": [1, 6], "N": 50, "seed": 3, "min_volume": F(1, 10)}
     pairs = [(P, g, oracle_region_max(P, g), integrate_transform(P, g))

@@ -1,6 +1,7 @@
 """The package surface: ``import okbodies`` and every name it exports."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from okbodies.series import GapRow
 from okbodies.thresholds import FamilyMeasure, JumpingVector, TailSpec, ValuationModel, _Ccdf
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "okbodies"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _names(tree) -> Counter:
@@ -139,7 +141,7 @@ def test_every_function_is_referenced_by_a_gated_path():
     Names match alone, so a function that shares its name with a referenced
     one is still checked by hand."""
     sources = sorted(SRC.glob("*.py"))
-    readers = [*sources, *sorted((SRC.parent.parent / "perfbench").glob("*.py")), ACCEPTANCE]
+    readers = [*sources, *sorted(PERFBENCH.glob("*.py")), ACCEPTANCE]
     trees = {path: ast.parse(path.read_text()) for path in readers}
     refs = Counter()
     for tree in trees.values():
@@ -203,7 +205,7 @@ def _parameters_and_calls(*scanned):
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None, None)
-    for path in [*sorted((SRC.parent.parent / "perfbench").glob("*.py")), *scanned]:
+    for path in [*sorted(PERFBENCH.glob("*.py")), *scanned]:
         visit(ast.parse(path.read_text()), None, None, None)
     return params, calls
 
@@ -270,3 +272,46 @@ def test_no_defaulted_parameter_is_passed_by_every_call():
                 and all((i is not None and i in slots) or arg in slots
                         for slots in by_callee[callee])]
     assert sorted(explicit) == []
+
+
+def test_every_package_name_the_benchmark_reads_resolves():
+    """Every attribute chain that ``perfbench/`` reads through an ``import
+    okbodies.X as Y`` alias resolves, and so do the layers and per-level
+    model methods that its tracer wraps by name: a rename the benchmark would
+    meet only when it runs fails here first.  This pins, for example,
+    ``th._ccdf_data.cache_info()``, which a traced pass calls, so
+    ``thresholds._ccdf_data`` stays an ``lru_cache``.  The tracer's
+    ``VERIFY_FUNCTIONS`` still names the deleted ``verify_S_two_sided``
+    (whose ``self_s`` reads 0), so it is left out until the benchmark is
+    re-recorded."""
+    chains, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname: a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.asname and a.name.startswith("okbodies.")}
+        for node in ast.walk(tree):
+            attrs, base = [], node
+            while isinstance(base, ast.Attribute):
+                attrs.append(base.attr)
+                base = base.value
+            if attrs and isinstance(base, ast.Name) and base.id in aliases:
+                chains.add((aliases[base.id], tuple(reversed(attrs))))
+    for module, attrs in sorted(chains):
+        obj = importlib.import_module(module)
+        for attr in attrs:
+            obj = getattr(obj, attr, missing)
+        if obj is missing:
+            missing.append(f"{module}.{'.'.join(attrs)}")
+    assert ("okbodies.thresholds", ("_ccdf_data", "cache_info")) in chains
+    assert missing == []
+
+    tracer = {target.id: ast.literal_eval(node.value)
+              for node in ast.parse((PERFBENCH / "tracer.py").read_text()).body
+              if isinstance(node, ast.Assign) for target in node.targets
+              if isinstance(target, ast.Name)
+              and target.id in ("LAYERS", "LEVEL_METHODS")}
+    for layer in tracer["LAYERS"]:
+        importlib.import_module(f"okbodies.{layer}")
+    from okbodies.series import GradedSeriesModel
+    assert all(callable(getattr(GradedSeriesModel, attr, None))
+               for attr in tracer["LEVEL_METHODS"])

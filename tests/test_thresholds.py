@@ -393,6 +393,19 @@ def test_quantile_atom_at_flat_top():
     assert ccdf_continuous(sq, v, F(3, 4)) == F(3, 4)
 
 
+def test_zero_G_is_one_atom_at_zero():
+    """G = 0 on the unit square: s0 = 0, so the ccdf has no piece and reads
+    its atom, the whole ambient."""
+    sq = ToricModel(hull([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    v = ValuationModel("zero", F(1), ConcavePL.make([AffineFunctional.make((0, 0), 0)],
+                                                     sq.ambient))
+    assert thresholds._ccdf_data(sq.ambient, v.G).pieces == ()
+    assert ccdf_continuous(sq, v, 0) == 1
+    spec = quantile(sq, v, F(1, 2))
+    assert spec.exact and spec.quantile == 0
+    assert S_tau(sq, v, F(1, 2)) == 0
+
+
 def test_quantum_quantile():
     assert quantum_quantile(SIMPLEX, V_SIMPLEX, 2, F(1, 2)) == F(1, 2)
     assert quantum_quantile(SIMPLEX, V_SIMPLEX, 2, 1) == 0  # j_{k,d_k}/k
