@@ -12,15 +12,18 @@ The exact constructors run on integer rows: ``hull`` clears the denominators
 of its points once, and builds every full-dimensional hull from the sorted,
 distinct rows: by Andrew's monotone chain for polygons (n = 2), and by one
 incremental beneath-beyond hull in exact integers in every other dimension
-n >= 1.  ``intersect_halfspace`` forms its crossing points as integer rows
-from the parent's (D, Z).  Every body comes with its (D, Z), affine rank
-and vertex-facet incidence already cached: ``ConvexBody(...)`` computes
-them from its vertices and halfspaces, and the exact constructors seed them
-(``_primed``) and build their Fraction vertex tuples on the first read of
-``vertices``.  Tight sets, the sign tests and crossings of clipping, and
-affine ranks read (D, Z), so they compare and eliminate exact ints instead
-of summing Fractions; a clip that cuts a body reads its tight sets and rank
-off the parent's incidence and rank instead.
+n >= 1, a flat cloud's projection included.  ``intersect_halfspace``
+forms its crossing points as integer rows from the parent's (D, Z),
+``scale_translate`` maps them to the rows lam Z / D + shift, and
+``minkowski_cube`` hulls the rows of the vertex + corner sums.  Every body
+comes with its (D, Z), affine rank and vertex-facet incidence already
+cached: the exact constructors seed them (``_primed``) and build their
+Fraction vertex tuples on the first read of ``vertices``, and
+``ConvexBody(...)``, left to ``empty_body`` and hand-built bodies, computes
+them from its vertices and halfspaces.  Tight sets, the sign tests and
+crossings of clipping, and affine ranks read (D, Z), so they compare and
+eliminate exact ints instead of summing Fractions; a clip that cuts a body
+reads its tight sets and rank off the parent's incidence and rank instead.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the
 Gaussian elimination of this module: every rank, pivot set and nullspace
@@ -156,14 +159,6 @@ def rat_str(q: Fraction) -> str:
 
 def _dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-
-def _vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vscale(lam: Fraction, a: Vec) -> Vec:
-    return tuple(lam * x for x in a)
 
 
 def _primitive(vec: Sequence[Fraction]) -> tuple[int, ...]:
@@ -557,13 +552,14 @@ def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
 def _hull_degenerate(D: int, Z: Sequence[tuple[int, ...]], n: int,
                      pivots: list[int]) -> ConvexBody:
     """Hull of the flat cloud Z / D (sorted, distinct integer rows): the
-    full-dimensional hull of its projection onto the pivot coordinates of its
+    full-dimensional hull (``_hull_rows``, so a flat polygon takes the
+    monotone chain) of its projection onto the pivot coordinates of its
     direction space, lifted back, plus the affine-hull equalities."""
     equalities = _affine_equalities(D, Z, n)
     if not pivots:
         return _primed(n, D, Z[:1], [(h, frozenset({0})) for h in equalities], 0)
     back = {tuple(z[j] for j in pivots): z for z in Z}
-    inner = _hull_full(D, sorted(back), len(pivots))
+    inner = _hull_rows(D, sorted(back), len(pivots))
     d, rows = inner.int_form()
     scale = D // d  # the inner rows are over a divisor d of D
     lifted = [back[tuple(scale * c for c in z)] for z in rows]
@@ -622,13 +618,13 @@ def _polygon(D: int, P: Sequence[tuple[int, ...]], ring: list[int]) -> ConvexBod
 
 
 def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
-    """Hull of the points P / D, for D > 0 and sorted, distinct integer rows P
-    that affinely span R^n: the monotone chain (``_chain``, ``_polygon``) for
-    n = 2, and the incremental (beneath-beyond) hull in exact integers for
-    every other n >= 1.  Both give the same body in the plane.
+    """The beneath-beyond hull of the points P / D, for D > 0 and sorted,
+    distinct integer rows P that affinely span R^n, in exact integers.
+    ``_hull_rows`` calls it for every n >= 1 but 2, where the monotone chain
+    (``_chain``, ``_polygon``) gives the same body.
 
-    The beneath-beyond hull starts as the simplex on the first n + 1
-    affinely independent rows and takes the rest in sorted order.  Each simplicial facet keeps an
+    It starts as the simplex on the first n + 1 affinely independent rows
+    and takes the rest in sorted order.  Each simplicial facet keeps an
     outward integer normal w and offset b (w . z <= b); a new point replaces
     the facets it lies strictly beyond (a coplanar point is beneath) by the
     cone from it over the horizon, the ridges of exactly one replaced facet.
@@ -643,8 +639,6 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     an edge can lie on n facets) needs the rank.  The vertex rows stay
     integers (``_primed``).
     """
-    if n == 2:
-        return _polygon(D, P, _chain(P))
     seed = [0]
     for i in range(1, len(P)):
         rows = [[x - y for x, y in zip(P[j], P[0])] for j in seed[1:] + [i]]
@@ -783,7 +777,12 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
-    """lam * body + shift, exact; lam must be positive."""
+    """lam * body + shift, exact; lam must be positive.
+
+    The rows lam Z / D + shift, over E = lcm(D * den lam, the shift's
+    denominators), are integers.  A positive scale and a shift keep the row
+    order, every tight set and the affine rank, so the parent's incidence and
+    rank seed the result (``_primed``)."""
     lam = rat(lam)
     if lam <= 0:
         raise GeometryError("scale factor must be positive")
@@ -792,24 +791,30 @@ def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody
         raise DimensionMismatch("shift dimension differs from body dimension")
     if body.is_empty:
         return body
-    verts = [_vadd(_vscale(lam, v), shift) for v in body.vertices]
-    halfspaces = [
-        HalfSpace(h.normal, lam * h.offset + _dot(h.normal, shift))
-        for h in body.halfspaces
-    ]
-    return ConvexBody(body.dim, verts, halfspaces)
+    D, Z = body.int_form()
+    E = lcm(D * lam.denominator, *(c.denominator for c in shift))
+    f = lam.numerator * (E // (D * lam.denominator))
+    offsets = [c.numerator * (E // c.denominator) for c in shift]
+    rows = [tuple(f * x + o for x, o in zip(z, offsets)) for z in Z]
+    tight = [(HalfSpace(h.normal, lam * h.offset + _dot(h.normal, shift)), t)
+             for h, t in zip(body.halfspaces, body.incidence())]
+    return _primed(body.dim, E, rows, tight, body.affine_rank())
 
 
 def minkowski_cube(body: ConvexBody, eps) -> ConvexBody:
-    """Minkowski sum body + [-eps, eps]^n via the hull of vertex + corner sums."""
+    """Minkowski sum body + [-eps, eps]^n: the hull (``_hull_rows``) of the
+    vertex + corner sums, as integer rows over E = lcm(D, den eps)."""
     eps = rat(eps)
     if eps < 0:
         raise GeometryError("cube half-width must be nonnegative")
     if eps == 0 or body.is_empty:
         return body
-    corners = itertools.product(*[(-eps, eps)] * body.dim)
-    pts = [_vadd(v, c) for v, c in itertools.product(body.vertices, list(corners))]
-    return hull(pts)
+    D, Z = body.int_form()
+    E = lcm(D, eps.denominator)
+    m, e = E // D, eps.numerator * (E // eps.denominator)
+    corners = list(itertools.product((-e, e), repeat=body.dim))
+    rows = {tuple(m * x + c for x, c in zip(z, corner)) for z in Z for corner in corners}
+    return _hull_rows(E, sorted(rows), body.dim)
 
 
 def superlevel(body: ConvexBody, g: "ConcavePL", t) -> ConvexBody:

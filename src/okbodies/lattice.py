@@ -588,26 +588,16 @@ def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
     Column x runs from y = -floor(-L(x)) to floor U(x).  Along a column a
     piece scores e + a_y y for an e fixed by the column, so a run of m points
     on one piece sums in closed form to m (e_0 + e_1) / 2, e_0 and e_1 its
-    end scores: a one-piece G is one run per column, and several pieces
-    split each column into the runs of their lower envelope
-    (``_envelope_runs``, r = 1).  G is concave along a column, so a negative
-    score shows at one of the column's two ends, and only the ends are
-    checked.
+    end scores.  The pieces split each column into the runs of their lower
+    envelope (``_envelope_runs``, r = 1), one run for a one-piece G.  G is
+    concave along a column, so a negative score shows at one of the column's
+    two ends, and only the ends are checked.
     """
     # (a_x, a_y, k L c) of each distinct piece, largest a_y first: the
     # ``_by_slope`` order of their lines in y
     forms = sorted({(ax, ay, k * const) for (ax, ay), const in g.integer_form[1]},
                    key=itemgetter(1), reverse=True)
     twice = 0  # every run adds m (e_0 + e_1), an even number
-    if len(forms) == 1:
-        (ax, ay, v), = forms
-        for x, top, bottom in _polygon_columns(body, k):
-            e = v + ax * x
-            e0, e1 = e - ay * bottom, e + ay * top
-            if (e0 < 0 or e1 < 0) and top + bottom >= 0:
-                return None
-            twice += (e0 + e1) * (top + bottom + 1)
-        return twice // 2
     for x, top, bottom in _polygon_columns(body, k):
         if top + bottom < 0:
             continue

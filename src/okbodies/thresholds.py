@@ -500,29 +500,28 @@ def ccdf_continuous(model: GradedSeriesModel, v: ValuationModel, t) -> Fraction:
 
 
 def _exact_poly_root(coeffs, tau, lo, hi) -> Optional[Fraction]:
-    """Largest rational root of P(t) = tau in [lo, hi], for a non-constant P
-    of degree <= 2, else None."""
+    """The root of P(t) = tau in (lo, hi) if it is rational and P has degree
+    <= 2, else None.
+
+    ``_quantile_spec`` calls it only on a crossing piece, P(lo) > tau > P(hi):
+    the piece above it, or the atom at s0, lies below tau, and F is
+    continuous on [0, s0), as a concave G is flat on a full-dimensional set
+    only at its maximum.  So P - tau is not constant and has exactly one
+    root in (lo, hi): rational for a linear P, and for a quadratic one iff
+    the discriminant is a square."""
     if len(coeffs) > 3:
         return None
     c = list(coeffs) + [Fraction(0)] * (3 - len(coeffs))
     a2, a1, a0 = c[2], c[1], c[0] - tau
-    roots: list[Fraction] = []
     if a2 == 0:
-        if a1 == 0:
-            return None
-        roots = [-a0 / a1]
-    else:
-        disc = a1 * a1 - 4 * a2 * a0
-        if disc < 0:
-            return None
-        pq = disc.numerator * disc.denominator
-        r = math.isqrt(pq)
-        if r * r != pq:
-            return None  # irrational roots: caller bisects
-        sq = Fraction(r, disc.denominator)
-        roots = [(-a1 + sq) / (2 * a2), (-a1 - sq) / (2 * a2)]
-    valid = [t for t in roots if lo <= t <= hi]
-    return max(valid) if valid else None
+        return -a0 / a1
+    disc = a1 * a1 - 4 * a2 * a0
+    pq = disc.numerator * disc.denominator
+    r = math.isqrt(pq)
+    if r * r != pq:
+        return None  # irrational roots: caller bisects
+    sq = Fraction(r, disc.denominator)
+    return next(t for t in ((-a1 + sq) / (2 * a2), (-a1 - sq) / (2 * a2)) if lo < t < hi)
 
 
 def _bisect(coeffs: Sequence[Fraction], tau: Fraction, lo: Fraction, hi: Fraction,
@@ -689,21 +688,13 @@ def empirical_family_measure(model: GradedSeriesModel, v: ValuationModel,
 # ---------------------------------------------------------------------------
 
 def _restricted_min(family: Sequence[ValuationModel], S: Callable[[ValuationModel], Fraction]):
-    """Min over the family of A(v)/S(v); zero-S entries count as the +inf
-    sentinel and are excluded unless every entry is infinite. Lexicographic
-    label tie-break."""
+    """(A(v)/S(v), label): the least ratio over the valuations with S(v) != 0,
+    the smallest label among ties; (INFINITE, smallest label) when every
+    S(v) is zero."""
     if not family:
         raise ValueError("valuation family must be nonempty")
-    pairs = []
-    for v in family:
-        s = S(v)
-        pairs.append((v.label, None if s == 0 else v.A / s))
-    finite = [(val, label) for label, val in pairs if val is not None]
-    if not finite:
-        return INFINITE, min(label for label, _ in pairs)
-    best = min(val for val, _ in finite)
-    label = min(label for val, label in finite if val == best)
-    return best, label
+    ratios = [(v.A / s, v.label) for v in family if (s := S(v)) != 0]
+    return min(ratios) if ratios else (INFINITE, min(v.label for v in family))
 
 
 def delta_km_restricted(model: GradedSeriesModel, family: Sequence[ValuationModel],

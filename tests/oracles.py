@@ -1,4 +1,5 @@
-"""Fraction linear-algebra oracles shared by the test modules.
+"""Fraction linear-algebra oracles shared by the test modules, and
+``check_guards``, which runs a module's table of guarded calls.
 
 ``oracle_row_reduce`` is Gauss-Jordan over Q and ``oracle_nullspace`` reads a
 primitive nullspace basis from it: the slow paths that the library's integer
@@ -28,6 +29,12 @@ integer-row ``hull`` and ``intersect_halfspace`` replaced: they coerce,
 de-duplicate and sort Fraction tuples, hash Fraction crossing points, and
 re-derive each body's integer form from its Fraction vertices.  Both call the
 library's one beneath-beyond core for a full-dimensional hull.
+``oracle_scale_translate`` builds lam * body + shift from Fraction vertices
+by ``ConvexBody(...)``, and ``oracle_minkowski_cube`` hulls the Fraction
+vertex + corner sums: the paths that the library's ``scale_translate``, its
+integer rows seeded with the parent's incidence and rank, and its
+``minkowski_cube``, which hulls integer rows over lcm(D, den eps), must
+match exactly.
 ``oracle_hull_full`` is that core with a rank test of the tight facet
 normals at every candidate vertex and ``oracle_det`` facet normals: the path
 that the library's facet-count vertex test (a rank test only for n >= 4)
@@ -443,6 +450,29 @@ def oracle_hull_front(points):
         tight[HalfSpace.make(normal, h.offset)] = frozenset(
             index[back[inner.vertices[i]]] for i in t)
     return _oracle_primed(n, vertices, tight)
+
+
+def oracle_scale_translate(body, lam, shift=None):
+    """lam * body + shift with Fraction vertices and every cache re-derived
+    by ``ConvexBody(...)``."""
+    lam = rat(lam)
+    shift = tuple(rat(c) for c in shift) if shift is not None else (Fraction(0),) * body.dim
+    if body.is_empty:
+        return body
+    vertices = [tuple(lam * x + c for x, c in zip(v, shift)) for v in body.vertices]
+    halfspaces = [HalfSpace(h.normal, lam * h.offset + sum(map(mul, h.normal, shift)))
+                  for h in body.halfspaces]
+    return ConvexBody(body.dim, vertices, halfspaces)
+
+
+def oracle_minkowski_cube(body, eps):
+    """body + [-eps, eps]^n as the ``hull`` of the Fraction vertex + corner sums."""
+    eps = rat(eps)
+    if eps == 0 or body.is_empty:
+        return body
+    corners = list(itertools.product((-eps, eps), repeat=body.dim))
+    return hull([tuple(x + c for x, c in zip(v, corner))
+                 for v in body.vertices for corner in corners])
 
 
 def _oracle_synced_body(vertices, candidates, n):
@@ -1068,3 +1098,20 @@ def oracle_S_tau(model, v, tau, tol=DEFAULT_TOL):
             b = mid
             hi_val = oracle_tail_mean(model, v, b)
     return (lo_val + hi_val) / 2
+
+
+def check_guards(table):
+    """Run each (call, result) of a guard table: a (type, message) result is
+    the exception the call must raise, with exactly that message, and any
+    other result the value it must return."""
+    for call, result in table:
+        if isinstance(result, tuple):
+            error, message = result
+            try:
+                call()
+            except error as raised:
+                assert str(raised) == message
+            else:
+                raise AssertionError(f"no {error.__name__}: {message}")
+        else:
+            assert call() == result

@@ -43,9 +43,10 @@ from okbodies.geometry import (
 )
 from okbodies.geometry import _dot
 import okbodies.geometry as geometry
-from oracles import (oracle_clip_rows, oracle_det, oracle_hull_front, oracle_hull_full,
-                     oracle_intersect_halfspace, oracle_linearity_regions, oracle_maximal,
-                     oracle_nullspace, oracle_region_max, oracle_row_reduce, oracle_scaled_values,
+from oracles import (check_guards, oracle_clip_rows, oracle_det, oracle_hull_front,
+                     oracle_hull_full, oracle_intersect_halfspace, oracle_linearity_regions,
+                     oracle_maximal, oracle_minkowski_cube, oracle_nullspace, oracle_region_max,
+                     oracle_row_reduce, oracle_scale_translate, oracle_scaled_values,
                      oracle_simplex_max, oracle_superlevel, vsub)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
@@ -1861,3 +1862,59 @@ def test_json_recomputes_halfspaces_when_absent():
 def test_json_rejects_bad_rational():
     with pytest.raises(ValueError):
         body_from_json({"dim": 1, "vertices": [["1/0"]]})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_derived_bodies_match_fraction_vertex_oracles(n):
+    """``scale_translate`` and ``minkowski_cube`` build from integer rows the
+    bodies their Fraction-vertex constructions build
+    (``oracle_scale_translate``, ``oracle_minkowski_cube``): vertices,
+    halfspaces, incidence, integer form and affine rank, on full-dimensional
+    and flat clouds (a point for n = 1), for scales and shifts with
+    denominators and no shift, and for eps 0 and positive."""
+    rng = random.Random(4400 + n)
+    for i, kind in enumerate(("grid", "minkowski", "hyperplane", "line") * 3):
+        body = hull(oracle_cloud(rng, n, kind)[:8])
+        lam = F(rng.randint(1, 9), rng.randint(1, 6))
+        shift = None if i % 3 == 0 else [F(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(n)]
+        eps = F(0) if i % 4 == 0 else F(rng.randint(1, 5), rng.randint(1, 6))
+        for built, ref in ((scale_translate(body, lam, shift), oracle_scale_translate(body, lam, shift)),
+                           (minkowski_cube(body, eps), oracle_minkowski_cube(body, eps))):
+            assert (built.vertices, built.halfspaces, built.incidence(), built.int_form(),
+                    built.affine_rank()) == (ref.vertices, ref.halfspaces, ref.incidence(),
+                                             ref.int_form(), ref.affine_rank())
+
+
+def test_geometry_guards_raise_or_return_as_pinned():
+    """The guards no other test reaches: each raises its exception with its
+    message, or returns its value (the body itself for an empty body or
+    eps = 0, 0 for an empty or lower-dimensional slice)."""
+    empty = geometry.empty_body(2)
+    diagonal = hull([(0, 0), (1, 1)])
+    check_guards([
+        (lambda: scale_translate(UNIT_SQUARE, 2, (1,)),
+         (DimensionMismatch, "shift dimension differs from body dimension")),
+        (lambda: scale_translate(empty, 2, (1, 1)) is empty, True),
+        (lambda: minkowski_cube(UNIT_SQUARE, F(-1, 2)),
+         (GeometryError, "cube half-width must be nonnegative")),
+        (lambda: minkowski_cube(UNIT_SQUARE, 0) is UNIT_SQUARE, True),
+        (lambda: minkowski_cube(empty, 1) is empty, True),
+        (lambda: slice_volume(UNIT_SQUARE, P1, 5), 0),
+        (lambda: slice_volume(SEGMENT, coordinate_projection(1), F(1, 2)), 1),
+        (lambda: slice_volume(diagonal, P1, F(1, 2)), 0),
+        (lambda: triangulate(diagonal),
+         (DegenerateBody, "triangulation requires a full-dimensional body")),
+        (lambda: integrate_transform(diagonal, first_coordinate_transform(diagonal)), 0),
+        (lambda: slice_cone(empty, 0, 1), (GeometryError, "slice cone of an empty body")),
+        (lambda: apex_cone(UNIT_SQUARE, 1, 1, (1, 0)), (GeometryError, "need a < b")),
+        (lambda: apex_cone(hull([(0, 0), (2, 0), (2, 2)]), -1, 1, (1, 0)),
+         (GeometryError, "the a-slice at -1 is empty")),
+        (lambda: validate_body(ConvexBody(2, [*UNIT_SQUARE.vertices, (F(1, 2), F(0))],
+                                          UNIT_SQUARE.halfspaces)),
+         (GeometryError, "vertex (1/2, 0) is tight on a rank-1 set only")),
+        (lambda: HalfSpace.make((0, 0), 1), (GeometryError, "halfspace normal must be nonzero")),
+        (lambda: hull([]), (GeometryError, "hull of an empty point set")),
+        (lambda: UNIT_SQUARE.contains((F(0),)),
+         (DimensionMismatch, "point (Fraction(0, 1),) not in R^2")),
+        (lambda: empty.contains((F(0), F(0))), False),
+    ])

@@ -37,9 +37,9 @@ from okbodies.lattice import (
     slab_bound,
 )
 from okbodies.estimates import sub_body_sampler
-from oracles import (oracle_box, oracle_count, oracle_discrepancy, oracle_envelope_floor_sum,
-                     oracle_envelope_runs, oracle_scaled_constraints, oracle_section_columns,
-                     oracle_section_concave_sum, oracle_section_count)
+from oracles import (check_guards, oracle_box, oracle_count, oracle_discrepancy,
+                     oracle_envelope_floor_sum, oracle_envelope_runs, oracle_scaled_constraints,
+                     oracle_section_columns, oracle_section_concave_sum, oracle_section_count)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -1059,3 +1059,16 @@ def test_pointcloud_dedupes_and_sorts():
     assert (1, 0) in cloud and [0, 0] in cloud
     assert (2, 0) not in cloud and (1, 1) not in cloud and (0,) not in cloud
     assert cloud.coordinates()[1] == (F(1, 2), F(0))
+
+
+def test_lattice_guards_raise_as_pinned():
+    """A denominator or level k below 1 raises ValueError before any point is
+    listed or counted."""
+    g = first_coordinate_transform(UNIT_SQUARE)
+    positive = (ValueError, "k must be a positive integer")
+    check_guards([
+        (lambda: PointCloud(0, ()), (ValueError, "denominator must be a positive integer")),
+        (lambda: count(UNIT_SQUARE, 0), positive),
+        (lambda: enumerate_points(UNIT_SQUARE, 0), positive),
+        (lambda: concave_sum(UNIT_SQUARE, g, 0), positive),
+    ])

@@ -155,6 +155,40 @@ def test_every_function_is_referenced_by_a_gated_path():
     assert dead == []
 
 
+def _calls_by_function(tree) -> list[tuple[str, str]]:
+    """(innermost enclosing function, called name) for every call in a tree,
+    the name bare or an attribute; a call at module level has owner None."""
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                calls.append((owner, func.id if isinstance(func, ast.Name)
+                              else getattr(func, "attr", None)))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    return calls
+
+
+# each single-path constructor and the one function that may call it
+SINGLE_PATHS = {"ConvexBody": "empty_body", "_hull_full": "_hull_rows"}
+
+
+def test_bodies_and_full_hulls_have_one_constructor_call():
+    """Every other body is built primed from integer rows, so ``ConvexBody(...)``
+    is called only in ``empty_body``, and every hull goes through one
+    dispatch, so ``_hull_full`` is called only in ``_hull_rows``."""
+    trees, _ = _package_trees()
+    calls = [(module, owner, name) for module, tree in trees.items()
+             for owner, name in _calls_by_function(tree) if name in SINGLE_PATHS]
+    assert [f"{module}:{owner} calls {name}" for module, owner, name in calls
+            if owner != SINGLE_PATHS[name]] == []
+    assert {(owner, name) for _, owner, name in calls} == {
+        ("empty_body", "ConvexBody"), ("_hull_rows", "_hull_full")}
+
+
 def _parameters_and_calls(*scanned):
     """The package's parameters and the arguments of every call in the
     package, in ``perfbench/`` and in the files ``scanned``.

@@ -8,7 +8,7 @@ import pytest
 
 from okbodies import series
 from okbodies.estimates import verify_maxp1
-from okbodies.geometry import hull
+from okbodies.geometry import empty_body, hull
 from okbodies.lattice import PointCloud, enumerate_points
 from okbodies.series import (
     CanonicalCurveModel,
@@ -28,7 +28,8 @@ from okbodies.series import (
     top_column_gap_model,
 )
 from okbodies.thresholds import ValuationModel, _level_scores
-from oracles import oracle_is_gap_sequence, oracle_level, oracle_recover_gaps, oracle_superadditive
+from oracles import (check_guards, oracle_is_gap_sequence, oracle_level, oracle_recover_gaps,
+                     oracle_superadditive)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 
@@ -546,3 +547,19 @@ def test_model_from_json(data, model):
 def test_model_json_unknown_backend():
     with pytest.raises(ModelError):
         model_from_json({"backend": "mystery"})
+
+
+def test_series_guards_raise_as_pinned():
+    """A table of fewer than one level, a level that is no int, and a toric
+    or synthetic model on the empty body each raise before any level is
+    built."""
+    model = ToricModel(UNIT_SIMPLEX)
+    check_guards([
+        (lambda: model.gap_table(0), (ValueError, "k_max must be >= 1")),
+        (lambda: model.discrete_body(F(2)),
+         (LevelError, "k must be a positive integer, got Fraction(2, 1)")),
+        (lambda: model.discrete_body(1.0), (LevelError, "k must be a positive integer, got 1.0")),
+        (lambda: ToricModel(empty_body(2)), (ModelError, "toric model needs a nonempty polytope")),
+        (lambda: SyntheticModel(empty_body(2), {1: []}),
+         (ModelError, "synthetic model needs a nonempty ambient body")),
+    ])

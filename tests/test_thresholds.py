@@ -56,10 +56,10 @@ from okbodies.thresholds import (
     select_compatible_family,
     valuation_from_json,
 )
-from oracles import (oracle_bisect, oracle_candidates, oracle_ccdf_data, oracle_ccdf_fit,
-                     oracle_jumping_values, oracle_lagrange, oracle_newton, oracle_S_tau,
-                     oracle_scaled_values, oracle_score_level, oracle_sorted_scores,
-                     oracle_tail_mean)
+from oracles import (check_guards, oracle_bisect, oracle_candidates, oracle_ccdf_data,
+                     oracle_ccdf_fit, oracle_jumping_values, oracle_lagrange, oracle_newton,
+                     oracle_S_tau, oracle_scaled_values, oracle_score_level,
+                     oracle_sorted_scores, oracle_tail_mean)
 
 SIMPLEX = ToricModel(hull([(0, 0), (1, 0), (0, 1)]))
 SEGMENT = ToricModel(hull([(0,), (1,)]))
@@ -1746,3 +1746,69 @@ def test_one_piece_tables_list_no_point(monkeypatch):
                          (lattice, "_numerators")):
         monkeypatch.setattr(module, name, refused)
     assert [answers(model) for model in models()] == expected
+
+
+def test_thresholds_guards_raise_as_pinned():
+    """tau outside [0, 1] and a family size m outside [1, d_k] raise
+    ValueError before any level is scored."""
+    tau = (ValueError, "tau must lie in [0, 1]")
+    check_guards([
+        (lambda: quantile(SIMPLEX, V_SIMPLEX, -1), tau),
+        (lambda: quantile(SIMPLEX, V_SIMPLEX, 2), tau),
+        (lambda: quantum_quantile(SIMPLEX, V_SIMPLEX, 1, -1), tau),
+        (lambda: quantum_quantile(SIMPLEX, V_SIMPLEX, 1, F(3, 2)), tau),
+        (lambda: select_compatible_family(SIMPLEX, V_SIMPLEX, 2, 0),
+         (ValueError, "m=0 out of range [1, 6]")),
+        (lambda: select_compatible_family(SIMPLEX, V_SIMPLEX, 2, 7),
+         (ValueError, "m=7 out of range [1, 6]")),
+    ])
+
+
+def test_exact_poly_root_on_crossing_pieces():
+    """On seeded crossing pieces, P(lo) > tau > P(hi) with one root r of
+    P = tau in (lo, hi), ``_exact_poly_root`` returns r when r is rational
+    (a linear piece, or a quadratic one with a square discriminant and its
+    other root outside [lo, hi]) and None when it is irrational (P - tau =
+    -c ((t - m)^2 - q) for m < lo and a q between (lo - m)^2 and (hi - m)^2
+    that is no square, so r = m + sqrt(q))."""
+    def square(x):
+        return math.isqrt(x.numerator * x.denominator) ** 2 == x.numerator * x.denominator
+
+    rng = random.Random(44)
+    for shape in ("linear", "square", "irrational") * 40:
+        lo = F(rng.randint(-20, 20), rng.randint(1, 9))
+        hi = lo + F(rng.randint(1, 20), rng.randint(1, 9))
+        r = lo + (hi - lo) * F(rng.randint(1, 9), 10)
+        tau = F(rng.randint(-9, 9), rng.randint(1, 9))
+        c = F(rng.randint(1, 9), rng.randint(1, 9))
+        if shape == "linear":  # P - tau = c (r - t)
+            coeffs = (tau + c * r, -c)
+        elif shape == "square":  # P - tau = c (t - r)(t - s), s outside [lo, hi]
+            s = hi + F(rng.randint(1, 9), rng.randint(1, 3)) if rng.random() < 0.5 else lo - 1
+            c = c if s > hi else -c
+            coeffs = (tau + c * r * s, -c * (r + s), c)
+        else:
+            m = lo - F(1, rng.randint(1, 4))
+            a, b = (lo - m) ** 2, (hi - m) ** 2
+            q = next(q for q in (a + (b - a) * F(j, 10) for j in range(1, 10)) if not square(q))
+            coeffs = (tau - c * (m * m - q), 2 * c * m, -c)
+            r = None
+        assert thresholds._poly_eval(coeffs, lo) > tau > thresholds._poly_eval(coeffs, hi)
+        root = thresholds._exact_poly_root(coeffs, tau, lo, hi)
+        assert root == r
+        if root is not None:
+            assert lo < root < hi and thresholds._poly_eval(coeffs, root) == tau
+
+
+def test_delta_km_restricted_takes_the_finite_minimum_over_a_mixed_family():
+    """A valuation with S_{k,m} = 0 counts as +inf: in a family that mixes it
+    with finite ones, the finite minimum wins, though its label sorts first.
+    On the unit simplex every coordinate transform has S_{2,1} = 1, so the
+    ratios are the A values."""
+    zero = ValuationModel("A0", F(1), ConcavePL.make([AffineFunctional.make((0, 0), 0)],
+                                                     SIMPLEX.ambient))
+    d1, d2, d3 = coordinate_family(SIMPLEX)
+    family = [ValuationModel("D1", F(3), d1.G), zero, ValuationModel("D2", F(2), d2.G),
+              ValuationModel("D3", F(5), d3.G)]
+    assert [S_km(SIMPLEX, v, 2, 1) for v in family] == [1, 0, 1, 1]
+    assert delta_km_restricted(SIMPLEX, family, 2, 1) == (2, "D2")
