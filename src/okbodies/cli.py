@@ -22,7 +22,6 @@ from pathlib import Path
 from .geometry import (
     AffineFunctional,
     ConcavePL,
-    DegenerateBody,
     GeometryError,
     barycenter,
     body_from_json,
@@ -44,6 +43,7 @@ from .series import (
     top_column_gap_model,
 )
 from .thresholds import (
+    DEFAULT_TOL,
     INFINITE,
     S_km,
     S_tau,
@@ -481,7 +481,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["one", "ceil_tau", "dk", "dk_minus_sqrt"])
     p_thr.add_argument("--k-min", dest="k_min", type=_int_at_least(1), default=1)
     p_thr.add_argument("--k-max", dest="k_max", type=_int_at_least(1), default=20)
-    p_thr.add_argument("--tol", type=_positive_rational, default="1/1000000000",
+    p_thr.add_argument("--tol", type=_positive_rational, default=DEFAULT_TOL,
                        help="quantile bisection tolerance p/q > 0")
     p_thr.add_argument("--sweep", default=None,
                        help="sweep spec JSON (overrides --tau/--m-rule/--k-min/--k-max)")
@@ -518,7 +518,7 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (GeometryError, DegenerateBody) as exc:
+    except GeometryError as exc:
         print(f"geometry error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
     except ValueError as exc:

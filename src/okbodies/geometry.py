@@ -12,7 +12,7 @@ The exact constructors run on integer rows: ``hull`` clears the denominators
 of its points once, and builds every full-dimensional hull from the sorted,
 distinct rows: by Andrew's monotone chain for polygons (n = 2), and by one
 incremental beneath-beyond hull in exact integers in every other dimension
-n >= 1, a flat cloud's projection included.  ``intersect_halfspace``
+n >= 1, and for a flat cloud's projection by its rank.  ``intersect_halfspace``
 forms its crossing points as integer rows from the parent's (D, Z),
 ``scale_translate`` maps them to the rows lam Z / D + shift, and
 ``minkowski_cube`` hulls the rows of the vertex + corner sums.  Every body
@@ -23,7 +23,7 @@ Fraction vertex tuples on the first read of ``vertices``, and
 them from its vertices and halfspaces.  Tight sets, the sign tests and
 crossings of clipping, and affine ranks read (D, Z), so they compare and
 eliminate exact ints instead of summing Fractions; a clip that cuts a body
-reads its tight sets and rank off the parent's incidence and rank instead.
+reads its tight sets, rank and equalities off the parent's instead.
 
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the
 Gaussian elimination of this module: every rank, pivot set and nullspace
@@ -486,7 +486,10 @@ def hull(points: Sequence[Sequence]) -> ConvexBody:
 
 def _hull_rows(D: int, Z: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     """Hull of the points Z / D, for D > 0 and sorted, distinct integer rows Z
-    in R^n: ``_hull_full`` if they span R^n, else ``_hull_degenerate``.
+    in R^n, by their affine rank r: ``_hull_full`` if r = n, else the hull of
+    their projection onto the pivot coordinates of their direction space
+    (``_polygon`` for r = 2, else ``_hull_full``), lifted back, plus the
+    affine-hull equalities.
 
     For n = 2 the monotone chain (``_chain``) runs first, with no rank test:
     a ring of three or more vertices is the polygon (``_polygon``), and a
@@ -496,7 +499,24 @@ def _hull_rows(D: int, Z: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     rank, pivots = _affine_rank(Z)
     if rank == n:
         return _hull_full(D, Z, n)
-    return _hull_degenerate(D, Z, n, pivots)
+    equalities = _affine_equalities(D, Z, n)
+    if not pivots:
+        return _primed(n, D, Z[:1], [(h, frozenset({0})) for h in equalities], 0)
+    back = {tuple(z[j] for j in pivots): z for z in Z}
+    P = sorted(back)
+    inner = _polygon(D, P, _chain(P)) if rank == 2 else _hull_full(D, P, rank)
+    d, rows = inner.int_form()
+    scale = D // d  # the inner rows are over a divisor d of D
+    lifted = [back[tuple(scale * c for c in z)] for z in rows]
+    vertices = sorted(lifted)
+    index = {z: i for i, z in enumerate(vertices)}
+    tight = dict.fromkeys(equalities, frozenset(range(len(vertices))))
+    for h, t in zip(inner.halfspaces, inner.incidence()):
+        normal = [0] * n
+        for coeff, j in zip(h.normal, pivots):
+            normal[j] = coeff
+        tight[HalfSpace(tuple(normal), h.offset)] = frozenset(index[lifted[i]] for i in t)
+    return _primed(n, D, vertices, tight.items(), rank)
 
 
 def _affine_equalities(D: int, Z: Sequence[Sequence[int]], n: int) -> list[HalfSpace]:
@@ -547,31 +567,6 @@ def _primed(n: int, D: int, Z: Sequence[tuple[int, ...]],
     body._cache = {"int_form": (D, tuple(Z)), "arank": rank,
                    "incidence": tuple(t for _, t in pairs)}
     return body
-
-
-def _hull_degenerate(D: int, Z: Sequence[tuple[int, ...]], n: int,
-                     pivots: list[int]) -> ConvexBody:
-    """Hull of the flat cloud Z / D (sorted, distinct integer rows): the
-    full-dimensional hull (``_hull_rows``, so a flat polygon takes the
-    monotone chain) of its projection onto the pivot coordinates of its
-    direction space, lifted back, plus the affine-hull equalities."""
-    equalities = _affine_equalities(D, Z, n)
-    if not pivots:
-        return _primed(n, D, Z[:1], [(h, frozenset({0})) for h in equalities], 0)
-    back = {tuple(z[j] for j in pivots): z for z in Z}
-    inner = _hull_rows(D, sorted(back), len(pivots))
-    d, rows = inner.int_form()
-    scale = D // d  # the inner rows are over a divisor d of D
-    lifted = [back[tuple(scale * c for c in z)] for z in rows]
-    vertices = sorted(lifted)
-    index = {z: i for i, z in enumerate(vertices)}
-    tight = dict.fromkeys(equalities, frozenset(range(len(vertices))))
-    for h, t in zip(inner.halfspaces, inner.incidence()):
-        normal = [0] * n
-        for coeff, j in zip(h.normal, pivots):
-            normal[j] = coeff
-        tight[HalfSpace(tuple(normal), h.offset)] = frozenset(index[lifted[i]] for i in t)
-    return _primed(n, D, vertices, tight.items(), len(pivots))
 
 
 def _chain(P: Sequence[tuple[int, ...]]) -> list[int]:
@@ -707,10 +702,12 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
     crossing and every vertex with s_i = 0.  The facets are the candidates
     whose tight sets are maximal among the proper, nonempty ones.  The
     relatively open part {s < 0} of the body is nonempty, so the result keeps
-    the parent's affine rank r, and the equalities of its affine hull are
-    added only when r < n.  An edge of the parent lies on at least r - 1 of
-    its facets, all of which are among its halfspaces, so only vertex pairs
-    that share r - 1 halfspaces are tested for an edge.
+    the parent's affine hull and rank r, and its candidates tight at every
+    new vertex are the parent's equalities (hs misses a vertex with s < 0,
+    and a facet holding the cut would drop its rank).  An edge of the parent
+    lies on at least r - 1 of its facets, all of which are among its
+    halfspaces, so only vertex pairs that share r - 1 halfspaces are tested
+    for an edge.
     """
     if len(hs.normal) != body.dim:
         raise DimensionMismatch("halfspace dimension differs from body dimension")
@@ -768,12 +765,10 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
         if on:
             on_hs.append(idx)
     candidates = [*zip(body.halfspaces, map(frozenset, tight_sets)), (hs, frozenset(on_hs))]
-    facets = _maximal({t for _, t in candidates if 0 < len(t) < len(rows)})
-    synced = [(h, t) for h, t in candidates if t in facets]
-    Z = [z for z, _, _ in rows]
-    if rank < n:
-        synced += [(h, frozenset(range(len(Z)))) for h in _affine_equalities(D * L, Z, n)]
-    return _primed(n, D * L, Z, synced, rank)
+    kept = _maximal({t for _, t in candidates if 0 < len(t) < len(rows)})
+    kept.add(frozenset(range(len(rows))))  # the equalities
+    return _primed(n, D * L, [z for z, _, _ in rows],
+                   [(h, t) for h, t in candidates if t in kept], rank)
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
@@ -1000,14 +995,14 @@ def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:
 
 def volume(body: ConvexBody) -> Fraction:
     """Exact Lebesgue n-volume; 0 for empty or lower-dimensional bodies."""
-    if body.is_empty or not body.is_full_dim():
+    if not body.is_full_dim():
         return Fraction(0)
     return _moments(body)[0]
 
 
 def barycenter(body: ConvexBody) -> Vec:
     """Exact centroid via simplex decomposition; requires positive volume."""
-    if body.is_empty or not body.is_full_dim():
+    if not body.is_full_dim():
         raise DegenerateBody("barycenter requires a full-dimensional body")
     vol, first = _moments(body)
     return tuple(c / vol for c in first)
@@ -1110,7 +1105,7 @@ def integrate_transform(body: ConvexBody, g: ConcavePL) -> Fraction:
     integrand grad . x + c is affine, so its integral is
     grad . (integral of x) + c * volume.  Region overlaps have measure zero.
     """
-    if body.is_empty or not body.is_full_dim():
+    if not body.is_full_dim():
         return Fraction(0)
     total = Fraction(0)
     for f, region in _linearity_regions(body, g):
@@ -1195,7 +1190,7 @@ def chebyshev_ball(body: ConvexBody) -> tuple[Vec, Fraction]:
     per body.  Its norm column is scaled to ints, r = S r' with S the lcm of
     the rho_i denominators (powers of two), so no row lcm holds 2^64.
     """
-    if body.is_empty or not body.is_full_dim():
+    if not body.is_full_dim():
         raise DegenerateBody("chebyshev_ball requires a full-dimensional body")
     if "ball" not in body._cache:
         n = body.dim
@@ -1269,7 +1264,9 @@ def apex_cone(body: ConvexBody, a, b, apex: Sequence) -> ConvexBody:
 def validate_body(body: ConvexBody) -> None:
     """Check representation sync, and the cached integer vertex form, affine
     rank and incidence against the vertices and tight sets; raises
-    GeometryError on violation."""
+    GeometryError on violation.  A vertex on tight normals of rank n is
+    extreme, so none is redundant; only a full-dimensional body is re-hulled,
+    to compare its halfspaces with the hull's facets."""
     if body.is_empty:
         return
     D, Z = _int_form(body.vertices)
@@ -1293,10 +1290,7 @@ def validate_body(body: ConvexBody) -> None:
             raise GeometryError(f"halfspace {_halfspace_str(h)} is tight at no vertex")
     if body.incidence() != tight:
         raise GeometryError("cached incidence differs from the tight vertex sets")
-    rebuilt = hull(body.vertices)
-    if rebuilt.vertices != body.vertices:
-        raise GeometryError("vertex list is redundant")
-    if rank == n and set(rebuilt.halfspaces) != set(body.halfspaces):
+    if rank == n and set(hull(body.vertices).halfspaces) != set(body.halfspaces):
         raise GeometryError("halfspace list out of sync with the vertex hull")
 
 

@@ -565,7 +565,7 @@ def _first_axis_counts(body: ConvexBody, k: int) -> dict[int, int]:
     holds floor U(x) + floor(-L(x)) + 1 (``_polygon_columns``), and a 3-D
     body's slabs are those ``count`` sums (``_slab_counts``); other bodies
     count listed points."""
-    if body.is_empty or body.dim not in (2, 3) or body.affine_rank() != body.dim:
+    if body.dim not in (2, 3) or not body.is_full_dim():
         return Counter(z[0] for z in _numerators(body, k))
     if body.dim == 2:
         return {x: top + bottom + 1 for x, top, bottom in _polygon_columns(body, k)}
@@ -821,7 +821,7 @@ def concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> Fraction:
     if k < 1:
         raise ValueError("k must be a positive integer")
     total = None
-    if not body.is_empty and body.dim == 2 and body.is_full_dim():
+    if body.dim == 2 and body.is_full_dim():
         total = _chain_concave_sum(body, g, k)
     if total is None:
         total = _enumerated_concave_sum(body, g, k)

@@ -190,7 +190,7 @@ def _point_free_frame(ambient: ConvexBody, g: ConcavePL, k: int,
     itself, G constant), unless its first axis at level k has more values
     than the level has points (a steep G); else None."""
     forms = set(g.integer_form[1])
-    if len(forms) != 1 or ambient.dim not in (2, 3) or ambient.affine_rank() != ambient.dim:
+    if len(forms) != 1 or ambient.dim not in (2, 3) or not ambient.is_full_dim():
         return None
     (grad, _), = forms
     d = math.gcd(*grad)

@@ -528,6 +528,69 @@ def test_planar_hull_and_volume_make_no_elimination(monkeypatch):
     assert calls == []
 
 
+FLAT_SQUARE_3D = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]  # a unit square at z = 1
+FLAT_POLYTOPE_4D = [(0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1), (1, 1, 1, 1)]
+
+
+def count_calls(monkeypatch, *names):
+    """Wrap the ``geometry`` functions ``names`` to record each call's name in
+    the returned list."""
+    calls = []
+    for name in names:
+        original = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *a, _name=name, _f=original: calls.append(_name) or _f(*a))
+    return calls
+
+
+@pytest.mark.parametrize("points, eliminations", [
+    (FLAT_POLYTOPE_4D, 5),  # rank, equalities, three seed-simplex tests
+    ([(0, 0, 0), (1, 2, 3)], 3),  # a segment in R^3: rank, equalities, one seed test
+])
+def test_flat_hull_takes_one_rank_test(monkeypatch, points, eliminations):
+    """A flat cloud is ranked once: its projection goes straight to
+    ``_hull_full`` in the rank found, with no second rank test."""
+    calls = count_calls(monkeypatch, "_int_reduce")
+    body = hull(points)
+    assert calls == ["_int_reduce"] * eliminations
+    monkeypatch.undo()
+    assert not body.is_full_dim()
+    validate_body(body)
+
+
+@pytest.mark.parametrize("points", [FLAT_SQUARE_3D, FLAT_POLYTOPE_4D])
+def test_flat_cut_keeps_its_parent_equalities(monkeypatch, points):
+    """A cut of a flat body carries its parent's equalities: it makes no
+    elimination and no nullspace, and the result equals the hull of its
+    vertices, equalities included."""
+    body = hull(points)
+    calls = count_calls(monkeypatch, "_int_reduce", "_nullspace")
+    cut = intersect_halfspace(body, HalfSpace((1,) + (0,) * (body.dim - 1), F(1, 2)))
+    assert calls == []
+    monkeypatch.undo()
+    ref = hull(cut.vertices)
+    assert (cut.vertices, cut.halfspaces, cut.incidence(), cut.affine_rank()) == (
+        ref.vertices, ref.halfspaces, ref.incidence(), ref.affine_rank())
+    last = (0,) * (body.dim - 1)
+    equalities = {HalfSpace(last + (1,), F(1)), HalfSpace(last + (-1,), F(-1))}
+    for b in (body, cut):
+        assert {h for h, t in zip(b.halfspaces, b.incidence())
+                if len(t) == len(b.vertices)} == equalities
+    validate_body(cut)
+
+
+def test_validate_body_rehulls_only_a_full_dimensional_body(monkeypatch):
+    """``validate_body`` builds the vertex hull only to compare the halfspaces
+    of a full-dimensional body: never for a flat square in R^3, once for the
+    unit cube."""
+    flat, cube = hull(FLAT_SQUARE_3D), hull(list(itertools.product((0, 1), repeat=3)))
+    calls = count_calls(monkeypatch, "hull")
+    validate_body(flat)
+    assert calls == []
+    validate_body(cube)
+    assert calls == ["hull"]
+
+
 def test_planar_moments_read_only_the_edges_of_a_hand_built_polygon():
     """A polygon built by hand may carry halfspaces tight at one vertex or
     at none; the fan skips them, as the pulling triangulation does."""
@@ -542,11 +605,10 @@ def oracle_planar_hull(points):
     the flat path with ``oracle_hull_full`` for its inner hull."""
     D, Z = geometry._int_form([tuple(map(rat, p)) for p in points])
     P = sorted(set(Z))
-    rank, pivots = geometry._affine_rank(P)
-    if rank == 2:
+    if geometry._affine_rank(P)[0] == 2:
         return oracle_hull_full(D, P, 2)
     with mock.patch.object(geometry, "_hull_full", oracle_hull_full):
-        return geometry._hull_degenerate(D, P, 2, pivots)
+        return geometry._hull_rows(D, P, 2)
 
 
 def planar_cloud(rng, kind):
@@ -1891,6 +1953,11 @@ def test_geometry_guards_raise_or_return_as_pinned():
     eps = 0, 0 for an empty or lower-dimensional slice)."""
     empty = geometry.empty_body(2)
     diagonal = hull([(0, 0), (1, 1)])
+    octahedron = hull([tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)])
+    # each vertex keeps three tight facets of rank 3, so only the re-hull sees the gap
+    open_octahedron = ConvexBody(3, octahedron.vertices, [
+        h for h in octahedron.halfspaces if h != HalfSpace((1, 1, 1), F(1))])
+    empties = [geometry.empty_body(n) for n in (1, 2, 3, 4)]
     check_guards([
         (lambda: scale_translate(UNIT_SQUARE, 2, (1,)),
          (DimensionMismatch, "shift dimension differs from body dimension")),
@@ -1912,6 +1979,17 @@ def test_geometry_guards_raise_or_return_as_pinned():
         (lambda: validate_body(ConvexBody(2, [*UNIT_SQUARE.vertices, (F(1, 2), F(0))],
                                           UNIT_SQUARE.halfspaces)),
          (GeometryError, "vertex (1/2, 0) is tight on a rank-1 set only")),
+        (lambda: validate_body(open_octahedron),
+         (GeometryError, "halfspace list out of sync with the vertex hull")),
+        (lambda: validate_body(octahedron), None),
+        *((lambda e=e: e.is_full_dim(), False) for e in empties),
+        *((lambda e=e: volume(e), 0) for e in empties),
+        *((lambda e=e: integrate_transform(e, first_coordinate_transform(e)), 0)
+          for e in empties),
+        *((lambda e=e: barycenter(e),
+           (DegenerateBody, "barycenter requires a full-dimensional body")) for e in empties),
+        *((lambda e=e: chebyshev_ball(e),
+           (DegenerateBody, "chebyshev_ball requires a full-dimensional body")) for e in empties),
         (lambda: HalfSpace.make((0, 0), 1), (GeometryError, "halfspace normal must be nonzero")),
         (lambda: hull([]), (GeometryError, "hull of an empty point set")),
         (lambda: UNIT_SQUARE.contains((F(0),)),

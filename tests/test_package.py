@@ -173,20 +173,23 @@ def _calls_by_function(tree) -> list[tuple[str, str]]:
 
 
 # each single-path constructor and the one function that may call it
-SINGLE_PATHS = {"ConvexBody": "empty_body", "_hull_full": "_hull_rows"}
+SINGLE_PATHS = {"ConvexBody": "empty_body", "_hull_full": "_hull_rows",
+                "_affine_equalities": "_hull_rows", "_polygon": "_hull_rows"}
 
 
 def test_bodies_and_full_hulls_have_one_constructor_call():
     """Every other body is built primed from integer rows, so ``ConvexBody(...)``
     is called only in ``empty_body``, and every hull goes through one
-    dispatch, so ``_hull_full`` is called only in ``_hull_rows``."""
+    dispatch, so ``_hull_full``, ``_polygon`` and ``_affine_equalities`` are
+    called only in ``_hull_rows``: a flat cut keeps its parent's equalities."""
     trees, _ = _package_trees()
     calls = [(module, owner, name) for module, tree in trees.items()
              for owner, name in _calls_by_function(tree) if name in SINGLE_PATHS]
     assert [f"{module}:{owner} calls {name}" for module, owner, name in calls
             if owner != SINGLE_PATHS[name]] == []
     assert {(owner, name) for _, owner, name in calls} == {
-        ("empty_body", "ConvexBody"), ("_hull_rows", "_hull_full")}
+        ("empty_body", "ConvexBody"), ("_hull_rows", "_hull_full"),
+        ("_hull_rows", "_affine_equalities"), ("_hull_rows", "_polygon")}
 
 
 def _parameters_and_calls(*scanned):
