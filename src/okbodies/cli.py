@@ -73,8 +73,11 @@ MAX_COUNT_SLABS = 10**6
 # 3 s on a 2-vCPU host), and P^2 allows ``thresholds --k-max 86`` for a
 # multi-piece G (987,710).  It also bounds the integer prefixes the
 # enumeration walks to list them (``lattice.prefix_bound``), which a thin or
-# flat ambient can make far more than its points, and the columns or slabs
-# read for a one-piece G (``_check_series_size``).
+# flat ambient can make far more than its points, and the points, columns or
+# slabs read for a one-piece G on a full-dimensional ambient, which lists no
+# point (``_check_series_size``): the 4-D unit cube with x1 and x1 + x2 + x3
+# + x4 allows ``thresholds --k-max 83`` (994,838 slabs, about 7 s on a
+# 2-vCPU host).
 MAX_ENUM_POINTS = 10**6
 
 SUITES = ("ehrhart", "lowerbound", "concave", "cones", "maxp1",
@@ -231,9 +234,12 @@ def _check_series_size(model, ks: range, what: str, family=None) -> None:
     MAX_COUNT_SLABS + 1 levels, even on a body too thin to hold a slab at
     most levels.
 
-    With the family of ``thresholds``, the columns or slabs of each frame
-    (``thresholds._point_free_frame``) count against MAX_ENUM_POINTS, and a
-    level's points and prefixes only if some valuation has no frame.
+    With the family of ``thresholds``, what the first-axis counts of each
+    frame (``thresholds._point_free_frame``) read count against
+    MAX_ENUM_POINTS: the points of an interval, the columns of a polygon
+    and the slabs of a 3-D or 4-D body (``lattice.first_axis_bound``).  A
+    level's points and prefixes count only if some valuation has no frame: a
+    multi-piece or steep G, or a flat ambient.
 
     Both passes walk ``model.levels_in(ks)``, so a model with few levels in
     a long range is not stepped through every k of it.  The slab pass stops

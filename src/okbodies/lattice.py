@@ -32,7 +32,8 @@ integral and 0 otherwise, and the points of P are those of P' mapped back.
   walk (``_slab_counts``) gives each slab's total, which ``count`` sums.
 - rank 4, a full-dimensional 4-D body: the prefixes of the first two axes,
   walked as ``enumerate_points`` walks all n, each slab counted from its
-  constraint lines (``_slab_sum``).
+  constraint lines, and the slabs of each first coordinate summed into one
+  total (``_slab_sum``), which ``count`` sums.
 
 ``concave_sum`` of a full-dimensional polygon walks the rows of its
 chains, reads each row's column of points off its two owner facets
@@ -40,11 +41,13 @@ chains, reads each row's column of points off its two owner facets
 of one piece at a time (``_chain_concave_sum``), so it lists no point.
 Every other body, 3-D ones included, and a polygon where G scores a point
 negative, sum over the listed points (``_enumerated_concave_sum``).  The
-chains also give the points per first coordinate (``_first_axis_counts``:
-a polygon's columns, a 3-D body's ``_slab_counts``), in any unimodular
-frame (``_frame``).
+walks of ``count`` also give the points per first coordinate of every
+full-dimensional body (``_first_axis_counts``: an interval's range, a
+polygon's columns, a 3-D body's ``_slab_counts``, a 4-D body's
+``_slab_sum``), in any unimodular frame (``_frame``); only a flat body
+lists its points for them.
 
-On that last path, which only full-dimensional 4-D bodies take, a slab's
+On the rank-4 path, which only full-dimensional 4-D bodies take, a slab's
 rows are empty outside the x-range where every (upper, lower) pair of its
 y-lines allows a row.  These pair bounds, the x-box and the constraints on
 x are built once per body (``_slab_form``) and set up once per level: a
@@ -331,10 +334,12 @@ def _slab_form(body: ConvexBody):
     return body._cache["slabs"]
 
 
-def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
-    """Points of a full-dimensional 4-D body at one level, as a sum of 2-D
-    slabs (the walk holds for any body of dimension n >= 3, flat or not, but
-    ``count`` sends it 4-D bodies only).
+def _slab_sum(body: ConvexBody, k: int) -> dict[int, int]:
+    """{z: points with first numerator z} of a full-dimensional body of
+    dimension n >= 3 at level k, summed over its 2-D slabs: the one walk
+    behind the ``count`` and the ``_first_axis_counts`` of a body of
+    dimension n >= 4.  For n = 3 each key is a slab's own w, as in
+    ``_slab_counts``, which serves n = 3 and of which this is the oracle.
 
     With the bounds of ``_slab_form`` at this level, the flat bounds join the
     constraints of the outer axes, so they narrow the outer ranges once.  Then
@@ -342,25 +347,28 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
     become lines in w, and the x-range of each slab is read off the two
     envelopes of the bounds on x (``_envelope_floors``): only the lines that
     bind are evaluated, one per slab and side.  Each nonempty slab is then
-    summed in closed form, one ``_envelope_floor_sum`` per side.
+    summed in closed form, one ``_envelope_floor_sum`` per side, and for
+    n >= 4 its prefix's slabs are summed into the total of the prefix's
+    first numerator.
     """
+    lo, hi, levels = _scaled_constraints(body, k)
     upper, lower, x_lower, x_upper, flat = _slab_form(body)
     x = body.dim - 2
     y = x + 1
     c = [hi[x], -lo[x], hi[y], -lo[y], *(cj for _, cj in levels[x]), *(cj for _, cj in levels[y])]
     outer = [list(group) for group in levels[:x]]
+    counts: dict[int, int] = {}
     for A, _, w1, i1, w2, i2 in flat:
         B = w1 * c[i1] + w2 * c[i2]
         if any(A):
             outer[max(i for i, a in enumerate(A) if a)].append((A, B))
         elif B < 0:
-            return 0
+            return counts
     x_lower = [(A, w1 * c[i1] + w2 * c[i2], s) for A, s, w1, i1, w2, i2 in x_lower]
     x_upper = [(A, w1 * c[i1] + w2 * c[i2], s) for A, s, w1, i1, w2, i2 in x_upper]
     upper = [(c[i], a, q, r) for a, q, r, i in upper]
     lower = [(c[i], a, q, r) for a, q, r, i in lower]
     w = x - 1
-    total = 0
     for prefix in _prefixes(lo, hi, outer, w):
         w_lo, w_hi = _interval(lo[w], hi[w], outer[w], prefix)
         if w_lo > w_hi:
@@ -373,13 +381,20 @@ def _slab_sum(body: ConvexBody, lo, hi, levels) -> int:
             [(_rest(A, B, prefix), -A[w], s) for A, B, s in x_upper], w_lo, w_hi)
         up = [(_rest(a, p, prefix), a[w], q, r) for p, a, q, r in upper]
         down = [(_rest(a, p, prefix), a[w], q, r) for p, a, q, r in lower]
+        total = 0
         for z, x0, x1 in zip(range(w_lo, w_hi + 1), x_lo, x_hi):
             if x0 <= x1:
                 # row x holds floor(min upper) + floor(min lower) + 1 points
-                total += (_envelope_floor_sum([(p - a * z, q, r) for p, a, q, r in up], x0, x1)
-                          + _envelope_floor_sum([(p - a * z, q, r) for p, a, q, r in down], x0, x1)
-                          + x1 - x0 + 1)
-    return total
+                slab = (_envelope_floor_sum([(p - a * z, q, r) for p, a, q, r in up], x0, x1)
+                        + _envelope_floor_sum([(p - a * z, q, r) for p, a, q, r in down], x0, x1)
+                        + x1 - x0 + 1)
+                if w:
+                    total += slab
+                else:
+                    counts[z] = slab
+        if w:
+            counts[prefix[0]] = counts.get(prefix[0], 0) + total
+    return counts
 
 
 def _chain_form(body: ConvexBody):
@@ -560,24 +575,30 @@ def _polygon_columns(body: ConvexBody, k: int):
 
 
 def _first_axis_counts(body: ConvexBody, k: int) -> dict[int, int]:
-    """{z1: points of body ∩ Z^n/k with that first numerator}, some 0.  A
-    full-dimensional 2-D or 3-D body lists no point: a polygon's column x
-    holds floor U(x) + floor(-L(x)) + 1 (``_polygon_columns``), and a 3-D
-    body's slabs are those ``count`` sums (``_slab_counts``); other bodies
-    count listed points."""
-    if body.dim not in (2, 3) or not body.is_full_dim():
+    """{z1: points of body ∩ Z^n/k with that first numerator}, some 0.  Only
+    a flat body counts listed points.  A full-dimensional one lists none: an
+    interval's points are the range of its scaled box, a polygon's column x
+    holds floor U(x) + floor(-L(x)) + 1 (``_polygon_columns``), and a body
+    of dimension 3 or more keeps the per-slab or per-prefix totals that
+    ``count`` sums (``_slab_counts``, ``_slab_sum``)."""
+    if not body.is_full_dim():
         return Counter(z[0] for z in _numerators(body, k))
+    if body.dim == 1:
+        D, ((lo, hi),), _ = _lattice_form(body)
+        return dict.fromkeys(range(_ceil_div(k * lo, D), (k * hi) // D + 1), 1)
     if body.dim == 2:
         return {x: top + bottom + 1 for x, top, bottom in _polygon_columns(body, k)}
-    return _slab_counts(body, k)
+    return (_slab_counts if body.dim == 3 else _slab_sum)(body, k)
 
 
 def first_axis_bound(body: ConvexBody, k: int) -> int:
-    """Upper bound on the columns or slabs ``_first_axis_counts(body, k)``
-    reads off a full-dimensional 2-D or 3-D body: floor(k w) + 1 for its
-    width w on the first axis."""
+    """Upper bound on the points of an interval, the columns of a polygon or
+    the slabs of a body of dimension n >= 3 that ``_first_axis_counts(body,
+    k)`` reads off a full-dimensional body, known before any counting: the
+    integer points of the bounding box of k*body on its first max(1, n - 2)
+    axes, at most floor(k w) + 1 on each axis of width w."""
     D, box, _ = _lattice_form(body)
-    return (k * (box[0][1] - box[0][0])) // D + 1
+    return prod((k * (hi - lo)) // D + 1 for lo, hi in box[:max(1, body.dim - 2)])
 
 
 def _chain_concave_sum(body: ConvexBody, g: ConcavePL, k: int) -> int | None:
@@ -742,7 +763,9 @@ def count(body: ConvexBody, k: int) -> int:
     ``enumerate_points`` runs over all n and counts each slab from its
     constraint lines (``_slab_sum``): one stack pass per slab and side and
     one floor sum per envelope run, after the body's pair bounds and slope
-    orders are built once, in O(m^2 log m) for m constraints.
+    orders are built once, in O(m^2 log m) for m constraints.  Ranks 3 and
+    4 sum the per-first-coordinate totals of these walks
+    (``_first_axis_counts``).
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
@@ -759,9 +782,7 @@ def count(body: ConvexBody, k: int) -> int:
         return max(0, (k * hi) // D - _ceil_div(k * lo, D) + 1)
     if body.dim == 2:
         return _polygon_count(body, k)
-    if body.dim == 3:
-        return sum(_slab_counts(body, k).values())
-    return _slab_sum(body, *_scaled_constraints(body, k))
+    return sum(_first_axis_counts(body, k).values())
 
 
 def slab_bound(body: ConvexBody, k: int) -> int:

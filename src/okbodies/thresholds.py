@@ -185,12 +185,13 @@ def _top(table: _LevelScores, m: int) -> tuple[int, int]:
 
 def _point_free_frame(ambient: ConvexBody, g: ConcavePL, k: int,
                       points: int) -> Optional[ConvexBody]:
-    """For a one-piece G on a full-dimensional 2-D or 3-D ambient, the
-    ambient in the frame (``lattice._frame``) of the direction of L grad (or
-    itself, G constant), unless its first axis at level k has more values
-    than the level has points (a steep G); else None."""
+    """For a one-piece G on a full-dimensional ambient, the ambient in the
+    frame (``lattice._frame``) of the direction of L grad (or itself, G
+    constant), unless the frame's first-axis counts at level k read more
+    points, columns or slabs (``lattice.first_axis_bound``) than the level
+    has points (a steep G); else None, and the level's points are listed."""
     forms = set(g.integer_form[1])
-    if len(forms) != 1 or ambient.dim not in (2, 3) or not ambient.is_full_dim():
+    if len(forms) != 1 or not ambient.is_full_dim():
         return None
     (grad, _), = forms
     d = math.gcd(*grad)

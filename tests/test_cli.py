@@ -886,6 +886,56 @@ def test_thresholds_of_one_piece_families_bound_columns_not_points(tmp_path, cap
         cli._check_series_size(p2_model, range(1, 4), "--k-max 3", family)
 
 
+# sha256 of ``thresholds --tau 1/2 --k-max 20`` on the 4-D unit cube with x1
+# and x1 + x2 + x3 + x4, as written when every level was listed and scored
+CUBE4_K20_DIGEST = "31c2f5c700096e5562cb91def008a086385bac1e70366e7852b0d2c844bff9e6"
+
+
+def test_thresholds_of_the_4d_cube_read_slabs_not_points(tmp_path, capsys, monkeypatch):
+    """A one-piece G on a full-dimensional 4-D ambient is read off the slab
+    totals of its frame: the unit cube reads (k + 1)^2 slabs for x1 and
+    (4k + 1)(k + 1) for x1 + x2 + x3 + x4 at level k, 994,838 in all up to
+    level 83 and 1,030,708 up to 84.  So ``thresholds`` lists no point: up
+    to level 20 it writes the CSV of the listed levels, at --k-max 30, past
+    the point limit (level 21), it exits 0, and at --k-max 84 it exits 2
+    before any table or S_tau is computed."""
+    import okbodies.cli as cli
+    import okbodies.lattice as lattice
+    import okbodies.series as series
+    import okbodies.thresholds as thresholds
+
+    def no_work(*args):
+        raise AssertionError("work started")
+
+    family_json = [valuation("x1", "1", "0", "0", "0"), valuation("sum", "1", "1", "1", "1")]
+    model = series.model_from_json({"backend": "toric", "polytope": CUBE4_JSON})
+    family = [thresholds.valuation_from_json(v, model.ambient) for v in family_json]
+    for k in (1, 2, 7, 83):
+        size = lattice.count(model.ambient, k)
+        frames = [thresholds._point_free_frame(model.ambient, v.G, k, size) for v in family]
+        assert [lattice.first_axis_bound(f, k) for f in frames] == [(k + 1) ** 2,
+                                                                   (4 * k + 1) * (k + 1)]
+    slabs = [sum((k + 1) ** 2 + (4 * k + 1) * (k + 1) for k in range(1, K + 1)) for K in (83, 84)]
+    assert slabs == [994_838, 1_030_708]
+    cube4 = write(tmp_path, "cube4.json", {"backend": "toric", "polytope": CUBE4_JSON})
+    vfile = write(tmp_path, "family.json", family_json)
+    out = tmp_path / "cube4.csv"
+    with monkeypatch.context() as mp:
+        mp.setattr(lattice, "_numerators", no_work)
+        for k in (20, 30):
+            assert main(["thresholds", "--in", cube4, "--valuations", vfile, "--tau", "1/2",
+                         "--k-max", str(k), "--out", str(out)]) == 0
+            if k == 20:
+                assert hashlib.sha256(out.read_bytes()).hexdigest() == CUBE4_K20_DIGEST
+    assert len(out.read_text().splitlines()) == 1 + 2 * 30
+    for module, name in ((series, "enumerate_points"), (series, "_first_axis_counts"),
+                         (thresholds, "_first_axis_counts"), (cli, "S_tau")):
+        monkeypatch.setattr(module, name, no_work)
+    assert main(["thresholds", "--in", cube4, "--valuations", vfile, "--k-max", "84"]) == 2
+    assert capsys.readouterr().err == ("input error: --k-max 84 reads more than 1000000 "
+                                       "columns or slabs (the limit is passed at level 84)\n")
+
+
 def test_thresholds_on_an_empty_level_names_it(tmp_path, capsys):
     """A level whose points are all gaps has no m to choose: ``thresholds``
     exits 1 naming the empty Delta_k, not an m the user never gave."""

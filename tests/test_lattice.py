@@ -238,11 +238,12 @@ def _differential_body(rng, n, kind):
 
 def _first_axis_histogram(body, k):
     """{z_1: points} of ``_first_axis_counts``, its counts checked nonnegative
-    and, off the chains of a full-dimensional 2-D or 3-D body, its columns or
-    slabs no more than ``first_axis_bound``."""
+    and, for a full-dimensional body, which lists no point, its keys no more
+    than ``first_axis_bound``: the points of an interval, the columns of a
+    polygon and the slabs of a 3-D or 4-D body."""
     counts = lattice._first_axis_counts(body, k)
     assert min(counts.values(), default=0) >= 0
-    if body.dim in (2, 3) and not body.is_empty and body.is_full_dim():
+    if body.is_full_dim():
         assert len(counts) <= lattice.first_axis_bound(body, k)
     return {z: n for z, n in counts.items() if n}
 
@@ -485,8 +486,8 @@ def _criterion_04_body(n, seed, points):
 
 
 def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
-    """Each slab of ``_slab_sum`` (n = 4 and flat bodies; called here on
-    full-dimensional 3-D bodies, which ``count`` reads off their chains)
+    """Each slab of ``_slab_sum`` (full-dimensional 4-D bodies; called here
+    on full-dimensional 3-D bodies, which ``count`` reads off their chains)
     evaluates one lower and one upper x-bound: the line of its run.  The unit
     cube's (upper, lower) pairs all have slope 0, so none reaches the slab
     loop and each side is one run of a box bound.  The first 3-D
@@ -505,13 +506,13 @@ def test_slab_bounds_evaluate_only_the_binding_lines(monkeypatch):
     cube = hull(list(itertools.product((0, 1), repeat=3)))
     _, _, x_lower, x_upper, flat = lattice._slab_form(cube)
     assert (len(x_lower), len(x_upper), len(flat)) == (2, 2, 4)
-    assert lattice._slab_sum(cube, *_scaled_constraints(cube, 50)) == 51 ** 3
+    assert sum(lattice._slab_sum(cube, 50).values()) == 51 ** 3
     assert runs == [(2, 1), (2, 1)]
     runs.clear()
     body = _criterion_04_body(3, 1001, 8)
     _, _, x_lower, x_upper, flat = lattice._slab_form(body)
     assert (len(x_lower), len(x_upper), len(flat)) == (28, 22, 1)
-    assert lattice._slab_sum(body, *_scaled_constraints(body, 60)) == oracle_count(body, 60)
+    assert sum(lattice._slab_sum(body, 60).values()) == oracle_count(body, 60)
     assert runs == [(28, 3), (22, 5)]
 
 
@@ -607,7 +608,7 @@ def test_count_sorts_lines_once_per_body_and_sums_each_run_once(monkeypatch):
     body = _criterion_04_body(3, 1001, 8)
     body._cache.pop("slabs", None)
     for k in (60, 59):
-        assert lattice._slab_sum(body, *_scaled_constraints(body, k)) == oracle_count(body, k)
+        assert sum(lattice._slab_sum(body, k).values()) == oracle_count(body, k)
         assert sorts == [7, 7, 28, 22]
     assert len(sums) == sum(runs) and len(runs) > 100
 
@@ -738,7 +739,8 @@ def test_chain_count_matches_stack_pass_paths(seed, n, kind):
     n = 4 (n = 3) must agree.  A multiple of the vertex denominator puts the
     vertices on Z^n/k, so slabs fall on vertex levels and breakpoints on
     integers.  At small levels the points per first numerator read off the
-    same chains (``_first_axis_counts``) are those of the enumeration."""
+    same chains (``_first_axis_counts``) are those of the enumeration and,
+    for n = 3, the nonzero slab totals of ``_slab_sum``."""
     rng = random.Random(seed)
     body, den = _chain_body(rng, n, kind)
     if not body.is_full_dim():
@@ -746,10 +748,13 @@ def test_chain_count_matches_stack_pass_paths(seed, n, kind):
     for k in (1, rng.randint(1, CHAIN_K_MAX), rng.randint(1, CHAIN_K_MAX),
               den, den * rng.randint(1, CHAIN_K_MAX // den)):
         expected = (oracle_count(body, k) if n == 2
-                    else lattice._slab_sum(body, *_scaled_constraints(body, k)))
+                    else sum(lattice._slab_sum(body, k).values()))
         assert count(body, k) == expected
     for k in {1, rng.randint(1, 12), den if den <= 12 else 1}:
-        assert _first_axis_histogram(body, k) == Counter(z[0] for z in enumerate_points(body, k))
+        histogram = _first_axis_histogram(body, k)
+        assert histogram == Counter(z[0] for z in enumerate_points(body, k))
+        if n == 3:
+            assert {z: c for z, c in lattice._slab_sum(body, k).items() if c} == histogram
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

@@ -1748,6 +1748,70 @@ def test_one_piece_tables_list_no_point(monkeypatch):
     assert [answers(model) for model in models()] == expected
 
 
+def _full_dimensional_one_piece_cases():
+    """(ambient, transforms, gaps): the 4-D unit cube, seeded 4-D hulls of
+    points in (Z/24)^4, 1-D segments with rational ends and one random 2-D
+    and 3-D ambient, each with the transforms of ``_one_piece_transforms``
+    (a steep (60,) added in 1-D) and gaps on the top and tied scores of one
+    of them at three levels that hold a point."""
+    rng = random.Random(46)
+    ambients = [hull(list(itertools.product((0, 1), repeat=4)))]
+    while len(ambients) < 4:
+        body = hull([tuple(F(rng.randint(0, 24), 24) for _ in range(4)) for _ in range(10)])
+        if body.is_full_dim():
+            ambients.append(body)
+    for _ in range(3):
+        start = _random_rational(rng, -1, 1)
+        ambients.append(hull([(start,), (start + _random_rational(rng, 1, 3),)]))
+    ambients += [_random_ambient(rng, 2), _random_ambient(rng, 3)]
+    for ambient in ambients:
+        transforms = _one_piece_transforms(rng, ambient)
+        if ambient.dim == 1:
+            start = min(v[0] for v in ambient.vertices)
+            transforms.append(ConcavePL.make([AffineFunctional.make([60], -60 * start)], ambient))
+        g = rng.choice(transforms)
+        levels = sorted(rng.sample([k for k in range(1, 11 if ambient.dim == 4 else 13)
+                                    if count(ambient, k)], 3))
+        yield ambient, transforms, {k: _gaps_on_ties(rng, g, ambient, k) for k in levels}
+
+
+def test_one_piece_tables_of_every_full_dimensional_ambient_list_no_point(monkeypatch):
+    """A one-piece G on a full-dimensional ambient of any dimension 1-4 is
+    read off the first-axis counts of its frame (an interval's range, a
+    polygon's columns, the slabs of a 3-D body, the per-first-coordinate
+    slab totals of a 4-D one), unless the frame reads more points, columns
+    or slabs than the level has points.  Both tables of every level equal
+    the per-point oracle's, gcd > 1, rational, constant and steep G and gaps
+    on the top score included; and with the lattice walk refused, every
+    table read off a frame is rebuilt on an untouched twin model with no
+    point listed."""
+    import okbodies.lattice as lattice
+
+    framed, paths = [], Counter()
+    for ambient, transforms, gaps in _full_dimensional_one_piece_cases():
+        model = SyntheticModel(ambient, gaps)
+        for k in gaps:
+            for g in transforms:
+                frame = thresholds._point_free_frame(ambient, g, k, count(ambient, k))
+                paths[ambient.dim, frame is None] += 1
+                tables = [thresholds._level_scores(model, g, k, ideal) for ideal in (True, False)]
+                for table, ideal in zip(tables, (True, False)):
+                    assert _expanded(table) == _scores_and_prefix(
+                        oracle_score_level(model, g, k, ideal))
+                if frame is not None:
+                    framed.append((ambient, gaps, g, k, tables))
+    assert paths == {(1, False): 36, (1, True): 18, (2, False): 14, (2, True): 7,
+                     (3, False): 17, (3, True): 4, (4, False): 43, (4, True): 41}
+
+    def refused(*args):
+        raise AssertionError("a point was listed")
+
+    monkeypatch.setattr(lattice, "_numerators", refused)
+    for ambient, gaps, g, k, tables in framed:
+        twin = SyntheticModel(ambient, gaps)
+        assert [thresholds._level_scores(twin, g, k, ideal) for ideal in (True, False)] == tables
+
+
 def test_thresholds_guards_raise_as_pinned():
     """tau outside [0, 1] and a family size m outside [1, d_k] raise
     ValueError before any level is scored."""
