@@ -28,8 +28,9 @@ reads its tight sets, rank and equalities off the parent's instead.
 ``_int_reduce``, a fraction-free Gauss-Jordan on integer rows, is the
 Gaussian elimination of this module: every rank, pivot set and nullspace
 here reads it, except the facet normals of ``_hull_full``, which are
-cofactor minors over ``_det``.  Two solvers live elsewhere:
-``thresholds._meet`` solves for a point by Cramer's rule over ``_det``, and
+cofactor vectors (``_cofactors``: closed-form minors for 2x3 and 3x4
+rows, else ``_det``).  Two solvers live elsewhere: ``thresholds._meet``
+solves for a point by Cramer's rule, as the same cofactor vector, and
 ``lattice._column_reduction`` reduces integer rows by extended-gcd column
 operations.
 The inscribed-ball LP ``_simplex_max`` pivots a condensed fraction-free integer
@@ -43,7 +44,8 @@ each halfspace, the set of vertex indices tight on it.  The facets of a face F
 are the maximal proper nonempty sets among F & t over the incidence sets t,
 and two vertices span an edge iff the smallest face holding both (the
 intersection of the incidence sets that hold both) has exactly two vertices.
-Triangulation, clipping and facet filtering all work on these index sets.
+Triangulation, clipping and facet filtering all work on these index sets;
+triangulation and the maximal-set filter hold them as int bit masks.
 """
 
 from __future__ import annotations
@@ -301,6 +303,28 @@ def _det(mat: Sequence[Sequence]) -> Fraction | int:
     return total
 
 
+def _cofactors(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The cofactor vector ((-1)^j det of the rows without column j) of m
+    integer rows in R^(m+1): orthogonal to every row, and zero iff the rows
+    are linearly dependent.  No rows give (1,), the empty cofactor.
+
+    Closed forms where facet normals and hyperplane meets of dimension 3
+    and 4 land: the cross product for m = 2, and for m = 3 each 3x3 minor
+    expanded along the third row over the six 2x2 minors of the first two,
+    which the four minors share.  Other sizes expand by ``_det``."""
+    m = len(rows)
+    if m == 2:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    if m == 3:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3) = rows
+        m01, m02, m03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+        m12, m13, m23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+        return (c1 * m23 - c2 * m13 + c3 * m12, c2 * m03 - c0 * m23 - c3 * m02,
+                c0 * m13 - c1 * m03 + c3 * m01, c1 * m02 - c0 * m12 - c2 * m01)
+    return tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(m + 1))
+
+
 # ---------------------------------------------------------------------------
 # halfspaces and affine data
 # ---------------------------------------------------------------------------
@@ -530,15 +554,25 @@ def _affine_equalities(D: int, Z: Sequence[Sequence[int]], n: int) -> list[HalfS
     return equalities
 
 
-def _maximal(sets: set[frozenset[int]]) -> set[frozenset[int]]:
-    """The members of a family of sets that lie in no other member.
+def _bits(indices: Iterable[int]) -> int:
+    """The bit mask of a set of indices: bit i set for each index i."""
+    return sum(map((1).__lshift__, indices))
 
-    Largest first: a set inside another member lies inside a maximal one,
-    which is larger and already kept, so each set is compared with the kept
-    sets only."""
-    kept: list[frozenset[int]] = []
-    for s in sorted(sets, key=len, reverse=True):
-        if not any(s < t for t in kept):
+
+def _maximal(sets: set[int]) -> set[int]:
+    """The members of a family of index sets, as bit masks, that lie in no
+    other member.
+
+    Largest first, as integers: a proper superset is a larger integer, and a
+    set inside another member lies inside a maximal one, which is already
+    kept, so each set is compared with the kept sets only (s & t == s for s
+    inside t; the members are distinct)."""
+    kept: list[int] = []
+    for s in sorted(sets, reverse=True):
+        for t in kept:
+            if s & t == s:
+                break
+        else:
             kept.append(s)
     return set(kept)
 
@@ -625,14 +659,21 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
     cone from it over the horizon, the ridges of exactly one replaced facet.
     Every later row lies outside the hull so far, so its horizon is never
     empty.
-    Coplanar simplices are then merged by their primitive normal.  A point of
-    a boundary simplex is a vertex iff the normals of the facets tight at it
+    Each normal is the cofactor vector of the simplex's edge rows
+    (``_cofactors``).  Coplanar simplices are then merged by their primitive
+    normal, and each point of a boundary simplex takes as its tight normals
+    the merged normals of the simplices that hold it, with no dot product.
+    A vertex of the hull is a vertex of some simplex in every facet that
+    holds it, as those simplices cover the facet, so a vertex gets exactly
+    the facets tight at it; any other point gets a subset of its tight
+    facets.  A point is a vertex iff the normals of the facets tight at it
     have rank n, so one on fewer than n facets is none.  Every (n-2)-face of
     an n-polytope lies on exactly two facets, and a facet's relative interior
     on one, so for n <= 3 a boundary point that is no vertex lies on at most
     n - 1 facets: there n tight facets make a vertex, and only n >= 4 (where
-    an edge can lie on n facets) needs the rank.  The vertex rows stay
-    integers (``_primed``).
+    an edge can lie on n facets) needs the rank; a subset of a point's tight
+    normals fails both tests wherever the full set does.  The vertex rows
+    stay integers (``_primed``).
     """
     seed = [0]
     for i in range(1, len(P)):
@@ -646,8 +687,7 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
 
     def facet(verts: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         base = P[verts[0]]
-        rows = [[x - y for x, y in zip(P[v], base)] for v in verts[1:]]
-        w = tuple((-1) ** j * _det([r[:j] + r[j + 1:] for r in rows]) for j in range(n))
+        w = _cofactors([[x - y for x, y in zip(P[v], base)] for v in verts[1:]])
         b = sum(map(mul, w, base))
         if sum(map(mul, w, inner)) > (n + 1) * b:
             w, b = tuple(-c for c in w), -b
@@ -667,14 +707,17 @@ def _hull_full(D: int, P: Sequence[tuple[int, ...]], n: int) -> ConvexBody:
         facets = beneath + [facet(tuple(sorted(r + (i,)))) for r in horizon]
 
     merged: dict[tuple[int, ...], int] = {}
-    for _, w, b in facets:
+    on: dict[int, set[tuple[int, ...]]] = {}  # the merged normals of the simplices at each row
+    for verts, w, b in facets:
         g = gcd(*w)
-        merged[tuple(c // g for c in w)] = b // g
+        w = tuple(c // g for c in w)
+        merged[w] = b // g
+        for v in verts:
+            on.setdefault(v, set()).add(w)
     tight_at: dict[tuple[int, ...], list[int]] = {w: [] for w in merged}
     vertices: list[tuple[int, ...]] = []
-    for i in sorted({v for verts, _, _ in facets for v in verts}):
-        tight = [w for w, b in merged.items() if sum(map(mul, w, P[i])) == b]
-        if len(tight) >= n and (n <= 3 or _int_reduce(tight)[0] == n):
+    for i, tight in sorted(on.items()):
+        if len(tight) >= n and (n <= 3 or _int_reduce(list(tight))[0] == n):
             for w in tight:
                 tight_at[w].append(len(vertices))
             vertices.append(P[i])
@@ -700,7 +743,8 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
     halfspace is tight at a kept vertex iff it was tight there, and at the
     crossing on (i, j) iff it is tight at both ends; hs is tight at every
     crossing and every vertex with s_i = 0.  The facets are the candidates
-    whose tight sets are maximal among the proper, nonempty ones.  The
+    whose tight sets are maximal among the proper, nonempty ones (compared
+    as bit masks, ``_maximal``).  The
     relatively open part {s < 0} of the body is nonempty, so the result keeps
     the parent's affine hull and rank r, and its candidates tight at every
     new vertex are the parent's equalities (hs misses a vertex with s < 0,
@@ -764,11 +808,13 @@ def intersect_halfspace(body: ConvexBody, hs: HalfSpace) -> ConvexBody:
             tight_sets[h].append(idx)
         if on:
             on_hs.append(idx)
-    candidates = [*zip(body.halfspaces, map(frozenset, tight_sets)), (hs, frozenset(on_hs))]
-    kept = _maximal({t for _, t in candidates if 0 < len(t) < len(rows)})
-    kept.add(frozenset(range(len(rows))))  # the equalities
+    candidates = [*zip(body.halfspaces, tight_sets), (hs, on_hs)]
+    masks = [_bits(t) for _, t in candidates]
+    full = (1 << len(rows)) - 1
+    kept = _maximal({m for m in masks if 0 < m < full})
+    kept.add(full)  # the equalities
     return _primed(n, D * L, [z for z, _, _ in rows],
-                   [(h, t) for h, t in candidates if t in kept], rank)
+                   [(h, frozenset(t)) for (h, t), m in zip(candidates, masks) if m in kept], rank)
 
 
 def scale_translate(body: ConvexBody, lam, shift: Sequence = None) -> ConvexBody:
@@ -930,25 +976,30 @@ def triangulate(body: ConvexBody) -> list[tuple[int, ...]]:
     into body.vertices, in any dimension.
 
     Each face is coned from its smallest vertex over its facets that miss that
-    vertex; faces are vertex-index sets read from the incidence, and each face
-    is triangulated once.  ``_moments`` uses it for n != 2; for a polygon it
-    is the fan from vertex 0, which ``_moments`` reads off the edges directly.
+    vertex, and each face is triangulated once.  Faces are int bit masks of
+    vertex indices (``_bits`` of the incidence), and the apex is the lowest
+    set bit.  The facets of a face F are the maximal proper nonempty sets F &
+    t; a sub-face G of F reads its own off F's list of those sets, shorter
+    than the incidence, as G & (F & t) = G & t.  ``_moments`` uses it for
+    n != 2; for a polygon it is the fan from vertex 0, which ``_moments``
+    reads off the edges directly.
     """
     if not body.is_full_dim():
         raise DegenerateBody("triangulation requires a full-dimensional body")
-    incidence = body.incidence()
-    memo: dict[frozenset[int], list[tuple[int, ...]]] = {}
+    memo: dict[int, list[tuple[int, ...]]] = {}
 
-    def pull(face: frozenset[int]) -> list[tuple[int, ...]]:
+    def pull(face: int, outer: Iterable[int]) -> list[tuple[int, ...]]:
         if face not in memo:
-            apex = min(face)
-            facets = _maximal({face & t for t in incidence} - {face, frozenset()})
+            low = face & -face
+            apex = low.bit_length() - 1
+            # the proper nonempty faces F & t, t over the parent's list
+            inside = {face & t for t in outer} - {face, 0}
             # a vertex has no facets and is its own triangulation
-            memo[face] = [(apex,) + s for facet in facets if apex not in facet
-                          for s in pull(facet)] or [(apex,)]
+            memo[face] = [(apex,) + s for facet in _maximal(inside) if not facet & low
+                          for s in pull(facet, inside)] or [(apex,)]
         return memo[face]
 
-    return pull(frozenset(range(len(body.int_form()[1]))))
+    return pull((1 << len(body.int_form()[1])) - 1, map(_bits, body.incidence()))
 
 
 def _moments(body: ConvexBody) -> tuple[Fraction, Vec]:

@@ -48,6 +48,7 @@ from .geometry import (
     AffineFunctional,
     ConcavePL,
     ConvexBody,
+    _cofactors,
     _det,
     _linearity_regions,
     first_coordinate_transform,
@@ -407,17 +408,14 @@ def _candidates(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, ...]:
 
 def _meet(rows: Sequence[Sequence[int]]) -> Optional[list[int]]:
     """The point where n hyperplanes h . (x, 1) = 0 in R^n meet, as integer
-    homogeneous coordinates w with x = w[:n] / w[n] and w[n] > 0 (Cramer's
-    rule, in closed-form ``_det`` minors: w_k = ±(-1)^k det of the rows
-    without column k), or None when the hyperplanes do not meet in one
-    point."""
-    n = len(rows)
-    last = (-1) ** n * _det([r[:n] for r in rows])
-    if not last:
+    homogeneous coordinates w with x = w[:n] / w[n] and w[n] > 0, or None
+    when the hyperplanes do not meet in one point (w[n] = 0).  By Cramer's
+    rule, w is the cofactor vector of the n rows in R^(n+1)
+    (``geometry._cofactors``), negated when its last entry is negative."""
+    w = _cofactors(rows)
+    if not w[-1]:
         return None
-    sign = 1 if last > 0 else -1
-    return [sign * (-1) ** k * _det([r[:k] + r[k + 1:] for r in rows]) for k in range(n)] + [
-        abs(last)]
+    return list(w) if w[-1] > 0 else [-c for c in w]
 
 
 def _knot_terms(ambient: ConvexBody, g: ConcavePL) -> tuple[Fraction, dict[Fraction, list[Fraction]]]:

@@ -5,7 +5,7 @@
 primitive nullspace basis from it: the slow paths that the library's integer
 ``_int_reduce`` and ``_nullspace`` are checked against.  ``oracle_det`` is
 the recursive Laplace expansion that the library's closed-form 3x3 and 4x4
-``_det`` must equal.  ``oracle_simplex_max``
+``_det``, and the cofactor vectors of its ``_cofactors``, must equal.  ``oracle_simplex_max``
 is the dense Fraction tableau simplex, slack identity block and all, that
 the library's condensed fraction-free dictionary ``_simplex_max`` must match
 pivot for pivot: Bland's rule picks the same labels in both, so both end at
@@ -78,6 +78,10 @@ the 3-D chain form, and ``oracle_section_count``,
 columns and concave sums off it the way the 3-D chain kernel reads one
 slab: the paths that the library's flat edge-run form of a polygon, and
 its ``_polygon_count`` and ``_polygon_columns``, must match exactly.
+``oracle_pull_triangulation`` pulls faces held as frozensets of vertex
+indices, each face's facets read off every incidence set: the path that the
+library's ``triangulate``, on bit masks with each face's facets read off
+its parent's list, must match simplex for simplex.
 ``oracle_discrepancy`` is the signed Ehrhart discrepancy count - |P| k^n in
 Fractions, which the verify suite's integer cross-multiplied maximum must
 match.
@@ -108,6 +112,9 @@ match bracket for bracket.
 facet and piece rows by Bareiss elimination, facet-only ones included: the
 path that the library's candidate breaks, solved by Cramer's rule only over
 combinations that hold a piece row, must match tuple for tuple.
+``oracle_meet`` is that Cramer solve with one ``oracle_det`` per minor: the
+path that the library's ``_meet``, which reads the closed-form cofactor
+vector ``_cofactors``, must match.
 """
 
 import itertools
@@ -793,6 +800,25 @@ def oracle_section_concave_sum(body, g, k: int):
     return twice // 2
 
 
+def oracle_pull_triangulation(body):
+    """The pulling triangulation of a full-dimensional body on frozensets:
+    each face, a frozenset of vertex indices, is coned from its smallest
+    vertex over its facets that miss it, the maximal proper nonempty sets
+    F & t over every incidence set t (``oracle_maximal``)."""
+    incidence = body.incidence()
+    memo = {}
+
+    def pull(face):
+        if face not in memo:
+            apex = min(face)
+            facets = oracle_maximal({face & t for t in incidence} - {face, frozenset()})
+            memo[face] = [(apex,) + s for facet in facets if apex not in facet
+                          for s in pull(facet)] or [(apex,)]
+        return memo[face]
+
+    return pull(frozenset(range(len(body.int_form()[1]))))
+
+
 def oracle_discrepancy(body, k: int) -> Fraction:
     """Signed Ehrhart discrepancy count(body, k) - |body| k^n, exact."""
     return count(body, k) - volume(body) * Fraction(k) ** body.dim
@@ -940,6 +966,19 @@ def oracle_candidates(ambient, g):
         if pivots == list(range(n + 1)):
             cuts.add(Fraction(red[n][-1], d))
     return tuple(sorted(c for c in cuts if 0 <= c <= s0))
+
+
+def oracle_meet(rows):
+    """The point where n hyperplanes h . (x, 1) = 0 in R^n meet, by Cramer's
+    rule with each minor an ``oracle_det``: integer homogeneous coordinates
+    w with w[n] > 0, or None when the last minor is 0."""
+    n = len(rows)
+    last = (-1) ** n * oracle_det([r[:n] for r in rows])
+    if not last:
+        return None
+    sign = 1 if last > 0 else -1
+    return [sign * (-1) ** k * oracle_det([r[:k] + r[k + 1:] for r in rows])
+            for k in range(n)] + [abs(last)]
 
 
 def oracle_ccdf_data(ambient, g):

@@ -43,11 +43,13 @@ from okbodies.geometry import (
 )
 from okbodies.geometry import _dot
 import okbodies.geometry as geometry
+import okbodies.thresholds as thresholds
 from oracles import (check_guards, oracle_clip_rows, oracle_det, oracle_hull_front,
                      oracle_hull_full, oracle_intersect_halfspace, oracle_linearity_regions,
-                     oracle_maximal, oracle_minkowski_cube, oracle_nullspace, oracle_region_max,
-                     oracle_row_reduce, oracle_scale_translate, oracle_scaled_values,
-                     oracle_simplex_max, oracle_superlevel, vsub)
+                     oracle_maximal, oracle_minkowski_cube, oracle_nullspace,
+                     oracle_pull_triangulation, oracle_region_max, oracle_row_reduce,
+                     oracle_scale_translate, oracle_scaled_values, oracle_simplex_max,
+                     oracle_superlevel, vsub)
 
 UNIT_SIMPLEX = hull([(0, 0), (1, 0), (0, 1)])
 UNIT_SQUARE = hull([(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -390,7 +392,9 @@ SPHERE_POINTS = {2: [(F(1, 5), F(7, 5)), (F(7, 13), F(17, 13))],
 
 def oracle_cloud(rng, n, kind):
     """A small cloud of one kind; the oracle costs O(N^(n+1)), so N <= 12 (n = 1),
-    20 (n = 2), 16 (n = 3) or 11 (n = 4)."""
+    20 (n = 2), 16 (n = 3) or 11 (n = 4).  The "faces" kind, up to 2^n + 11
+    points for the beneath-beyond oracles only, puts points inside the edges,
+    2-faces and facets of a 0/1 polytope."""
     size = {1: 12, 2: 20, 3: 16, 4: 11}[n]
     if kind == "grid":  # denominators 1-3: many coplanar and collinear points
         den = rng.randint(1, 3)
@@ -406,6 +410,11 @@ def oracle_cloud(rng, n, kind):
             for q in SPHERE_POINTS[n] for perm in itertools.permutations(q)
             for signs in itertools.product((-1, 1), repeat=n)}
         return rng.sample(sorted(pool), rng.randrange(n + 2, size + 1))
+    if kind == "faces":  # corners of [0, 1]^n and half-integer points inside its faces
+        cube = list(itertools.product((0, 2), repeat=n))
+        keep = cube if rng.random() < 0.4 else rng.sample(cube, rng.randrange(n + 1, len(cube)))
+        inside = [p for p in itertools.product((0, 1, 2), repeat=n) if 1 in p]
+        return [tuple(F(c, 2) for c in p) for p in keep + rng.sample(inside, rng.randrange(2, 12))]
     if kind == "minkowski":  # vertex + cube-corner sums, as minkowski_cube builds
         eps = F(1, rng.randint(2, 4))
         verts = oracle_cloud(rng, n, "grid")[:2]
@@ -446,15 +455,18 @@ def test_hull_matches_supporting_hyperplane_oracle(n, kind, seed):
 @pytest.mark.parametrize("n, kind", [
     (n, kind) for n in (1, 2, 3, 4)
     for kind in ("grid", "duplicates", "cospherical", "minkowski", "hyperplane", "line")
-    if (n, kind) != (1, "cospherical")])
+    if (n, kind) != (1, "cospherical")] + [(3, "faces"), (4, "faces")])
 def test_hull_full_matches_rank_test_oracle(n, kind):
-    """The facet-count vertex test gives the same body as a rank test at
-    every candidate (``oracle_hull_full``): vertices, halfspaces, incidence,
-    integer form and affine rank, for full-dimensional clouds and for the
-    inner hull of flat ones.  Grid and Minkowski clouds put points inside
-    edges and facets.  A full-dimensional 2-D cloud takes ``_polygon``, with
-    no ``_hull_full`` call, so the oracle replaces that too, and it must run
-    once on every full-dimensional cloud."""
+    """The facet-count vertex test on tight sets read off the boundary
+    simplices gives the same body as a rank test of the facets tight by dot
+    products at every candidate (``oracle_hull_full``): vertices,
+    halfspaces, incidence, integer form and affine rank, for
+    full-dimensional clouds and for the inner hull of flat ones.  Grid,
+    Minkowski and faces clouds put points inside edges and facets, where the
+    two tight sets of a point that is no vertex differ; in 4-D faces clouds,
+    such points lie on four or more facets.  A full-dimensional 2-D cloud
+    takes ``_polygon``, with no ``_hull_full`` call, so the oracle replaces
+    that too, and it must run once on every full-dimensional cloud."""
     rng = random.Random(1000 * n + len(kind))
     ran = []
 
@@ -462,6 +474,7 @@ def test_hull_full_matches_rank_test_oracle(n, kind):
         ran.append(m)
         return oracle_hull_full(D, P, m)
 
+    crowded = 0  # points that are no vertex, on n or more facets (none for n <= 3)
     for _ in range(12):
         pts = oracle_cloud(rng, n, kind)
         body = hull(pts)
@@ -475,6 +488,10 @@ def test_hull_full_matches_rank_test_oracle(n, kind):
         assert body._cache["incidence"] == ref._cache["incidence"]
         assert body.int_form() == ref.int_form()
         assert body._cache["arank"] == ref._cache["arank"]
+        if kind == "faces":
+            crowded += sum(p not in body.vertices
+                           and sum(h.is_tight(p) for h in body.halfspaces) >= n for p in set(pts))
+    assert crowded or (n, kind) != (4, "faces")
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -688,6 +705,30 @@ def test_det_matches_laplace_oracle():
             det = geometry._det(rows)
             assert det == oracle_det(rows)
             assert isinstance(det, int) or frac
+
+
+def test_cofactors_match_laplace_oracle():
+    """The cofactor vector of m integer rows in R^(m+1), for m = 0 to 4 (the
+    cross product and the shared-minor 3x4 closed form included), equals
+    ((-1)^j oracle_det of the rows without column j) on seeded rows with
+    zero rows, repeated rows and 200-digit entries, and is orthogonal to
+    every row."""
+    rng = random.Random(47)
+    big = 10 ** 199
+    for m in range(5):
+        for case in range(200):
+            rows = [[rng.randint(-9, 9) for _ in range(m + 1)] for _ in range(m)]
+            if case % 4 == 1 and m:
+                rows[rng.randrange(m)] = [0] * (m + 1)
+            elif case % 4 == 2 and m > 1:
+                rows[-1] = list(rng.choice(rows[:-1]))
+            elif case % 4 == 3:
+                rows = [[rng.choice((-1, 1)) * rng.randrange(big, 10 * big) for _ in r] for r in rows]
+            cof = geometry._cofactors(rows)
+            assert cof == tuple((-1) ** j * oracle_det([r[:j] + r[j + 1:] for r in rows])
+                                for j in range(m + 1))
+            assert all(sum(map(mul, cof, r)) == 0 for r in rows)
+            assert any(cof) == (oracle_row_reduce([list(map(F, r)) for r in rows])[0] == m)
 
 
 # ---------------------------------------------------------------------------
@@ -1505,13 +1546,15 @@ def test_clip_matches_dot_product_row_clip_oracle(n):
 
 
 def test_maximal_matches_all_pairs_oracle():
-    """Largest-first maximal sets against comparing every pair, on seeded
-    families with nested chains, equal sizes and the empty set."""
+    """Largest-first maximal sets, as bit masks, against comparing every
+    pair of frozensets, on seeded families with nested chains, equal sizes
+    and the empty set."""
     rng = random.Random(17)
     for _ in range(300):
         universe = range(rng.randrange(1, 9))
         family = {frozenset(x for x in universe if rng.randrange(3)) for _ in range(rng.randrange(1, 12))}
-        assert geometry._maximal(family) == oracle_maximal(family)
+        assert geometry._maximal(set(map(geometry._bits, family))) == set(
+            map(geometry._bits, oracle_maximal(family)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -1610,6 +1653,45 @@ def test_triangulate_tiles_the_body_with_proper_simplices(seed, n):
     assert all(len(s) == n + 1 and set(s) <= set(body.vertices) for s in simplices)
     assert all(d != 0 for d in dets)
     assert sum(abs(d) for d in dets) / factorial(n) == oracle_moments(body)[0]
+
+
+def moments_by(pull, body):
+    """``_moments`` of a body summed over the triangulation ``pull``, not
+    read from the body's cache."""
+    body._cache.pop("moments", None)
+    with mock.patch.object(geometry, "triangulate", pull):
+        return geometry._moments(body)
+
+
+@pytest.mark.parametrize("n, kind", [(n, kind) for n in (3, 4)
+                                     for kind in ("grid", "cospherical", "minkowski")])
+def test_triangulate_matches_frozenset_pull_oracle(n, kind):
+    """The bit-mask pulling triangulation, each face's facets read off its
+    parent's list, against the frozenset pull that reads them off every
+    incidence set (``oracle_pull_triangulation``) on seeded hulls and their
+    3-cut chains: the same simplex set, no simplex twice, the same
+    ``_moments``, and in 3-D the same ``thresholds._knot_terms`` of a
+    3-piece G."""
+    rng = random.Random(4700 + 10 * n + len(kind))
+    tested = 0
+    for _ in range(10):
+        body = hull(oracle_cloud(rng, n, kind))
+        for _ in range(4):
+            if body.is_empty or not body.is_full_dim():
+                break
+            simplices, ref = triangulate(body), oracle_pull_triangulation(body)
+            assert sorted(simplices) == sorted(set(ref)) == sorted(ref)
+            assert moments_by(triangulate, body) == moments_by(oracle_pull_triangulation, body)
+            if n == 3:
+                grads = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(3)]
+                lift = F(1, 4) - min(_dot(grad, v) for grad in grads for v in body.vertices)
+                g = ConcavePL.make([AffineFunctional.make(grad, lift) for grad in grads], body)
+                with mock.patch.object(thresholds, "triangulate", oracle_pull_triangulation):
+                    terms = thresholds._knot_terms(body, g)
+                assert thresholds._knot_terms(body, g) == terms
+            tested += 1
+            body = intersect_halfspace(body, crossing_cut(rng, body))
+    assert tested >= 20
 
 
 def test_moments_of_4d_cut_body_make_no_hull_calls(monkeypatch):

@@ -192,6 +192,34 @@ def test_bodies_and_full_hulls_have_one_constructor_call():
         ("_hull_rows", "_affine_equalities"), ("_hull_rows", "_polygon")}
 
 
+def _cofactor_expansions(tree) -> list[str]:
+    """The innermost enclosing function of every product (-1) ** j *
+    _det(...) in a tree: one cofactor of a Laplace expansion."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.BinOp) and isinstance(child.op, ast.Mult):
+                sign, det = child.left, child.right
+                if (isinstance(sign, ast.BinOp) and isinstance(sign.op, ast.Pow)
+                        and ast.unparse(sign.left) == "-1" and isinstance(det, ast.Call)
+                        and getattr(det.func, "id", getattr(det.func, "attr", None)) == "_det"):
+                    found.append(owner)
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_cofactor_vectors_have_one_home():
+    """Every cofactor vector, the hull's facet normals and the hyperplane
+    meets of ``thresholds._meet`` alike, comes from ``geometry._cofactors``:
+    no other function expands (-1) ** j * _det(...) itself."""
+    trees, _ = _package_trees()
+    assert [f"{module}:{owner}" for module, tree in trees.items()
+            for owner in _cofactor_expansions(tree)] == ["geometry.py:_cofactors"]
+
+
 def _parameters_and_calls(*scanned):
     """The package's parameters and the arguments of every call in the
     package, in ``perfbench/`` and in the files ``scanned``.
